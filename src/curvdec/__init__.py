@@ -10,7 +10,6 @@ connection triples and verifies their curvature identities pointwise.
 from .charts import PolyChart, TripleReport, christoffel, conjugate_triple_report, curvature_at
 from .decomp import (
     DecompositionResult,
-    ProjectionFamily,
     a_decompose,
     a_projections,
     b_forms,
@@ -42,13 +41,11 @@ from .linalg import (
     ScalarProduct,
     build_scalar_product,
     standard_scalar_product,
-    sym_antisym_split,
     tensor_pairing,
 )
 from .poly import Poly
 from .sampling import (
     DimensionReport,
-    SampleSpec,
     empirical_dimension,
     formula_dim,
     sample,
@@ -61,7 +58,6 @@ from .spaces import (
     membership,
     mu,
     psi,
-    psi_mu,
     ricci,
     ricci_star,
     ricci_traces,

@@ -4,9 +4,11 @@ A chart carries a metric g(x) and a totally symmetric cubic form C(x) as
 polynomial fields.  The three connections of interest are the Levi-Civita
 connection of g and the pair nabla = LC + C, nabla* = LC - C (C raised to a
 (1,2) tensor with the inverse metric).  All differentiation is exact: the
-inverse metric is handled through adjugate/determinant polynomials and the
-quotient rule, evaluated only at the requested point, so identity residuals
-contain float roundoff but no truncation error.
+fields and their polynomial derivatives are evaluated at the requested point,
+a field F is raised there as g^-1 F, and its derivative follows from
+d(g^-1) = -g^-1 (dg) g^-1 with the exact dg.  Identity residuals therefore
+contain float roundoff but no truncation error.  A chart keeps the evaluated
+fields of the last point it was asked about.
 
 Index conventions, frozen against the flat-metric constant-C case:
 Gamma[i, j, k] = Gamma^i_{jk}, dGamma[m, i, j, k] = d_m Gamma^i_{jk}, and the
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateAtPoint, DegenerateMetric, DimensionMismatch
 from .linalg import ScalarProduct, antisym, build_scalar_product
-from .poly import Poly, poly_adjugate, poly_det
+from .poly import Poly
 from .spaces import conjugate, membership_residual, ricci, scalar_curvature
 
 CONNECTIONS = ("levi_civita", "nabla", "nabla_star")
@@ -69,36 +71,31 @@ class PolyChart:
                                     f"cubic entry ({i},{j},{k}) not totally symmetric"
                                 )
         self._fields = None
+        self._last = None
 
     # -- polynomial precomputation ------------------------------------------
 
     def _prepared(self):
         if self._fields is None:
             n = self.dim
-            det = poly_det(self.metric)
-            adj = poly_adjugate(self.metric)
+            dg = [
+                [[self.metric[i][j].diff(m) for j in range(n)] for i in range(n)]
+                for m in range(n)
+            ]
             self._fields = {
-                "det": det,
-                "ddet": [det.diff(m) for m in range(n)],
-                "adj": adj,
-                "dadj": [[[adj[i][j].diff(m) for j in range(n)] for i in range(n)] for m in range(n)],
-                "dg": [
-                    [[self.metric[i][j].diff(m) for j in range(n)] for i in range(n)]
+                "dg": dg,
+                "d2g": [
+                    [[[dg[m][i][j].diff(p) for j in range(n)] for i in range(n)] for m in range(n)]
+                    for p in range(n)
+                ],
+                "dc": [
+                    [
+                        [[self.cubic[i][j][k].diff(m) for k in range(n)] for j in range(n)]
+                        for i in range(n)
+                    ]
                     for m in range(n)
                 ],
             }
-            dg = self._fields["dg"]
-            self._fields["d2g"] = [
-                [[[dg[m][i][j].diff(p) for j in range(n)] for i in range(n)] for m in range(n)]
-                for p in range(n)
-            ]
-            self._fields["dc"] = [
-                [
-                    [[self.cubic[i][j][k].diff(m) for k in range(n)] for j in range(n)]
-                    for i in range(n)
-                ]
-                for m in range(n)
-            ]
         return self._fields
 
     # -- pointwise evaluation -----------------------------------------------
@@ -112,24 +109,21 @@ class PolyChart:
             raise DegenerateAtPoint(f"metric degenerate at {point.tolist()}: {exc}") from exc
 
     def _point_data(self, point):
+        """All fields at the point, evaluated once and kept for the last point asked."""
         point = np.asarray(point, dtype=float)
-        f = self._prepared()
-        n = self.dim
-        g = self.metric_at(point)
-        ev = lambda nested: np.asarray(_eval_nested(nested, point))
-        det = f["det"](point)
-        data = {
-            "g": g,
-            "det": det,
-            "ddet": ev(f["ddet"]),
-            "adj": ev(f["adj"]),
-            "dadj": ev(f["dadj"]),
-            "dg": ev(f["dg"]),
-            "d2g": ev(f["d2g"]),
-            "cflat": ev(self.cubic),
-            "dcflat": ev(f["dc"]),
-        }
-        return point, data
+        key = point.tobytes()
+        if self._last is None or self._last[0] != key:
+            f = self._prepared()
+            ev = lambda nested: np.asarray(_eval_nested(nested, point))
+            data = {
+                "g": self.metric_at(point),
+                "dg": ev(f["dg"]),
+                "d2g": ev(f["d2g"]),
+                "cflat": ev(self.cubic),
+                "dcflat": ev(f["dc"]),
+            }
+            self._last = (key, data)
+        return self._last[1]
 
 
 def _eval_nested(nested, point):
@@ -138,14 +132,11 @@ def _eval_nested(nested, point):
     return [_eval_nested(item, point) for item in nested]
 
 
-def _raised_with_derivative(adj, dadj, det, ddet, field, dfield):
-    """Value and exact derivative of adj@field/det at the point (quotient rule)."""
-    num = np.einsum("il,ljk->ijk", adj, field)
-    dnum = np.einsum("mil,ljk->mijk", dadj, field) + np.einsum(
-        "il,mljk->mijk", adj, dfield
-    )
-    value = num / det
-    deriv = dnum / det - np.einsum("m,ijk->mijk", ddet, num) / det**2
+def _raised_with_derivative(d, field, dfield):
+    """Value and exact derivative of g^-1 field, by d(g^-1) = -g^-1 (dg) g^-1."""
+    gi = d["g"].inverse
+    value = np.einsum("il,ljk->ijk", gi, field)
+    deriv = np.einsum("il,mljk->mijk", gi, dfield - np.einsum("mlh,hjk->mljk", d["dg"], value))
     return value, deriv
 
 
@@ -155,7 +146,7 @@ def christoffel(chart: PolyChart, point):
     Returns (gamma, dgamma) with gamma[i, j, k] = Gamma^i_{jk} and
     dgamma[m, i, j, k] = d_m Gamma^i_{jk}, both exact.
     """
-    point, d = chart._point_data(point)
+    d = chart._point_data(point)
     dg, d2g = d["dg"], d["d2g"]
     a = 0.5 * (
         np.einsum("jlk->ljk", dg) + np.einsum("klj->ljk", dg) - np.einsum("ljk->ljk", dg)
@@ -165,14 +156,12 @@ def christoffel(chart: PolyChart, point):
         + np.einsum("mklj->mljk", d2g)
         - np.einsum("mljk->mljk", d2g)
     )
-    return _raised_with_derivative(d["adj"], d["dadj"], d["det"], d["ddet"], a, da)
+    return _raised_with_derivative(d, a, da)
 
 
 def _cubic_raised(chart: PolyChart, point):
-    point, d = chart._point_data(point)
-    return _raised_with_derivative(
-        d["adj"], d["dadj"], d["det"], d["ddet"], d["cflat"], d["dcflat"]
-    )
+    d = chart._point_data(point)
+    return _raised_with_derivative(d, d["cflat"], d["dcflat"])
 
 
 def _connection(chart: PolyChart, point, which: str):
@@ -201,8 +190,7 @@ def _lower(rop, gmatrix):
 def curvature_at(chart: PolyChart, point, which: str = "levi_civita") -> np.ndarray:
     """The rank-4 curvature tensor of the chosen connection at the point."""
     gamma, dgamma = _connection(chart, point, which)
-    gx = chart.metric_at(point)
-    return _lower(_operator_curvature(gamma, dgamma), gx.matrix)
+    return _lower(_operator_curvature(gamma, dgamma), chart._point_data(point)["g"].matrix)
 
 
 @dataclass(frozen=True)
@@ -237,7 +225,7 @@ def conjugate_triple_report(chart: PolyChart, point, tol: float = 1e-10) -> Trip
     """Evaluate the triple at a point and check all pointwise identities."""
     point = np.asarray(point, dtype=float)
     n = chart.dim
-    g = chart.metric_at(point)
+    g = chart._point_data(point)["g"]
     gm, gi = g.matrix, g.inverse
 
     gamma, dgamma = christoffel(chart, point)

@@ -6,12 +6,14 @@ All results are JSON on stdout; diagnostics go to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .charts import conjugate_triple_report, curvature_at
 from .decomp import a_decompose, singer_thorpe, w_decompose
 from .errors import CurvdecError
 from .jsonio import (
+    _loads,
     decomposition_document,
     dimension_document,
     dumps,
@@ -40,9 +42,12 @@ def _signature(text: str) -> tuple[int, int]:
 
 def _point(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",")]
+        point = [float(x) for x in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError("point must be comma-separated numbers") from exc
+    if not all(map(math.isfinite, point)):
+        raise argparse.ArgumentTypeError("point coordinates must be finite")
+    return point
 
 
 def _emit(doc, output: str | None) -> None:
@@ -60,11 +65,9 @@ def _read(path: str):
 
 
 def _cmd_decompose(args) -> int:
-    import json
-
-    raw = _read(args.input)
-    tensor, g = parse_tensor(raw)
-    include_g = "g" in json.loads(raw.decode("utf-8"))
+    doc = _loads(_read(args.input))
+    tensor, g = parse_tensor(doc)
+    include_g = "g" in doc
     result = _DECOMPOSERS[args.mode](tensor, g)
     _emit(decomposition_document(result, g, include_g), args.output)
     return 0
@@ -195,6 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--point" in argv[:-1]:
+        # argparse takes a value such as "-0.1,0.2,0.3" for an option; attach it
+        i = argv.index("--point")
+        argv[i : i + 2] = [f"--point={argv[i + 1]}"]
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -37,7 +37,7 @@ def _maxnorm(t) -> float:
 
 def _require_space(t, g, space, tol):
     res = membership_residual(t, g, space)
-    if res > tol:
+    if not res <= tol:
         err = NotGeneralizedCurvature if space == "r" else NotAlgebraic
         raise err(f"membership residual {res:.3e} in {space!r} exceeds {tol:.0e}")
 
@@ -257,39 +257,3 @@ def equiaffine_einstein_check(t, g: ScalarProduct, tol: float = MEMBERSHIP_TOL) 
         return True
     return max(_maxnorm(comps[1]), _maxnorm(comps[2])) / scale <= tol
 
-
-class ProjectionFamily:
-    """One projector family (mode 'W' or 'A') over a fixed scalar product.
-
-    apply(j, t) evaluates the j-th projector (0-based); matrix(j)
-    materializes it as an (n^4, n^4) array over the coefficient space, for
-    rank analysis.  The maps are projectors only on r(V): idempotence and
-    vanishing cross-compositions hold there, not on all of tensor space.
-    """
-
-    def __init__(self, mode: str, g: ScalarProduct):
-        if mode not in ("W", "A"):
-            raise ValueError(f"mode must be 'W' or 'A', got {mode!r}")
-        self.mode = mode
-        self.g = g
-        self._matrices: dict[int, np.ndarray] = {}
-
-    def _all(self, t):
-        return w_projections(t, self.g) if self.mode == "W" else a_projections(t, self.g)
-
-    def apply(self, j: int, t) -> np.ndarray:
-        return self._all(t)[j]
-
-    def matrix(self, j: int) -> np.ndarray:
-        if j not in self._matrices:
-            n = self.g.dim
-            cols = [np.empty((n**4, n**4)) for _ in range(8)]
-            basis = np.zeros(n**4)
-            for e in range(n**4):
-                basis[e] = 1.0
-                comps = self._all(basis.reshape(n, n, n, n))
-                basis[e] = 0.0
-                for i in range(8):
-                    cols[i][:, e] = comps[i].ravel()
-            self._matrices = dict(enumerate(cols))
-        return self._matrices[j]

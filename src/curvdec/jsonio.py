@@ -7,6 +7,7 @@ shortest-representation formatting used by the json module.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -53,7 +54,13 @@ def _as_int(value, path):
 def _as_number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the double range
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(path, "expected a finite number")
+    return number
 
 
 def parse_tensor(data) -> tuple[np.ndarray, ScalarProduct]:

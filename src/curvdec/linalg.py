@@ -95,17 +95,6 @@ def standard_scalar_product(p: int, q: int) -> ScalarProduct:
     return ScalarProduct(m, m.copy(), (p, q))
 
 
-def sym_antisym_split(b) -> tuple[np.ndarray, np.ndarray]:
-    """Split a bilinear form into symmetric and antisymmetric parts.
-
-    Returns (S, L) with S = (b + b^T)/2 exactly symmetric and L = b - S, so
-    that reapplying the split to S gives (S, 0) bit-for-bit.
-    """
-    b = np.asarray(b, dtype=float)
-    s = 0.5 * (b + b.T)
-    return s, b - s
-
-
 def sym(b) -> np.ndarray:
     """Symmetric part (b + b^T)/2."""
     b = np.asarray(b, dtype=float)

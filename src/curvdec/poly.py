@@ -2,8 +2,9 @@
 
 Terms live in a dict from exponent tuples to float coefficients; zero
 coefficients are never stored.  Differentiation and arithmetic are exact on
-the coefficient level, which keeps truncation error out of the chart
-identities; evaluation sums terms in sorted order for reproducibility.
+the coefficient level, so a derivative evaluated at a point carries float
+roundoff but no truncation error; evaluation sums terms in sorted order for
+reproducibility.
 """
 from __future__ import annotations
 
@@ -107,37 +108,3 @@ class Poly:
             bits.append(f"{self.terms[e]:g}*{mono}")
         return "Poly(" + " + ".join(bits) + ")"
 
-
-def poly_det(m: list[list[Poly]]) -> Poly:
-    """Determinant of a square polynomial matrix by cofactor expansion."""
-    k = len(m)
-    if k == 1:
-        return m[0][0]
-    nvars = m[0][0].nvars
-    total = Poly(nvars)
-    for j in range(k):
-        if m[0][j].is_zero():
-            continue
-        minor = [[m[r][c] for c in range(k) if c != j] for r in range(1, k)]
-        term = m[0][j] * poly_det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
-
-
-def poly_adjugate(m: list[list[Poly]]) -> list[list[Poly]]:
-    """Adjugate matrix: adj(m)[i][j] = cofactor_ji, so m @ adj = det * I."""
-    k = len(m)
-    nvars = m[0][0].nvars
-    if k == 1:
-        return [[Poly.constant(1.0, nvars)]]
-    adj = [[Poly(nvars) for _ in range(k)] for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            minor = [
-                [m[r][c] for c in range(k) if c != j]
-                for r in range(k)
-                if r != i
-            ]
-            cof = poly_det(minor)
-            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return adj

@@ -43,19 +43,6 @@ def rng_stream(seed: int, index) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
 
 
-@dataclass(frozen=True)
-class SampleSpec:
-    """A reproducible request for one subspace sample."""
-
-    space: str
-    dim: int
-    signature: tuple[int, int]
-    seed: int
-
-    def draw(self, index=0) -> np.ndarray:
-        return sample(self.space, self.dim, self.signature, self.seed, index)
-
-
 def _normalize(t, floor: float):
     m = float(np.max(np.abs(t)))
     if m < floor:

@@ -84,11 +84,6 @@ def mu(t) -> np.ndarray:
     )
 
 
-def psi_mu(t) -> tuple[np.ndarray, np.ndarray]:
-    """Both idempotent averages at once."""
-    return psi(t), mu(t)
-
-
 def cyclic_sum(t) -> np.ndarray:
     """First-Bianchi cyclic sum over the first three arguments."""
     t = np.asarray(t, dtype=float)
@@ -223,7 +218,6 @@ __all__ = [
     "membership_residual",
     "mu",
     "psi",
-    "psi_mu",
     "reindex",
     "ricci",
     "ricci_star",

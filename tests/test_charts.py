@@ -3,9 +3,15 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 import pytest
 
-from curvdec.charts import PolyChart, christoffel, conjugate_triple_report, curvature_at
+from curvdec.charts import (
+    CONNECTIONS,
+    PolyChart,
+    christoffel,
+    conjugate_triple_report,
+    curvature_at,
+)
 from curvdec.errors import DegenerateAtPoint, DimensionMismatch
-from curvdec.poly import Poly, poly_adjugate, poly_det
+from curvdec.poly import Poly
 from curvdec.spaces import conjugate, membership_residual
 
 N = 3
@@ -26,26 +32,30 @@ def constant_cubic(entries):
     return cub
 
 
-def random_chart(rng, scale=0.08):
+def random_chart(rng, n=N, scale=0.08, dense=False):
+    """Random chart of degree <= 2; dense=True redraws dropped monomials, so no entry is zero."""
+
     def rand_poly():
         terms = {}
         for _ in range(4):
-            e = tuple(int(v) for v in rng.integers(0, 2, N))
+            e = tuple(int(v) for v in rng.integers(0, 2, n))
+            while dense and sum(e) > 2:
+                e = tuple(int(v) for v in rng.integers(0, 2, n))
             if sum(e) <= 2:
                 terms[e] = scale * rng.uniform(-1, 1)
-        return Poly(N, terms)
+        return Poly(n, terms)
 
-    metric = [[ZERO for _ in range(N)] for _ in range(N)]
-    for i in range(N):
-        for j in range(i, N):
+    metric = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
             p = rand_poly()
-            metric[i][j] = metric[j][i] = (ONE + p) if i == j else p
-    cubic = [[[ZERO] * N for _ in range(N)] for _ in range(N)]
-    for idx in combinations_with_replacement(range(N), 3):
+            metric[i][j] = metric[j][i] = (1.0 + p) if i == j else p
+    cubic = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for idx in combinations_with_replacement(range(n), 3):
         p = rand_poly()
         for pp in set(permutations(idx)):
             cubic[pp[0]][pp[1]][pp[2]] = p
-    return PolyChart(N, metric, cubic)
+    return PolyChart(n, metric, cubic)
 
 
 # -- polynomials --------------------------------------------------------------
@@ -70,21 +80,6 @@ def test_poly_diff_decreases_degree():
     assert p.diff(0).terms == {(2, 2): 6.0}
     assert p.diff(0).diff(0).diff(0).terms == {(0, 2): 12.0}
     assert p.diff(0).diff(0).diff(0).diff(0).is_zero()
-
-
-def test_poly_det_adjugate_inverse_relation():
-    rng = np.random.default_rng(1)
-    m = [[Poly(2, {(0, 0): rng.uniform(1, 2) if i == j else rng.uniform(-0.3, 0.3),
-                   (1, 0): rng.uniform(-0.2, 0.2)}) for j in range(3)] for i in range(3)]
-    for i in range(3):
-        for j in range(i):
-            m[i][j] = m[j][i]
-    det = poly_det(m)
-    adj = poly_adjugate(m)
-    pt = (0.3, -0.7)
-    mx = np.array([[m[i][j](pt) for j in range(3)] for i in range(3)])
-    adjx = np.array([[adj[i][j](pt) for j in range(3)] for i in range(3)])
-    assert np.allclose(mx @ adjx, det(pt) * np.eye(3), atol=1e-12)
 
 
 # -- charts -------------------------------------------------------------------
@@ -246,3 +241,33 @@ def test_exact_curvature_matches_finite_difference_oracle():
         exact = curvature_at(chart, point, which)
         approx = fd_curvature(chart, point, which)
         assert np.max(np.abs(exact - approx)) <= 1e-7
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_dense_chart_beyond_dimension_three(n):
+    rng = np.random.default_rng(40 + n)
+    chart = random_chart(rng, n, dense=True)
+    assert not any(p.is_zero() for row in chart.metric for p in row)
+    point = rng.uniform(-0.4, 0.4, n)
+    rep = conjugate_triple_report(chart, point)
+    for name, value in rep.identity_residuals.items():
+        assert value <= 1e-8, f"{name}: {value}"
+    assert rep.identity_residuals["scalar_deviation"] <= 1e-9
+    for which in CONNECTIONS:
+        exact = curvature_at(chart, point, which)
+        assert np.max(np.abs(exact - fd_curvature(chart, point, which))) <= 1e-7
+
+
+def test_point_data_follows_the_point():
+    # a chart keeps the fields of the last point; moving the point must
+    # not reuse them
+    rng = np.random.default_rng(6)
+    chart = random_chart(rng)
+    p1, p2 = np.array([0.1, -0.2, 0.3]), np.array([-0.3, 0.25, 0.05])
+    r1 = curvature_at(chart, p1, "nabla")
+    r2 = curvature_at(chart, p2, "nabla")
+    assert not np.array_equal(r1, r2)
+    assert np.array_equal(curvature_at(chart, p1, "nabla"), r1)
+    p1[0] = p2[0]
+    fresh = PolyChart(N, chart.metric, chart.cubic)
+    assert np.array_equal(curvature_at(chart, p1, "nabla"), curvature_at(fresh, p1, "nabla"))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from curvdec.decomp import (
-    ProjectionFamily,
     a_decompose,
     a_projections,
     b_forms,
@@ -94,6 +93,18 @@ def test_rejects_non_generalized_input():
         w_decompose(rng.uniform(-1, 1, (3,) * 4), g)
     with pytest.raises(NotGeneralizedCurvature):
         a_decompose(rng.uniform(-1, 1, (3,) * 4), g)
+
+
+def test_rejects_non_finite_input():
+    # a NaN residual must fail the gate, not slip past a `res > tol` test
+    g = standard_scalar_product(3, 0)
+    for bad in (np.nan, np.inf):
+        t = rsample(3, 2)
+        t[0, 1, 0, 1] = bad
+        with pytest.raises(NotGeneralizedCurvature):
+            w_decompose(t, g)
+        with pytest.raises(NotAlgebraic):
+            singer_thorpe(t, g)
 
 
 def test_alpha2_characterizes_traceless_ricci_block():
@@ -243,24 +254,6 @@ def test_einstein_check_cross_checked_against_trace_condition():
         rep = ricci_traces(r, g)
         assert not equiaffine_einstein_check(r, g)
         assert np.max(np.abs(rep.ric - (rep.tau / 3.0) * g.matrix)) > 1e-4
-
-
-def test_projection_family_matrices():
-    g = standard_scalar_product(3, 0)
-    fam = ProjectionFamily("W", g)
-    r = rsample(3, 11)
-    vec = r.ravel()
-    comps = w_projections(r, g)
-    for j in (0, 2, 6):
-        m = fam.matrix(j)
-        assert np.allclose(m @ vec, comps[j].ravel(), atol=1e-12)
-    # idempotence and annihilation hold on the generalized-curvature subspace
-    m1, m2 = fam.matrix(1), fam.matrix(4)
-    assert np.max(np.abs((m1 @ m1 - m1) @ vec)) <= 1e-9
-    assert np.max(np.abs((m1 @ m2) @ vec)) <= 1e-9
-    assert np.allclose(fam.apply(3, r), comps[3], atol=1e-14)
-    with pytest.raises(ValueError):
-        ProjectionFamily("X", g)
 
 
 def test_scalar_curvature_of_components_vanishes_beyond_first():

@@ -61,6 +61,17 @@ def test_schema_errors_carry_paths():
         )
 
 
+def test_non_finite_numbers_rejected():
+    # 1e400 parses to inf and 10**400 has no double; neither may reach the gate
+    doc = {"dim": 3, "signature": [3, 0], "R": [0.5] + [0.0] * 80}
+    for bad in ("1e400", "-1e400", str(10**400)):
+        with pytest.raises(SchemaError, match=r"\$\.R\[0\]"):
+            parse_tensor(dumps(doc).replace("0.5", bad, 1))
+    doc["g"] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]]
+    with pytest.raises(SchemaError, match=r"\$\.g\[2\]\[2\]"):
+        parse_tensor(dumps(doc).replace("0.0, 0.5]", "0.0, 1e400]", 1))
+
+
 def test_degenerate_metric_in_document():
     doc = {
         "dim": 3,
@@ -145,6 +156,12 @@ def test_chart_rejects_unsorted_or_bad_keys():
     doc["cubic"]["0,3,0"] = {"0 0 0": 1.0}
     with pytest.raises(SchemaError):
         parse_chart(dumps(doc))
+
+
+def test_chart_rejects_non_finite_coefficient():
+    text = dumps(chart_doc()).replace("0.25", "1e400", 1)
+    with pytest.raises(SchemaError, match="finite"):
+        parse_chart(text)
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -254,3 +271,27 @@ def test_main_callable_directly(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert json.loads(out)["mode"] == "A"
+
+
+def test_cli_chart_negative_first_coordinate(tmp_path, capsys):
+    path = tmp_path / "chart.json"
+    path.write_text(dumps(chart_doc()))
+    for args in (["--point", "-0.1,0.2,0.3"], ["--point=-0.1,0.2,0.3"]):
+        assert main(["chart", "--input", str(path), *args, "--report", "triple"]) == 0
+        assert json.loads(capsys.readouterr().out)["point"] == [-0.1, 0.2, 0.3]
+
+
+def test_cli_non_finite_input_exit_codes(tmp_path, capsys):
+    chart = tmp_path / "chart.json"
+    chart.write_text(dumps(chart_doc()))
+    for point in ("0.1,1e400,0.0", "nan,0.0,0.0", "-inf,0.0,0.0"):
+        assert main(["chart", "--input", str(chart), "--point", point]) == 2
+        assert "finite" in capsys.readouterr().err
+    chart.write_text(dumps(chart_doc()).replace("0.25", "1e400", 1))
+    assert main(["chart", "--input", str(chart), "--point", "0.1,0.0,-0.2"]) == 1
+    tensor = tmp_path / "t.json"
+    doc = {"dim": 3, "signature": [3, 0], "R": [0.5] + [0.0] * 80}
+    tensor.write_text(dumps(doc).replace("0.5", "1e400", 1))
+    assert main(["decompose", "--mode", "w", "--input", str(tensor)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "finite" in out.err

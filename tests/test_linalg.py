@@ -8,9 +8,10 @@ from curvdec.errors import (
     NotSymmetric,
 )
 from curvdec.linalg import (
+    antisym,
     build_scalar_product,
     standard_scalar_product,
-    sym_antisym_split,
+    sym,
     tensor_pairing,
 )
 from curvdec.spaces import bianchi_project, wedge
@@ -90,14 +91,14 @@ def test_dimension_too_small():
 
 def test_split_symmetric_fixed_point():
     b = np.array([[1.0, 2.0, 0.5], [2.0, -1.0, 3.0], [0.5, 3.0, 0.0]])
-    s, l = sym_antisym_split(b)
+    s, l = sym(b), antisym(b)
     assert np.array_equal(s, b)
     assert np.array_equal(l, np.zeros((3, 3)))
 
 
 def test_split_antisymmetric_fixed_point():
     b = np.array([[0.0, 2.0, -0.5], [-2.0, 0.0, 3.0], [0.5, -3.0, 0.0]])
-    s, l = sym_antisym_split(b)
+    s, l = sym(b), antisym(b)
     assert np.array_equal(s, np.zeros((3, 3)))
     assert np.array_equal(l, b)
 
@@ -105,7 +106,7 @@ def test_split_antisymmetric_fixed_point():
 def test_split_single_offdiagonal_entry():
     b = np.zeros((3, 3))
     b[0, 1] = 1.0
-    s, l = sym_antisym_split(b)
+    s, l = sym(b), antisym(b)
     assert s[0, 1] == 0.5 and s[1, 0] == 0.5
     assert l[0, 1] == 0.5 and l[1, 0] == -0.5
     assert np.array_equal(s + l, b)
@@ -114,11 +115,11 @@ def test_split_single_offdiagonal_entry():
 def test_split_direct_sum_property():
     rng = np.random.default_rng(11)
     b = rng.uniform(-1, 1, (4, 4))
-    s, l = sym_antisym_split(b)
+    s, l = sym(b), antisym(b)
     assert np.array_equal(s, s.T)
     assert np.allclose(l, -l.T, atol=1e-16)
     assert np.allclose(s + l, b, rtol=0, atol=1e-15)
-    s2, l2 = sym_antisym_split(s)
+    s2, l2 = sym(s), antisym(s)
     assert np.array_equal(s2, s)
     assert np.array_equal(l2, np.zeros_like(s))
 

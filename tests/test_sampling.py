@@ -5,7 +5,6 @@ from curvdec.errors import EmptySpace, InconclusiveRank
 from curvdec.linalg import standard_scalar_product
 from curvdec.sampling import (
     SAMPLE_SPACES,
-    SampleSpec,
     dim_a,
     dim_f,
     dim_p,
@@ -23,8 +22,7 @@ def test_determinism_bit_identical():
     assert np.array_equal(a, b)
     c = sample("r", 3, (3, 0), seed=124, index=5)
     assert not np.array_equal(a, c)
-    spec = SampleSpec("a", 4, (3, 1), 99)
-    assert np.array_equal(spec.draw(2), spec.draw(2))
+    assert np.array_equal(sample("a", 4, (3, 1), 99, 2), sample("a", 4, (3, 1), 99, 2))
 
 
 def test_samples_satisfy_their_membership_predicates():

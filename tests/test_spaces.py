@@ -12,7 +12,6 @@ from curvdec.spaces import (
     membership_residual,
     mu,
     psi,
-    psi_mu,
     ricci_traces,
     wedge,
     wedge_r,
@@ -168,7 +167,7 @@ def test_membership_unknown_space():
 def test_psi_mu_idempotent_and_typed():
     g = standard_scalar_product(3, 0)
     r = rsample(3, 5)
-    p, m = psi_mu(r)
+    p, m = psi(r), mu(r)
     assert membership_residual(p, g, "a") <= 1e-14
     assert membership_residual(m, g, "s") <= 1e-14
     assert np.allclose(psi(p), p, atol=1e-14)
