@@ -31,6 +31,7 @@ from .errors import (
     FormSymmetryViolation,
     InconclusiveRank,
     LengthMismatch,
+    NonFiniteInput,
     NotAlgebraic,
     NotGeneralizedCurvature,
     NotSymmetric,

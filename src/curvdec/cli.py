@@ -136,7 +136,7 @@ def _cmd_chart(args) -> int:
         rep = conjugate_triple_report(chart, args.point)
         _emit(triple_report_document(rep), args.output)
         return 0
-    g = chart.metric_at(args.point)
+    g = chart._point_data(args.point)["g"]
     doc = {
         "point": list(args.point),
         "curvatures": {

@@ -1,8 +1,12 @@
 """The two eight-part orthogonal decompositions of r(V) and derived maps.
 
-Both families are built from the trace data (Ric, Ric*, tau) and the wedge /
-dot products of bilinear forms with g.  The W-family isolates the projective
-part (components 4..8 span the Ricci-flat tensors); the A-family isolates the
+Every map here is linear in the trace data Ric, Ric*, tau, psi(R) and mu(R);
+`_traces` computes (Ric, Ric*, tau) once per tensor.  The Ricci part is sigma,
+the right inverse of the Ricci trace: W1, W2 and W3 are sigma of (tau/n) g,
+Sym Ric - (tau/n) g and Alt Ric, so the projective part is
+R - sigma(Alt Ric, Sym Ric).  An antisymmetric form b enters every map through
+one lift, 2 b.g + b ^_r g.  The W-family isolates the projective part
+(components 4..8 span the Ricci-flat tensors); the A-family isolates the
 decomposition of a(V) and s(V).  Components 1, 6, 7, 8 coincide between the
 families; the (2,5) vs (2,3) and (3,4) vs (4,5) blocks differ because those
 module types occur with multiplicity two.
@@ -14,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormSymmetryViolation, NotAlgebraic, NotGeneralizedCurvature
-from .linalg import ScalarProduct, antisym, check_same_dim, sym, tensor_pairing
+from .linalg import (
+    ScalarProduct, _maxnorm, antisym, check_same_dim, check_tensor, sym, tensor_pairing
+)
 from .spaces import (
     MEMBERSHIP_TOL,
     dot_product,
@@ -23,16 +29,11 @@ from .spaces import (
     psi,
     ricci,
     ricci_star,
-    scalar_curvature,
     wedge,
     wedge_r,
 )
 
 FORM_TOL = 1e-10
-
-
-def _maxnorm(t) -> float:
-    return float(np.max(np.abs(t))) if t.size else 0.0
 
 
 def _require_space(t, g, space, tol):
@@ -42,73 +43,65 @@ def _require_space(t, g, space, tol):
         raise err(f"membership residual {res:.3e} in {space!r} exceeds {tol:.0e}")
 
 
+def _traces(t, g: ScalarProduct):
+    """(Ric, Ric*, tau) of t, with tau the g^-1-trace of Ric."""
+    ric = ricci(t, g)
+    return ric, ricci_star(t, g), float(np.sum(g.inverse * ric))
+
+
+def _lift(b, gm, r: float) -> np.ndarray:
+    return 2.0 * dot_product(b, gm) + wedge_r(b, gm, r)
+
+
+def _sigma_alt(omega, gm) -> np.ndarray:  # sigma(omega, 0)
+    return (-1.0 / (len(gm) + 1)) * _lift(omega, gm, 0.0)
+
+
+def _sigma_sym(theta, gm) -> np.ndarray:  # sigma(0, theta)
+    return wedge(theta, gm) / (1 - len(gm))
+
+
 def w_projections(t, g: ScalarProduct) -> list[np.ndarray]:
     """The eight W-components of t, in order, from the closed-form projectors."""
-    t = np.asarray(t, dtype=float)
-    n = check_same_dim(t, g.matrix)
-    gm = g.matrix
-    ric = ricci(t, g)
-    star = ricci_star(t, g)
-    tau = scalar_curvature(t, g)
+    t = check_tensor(t, g)
+    n, gm = g.dim, g.matrix
+    ric, star, tau = _traces(t, g)
     lric, lstar = antisym(ric), antisym(star)
     gg = wedge(gm, gm)
     ps, m = psi(t), mu(t)
 
-    p1 = (-tau / (n * (n - 1))) * gg
-    p2 = wedge((tau / n) * gm - sym(ric), gm) / (n - 1)
-    p3 = (-1.0 / (n + 1)) * (2.0 * dot_product(lric, gm) + wedge(lric, gm))
-    p4 = (-1.0 / (n * n - 4)) * (
-        2.0 * dot_product(lstar, gm) + wedge_r(lstar, gm, n + 1)
-    ) - (3.0 / ((n * n - 4) * (n + 1))) * (
-        2.0 * dot_product(lric, gm) + wedge_r(lric, gm, n + 1)
-    )
-    p5 = (
-        tau * gg - wedge_r(sym(ric + (n - 1) * star), gm, n - 1) / n
-    ) / ((n - 1) * (n - 2))
+    p1 = _sigma_sym((tau / n) * gm, gm)
+    p2 = _sigma_sym(sym(ric) - (tau / n) * gm, gm)
+    p3 = _sigma_alt(lric, gm)
+    p4 = (-1.0 / (n * n - 4)) * _lift(lstar + (3.0 / (n + 1)) * lric, gm, n + 1)
+    p5 = (tau * gg - wedge_r(sym(ric + (n - 1) * star), gm, n - 1) / n) / ((n - 1) * (n - 2))
     p6 = (
         ps
         + wedge_r(sym(ric + star), gm, 1) / (2 * (n - 2))
         - (tau / ((n - 1) * (n - 2))) * gg
     )
-    b7 = antisym(3.0 * ric - star)
     p7 = (
         m
         + wedge_r(sym(ric - star), gm, -1) / (2 * n)
-        + dot_product(b7, gm) / (2 * (n + 2))
-        + wedge_r(b7, gm, -1) / (4 * (n + 2))
+        + _lift(antisym(3.0 * ric - star), gm, -1) / (4 * (n + 2))
     )
-    b8 = lric + lstar
-    p8 = (
-        t
-        - ps
-        - m
-        + dot_product(b8, gm) / (2 * (n - 2))
-        + wedge_r(b8, gm, 3) / (4 * (n - 2))
-    )
+    p8 = t - ps - m + _lift(lric + lstar, gm, 3) / (4 * (n - 2))
     return [p1, p2, p3, p4, p5, p6, p7, p8]
 
 
 def a_projections(t, g: ScalarProduct) -> list[np.ndarray]:
     """The eight A-components of t, in order."""
-    t = np.asarray(t, dtype=float)
-    n = check_same_dim(t, g.matrix)
-    gm = g.matrix
-    ric = ricci(t, g)
-    star = ricci_star(t, g)
-    tau = scalar_curvature(t, g)
+    t = check_tensor(t, g)
+    n, gm = g.dim, g.matrix
+    ric, star, tau = _traces(t, g)
     gg = wedge(gm, gm)
     ps, m = psi(t), mu(t)
 
     a1 = (-tau / (n * (n - 1))) * gg
-    a2 = (
-        -wedge_r(sym(ric + star), gm, 1) / (2 * (n - 2))
-        + (2 * tau / (n * (n - 2))) * gg
-    )
+    a2 = (2 * tau / (n * (n - 2))) * gg - wedge_r(sym(ric + star), gm, 1) / (2 * (n - 2))
     a3 = -wedge_r(sym(ric - star), gm, -1) / (2 * n)
-    b4 = antisym(3.0 * ric - star)
-    a4 = (-1.0 / (4 * (n + 2))) * (2.0 * dot_product(b4, gm) + wedge_r(b4, gm, -1))
-    b5 = antisym(ric + star)
-    a5 = (-1.0 / (4 * (n - 2))) * (2.0 * dot_product(b5, gm) + wedge_r(b5, gm, 3))
+    a4 = (-1.0 / (4 * (n + 2))) * _lift(antisym(3.0 * ric - star), gm, -1)
+    a5 = (-1.0 / (4 * (n - 2))) * _lift(antisym(ric + star), gm, 3)
     a6 = ps - a1 - a2
     a7 = m - a3 - a4
     a8 = t - m - ps - a5
@@ -171,14 +164,15 @@ def singer_thorpe(t, g: ScalarProduct, tol: float = MEMBERSHIP_TOL) -> Decomposi
 
 
 def projective_part(t, g: ScalarProduct, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-    """The Ricci-free part of t: the input minus its first three W-components.
+    """The Ricci-free part of t: t - sigma(Alt Ric, Sym Ric).
 
-    On tensors with symmetric Ricci this equals t + wedge(Ric, g)/(n-1).
+    This is the input minus its first three W-components; on tensors with
+    symmetric Ricci it equals t + wedge(Ric, g)/(n-1).
     """
     t = np.asarray(t, dtype=float)
     _require_space(t, g, "r", tol)
-    comps = w_projections(t, g)
-    return t - comps[0] - comps[1] - comps[2]
+    ric = ricci(t, g)
+    return t - _sigma_alt(antisym(ric), g.matrix) - _sigma_sym(sym(ric), g.matrix)
 
 
 def traceless_core(t, g: ScalarProduct, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
@@ -189,11 +183,8 @@ def traceless_core(t, g: ScalarProduct, tol: float = MEMBERSHIP_TOL) -> np.ndarr
     """
     t = np.asarray(t, dtype=float)
     _require_space(t, g, "r", tol)
-    n = g.dim
-    gm = g.matrix
-    ric = ricci(t, g)
-    star = ricci_star(t, g)
-    tau = scalar_curvature(t, g)
+    n, gm = g.dim, g.matrix
+    ric, star, tau = _traces(t, g)
     return (
         t
         + (2.0 / (n * n - 4)) * dot_product(antisym((n - 1) * ric + star), gm)
@@ -215,9 +206,7 @@ def b_forms(t, g: ScalarProduct, tol: float = MEMBERSHIP_TOL) -> tuple[np.ndarra
     t = np.asarray(t, dtype=float)
     _require_space(t, g, "r", tol)
     n = g.dim
-    ric = ricci(t, g)
-    star = ricci_star(t, g)
-    tau = scalar_curvature(t, g)
+    ric, star, tau = _traces(t, g)
     b_star = sym(star + (n - 1) * ric) - tau * g.matrix
     b = sym((n - 1) * star + ric) - tau * g.matrix
     return b_star, b
@@ -232,28 +221,27 @@ def sigma_split(omega, theta, g: ScalarProduct) -> np.ndarray:
     """
     omega = np.asarray(omega, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    n = check_same_dim(omega, theta, g.matrix)
+    check_same_dim(omega, theta, g.matrix)
     if _maxnorm(omega + omega.T) > FORM_TOL * max(1.0, _maxnorm(omega)):
         raise FormSymmetryViolation("omega is not antisymmetric")
     if _maxnorm(theta - theta.T) > FORM_TOL * max(1.0, _maxnorm(theta)):
         raise FormSymmetryViolation("theta is not symmetric")
-    gm = g.matrix
-    part1 = (-1.0 / (1 + n)) * (2.0 * dot_product(omega, gm) + wedge(omega, gm))
-    part2 = wedge(theta, gm) / (1 - n)
-    return part1 + part2
+    return _sigma_alt(omega, g.matrix) + _sigma_sym(theta, g.matrix)
 
 
 def equiaffine_einstein_check(t, g: ScalarProduct, tol: float = MEMBERSHIP_TOL) -> bool:
     """True when the trace-adjusting W-components 2 and 3 both vanish.
 
-    Equivalent to Ric = (tau/n) g, the Einstein condition for a Ricci
-    symmetric torsion-free connection.
+    W2 = sigma(0, Sym Ric - (tau/n) g) and W3 = sigma(Alt Ric, 0), so this is
+    Ric = (tau/n) g, the Einstein condition for a Ricci symmetric
+    torsion-free connection.
     """
     t = np.asarray(t, dtype=float)
     _require_space(t, g, "r", tol)
-    comps = w_projections(t, g)
     scale = _maxnorm(t)
     if scale == 0.0:
         return True
-    return max(_maxnorm(comps[1]), _maxnorm(comps[2])) / scale <= tol
-
+    ric, _, tau = _traces(t, g)
+    w2 = _sigma_sym(sym(ric) - (tau / g.dim) * g.matrix, g.matrix)
+    w3 = _sigma_alt(antisym(ric), g.matrix)
+    return max(_maxnorm(w2), _maxnorm(w3)) / scale <= tol

@@ -17,6 +17,10 @@ class DegenerateMetric(CurvdecError):
     """A scalar product matrix has an eigenvalue too close to zero."""
 
 
+class NonFiniteInput(CurvdecError):
+    """An input array holds NaN or infinite entries."""
+
+
 class DimensionMismatch(CurvdecError):
     """Operands carry inconsistent dimensions."""
 

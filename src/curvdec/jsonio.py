@@ -25,15 +25,15 @@ def dumps(obj) -> str:
 
 
 def _loads(data):
-    if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
-    if isinstance(data, str):
-        def _reject(name):
-            raise SchemaError("$", f"non-finite constant {name} not allowed")
-        try:
+    def _reject(name):
+        raise SchemaError("$", f"non-finite constant {name} not allowed")
+    try:
+        if isinstance(data, (bytes, bytearray)):
+            data = data.decode("utf-8")
+        if isinstance(data, str):
             return json.loads(data, parse_constant=_reject)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("$", f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer beyond the digit limit
+        raise SchemaError("$", f"invalid JSON: {exc}") from exc
     return data
 
 

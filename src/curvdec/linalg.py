@@ -14,6 +14,7 @@ from .errors import (
     DegenerateMetric,
     DimensionMismatch,
     DimensionTooSmall,
+    NonFiniteInput,
     NotSymmetric,
 )
 
@@ -57,6 +58,8 @@ def build_scalar_product(matrix) -> ScalarProduct:
     ------
     DimensionTooSmall
         If n < 3.
+    NonFiniteInput
+        If some entry is NaN or infinite; the message lists their indices.
     NotSymmetric
         If max |g - g^T| exceeds 1e-12.
     DegenerateMetric
@@ -68,7 +71,10 @@ def build_scalar_product(matrix) -> ScalarProduct:
     n = g.shape[0]
     if n < 3:
         raise DimensionTooSmall(f"need dimension >= 3, got {n}")
-    asym = np.max(np.abs(g - g.T)) if n else 0.0
+    bad = np.argwhere(~np.isfinite(g))
+    if bad.size:
+        raise NonFiniteInput(f"non-finite metric entries at {[tuple(i) for i in bad.tolist()]}")
+    asym = _maxnorm(g - g.T)
     if asym > SYMMETRY_TOL:
         raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
     g = 0.5 * (g + g.T)
@@ -107,12 +113,26 @@ def antisym(b) -> np.ndarray:
     return 0.5 * (b - b.T)
 
 
+def _maxnorm(t) -> float:
+    """max |t|, 0.0 for an empty array."""
+    a = np.abs(t)
+    return float(a.max()) if a.size else 0.0
+
+
 def check_same_dim(*arrays) -> int:
-    """All operands must share one dimension n; returns it."""
-    dims = {a.shape[0] for a in arrays}
+    """Every axis of every operand must have one length n; returns it."""
+    dims = {d for a in arrays for d in a.shape}
     if len(dims) != 1:
         raise DimensionMismatch(f"inconsistent dimensions {sorted(dims)}")
     return dims.pop()
+
+
+def check_tensor(t, g: ScalarProduct) -> np.ndarray:
+    """t as a float (n, n, n, n) array for the n of g; DimensionMismatch otherwise."""
+    t = np.asarray(t, dtype=float)
+    if t.shape != (g.dim,) * 4:
+        raise DimensionMismatch(f"expected a tensor of shape {(g.dim,) * 4}, got {t.shape}")
+    return t
 
 
 def tensor_pairing(t1, t2, g: ScalarProduct) -> float:
@@ -122,9 +142,8 @@ def tensor_pairing(t1, t2, g: ScalarProduct) -> float:
     statements of the decompositions are with respect to it.  Symmetric in
     (t1, t2); positive definite only for definite g.
     """
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    check_same_dim(t1, t2, g.matrix)
+    t1 = check_tensor(t1, g)
+    t2 = check_tensor(t2, g)
     gi = g.inverse
     raised = np.einsum("ia,jb,kc,ld,ijkl->abcd", gi, gi, gi, gi, t1, optimize=True)
     return float(np.sum(raised * t2))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnknownSpace
-from .linalg import ScalarProduct, antisym, check_same_dim
+from .linalg import ScalarProduct, _maxnorm, antisym, check_same_dim, check_tensor
 
 MEMBERSHIP_TOL = 1e-10
 
@@ -129,29 +129,25 @@ class RicciReport:
 
 def ricci(t, g: ScalarProduct) -> np.ndarray:
     """Ricci tensor rho14: ric[a,b] = g^ij R[i,a,b,j]."""
-    t = np.asarray(t, dtype=float)
-    check_same_dim(t, g.matrix)
+    t = check_tensor(t, g)
     return np.einsum("ij,iabj->ab", g.inverse, t)
 
 
 def ricci_star(t, g: ScalarProduct) -> np.ndarray:
     """Conjugate Ricci tensor rho23: ric*[a,b] = g^ij R[a,i,j,b]."""
-    t = np.asarray(t, dtype=float)
-    check_same_dim(t, g.matrix)
+    t = check_tensor(t, g)
     return np.einsum("ij,aijb->ab", g.inverse, t)
 
 
 def scalar_curvature(t, g: ScalarProduct) -> float:
     """Generalized scalar curvature tau = g^il g^jk R_ijkl."""
-    t = np.asarray(t, dtype=float)
-    check_same_dim(t, g.matrix)
+    t = check_tensor(t, g)
     return float(np.einsum("il,jk,ijkl->", g.inverse, g.inverse, t, optimize=True))
 
 
 def ricci_traces(t, g: ScalarProduct) -> RicciReport:
     """All Ricci-type contractions of t with respect to g."""
-    t = np.asarray(t, dtype=float)
-    check_same_dim(t, g.matrix)
+    t = check_tensor(t, g)
     gi = g.inverse
     return RicciReport(
         rho13=np.einsum("ij,iajb->ab", gi, t),
@@ -163,17 +159,12 @@ def ricci_traces(t, g: ScalarProduct) -> RicciReport:
     )
 
 
-def _maxnorm(t) -> float:
-    return float(np.max(np.abs(t))) if t.size else 0.0
-
-
 def membership_residual(t, g: ScalarProduct, space: str) -> float:
     """Max-norm violation of the defining identities, normalized by ||t||.
 
     Returns 0.0 for the zero tensor (it belongs to every space).
     """
-    t = np.asarray(t, dtype=float)
-    check_same_dim(t, g.matrix)
+    t = check_tensor(t, g)
     scale = _maxnorm(t)
     if scale == 0.0:
         return 0.0
@@ -192,9 +183,7 @@ def membership_residual(t, g: ScalarProduct, space: str) -> float:
     if space == "p":
         return max(res, _maxnorm(ricci(t, g))) / scale
     if space == "t":
-        ric = ricci(t, g)
-        ric_star = ricci_star(t, g)
-        return max(res, _maxnorm(ric), _maxnorm(ric_star)) / scale
+        return max(res, _maxnorm(ricci(t, g)), _maxnorm(ricci_star(t, g))) / scale
     raise UnknownSpace(f"unknown space tag {space!r}")
 
 

@@ -23,7 +23,7 @@ from .decomp import (
     traceless_core,
     w_projections,
 )
-from .linalg import antisym, standard_scalar_product, sym, tensor_pairing
+from .linalg import _maxnorm, antisym, standard_scalar_product, sym, tensor_pairing
 from .sampling import dim_a, dim_f, dim_p, dim_r, numerical_rank, rng_stream, sample
 from .spaces import (
     conjugate,
@@ -89,10 +89,6 @@ class _Ctx:
         return rng_stream(self.seed, (self.key, index))
 
 
-def _mx(t):
-    return float(np.max(np.abs(t)))
-
-
 def _l2(t):
     return float(np.sqrt(np.sum(np.square(t))))
 
@@ -109,7 +105,7 @@ def _check_w_completeness(ctx):
     worst = 0.0
     for i in range(ctx.k):
         r = ctx.sample("r", i)
-        worst = max(worst, _mx(np.sum(w_projections(r, ctx.g), axis=0) - r))
+        worst = max(worst, _maxnorm(np.sum(w_projections(r, ctx.g), axis=0) - r))
     return worst
 
 
@@ -117,7 +113,7 @@ def _check_a_completeness(ctx):
     worst = 0.0
     for i in range(ctx.k):
         r = ctx.sample("r", i)
-        worst = max(worst, _mx(np.sum(a_projections(r, ctx.g), axis=0) - r))
+        worst = max(worst, _maxnorm(np.sum(a_projections(r, ctx.g), axis=0) - r))
     return worst
 
 
@@ -127,11 +123,11 @@ def _projector_checks(ctx, proj):
         comps = proj(ctx.sample("r", i), ctx.g)
         for j, c in enumerate(comps):
             again = proj(c, ctx.g)
-            scale = max(1.0, _mx(c))
-            worst = max(worst, _mx(again[j] - c) / scale)
+            scale = max(1.0, _maxnorm(c))
+            worst = max(worst, _maxnorm(again[j] - c) / scale)
             for m in range(8):
                 if m != j:
-                    worst = max(worst, _mx(again[m]) / scale)
+                    worst = max(worst, _maxnorm(again[m]) / scale)
     return worst
 
 
@@ -174,7 +170,7 @@ def _check_gram_positivity(ctx):
         r = ctx.sample("r", i)
         for comps in (w_projections(r, ctx.g), a_projections(r, ctx.g)):
             for c in comps:
-                if _mx(c) > 1e-8:
+                if _maxnorm(c) > 1e-8:
                     worst = max(worst, _verdict(tensor_pairing(c, c, ctx.g) > 0.0))
     return worst
 
@@ -187,12 +183,12 @@ def _check_wa_map_coincidences(ctx):
         a = a_projections(r, ctx.g)
         worst = max(
             worst,
-            _mx(w[0] - a[0]),
-            _mx(w[5] - a[5]),
-            _mx(w[6] - a[6]),
-            _mx(w[7] - a[7]),
-            _mx(w[1] + w[4] - a[1] - a[2]),
-            _mx(w[2] + w[3] - a[3] - a[4]),
+            _maxnorm(w[0] - a[0]),
+            _maxnorm(w[5] - a[5]),
+            _maxnorm(w[6] - a[6]),
+            _maxnorm(w[7] - a[7]),
+            _maxnorm(w[1] + w[4] - a[1] - a[2]),
+            _maxnorm(w[2] + w[3] - a[3] - a[4]),
         )
     return worst
 
@@ -219,8 +215,8 @@ def _check_w_trace_formulas(ctx):
             -(tau / (n - 1)) * gm + sym(ric / (n - 1) + star),
         ] + [np.zeros((n, n))] * 3
         for j in range(8):
-            worst = max(worst, _mx(ricci(w[j], g) - exp_ric[j]))
-            worst = max(worst, _mx(ricci_star(w[j], g) - exp_star[j]))
+            worst = max(worst, _maxnorm(ricci(w[j], g) - exp_ric[j]))
+            worst = max(worst, _maxnorm(ricci_star(w[j], g) - exp_star[j]))
             if j >= 1:
                 worst = max(worst, abs(scalar_curvature(w[j], g)))
     return worst
@@ -245,8 +241,8 @@ def _check_a_trace_formulas(ctx):
         ] + [np.zeros((n, n))] * 3
         for j in range(8):
             rj = ricci(a[j], g)
-            worst = max(worst, _mx(rj - exp_ric[j]))
-            worst = max(worst, _mx(ricci_star(a[j], g) - star_factor[j] * rj))
+            worst = max(worst, _maxnorm(rj - exp_ric[j]))
+            worst = max(worst, _maxnorm(ricci_star(a[j], g) - star_factor[j] * rj))
             if j >= 1:
                 worst = max(worst, abs(scalar_curvature(a[j], g)))
     return worst
@@ -255,10 +251,10 @@ def _check_a_trace_formulas(ctx):
 def _w_conditions(ric, star, tau, g, n):
     return [
         abs(tau),
-        _mx(sym(ric) - (tau / n) * g.matrix),
-        _mx(antisym(ric)),
-        _mx(antisym(star + (3.0 / (n + 1)) * ric)),
-        _mx(sym(ric / (n - 1) + star) - (tau / (n - 1)) * g.matrix),
+        _maxnorm(sym(ric) - (tau / n) * g.matrix),
+        _maxnorm(antisym(ric)),
+        _maxnorm(antisym(star + (3.0 / (n + 1)) * ric)),
+        _maxnorm(sym(ric / (n - 1) + star) - (tau / (n - 1)) * g.matrix),
     ]
 
 
@@ -267,10 +263,10 @@ def _a_conditions(ric, star, tau, g, n):
     # only sees sym(ric + star), so only that part can be forced to vanish
     return [
         abs(tau),
-        _mx(sym(ric + star) - (2.0 * tau / n) * g.matrix),
-        _mx(sym(ric - star)),
-        _mx(antisym(3.0 * ric - star)),
-        _mx(antisym(ric + star)),
+        _maxnorm(sym(ric + star) - (2.0 * tau / n) * g.matrix),
+        _maxnorm(sym(ric - star)),
+        _maxnorm(antisym(3.0 * ric - star)),
+        _maxnorm(antisym(ric + star)),
     ]
 
 
@@ -286,9 +282,9 @@ def _vanishing(ctx, proj, conditions):
             stripped = r - comps[j]
             tr = ricci_traces(stripped, g)
             cond = conditions(tr.ric, tr.ric_star, tr.tau, g, n)[j]
-            worst = max(worst, cond, _mx(proj(stripped, g)[j]))
+            worst = max(worst, cond, _maxnorm(proj(stripped, g)[j]))
             # converse: a distinctly nonzero component needs a nonzero condition
-            if _mx(comps[j]) > MARGIN:
+            if _maxnorm(comps[j]) > MARGIN:
                 worst = max(worst, _verdict(conds[j] > 10 * ctx.tol))
     return worst
 
@@ -310,15 +306,15 @@ def _check_conjugate_closure(ctx):
         s = ctx.sample("a_plus_s", i)
         worst = max(worst, membership_residual(conjugate(s), g, "r"))
         comps = a_projections(s, g)
-        worst = max(worst, _mx(comps[4]), _mx(comps[7]))
+        worst = max(worst, _maxnorm(comps[4]), _maxnorm(comps[7]))
         r = ctx.sample("r", i)
         c = r - psi(r) - mu(r)
-        m = _mx(c)
+        m = _maxnorm(c)
         if m > 1e-8:
             c = c / m
             worst = max(worst, _verdict(membership_residual(conjugate(c), g, "r") > 1e-3))
             comps_c = a_projections(c, g)
-            worst = max(worst, _verdict(max(_mx(comps_c[4]), _mx(comps_c[7])) > 1e-3))
+            worst = max(worst, _verdict(max(_maxnorm(comps_c[4]), _maxnorm(comps_c[7])) > 1e-3))
     return worst
 
 
@@ -327,7 +323,7 @@ def _check_conjugate_split(ctx):
     for i in range(ctx.k):
         s = ctx.sample("a_plus_s", i)
         cs = conjugate(s)
-        worst = max(worst, _mx(psi(s) - 0.5 * (s + cs)), _mx(mu(s) - 0.5 * (s - cs)))
+        worst = max(worst, _maxnorm(psi(s) - 0.5 * (s + cs)), _maxnorm(mu(s) - 0.5 * (s - cs)))
     return worst
 
 
@@ -340,12 +336,12 @@ def _check_a_conjugation_signs(ctx):
         comps = a_projections(s, g)
         comps_star = a_projections(conjugate(s), g)
         for j, sign in signs.items():
-            worst = max(worst, _mx(comps_star[j] - sign * comps[j]))
+            worst = max(worst, _maxnorm(comps_star[j] - sign * comps[j]))
         # components of the conjugate coincide with conjugated components
         for j in (0, 1, 2, 5):
-            worst = max(worst, _mx(comps_star[j] - conjugate(comps[j])))
-        worst = max(worst, _mx(comps_star[4]), _mx(comps_star[7]))
-        worst = max(worst, _mx(comps[4]), _mx(comps[7]))
+            worst = max(worst, _maxnorm(comps_star[j] - conjugate(comps[j])))
+        worst = max(worst, _maxnorm(comps_star[4]), _maxnorm(comps_star[7]))
+        worst = max(worst, _maxnorm(comps[4]), _maxnorm(comps[7]))
     return worst
 
 
@@ -362,15 +358,15 @@ def _check_equiaffine_pair_projections(ctx):
         star = ricci_star(s, g)
         tau = scalar_curvature(s, g)
         worst = max(worst, membership_residual(cs, g, "r"))
-        worst = max(worst, _mx(w[2]), _mx(w[3]), _mx(w[7]))
-        worst = max(worst, _mx(ws[2]), _mx(ws[3]), _mx(ws[7]))
-        worst = max(worst, _mx(ws[0] - w[0]), _mx(ws[5] - w[5]), _mx(ws[6] + w[6]))
-        worst = max(worst, _mx(w[1] - wedge((tau / n) * gm - ric, gm) / (n - 1)))
+        worst = max(worst, _maxnorm(w[2]), _maxnorm(w[3]), _maxnorm(w[7]))
+        worst = max(worst, _maxnorm(ws[2]), _maxnorm(ws[3]), _maxnorm(ws[7]))
+        worst = max(worst, _maxnorm(ws[0] - w[0]), _maxnorm(ws[5] - w[5]), _maxnorm(ws[6] + w[6]))
+        worst = max(worst, _maxnorm(w[1] - wedge((tau / n) * gm - ric, gm) / (n - 1)))
         expected5 = (
             tau * wedge(gm, gm) - wedge_r(ric + (n - 1) * star, gm, n - 1) / n
         ) / ((n - 1) * (n - 2))
-        worst = max(worst, _mx(w[4] - expected5))
-        worst = max(worst, _mx(projective_part(s, g) - w[4] - w[5] - w[6]))
+        worst = max(worst, _maxnorm(w[4] - expected5))
+        worst = max(worst, _maxnorm(projective_part(s, g) - w[4] - w[5] - w[6]))
     return worst
 
 
@@ -380,15 +376,17 @@ def _check_ricci_symmetry_equivalence(ctx):
     for i in range(ctx.k):
         s = ctx.sample("a_plus_s", i)
         cs = conjugate(s)
-        worst = max(worst, _mx(w_projections(s, g)[7]), _mx(w_projections(cs, g)[7]))
+        worst = max(worst, _maxnorm(w_projections(s, g)[7]), _maxnorm(w_projections(cs, g)[7]))
         lr = antisym(ricci(s, g))
         lrs = antisym(ricci(cs, g))
-        worst = max(worst, _mx(lr + lrs))
-        sym_s = _mx(lr) <= 100 * ctx.tol
-        sym_cs = _mx(lrs) <= 100 * ctx.tol
+        worst = max(worst, _maxnorm(lr + lrs))
+        sym_s = _maxnorm(lr) <= 100 * ctx.tol
+        sym_cs = _maxnorm(lrs) <= 100 * ctx.tol
         worst = max(worst, _verdict(sym_s == sym_cs))
         p = ctx.sample("f_pair", i)
-        worst = max(worst, _mx(antisym(ricci(p, g))), _mx(antisym(ricci(conjugate(p), g))))
+        worst = max(
+            worst, _maxnorm(antisym(ricci(p, g))), _maxnorm(antisym(ricci(conjugate(p), g)))
+        )
     return worst
 
 
@@ -400,8 +398,8 @@ def _check_conjugate_pair_reduction(ctx):
     for i in range(ctx.k):
         s = ctx.sample("f_pair", i)
         w = w_projections(s, g)
-        worst = max(worst, _mx(s - w[0] - w[1] - w[4] - w[5] - w[6]))
-        worst = max(worst, _mx(w[2]), _mx(w[3]), _mx(w[7]))
+        worst = max(worst, _maxnorm(s - w[0] - w[1] - w[4] - w[5] - w[6]))
+        worst = max(worst, _maxnorm(w[2]), _maxnorm(w[3]), _maxnorm(w[7]))
     return worst
 
 
@@ -411,14 +409,14 @@ def _check_complement_ricci_structure(ctx):
     for i in range(ctx.k):
         r = ctx.sample("r", i)
         c = r - psi(r) - mu(r)
-        m = _mx(c)
+        m = _maxnorm(c)
         if m <= 1e-8:
             continue
         c = c / m
         ric = ricci(c, g)
-        if _mx(ric) <= 100 * ctx.tol:
+        if _maxnorm(ric) <= 100 * ctx.tol:
             continue
-        worst = max(worst, _mx(sym(ric)), _mx(ricci_star(c, g) - 3.0 * ric))
+        worst = max(worst, _maxnorm(sym(ric)), _maxnorm(ricci_star(c, g) - 3.0 * ric))
     return worst
 
 
@@ -429,12 +427,13 @@ def _check_traceless_core(ctx):
         r = ctx.sample("r", i)
         core = traceless_core(r, g)
         w = w_projections(r, g)
-        worst = max(worst, _mx(ricci(core, g)), _mx(ricci_star(core, g)))
-        worst = max(worst, _mx(core - (r - w[0] - w[1] - w[2] - w[3] - w[4])))
+        worst = max(worst, _maxnorm(ricci(core, g)), _maxnorm(ricci_star(core, g)))
+        worst = max(worst, _maxnorm(core - (r - w[0] - w[1] - w[2] - w[3] - w[4])))
         ps, m = psi(core), mu(core)
-        worst = max(worst, _mx(w[5] - ps), _mx(w[6] - m), _mx(w[7] - (core - ps - m)))
+        worst = max(worst, _maxnorm(w[5] - ps), _maxnorm(w[6] - m))
+        worst = max(worst, _maxnorm(w[7] - (core - ps - m)))
         t = ctx.sample("t", i)
-        worst = max(worst, _mx(traceless_core(t, g) - t))
+        worst = max(worst, _maxnorm(traceless_core(t, g) - t))
     return worst
 
 
@@ -442,16 +441,16 @@ def _check_projective_part(ctx):
     g, n = ctx.g, ctx.n
     worst = 0.0
     gg = wedge(g.matrix, g.matrix)
-    worst = max(worst, _mx(projective_part(gg, g)))
+    worst = max(worst, _maxnorm(projective_part(gg, g)))
     for i in range(ctx.k):
         f = ctx.sample("f", i)
         direct = projective_part(f, g)
-        worst = max(worst, _mx(direct - (f + wedge(ricci(f, g), g.matrix) / (n - 1))))
+        worst = max(worst, _maxnorm(direct - (f + wedge(ricci(f, g), g.matrix) / (n - 1))))
         t = ctx.sample("t", i)
-        worst = max(worst, _mx(projective_part(t, g) - t))
+        worst = max(worst, _maxnorm(projective_part(t, g) - t))
         r = ctx.sample("r", i)
         w = w_projections(r, g)
-        worst = max(worst, _mx(projective_part(r, g) - (w[3] + w[4] + w[5] + w[6] + w[7])))
+        worst = max(worst, _maxnorm(projective_part(r, g) - (w[3] + w[4] + w[5] + w[6] + w[7])))
     return worst
 
 
@@ -459,17 +458,17 @@ def _check_projective_flat_bilinear_form(ctx):
     g = ctx.g
     gg = wedge(g.matrix, g.matrix)
     b_star, b = b_forms(gg, g)
-    worst = max(_mx(b_star), _mx(b))
+    worst = max(_maxnorm(b_star), _maxnorm(b))
     for i in range(ctx.k):
         r = ctx.sample("r", i)
         w = w_projections(r, g)
         flat_type = w[0] + w[1]
-        m = _mx(flat_type)
+        m = _maxnorm(flat_type)
         if m <= 1e-8:
             continue
         paired = conjugate(flat_type / m)
         b_star, _ = b_forms(paired, g)
-        worst = max(worst, _mx(b_star))
+        worst = max(worst, _maxnorm(b_star))
     return worst
 
 
@@ -484,13 +483,13 @@ def _check_einstein_projector_criterion(ctx):
         w = w_projections(r, g)
         pos = r - w[1] - w[2]
         tr = ricci_traces(pos, g)
-        worst = max(worst, _mx(tr.ric - (tr.tau / n) * g.matrix))
+        worst = max(worst, _maxnorm(tr.ric - (tr.tau / n) * g.matrix))
         worst = max(worst, _verdict(equiaffine_einstein_check(pos, g)))
-        if max(_mx(w[1]), _mx(w[2])) > MARGIN:
+        if max(_maxnorm(w[1]), _maxnorm(w[2])) > MARGIN:
             tr = ricci_traces(r, g)
             worst = max(worst, _verdict(not equiaffine_einstein_check(r, g)))
             worst = max(
-                worst, _verdict(_mx(tr.ric - (tr.tau / n) * g.matrix) > 10 * ctx.tol)
+                worst, _verdict(_maxnorm(tr.ric - (tr.tau / n) * g.matrix) > 10 * ctx.tol)
             )
     return worst
 
@@ -504,20 +503,20 @@ def _check_constant_curvature_equivalences(ctx):
         w = w_projections(r, g)
         pos = w[0] + w[1] - w_projections(w[0] + w[1], g)[1]  # flat-type, then drop 2
         tau = scalar_curvature(pos, g)
-        worst = max(worst, _mx(w_projections(pos, g)[1]))
-        worst = max(worst, _mx(ricci(pos, g) - (tau / n) * g.matrix))
-        worst = max(worst, _mx(pos + (tau / (n * (n - 1))) * gg))
+        worst = max(worst, _maxnorm(w_projections(pos, g)[1]))
+        worst = max(worst, _maxnorm(ricci(pos, g) - (tau / n) * g.matrix))
+        worst = max(worst, _maxnorm(pos + (tau / (n * (n - 1))) * gg))
         neg = w[0] + w[1]
-        if _mx(w[1]) > MARGIN:
+        if _maxnorm(w[1]) > MARGIN:
             tau_n = scalar_curvature(neg, g)
-            worst = max(worst, _verdict(_mx(w_projections(neg, g)[1]) > 10 * ctx.tol))
+            worst = max(worst, _verdict(_maxnorm(w_projections(neg, g)[1]) > 10 * ctx.tol))
             worst = max(
                 worst,
-                _verdict(_mx(ricci(neg, g) - (tau_n / n) * g.matrix) > 10 * ctx.tol),
+                _verdict(_maxnorm(ricci(neg, g) - (tau_n / n) * g.matrix) > 10 * ctx.tol),
             )
             worst = max(
                 worst,
-                _verdict(_mx(neg + (tau_n / (n * (n - 1))) * gg) > 10 * ctx.tol),
+                _verdict(_maxnorm(neg + (tau_n / (n * (n - 1))) * gg) > 10 * ctx.tol),
             )
     return worst
 
@@ -538,7 +537,7 @@ def _check_ricci_block_closed_form(ctx):
             - wedge_r(gm, ric, n - 1)
             - wedge_r(star, gm, n - 1)
         ) / (n * (n - 2))
-        worst = max(worst, _mx(w[1] + w[4] - rhs), _mx(a[1] + a[2] - rhs))
+        worst = max(worst, _maxnorm(w[1] + w[4] - rhs), _maxnorm(a[1] + a[2] - rhs))
     return worst
 
 
@@ -551,7 +550,7 @@ def _check_equiaffine_projector_agreement(ctx):
         a = a_projections(s, g)
         via_w = s - w[2]
         via_a = s - a[3] - a[4]
-        worst = max(worst, _mx(via_w - via_a), _mx(via_w - s))
+        worst = max(worst, _maxnorm(via_w - via_a), _maxnorm(via_w - s))
     return worst
 
 
@@ -562,11 +561,11 @@ def _check_projective_conjugate_equivalence(ctx):
     worst = 0.0
     for i in range(min(ctx.k, 8)):
         a = ctx.sample("a", i)
-        worst = max(worst, _mx(projective_part(conjugate(a), g) - projective_part(a, g)))
+        worst = max(worst, _maxnorm(projective_part(conjugate(a), g) - projective_part(a, g)))
         p = ctx.sample("f_pair", i)
         cp = conjugate(p)
-        if _mx(p - cp) > MARGIN:
-            pdiff = _mx(projective_part(p, g) - projective_part(cp, g))
+        if _maxnorm(p - cp) > MARGIN:
+            pdiff = _maxnorm(projective_part(p, g) - projective_part(cp, g))
             worst = max(worst, _verdict(pdiff > 10 * ctx.tol))
             worst = max(worst, _verdict(membership_residual(p, g, "a") > 10 * ctx.tol))
     return worst
@@ -580,12 +579,12 @@ def _check_trace_reconstruction(ctx):
         omega = antisym(rng.uniform(-1, 1, (n, n)))
         theta = sym(rng.uniform(-1, 1, (n, n)))
         built = sigma_split(omega, theta, g)
-        worst = max(worst, _mx(ricci(built, g) - omega - theta))
+        worst = max(worst, _maxnorm(ricci(built, g) - omega - theta))
         worst = max(worst, membership_residual(built, g, "r"))
         only_omega = sigma_split(omega, np.zeros((n, n)), g)
-        worst = max(worst, _mx(ricci(only_omega, g) - omega))
+        worst = max(worst, _maxnorm(ricci(only_omega, g) - omega))
         only_theta = sigma_split(np.zeros((n, n)), theta, g)
-        worst = max(worst, _mx(ricci(only_theta, g) - theta))
+        worst = max(worst, _maxnorm(ricci(only_theta, g) - theta))
     return worst
 
 
@@ -601,14 +600,14 @@ def _check_singer_thorpe(ctx):
         worst = max(worst, res.completeness_residual)
         # u is a multiple of g^g
         c = tensor_pairing(u, gg, g) / tensor_pairing(gg, gg, g)
-        worst = max(worst, _mx(u - c * gg))
+        worst = max(worst, _maxnorm(u - c * gg))
         # z is recovered from its own traceless symmetric Ricci source
         xi = ricci(z, g) / (n - 2)
-        worst = max(worst, _mx(z + wedge_r(xi, gm, 1)))
-        worst = max(worst, _mx(antisym(xi)), abs(float(np.sum(g.inverse * xi))))
-        worst = max(worst, _mx(ricci(w, g)), _mx(ricci_star(w, g)))
+        worst = max(worst, _maxnorm(z + wedge_r(xi, gm, 1)))
+        worst = max(worst, _maxnorm(antisym(xi)), abs(float(np.sum(g.inverse * xi))))
+        worst = max(worst, _maxnorm(ricci(w, g)), _maxnorm(ricci_star(w, g)))
         for part in (u, z, w):
-            if _mx(part) > 1e-10:
+            if _maxnorm(part) > 1e-10:
                 worst = max(worst, membership_residual(part, g, "a"))
     return worst
 
@@ -623,7 +622,7 @@ def _check_rescale_invariance(ctx):
             w1, w2 = w_projections(r, g), w_projections(r, gc)
             a1, a2 = a_projections(r, g), a_projections(r, gc)
             for j in range(8):
-                worst = max(worst, _mx(w1[j] - w2[j]), _mx(a1[j] - a2[j]))
+                worst = max(worst, _maxnorm(w1[j] - w2[j]), _maxnorm(a1[j] - a2[j]))
             for space in ("co", "r", "a", "s", "f", "p", "t"):
                 f1, _ = membership(r, g, space, tol=max(ctx.tol, 1e-12))
                 f2, _ = membership(r, gc, space, tol=max(ctx.tol, 1e-12))
@@ -712,9 +711,9 @@ def _check_membership_tower(ctx):
         worst = max(worst, _verdict(flag), res)
     for i in range(min(ctx.k, 8)):
         a = ctx.sample("a", i)
-        worst = max(worst, _mx(conjugate(a) - a))
+        worst = max(worst, _maxnorm(conjugate(a) - a))
         s = ctx.sample("s", i)
-        worst = max(worst, _mx(conjugate(s) + s))
+        worst = max(worst, _maxnorm(conjugate(s) + s))
         co = ctx.sample("co", i)
         worst = max(worst, membership_residual(co, g, "co"))
         worst = max(worst, _verdict(membership_residual(co, g, "r") > 1e-3))
@@ -727,7 +726,7 @@ def _check_conjugation_involution(ctx):
     worst = 0.0
     for i in range(min(ctx.k, 8)):
         r = ctx.sample("r", i)
-        worst = max(worst, _mx(conjugate(conjugate(r)) - r))
+        worst = max(worst, _maxnorm(conjugate(conjugate(r)) - r))
     return worst
 
 
@@ -737,9 +736,9 @@ def _check_ricci_conjugate_trace(ctx):
     for i in range(ctx.k):
         t = ctx.sample("co", i)
         rep = ricci_traces(t, g)
-        worst = max(worst, _mx(rep.ric_star - ricci(conjugate(t), g)))
-        worst = max(worst, _mx(rep.rho23 + rep.rho13))
-        worst = max(worst, _mx(rep.rho24 + rep.rho14))
+        worst = max(worst, _maxnorm(rep.ric_star - ricci(conjugate(t), g)))
+        worst = max(worst, _maxnorm(rep.rho23 + rep.rho13))
+        worst = max(worst, _maxnorm(rep.rho24 + rep.rho14))
         worst = max(worst, abs(float(np.sum(g.inverse * rep.ric)) - rep.tau))
         worst = max(worst, abs(float(np.sum(g.inverse * rep.ric_star)) - rep.tau))
     return worst

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvdec.decomp import (
     a_decompose,
@@ -18,7 +20,7 @@ from curvdec.errors import (
     NotAlgebraic,
     NotGeneralizedCurvature,
 )
-from curvdec.linalg import antisym, standard_scalar_product, sym
+from curvdec.linalg import antisym, build_scalar_product, standard_scalar_product, sym
 from curvdec.spaces import (
     bianchi_project,
     conjugate,
@@ -262,3 +264,42 @@ def test_scalar_curvature_of_components_vanishes_beyond_first():
     for comps in (w_projections(r, g), a_projections(r, g)):
         for c in comps[1:]:
             assert abs(scalar_curvature(c, g)) <= 1e-10
+
+
+def _pull(t, a):
+    """t with every argument composed with a: t(a x, a y, ...)."""
+    if t.ndim == 2:
+        return a.T @ t @ a
+    return np.einsum("abcd,ai,bj,ck,dl->ijkl", t, a, a, a, a, optimize=True)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(3, 6), data=st.data())
+def test_maps_equivariant_under_non_diagonal_metrics(n, data):
+    # g = A^T eta A is non-diagonal, so g and g^-1 differ; every map must
+    # commute with the pull-back R -> R o A
+    p = data.draw(st.integers(0, n), label="p")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    eta = standard_scalar_product(p, n - p)
+    q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    a = q1 @ np.diag(rng.uniform(0.5, 2.0, n)) @ q2
+    g = build_scalar_product(a.T @ eta.matrix @ a)
+    assert g.signature == eta.signature
+    r = rsample(n, seed)
+    w = w_projections(r, eta)
+    einstein = r - w[1] - w[2]
+    r_a = _pull(r, a)
+    scale = np.max(np.abs(r_a))
+    pairs = list(zip(w_projections(r_a, g), w))
+    pairs += zip(a_projections(r_a, g), a_projections(r, eta))
+    pairs += zip(b_forms(r_a, g), b_forms(r, eta))
+    pairs.append((traceless_core(r_a, g), traceless_core(r, eta)))
+    pairs.append((projective_part(r_a, g), projective_part(r, eta)))
+    for got, want in pairs:
+        assert np.max(np.abs(got - _pull(want, a))) <= 1e-10 * scale
+    assert not equiaffine_einstein_check(r, eta)
+    assert not equiaffine_einstein_check(r_a, g)
+    assert equiaffine_einstein_check(einstein, eta)
+    assert equiaffine_einstein_check(_pull(einstein, a), g)

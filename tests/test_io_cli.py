@@ -295,3 +295,22 @@ def test_cli_non_finite_input_exit_codes(tmp_path, capsys):
     assert main(["decompose", "--mode", "w", "--input", str(tensor)]) == 1
     out = capsys.readouterr()
     assert out.out == "" and "finite" in out.err
+
+
+@pytest.mark.parametrize("case", ["not_utf8", "long_integer"])
+@pytest.mark.parametrize("command", ["decompose", "chart"])
+def test_cli_undecodable_input_is_schema_error(tmp_path, capsys, command, case):
+    # bytes that are not UTF-8, and an integer past Python's 4300-digit limit
+    if case == "not_utf8":
+        data = b"\xff\xfe{}"
+    elif command == "decompose":
+        doc = {"dim": 3, "signature": [3, 0], "R": [0.5] + [0.0] * 80}
+        data = dumps(doc).replace("0.5", "1" * 5000, 1).encode()
+    else:
+        data = dumps(chart_doc()).replace("0.25", "1" * 5000, 1).encode()
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    args = ["--mode", "w"] if command == "decompose" else ["--point", "0.1,0.0,-0.2"]
+    assert main([command, "--input", str(path), *args]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "error: $: invalid JSON" in out.err

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from curvdec.decomp import w_decompose
 from curvdec.errors import (
     DegenerateMetric,
     DimensionMismatch,
     DimensionTooSmall,
+    NonFiniteInput,
     NotSymmetric,
 )
 from curvdec.linalg import (
@@ -14,7 +16,7 @@ from curvdec.linalg import (
     sym,
     tensor_pairing,
 )
-from curvdec.spaces import bianchi_project, wedge
+from curvdec.spaces import bianchi_project, membership_residual, ricci, wedge
 
 
 def pairing_oracle(t1, t2, ginv):
@@ -169,3 +171,25 @@ def test_pairing_dimension_mismatch():
     g = standard_scalar_product(3, 0)
     with pytest.raises(DimensionMismatch):
         tensor_pairing(np.zeros((4,) * 4), np.zeros((4,) * 4), g)
+
+
+def test_tensor_shape_and_rank_checked():
+    # every axis must match g, and a tensor must have rank 4
+    g = standard_scalar_product(3, 0)
+    with pytest.raises(DimensionMismatch, match=r"\(3, 3, 3, 4\)"):
+        membership_residual(np.ones((3, 3, 3, 4)), g, "r")
+    with pytest.raises(DimensionMismatch, match=r"\(3, 3\)"):
+        w_decompose(np.eye(3), g)
+    with pytest.raises(DimensionMismatch):
+        ricci(np.zeros((3,) * 5), g)
+
+
+def test_non_finite_metric_names_entries():
+    m = np.eye(3)
+    m[0, 2] = m[2, 0] = np.nan
+    with pytest.raises(NonFiniteInput, match=r"\(0, 2\), \(2, 0\)"):
+        build_scalar_product(m)
+    m[0, 2] = m[2, 0] = 0.0
+    m[1, 1] = np.inf
+    with pytest.raises(NonFiniteInput, match=r"\(1, 1\)"):
+        build_scalar_product(m)
