@@ -3,12 +3,13 @@
 A chart carries a metric g(x) and a totally symmetric cubic form C(x) as
 polynomial fields.  The three connections of interest are the Levi-Civita
 connection of g and the pair nabla = LC + C, nabla* = LC - C (C raised to a
-(1,2) tensor with the inverse metric).  All differentiation is exact: the
-fields and their polynomial derivatives are evaluated at the requested point,
-a field F is raised there as g^-1 F, and its derivative follows from
-d(g^-1) = -g^-1 (dg) g^-1 with the exact dg.  Identity residuals therefore
-contain float roundoff but no truncation error.  A chart keeps the evaluated
-fields of the last point it was asked about.
+(1,2) tensor with the inverse metric).  The fields are held as one monomial
+table, exponents and one coefficient column per entry, so their values and
+first and second derivatives at a point come from one pass over the monomials
+by d_a x^e = e_a x^(e - e_a).  A field F is raised there as g^-1 F, and its
+derivative follows from d(g^-1) = -g^-1 (dg) g^-1.  All differentiation is
+exact, so identity residuals contain float roundoff but no truncation error.
+A chart keeps the evaluated fields of the last point it was asked about.
 
 Index conventions, frozen against the flat-metric constant-C case:
 Gamma[i, j, k] = Gamma^i_{jk}, dGamma[m, i, j, k] = d_m Gamma^i_{jk}, and the
@@ -73,63 +74,58 @@ class PolyChart:
         self._fields = None
         self._last = None
 
-    # -- polynomial precomputation ------------------------------------------
+    # -- the monomial table and its evaluation -------------------------------
 
     def _prepared(self):
+        """(T, n) exponents of the T monomials and their (T, n^2 + n^3) coefficients,
+        with g_ij in column i*n + j and C_ijk in column n^2 + (i*n + j)*n + k."""
         if self._fields is None:
-            n = self.dim
-            dg = [
-                [[self.metric[i][j].diff(m) for j in range(n)] for i in range(n)]
-                for m in range(n)
-            ]
-            self._fields = {
-                "dg": dg,
-                "d2g": [
-                    [[[dg[m][i][j].diff(p) for j in range(n)] for i in range(n)] for m in range(n)]
-                    for p in range(n)
-                ],
-                "dc": [
-                    [
-                        [[self.cubic[i][j][k].diff(m) for k in range(n)] for j in range(n)]
-                        for i in range(n)
-                    ]
-                    for m in range(n)
-                ],
-            }
+            entries = [p for row in self.metric for p in row]
+            entries += [p for plane in self.cubic for row in plane for p in row]
+            monomials = sorted({e for p in entries for e in p.terms})
+            row_of = {e: t for t, e in enumerate(monomials)}
+            coeffs = np.zeros((len(monomials), len(entries)))
+            for col, p in enumerate(entries):
+                for e, c in p.terms.items():
+                    coeffs[row_of[e], col] = c
+            self._fields = (np.array(monomials, dtype=int).reshape(-1, self.dim), coeffs)
         return self._fields
 
-    # -- pointwise evaluation -----------------------------------------------
-
     def metric_at(self, point) -> ScalarProduct:
-        point = np.asarray(point, dtype=float)
-        gx = np.array([[p(point) for p in row] for row in self.metric])
-        try:
-            return build_scalar_product(gx)
-        except DegenerateMetric as exc:
-            raise DegenerateAtPoint(f"metric degenerate at {point.tolist()}: {exc}") from exc
+        return self._point_data(point)["g"]
 
     def _point_data(self, point):
         """All fields at the point, evaluated once and kept for the last point asked."""
         point = np.asarray(point, dtype=float)
         key = point.tobytes()
         if self._last is None or self._last[0] != key:
-            f = self._prepared()
-            ev = lambda nested: np.asarray(_eval_nested(nested, point))
+            n, m = self.dim, self.dim**2
+            exps, coeffs = self._prepared()
+            # factor[t, b, k] = d^k/dx_b^k x_b^e for e = exps[t, b], k = 0, 1, 2: the falling
+            # factorial of e times x_b^(e - k), clipped at x_b^0 where the factorial is 0
+            falling = np.stack([np.ones_like(exps), exps, exps * (exps - 1)], axis=-1)
+            factor = falling * point[:, None] ** np.maximum(exps[..., None] - np.arange(3), 0)
+            var, eye = np.arange(n), np.eye(n, dtype=int)
+            mono = factor[:, :, 0].prod(axis=1)
+            d1 = factor[:, var, eye].prod(axis=2)  # d1[t, a] = d_a x^e
+            d2 = factor[:, var, eye[:, None] + eye].prod(axis=3)  # d2[t, a, c] = d_a d_c x^e
+            # einsum, not BLAS: it sums each column in row order, so equal columns (g_ij
+            # and g_ji) give equal values and the fields keep their exact symmetries
+            flat = np.einsum("t,tk->k", mono, coeffs)
+            dflat = np.einsum("ta,tk->ak", d1, coeffs)
+            try:
+                g = build_scalar_product(flat[:m].reshape(n, n))
+            except DegenerateMetric as exc:
+                raise DegenerateAtPoint(f"metric degenerate at {point.tolist()}: {exc}") from exc
             data = {
-                "g": self.metric_at(point),
-                "dg": ev(f["dg"]),
-                "d2g": ev(f["d2g"]),
-                "cflat": ev(self.cubic),
-                "dcflat": ev(f["dc"]),
+                "g": g,
+                "dg": dflat[:, :m].reshape((n,) * 3),
+                "d2g": np.einsum("tac,tk->ack", d2, coeffs[:, :m]).reshape((n,) * 4),
+                "cflat": flat[m:].reshape((n,) * 3),
+                "dcflat": dflat[:, m:].reshape((n,) * 4),
             }
             self._last = (key, data)
         return self._last[1]
-
-
-def _eval_nested(nested, point):
-    if isinstance(nested, Poly):
-        return nested(point)
-    return [_eval_nested(item, point) for item in nested]
 
 
 def _raised_with_derivative(d, field, dfield):

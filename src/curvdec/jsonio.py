@@ -32,7 +32,7 @@ def _loads(data):
             data = data.decode("utf-8")
         if isinstance(data, str):
             return json.loads(data, parse_constant=_reject)
-    except ValueError as exc:  # not UTF-8, not JSON, or an integer beyond the digit limit
+    except (ValueError, RecursionError) as exc:  # bad UTF-8/JSON, too deep, huge integer
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
     return data
 

@@ -127,11 +127,12 @@ def check_same_dim(*arrays) -> int:
     return dims.pop()
 
 
-def check_tensor(t, g: ScalarProduct) -> np.ndarray:
-    """t as a float (n, n, n, n) array for the n of g; DimensionMismatch otherwise."""
+def check_tensor(t, g: ScalarProduct | None = None) -> np.ndarray:
+    """t as a float (n, n, n, n) array, n from g if given; DimensionMismatch otherwise."""
     t = np.asarray(t, dtype=float)
-    if t.shape != (g.dim,) * 4:
-        raise DimensionMismatch(f"expected a tensor of shape {(g.dim,) * 4}, got {t.shape}")
+    n = g.dim if g is not None else t.shape[0] if t.ndim else 0
+    if t.shape != (n,) * 4:
+        raise DimensionMismatch(f"expected a tensor of shape {(n,) * 4}, got {t.shape}")
     return t
 
 
@@ -144,6 +145,7 @@ def tensor_pairing(t1, t2, g: ScalarProduct) -> float:
     """
     t1 = check_tensor(t1, g)
     t2 = check_tensor(t2, g)
-    gi = g.inverse
-    raised = np.einsum("ia,jb,kc,ld,ijkl->abcd", gi, gi, gi, gi, t1, optimize=True)
+    raised = t1
+    for _ in range(4):  # each step raises the leading index and moves it last
+        raised = np.tensordot(raised, g.inverse, axes=(0, 0))
     return float(np.sum(raised * t2))

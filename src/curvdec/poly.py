@@ -1,9 +1,7 @@
-"""Dense-free multivariate polynomials with exact differentiation.
+"""Dense-free multivariate polynomials: the value type of chart entries.
 
 Terms live in a dict from exponent tuples to float coefficients; zero
-coefficients are never stored.  Differentiation and arithmetic are exact on
-the coefficient level, so a derivative evaluated at a point carries float
-roundoff but no truncation error; evaluation sums terms in sorted order for
+coefficients are never stored.  Evaluation sums terms in sorted order for
 reproducibility.
 """
 from __future__ import annotations
@@ -34,10 +32,6 @@ class Poly:
         e = [0] * nvars
         e[i] = 1
         return cls(nvars, {tuple(e): 1.0})
-
-    @property
-    def max_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -70,15 +64,6 @@ class Poly:
         return Poly(self.nvars, out)
 
     __rmul__ = __mul__
-
-    def diff(self, var: int) -> "Poly":
-        out = {}
-        for e, c in self.terms.items():
-            k = e[var]
-            if k:
-                key = e[:var] + (k - 1,) + e[var + 1 :]
-                out[key] = out.get(key, 0.0) + c * k
-        return Poly(self.nvars, out)
 
     def __call__(self, point) -> float:
         total = 0.0

@@ -25,9 +25,13 @@ MEMBERSHIP_TOL = 1e-10
 SPACE_TAGS = ("co", "r", "a", "s", "f", "p", "t")
 
 
+def _reindex(t, pattern):
+    return np.einsum(f"{pattern}->abcd", t)
+
+
 def reindex(t, pattern: str) -> np.ndarray:
     """out[a,b,c,d] = t[pattern], e.g. reindex(R, 'badc') is R(y,x,w,z)."""
-    return np.einsum(f"{pattern}->abcd", t)
+    return _reindex(check_tensor(t), pattern)
 
 
 def wedge_r(h, k, r: float) -> np.ndarray:
@@ -40,9 +44,10 @@ def wedge_r(h, k, r: float) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     k = np.asarray(k, dtype=float)
     check_same_dim(h, k)
-    out = np.einsum("ac,bd->abcd", h, k) - np.einsum("bc,ad->abcd", h, k)
+    hk = np.einsum("ac,bd->abcd", h, k)
+    out = hk - hk.swapaxes(0, 1)
     if r != 0:
-        out -= r * (np.einsum("ad,bc->abcd", h, k) - np.einsum("bd,ac->abcd", h, k))
+        out -= r * out.swapaxes(2, 3)
     return out
 
 
@@ -61,33 +66,35 @@ def dot_product(h, k) -> np.ndarray:
 
 def conjugate(t) -> np.ndarray:
     """Conjugate tensor R*[i,j,k,l] = -R[i,j,l,k]; an exact involution."""
-    t = np.asarray(t, dtype=float)
-    return -np.swapaxes(t, 2, 3)
+    return -np.swapaxes(check_tensor(t), 2, 3)
 
 
 def psi(t) -> np.ndarray:
     """Four-term average projecting r(V) onto a(V); idempotent on r(V)."""
-    t = np.asarray(t, dtype=float)
-    return 0.25 * (t + reindex(t, "badc") + reindex(t, "cdab") + reindex(t, "dcba"))
+    t = check_tensor(t)
+    return 0.25 * (t + _reindex(t, "badc") + _reindex(t, "cdab") + _reindex(t, "dcba"))
 
 
 def mu(t) -> np.ndarray:
     """Six-term average projecting r(V) onto s(V); idempotent on r(V)."""
-    t = np.asarray(t, dtype=float)
+    t = check_tensor(t)
     return 0.125 * (
         3.0 * t
-        + 3.0 * reindex(t, "abdc")
-        + reindex(t, "adcb")
-        + reindex(t, "acdb")
-        + reindex(t, "dbca")
-        + reindex(t, "cbda")
+        + 3.0 * _reindex(t, "abdc")
+        + _reindex(t, "adcb")
+        + _reindex(t, "acdb")
+        + _reindex(t, "dbca")
+        + _reindex(t, "cbda")
     )
+
+
+def _cyclic_sum(t):
+    return t + _reindex(t, "bcad") + _reindex(t, "cabd")
 
 
 def cyclic_sum(t) -> np.ndarray:
     """First-Bianchi cyclic sum over the first three arguments."""
-    t = np.asarray(t, dtype=float)
-    return t + reindex(t, "bcad") + reindex(t, "cabd")
+    return _cyclic_sum(check_tensor(t))
 
 
 def bianchi_project(t) -> np.ndarray:
@@ -97,9 +104,9 @@ def bianchi_project(t) -> np.ndarray:
     cyclic-sum operator (one third of it is idempotent on the
     first-pair-antisymmetric tensors).
     """
-    t = np.asarray(t, dtype=float)
+    t = check_tensor(t)
     a = 0.5 * (t - np.swapaxes(t, 0, 1))
-    return a - cyclic_sum(a) / 3.0
+    return a - _cyclic_sum(a) / 3.0
 
 
 @dataclass(frozen=True)
@@ -171,7 +178,7 @@ def membership_residual(t, g: ScalarProduct, space: str) -> float:
     res = _maxnorm(t + np.swapaxes(t, 0, 1))
     if space == "co":
         return res / scale
-    res = max(res, _maxnorm(cyclic_sum(t)))
+    res = max(res, _maxnorm(_cyclic_sum(t)))
     if space == "r":
         return res / scale
     if space == "a":

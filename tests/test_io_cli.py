@@ -297,12 +297,15 @@ def test_cli_non_finite_input_exit_codes(tmp_path, capsys):
     assert out.out == "" and "finite" in out.err
 
 
-@pytest.mark.parametrize("case", ["not_utf8", "long_integer"])
+@pytest.mark.parametrize("case", ["not_utf8", "long_integer", "deeply_nested"])
 @pytest.mark.parametrize("command", ["decompose", "chart"])
 def test_cli_undecodable_input_is_schema_error(tmp_path, capsys, command, case):
-    # bytes that are not UTF-8, and an integer past Python's 4300-digit limit
+    # bytes that are not UTF-8, an integer past Python's 4300-digit limit, and
+    # nesting past the recursion limit
     if case == "not_utf8":
         data = b"\xff\xfe{}"
+    elif case == "deeply_nested":
+        data = b"[" * 100_000
     elif command == "decompose":
         doc = {"dim": 3, "signature": [3, 0], "R": [0.5] + [0.0] * 80}
         data = dumps(doc).replace("0.5", "1" * 5000, 1).encode()

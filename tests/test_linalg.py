@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,17 @@ from curvdec.linalg import (
     sym,
     tensor_pairing,
 )
-from curvdec.spaces import bianchi_project, membership_residual, ricci, wedge
+from curvdec.spaces import (
+    bianchi_project,
+    conjugate,
+    cyclic_sum,
+    membership_residual,
+    mu,
+    psi,
+    reindex,
+    ricci,
+    wedge,
+)
 
 
 def pairing_oracle(t1, t2, ginv):
@@ -182,6 +194,11 @@ def test_tensor_shape_and_rank_checked():
         w_decompose(np.eye(3), g)
     with pytest.raises(DimensionMismatch):
         ricci(np.zeros((3,) * 5), g)
+    # the maps that take no g check rank and equal axes
+    for f in (psi, mu, cyclic_sum, bianchi_project, conjugate, lambda t: reindex(t, "badc")):
+        for bad in (np.eye(3), np.ones((3, 3, 3, 4)), np.zeros((3,) * 5)):
+            with pytest.raises(DimensionMismatch, match=re.escape(str(bad.shape))):
+                f(bad)
 
 
 def test_non_finite_metric_names_entries():
