@@ -29,7 +29,6 @@ from .errors import (
     DimensionTooSmall,
     EmptySpace,
     FormSymmetryViolation,
-    InconclusiveRank,
     LengthMismatch,
     NonFiniteInput,
     NotAlgebraic,

@@ -217,7 +217,7 @@ def _scaled(diff, *scales):
     return float(np.max(np.abs(diff))) / denom
 
 
-def conjugate_triple_report(chart: PolyChart, point, tol: float = 1e-10) -> TripleReport:
+def conjugate_triple_report(chart: PolyChart, point) -> TripleReport:
     """Evaluate the triple at a point and check all pointwise identities."""
     point = np.asarray(point, dtype=float)
     n = chart.dim
@@ -296,7 +296,7 @@ def conjugate_triple_report(chart: PolyChart, point, tol: float = 1e-10) -> Trip
     # the parallel-cubic criterion only bites when grad C is totally symmetric
     dc_asym = _scaled(dc - np.einsum("jimk->mijk", dc), dc)
     residuals["parallel_cubic_symmetry"] = (
-        _scaled(rop - rop_star, rop) if dc_asym <= tol else 0.0
+        _scaled(rop - rop_star, rop) if dc_asym <= 1e-10 else 0.0
     )
 
     return TripleReport(

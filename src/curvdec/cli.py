@@ -29,6 +29,10 @@ from .suite import CHECKS, SuiteConfig, run_invariant_suite
 _DECOMPOSERS = {"w": w_decompose, "a": a_decompose, "st": singer_thorpe}
 
 
+class _UsageError(Exception):
+    """A bad combination of options; main reports it with exit code 2."""
+
+
 def _signature(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -37,7 +41,23 @@ def _signature(text: str) -> tuple[int, int]:
         p, q = int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise argparse.ArgumentTypeError("signature must be two integers") from exc
+    if p < 0 or q < 0:
+        raise argparse.ArgumentTypeError("signature counts must be non-negative")
     return p, q
+
+
+def _samples(text: str) -> int:
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError("samples must be at least 1")
+    return k
+
+
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError("tolerance must be finite and non-negative")
+    return tol
 
 
 def _point(text: str) -> list[float]:
@@ -48,6 +68,14 @@ def _point(text: str) -> list[float]:
     if not all(map(math.isfinite, point)):
         raise argparse.ArgumentTypeError("point coordinates must be finite")
     return point
+
+
+def _dim_signature(args) -> tuple[int, int]:
+    """--signature, (dim, 0) by default; a usage error unless p + q is --dim."""
+    sig = args.signature or (args.dim, 0)
+    if sig[0] + sig[1] != args.dim:
+        raise _UsageError(f"signature {sig} inconsistent with dim {args.dim}")
+    return sig
 
 
 def _emit(doc, output: str | None) -> None:
@@ -74,10 +102,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    sig = args.signature or (args.dim, 0)
-    if sig[0] + sig[1] != args.dim:
-        print(f"error: signature {sig} inconsistent with dim {args.dim}", file=sys.stderr)
-        return 2
+    sig = _dim_signature(args)
     tensor = sample(args.space, args.dim, sig, seed=args.seed)
     g = standard_scalar_product(*sig)
     _emit(tensor_document(tensor, g), args.output)
@@ -85,15 +110,10 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_dims(args) -> int:
-    sig = args.signature or (args.dim, 0)
-    if sig[0] + sig[1] != args.dim:
-        print(f"error: signature {sig} inconsistent with dim {args.dim}", file=sys.stderr)
-        return 2
+    sig = _dim_signature(args)
     out = {}
     for space in SAMPLE_SPACES:
-        report = empirical_dimension(
-            space, args.dim, sig, samples=args.samples, seed=args.seed, strict=False
-        )
+        report = empirical_dimension(space, args.dim, sig, samples=args.samples, seed=args.seed)
         out[space] = dimension_document(report)
     _emit(out, args.output)
     return 0
@@ -101,11 +121,7 @@ def _cmd_dims(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.suite is not None and args.suite not in CHECKS:
-        print(
-            f"error: unknown suite {args.suite!r}; known: {', '.join(sorted(CHECKS))}",
-            file=sys.stderr,
-        )
-        return 2
+        raise _UsageError(f"unknown suite {args.suite!r}; known: {', '.join(sorted(CHECKS))}")
     dims = (args.dim,) if args.dim is not None else (3, 4)
     signatures = (args.signature,) if args.signature is not None else None
     cfg = SuiteConfig(
@@ -115,6 +131,8 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         tolerance=args.tol,
     )
+    if not any(cfg.grid()):
+        raise _UsageError(f"signature {args.signature} fits no dimension in {list(dims)}")
     report = run_invariant_suite(cfg, only=None if args.suite is None else [args.suite])
     _emit(report, args.output)
     failed = [name for name, entry in report.items() if not entry["pass"]]
@@ -127,11 +145,7 @@ def _cmd_verify(args) -> int:
 def _cmd_chart(args) -> int:
     chart = parse_chart(_read(args.input))
     if len(args.point) != chart.dim:
-        print(
-            f"error: point has {len(args.point)} coordinates, chart dim is {chart.dim}",
-            file=sys.stderr,
-        )
-        return 2
+        raise _UsageError(f"point has {len(args.point)} coordinates, chart dim is {chart.dim}")
     if args.report == "triple":
         rep = conjugate_triple_report(chart, args.point)
         _emit(triple_report_document(rep), args.output)
@@ -172,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dims", help="empirical dimension reports for all spaces")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--signature", type=_signature)
-    p.add_argument("--samples", type=int)
+    p.add_argument("--samples", type=_samples)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_dims)
@@ -181,9 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", help="run a single named check")
     p.add_argument("--dim", type=int)
     p.add_argument("--signature", type=_signature)
-    p.add_argument("--samples", type=int, default=32)
+    p.add_argument("--samples", type=_samples, default=32)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_verify)
 
@@ -210,6 +224,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except CurvdecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -36,11 +36,14 @@ from .spaces import (
 FORM_TOL = 1e-10
 
 
-def _require_space(t, g, space, tol):
+def _require_space(t, g, space) -> np.ndarray:
+    """t as a float array, refused unless its residual in space is <= MEMBERSHIP_TOL."""
+    t = np.asarray(t, dtype=float)
     res = membership_residual(t, g, space)
-    if not res <= tol:
+    if not res <= MEMBERSHIP_TOL:
         err = NotGeneralizedCurvature if space == "r" else NotAlgebraic
-        raise err(f"membership residual {res:.3e} in {space!r} exceeds {tol:.0e}")
+        raise err(f"membership residual {res:.3e} in {space!r} exceeds {MEMBERSHIP_TOL:.0e}")
+    return t
 
 
 def _traces(t, g: ScalarProduct):
@@ -136,53 +139,48 @@ def _result(mode, t, comps, g) -> DecompositionResult:
     return DecompositionResult(mode, list(comps), residual, gram)
 
 
-def w_decompose(t, g: ScalarProduct, tol: float = MEMBERSHIP_TOL) -> DecompositionResult:
+def w_decompose(t, g: ScalarProduct) -> DecompositionResult:
     """Split a generalized curvature tensor into its eight W-components."""
-    t = np.asarray(t, dtype=float)
-    _require_space(t, g, "r", tol)
+    t = _require_space(t, g, "r")
     return _result("W", t, w_projections(t, g), g)
 
 
-def a_decompose(t, g: ScalarProduct, tol: float = MEMBERSHIP_TOL) -> DecompositionResult:
+def a_decompose(t, g: ScalarProduct) -> DecompositionResult:
     """Split a generalized curvature tensor into its eight A-components."""
-    t = np.asarray(t, dtype=float)
-    _require_space(t, g, "r", tol)
+    t = _require_space(t, g, "r")
     return _result("A", t, a_projections(t, g), g)
 
 
-def singer_thorpe(t, g: ScalarProduct, tol: float = MEMBERSHIP_TOL) -> DecompositionResult:
+def singer_thorpe(t, g: ScalarProduct) -> DecompositionResult:
     """Three-way split of an algebraic curvature tensor.
 
     Delegates to the A-components: the constant-curvature part is component 1,
     the traceless-Ricci part component 2, and the Ricci-flat (Weyl-type) part
     component 6; on a(V) these three sum back to the input.
     """
-    t = np.asarray(t, dtype=float)
-    _require_space(t, g, "a", tol)
+    t = _require_space(t, g, "a")
     comps = a_projections(t, g)
     return _result("ST", t, [comps[0], comps[1], comps[5]], g)
 
 
-def projective_part(t, g: ScalarProduct, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+def projective_part(t, g: ScalarProduct) -> np.ndarray:
     """The Ricci-free part of t: t - sigma(Alt Ric, Sym Ric).
 
     This is the input minus its first three W-components; on tensors with
     symmetric Ricci it equals t + wedge(Ric, g)/(n-1).
     """
-    t = np.asarray(t, dtype=float)
-    _require_space(t, g, "r", tol)
+    t = _require_space(t, g, "r")
     ric = ricci(t, g)
     return t - _sigma_alt(antisym(ric), g.matrix) - _sigma_sym(sym(ric), g.matrix)
 
 
-def traceless_core(t, g: ScalarProduct, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+def traceless_core(t, g: ScalarProduct) -> np.ndarray:
     """Projection onto the totally trace-free subspace (Ric = Ric* = 0).
 
     Computed by the closed five-term correction formula; agrees with
     subtracting the first five W-components.
     """
-    t = np.asarray(t, dtype=float)
-    _require_space(t, g, "r", tol)
+    t = _require_space(t, g, "r")
     n, gm = g.dim, g.matrix
     ric, star, tau = _traces(t, g)
     return (
@@ -196,15 +194,14 @@ def traceless_core(t, g: ScalarProduct, tol: float = MEMBERSHIP_TOL) -> np.ndarr
     )
 
 
-def b_forms(t, g: ScalarProduct, tol: float = MEMBERSHIP_TOL) -> tuple[np.ndarray, np.ndarray]:
+def b_forms(t, g: ScalarProduct) -> tuple[np.ndarray, np.ndarray]:
     """The two projective-flatness indicator forms built from the trace data.
 
     Returns (b_star, b) with b_star = sym(Ric* + (n-1) Ric) - tau g and
     b = sym((n-1) Ric* + Ric) - tau g; b_star vanishes exactly when the
     conjugate tensor is of projectively flat type.
     """
-    t = np.asarray(t, dtype=float)
-    _require_space(t, g, "r", tol)
+    t = _require_space(t, g, "r")
     n = g.dim
     ric, star, tau = _traces(t, g)
     b_star = sym(star + (n - 1) * ric) - tau * g.matrix
@@ -229,19 +226,18 @@ def sigma_split(omega, theta, g: ScalarProduct) -> np.ndarray:
     return _sigma_alt(omega, g.matrix) + _sigma_sym(theta, g.matrix)
 
 
-def equiaffine_einstein_check(t, g: ScalarProduct, tol: float = MEMBERSHIP_TOL) -> bool:
+def equiaffine_einstein_check(t, g: ScalarProduct) -> bool:
     """True when the trace-adjusting W-components 2 and 3 both vanish.
 
     W2 = sigma(0, Sym Ric - (tau/n) g) and W3 = sigma(Alt Ric, 0), so this is
     Ric = (tau/n) g, the Einstein condition for a Ricci symmetric
     torsion-free connection.
     """
-    t = np.asarray(t, dtype=float)
-    _require_space(t, g, "r", tol)
+    t = _require_space(t, g, "r")
     scale = _maxnorm(t)
     if scale == 0.0:
         return True
     ric, _, tau = _traces(t, g)
     w2 = _sigma_sym(sym(ric) - (tau / g.dim) * g.matrix, g.matrix)
     w3 = _sigma_alt(antisym(ric), g.matrix)
-    return max(_maxnorm(w2), _maxnorm(w3)) / scale <= tol
+    return max(_maxnorm(w2), _maxnorm(w3)) / scale <= MEMBERSHIP_TOL

@@ -45,10 +45,6 @@ class EmptySpace(CurvdecError):
     """The requested subspace is zero-dimensional at this dimension."""
 
 
-class InconclusiveRank(CurvdecError):
-    """Singular-value gap too small to call a numerical rank."""
-
-
 class SchemaError(CurvdecError):
     """Malformed input document; carries the offending path."""
 

@@ -231,27 +231,3 @@ def parse_chart(data) -> PolyChart:
         raise SchemaError("$.domain_note", "expected a string")
     return PolyChart(n, metric, cubic, domain_note=note)
 
-
-def _poly_entry(p: Poly) -> dict:
-    return {" ".join(str(e) for e in exps): coeff for exps, coeff in sorted(p.terms.items())}
-
-
-def chart_document(chart: PolyChart) -> dict:
-    n = chart.dim
-    metric = {}
-    for i in range(n):
-        for j in range(i, n):
-            if not chart.metric[i][j].is_zero():
-                metric[f"{i},{j}"] = _poly_entry(chart.metric[i][j])
-    doc = {"dim": n, "metric": metric}
-    cubic = {}
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                if not chart.cubic[i][j][k].is_zero():
-                    cubic[f"{i},{j},{k}"] = _poly_entry(chart.cubic[i][j][k])
-    if cubic:
-        doc["cubic"] = cubic
-    if chart.domain_note:
-        doc["domain_note"] = chart.domain_note
-    return doc

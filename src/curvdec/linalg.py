@@ -93,6 +93,8 @@ def build_scalar_product(matrix) -> ScalarProduct:
 
 def standard_scalar_product(p: int, q: int) -> ScalarProduct:
     """diag(+1 x p, -1 x q), the flat form of signature (p, q)."""
+    if p < 0 or q < 0:
+        raise DimensionMismatch(f"signature ({p}, {q}) has a negative count")
     n = p + q
     if n < 3:
         raise DimensionTooSmall(f"need dimension >= 3, got {n}")
@@ -119,12 +121,13 @@ def _maxnorm(t) -> float:
     return float(a.max()) if a.size else 0.0
 
 
-def check_same_dim(*arrays) -> int:
-    """Every axis of every operand must have one length n; returns it."""
-    dims = {d for a in arrays for d in a.shape}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"inconsistent dimensions {sorted(dims)}")
-    return dims.pop()
+def check_same_dim(*forms) -> int:
+    """Every operand must be a bilinear form of one shape (n, n); returns n."""
+    shapes = {f.shape for f in forms}
+    n = forms[0].shape[0] if forms[0].ndim else 0
+    if shapes != {(n, n)}:
+        raise DimensionMismatch(f"expected (n, n) forms of one shape, got {sorted(shapes)}")
+    return n
 
 
 def check_tensor(t, g: ScalarProduct | None = None) -> np.ndarray:

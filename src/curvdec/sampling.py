@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import a_projections, projective_part, traceless_core, w_projections
-from .errors import EmptySpace, InconclusiveRank, UnknownSpace
-from .linalg import ScalarProduct, standard_scalar_product
+from .errors import EmptySpace, UnknownSpace
+from .linalg import standard_scalar_product
 from .spaces import bianchi_project, mu, psi
 
 SAMPLE_SPACES = (
@@ -56,7 +56,6 @@ def sample(
     signature: tuple[int, int] | None = None,
     seed: int = 0,
     index=0,
-    g: ScalarProduct | None = None,
 ) -> np.ndarray:
     """One unit-max-norm tensor lying in the named subspace.
 
@@ -74,8 +73,7 @@ def sample(
     n = int(dim)
     if signature is None:
         signature = (n, 0)
-    if g is None:
-        g = standard_scalar_product(*signature)
+    g = standard_scalar_product(*signature)
     rng = rng_stream(seed, index)
     noise = rng.uniform(-1.0, 1.0, (n, n, n, n))
 
@@ -178,14 +176,13 @@ def empirical_dimension(
     signature: tuple[int, int] | None = None,
     samples: int | None = None,
     seed: int = 0,
-    strict: bool = True,
 ) -> DimensionReport:
     """Estimate the dimension of a subspace by the rank of stacked samples.
 
     Uses at least twice the candidate dimension many samples (the known
     closed-form dimension when one exists, the ambient generalized-curvature
-    dimension otherwise).  With strict=True an unreliable singular-value gap
-    raises InconclusiveRank instead of flagging the report.
+    dimension otherwise).  An unreliable singular-value gap sets the report's
+    inconclusive flag.
     """
     n = int(dim)
     if signature is None:
@@ -203,9 +200,4 @@ def empirical_dimension(
         return DimensionReport(space, 0, fdim, 0, None, False)
     rank, gap = numerical_rank(np.asarray(rows))
     inconclusive = gap is not None and gap < GAP_RATIO or gap is None and rank > 0
-    if strict and inconclusive:
-        raise InconclusiveRank(
-            f"gap {gap} below {GAP_RATIO:.0e} for {space} at n={n}; "
-            f"increase the sample count"
-        )
     return DimensionReport(space, rank, fdim, len(rows), gap, inconclusive)

@@ -29,11 +29,6 @@ def _reindex(t, pattern):
     return np.einsum(f"{pattern}->abcd", t)
 
 
-def reindex(t, pattern: str) -> np.ndarray:
-    """out[a,b,c,d] = t[pattern], e.g. reindex(R, 'badc') is R(y,x,w,z)."""
-    return _reindex(check_tensor(t), pattern)
-
-
 def wedge_r(h, k, r: float) -> np.ndarray:
     """The wedge product family on bilinear forms.
 
@@ -90,11 +85,6 @@ def mu(t) -> np.ndarray:
 
 def _cyclic_sum(t):
     return t + _reindex(t, "bcad") + _reindex(t, "cabd")
-
-
-def cyclic_sum(t) -> np.ndarray:
-    """First-Bianchi cyclic sum over the first three arguments."""
-    return _cyclic_sum(check_tensor(t))
 
 
 def bianchi_project(t) -> np.ndarray:
@@ -171,6 +161,8 @@ def membership_residual(t, g: ScalarProduct, space: str) -> float:
 
     Returns 0.0 for the zero tensor (it belongs to every space).
     """
+    if space not in SPACE_TAGS:
+        raise UnknownSpace(f"unknown space tag {space!r}; expected one of {SPACE_TAGS}")
     t = check_tensor(t, g)
     scale = _maxnorm(t)
     if scale == 0.0:
@@ -189,15 +181,11 @@ def membership_residual(t, g: ScalarProduct, space: str) -> float:
         return max(res, _maxnorm(antisym(ricci(t, g)))) / scale
     if space == "p":
         return max(res, _maxnorm(ricci(t, g))) / scale
-    if space == "t":
-        return max(res, _maxnorm(ricci(t, g)), _maxnorm(ricci_star(t, g))) / scale
-    raise UnknownSpace(f"unknown space tag {space!r}")
+    return max(res, _maxnorm(ricci(t, g)), _maxnorm(ricci_star(t, g))) / scale
 
 
 def membership(t, g: ScalarProduct, space: str, tol: float = MEMBERSHIP_TOL):
     """(flag, residual) for membership of t in the named space."""
-    if space not in SPACE_TAGS:
-        raise UnknownSpace(f"unknown space tag {space!r}; expected one of {SPACE_TAGS}")
     res = membership_residual(t, g, space)
     return res <= tol, res
 
@@ -208,13 +196,11 @@ __all__ = [
     "RicciReport",
     "bianchi_project",
     "conjugate",
-    "cyclic_sum",
     "dot_product",
     "membership",
     "membership_residual",
     "mu",
     "psi",
-    "reindex",
     "ricci",
     "ricci_star",
     "ricci_traces",

@@ -7,13 +7,7 @@ import pytest
 
 from curvdec.cli import main
 from curvdec.errors import DegenerateMetric, LengthMismatch, SchemaError
-from curvdec.jsonio import (
-    chart_document,
-    dumps,
-    parse_chart,
-    parse_tensor,
-    tensor_document,
-)
+from curvdec.jsonio import dumps, parse_chart, parse_tensor, tensor_document
 from curvdec.linalg import standard_scalar_product
 from curvdec.sampling import sample
 from curvdec.spaces import wedge
@@ -130,17 +124,6 @@ def test_chart_parse_and_symmetrize():
     assert chart.cubic[1][0][0] == chart.cubic[0][0][1]
     assert chart.domain_note == "nondegenerate near the origin"
     assert chart.metric[0][0]((0.0, 0.0, 0.0)) == 1.0
-
-
-def test_chart_round_trip():
-    chart = parse_chart(dumps(chart_doc()))
-    doc2 = chart_document(chart)
-    chart2 = parse_chart(dumps(doc2))
-    for i in range(3):
-        for j in range(3):
-            assert chart.metric[i][j] == chart2.metric[i][j]
-            for k in range(3):
-                assert chart.cubic[i][j][k] == chart2.cubic[i][j][k]
 
 
 def test_chart_rejects_unsorted_or_bad_keys():
@@ -261,6 +244,31 @@ def test_cli_usage_and_data_errors(tmp_path):
     assert r.returncode == 1
     assert "expected 81" in r.stderr
     assert r.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--dim", "3", "--signature", "2,2"],
+        ["verify", "--samples", "0"],
+        ["verify", "--samples", "-1"],
+        ["verify", "--dim", "3", "--signature=-1,4"],
+        ["verify", "--tol", "nan"],
+        ["verify", "--tol", "inf"],
+        ["verify", "--tol=-1e-9"],
+        ["dims", "--dim", "3", "--samples", "0"],
+        ["dims", "--dim", "3", "--signature", "2,2"],
+        ["sample", "--space", "r", "--dim", "3", "--signature=-1,4"],
+        ["sample", "--space", "r", "--dim", "3", "--signature", "3,1"],
+    ],
+)
+def test_cli_option_values_checked_before_running(capsys, argv):
+    # each of these used to run nothing and report success, or die in numpy
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "Traceback" not in out.err
+    assert len([line for line in out.err.splitlines() if "error:" in line]) == 1
 
 
 def test_main_callable_directly(tmp_path, capsys):

@@ -21,13 +21,13 @@ from curvdec.linalg import (
 from curvdec.spaces import (
     bianchi_project,
     conjugate,
-    cyclic_sum,
+    dot_product,
     membership_residual,
     mu,
     psi,
-    reindex,
     ricci,
     wedge,
+    wedge_r,
 )
 
 
@@ -101,6 +101,12 @@ def test_dimension_too_small():
         build_scalar_product(np.eye(2))
     with pytest.raises(DimensionTooSmall):
         standard_scalar_product(1, 1)
+
+
+def test_negative_signature_count_refused():
+    # -1 + 4 is a valid dimension; the count itself is not
+    with pytest.raises(DimensionMismatch, match="negative"):
+        standard_scalar_product(-1, 4)
 
 
 def test_split_symmetric_fixed_point():
@@ -195,10 +201,17 @@ def test_tensor_shape_and_rank_checked():
     with pytest.raises(DimensionMismatch):
         ricci(np.zeros((3,) * 5), g)
     # the maps that take no g check rank and equal axes
-    for f in (psi, mu, cyclic_sum, bianchi_project, conjugate, lambda t: reindex(t, "badc")):
+    for f in (psi, mu, bianchi_project, conjugate):
         for bad in (np.eye(3), np.ones((3, 3, 3, 4)), np.zeros((3,) * 5)):
             with pytest.raises(DimensionMismatch, match=re.escape(str(bad.shape))):
                 f(bad)
+    # the products take two bilinear forms of one (n, n) shape
+    for f in (lambda h, k: wedge_r(h, k, 1.0), wedge, dot_product):
+        for bad in (np.zeros(3), np.zeros((3,) * 3), np.zeros((3, 4))):
+            with pytest.raises(DimensionMismatch, match=re.escape(str(bad.shape))):
+                f(bad, bad)
+            with pytest.raises(DimensionMismatch, match=re.escape(str(bad.shape))):
+                f(np.eye(3), bad)
 
 
 def test_non_finite_metric_names_entries():
