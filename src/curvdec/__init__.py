@@ -27,6 +27,7 @@ from .errors import (
     DegenerateMetric,
     DimensionMismatch,
     DimensionTooSmall,
+    EmptyRun,
     EmptySpace,
     FormSymmetryViolation,
     LengthMismatch,
@@ -46,6 +47,7 @@ from .linalg import (
 from .poly import Poly
 from .sampling import (
     DimensionReport,
+    dimension_reports,
     empirical_dimension,
     formula_dim,
     sample,

@@ -23,7 +23,7 @@ from .jsonio import (
     triple_report_document,
 )
 from .linalg import standard_scalar_product
-from .sampling import SAMPLE_SPACES, empirical_dimension, sample
+from .sampling import SAMPLE_SPACES, dimension_reports, sample
 from .suite import CHECKS, SuiteConfig, run_invariant_suite
 
 _DECOMPOSERS = {"w": w_decompose, "a": a_decompose, "st": singer_thorpe}
@@ -111,11 +111,8 @@ def _cmd_sample(args) -> int:
 
 def _cmd_dims(args) -> int:
     sig = _dim_signature(args)
-    out = {}
-    for space in SAMPLE_SPACES:
-        report = empirical_dimension(space, args.dim, sig, samples=args.samples, seed=args.seed)
-        out[space] = dimension_document(report)
-    _emit(out, args.output)
+    reports = dimension_reports(args.dim, sig, samples=args.samples, seed=args.seed)
+    _emit({space: dimension_document(rep) for space, rep in reports.items()}, args.output)
     return 0
 
 

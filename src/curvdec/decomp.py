@@ -1,10 +1,12 @@
 """The two eight-part orthogonal decompositions of r(V) and derived maps.
 
 Every map here is linear in the trace data Ric, Ric*, tau, psi(R) and mu(R);
-`_traces` computes (Ric, Ric*, tau) once per tensor.  The Ricci part is sigma,
-the right inverse of the Ricci trace: W1, W2 and W3 are sigma of (tau/n) g,
-Sym Ric - (tau/n) g and Alt Ric, so the projective part is
-R - sigma(Alt Ric, Sym Ric).  An antisymmetric form b enters every map through
+`_traces` computes (Ric, Ric*, tau) once per tensor.  The projections, the
+projective part and the trace-free core take a stack (..., n, n, n, n) and
+broadcast the trace data over it; the decompositions take one tensor.  The
+Ricci part is sigma, the right inverse of the Ricci trace: W1, W2 and W3 are
+sigma of (tau/n) g, Sym Ric - (tau/n) g and Alt Ric, so the projective part
+is R - sigma(Alt Ric, Sym Ric).  An antisymmetric form b enters every map through
 one lift, 2 b.g + b ^_r g.  The W-family isolates the projective part
 (components 4..8 span the Ricci-flat tensors); the A-family isolates the
 decomposition of a(V) and s(V).  Components 1, 6, 7, 8 coincide between the
@@ -19,7 +21,14 @@ import numpy as np
 
 from .errors import FormSymmetryViolation, NotAlgebraic, NotGeneralizedCurvature
 from .linalg import (
-    ScalarProduct, _maxnorm, antisym, check_same_dim, check_tensor, sym, tensor_pairing
+    ScalarProduct,
+    _maxnorm,
+    antisym,
+    check_one_tensor,
+    check_same_dim,
+    check_tensor,
+    sym,
+    tensor_pairing,
 )
 from .spaces import (
     MEMBERSHIP_TOL,
@@ -37,7 +46,7 @@ FORM_TOL = 1e-10
 
 
 def _require_space(t, g, space) -> np.ndarray:
-    """t as a float array, refused unless its residual in space is <= MEMBERSHIP_TOL."""
+    """t as a float array, refused unless each tensor's residual in space is <= MEMBERSHIP_TOL."""
     t = np.asarray(t, dtype=float)
     res = membership_residual(t, g, space)
     if not res <= MEMBERSHIP_TOL:
@@ -47,9 +56,12 @@ def _require_space(t, g, space) -> np.ndarray:
 
 
 def _traces(t, g: ScalarProduct):
-    """(Ric, Ric*, tau) of t, with tau the g^-1-trace of Ric."""
+    """(Ric, Ric*, tau) of t, with tau the g^-1-trace of Ric, shaped (..., 1, 1).
+
+    tau is summed elementwise, not by einsum, whose order differs in the last bit.
+    """
     ric = ricci(t, g)
-    return ric, ricci_star(t, g), float(np.sum(g.inverse * ric))
+    return ric, ricci_star(t, g), np.sum(g.inverse * ric, axis=(-2, -1), keepdims=True)
 
 
 def _lift(b, gm, r: float) -> np.ndarray:
@@ -69,6 +81,7 @@ def w_projections(t, g: ScalarProduct) -> list[np.ndarray]:
     t = check_tensor(t, g)
     n, gm = g.dim, g.matrix
     ric, star, tau = _traces(t, g)
+    tau4 = tau[..., None, None]
     lric, lstar = antisym(ric), antisym(star)
     gg = wedge(gm, gm)
     ps, m = psi(t), mu(t)
@@ -77,11 +90,11 @@ def w_projections(t, g: ScalarProduct) -> list[np.ndarray]:
     p2 = _sigma_sym(sym(ric) - (tau / n) * gm, gm)
     p3 = _sigma_alt(lric, gm)
     p4 = (-1.0 / (n * n - 4)) * _lift(lstar + (3.0 / (n + 1)) * lric, gm, n + 1)
-    p5 = (tau * gg - wedge_r(sym(ric + (n - 1) * star), gm, n - 1) / n) / ((n - 1) * (n - 2))
+    p5 = (tau4 * gg - wedge_r(sym(ric + (n - 1) * star), gm, n - 1) / n) / ((n - 1) * (n - 2))
     p6 = (
         ps
         + wedge_r(sym(ric + star), gm, 1) / (2 * (n - 2))
-        - (tau / ((n - 1) * (n - 2))) * gg
+        - (tau4 / ((n - 1) * (n - 2))) * gg
     )
     p7 = (
         m
@@ -97,11 +110,12 @@ def a_projections(t, g: ScalarProduct) -> list[np.ndarray]:
     t = check_tensor(t, g)
     n, gm = g.dim, g.matrix
     ric, star, tau = _traces(t, g)
+    tau4 = tau[..., None, None]
     gg = wedge(gm, gm)
     ps, m = psi(t), mu(t)
 
-    a1 = (-tau / (n * (n - 1))) * gg
-    a2 = (2 * tau / (n * (n - 2))) * gg - wedge_r(sym(ric + star), gm, 1) / (2 * (n - 2))
+    a1 = (-tau4 / (n * (n - 1))) * gg
+    a2 = (2 * tau4 / (n * (n - 2))) * gg - wedge_r(sym(ric + star), gm, 1) / (2 * (n - 2))
     a3 = -wedge_r(sym(ric - star), gm, -1) / (2 * n)
     a4 = (-1.0 / (4 * (n + 2))) * _lift(antisym(3.0 * ric - star), gm, -1)
     a5 = (-1.0 / (4 * (n - 2))) * _lift(antisym(ric + star), gm, 3)
@@ -190,7 +204,7 @@ def traceless_core(t, g: ScalarProduct) -> np.ndarray:
         + wedge_r(antisym(3.0 * ric + (n + 1) * star), gm, n + 1)
         / ((n * n - 4) * (n + 1))
         + wedge_r(sym(ric + (n - 1) * star), gm, n - 1) / (n * (n - 1) * (n - 2))
-        - (tau / ((n - 1) * (n - 2))) * wedge(gm, gm)
+        - (tau[..., None, None] / ((n - 1) * (n - 2))) * wedge(gm, gm)
     )
 
 
@@ -219,9 +233,9 @@ def sigma_split(omega, theta, g: ScalarProduct) -> np.ndarray:
     omega = np.asarray(omega, dtype=float)
     theta = np.asarray(theta, dtype=float)
     check_same_dim(omega, theta, g.matrix)
-    if _maxnorm(omega + omega.T) > FORM_TOL * max(1.0, _maxnorm(omega)):
+    if _maxnorm(omega + omega.swapaxes(-1, -2)) > FORM_TOL * max(1.0, _maxnorm(omega)):
         raise FormSymmetryViolation("omega is not antisymmetric")
-    if _maxnorm(theta - theta.T) > FORM_TOL * max(1.0, _maxnorm(theta)):
+    if _maxnorm(theta - theta.swapaxes(-1, -2)) > FORM_TOL * max(1.0, _maxnorm(theta)):
         raise FormSymmetryViolation("theta is not symmetric")
     return _sigma_alt(omega, g.matrix) + _sigma_sym(theta, g.matrix)
 
@@ -231,9 +245,9 @@ def equiaffine_einstein_check(t, g: ScalarProduct) -> bool:
 
     W2 = sigma(0, Sym Ric - (tau/n) g) and W3 = sigma(Alt Ric, 0), so this is
     Ric = (tau/n) g, the Einstein condition for a Ricci symmetric
-    torsion-free connection.
+    torsion-free connection.  Takes one tensor, not a stack.
     """
-    t = _require_space(t, g, "r")
+    t = _require_space(check_one_tensor(t, g), g, "r")
     scale = _maxnorm(t)
     if scale == 0.0:
         return True

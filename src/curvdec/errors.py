@@ -45,6 +45,10 @@ class EmptySpace(CurvdecError):
     """The requested subspace is zero-dimensional at this dimension."""
 
 
+class EmptyRun(CurvdecError):
+    """A run is configured to draw no samples or to visit no (dimension, signature) pair."""
+
+
 class SchemaError(CurvdecError):
     """Malformed input document; carries the offending path."""
 

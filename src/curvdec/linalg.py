@@ -1,8 +1,9 @@
 """Signature-aware linear algebra: scalar products, splits, and the rank-4 pairing.
 
 Bilinear forms are plain (n, n) float arrays and rank-4 tensors are plain
-(n, n, n, n) float arrays throughout the package; this module owns the one
-stateful value type, :class:`ScalarProduct`.
+(n, n, n, n) float arrays throughout the package; the kernels also take
+stacks (..., n, n) and (..., n, n, n, n) with leading batch axes.  This
+module owns the one stateful value type, :class:`ScalarProduct`.
 """
 from __future__ import annotations
 
@@ -104,15 +105,15 @@ def standard_scalar_product(p: int, q: int) -> ScalarProduct:
 
 
 def sym(b) -> np.ndarray:
-    """Symmetric part (b + b^T)/2."""
+    """Symmetric part (b + b^T)/2 of a form or a stack of forms."""
     b = np.asarray(b, dtype=float)
-    return 0.5 * (b + b.T)
+    return 0.5 * (b + b.swapaxes(-1, -2))
 
 
 def antisym(b) -> np.ndarray:
-    """Antisymmetric part (b - b^T)/2."""
+    """Antisymmetric part (b - b^T)/2 of a form or a stack of forms."""
     b = np.asarray(b, dtype=float)
-    return 0.5 * (b - b.T)
+    return 0.5 * (b - b.swapaxes(-1, -2))
 
 
 def _maxnorm(t) -> float:
@@ -122,20 +123,39 @@ def _maxnorm(t) -> float:
 
 
 def check_same_dim(*forms) -> int:
-    """Every operand must be a bilinear form of one shape (n, n); returns n."""
-    shapes = {f.shape for f in forms}
-    n = forms[0].shape[0] if forms[0].ndim else 0
-    if shapes != {(n, n)}:
-        raise DimensionMismatch(f"expected (n, n) forms of one shape, got {sorted(shapes)}")
+    """Every operand must be a form or stack of forms (..., n, n) of one n; returns n."""
+    n = forms[0].shape[-1] if forms[0].ndim else 0
+    if any(f.shape[-2:] != (n, n) for f in forms):
+        raise DimensionMismatch(
+            f"expected (..., n, n) forms of one n, got {sorted({f.shape for f in forms})}"
+        )
     return n
 
 
 def check_tensor(t, g: ScalarProduct | None = None) -> np.ndarray:
-    """t as a float (n, n, n, n) array, n from g if given; DimensionMismatch otherwise."""
+    """t as a float (..., n, n, n, n) array of finite entries, n from g if given.
+
+    Raises DimensionMismatch for any other shape and NonFiniteInput for a NaN
+    or infinite entry anywhere in the stack.
+    """
     t = np.asarray(t, dtype=float)
-    n = g.dim if g is not None else t.shape[0] if t.ndim else 0
-    if t.shape != (n,) * 4:
-        raise DimensionMismatch(f"expected a tensor of shape {(n,) * 4}, got {t.shape}")
+    n = g.dim if g is not None else t.shape[-1] if t.ndim else 0
+    if t.shape[-4:] != (n,) * 4:
+        raise DimensionMismatch(
+            f"expected tensors of shape (..., {n}, {n}, {n}, {n}), got {t.shape}"
+        )
+    if not np.logical_and.reduce(np.isfinite(t), axis=None):
+        bad = np.argwhere(~np.isfinite(t))
+        first = tuple(bad[0].tolist())
+        raise NonFiniteInput(f"{len(bad)} non-finite tensor entries, the first at {first}")
+    return t
+
+
+def check_one_tensor(t, g: ScalarProduct) -> np.ndarray:
+    """check_tensor for maps defined on one tensor: a stack is a DimensionMismatch."""
+    t = check_tensor(t, g)
+    if t.ndim != 4:
+        raise DimensionMismatch(f"expected one tensor of shape {(g.dim,) * 4}, got {t.shape}")
     return t
 
 
@@ -146,8 +166,8 @@ def tensor_pairing(t1, t2, g: ScalarProduct) -> float:
     statements of the decompositions are with respect to it.  Symmetric in
     (t1, t2); positive definite only for definite g.
     """
-    t1 = check_tensor(t1, g)
-    t2 = check_tensor(t2, g)
+    t1 = check_one_tensor(t1, g)
+    t2 = check_one_tensor(t2, g)
     raised = t1
     for _ in range(4):  # each step raises the leading index and moves it last
         raised = np.tensordot(raised, g.inverse, axes=(0, 0))

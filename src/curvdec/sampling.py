@@ -4,6 +4,14 @@ Every sample is drawn from a PCG64 stream keyed by (seed, index): the
 generator is ``default_rng(SeedSequence(entropy=seed, spawn_key=index))``
 with ``index`` a tuple of unsigned ints.  Identical keys give bit-identical
 tensors on every platform.  Samples are normalized to unit max-norm.
+
+The noise of an index does not depend on the space, so every space's samples
+are projections of one base stack: the normalized Bianchi projections of the
+noise of indices 0, 1, 2, ...  A space's k samples are the first k indices of
+this sequence, which all spaces share; `dimension_reports` draws each index
+once for all spaces.  Stacks are built CHUNK tensors at a time, so the
+kernels see a batch axis while the temporaries stay small; `sample` is the
+one-index call of the same builder.
 """
 from __future__ import annotations
 
@@ -12,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import a_projections, projective_part, traceless_core, w_projections
-from .errors import EmptySpace, UnknownSpace
-from .linalg import standard_scalar_product
+from .errors import EmptyRun, EmptySpace, UnknownSpace
+from .linalg import ScalarProduct, standard_scalar_product
 from .spaces import bianchi_project, mu, psi
 
 SAMPLE_SPACES = (
@@ -33,6 +41,8 @@ SAMPLE_SPACES = (
 EMPTY_NORM = 1e-10
 RANK_RATIO = 1e-8
 GAP_RATIO = 1e6
+# tensors per kernel call; larger chunks gain no speed at n >= 6 and cost memory
+CHUNK = 32
 
 
 def rng_stream(seed: int, index) -> np.random.Generator:
@@ -43,11 +53,68 @@ def rng_stream(seed: int, index) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
 
 
-def _normalize(t, floor: float):
-    m = float(np.max(np.abs(t)))
-    if m < floor:
-        raise EmptySpace(f"projected sample has max-norm {m:.2e}; space is empty here")
-    return t / m
+def _noise(n: int, seed: int, indices) -> np.ndarray:
+    """Uniform [-1, 1) noise of each stream index, stacked."""
+    out = np.empty((len(indices),) + (n,) * 4)
+    for row, index in zip(out, indices):
+        row[...] = rng_stream(seed, index).uniform(-1.0, 1.0, (n,) * 4)
+    return out
+
+
+def _normalize(stack, floor: float) -> np.ndarray:
+    """Scale each tensor to unit max-norm in place, dropping those below floor."""
+    m = np.max(np.abs(stack), axis=(-4, -3, -2, -1))
+    keep = ~(m < floor)
+    if not keep.all():
+        stack, m = stack[keep], m[keep]
+    stack /= m[:, None, None, None, None]
+    return stack
+
+
+def _project(space: str, base, g: ScalarProduct) -> np.ndarray:
+    """The (unnormalized) image of a stack of 'r' samples in the space."""
+    if space == "a":
+        return psi(base)
+    if space == "s":
+        return mu(base)
+    if space == "a_plus_s":
+        return psi(base) + mu(base)
+    if space == "f":
+        return base - w_projections(base, g)[2]
+    if space == "f_pair":
+        w = w_projections(base, g)
+        return base - w[2] - w[3] - w[7]
+    if space == "p":
+        return projective_part(base, g)
+    if space == "t":
+        return traceless_core(base, g)
+    comps = w_projections(base, g) if space[0] == "W" else a_projections(base, g)
+    return comps[int(space[1:]) - 1]
+
+
+def _stack(space: str, g: ScalarProduct, seed: int, indices, base=None) -> np.ndarray:
+    """The samples of a space at these stream indices, stacked (k', n, n, n, n).
+
+    An index whose projection is at roundoff scale (the space is empty there)
+    is left out.  base, if given, holds the 'r' samples of the same indices.
+    """
+    n = g.dim
+    out = np.empty((len(indices),) + (n,) * 4)
+    used = 0
+    for lo in range(0, len(indices), CHUNK):
+        part = indices[lo : lo + CHUNK]
+        if space == "co":
+            noise = _noise(n, seed, part)
+            rows = _normalize(0.5 * (noise - np.swapaxes(noise, -4, -3)), EMPTY_NORM)
+        else:
+            if base is not None:
+                r = base[lo : lo + CHUNK]
+            else:  # the Bianchi projection of noise is never at roundoff scale: no floor
+                r = _normalize(bianchi_project(_noise(n, seed, part)), 0.0)
+            rows = r if space == "r" else _normalize(_project(space, r, g), EMPTY_NORM)
+        out[used : used + len(rows)] = rows
+        used += len(rows)
+    return out[:used]
 
 
 def sample(
@@ -73,36 +140,12 @@ def sample(
     n = int(dim)
     if signature is None:
         signature = (n, 0)
-    g = standard_scalar_product(*signature)
-    rng = rng_stream(seed, index)
-    noise = rng.uniform(-1.0, 1.0, (n, n, n, n))
-
-    if space == "co":
-        return _normalize(0.5 * (noise - np.swapaxes(noise, 0, 1)), EMPTY_NORM)
-    base = bianchi_project(noise)
-    base = base / np.max(np.abs(base))
-    if space == "r":
-        return base
-    if space == "a":
-        return _normalize(psi(base), EMPTY_NORM)
-    if space == "s":
-        return _normalize(mu(base), EMPTY_NORM)
-    if space == "a_plus_s":
-        return _normalize(psi(base) + mu(base), EMPTY_NORM)
-    if space == "f":
-        w = w_projections(base, g)
-        return _normalize(base - w[2], EMPTY_NORM)
-    if space == "f_pair":
-        w = w_projections(base, g)
-        return _normalize(base - w[2] - w[3] - w[7], EMPTY_NORM)
-    if space == "p":
-        return _normalize(projective_part(base, g), EMPTY_NORM)
-    if space == "t":
-        return _normalize(traceless_core(base, g), EMPTY_NORM)
-    family = space[0]
-    j = int(space[1:]) - 1
-    comps = w_projections(base, g) if family == "W" else a_projections(base, g)
-    return _normalize(comps[j], EMPTY_NORM)
+    stack = _stack(space, standard_scalar_product(*signature), seed, [index])
+    if not len(stack):
+        raise EmptySpace(
+            f"projected sample has max-norm below {EMPTY_NORM:.0e}; space is empty here"
+        )
+    return stack[0]
 
 
 def dim_co(n: int) -> int:
@@ -170,6 +213,57 @@ def numerical_rank(rows: np.ndarray, floor: float = 0.0) -> tuple[int, float | N
     return rank, gap
 
 
+def _report(space: str, n: int, stack) -> DimensionReport:
+    fdim = formula_dim(space, n)
+    if not len(stack):
+        return DimensionReport(space, 0, fdim, 0, None, False)
+    rank, gap = numerical_rank(stack.reshape(len(stack), -1))
+    inconclusive = gap is not None and gap < GAP_RATIO or gap is None and rank > 0
+    return DimensionReport(space, rank, fdim, len(stack), gap, inconclusive)
+
+
+def dimension_reports(
+    dim: int,
+    signature: tuple[int, int] | None = None,
+    samples: int | None = None,
+    seed: int = 0,
+    spaces=SAMPLE_SPACES,
+) -> dict[str, DimensionReport]:
+    """Estimate the dimensions of subspaces by the rank of stacked samples.
+
+    Each space uses `samples` samples, or by default at least twice its
+    candidate dimension (the known closed-form dimension when one exists, the
+    ambient generalized-curvature dimension otherwise).  They are the first
+    indices of one stream sequence, drawn once and shared by all spaces.  An
+    unreliable singular-value gap sets a report's inconclusive flag.  Raises
+    EmptyRun when samples is below 1 and UnknownSpace for an unknown tag.
+    """
+    if samples is not None and samples < 1:
+        raise EmptyRun(f"samples must be at least 1, got {samples}")
+    for space in spaces:
+        if space not in SAMPLE_SPACES:
+            raise UnknownSpace(f"unknown sample space {space!r}")
+    n = int(dim)
+    if signature is None:
+        signature = (n, 0)
+    g = standard_scalar_product(*signature)
+    counts = {}
+    for space in spaces:
+        fdim = formula_dim(space, n)
+        candidate = fdim if fdim is not None else dim_r(n)
+        counts[space] = samples if samples is not None else max(2 * candidate, 8)
+    reports = {}
+    if "co" in counts:  # 'co' is drawn from the noise itself: rank it before the base exists
+        reports["co"] = _report("co", n, _stack("co", g, seed, range(counts["co"])))
+    rest = [space for space in counts if space != "co"]
+    if rest:
+        base = _stack("r", g, seed, range(max(counts[space] for space in rest)))
+        for space in rest:
+            k = counts[space]
+            reports[space] = _report(space, n, _stack(space, g, seed, range(k), base[:k]))
+    return {space: reports[space] for space in spaces}
+
+
 def empirical_dimension(
     space: str,
     dim: int,
@@ -177,27 +271,5 @@ def empirical_dimension(
     samples: int | None = None,
     seed: int = 0,
 ) -> DimensionReport:
-    """Estimate the dimension of a subspace by the rank of stacked samples.
-
-    Uses at least twice the candidate dimension many samples (the known
-    closed-form dimension when one exists, the ambient generalized-curvature
-    dimension otherwise).  An unreliable singular-value gap sets the report's
-    inconclusive flag.
-    """
-    n = int(dim)
-    if signature is None:
-        signature = (n, 0)
-    fdim = formula_dim(space, n)
-    candidate = fdim if fdim is not None else dim_r(n)
-    k = samples if samples is not None else max(2 * candidate, 8)
-    rows = []
-    for idx in range(k):
-        try:
-            rows.append(sample(space, n, signature, seed, idx).ravel())
-        except EmptySpace:
-            pass
-    if not rows:
-        return DimensionReport(space, 0, fdim, 0, None, False)
-    rank, gap = numerical_rank(np.asarray(rows))
-    inconclusive = gap is not None and gap < GAP_RATIO or gap is None and rank > 0
-    return DimensionReport(space, rank, fdim, len(rows), gap, inconclusive)
+    """The dimension report of one space; see `dimension_reports`."""
+    return dimension_reports(dim, signature, samples, seed, (space,))[space]

@@ -1,7 +1,9 @@
 """Rank-4 curvature tensors: products, conjugation, Ricci traces, memberships.
 
 A curvature tensor is an (n, n, n, n) float array R[i, j, k, l] holding
-R(e_i, e_j, e_k, e_l).  The tensor tower is
+R(e_i, e_j, e_k, e_l); every map here also takes a stack (..., n, n, n, n)
+and acts on each tensor of it, except the scalar traces, which take one
+tensor.  The tensor tower is
 
     a(V)  c  f(V,g)  c  r(V)  c  co(V),
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnknownSpace
-from .linalg import ScalarProduct, _maxnorm, antisym, check_same_dim, check_tensor
+from .linalg import ScalarProduct, antisym, check_one_tensor, check_same_dim, check_tensor
 
 MEMBERSHIP_TOL = 1e-10
 
@@ -26,7 +28,7 @@ SPACE_TAGS = ("co", "r", "a", "s", "f", "p", "t")
 
 
 def _reindex(t, pattern):
-    return np.einsum(f"{pattern}->abcd", t)
+    return np.einsum(f"...{pattern}->...abcd", t)
 
 
 def wedge_r(h, k, r: float) -> np.ndarray:
@@ -39,10 +41,10 @@ def wedge_r(h, k, r: float) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     k = np.asarray(k, dtype=float)
     check_same_dim(h, k)
-    hk = np.einsum("ac,bd->abcd", h, k)
-    out = hk - hk.swapaxes(0, 1)
+    hk = np.einsum("...ac,...bd->...abcd", h, k)
+    out = hk - hk.swapaxes(-4, -3)
     if r != 0:
-        out -= r * out.swapaxes(2, 3)
+        out -= r * out.swapaxes(-2, -1)
     return out
 
 
@@ -56,12 +58,12 @@ def dot_product(h, k) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     k = np.asarray(k, dtype=float)
     check_same_dim(h, k)
-    return np.einsum("ab,cd->abcd", h, k)
+    return np.einsum("...ab,...cd->...abcd", h, k)
 
 
 def conjugate(t) -> np.ndarray:
     """Conjugate tensor R*[i,j,k,l] = -R[i,j,l,k]; an exact involution."""
-    return -np.swapaxes(check_tensor(t), 2, 3)
+    return -np.swapaxes(check_tensor(t), -2, -1)
 
 
 def psi(t) -> np.ndarray:
@@ -95,7 +97,7 @@ def bianchi_project(t) -> np.ndarray:
     first-pair-antisymmetric tensors).
     """
     t = check_tensor(t)
-    a = 0.5 * (t - np.swapaxes(t, 0, 1))
+    a = 0.5 * (t - np.swapaxes(t, -4, -3))
     return a - _cyclic_sum(a) / 3.0
 
 
@@ -127,24 +129,28 @@ class RicciReport:
 def ricci(t, g: ScalarProduct) -> np.ndarray:
     """Ricci tensor rho14: ric[a,b] = g^ij R[i,a,b,j]."""
     t = check_tensor(t, g)
-    return np.einsum("ij,iabj->ab", g.inverse, t)
+    return np.einsum("ij,...iabj->...ab", g.inverse, t)
 
 
 def ricci_star(t, g: ScalarProduct) -> np.ndarray:
     """Conjugate Ricci tensor rho23: ric*[a,b] = g^ij R[a,i,j,b]."""
     t = check_tensor(t, g)
-    return np.einsum("ij,aijb->ab", g.inverse, t)
+    return np.einsum("ij,...aijb->...ab", g.inverse, t)
+
+
+# the contraction order that optimize=True always picks, without its path search
+_TAU_PATH = ["einsum_path", (0, 2), (0, 1)]
 
 
 def scalar_curvature(t, g: ScalarProduct) -> float:
-    """Generalized scalar curvature tau = g^il g^jk R_ijkl."""
-    t = check_tensor(t, g)
-    return float(np.einsum("il,jk,ijkl->", g.inverse, g.inverse, t, optimize=True))
+    """Generalized scalar curvature tau = g^il g^jk R_ijkl of one tensor."""
+    t = check_one_tensor(t, g)
+    return float(np.einsum("il,jk,ijkl->", g.inverse, g.inverse, t, optimize=_TAU_PATH))
 
 
 def ricci_traces(t, g: ScalarProduct) -> RicciReport:
-    """All Ricci-type contractions of t with respect to g."""
-    t = check_tensor(t, g)
+    """All Ricci-type contractions of one tensor t with respect to g."""
+    t = check_one_tensor(t, g)
     gi = g.inverse
     return RicciReport(
         rho13=np.einsum("ij,iajb->ab", gi, t),
@@ -152,36 +158,43 @@ def ricci_traces(t, g: ScalarProduct) -> RicciReport:
         rho23=np.einsum("ij,aijb->ab", gi, t),
         rho24=np.einsum("ij,aibj->ab", gi, t),
         rho34=np.einsum("ij,abij->ab", gi, t),
-        tau=float(np.einsum("il,jk,ijkl->", gi, gi, t, optimize=True)),
+        tau=float(np.einsum("il,jk,ijkl->", gi, gi, t, optimize=_TAU_PATH)),
     )
 
 
 def membership_residual(t, g: ScalarProduct, space: str) -> float:
     """Max-norm violation of the defining identities, normalized by ||t||.
 
-    Returns 0.0 for the zero tensor (it belongs to every space).
+    Returns 0.0 for the zero tensor (it belongs to every space); for a stack,
+    the largest residual of its tensors.
     """
     if space not in SPACE_TAGS:
         raise UnknownSpace(f"unknown space tag {space!r}; expected one of {SPACE_TAGS}")
     t = check_tensor(t, g)
-    scale = _maxnorm(t)
-    if scale == 0.0:
-        return 0.0
-    res = _maxnorm(t + np.swapaxes(t, 0, 1))
-    if space == "co":
-        return res / scale
-    res = max(res, _maxnorm(_cyclic_sum(t)))
-    if space == "r":
-        return res / scale
+    parts = [t + np.swapaxes(t, -4, -3)]
+    if space != "co":
+        parts.append(_cyclic_sum(t))
     if space == "a":
-        return max(res, _maxnorm(t + np.swapaxes(t, 2, 3))) / scale
-    if space == "s":
-        return max(res, _maxnorm(t - np.swapaxes(t, 2, 3))) / scale
-    if space == "f":
-        return max(res, _maxnorm(antisym(ricci(t, g)))) / scale
-    if space == "p":
-        return max(res, _maxnorm(ricci(t, g))) / scale
-    return max(res, _maxnorm(ricci(t, g)), _maxnorm(ricci_star(t, g))) / scale
+        parts.append(t + np.swapaxes(t, -2, -1))
+    elif space == "s":
+        parts.append(t - np.swapaxes(t, -2, -1))
+    elif space == "f":
+        parts.append(antisym(ricci(t, g)))
+    elif space == "p":
+        parts.append(ricci(t, g))
+    elif space == "t":
+        parts += [ricci(t, g), ricci_star(t, g)]
+    batch = t.ndim - 4
+    res = _row_maxnorm(parts[0], batch)
+    for x in parts[1:]:
+        res = np.maximum(res, _row_maxnorm(x, batch))
+    scale = _row_maxnorm(t, batch)
+    return float(np.maximum.reduce(res / np.where(scale > 0, scale, 1.0), axis=None, initial=0.0))
+
+
+def _row_maxnorm(x, batch: int):
+    """max |x| over every axis after the first `batch` ones."""
+    return np.maximum.reduce(np.abs(x), axis=tuple(range(batch, x.ndim)), initial=0.0)
 
 
 def membership(t, g: ScalarProduct, space: str, tol: float = MEMBERSHIP_TOL):

@@ -23,8 +23,9 @@ from .decomp import (
     traceless_core,
     w_projections,
 )
+from .errors import EmptyRun
 from .linalg import _maxnorm, antisym, standard_scalar_product, sym, tensor_pairing
-from .sampling import dim_a, dim_f, dim_p, dim_r, numerical_rank, rng_stream, sample
+from .sampling import _stack, dim_a, dim_f, dim_p, dim_r, numerical_rank, rng_stream, sample
 from .spaces import (
     conjugate,
     membership,
@@ -85,12 +86,21 @@ class _Ctx:
     def sample(self, space: str, index: int) -> np.ndarray:
         return sample(space, self.n, self.sig, seed=self.seed, index=(self.key, index))
 
+    def stack(self, space: str, count: int) -> np.ndarray:
+        """The samples of indices 0 .. count-1, stacked."""
+        return _stack(space, self.g, self.seed, [(self.key, i) for i in range(count)])
+
     def rng(self, index: int) -> np.random.Generator:
         return rng_stream(self.seed, (self.key, index))
 
 
 def _l2(t):
     return float(np.sqrt(np.sum(np.square(t))))
+
+
+def _rows(stack):
+    """A stack as a row matrix, one flattened entry per row."""
+    return stack.reshape(len(stack), -1)
 
 
 def _verdict(ok: bool) -> float:
@@ -635,35 +645,23 @@ def _check_rescale_invariance(ctx):
 
 def _check_dimension_consistency(ctx):
     g, n = ctx.g, ctx.n
-    count = 2 * dim_r(n)
-    w_rows = [[] for _ in range(8)]
-    a_rows = [[] for _ in range(8)]
-    r_rows, a_space_rows, f_rows, p_rows = [], [], [], []
-    for i in range(count):
-        r = ctx.sample("r", i)
-        r_rows.append(r.ravel())
-        w = w_projections(r, g)
-        a = a_projections(r, g)
-        for j in range(8):
-            w_rows[j].append(w[j].ravel())
-            a_rows[j].append(a[j].ravel())
-        a_space_rows.append(psi(r).ravel())
-        f_rows.append((r - w[2]).ravel())
-        p_rows.append((r - w[0] - w[1] - w[2]).ravel())
+    r = ctx.stack("r", 2 * dim_r(n))
+    w = w_projections(r, g)
+    a = a_projections(r, g)
     worst = 0.0
-    for rows, expected in (
-        (r_rows, dim_r(n)),
-        (a_space_rows, dim_a(n)),
-        (f_rows, dim_f(n)),
-        (p_rows, dim_p(n)),
+    for stack, expected in (
+        (r, dim_r(n)),
+        (psi(r), dim_a(n)),
+        (r - w[2], dim_f(n)),
+        (r - w[0] - w[1] - w[2], dim_p(n)),
     ):
-        rank, gap = numerical_rank(np.asarray(rows), floor=1e-10)
+        rank, gap = numerical_rank(_rows(stack), floor=1e-10)
         worst = max(worst, _verdict(rank == expected))
         worst = max(worst, _verdict(gap is not None and gap >= 1e6))
     wdims, adims = [], []
     for j in range(8):
-        rank_w, gap_w = numerical_rank(np.asarray(w_rows[j]), floor=1e-10)
-        rank_a, gap_a = numerical_rank(np.asarray(a_rows[j]), floor=1e-10)
+        rank_w, gap_w = numerical_rank(_rows(w[j]), floor=1e-10)
+        rank_a, gap_a = numerical_rank(_rows(a[j]), floor=1e-10)
         for rank, gap in ((rank_w, gap_w), (rank_a, gap_a)):
             if rank > 0:
                 worst = max(worst, _verdict(gap is not None and gap >= 1e6))
@@ -680,14 +678,9 @@ def _check_dimension_consistency(ctx):
 
 def _check_ricci_image_dimensions(ctx):
     g, n = ctx.g, ctx.n
-    count = 2 * n * (n + 1) + 8
-    lam_rows, sym_rows = [], []
-    for i in range(count):
-        ric = ricci(ctx.sample("r", i), g)
-        lam_rows.append(antisym(ric).ravel())
-        sym_rows.append(sym(ric).ravel())
-    rank_l, gap_l = numerical_rank(np.asarray(lam_rows))
-    rank_s, gap_s = numerical_rank(np.asarray(sym_rows))
+    ric = ricci(ctx.stack("r", 2 * n * (n + 1) + 8), g)
+    rank_l, gap_l = numerical_rank(_rows(antisym(ric)))
+    rank_s, gap_s = numerical_rank(_rows(sym(ric)))
     worst = _verdict(rank_l == n * (n - 1) // 2)
     worst = max(worst, _verdict(rank_s == n * (n + 1) // 2))
     worst = max(worst, _verdict(gap_l is not None and gap_l >= 1e6))
@@ -788,9 +781,13 @@ def run_invariant_suite(config: SuiteConfig | None = None, only=None) -> dict:
 
     Returns the report as a map check-name -> {pass, worst_residual, config};
     a failure is data, not an exception.  `only` restricts to the given check
-    names.
+    names.  Raises EmptyRun for fewer than one sample or an empty grid.
     """
     cfg = config or SuiteConfig()
+    if cfg.samples < 1:
+        raise EmptyRun(f"samples must be at least 1, got {cfg.samples}")
+    if not any(cfg.grid()):
+        raise EmptyRun(f"no signature in {cfg.signatures} fits a dimension in {list(cfg.dims)}")
     names = list(CHECKS) if only is None else [n for n in CHECKS if n in set(only)]
     report = {}
     for name in names:

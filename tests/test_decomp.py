@@ -17,6 +17,7 @@ from curvdec.decomp import (
 )
 from curvdec.errors import (
     FormSymmetryViolation,
+    NonFiniteInput,
     NotAlgebraic,
     NotGeneralizedCurvature,
 )
@@ -98,15 +99,20 @@ def test_rejects_non_generalized_input():
 
 
 def test_rejects_non_finite_input():
-    # a NaN residual must fail the gate, not slip past a `res > tol` test
+    # a NaN must be refused as such, not end in NaN components or a misleading
+    # membership verdict
     g = standard_scalar_product(3, 0)
-    for bad in (np.nan, np.inf):
+    for bad in (np.nan, np.inf, -np.inf):
         t = rsample(3, 2)
         t[0, 1, 0, 1] = bad
-        with pytest.raises(NotGeneralizedCurvature):
-            w_decompose(t, g)
-        with pytest.raises(NotAlgebraic):
-            singer_thorpe(t, g)
+        for f in (w_decompose, singer_thorpe, w_projections, a_projections, traceless_core):
+            with pytest.raises(NonFiniteInput, match=r"\(0, 1, 0, 1\)"):
+                f(t, g)
+        stack = np.stack([rsample(3, 1), t])
+        with pytest.raises(NonFiniteInput, match=r"\(1, 0, 1, 0, 1\)"):
+            w_projections(stack, g)
+    with pytest.raises(NonFiniteInput):
+        w_projections(np.full((3,) * 4, np.nan), g)
 
 
 def test_alpha2_characterizes_traceless_ricci_block():
@@ -303,3 +309,31 @@ def test_maps_equivariant_under_non_diagonal_metrics(n, data):
     assert not equiaffine_einstein_check(r_a, g)
     assert equiaffine_einstein_check(einstein, eta)
     assert equiaffine_einstein_check(_pull(einstein, a), g)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_stack_equals_one_tensor_at_a_time(n):
+    # a leading batch axis must give bit for bit the per-tensor results
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n))
+    g = build_scalar_product(a.T @ standard_scalar_product(n - 1, 1).matrix @ a)
+    stack = np.stack([rsample(n, 100 * n + i) for i in range(5)])
+    noise = rng.uniform(-1, 1, (5,) + (n,) * 4)
+    for f, x in (
+        (w_projections, stack),
+        (a_projections, stack),
+        (lambda t, g: [traceless_core(t, g)], stack),
+        (lambda t, g: [projective_part(t, g)], stack),
+        (lambda t, g: [ricci(t, g)], stack),
+        (lambda t, g: [bianchi_project(t)], noise),
+    ):
+        batched = f(x, g)
+        for i in range(len(x)):
+            single = f(x[i], g)
+            for j, part in enumerate(single):
+                assert np.array_equal(batched[j][i], part)
+    # the gate refuses a stack when any one tensor is off the space
+    bad = stack.copy()
+    bad[3] = noise[3]
+    with pytest.raises(NotGeneralizedCurvature):
+        projective_part(bad, g)

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from curvdec.decomp import w_decompose
+from curvdec.decomp import equiaffine_einstein_check, w_decompose
 from curvdec.errors import (
     DegenerateMetric,
     DimensionMismatch,
@@ -26,6 +26,8 @@ from curvdec.spaces import (
     mu,
     psi,
     ricci,
+    ricci_traces,
+    scalar_curvature,
     wedge,
     wedge_r,
 )
@@ -192,26 +194,36 @@ def test_pairing_dimension_mismatch():
 
 
 def test_tensor_shape_and_rank_checked():
-    # every axis must match g, and a tensor must have rank 4
+    # the trailing four axes must match g, and a tensor must have rank >= 4;
+    # leading axes are a batch
     g = standard_scalar_product(3, 0)
     with pytest.raises(DimensionMismatch, match=r"\(3, 3, 3, 4\)"):
         membership_residual(np.ones((3, 3, 3, 4)), g, "r")
     with pytest.raises(DimensionMismatch, match=r"\(3, 3\)"):
         w_decompose(np.eye(3), g)
-    with pytest.raises(DimensionMismatch):
-        ricci(np.zeros((3,) * 5), g)
-    # the maps that take no g check rank and equal axes
+    with pytest.raises(DimensionMismatch, match=r"\(2, 4, 4, 4, 4\)"):
+        ricci(np.zeros((2,) + (4,) * 4), g)
+    assert ricci(np.zeros((2,) + (3,) * 4), g).shape == (2, 3, 3)
+    # the maps that take no g check rank and equal trailing axes
     for f in (psi, mu, bianchi_project, conjugate):
-        for bad in (np.eye(3), np.ones((3, 3, 3, 4)), np.zeros((3,) * 5)):
+        for bad in (np.eye(3), np.ones((3, 3, 3, 4)), np.zeros((2, 3, 3, 4, 3))):
             with pytest.raises(DimensionMismatch, match=re.escape(str(bad.shape))):
                 f(bad)
-    # the products take two bilinear forms of one (n, n) shape
+        assert f(np.zeros((2, 5) + (3,) * 4)).shape == (2, 5) + (3,) * 4
+    # the products take (stacks of) bilinear forms of one n
     for f in (lambda h, k: wedge_r(h, k, 1.0), wedge, dot_product):
-        for bad in (np.zeros(3), np.zeros((3,) * 3), np.zeros((3, 4))):
+        for bad in (np.zeros(3), np.zeros((3, 3, 4)), np.zeros((3, 4))):
             with pytest.raises(DimensionMismatch, match=re.escape(str(bad.shape))):
                 f(bad, bad)
             with pytest.raises(DimensionMismatch, match=re.escape(str(bad.shape))):
                 f(np.eye(3), bad)
+        assert f(np.zeros((2, 3, 3)), np.eye(3)).shape == (2,) + (3,) * 4
+    # the scalar maps and the pairing take one tensor, not a stack
+    stack = np.zeros((2,) + (3,) * 4)
+    single = (scalar_curvature, ricci_traces, equiaffine_einstein_check, w_decompose)
+    for f in (*single, lambda t, g: tensor_pairing(t, t, g)):
+        with pytest.raises(DimensionMismatch, match=re.escape(str(stack.shape))):
+            f(stack, g)
 
 
 def test_non_finite_metric_names_entries():

@@ -1,19 +1,98 @@
 import numpy as np
 import pytest
 
-from curvdec.errors import EmptySpace
+from curvdec.decomp import a_projections, projective_part, traceless_core, w_projections
+from curvdec.errors import CurvdecError, EmptyRun, EmptySpace, UnknownSpace
 from curvdec.linalg import standard_scalar_product
 from curvdec.sampling import (
+    EMPTY_NORM,
+    GAP_RATIO,
     SAMPLE_SPACES,
+    DimensionReport,
     dim_a,
     dim_f,
     dim_p,
     dim_r,
+    dimension_reports,
     empirical_dimension,
+    formula_dim,
     numerical_rank,
+    rng_stream,
     sample,
 )
-from curvdec.spaces import membership_residual, ricci, ricci_star
+from curvdec.spaces import bianchi_project, membership_residual, mu, psi, ricci, ricci_star
+
+
+def f_pair(base, w):
+    return base - w[2] - w[3] - w[7]
+
+
+def reference_sample(space, n, sig, seed, index):
+    """One sample built tensor by tensor, as the stacked sampler must reproduce.
+
+    Returns None where the space is empty (the projection is at roundoff scale).
+    """
+    g = standard_scalar_product(*sig)
+    noise = rng_stream(seed, index).uniform(-1.0, 1.0, (n, n, n, n))
+    if space == "co":
+        t = 0.5 * (noise - np.swapaxes(noise, 0, 1))
+    else:
+        base = bianchi_project(noise)
+        base = base / np.max(np.abs(base))
+        if space == "r":
+            return base
+        routes = {
+            "a": lambda: psi(base),
+            "s": lambda: mu(base),
+            "a_plus_s": lambda: psi(base) + mu(base),
+            "f": lambda: base - w_projections(base, g)[2],
+            "f_pair": lambda: f_pair(base, w_projections(base, g)),
+            "p": lambda: projective_part(base, g),
+            "t": lambda: traceless_core(base, g),
+            **{f"W{j + 1}": lambda j=j: w_projections(base, g)[j] for j in range(8)},
+            **{f"A{j + 1}": lambda j=j: a_projections(base, g)[j] for j in range(8)},
+        }
+        t = routes[space]()
+    m = float(np.max(np.abs(t)))
+    return None if m < EMPTY_NORM else t / m
+
+
+def reference_report(space, n, sig, seed):
+    fdim = formula_dim(space, n)
+    k = max(2 * (fdim if fdim is not None else dim_r(n)), 8)
+    rows = [reference_sample(space, n, sig, seed, i) for i in range(k)]
+    rows = [t.ravel() for t in rows if t is not None]
+    if not rows:
+        return DimensionReport(space, 0, fdim, 0, None, False)
+    rank, gap = numerical_rank(np.asarray(rows))
+    inconclusive = gap is not None and gap < GAP_RATIO or gap is None and rank > 0
+    return DimensionReport(space, rank, fdim, len(rows), gap, inconclusive)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_stacked_sampler_equals_reference_loop(n):
+    for sig in ((n, 0), (n - 1, 1)):
+        reports = dimension_reports(n, sig, seed=n)
+        assert list(reports) == list(SAMPLE_SPACES)
+        for space in SAMPLE_SPACES:
+            assert reports[space] == reference_report(space, n, sig, n), space
+            for index in (0, 7, (5, 2)):
+                want = reference_sample(space, n, sig, 11, index)
+                if want is None:
+                    with pytest.raises(EmptySpace):
+                        sample(space, n, sig, 11, index)
+                else:
+                    assert np.array_equal(sample(space, n, sig, 11, index), want), space
+
+
+def test_dimension_reports_refuse_empty_runs():
+    for samples in (0, -1):
+        with pytest.raises(EmptyRun):
+            empirical_dimension("r", 3, (3, 0), samples=samples)
+        with pytest.raises(CurvdecError):
+            dimension_reports(3, samples=samples)
+    with pytest.raises(UnknownSpace):
+        dimension_reports(3, spaces=("r", "q"))
 
 
 def test_determinism_bit_identical():

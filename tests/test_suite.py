@@ -1,3 +1,6 @@
+import pytest
+
+from curvdec.errors import EmptyRun
 from curvdec.suite import CHECKS, SuiteConfig, run_invariant_suite
 
 
@@ -65,3 +68,14 @@ def test_mixed_signatures_beyond_default_grid():
     )
     failed = {k: v["worst_residual"] for k, v in report.items() if not v["pass"]}
     assert not failed, failed
+
+
+def test_empty_runs_refused():
+    # a run that draws nothing or visits no grid point must not report a pass
+    for cfg in (
+        SuiteConfig(dims=(3,), samples=0),
+        SuiteConfig(dims=(3,), signatures=((2, 2),)),
+        SuiteConfig(dims=()),
+    ):
+        with pytest.raises(EmptyRun):
+            run_invariant_suite(cfg, only=["w_completeness"])
