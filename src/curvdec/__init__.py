@@ -36,6 +36,7 @@ from .errors import (
     NotGeneralizedCurvature,
     NotSymmetric,
     SchemaError,
+    UnknownCheck,
     UnknownSpace,
 )
 from .linalg import (

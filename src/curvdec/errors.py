@@ -29,6 +29,10 @@ class UnknownSpace(CurvdecError):
     """Unrecognized curvature-space tag."""
 
 
+class UnknownCheck(CurvdecError):
+    """Unrecognized invariant-suite check name."""
+
+
 class NotGeneralizedCurvature(CurvdecError):
     """Input fails the antisymmetry/first-Bianchi residual test."""
 

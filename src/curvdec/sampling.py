@@ -53,11 +53,11 @@ def rng_stream(seed: int, index) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
 
 
-def _noise(n: int, seed: int, indices) -> np.ndarray:
-    """Uniform [-1, 1) noise of each stream index, stacked."""
-    out = np.empty((len(indices),) + (n,) * 4)
+def _noise(shape, seed: int, indices) -> np.ndarray:
+    """Uniform [-1, 1) noise of the given shape from each stream index, stacked."""
+    out = np.empty((len(indices),) + shape)
     for row, index in zip(out, indices):
-        row[...] = rng_stream(seed, index).uniform(-1.0, 1.0, (n,) * 4)
+        row[...] = rng_stream(seed, index).uniform(-1.0, 1.0, shape)
     return out
 
 
@@ -104,13 +104,13 @@ def _stack(space: str, g: ScalarProduct, seed: int, indices, base=None) -> np.nd
     for lo in range(0, len(indices), CHUNK):
         part = indices[lo : lo + CHUNK]
         if space == "co":
-            noise = _noise(n, seed, part)
+            noise = _noise((n,) * 4, seed, part)
             rows = _normalize(0.5 * (noise - np.swapaxes(noise, -4, -3)), EMPTY_NORM)
         else:
             if base is not None:
                 r = base[lo : lo + CHUNK]
             else:  # the Bianchi projection of noise is never at roundoff scale: no floor
-                r = _normalize(bianchi_project(_noise(n, seed, part)), 0.0)
+                r = _normalize(bianchi_project(_noise((n,) * 4, seed, part)), 0.0)
             rows = r if space == "r" else _normalize(_project(space, r, g), EMPTY_NORM)
         out[used : used + len(rows)] = rows
         used += len(rows)

@@ -168,6 +168,11 @@ def membership_residual(t, g: ScalarProduct, space: str) -> float:
     Returns 0.0 for the zero tensor (it belongs to every space); for a stack,
     the largest residual of its tensors.
     """
+    return float(np.maximum.reduce(_membership_rows(t, g, space), axis=None, initial=0.0))
+
+
+def _membership_rows(t, g: ScalarProduct, space: str):
+    """membership_residual of each tensor of a stack, one per index of its batch axes."""
     if space not in SPACE_TAGS:
         raise UnknownSpace(f"unknown space tag {space!r}; expected one of {SPACE_TAGS}")
     t = check_tensor(t, g)
@@ -189,7 +194,7 @@ def membership_residual(t, g: ScalarProduct, space: str) -> float:
     for x in parts[1:]:
         res = np.maximum(res, _row_maxnorm(x, batch))
     scale = _row_maxnorm(t, batch)
-    return float(np.maximum.reduce(res / np.where(scale > 0, scale, 1.0), axis=None, initial=0.0))
+    return res / np.where(scale > 0, scale, 1.0)
 
 
 def _row_maxnorm(x, batch: int):

@@ -1,10 +1,13 @@
 """Runnable invariant suite: every structural law as a named, seeded check.
 
-Each check walks the configured (dimension, signature) grid, draws its own
-deterministic samples (stream key = crc32 of the check name plus the sample
-index), and reports the worst residual it saw.  Verdict-style assertions
-(two quantities must vanish together, engineered negatives must stay
-distinctly nonzero) contribute 1.0 to the residual when violated.
+Each check walks the configured (dimension, signature) grid and, at each
+point, draws one stack of deterministic samples per space it uses (stream key
+= crc32 of the check name plus the sample index; the spaces of one index are
+projections of its one 'r' sample).  Every map runs once on the stack, and
+the check reports the worst residual over it.  Verdict-style assertions (two
+quantities must vanish together, engineered negatives must stay distinctly
+nonzero) hold sample by sample and contribute 1.0 to the residual when one
+sample violates them.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import (
+    _traces,
     a_projections,
     b_forms,
     equiaffine_einstein_check,
@@ -23,10 +27,23 @@ from .decomp import (
     traceless_core,
     w_projections,
 )
-from .errors import EmptyRun
+from .errors import EmptyRun, EmptySpace, UnknownCheck
 from .linalg import _maxnorm, antisym, standard_scalar_product, sym, tensor_pairing
-from .sampling import _stack, dim_a, dim_f, dim_p, dim_r, numerical_rank, rng_stream, sample
+from .sampling import (
+    EMPTY_NORM,
+    _noise,
+    _normalize,
+    _stack,
+    dim_a,
+    dim_f,
+    dim_p,
+    dim_r,
+    numerical_rank,
+)
 from .spaces import (
+    SPACE_TAGS,
+    _membership_rows,
+    _row_maxnorm,
     conjugate,
     membership,
     membership_residual,
@@ -35,7 +52,6 @@ from .spaces import (
     ricci,
     ricci_star,
     ricci_traces,
-    scalar_curvature,
     wedge,
     wedge_r,
 )
@@ -83,15 +99,15 @@ class _Ctx:
         self.seed = cfg.seed
         self.key = zlib.crc32(check.encode())
 
-    def sample(self, space: str, index: int) -> np.ndarray:
-        return sample(space, self.n, self.sig, seed=self.seed, index=(self.key, index))
+    def indices(self, count: int, offset: int = 0) -> list:
+        return [(self.key, offset + i) for i in range(count)]
 
-    def stack(self, space: str, count: int) -> np.ndarray:
-        """The samples of indices 0 .. count-1, stacked."""
-        return _stack(space, self.g, self.seed, [(self.key, i) for i in range(count)])
-
-    def rng(self, index: int) -> np.random.Generator:
-        return rng_stream(self.seed, (self.key, index))
+    def stack(self, space: str, count: int, base=None) -> np.ndarray:
+        """The samples of indices 0 .. count-1, stacked; base holds their 'r' samples."""
+        out = _stack(space, self.g, self.seed, self.indices(count), base)
+        if len(out) < count:  # a dropped row would misalign the stack with its base
+            raise EmptySpace(f"a projected {space!r} sample has max-norm below {EMPTY_NORM:.0e}")
+        return out
 
 
 def _l2(t):
@@ -112,33 +128,22 @@ def _verdict(ok: bool) -> float:
 
 
 def _check_w_completeness(ctx):
-    worst = 0.0
-    for i in range(ctx.k):
-        r = ctx.sample("r", i)
-        worst = max(worst, _maxnorm(np.sum(w_projections(r, ctx.g), axis=0) - r))
-    return worst
+    r = ctx.stack("r", ctx.k)
+    return _maxnorm(np.sum(w_projections(r, ctx.g), axis=0) - r)
 
 
 def _check_a_completeness(ctx):
-    worst = 0.0
-    for i in range(ctx.k):
-        r = ctx.sample("r", i)
-        worst = max(worst, _maxnorm(np.sum(a_projections(r, ctx.g), axis=0) - r))
-    return worst
+    r = ctx.stack("r", ctx.k)
+    return _maxnorm(np.sum(a_projections(r, ctx.g), axis=0) - r)
 
 
 def _projector_checks(ctx, proj):
-    worst = 0.0
-    for i in range(min(ctx.k, 4)):
-        comps = proj(ctx.sample("r", i), ctx.g)
-        for j, c in enumerate(comps):
-            again = proj(c, ctx.g)
-            scale = max(1.0, _maxnorm(c))
-            worst = max(worst, _maxnorm(again[j] - c) / scale)
-            for m in range(8):
-                if m != j:
-                    worst = max(worst, _maxnorm(again[m]) / scale)
-    return worst
+    # again[i, j] = P_i(P_j r), which is P_j r for i = j and zero otherwise
+    comps = np.stack(proj(ctx.stack("r", min(ctx.k, 4)), ctx.g))
+    again = np.stack(proj(comps, ctx.g))
+    again[range(8), range(8)] -= comps
+    scale = np.maximum(1.0, _row_maxnorm(comps, 2))
+    return float(np.max(_row_maxnorm(again, 3) / scale))
 
 
 def _check_w_idempotence(ctx):
@@ -150,10 +155,11 @@ def _check_a_idempotence(ctx):
 
 
 def _orthogonality(ctx, proj):
+    m = min(ctx.k, 6)
+    comps = np.stack(proj(ctx.stack("r", 2 * m), ctx.g))
     worst = 0.0
-    for i in range(min(ctx.k, 6)):
-        c1 = proj(ctx.sample("r", 2 * i), ctx.g)
-        c2 = proj(ctx.sample("r", 2 * i + 1), ctx.g)
+    for i in range(m):
+        c1, c2 = comps[:, 2 * i], comps[:, 2 * i + 1]
         for a in range(8):
             for b in range(8):
                 na, nb = _l2(c1[a]), _l2(c2[b])
@@ -175,127 +181,116 @@ def _check_gram_positivity(ctx):
     # full positive definiteness asserted only for definite signature
     if ctx.sig[1] != 0:
         return 0.0
+    r = ctx.stack("r", min(ctx.k, 6))
     worst = 0.0
-    for i in range(min(ctx.k, 6)):
-        r = ctx.sample("r", i)
-        for comps in (w_projections(r, ctx.g), a_projections(r, ctx.g)):
-            for c in comps:
-                if _maxnorm(c) > 1e-8:
-                    worst = max(worst, _verdict(tensor_pairing(c, c, ctx.g) > 0.0))
+    for comp in w_projections(r, ctx.g) + a_projections(r, ctx.g):
+        for c in comp[_row_maxnorm(comp, 1) > 1e-8]:
+            worst = max(worst, _verdict(tensor_pairing(c, c, ctx.g) > 0.0))
     return worst
 
 
 def _check_wa_map_coincidences(ctx):
-    worst = 0.0
-    for i in range(ctx.k):
-        r = ctx.sample("r", i)
-        w = w_projections(r, ctx.g)
-        a = a_projections(r, ctx.g)
-        worst = max(
-            worst,
-            _maxnorm(w[0] - a[0]),
-            _maxnorm(w[5] - a[5]),
-            _maxnorm(w[6] - a[6]),
-            _maxnorm(w[7] - a[7]),
-            _maxnorm(w[1] + w[4] - a[1] - a[2]),
-            _maxnorm(w[2] + w[3] - a[3] - a[4]),
-        )
-    return worst
+    r = ctx.stack("r", ctx.k)
+    w = w_projections(r, ctx.g)
+    a = a_projections(r, ctx.g)
+    return max(
+        _maxnorm(w[0] - a[0]),
+        _maxnorm(w[5] - a[5]),
+        _maxnorm(w[6] - a[6]),
+        _maxnorm(w[7] - a[7]),
+        _maxnorm(w[1] + w[4] - a[1] - a[2]),
+        _maxnorm(w[2] + w[3] - a[3] - a[4]),
+    )
 
 
 def _check_w_trace_formulas(ctx):
     g, n = ctx.g, ctx.n
     gm = g.matrix
+    r = ctx.stack("r", ctx.k)
+    ric, star, tau = _traces(r, g)
+    w = w_projections(r, g)
+    exp_ric = [
+        (tau / n) * gm,
+        -(tau / n) * gm + sym(ric),
+        antisym(ric),
+    ] + [0.0] * 5
+    exp_star = [
+        (tau / n) * gm,
+        ((tau / n) * gm - sym(ric)) / (n - 1),
+        (-3.0 / (n + 1)) * antisym(ric),
+        antisym(star + (3.0 / (n + 1)) * ric),
+        -(tau / (n - 1)) * gm + sym(ric / (n - 1) + star),
+    ] + [0.0] * 3
     worst = 0.0
-    for i in range(ctx.k):
-        r = ctx.sample("r", i)
-        ric, star = ricci(r, g), ricci_star(r, g)
-        tau = scalar_curvature(r, g)
-        w = w_projections(r, g)
-        exp_ric = [
-            (tau / n) * gm,
-            -(tau / n) * gm + sym(ric),
-            antisym(ric),
-        ] + [np.zeros((n, n))] * 5
-        exp_star = [
-            (tau / n) * gm,
-            ((tau / n) * gm - sym(ric)) / (n - 1),
-            (-3.0 / (n + 1)) * antisym(ric),
-            antisym(star + (3.0 / (n + 1)) * ric),
-            -(tau / (n - 1)) * gm + sym(ric / (n - 1) + star),
-        ] + [np.zeros((n, n))] * 3
-        for j in range(8):
-            worst = max(worst, _maxnorm(ricci(w[j], g) - exp_ric[j]))
-            worst = max(worst, _maxnorm(ricci_star(w[j], g) - exp_star[j]))
-            if j >= 1:
-                worst = max(worst, abs(scalar_curvature(w[j], g)))
+    for j in range(8):
+        ric_j, star_j, tau_j = _traces(w[j], g)
+        worst = max(worst, _maxnorm(ric_j - exp_ric[j]), _maxnorm(star_j - exp_star[j]))
+        if j >= 1:
+            worst = max(worst, _maxnorm(tau_j))
     return worst
 
 
 def _check_a_trace_formulas(ctx):
     g, n = ctx.g, ctx.n
     gm = g.matrix
-    worst = 0.0
     star_factor = [1.0, 1.0, -1.0, -1.0, 3.0, 0.0, 0.0, 0.0]
-    for i in range(ctx.k):
-        r = ctx.sample("r", i)
-        ric, star = ricci(r, g), ricci_star(r, g)
-        tau = scalar_curvature(r, g)
-        a = a_projections(r, g)
-        exp_ric = [
-            (tau / n) * gm,
-            -(tau / n) * gm + 0.5 * sym(ric + star),
-            0.5 * sym(ric - star),
-            0.25 * antisym(3.0 * ric - star),
-            0.25 * antisym(ric + star),
-        ] + [np.zeros((n, n))] * 3
-        for j in range(8):
-            rj = ricci(a[j], g)
-            worst = max(worst, _maxnorm(rj - exp_ric[j]))
-            worst = max(worst, _maxnorm(ricci_star(a[j], g) - star_factor[j] * rj))
-            if j >= 1:
-                worst = max(worst, abs(scalar_curvature(a[j], g)))
+    r = ctx.stack("r", ctx.k)
+    ric, star, tau = _traces(r, g)
+    a = a_projections(r, g)
+    exp_ric = [
+        (tau / n) * gm,
+        -(tau / n) * gm + 0.5 * sym(ric + star),
+        0.5 * sym(ric - star),
+        0.25 * antisym(3.0 * ric - star),
+        0.25 * antisym(ric + star),
+    ] + [0.0] * 3
+    worst = 0.0
+    for j in range(8):
+        ric_j, star_j, tau_j = _traces(a[j], g)
+        worst = max(worst, _maxnorm(ric_j - exp_ric[j]))
+        worst = max(worst, _maxnorm(star_j - star_factor[j] * ric_j))
+        if j >= 1:
+            worst = max(worst, _maxnorm(tau_j))
     return worst
 
 
-def _w_conditions(ric, star, tau, g, n):
+def _w_conditions(ric, star, tau, gm, n):
+    """The five trace forms whose vanishing is the vanishing of W1 .. W5."""
     return [
-        abs(tau),
-        _maxnorm(sym(ric) - (tau / n) * g.matrix),
-        _maxnorm(antisym(ric)),
-        _maxnorm(antisym(star + (3.0 / (n + 1)) * ric)),
-        _maxnorm(sym(ric / (n - 1) + star) - (tau / (n - 1)) * g.matrix),
+        tau,
+        sym(ric) - (tau / n) * gm,
+        antisym(ric),
+        antisym(star + (3.0 / (n + 1)) * ric),
+        sym(ric / (n - 1) + star) - (tau / (n - 1)) * gm,
     ]
 
 
-def _a_conditions(ric, star, tau, g, n):
+def _a_conditions(ric, star, tau, gm, n):
     # the second criterion carries a symmetrization: the projector formula
     # only sees sym(ric + star), so only that part can be forced to vanish
     return [
-        abs(tau),
-        _maxnorm(sym(ric + star) - (2.0 * tau / n) * g.matrix),
-        _maxnorm(sym(ric - star)),
-        _maxnorm(antisym(3.0 * ric - star)),
-        _maxnorm(antisym(ric + star)),
+        tau,
+        sym(ric + star) - (2.0 * tau / n) * gm,
+        sym(ric - star),
+        antisym(3.0 * ric - star),
+        antisym(ric + star),
     ]
 
 
 def _vanishing(ctx, proj, conditions):
     g, n = ctx.g, ctx.n
+    r = ctx.stack("r", min(ctx.k, 8))
+    comps = proj(r, g)
+    conds = conditions(*_traces(r, g), g.matrix, n)
     worst = 0.0
-    for i in range(min(ctx.k, 8)):
-        r = ctx.sample("r", i)
-        comps = proj(r, g)
-        conds = conditions(ricci(r, g), ricci_star(r, g), scalar_curvature(r, g), g, n)
-        for j in range(5):
-            # forward: removing the component enforces its trace condition
-            stripped = r - comps[j]
-            tr = ricci_traces(stripped, g)
-            cond = conditions(tr.ric, tr.ric_star, tr.tau, g, n)[j]
-            worst = max(worst, cond, _maxnorm(proj(stripped, g)[j]))
-            # converse: a distinctly nonzero component needs a nonzero condition
-            if _maxnorm(comps[j]) > MARGIN:
-                worst = max(worst, _verdict(conds[j] > 10 * ctx.tol))
+    for j in range(5):
+        # forward: removing the component enforces its trace condition
+        stripped = r - comps[j]
+        cond = conditions(*_traces(stripped, g), g.matrix, n)[j]
+        worst = max(worst, _maxnorm(cond), _maxnorm(proj(stripped, g)[j]))
+        # converse: each distinctly nonzero component needs a nonzero condition
+        nonzero = _row_maxnorm(comps[j], 1) > MARGIN
+        worst = max(worst, _verdict(np.all(_row_maxnorm(conds[j], 1)[nonzero] > 10 * ctx.tol)))
     return worst
 
 
@@ -311,157 +306,116 @@ def _check_conjugate_closure(ctx):
     # membership of the conjugate in r(V), the component criterion, and the
     # complement all vanish together
     g = ctx.g
-    worst = 0.0
-    for i in range(ctx.k):
-        s = ctx.sample("a_plus_s", i)
-        worst = max(worst, membership_residual(conjugate(s), g, "r"))
-        comps = a_projections(s, g)
-        worst = max(worst, _maxnorm(comps[4]), _maxnorm(comps[7]))
-        r = ctx.sample("r", i)
-        c = r - psi(r) - mu(r)
-        m = _maxnorm(c)
-        if m > 1e-8:
-            c = c / m
-            worst = max(worst, _verdict(membership_residual(conjugate(c), g, "r") > 1e-3))
-            comps_c = a_projections(c, g)
-            worst = max(worst, _verdict(max(_maxnorm(comps_c[4]), _maxnorm(comps_c[7])) > 1e-3))
-    return worst
+    r = ctx.stack("r", ctx.k)
+    s = ctx.stack("a_plus_s", ctx.k, base=r)
+    comps = a_projections(s, g)
+    worst = max(membership_residual(conjugate(s), g, "r"), _maxnorm(comps[4]), _maxnorm(comps[7]))
+    c = _normalize(r - psi(r) - mu(r), 1e-8)
+    worst = max(worst, _verdict(np.all(_membership_rows(conjugate(c), g, "r") > 1e-3)))
+    comps_c = a_projections(c, g)
+    off = np.maximum(_row_maxnorm(comps_c[4], 1), _row_maxnorm(comps_c[7], 1))
+    return max(worst, _verdict(np.all(off > 1e-3)))
 
 
 def _check_conjugate_split(ctx):
-    worst = 0.0
-    for i in range(ctx.k):
-        s = ctx.sample("a_plus_s", i)
-        cs = conjugate(s)
-        worst = max(worst, _maxnorm(psi(s) - 0.5 * (s + cs)), _maxnorm(mu(s) - 0.5 * (s - cs)))
-    return worst
+    s = ctx.stack("a_plus_s", ctx.k)
+    cs = conjugate(s)
+    return max(_maxnorm(psi(s) - 0.5 * (s + cs)), _maxnorm(mu(s) - 0.5 * (s - cs)))
 
 
 def _check_a_conjugation_signs(ctx):
     g = ctx.g
     signs = {0: 1.0, 1: 1.0, 2: -1.0, 3: -1.0, 5: 1.0, 6: -1.0}
-    worst = 0.0
-    for i in range(ctx.k):
-        s = ctx.sample("a_plus_s", i)
-        comps = a_projections(s, g)
-        comps_star = a_projections(conjugate(s), g)
-        for j, sign in signs.items():
-            worst = max(worst, _maxnorm(comps_star[j] - sign * comps[j]))
-        # components of the conjugate coincide with conjugated components
-        for j in (0, 1, 2, 5):
-            worst = max(worst, _maxnorm(comps_star[j] - conjugate(comps[j])))
-        worst = max(worst, _maxnorm(comps_star[4]), _maxnorm(comps_star[7]))
-        worst = max(worst, _maxnorm(comps[4]), _maxnorm(comps[7]))
-    return worst
+    s = ctx.stack("a_plus_s", ctx.k)
+    comps = a_projections(s, g)
+    comps_star = a_projections(conjugate(s), g)
+    worst = max(_maxnorm(comps_star[j] - sign * comps[j]) for j, sign in signs.items())
+    # components of the conjugate coincide with conjugated components
+    for j in (0, 1, 2, 5):
+        worst = max(worst, _maxnorm(comps_star[j] - conjugate(comps[j])))
+    worst = max(worst, _maxnorm(comps_star[4]), _maxnorm(comps_star[7]))
+    return max(worst, _maxnorm(comps[4]), _maxnorm(comps[7]))
 
 
 def _check_equiaffine_pair_projections(ctx):
     g, n = ctx.g, ctx.n
     gm = g.matrix
-    worst = 0.0
-    for i in range(ctx.k):
-        s = ctx.sample("f_pair", i)
-        cs = conjugate(s)
-        w = w_projections(s, g)
-        ws = w_projections(cs, g)
-        ric = ricci(s, g)
-        star = ricci_star(s, g)
-        tau = scalar_curvature(s, g)
-        worst = max(worst, membership_residual(cs, g, "r"))
-        worst = max(worst, _maxnorm(w[2]), _maxnorm(w[3]), _maxnorm(w[7]))
-        worst = max(worst, _maxnorm(ws[2]), _maxnorm(ws[3]), _maxnorm(ws[7]))
-        worst = max(worst, _maxnorm(ws[0] - w[0]), _maxnorm(ws[5] - w[5]), _maxnorm(ws[6] + w[6]))
-        worst = max(worst, _maxnorm(w[1] - wedge((tau / n) * gm - ric, gm) / (n - 1)))
-        expected5 = (
-            tau * wedge(gm, gm) - wedge_r(ric + (n - 1) * star, gm, n - 1) / n
-        ) / ((n - 1) * (n - 2))
-        worst = max(worst, _maxnorm(w[4] - expected5))
-        worst = max(worst, _maxnorm(projective_part(s, g) - w[4] - w[5] - w[6]))
-    return worst
+    s = ctx.stack("f_pair", ctx.k)
+    cs = conjugate(s)
+    w = w_projections(s, g)
+    ws = w_projections(cs, g)
+    ric, star, tau = _traces(s, g)
+    worst = membership_residual(cs, g, "r")
+    worst = max(worst, _maxnorm(w[2]), _maxnorm(w[3]), _maxnorm(w[7]))
+    worst = max(worst, _maxnorm(ws[2]), _maxnorm(ws[3]), _maxnorm(ws[7]))
+    worst = max(worst, _maxnorm(ws[0] - w[0]), _maxnorm(ws[5] - w[5]), _maxnorm(ws[6] + w[6]))
+    worst = max(worst, _maxnorm(w[1] - wedge((tau / n) * gm - ric, gm) / (n - 1)))
+    expected5 = (
+        tau[..., None, None] * wedge(gm, gm) - wedge_r(ric + (n - 1) * star, gm, n - 1) / n
+    ) / ((n - 1) * (n - 2))
+    worst = max(worst, _maxnorm(w[4] - expected5))
+    return max(worst, _maxnorm(projective_part(s, g) - w[4] - w[5] - w[6]))
 
 
 def _check_ricci_symmetry_equivalence(ctx):
     g = ctx.g
-    worst = 0.0
-    for i in range(ctx.k):
-        s = ctx.sample("a_plus_s", i)
-        cs = conjugate(s)
-        worst = max(worst, _maxnorm(w_projections(s, g)[7]), _maxnorm(w_projections(cs, g)[7]))
-        lr = antisym(ricci(s, g))
-        lrs = antisym(ricci(cs, g))
-        worst = max(worst, _maxnorm(lr + lrs))
-        sym_s = _maxnorm(lr) <= 100 * ctx.tol
-        sym_cs = _maxnorm(lrs) <= 100 * ctx.tol
-        worst = max(worst, _verdict(sym_s == sym_cs))
-        p = ctx.sample("f_pair", i)
-        worst = max(
-            worst, _maxnorm(antisym(ricci(p, g))), _maxnorm(antisym(ricci(conjugate(p), g)))
-        )
-    return worst
+    r = ctx.stack("r", ctx.k)
+    s = ctx.stack("a_plus_s", ctx.k, base=r)
+    cs = conjugate(s)
+    worst = max(_maxnorm(w_projections(s, g)[7]), _maxnorm(w_projections(cs, g)[7]))
+    lr = antisym(ricci(s, g))
+    lrs = antisym(ricci(cs, g))
+    worst = max(worst, _maxnorm(lr + lrs))
+    sym_s = _row_maxnorm(lr, 1) <= 100 * ctx.tol
+    sym_cs = _row_maxnorm(lrs, 1) <= 100 * ctx.tol
+    worst = max(worst, _verdict(np.array_equal(sym_s, sym_cs)))
+    p = ctx.stack("f_pair", ctx.k, base=r)
+    return max(worst, _maxnorm(antisym(ricci(p, g))), _maxnorm(antisym(ricci(conjugate(p), g))))
 
 
 def _check_conjugate_pair_reduction(ctx):
     # the five-component reduction needs the Ricci-symmetric conjugate-pair
     # class; on all of a+s the antisymmetric-Ricci components survive
-    g = ctx.g
-    worst = 0.0
-    for i in range(ctx.k):
-        s = ctx.sample("f_pair", i)
-        w = w_projections(s, g)
-        worst = max(worst, _maxnorm(s - w[0] - w[1] - w[4] - w[5] - w[6]))
-        worst = max(worst, _maxnorm(w[2]), _maxnorm(w[3]), _maxnorm(w[7]))
-    return worst
+    s = ctx.stack("f_pair", ctx.k)
+    w = w_projections(s, ctx.g)
+    worst = _maxnorm(s - w[0] - w[1] - w[4] - w[5] - w[6])
+    return max(worst, _maxnorm(w[2]), _maxnorm(w[3]), _maxnorm(w[7]))
 
 
 def _check_complement_ricci_structure(ctx):
     g = ctx.g
-    worst = 0.0
-    for i in range(ctx.k):
-        r = ctx.sample("r", i)
-        c = r - psi(r) - mu(r)
-        m = _maxnorm(c)
-        if m <= 1e-8:
-            continue
-        c = c / m
-        ric = ricci(c, g)
-        if _maxnorm(ric) <= 100 * ctx.tol:
-            continue
-        worst = max(worst, _maxnorm(sym(ric)), _maxnorm(ricci_star(c, g) - 3.0 * ric))
-    return worst
+    r = ctx.stack("r", ctx.k)
+    c = _normalize(r - psi(r) - mu(r), 1e-8)
+    ric = ricci(c, g)
+    keep = _row_maxnorm(ric, 1) > 100 * ctx.tol
+    c, ric = c[keep], ric[keep]
+    return max(_maxnorm(sym(ric)), _maxnorm(ricci_star(c, g) - 3.0 * ric))
 
 
 def _check_traceless_core(ctx):
     g = ctx.g
-    worst = 0.0
-    for i in range(ctx.k):
-        r = ctx.sample("r", i)
-        core = traceless_core(r, g)
-        w = w_projections(r, g)
-        worst = max(worst, _maxnorm(ricci(core, g)), _maxnorm(ricci_star(core, g)))
-        worst = max(worst, _maxnorm(core - (r - w[0] - w[1] - w[2] - w[3] - w[4])))
-        ps, m = psi(core), mu(core)
-        worst = max(worst, _maxnorm(w[5] - ps), _maxnorm(w[6] - m))
-        worst = max(worst, _maxnorm(w[7] - (core - ps - m)))
-        t = ctx.sample("t", i)
-        worst = max(worst, _maxnorm(traceless_core(t, g) - t))
-    return worst
+    r = ctx.stack("r", ctx.k)
+    core = traceless_core(r, g)
+    w = w_projections(r, g)
+    worst = max(_maxnorm(ricci(core, g)), _maxnorm(ricci_star(core, g)))
+    worst = max(worst, _maxnorm(core - (r - w[0] - w[1] - w[2] - w[3] - w[4])))
+    ps, m = psi(core), mu(core)
+    worst = max(worst, _maxnorm(w[5] - ps), _maxnorm(w[6] - m))
+    worst = max(worst, _maxnorm(w[7] - (core - ps - m)))
+    t = ctx.stack("t", ctx.k, base=r)
+    return max(worst, _maxnorm(traceless_core(t, g) - t))
 
 
 def _check_projective_part(ctx):
     g, n = ctx.g, ctx.n
-    worst = 0.0
-    gg = wedge(g.matrix, g.matrix)
-    worst = max(worst, _maxnorm(projective_part(gg, g)))
-    for i in range(ctx.k):
-        f = ctx.sample("f", i)
-        direct = projective_part(f, g)
-        worst = max(worst, _maxnorm(direct - (f + wedge(ricci(f, g), g.matrix) / (n - 1))))
-        t = ctx.sample("t", i)
-        worst = max(worst, _maxnorm(projective_part(t, g) - t))
-        r = ctx.sample("r", i)
-        w = w_projections(r, g)
-        worst = max(worst, _maxnorm(projective_part(r, g) - (w[3] + w[4] + w[5] + w[6] + w[7])))
-    return worst
+    worst = _maxnorm(projective_part(wedge(g.matrix, g.matrix), g))
+    r = ctx.stack("r", ctx.k)
+    f = ctx.stack("f", ctx.k, base=r)
+    worst = max(worst, _maxnorm(projective_part(f, g) - (f + wedge(ricci(f, g), g.matrix) / (n - 1))))
+    t = ctx.stack("t", ctx.k, base=r)
+    worst = max(worst, _maxnorm(projective_part(t, g) - t))
+    w = w_projections(r, g)
+    return max(worst, _maxnorm(projective_part(r, g) - (w[3] + w[4] + w[5] + w[6] + w[7])))
 
 
 def _check_projective_flat_bilinear_form(ctx):
@@ -469,133 +423,106 @@ def _check_projective_flat_bilinear_form(ctx):
     gg = wedge(g.matrix, g.matrix)
     b_star, b = b_forms(gg, g)
     worst = max(_maxnorm(b_star), _maxnorm(b))
-    for i in range(ctx.k):
-        r = ctx.sample("r", i)
-        w = w_projections(r, g)
-        flat_type = w[0] + w[1]
-        m = _maxnorm(flat_type)
-        if m <= 1e-8:
-            continue
-        paired = conjugate(flat_type / m)
-        b_star, _ = b_forms(paired, g)
-        worst = max(worst, _maxnorm(b_star))
-    return worst
+    w = w_projections(ctx.stack("r", ctx.k), g)
+    paired = conjugate(_normalize(w[0] + w[1], 1e-8))
+    b_star, _ = b_forms(paired, g)
+    return max(worst, _maxnorm(b_star))
 
 
 def _check_einstein_projector_criterion(ctx):
     g, n = ctx.g, ctx.n
-    worst = 0.0
-    gg = wedge(g.matrix, g.matrix)
-    worst = max(worst, _verdict(equiaffine_einstein_check(gg, g)))
+    gm = g.matrix
+    worst = _verdict(equiaffine_einstein_check(wedge(gm, gm), g))
     worst = max(worst, _verdict(equiaffine_einstein_check(np.zeros((n,) * 4), g)))
-    for i in range(ctx.k):
-        r = ctx.sample("r", i)
-        w = w_projections(r, g)
-        pos = r - w[1] - w[2]
-        tr = ricci_traces(pos, g)
-        worst = max(worst, _maxnorm(tr.ric - (tr.tau / n) * g.matrix))
-        worst = max(worst, _verdict(equiaffine_einstein_check(pos, g)))
-        if max(_maxnorm(w[1]), _maxnorm(w[2])) > MARGIN:
-            tr = ricci_traces(r, g)
-            worst = max(worst, _verdict(not equiaffine_einstein_check(r, g)))
-            worst = max(
-                worst, _verdict(_maxnorm(tr.ric - (tr.tau / n) * g.matrix) > 10 * ctx.tol)
-            )
+    r = ctx.stack("r", ctx.k)
+    w = w_projections(r, g)
+    pos = r - w[1] - w[2]
+    ric, _, tau = _traces(pos, g)
+    worst = max(worst, _maxnorm(ric - (tau / n) * gm))
+    # the converse, for each sample with a distinctly nonzero W2 or W3
+    neg = np.maximum(_row_maxnorm(w[1], 1), _row_maxnorm(w[2], 1)) > MARGIN
+    ric, _, tau = _traces(r, g)
+    gap = _row_maxnorm(ric - (tau / n) * gm, 1)
+    worst = max(worst, _verdict(np.all(gap[neg] > 10 * ctx.tol)))
+    for t, t_pos, t_neg in zip(r, pos, neg):
+        worst = max(worst, _verdict(equiaffine_einstein_check(t_pos, g)))
+        if t_neg:
+            worst = max(worst, _verdict(not equiaffine_einstein_check(t, g)))
     return worst
 
 
 def _check_constant_curvature_equivalences(ctx):
     g, n = ctx.g, ctx.n
-    gg = wedge(g.matrix, g.matrix)
-    worst = 0.0
-    for i in range(ctx.k):
-        r = ctx.sample("r", i)
-        w = w_projections(r, g)
-        pos = w[0] + w[1] - w_projections(w[0] + w[1], g)[1]  # flat-type, then drop 2
-        tau = scalar_curvature(pos, g)
-        worst = max(worst, _maxnorm(w_projections(pos, g)[1]))
-        worst = max(worst, _maxnorm(ricci(pos, g) - (tau / n) * g.matrix))
-        worst = max(worst, _maxnorm(pos + (tau / (n * (n - 1))) * gg))
-        neg = w[0] + w[1]
-        if _maxnorm(w[1]) > MARGIN:
-            tau_n = scalar_curvature(neg, g)
-            worst = max(worst, _verdict(_maxnorm(w_projections(neg, g)[1]) > 10 * ctx.tol))
-            worst = max(
-                worst,
-                _verdict(_maxnorm(ricci(neg, g) - (tau_n / n) * g.matrix) > 10 * ctx.tol),
-            )
-            worst = max(
-                worst,
-                _verdict(_maxnorm(neg + (tau_n / (n * (n - 1))) * gg) > 10 * ctx.tol),
-            )
+    gm = g.matrix
+    gg = wedge(gm, gm)
+    w = w_projections(ctx.stack("r", ctx.k), g)
+    flat = w[0] + w[1]
+    w_flat = w_projections(flat, g)
+    pos = flat - w_flat[1]  # flat-type, then drop 2
+    ric, _, tau = _traces(pos, g)
+    worst = _maxnorm(w_projections(pos, g)[1])
+    worst = max(worst, _maxnorm(ric - (tau / n) * gm))
+    worst = max(worst, _maxnorm(pos + (tau[..., None, None] / (n * (n - 1))) * gg))
+    # each sample with a distinctly nonzero W2 must fail all three
+    neg = _row_maxnorm(w[1], 1) > MARGIN
+    ric, _, tau = _traces(flat, g)
+    for gap in (w_flat[1], ric - (tau / n) * gm, flat + (tau[..., None, None] / (n * (n - 1))) * gg):
+        worst = max(worst, _verdict(np.all(_row_maxnorm(gap, 1)[neg] > 10 * ctx.tol)))
     return worst
 
 
 def _check_ricci_block_closed_form(ctx):
     g, n = ctx.g, ctx.n
     gm = g.matrix
-    worst = 0.0
-    for i in range(ctx.k):
-        s = ctx.sample("f_pair", i)
-        w = w_projections(s, g)
-        a = a_projections(s, g)
-        ric = ricci(s, g)
-        star = ricci_star(s, g)
-        tau = scalar_curvature(s, g)
-        rhs = (
-            2.0 * tau * wedge(gm, gm)
-            - wedge_r(gm, ric, n - 1)
-            - wedge_r(star, gm, n - 1)
-        ) / (n * (n - 2))
-        worst = max(worst, _maxnorm(w[1] + w[4] - rhs), _maxnorm(a[1] + a[2] - rhs))
-    return worst
+    s = ctx.stack("f_pair", ctx.k)
+    w = w_projections(s, g)
+    a = a_projections(s, g)
+    ric, star, tau = _traces(s, g)
+    rhs = (
+        2.0 * tau[..., None, None] * wedge(gm, gm)
+        - wedge_r(gm, ric, n - 1)
+        - wedge_r(star, gm, n - 1)
+    ) / (n * (n - 2))
+    return max(_maxnorm(w[1] + w[4] - rhs), _maxnorm(a[1] + a[2] - rhs))
 
 
 def _check_equiaffine_projector_agreement(ctx):
     g = ctx.g
-    worst = 0.0
-    for i in range(ctx.k):
-        s = ctx.sample("f_pair", i)
-        w = w_projections(s, g)
-        a = a_projections(s, g)
-        via_w = s - w[2]
-        via_a = s - a[3] - a[4]
-        worst = max(worst, _maxnorm(via_w - via_a), _maxnorm(via_w - s))
-    return worst
+    s = ctx.stack("f_pair", ctx.k)
+    w = w_projections(s, g)
+    a = a_projections(s, g)
+    via_w = s - w[2]
+    via_a = s - a[3] - a[4]
+    return max(_maxnorm(via_w - via_a), _maxnorm(via_w - s))
 
 
 def _check_projective_conjugate_equivalence(ctx):
     # the Ricci-free parts of a tensor and its conjugate coincide exactly
     # when the two coincide, i.e. when the tensor is of metric type
     g = ctx.g
-    worst = 0.0
-    for i in range(min(ctx.k, 8)):
-        a = ctx.sample("a", i)
-        worst = max(worst, _maxnorm(projective_part(conjugate(a), g) - projective_part(a, g)))
-        p = ctx.sample("f_pair", i)
-        cp = conjugate(p)
-        if _maxnorm(p - cp) > MARGIN:
-            pdiff = _maxnorm(projective_part(p, g) - projective_part(cp, g))
-            worst = max(worst, _verdict(pdiff > 10 * ctx.tol))
-            worst = max(worst, _verdict(membership_residual(p, g, "a") > 10 * ctx.tol))
-    return worst
+    k = min(ctx.k, 8)
+    r = ctx.stack("r", k)
+    a = ctx.stack("a", k, base=r)
+    worst = _maxnorm(projective_part(conjugate(a), g) - projective_part(a, g))
+    p = ctx.stack("f_pair", k, base=r)
+    cp = conjugate(p)
+    off = _row_maxnorm(p - cp, 1) > MARGIN
+    pdiff = _row_maxnorm(projective_part(p, g) - projective_part(cp, g), 1)
+    worst = max(worst, _verdict(np.all(pdiff[off] > 10 * ctx.tol)))
+    return max(worst, _verdict(np.all(_membership_rows(p, g, "a")[off] > 10 * ctx.tol)))
 
 
 def _check_trace_reconstruction(ctx):
     g, n = ctx.g, ctx.n
-    worst = 0.0
-    for i in range(min(ctx.k, 8)):
-        rng = ctx.rng(512 + i)
-        omega = antisym(rng.uniform(-1, 1, (n, n)))
-        theta = sym(rng.uniform(-1, 1, (n, n)))
-        built = sigma_split(omega, theta, g)
-        worst = max(worst, _maxnorm(ricci(built, g) - omega - theta))
-        worst = max(worst, membership_residual(built, g, "r"))
-        only_omega = sigma_split(omega, np.zeros((n, n)), g)
-        worst = max(worst, _maxnorm(ricci(only_omega, g) - omega))
-        only_theta = sigma_split(np.zeros((n, n)), theta, g)
-        worst = max(worst, _maxnorm(ricci(only_theta, g) - theta))
-    return worst
+    # each index's stream draws omega's noise, then theta's
+    noise = _noise((2, n, n), ctx.seed, ctx.indices(min(ctx.k, 8), offset=512))
+    omega, theta = antisym(noise[:, 0]), sym(noise[:, 1])
+    built = sigma_split(omega, theta, g)
+    worst = max(_maxnorm(ricci(built, g) - omega - theta), membership_residual(built, g, "r"))
+    only_omega = sigma_split(omega, np.zeros((n, n)), g)
+    worst = max(worst, _maxnorm(ricci(only_omega, g) - omega))
+    only_theta = sigma_split(np.zeros((n, n)), theta, g)
+    return max(worst, _maxnorm(ricci(only_theta, g) - theta))
 
 
 def _check_singer_thorpe(ctx):
@@ -603,43 +530,42 @@ def _check_singer_thorpe(ctx):
     gm = g.matrix
     gg = wedge(gm, gm)
     worst = 0.0
-    for i in range(ctx.k):
-        a = ctx.sample("a", i)
-        res = singer_thorpe(a, g)
-        u, z, w = res.components
-        worst = max(worst, res.completeness_residual)
+    parts = []
+    for t in ctx.stack("a", ctx.k):
+        res = singer_thorpe(t, g)
+        u = res.components[0]
         # u is a multiple of g^g
         c = tensor_pairing(u, gg, g) / tensor_pairing(gg, gg, g)
-        worst = max(worst, _maxnorm(u - c * gg))
-        # z is recovered from its own traceless symmetric Ricci source
-        xi = ricci(z, g) / (n - 2)
-        worst = max(worst, _maxnorm(z + wedge_r(xi, gm, 1)))
-        worst = max(worst, _maxnorm(antisym(xi)), abs(float(np.sum(g.inverse * xi))))
-        worst = max(worst, _maxnorm(ricci(w, g)), _maxnorm(ricci_star(w, g)))
-        for part in (u, z, w):
-            if _maxnorm(part) > 1e-10:
-                worst = max(worst, membership_residual(part, g, "a"))
+        worst = max(worst, res.completeness_residual, _maxnorm(u - c * gg))
+        parts.append(res.components)
+    u, z, w = (np.stack(part) for part in zip(*parts))
+    # z is recovered from its own traceless symmetric Ricci source
+    xi = ricci(z, g) / (n - 2)
+    worst = max(worst, _maxnorm(z + wedge_r(xi, gm, 1)))
+    worst = max(worst, _maxnorm(antisym(xi)), _maxnorm(np.sum(g.inverse * xi, axis=(-2, -1))))
+    worst = max(worst, _maxnorm(ricci(w, g)), _maxnorm(ricci_star(w, g)))
+    for part in (u, z, w):
+        worst = max(worst, membership_residual(part[_row_maxnorm(part, 1) > 1e-10], g, "a"))
     return worst
 
 
 def _check_rescale_invariance(ctx):
     g = ctx.g
+    tol = max(ctx.tol, 1e-12)
+    r = ctx.stack("r", min(ctx.k, 6))
+    w1, a1 = w_projections(r, g), a_projections(r, g)
+    flags = np.array([_membership_rows(r, g, space) <= tol for space in SPACE_TAGS])
+    p1 = np.array([tensor_pairing(t, t, g) for t in r])
     worst = 0.0
     for c in (0.5, 3.75):
         gc = g.rescaled(c)
-        for i in range(min(ctx.k, 6)):
-            r = ctx.sample("r", i)
-            w1, w2 = w_projections(r, g), w_projections(r, gc)
-            a1, a2 = a_projections(r, g), a_projections(r, gc)
-            for j in range(8):
-                worst = max(worst, _maxnorm(w1[j] - w2[j]), _maxnorm(a1[j] - a2[j]))
-            for space in ("co", "r", "a", "s", "f", "p", "t"):
-                f1, _ = membership(r, g, space, tol=max(ctx.tol, 1e-12))
-                f2, _ = membership(r, gc, space, tol=max(ctx.tol, 1e-12))
-                worst = max(worst, _verdict(f1 == f2))
-            p1 = tensor_pairing(r, r, g)
-            p2 = tensor_pairing(r, r, gc)
-            worst = max(worst, abs(p2 - p1 / c**4) / max(1.0, abs(p1)))
+        w2, a2 = w_projections(r, gc), a_projections(r, gc)
+        for j in range(8):
+            worst = max(worst, _maxnorm(w1[j] - w2[j]), _maxnorm(a1[j] - a2[j]))
+        flags_c = np.array([_membership_rows(r, gc, space) <= tol for space in SPACE_TAGS])
+        worst = max(worst, _verdict(np.array_equal(flags, flags_c)))
+        p2 = np.array([tensor_pairing(t, t, gc) for t in r])
+        worst = max(worst, float(np.max(np.abs(p2 - p1 / c**4) / np.maximum(1.0, np.abs(p1)))))
     return worst
 
 
@@ -702,34 +628,30 @@ def _check_membership_tower(ctx):
     for space in ("co", "r", "a", "s", "f", "p", "t"):
         flag, res = membership(zero, g, space, tol=tol)
         worst = max(worst, _verdict(flag), res)
-    for i in range(min(ctx.k, 8)):
-        a = ctx.sample("a", i)
-        worst = max(worst, _maxnorm(conjugate(a) - a))
-        s = ctx.sample("s", i)
-        worst = max(worst, _maxnorm(conjugate(s) + s))
-        co = ctx.sample("co", i)
-        worst = max(worst, membership_residual(co, g, "co"))
-        worst = max(worst, _verdict(membership_residual(co, g, "r") > 1e-3))
-        for space, src in (("r", "r"), ("f", "f"), ("p", "p"), ("t", "t")):
-            worst = max(worst, membership_residual(ctx.sample(src, i), g, space))
+    k = min(ctx.k, 8)
+    r = ctx.stack("r", k)
+    a, s, f, p, t = (ctx.stack(space, k, base=r) for space in ("a", "s", "f", "p", "t"))
+    worst = max(worst, _maxnorm(conjugate(a) - a), _maxnorm(conjugate(s) + s))
+    co = ctx.stack("co", k)
+    worst = max(worst, membership_residual(co, g, "co"))
+    worst = max(worst, _verdict(np.all(_membership_rows(co, g, "r") > 1e-3)))
+    for space, stack in (("r", r), ("f", f), ("p", p), ("t", t)):
+        worst = max(worst, membership_residual(stack, g, space))
     return worst
 
 
 def _check_conjugation_involution(ctx):
-    worst = 0.0
-    for i in range(min(ctx.k, 8)):
-        r = ctx.sample("r", i)
-        worst = max(worst, _maxnorm(conjugate(conjugate(r)) - r))
-    return worst
+    r = ctx.stack("r", min(ctx.k, 8))
+    return _maxnorm(conjugate(conjugate(r)) - r)
 
 
 def _check_ricci_conjugate_trace(ctx):
     g = ctx.g
+    co = ctx.stack("co", ctx.k)
     worst = 0.0
-    for i in range(ctx.k):
-        t = ctx.sample("co", i)
+    for t, ric_conj in zip(co, ricci(conjugate(co), g)):
         rep = ricci_traces(t, g)
-        worst = max(worst, _maxnorm(rep.ric_star - ricci(conjugate(t), g)))
+        worst = max(worst, _maxnorm(rep.ric_star - ric_conj))
         worst = max(worst, _maxnorm(rep.rho23 + rep.rho13))
         worst = max(worst, _maxnorm(rep.rho24 + rep.rho14))
         worst = max(worst, abs(float(np.sum(g.inverse * rep.ric)) - rep.tau))
@@ -781,16 +703,20 @@ def run_invariant_suite(config: SuiteConfig | None = None, only=None) -> dict:
 
     Returns the report as a map check-name -> {pass, worst_residual, config};
     a failure is data, not an exception.  `only` restricts to the given check
-    names.  Raises EmptyRun for fewer than one sample or an empty grid.
+    names.  Raises UnknownCheck when `only` holds a name that is not in
+    CHECKS, and EmptyRun for fewer than one sample or an empty grid.
     """
     cfg = config or SuiteConfig()
+    wanted = set(CHECKS) if only is None else set(only)
+    unknown = sorted(wanted - set(CHECKS))
+    if unknown:
+        raise UnknownCheck(f"unknown check names {unknown}; known: {', '.join(CHECKS)}")
     if cfg.samples < 1:
         raise EmptyRun(f"samples must be at least 1, got {cfg.samples}")
     if not any(cfg.grid()):
         raise EmptyRun(f"no signature in {cfg.signatures} fits a dimension in {list(cfg.dims)}")
-    names = list(CHECKS) if only is None else [n for n in CHECKS if n in set(only)]
     report = {}
-    for name in names:
+    for name in [name for name in CHECKS if name in wanted]:
         worst = 0.0
         for n, sig in cfg.grid():
             worst = max(worst, CHECKS[name](_Ctx(name, n, sig, cfg)))

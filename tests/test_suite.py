@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from curvdec.errors import EmptyRun
+import curvdec.suite as suite
+from curvdec.errors import CurvdecError, EmptyRun, UnknownCheck
 from curvdec.suite import CHECKS, SuiteConfig, run_invariant_suite
 
 
@@ -79,3 +81,36 @@ def test_empty_runs_refused():
     ):
         with pytest.raises(EmptyRun):
             run_invariant_suite(cfg, only=["w_completeness"])
+
+
+def test_unknown_check_names_refused():
+    # a typo must not read as an empty, passing report, even beside a known name
+    cfg = SuiteConfig(dims=(3,), samples=2)
+    for only in (["w_completness"], ["w_completeness", "no_such_check"]):
+        with pytest.raises(UnknownCheck) as err:
+            run_invariant_suite(cfg, only=only)
+        assert only[-1] in str(err.value)
+    assert issubclass(UnknownCheck, CurvdecError)
+
+
+def test_single_check_runs_reproduce_full_run():
+    cfg = SuiteConfig(dims=(3,), samples=4)
+    full = run_invariant_suite(cfg)
+    for name in CHECKS:
+        assert run_invariant_suite(cfg, only=[name])[name] == full[name], name
+
+
+def test_fault_in_last_tensor_of_stack_is_seen(monkeypatch):
+    # perturb one entry of only the last tensor a conjugation sees
+    exact = suite.conjugate
+
+    def faulty(t):
+        out = np.array(exact(t), order="C")
+        out.reshape(-1, out.shape[-1] ** 4)[-1, 1] += 1e-6
+        return out
+
+    monkeypatch.setattr(suite, "conjugate", faulty)
+    only = ["conjugate_split", "conjugation_involution"]
+    report = run_invariant_suite(SuiteConfig(dims=(3,), samples=4), only=only)
+    for name in only:
+        assert report[name]["pass"] is False, name
