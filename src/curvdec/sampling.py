@@ -20,29 +20,87 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import a_projections, projective_part, traceless_core, w_projections
-from .errors import EmptyRun, EmptySpace, UnknownSpace
+from .errors import DimensionMismatch, DimensionTooSmall, EmptyRun, EmptySpace, UnknownSpace
 from .linalg import ScalarProduct, standard_scalar_product
 from .spaces import bianchi_project, mu, psi
-
-SAMPLE_SPACES = (
-    "co",
-    "r",
-    "a",
-    "s",
-    "f",
-    "f_pair",
-    "p",
-    "t",
-    "a_plus_s",
-    *(f"W{j}" for j in range(1, 9)),
-    *(f"A{j}" for j in range(1, 9)),
-)
 
 EMPTY_NORM = 1e-10
 RANK_RATIO = 1e-8
 GAP_RATIO = 1e6
 # tensors per kernel call; larger chunks gain no speed at n >= 6 and cost memory
 CHUNK = 32
+
+
+def dim_co(n: int) -> int:
+    return n**3 * (n - 1) // 2
+
+
+def dim_r(n: int) -> int:
+    return n * n * (n * n - 1) // 3
+
+
+def dim_a(n: int) -> int:
+    return n * n * (n * n - 1) // 12
+
+
+def dim_f(n: int) -> int:
+    return n * (n - 1) * (2 * n * n + 2 * n - 3) // 6
+
+
+def dim_p(n: int) -> int:
+    return n * n * (n * n - 4) // 3
+
+
+# the dimensions of the module types in the W and A families
+_one = lambda n: 1
+_sym0 = lambda n: n * (n + 1) // 2 - 1  # traceless symmetric 2-forms
+_alt = lambda n: n * (n - 1) // 2  # alternating 2-forms
+_weyl = lambda n: n * (n + 1) * (n + 2) * (n - 3) // 12
+_b7 = lambda n: (n - 1) * n * (n + 1) * (n + 2) // 8 - n * n + 1
+_b8 = lambda n: n * (n - 1) * (n - 3) * (n + 2) // 8
+
+
+def _sum(plus, minus=()):
+    """The dimension of a sum of table entries, less the given summands."""
+    return lambda n: sum(FORMULA_DIMS[s](n) for s in plus) - sum(FORMULA_DIMS[s](n) for s in minus)
+
+
+# The closed-form dimension of every sample space, in output order.  The W and
+# A families each split r(V); a(V) = A1 + A2 + A6 and s(V) = A3 + A4 + A7.
+FORMULA_DIMS = {
+    "co": dim_co,
+    "r": dim_r,
+    "a": dim_a,
+    "s": _sum(("A3", "A4", "A7")),
+    "f": dim_f,
+    "f_pair": _sum(("r",), ("W3", "W4", "W8")),
+    "p": dim_p,
+    "t": _sum(("W6", "W7", "W8")),
+    "a_plus_s": _sum(("a", "s")),
+    "W1": _one, "W2": _sym0, "W3": _alt, "W4": _alt,
+    "W5": _sym0, "W6": _weyl, "W7": _b7, "W8": _b8,
+    "A1": _one, "A2": _sym0, "A3": _sym0, "A4": _alt,
+    "A5": _alt, "A6": _weyl, "A7": _b7, "A8": _b8,
+}
+SAMPLE_SPACES = tuple(FORMULA_DIMS)
+
+
+def formula_dim(space: str, n: int) -> int:
+    """The closed-form dimension of a sample space at n >= 3; UnknownSpace for an unknown tag."""
+    if space not in FORMULA_DIMS:
+        raise UnknownSpace(f"unknown sample space {space!r}")
+    if int(n) < 3:
+        raise DimensionTooSmall(f"need dimension >= 3, got {n}")
+    return FORMULA_DIMS[space](int(n))
+
+
+def _scalar_product(n: int, signature) -> ScalarProduct:
+    """The standard scalar product of signature, (n, 0) by default; p + q must be n."""
+    p, q = (n, 0) if signature is None else signature
+    if p + q != n:
+        raise DimensionMismatch(f"signature ({p}, {q}) does not fit dimension {n}")
+    return standard_scalar_product(p, q)
+
 
 
 def rng_stream(seed: int, index) -> np.random.Generator:
@@ -133,47 +191,17 @@ def sample(
     its conjugate both have symmetric Ricci tensors; 'p' and 't' use the
     Ricci-free and trace-free projections; 'Wj'/'Aj' apply the family
     projectors.  Raises EmptySpace when the subspace is zero-dimensional at
-    this dimension (the projected noise is at roundoff scale).
+    this dimension (the projected noise is at roundoff scale) and
+    DimensionMismatch when the signature does not fit the dimension.
     """
-    if space not in SAMPLE_SPACES:
+    if space not in FORMULA_DIMS:
         raise UnknownSpace(f"unknown sample space {space!r}")
-    n = int(dim)
-    if signature is None:
-        signature = (n, 0)
-    stack = _stack(space, standard_scalar_product(*signature), seed, [index])
+    stack = _stack(space, _scalar_product(int(dim), signature), seed, [index])
     if not len(stack):
         raise EmptySpace(
             f"projected sample has max-norm below {EMPTY_NORM:.0e}; space is empty here"
         )
     return stack[0]
-
-
-def dim_co(n: int) -> int:
-    return n**3 * (n - 1) // 2
-
-
-def dim_r(n: int) -> int:
-    return n * n * (n * n - 1) // 3
-
-
-def dim_a(n: int) -> int:
-    return n * n * (n * n - 1) // 12
-
-
-def dim_f(n: int) -> int:
-    return n * (n - 1) * (2 * n * n + 2 * n - 3) // 6
-
-
-def dim_p(n: int) -> int:
-    return n * n * (n * n - 4) // 3
-
-
-FORMULA_DIMS = {"co": dim_co, "r": dim_r, "a": dim_a, "f": dim_f, "p": dim_p}
-
-
-def formula_dim(space: str, n: int) -> int | None:
-    fn = FORMULA_DIMS.get(space)
-    return fn(n) if fn else None
 
 
 @dataclass(frozen=True)
@@ -187,7 +215,7 @@ class DimensionReport:
 
     space: str
     empirical_dim: int
-    formula_dim: int | None
+    formula_dim: int
     samples_used: int
     singular_value_gap: float | None
     inconclusive: bool
@@ -214,12 +242,9 @@ def numerical_rank(rows: np.ndarray, floor: float = 0.0) -> tuple[int, float | N
 
 
 def _report(space: str, n: int, stack) -> DimensionReport:
-    fdim = formula_dim(space, n)
-    if not len(stack):
-        return DimensionReport(space, 0, fdim, 0, None, False)
-    rank, gap = numerical_rank(stack.reshape(len(stack), -1))
+    rank, gap = numerical_rank(stack.reshape(len(stack), n**4))
     inconclusive = gap is not None and gap < GAP_RATIO or gap is None and rank > 0
-    return DimensionReport(space, rank, fdim, len(stack), gap, inconclusive)
+    return DimensionReport(space, rank, formula_dim(space, n), len(stack), gap, inconclusive)
 
 
 def dimension_reports(
@@ -231,27 +256,20 @@ def dimension_reports(
 ) -> dict[str, DimensionReport]:
     """Estimate the dimensions of subspaces by the rank of stacked samples.
 
-    Each space uses `samples` samples, or by default at least twice its
-    candidate dimension (the known closed-form dimension when one exists, the
-    ambient generalized-curvature dimension otherwise).  They are the first
-    indices of one stream sequence, drawn once and shared by all spaces.  An
-    unreliable singular-value gap sets a report's inconclusive flag.  Raises
-    EmptyRun when samples is below 1 and UnknownSpace for an unknown tag.
+    Each space uses `samples` samples, by default max(2 * formula_dim, 8).
+    They are the first indices of one stream sequence, drawn once and shared
+    by all spaces.  An unreliable singular-value gap sets a report's
+    inconclusive flag.  Raises EmptyRun when samples is below 1 or no space is
+    named, UnknownSpace for an unknown tag and DimensionMismatch when the
+    signature does not fit the dimension.
     """
-    if samples is not None and samples < 1:
-        raise EmptyRun(f"samples must be at least 1, got {samples}")
-    for space in spaces:
-        if space not in SAMPLE_SPACES:
-            raise UnknownSpace(f"unknown sample space {space!r}")
+    spaces = tuple(spaces)  # an iterator would be spent by the first pass over it
+    if not spaces or samples is not None and samples < 1:
+        raise EmptyRun(f"a run needs a space and at least 1 sample, got samples={samples}")
     n = int(dim)
-    if signature is None:
-        signature = (n, 0)
-    g = standard_scalar_product(*signature)
-    counts = {}
-    for space in spaces:
-        fdim = formula_dim(space, n)
-        candidate = fdim if fdim is not None else dim_r(n)
-        counts[space] = samples if samples is not None else max(2 * candidate, 8)
+    fdims = {s: formula_dim(s, n) for s in spaces}
+    counts = {s: max(2 * d, 8) if samples is None else samples for s, d in fdims.items()}
+    g = _scalar_product(n, signature)
     reports = {}
     if "co" in counts:  # 'co' is drawn from the noise itself: rank it before the base exists
         reports["co"] = _report("co", n, _stack("co", g, seed, range(counts["co"])))

@@ -34,10 +34,7 @@ from .sampling import (
     _noise,
     _normalize,
     _stack,
-    dim_a,
-    dim_f,
-    dim_p,
-    dim_r,
+    formula_dim,
     numerical_rank,
 )
 from .spaces import (
@@ -570,35 +567,20 @@ def _check_rescale_invariance(ctx):
 
 
 def _check_dimension_consistency(ctx):
+    # each block's first max(2 * dim, 8) rows must have exactly its table rank
     g, n = ctx.g, ctx.n
-    r = ctx.stack("r", 2 * dim_r(n))
-    w = w_projections(r, g)
-    a = a_projections(r, g)
-    worst = 0.0
-    for stack, expected in (
-        (r, dim_r(n)),
-        (psi(r), dim_a(n)),
-        (r - w[2], dim_f(n)),
-        (r - w[0] - w[1] - w[2], dim_p(n)),
-    ):
-        rank, gap = numerical_rank(_rows(stack), floor=1e-10)
-        worst = max(worst, _verdict(rank == expected))
-        worst = max(worst, _verdict(gap is not None and gap >= 1e6))
-    wdims, adims = [], []
+    r = ctx.stack("r", 2 * formula_dim("r", n))
+    w, a = w_projections(r, g), a_projections(r, g)
+    blocks = {"r": r, "a": psi(r), "f": r - w[2], "p": r - w[0] - w[1] - w[2]}
     for j in range(8):
-        rank_w, gap_w = numerical_rank(_rows(w[j]), floor=1e-10)
-        rank_a, gap_a = numerical_rank(_rows(a[j]), floor=1e-10)
-        for rank, gap in ((rank_w, gap_w), (rank_a, gap_a)):
-            if rank > 0:
-                worst = max(worst, _verdict(gap is not None and gap >= 1e6))
-        wdims.append(rank_w)
-        adims.append(rank_a)
-    worst = max(worst, _verdict(sum(wdims) == dim_r(n)))
-    worst = max(worst, _verdict(sum(adims) == dim_r(n)))
-    # multiplicity-two blocks share their dimension across the two families
-    worst = max(worst, _verdict(wdims[1] == wdims[4] == adims[1] == adims[2]))
-    worst = max(worst, _verdict(wdims[2] == wdims[3] == adims[3] == adims[4]))
-    worst = max(worst, _verdict(wdims[0] == adims[0] == 1))
+        blocks[f"W{j + 1}"], blocks[f"A{j + 1}"] = w[j], a[j]
+    worst = 0.0
+    for space, stack in blocks.items():
+        expected = formula_dim(space, n)
+        rank, gap = numerical_rank(_rows(stack[: max(2 * expected, 8)]), floor=1e-10)
+        worst = max(worst, _verdict(rank == expected))
+        if expected:
+            worst = max(worst, _verdict(gap is not None and gap >= 1e6))
     return worst
 
 

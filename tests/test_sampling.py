@@ -2,10 +2,18 @@ import numpy as np
 import pytest
 
 from curvdec.decomp import a_projections, projective_part, traceless_core, w_projections
-from curvdec.errors import CurvdecError, EmptyRun, EmptySpace, UnknownSpace
+from curvdec.errors import (
+    CurvdecError,
+    DimensionMismatch,
+    DimensionTooSmall,
+    EmptyRun,
+    EmptySpace,
+    UnknownSpace,
+)
 from curvdec.linalg import standard_scalar_product
 from curvdec.sampling import (
     EMPTY_NORM,
+    FORMULA_DIMS,
     GAP_RATIO,
     SAMPLE_SPACES,
     DimensionReport,
@@ -91,8 +99,24 @@ def test_dimension_reports_refuse_empty_runs():
             empirical_dimension("r", 3, (3, 0), samples=samples)
         with pytest.raises(CurvdecError):
             dimension_reports(3, samples=samples)
-    with pytest.raises(UnknownSpace):
-        dimension_reports(3, spaces=("r", "q"))
+    for samples in (None, 4):
+        with pytest.raises(UnknownSpace):
+            dimension_reports(3, samples=samples, spaces=("r", "q"))
+    for spaces in ((), iter(())):
+        with pytest.raises(EmptyRun):
+            dimension_reports(3, spaces=spaces)
+    assert list(dimension_reports(3, spaces=iter(("r", "a")))) == ["r", "a"]
+
+
+def test_signature_must_fit_dimension():
+    # (2, 2) is a signature of dimension 4, not 3: nothing may be drawn at n = 4
+    for sig in ((2, 2), (2, 0)):
+        with pytest.raises(DimensionMismatch):
+            sample("r", 3, sig)
+        with pytest.raises(DimensionMismatch):
+            empirical_dimension("r", 3, sig)
+        with pytest.raises(DimensionMismatch):
+            dimension_reports(3, sig)
 
 
 def test_determinism_bit_identical():
@@ -147,6 +171,51 @@ def test_empty_spaces_at_dimension_three():
 def test_formula_dimensions():
     assert [dim_r(3), dim_a(3), dim_f(3), dim_p(3)] == [24, 6, 21, 15]
     assert [dim_r(4), dim_a(4), dim_f(4), dim_p(4)] == [80, 20, 74, 64]
+    assert [dim_r(7), dim_r(8)] == [784, 1344]
+    assert set(FORMULA_DIMS) == set(SAMPLE_SPACES) and len(SAMPLE_SPACES) == 25
+    # the closed forms of the two eight-part decompositions, written out once more
+    blocks = {
+        1: lambda n: 1,
+        2: lambda n: n * (n + 1) // 2 - 1,
+        3: lambda n: n * (n - 1) // 2,
+        6: lambda n: n * (n + 1) * (n + 2) * (n - 3) // 12,
+        7: lambda n: (n - 1) * n * (n + 1) * (n + 2) // 8 - n * n + 1,
+        8: lambda n: n * (n - 1) * (n - 3) * (n + 2) // 8,
+    }
+    w_type = {1: 1, 2: 2, 3: 3, 4: 3, 5: 2, 6: 6, 7: 7, 8: 8}
+    a_type = {1: 1, 2: 2, 3: 2, 4: 3, 5: 3, 6: 6, 7: 7, 8: 8}
+    for n in range(3, 9):
+        d = {space: formula_dim(space, n) for space in SAMPLE_SPACES}
+        assert all(type(v) is int and v >= 0 for v in d.values()), d
+        for j in range(1, 9):
+            assert d[f"W{j}"] == blocks[w_type[j]](n), (n, j)
+            assert d[f"A{j}"] == blocks[a_type[j]](n), (n, j)
+        assert sum(d[f"W{j}"] for j in range(1, 9)) == d["r"]
+        assert sum(d[f"A{j}"] for j in range(1, 9)) == d["r"]
+        assert d["s"] == (n - 1) * n * (n + 1) * (n + 2) // 8
+        assert d["t"] == d["W6"] + d["W7"] + d["W8"]
+        assert d["a_plus_s"] == d["a"] + d["s"]
+        assert d["f_pair"] == d["r"] - d["W3"] - d["W4"] - d["W8"]
+        # the independent closed forms of a, f and p agree with the blocks
+        assert d["a"] == d["A1"] + d["A2"] + d["A6"]
+        assert d["s"] == d["A3"] + d["A4"] + d["A7"]
+        assert d["f"] == d["r"] - d["W3"]
+        assert d["p"] == d["r"] - d["W1"] - d["W2"] - d["W3"]
+        assert d["co"] == d["r"] + n * n * (n - 1) * (n - 2) // 6
+    assert formula_dim("W6", 3) == formula_dim("W8", 3) == 0
+    with pytest.raises(UnknownSpace):
+        formula_dim("bogus", 3)
+    with pytest.raises(DimensionTooSmall):
+        formula_dim("W6", 2)  # the closed form would read -2
+
+
+@pytest.mark.parametrize("sig", [(5, 0), (4, 1)])
+def test_default_sample_counts_match_formula_n5(sig):
+    for space, rep in dimension_reports(5, sig).items():
+        assert rep.empirical_dim == rep.formula_dim, space
+        assert not rep.inconclusive, space
+        if rep.formula_dim:
+            assert rep.samples_used == max(2 * rep.formula_dim, 8), space
 
 
 @pytest.mark.parametrize("space,expected", [("r", 24), ("a", 6), ("f", 21), ("p", 15)])

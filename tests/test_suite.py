@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import curvdec.sampling as sampling
 import curvdec.suite as suite
 from curvdec.errors import CurvdecError, EmptyRun, UnknownCheck
 from curvdec.suite import CHECKS, SuiteConfig, run_invariant_suite
@@ -114,3 +115,12 @@ def test_fault_in_last_tensor_of_stack_is_seen(monkeypatch):
     report = run_invariant_suite(SuiteConfig(dims=(3,), samples=4), only=only)
     for name in only:
         assert report[name]["pass"] is False, name
+
+
+def test_dimension_consistency_sees_a_wrong_table_entry(monkeypatch):
+    # the check asserts each block's exact table rank, so one wrong entry fails it
+    cfg, only = SuiteConfig(dims=(3,), samples=2), ["dimension_consistency"]
+    assert run_invariant_suite(cfg, only=only)["dimension_consistency"]["pass"] is True
+    w7 = sampling.FORMULA_DIMS["W7"]
+    monkeypatch.setitem(sampling.FORMULA_DIMS, "W7", lambda n: w7(n) + 1)
+    assert run_invariant_suite(cfg, only=only)["dimension_consistency"]["pass"] is False
