@@ -32,11 +32,13 @@ from .errors import (
     FormSymmetryViolation,
     LengthMismatch,
     NonFiniteInput,
+    NonPositiveFactor,
     NotAlgebraic,
     NotGeneralizedCurvature,
     NotSymmetric,
     SchemaError,
     UnknownCheck,
+    UnknownConnection,
     UnknownSpace,
 )
 from .linalg import (

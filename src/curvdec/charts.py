@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAtPoint, DegenerateMetric, DimensionMismatch
+from .errors import DegenerateAtPoint, DegenerateMetric, DimensionMismatch, UnknownConnection
 from .linalg import ScalarProduct, antisym, build_scalar_product
 from .poly import Poly
 from .spaces import conjugate, membership_residual, ricci, scalar_curvature
@@ -97,6 +97,8 @@ class PolyChart:
     def _point_data(self, point):
         """All fields at the point, evaluated once and kept for the last point asked."""
         point = np.asarray(point, dtype=float)
+        if point.shape != (self.dim,):
+            raise DimensionMismatch(f"expected a point of shape ({self.dim},), got {point.shape}")
         key = point.tobytes()
         if self._last is None or self._last[0] != key:
             n, m = self.dim, self.dim**2
@@ -162,7 +164,7 @@ def _cubic_raised(chart: PolyChart, point):
 
 def _connection(chart: PolyChart, point, which: str):
     if which not in CONNECTIONS:
-        raise ValueError(f"unknown connection {which!r}; expected one of {CONNECTIONS}")
+        raise UnknownConnection(f"unknown connection {which!r}; expected one of {CONNECTIONS}")
     gamma, dgamma = christoffel(chart, point)
     s = _SIGNS[which]
     if s == 0.0:

@@ -1,9 +1,9 @@
 """The two eight-part orthogonal decompositions of r(V) and derived maps.
 
 Every map here is linear in the trace data Ric, Ric*, tau, psi(R) and mu(R);
-`_traces` computes (Ric, Ric*, tau) once per tensor.  The projections, the
-projective part and the trace-free core take a stack (..., n, n, n, n) and
-broadcast the trace data over it; the decompositions take one tensor.  The
+`_traces` computes (Ric, Ric*, tau) once per tensor.  Every map takes a
+stack (..., n, n, n, n) and broadcasts the trace data over it; the
+decompositions and the Einstein check return one result per tensor.  The
 Ricci part is sigma, the right inverse of the Ricci trace: W1, W2 and W3 are
 sigma of (tau/n) g, Sym Ric - (tau/n) g and Alt Ric, so the projective part
 is R - sigma(Alt Ric, Sym Ric).  An antisymmetric form b enters every map through
@@ -23,8 +23,8 @@ from .errors import FormSymmetryViolation, NotAlgebraic, NotGeneralizedCurvature
 from .linalg import (
     ScalarProduct,
     _maxnorm,
+    _per_tensor,
     antisym,
-    check_one_tensor,
     check_same_dim,
     check_tensor,
     sym,
@@ -32,6 +32,7 @@ from .linalg import (
 )
 from .spaces import (
     MEMBERSHIP_TOL,
+    _relative,
     dot_product,
     membership_residual,
     mu,
@@ -132,25 +133,24 @@ class DecompositionResult:
     components holds 8 tensors for modes 'W' and 'A', or 3 for mode 'ST'
     (constant-curvature, traceless-Ricci, Ricci-flat parts, in that order).
     completeness_residual is ||sum - input|| / ||input|| in max norm;
-    orthogonality_matrix holds all pairwise tensor pairings.
+    orthogonality_matrix holds all pairwise tensor pairings.  For a stack the
+    components are stacks, the residual has the batch shape, the matrix (..., k, k).
     """
 
     mode: str
     components: list[np.ndarray]
-    completeness_residual: float
+    completeness_residual: float | np.ndarray
     orthogonality_matrix: np.ndarray
 
 
 def _result(mode, t, comps, g) -> DecompositionResult:
-    total = np.sum(comps, axis=0)
-    scale = _maxnorm(t)
-    residual = _maxnorm(total - t) / scale if scale > 0 else _maxnorm(total)
+    residual = _relative(t, np.sum(comps, axis=0) - t)
     k = len(comps)
-    gram = np.empty((k, k))
+    gram = np.empty(t.shape[:-4] + (k, k))
     for i in range(k):
         for j in range(i, k):
-            gram[i, j] = gram[j, i] = tensor_pairing(comps[i], comps[j], g)
-    return DecompositionResult(mode, list(comps), residual, gram)
+            gram[..., i, j] = gram[..., j, i] = tensor_pairing(comps[i], comps[j], g)
+    return DecompositionResult(mode, list(comps), _per_tensor(residual), gram)
 
 
 def w_decompose(t, g: ScalarProduct) -> DecompositionResult:
@@ -240,18 +240,16 @@ def sigma_split(omega, theta, g: ScalarProduct) -> np.ndarray:
     return _sigma_alt(omega, g.matrix) + _sigma_sym(theta, g.matrix)
 
 
-def equiaffine_einstein_check(t, g: ScalarProduct) -> bool:
+def equiaffine_einstein_check(t, g: ScalarProduct) -> bool | np.ndarray:
     """True when the trace-adjusting W-components 2 and 3 both vanish.
 
     W2 = sigma(0, Sym Ric - (tau/n) g) and W3 = sigma(Alt Ric, 0), so this is
     Ric = (tau/n) g, the Einstein condition for a Ricci symmetric
-    torsion-free connection.  Takes one tensor, not a stack.
+    torsion-free connection.  A bool for one tensor, a bool array of the
+    batch shape for a stack.
     """
-    t = _require_space(check_one_tensor(t, g), g, "r")
-    scale = _maxnorm(t)
-    if scale == 0.0:
-        return True
+    t = _require_space(t, g, "r")
     ric, _, tau = _traces(t, g)
     w2 = _sigma_sym(sym(ric) - (tau / g.dim) * g.matrix, g.matrix)
     w3 = _sigma_alt(antisym(ric), g.matrix)
-    return max(_maxnorm(w2), _maxnorm(w3)) / scale <= MEMBERSHIP_TOL
+    return _per_tensor(_relative(t, w2, w3) <= MEMBERSHIP_TOL)

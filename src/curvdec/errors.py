@@ -21,12 +21,20 @@ class NonFiniteInput(CurvdecError):
     """An input array holds NaN or infinite entries."""
 
 
+class NonPositiveFactor(CurvdecError):
+    """A scale factor that must be positive is zero or negative."""
+
+
 class DimensionMismatch(CurvdecError):
     """Operands carry inconsistent dimensions."""
 
 
 class UnknownSpace(CurvdecError):
     """Unrecognized curvature-space tag."""
+
+
+class UnknownConnection(CurvdecError):
+    """Unrecognized chart connection name."""
 
 
 class UnknownCheck(CurvdecError):

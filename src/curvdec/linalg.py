@@ -16,6 +16,7 @@ from .errors import (
     DimensionMismatch,
     DimensionTooSmall,
     NonFiniteInput,
+    NonPositiveFactor,
     NotSymmetric,
 )
 
@@ -47,8 +48,10 @@ class ScalarProduct:
 
     def rescaled(self, c: float) -> "ScalarProduct":
         """The scalar product c*g (c > 0); signature is unchanged."""
+        if not np.isfinite(c):
+            raise NonFiniteInput(f"rescale factor {c} is not finite")
         if c <= 0:
-            raise ValueError("rescale factor must be positive")
+            raise NonPositiveFactor(f"rescale factor {c} is not positive")
         return ScalarProduct(self.matrix * c, self.inverse / c, self.signature)
 
 
@@ -151,24 +154,27 @@ def check_tensor(t, g: ScalarProduct | None = None) -> np.ndarray:
     return t
 
 
-def check_one_tensor(t, g: ScalarProduct) -> np.ndarray:
-    """check_tensor for maps defined on one tensor: a stack is a DimensionMismatch."""
-    t = check_tensor(t, g)
-    if t.ndim != 4:
-        raise DimensionMismatch(f"expected one tensor of shape {(g.dim,) * 4}, got {t.shape}")
-    return t
+def _per_tensor(x):
+    """A per-tensor result: a Python scalar for one tensor, an array for a stack."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
 
 
-def tensor_pairing(t1, t2, g: ScalarProduct) -> float:
+def tensor_pairing(t1, t2, g: ScalarProduct) -> float | np.ndarray:
     """Full contraction g^ia g^jb g^kc g^ld T1_ijkl T2_abcd.
 
     This is the O(V,g)-invariant pairing on rank-4 tensors; the orthogonality
     statements of the decompositions are with respect to it.  Symmetric in
-    (t1, t2); positive definite only for definite g.
+    (t1, t2); positive definite only for definite g.  The leading batch axes
+    of t1 and t2 broadcast against each other, and the result holds one value
+    per broadcast pair: a float for two single tensors.
     """
-    t1 = check_one_tensor(t1, g)
-    t2 = check_one_tensor(t2, g)
+    t1, t2 = check_tensor(t1, g), check_tensor(t2, g)
+    try:
+        np.broadcast_shapes(t1.shape, t2.shape)
+    except ValueError:
+        raise DimensionMismatch(f"shapes {t1.shape} and {t2.shape} do not broadcast") from None
     raised = t1
     for _ in range(4):  # each step raises the leading index and moves it last
-        raised = np.tensordot(raised, g.inverse, axes=(0, 0))
-    return float(np.sum(raised * t2))
+        raised = np.moveaxis(raised, -4, -1) @ g.inverse
+    return _per_tensor(np.sum(raised * t2, axis=(-4, -3, -2, -1)))

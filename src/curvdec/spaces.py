@@ -2,8 +2,8 @@
 
 A curvature tensor is an (n, n, n, n) float array R[i, j, k, l] holding
 R(e_i, e_j, e_k, e_l); every map here also takes a stack (..., n, n, n, n)
-and acts on each tensor of it, except the scalar traces, which take one
-tensor.  The tensor tower is
+and acts on each tensor of it, bit for bit as on that tensor alone.  The
+tensor tower is
 
     a(V)  c  f(V,g)  c  r(V)  c  co(V),
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnknownSpace
-from .linalg import ScalarProduct, antisym, check_one_tensor, check_same_dim, check_tensor
+from .linalg import ScalarProduct, _per_tensor, antisym, check_same_dim, check_tensor
 
 MEMBERSHIP_TOL = 1e-10
 
@@ -107,7 +107,7 @@ class RicciReport:
 
     ric is rho14 and ric_star is rho23; on co(V) one has rho23 = -rho13 and
     rho24 = -rho14 entrywise, and tau equals the g-trace of both ric and
-    ric_star.
+    ric_star.  For a stack every field is stacked, tau to the batch shape.
     """
 
     rho13: np.ndarray
@@ -115,7 +115,7 @@ class RicciReport:
     rho23: np.ndarray
     rho24: np.ndarray
     rho34: np.ndarray
-    tau: float
+    tau: float | np.ndarray
 
     @property
     def ric(self) -> np.ndarray:
@@ -138,27 +138,31 @@ def ricci_star(t, g: ScalarProduct) -> np.ndarray:
     return np.einsum("ij,...aijb->...ab", g.inverse, t)
 
 
-# the contraction order that optimize=True always picks, without its path search
-_TAU_PATH = ["einsum_path", (0, 2), (0, 1)]
+def _tau(t, g: ScalarProduct):
+    # the (n^2, n^2) @ (n^2, 1) and (1, n^2) @ (n^2, 1) products of einsum("il,jk,ijkl->"),
+    # one pair per tensor of the stack, so each tau keeps its bits whatever the batch
+    n = g.dim
+    col = g.inverse.reshape(n * n, 1)
+    rows = np.einsum("...ijkl->...jkil", t).reshape(t.shape[:-4] + (n * n, n * n))
+    return ((rows @ col).swapaxes(-1, -2) @ col)[..., 0, 0]
 
 
-def scalar_curvature(t, g: ScalarProduct) -> float:
-    """Generalized scalar curvature tau = g^il g^jk R_ijkl of one tensor."""
-    t = check_one_tensor(t, g)
-    return float(np.einsum("il,jk,ijkl->", g.inverse, g.inverse, t, optimize=_TAU_PATH))
+def scalar_curvature(t, g: ScalarProduct) -> float | np.ndarray:
+    """Generalized scalar curvature tau = g^il g^jk R_ijkl; a float for one tensor."""
+    return _per_tensor(_tau(check_tensor(t, g), g))
 
 
 def ricci_traces(t, g: ScalarProduct) -> RicciReport:
-    """All Ricci-type contractions of one tensor t with respect to g."""
-    t = check_one_tensor(t, g)
+    """All Ricci-type contractions of t with respect to g, one report for a whole stack."""
+    t = check_tensor(t, g)
     gi = g.inverse
     return RicciReport(
-        rho13=np.einsum("ij,iajb->ab", gi, t),
-        rho14=np.einsum("ij,iabj->ab", gi, t),
-        rho23=np.einsum("ij,aijb->ab", gi, t),
-        rho24=np.einsum("ij,aibj->ab", gi, t),
-        rho34=np.einsum("ij,abij->ab", gi, t),
-        tau=float(np.einsum("il,jk,ijkl->", gi, gi, t, optimize=_TAU_PATH)),
+        rho13=np.einsum("ij,...iajb->...ab", gi, t),
+        rho14=np.einsum("ij,...iabj->...ab", gi, t),
+        rho23=np.einsum("ij,...aijb->...ab", gi, t),
+        rho24=np.einsum("ij,...aibj->...ab", gi, t),
+        rho34=np.einsum("ij,...abij->...ab", gi, t),
+        tau=_per_tensor(_tau(t, g)),
     )
 
 
@@ -189,17 +193,19 @@ def _membership_rows(t, g: ScalarProduct, space: str):
         parts.append(ricci(t, g))
     elif space == "t":
         parts += [ricci(t, g), ricci_star(t, g)]
-    batch = t.ndim - 4
-    res = _row_maxnorm(parts[0], batch)
-    for x in parts[1:]:
-        res = np.maximum(res, _row_maxnorm(x, batch))
-    scale = _row_maxnorm(t, batch)
-    return res / np.where(scale > 0, scale, 1.0)
+    return _relative(t, *parts)
 
 
 def _row_maxnorm(x, batch: int):
     """max |x| over every axis after the first `batch` ones."""
     return np.maximum.reduce(np.abs(x), axis=tuple(range(batch, x.ndim)), initial=0.0)
+
+
+def _relative(t, *parts):
+    """Per tensor of the stack t, the largest max |x| of the parts over max |t| (over 1.0 if 0)."""
+    scale = _row_maxnorm(t, t.ndim - 4)
+    worst = np.maximum.reduce([_row_maxnorm(x, t.ndim - 4) for x in parts])
+    return worst / np.where(scale > 0, scale, 1.0)
 
 
 def membership(t, g: ScalarProduct, space: str, tol: float = MEMBERSHIP_TOL):

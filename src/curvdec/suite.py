@@ -107,10 +107,6 @@ class _Ctx:
         return out
 
 
-def _l2(t):
-    return float(np.sqrt(np.sum(np.square(t))))
-
-
 def _rows(stack):
     """A stack as a row matrix, one flattened entry per row."""
     return stack.reshape(len(stack), -1)
@@ -152,18 +148,14 @@ def _check_a_idempotence(ctx):
 
 
 def _orthogonality(ctx, proj):
+    # pair[a, b, i] pairs component a of sample 2i with component b of sample 2i + 1
     m = min(ctx.k, 6)
     comps = np.stack(proj(ctx.stack("r", 2 * m), ctx.g))
-    worst = 0.0
-    for i in range(m):
-        c1, c2 = comps[:, 2 * i], comps[:, 2 * i + 1]
-        for a in range(8):
-            for b in range(8):
-                na, nb = _l2(c1[a]), _l2(c2[b])
-                if a == b or na < 1e-10 or nb < 1e-10:
-                    continue
-                worst = max(worst, abs(tensor_pairing(c1[a], c2[b], ctx.g)) / (na * nb))
-    return worst
+    pair = np.abs(tensor_pairing(comps[:, None, 0::2], comps[None, :, 1::2], ctx.g))
+    norm = np.sqrt(np.sum(np.square(comps), axis=(-4, -3, -2, -1)))
+    n1, n2 = norm[:, None, 0::2], norm[None, :, 1::2]
+    keep = (n1 >= 1e-10) & (n2 >= 1e-10) & ~np.eye(8, dtype=bool)[..., None]
+    return float(np.max(pair[keep] / (n1 * n2)[keep], initial=0.0))
 
 
 def _check_w_orthogonality(ctx):
@@ -179,11 +171,9 @@ def _check_gram_positivity(ctx):
     if ctx.sig[1] != 0:
         return 0.0
     r = ctx.stack("r", min(ctx.k, 6))
-    worst = 0.0
-    for comp in w_projections(r, ctx.g) + a_projections(r, ctx.g):
-        for c in comp[_row_maxnorm(comp, 1) > 1e-8]:
-            worst = max(worst, _verdict(tensor_pairing(c, c, ctx.g) > 0.0))
-    return worst
+    comps = np.stack(w_projections(r, ctx.g) + a_projections(r, ctx.g))
+    nonzero = _row_maxnorm(comps, 2) > 1e-8
+    return _verdict(np.all(tensor_pairing(comps, comps, ctx.g)[nonzero] > 0.0))
 
 
 def _check_wa_map_coincidences(ctx):
@@ -441,11 +431,8 @@ def _check_einstein_projector_criterion(ctx):
     ric, _, tau = _traces(r, g)
     gap = _row_maxnorm(ric - (tau / n) * gm, 1)
     worst = max(worst, _verdict(np.all(gap[neg] > 10 * ctx.tol)))
-    for t, t_pos, t_neg in zip(r, pos, neg):
-        worst = max(worst, _verdict(equiaffine_einstein_check(t_pos, g)))
-        if t_neg:
-            worst = max(worst, _verdict(not equiaffine_einstein_check(t, g)))
-    return worst
+    worst = max(worst, _verdict(np.all(equiaffine_einstein_check(pos, g))))
+    return max(worst, _verdict(not np.any(equiaffine_einstein_check(r, g)[neg])))
 
 
 def _check_constant_curvature_equivalences(ctx):
@@ -526,16 +513,11 @@ def _check_singer_thorpe(ctx):
     g, n = ctx.g, ctx.n
     gm = g.matrix
     gg = wedge(gm, gm)
-    worst = 0.0
-    parts = []
-    for t in ctx.stack("a", ctx.k):
-        res = singer_thorpe(t, g)
-        u = res.components[0]
-        # u is a multiple of g^g
-        c = tensor_pairing(u, gg, g) / tensor_pairing(gg, gg, g)
-        worst = max(worst, res.completeness_residual, _maxnorm(u - c * gg))
-        parts.append(res.components)
-    u, z, w = (np.stack(part) for part in zip(*parts))
+    res = singer_thorpe(ctx.stack("a", ctx.k), g)
+    u, z, w = res.components
+    # u is a multiple of g^g
+    c = (tensor_pairing(u, gg, g) / tensor_pairing(gg, gg, g))[:, None, None, None, None]
+    worst = max(_maxnorm(res.completeness_residual), _maxnorm(u - c * gg))
     # z is recovered from its own traceless symmetric Ricci source
     xi = ricci(z, g) / (n - 2)
     worst = max(worst, _maxnorm(z + wedge_r(xi, gm, 1)))
@@ -552,7 +534,7 @@ def _check_rescale_invariance(ctx):
     r = ctx.stack("r", min(ctx.k, 6))
     w1, a1 = w_projections(r, g), a_projections(r, g)
     flags = np.array([_membership_rows(r, g, space) <= tol for space in SPACE_TAGS])
-    p1 = np.array([tensor_pairing(t, t, g) for t in r])
+    p1 = tensor_pairing(r, r, g)
     worst = 0.0
     for c in (0.5, 3.75):
         gc = g.rescaled(c)
@@ -561,7 +543,7 @@ def _check_rescale_invariance(ctx):
             worst = max(worst, _maxnorm(w1[j] - w2[j]), _maxnorm(a1[j] - a2[j]))
         flags_c = np.array([_membership_rows(r, gc, space) <= tol for space in SPACE_TAGS])
         worst = max(worst, _verdict(np.array_equal(flags, flags_c)))
-        p2 = np.array([tensor_pairing(t, t, gc) for t in r])
+        p2 = tensor_pairing(r, r, gc)
         worst = max(worst, float(np.max(np.abs(p2 - p1 / c**4) / np.maximum(1.0, np.abs(p1)))))
     return worst
 
@@ -630,15 +612,11 @@ def _check_conjugation_involution(ctx):
 def _check_ricci_conjugate_trace(ctx):
     g = ctx.g
     co = ctx.stack("co", ctx.k)
-    worst = 0.0
-    for t, ric_conj in zip(co, ricci(conjugate(co), g)):
-        rep = ricci_traces(t, g)
-        worst = max(worst, _maxnorm(rep.ric_star - ric_conj))
-        worst = max(worst, _maxnorm(rep.rho23 + rep.rho13))
-        worst = max(worst, _maxnorm(rep.rho24 + rep.rho14))
-        worst = max(worst, abs(float(np.sum(g.inverse * rep.ric)) - rep.tau))
-        worst = max(worst, abs(float(np.sum(g.inverse * rep.ric_star)) - rep.tau))
-    return worst
+    rep = ricci_traces(co, g)
+    worst = max(_maxnorm(rep.ric_star - ricci(conjugate(co), g)), _maxnorm(rep.rho23 + rep.rho13))
+    worst = max(worst, _maxnorm(rep.rho24 + rep.rho14))
+    worst = max(worst, _maxnorm(np.sum(g.inverse * rep.ric, axis=(-2, -1)) - rep.tau))
+    return max(worst, _maxnorm(np.sum(g.inverse * rep.ric_star, axis=(-2, -1)) - rep.tau))
 
 
 CHECKS = {

@@ -10,7 +10,7 @@ from curvdec.charts import (
     conjugate_triple_report,
     curvature_at,
 )
-from curvdec.errors import DegenerateAtPoint, DimensionMismatch
+from curvdec.errors import CurvdecError, DegenerateAtPoint, DimensionMismatch, UnknownConnection
 from curvdec.poly import Poly
 from curvdec.spaces import conjugate, membership_residual
 
@@ -192,6 +192,22 @@ def test_degenerate_point_rejected():
     with pytest.raises(DegenerateAtPoint):
         christoffel(chart, [1.0, 0.0, 0.0])
     chart.metric_at([0.0, 0.0, 0.0])
+
+
+def test_bad_point_and_connection_are_typed():
+    # a point of the wrong shape and an unknown connection are CurvdecErrors,
+    # not numpy's broadcast ValueError or a bare one
+    chart = PolyChart(N, flat_metric())
+    for point in ([0.0, 0.0], [0.0] * 4, [[0.0] * 3], 0.0):
+        with pytest.raises(DimensionMismatch, match=r"shape \(3,\)"):
+            chart.metric_at(point)
+        with pytest.raises(DimensionMismatch):
+            conjugate_triple_report(chart, point)
+    with pytest.raises(DimensionMismatch):
+        curvature_at(chart, [0.0, 0.0], "nabla")
+    with pytest.raises(UnknownConnection, match="bogus"):
+        curvature_at(chart, [0.0] * 3, "bogus")
+    assert issubclass(UnknownConnection, CurvdecError)
 
 
 def fd_curvature(chart, point, which, h=1e-4):

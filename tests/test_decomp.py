@@ -21,7 +21,13 @@ from curvdec.errors import (
     NotAlgebraic,
     NotGeneralizedCurvature,
 )
-from curvdec.linalg import antisym, build_scalar_product, standard_scalar_product, sym
+from curvdec.linalg import (
+    antisym,
+    build_scalar_product,
+    standard_scalar_product,
+    sym,
+    tensor_pairing,
+)
 from curvdec.spaces import (
     bianchi_project,
     conjugate,
@@ -319,6 +325,12 @@ def test_stack_equals_one_tensor_at_a_time(n):
     g = build_scalar_product(a.T @ standard_scalar_product(n - 1, 1).matrix @ a)
     stack = np.stack([rsample(n, 100 * n + i) for i in range(5)])
     noise = rng.uniform(-1, 1, (5,) + (n,) * 4)
+    w = w_projections(stack, g)
+    mixed = np.concatenate([stack, stack - w[1] - w[2]])  # generic, then Einstein
+
+    def parts(res):
+        return [*res.components, res.completeness_residual, res.orthogonality_matrix]
+
     for f, x in (
         (w_projections, stack),
         (a_projections, stack),
@@ -326,12 +338,32 @@ def test_stack_equals_one_tensor_at_a_time(n):
         (lambda t, g: [projective_part(t, g)], stack),
         (lambda t, g: [ricci(t, g)], stack),
         (lambda t, g: [bianchi_project(t)], noise),
+        (lambda t, g: [scalar_curvature(t, g)], stack),
+        (lambda t, g: list(vars(ricci_traces(t, g)).values()), stack),
+        (lambda t, g: [equiaffine_einstein_check(t, g)], mixed),
+        (lambda t, g: parts(w_decompose(t, g)), stack),
+        (lambda t, g: parts(a_decompose(t, g)), stack),
+        (lambda t, g: parts(singer_thorpe(t, g)), psi(stack)),
     ):
         batched = f(x, g)
         for i in range(len(x)):
             single = f(x[i], g)
             for j, part in enumerate(single):
                 assert np.array_equal(batched[j][i], part)
+    # the pairing broadcasts the batch axes of both arguments: (8, 1, m) x (1, 8, m)
+    comps = np.stack(w)
+    pairs = tensor_pairing(comps[:, None], comps[None, :], g)
+    assert pairs.shape == (8, 8, len(stack))
+    for a, b, i in np.ndindex(pairs.shape):
+        assert pairs[a, b, i] == tensor_pairing(comps[a, i], comps[b, i], g)
+    # one tensor gives Python scalars, which the JSON writers take as they are
+    verdicts = equiaffine_einstein_check(mixed, g)
+    assert verdicts.tolist() == [False] * len(stack) + [True] * len(stack)
+    assert type(equiaffine_einstein_check(mixed[-1], g)) is bool
+    assert type(tensor_pairing(stack[0], stack[1], g)) is float
+    assert type(scalar_curvature(stack[0], g)) is float
+    assert type(ricci_traces(stack[0], g).tau) is float
+    assert type(w_decompose(stack[0], g).completeness_residual) is float
     # the gate refuses a stack when any one tensor is off the space
     bad = stack.copy()
     bad[3] = noise[3]

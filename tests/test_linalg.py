@@ -5,10 +5,12 @@ import pytest
 
 from curvdec.decomp import equiaffine_einstein_check, w_decompose
 from curvdec.errors import (
+    CurvdecError,
     DegenerateMetric,
     DimensionMismatch,
     DimensionTooSmall,
     NonFiniteInput,
+    NonPositiveFactor,
     NotSymmetric,
 )
 from curvdec.linalg import (
@@ -218,12 +220,36 @@ def test_tensor_shape_and_rank_checked():
             with pytest.raises(DimensionMismatch, match=re.escape(str(bad.shape))):
                 f(np.eye(3), bad)
         assert f(np.zeros((2, 3, 3)), np.eye(3)).shape == (2,) + (3,) * 4
-    # the scalar maps and the pairing take one tensor, not a stack
-    stack = np.zeros((2,) + (3,) * 4)
-    single = (scalar_curvature, ricci_traces, equiaffine_einstein_check, w_decompose)
-    for f in (*single, lambda t, g: tensor_pairing(t, t, g)):
-        with pytest.raises(DimensionMismatch, match=re.escape(str(stack.shape))):
-            f(stack, g)
+    # the per-tensor maps take a stack and give one result per tensor; the trailing
+    # axes must still match g, and the pairing's batch axes must broadcast
+    stack, bad = np.zeros((2,) + (3,) * 4), np.zeros((2, 3, 3, 3, 4))
+    for f in (
+        scalar_curvature,
+        equiaffine_einstein_check,
+        lambda t, g: ricci_traces(t, g).tau,
+        lambda t, g: w_decompose(t, g).completeness_residual,
+        lambda t, g: tensor_pairing(t, t, g),
+    ):
+        assert np.shape(f(stack, g)) == (2,)
+        with pytest.raises(DimensionMismatch, match=re.escape(str(bad.shape))):
+            f(bad, g)
+    assert tensor_pairing(stack[:, None], np.zeros((3,) + (3,) * 4), g).shape == (2, 3)
+    with pytest.raises(DimensionMismatch, match=r"\(2, 3, 3, 3, 3\) and \(3, 3, 3, 3, 3\)"):
+        tensor_pairing(stack, np.zeros((3,) + (3,) * 4), g)
+
+
+def test_rescaled_refuses_bad_factors():
+    # c * g must stay a finite form of the same signature
+    g = standard_scalar_product(2, 1)
+    for c in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteInput):
+            g.rescaled(c)
+    for c in (0.0, -1.0):
+        with pytest.raises(NonPositiveFactor):
+            g.rescaled(c)
+    assert issubclass(NonPositiveFactor, CurvdecError)
+    h = g.rescaled(3.75)
+    assert np.array_equal(h.matrix, 3.75 * g.matrix) and h.signature == g.signature
 
 
 def test_non_finite_metric_names_entries():

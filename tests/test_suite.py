@@ -101,6 +101,19 @@ def test_single_check_runs_reproduce_full_run():
         assert run_invariant_suite(cfg, only=[name])[name] == full[name], name
 
 
+def _fault_in_last_result(exact):
+    # a stacked map whose last result is off: +1e-6 on a value, a flipped verdict
+    def faulty(*args):
+        out = exact(*args)
+        if np.ndim(out) == 0:
+            return out
+        out = np.array(out)
+        out[..., -1] = ~out[..., -1] if out.dtype == bool else out[..., -1] + 1e-6
+        return out
+
+    return faulty
+
+
 def test_fault_in_last_tensor_of_stack_is_seen(monkeypatch):
     # perturb one entry of only the last tensor a conjugation sees
     exact = suite.conjugate
@@ -110,11 +123,23 @@ def test_fault_in_last_tensor_of_stack_is_seen(monkeypatch):
         out.reshape(-1, out.shape[-1] ** 4)[-1, 1] += 1e-6
         return out
 
+    cfg = SuiteConfig(dims=(3,), samples=4)
     monkeypatch.setattr(suite, "conjugate", faulty)
     only = ["conjugate_split", "conjugation_involution"]
-    report = run_invariant_suite(SuiteConfig(dims=(3,), samples=4), only=only)
+    report = run_invariant_suite(cfg, only=only)
     for name in only:
         assert report[name]["pass"] is False, name
+    # change only the last sample's pairings, or its Einstein verdict: a batch
+    # mask or a 0::2 slice that drops the last row of a stack would hide it
+    for fake, only in (
+        ("tensor_pairing", ["w_orthogonality", "a_orthogonality", "rescale_invariance"]),
+        ("equiaffine_einstein_check", ["einstein_projector_criterion"]),
+    ):
+        assert all(v["pass"] for v in run_invariant_suite(cfg, only=only).values())
+        monkeypatch.setattr(suite, fake, _fault_in_last_result(getattr(suite, fake)))
+        report = run_invariant_suite(cfg, only=only)
+        for name in only:
+            assert report[name]["pass"] is False, name
 
 
 def test_dimension_consistency_sees_a_wrong_table_entry(monkeypatch):
