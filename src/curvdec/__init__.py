@@ -31,6 +31,7 @@ from .errors import (
     EmptySpace,
     FormSymmetryViolation,
     LengthMismatch,
+    NegativeStreamKey,
     NonFiniteInput,
     NonPositiveFactor,
     NotAlgebraic,

@@ -1,7 +1,8 @@
 """The two eight-part orthogonal decompositions of r(V) and derived maps.
 
 Every map here is linear in the trace data Ric, Ric*, tau, psi(R) and mu(R);
-`_traces` computes (Ric, Ric*, tau) once per tensor.  Every map takes a
+`spaces._traces` computes (Ric, Ric*, tau) once per tensor, with the one tau
+formula that `scalar_curvature` and `ricci_traces` also use.  Every map takes a
 stack (..., n, n, n, n) and broadcasts the trace data over it; the
 decompositions and the Einstein check return one result per tensor.  The
 Ricci part is sigma, the right inverse of the Ricci trace: W1, W2 and W3 are
@@ -33,12 +34,12 @@ from .linalg import (
 from .spaces import (
     MEMBERSHIP_TOL,
     _relative,
+    _traces,
     dot_product,
     membership_residual,
     mu,
     psi,
     ricci,
-    ricci_star,
     wedge,
     wedge_r,
 )
@@ -54,15 +55,6 @@ def _require_space(t, g, space) -> np.ndarray:
         err = NotGeneralizedCurvature if space == "r" else NotAlgebraic
         raise err(f"membership residual {res:.3e} in {space!r} exceeds {MEMBERSHIP_TOL:.0e}")
     return t
-
-
-def _traces(t, g: ScalarProduct):
-    """(Ric, Ric*, tau) of t, with tau the g^-1-trace of Ric, shaped (..., 1, 1).
-
-    tau is summed elementwise, not by einsum, whose order differs in the last bit.
-    """
-    ric = ricci(t, g)
-    return ric, ricci_star(t, g), np.sum(g.inverse * ric, axis=(-2, -1), keepdims=True)
 
 
 def _lift(b, gm, r: float) -> np.ndarray:

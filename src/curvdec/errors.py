@@ -57,6 +57,10 @@ class EmptySpace(CurvdecError):
     """The requested subspace is zero-dimensional at this dimension."""
 
 
+class NegativeStreamKey(CurvdecError):
+    """A sample stream's seed or index entry is negative."""
+
+
 class EmptyRun(CurvdecError):
     """A run is configured to draw no samples or to visit no (dimension, signature) pair."""
 

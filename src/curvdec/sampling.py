@@ -2,16 +2,16 @@
 
 Every sample is drawn from a PCG64 stream keyed by (seed, index): the
 generator is ``default_rng(SeedSequence(entropy=seed, spawn_key=index))``
-with ``index`` a tuple of unsigned ints.  Identical keys give bit-identical
-tensors on every platform.  Samples are normalized to unit max-norm.
+with ``index`` an int >= 0 or a tuple of them.  Identical keys give
+bit-identical tensors on every platform.  Samples have unit max-norm.
 
 The noise of an index does not depend on the space, so every space's samples
 are projections of one base stack: the normalized Bianchi projections of the
 noise of indices 0, 1, 2, ...  A space's k samples are the first k indices of
-this sequence, which all spaces share; `dimension_reports` draws each index
-once for all spaces.  Stacks are built CHUNK tensors at a time, so the
-kernels see a batch axis while the temporaries stay small; `sample` is the
-one-index call of the same builder.
+this sequence, which all spaces share; `dimension_reports` and the invariant
+suite draw each index once for all spaces.  Stacks are built CHUNK tensors
+at a time, so the kernels see a batch axis while the temporaries stay small;
+`sample` is the one-index call of the same builder.
 """
 from __future__ import annotations
 
@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import a_projections, projective_part, traceless_core, w_projections
-from .errors import DimensionMismatch, DimensionTooSmall, EmptyRun, EmptySpace, UnknownSpace
+from .errors import DimensionMismatch, DimensionTooSmall, EmptyRun, EmptySpace
+from .errors import NegativeStreamKey, UnknownSpace
 from .linalg import ScalarProduct, standard_scalar_product
 from .spaces import bianchi_project, mu, psi
 
@@ -102,12 +103,16 @@ def _scalar_product(n: int, signature) -> ScalarProduct:
     return standard_scalar_product(p, q)
 
 
-
 def rng_stream(seed: int, index) -> np.random.Generator:
-    """The documented stream split: PCG64 over SeedSequence(seed, spawn_key=index)."""
+    """The documented stream split: PCG64 over SeedSequence(seed, spawn_key=index).
+
+    Raises NegativeStreamKey for a negative seed or index entry.
+    """
     if isinstance(index, int):
         index = (index,)
-    key = tuple(int(i) & 0xFFFFFFFF for i in index)
+    key = tuple(int(i) for i in index)
+    if seed < 0 or min(key, default=0) < 0:
+        raise NegativeStreamKey(f"negative stream key: seed {seed}, index {index}")
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
 
 
@@ -191,8 +196,9 @@ def sample(
     its conjugate both have symmetric Ricci tensors; 'p' and 't' use the
     Ricci-free and trace-free projections; 'Wj'/'Aj' apply the family
     projectors.  Raises EmptySpace when the subspace is zero-dimensional at
-    this dimension (the projected noise is at roundoff scale) and
-    DimensionMismatch when the signature does not fit the dimension.
+    this dimension (the projected noise is at roundoff scale),
+    DimensionMismatch when the signature does not fit the dimension and
+    NegativeStreamKey for a negative seed or index entry.
     """
     if space not in FORMULA_DIMS:
         raise UnknownSpace(f"unknown sample space {space!r}")

@@ -138,31 +138,32 @@ def ricci_star(t, g: ScalarProduct) -> np.ndarray:
     return np.einsum("ij,...aijb->...ab", g.inverse, t)
 
 
-def _tau(t, g: ScalarProduct):
-    # the (n^2, n^2) @ (n^2, 1) and (1, n^2) @ (n^2, 1) products of einsum("il,jk,ijkl->"),
-    # one pair per tensor of the stack, so each tau keeps its bits whatever the batch
-    n = g.dim
-    col = g.inverse.reshape(n * n, 1)
-    rows = np.einsum("...ijkl->...jkil", t).reshape(t.shape[:-4] + (n * n, n * n))
-    return ((rows @ col).swapaxes(-1, -2) @ col)[..., 0, 0]
+def _traces(t, g: ScalarProduct):
+    """(Ric, Ric*, tau) of t, with tau the g^-1-trace of Ric, shaped (..., 1, 1).
+
+    tau is summed elementwise, not by einsum, whose order differs in the last bit.
+    """
+    ric = ricci(t, g)
+    return ric, ricci_star(t, g), np.sum(g.inverse * ric, axis=(-2, -1), keepdims=True)
 
 
 def scalar_curvature(t, g: ScalarProduct) -> float | np.ndarray:
     """Generalized scalar curvature tau = g^il g^jk R_ijkl; a float for one tensor."""
-    return _per_tensor(_tau(check_tensor(t, g), g))
+    return _per_tensor(_traces(t, g)[2][..., 0, 0])
 
 
 def ricci_traces(t, g: ScalarProduct) -> RicciReport:
     """All Ricci-type contractions of t with respect to g, one report for a whole stack."""
     t = check_tensor(t, g)
     gi = g.inverse
+    ric, star, tau = _traces(t, g)
     return RicciReport(
         rho13=np.einsum("ij,...iajb->...ab", gi, t),
-        rho14=np.einsum("ij,...iabj->...ab", gi, t),
-        rho23=np.einsum("ij,...aijb->...ab", gi, t),
+        rho14=ric,
+        rho23=star,
         rho24=np.einsum("ij,...aibj->...ab", gi, t),
         rho34=np.einsum("ij,...abij->...ab", gi, t),
-        tau=_per_tensor(_tau(t, g)),
+        tau=_per_tensor(tau[..., 0, 0]),
     )
 
 

@@ -1,23 +1,22 @@
 """Runnable invariant suite: every structural law as a named, seeded check.
 
-Each check walks the configured (dimension, signature) grid and, at each
-point, draws one stack of deterministic samples per space it uses (stream key
-= crc32 of the check name plus the sample index; the spaces of one index are
-projections of its one 'r' sample).  Every map runs once on the stack, and
-the check reports the worst residual over it.  Verdict-style assertions (two
-quantities must vanish together, engineered negatives must stay distinctly
-nonzero) hold sample by sample and contribute 1.0 to the residual when one
-sample violates them.
+The suite walks the configured (dimension, signature) grid and runs every
+check at each point.  A check reads rows 0 .. k-1 of the package's one
+sample sequence: row i of its stack of a space is `sample(space, n, sig,
+seed, index=i)`.  The 'r' and 'co' rows of a point are drawn once, kept
+read-only and shared by all checks; every other space is projected from the
+'r' rows.  Every map runs once on a stack, and the check reports the worst
+residual over it.  Verdict-style assertions (two quantities must vanish
+together, engineered negatives must stay distinctly nonzero) hold sample by
+sample and contribute 1.0 to the residual when one sample violates them.
 """
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .decomp import (
-    _traces,
     a_projections,
     b_forms,
     equiaffine_einstein_check,
@@ -41,6 +40,7 @@ from .spaces import (
     SPACE_TAGS,
     _membership_rows,
     _row_maxnorm,
+    _traces,
     conjugate,
     membership,
     membership_residual,
@@ -85,24 +85,28 @@ class SuiteConfig:
 
 
 class _Ctx:
-    """Per-(check, dimension, signature) sampling context."""
+    """Per-(dimension, signature) context, holding the point's drawn samples."""
 
-    def __init__(self, check: str, n: int, sig, cfg: SuiteConfig):
+    def __init__(self, n: int, sig, cfg: SuiteConfig):
         self.n = n
         self.sig = sig
         self.g = standard_scalar_product(*sig)
         self.k = cfg.samples
         self.tol = cfg.tolerance
         self.seed = cfg.seed
-        self.key = zlib.crc32(check.encode())
+        self._drawn = {}  # the read-only 'r' and 'co' rows drawn so far
 
-    def indices(self, count: int, offset: int = 0) -> list:
-        return [(self.key, offset + i) for i in range(count)]
-
-    def stack(self, space: str, count: int, base=None) -> np.ndarray:
-        """The samples of indices 0 .. count-1, stacked; base holds their 'r' samples."""
-        out = _stack(space, self.g, self.seed, self.indices(count), base)
-        if len(out) < count:  # a dropped row would misalign the stack with its base
+    def stack(self, space: str, count: int) -> np.ndarray:
+        """The samples of indices 0 .. count-1, stacked; 'r' and 'co' rows are read-only."""
+        if space in ("r", "co"):
+            drawn = self._drawn.get(space)
+            if drawn is None or len(drawn) < count:
+                drawn = self._drawn[space] = _stack(space, self.g, self.seed, range(count))
+                drawn.flags.writeable = False
+            out = drawn[:count]
+        else:
+            out = _stack(space, self.g, self.seed, range(count), self.stack("r", count))
+        if len(out) < count:  # a dropped row would misalign the stack with its indices
             raise EmptySpace(f"a projected {space!r} sample has max-norm below {EMPTY_NORM:.0e}")
         return out
 
@@ -294,7 +298,7 @@ def _check_conjugate_closure(ctx):
     # complement all vanish together
     g = ctx.g
     r = ctx.stack("r", ctx.k)
-    s = ctx.stack("a_plus_s", ctx.k, base=r)
+    s = ctx.stack("a_plus_s", ctx.k)
     comps = a_projections(s, g)
     worst = max(membership_residual(conjugate(s), g, "r"), _maxnorm(comps[4]), _maxnorm(comps[7]))
     c = _normalize(r - psi(r) - mu(r), 1e-8)
@@ -346,8 +350,7 @@ def _check_equiaffine_pair_projections(ctx):
 
 def _check_ricci_symmetry_equivalence(ctx):
     g = ctx.g
-    r = ctx.stack("r", ctx.k)
-    s = ctx.stack("a_plus_s", ctx.k, base=r)
+    s = ctx.stack("a_plus_s", ctx.k)
     cs = conjugate(s)
     worst = max(_maxnorm(w_projections(s, g)[7]), _maxnorm(w_projections(cs, g)[7]))
     lr = antisym(ricci(s, g))
@@ -356,7 +359,7 @@ def _check_ricci_symmetry_equivalence(ctx):
     sym_s = _row_maxnorm(lr, 1) <= 100 * ctx.tol
     sym_cs = _row_maxnorm(lrs, 1) <= 100 * ctx.tol
     worst = max(worst, _verdict(np.array_equal(sym_s, sym_cs)))
-    p = ctx.stack("f_pair", ctx.k, base=r)
+    p = ctx.stack("f_pair", ctx.k)
     return max(worst, _maxnorm(antisym(ricci(p, g))), _maxnorm(antisym(ricci(conjugate(p), g))))
 
 
@@ -389,7 +392,7 @@ def _check_traceless_core(ctx):
     ps, m = psi(core), mu(core)
     worst = max(worst, _maxnorm(w[5] - ps), _maxnorm(w[6] - m))
     worst = max(worst, _maxnorm(w[7] - (core - ps - m)))
-    t = ctx.stack("t", ctx.k, base=r)
+    t = ctx.stack("t", ctx.k)
     return max(worst, _maxnorm(traceless_core(t, g) - t))
 
 
@@ -397,9 +400,9 @@ def _check_projective_part(ctx):
     g, n = ctx.g, ctx.n
     worst = _maxnorm(projective_part(wedge(g.matrix, g.matrix), g))
     r = ctx.stack("r", ctx.k)
-    f = ctx.stack("f", ctx.k, base=r)
+    f = ctx.stack("f", ctx.k)
     worst = max(worst, _maxnorm(projective_part(f, g) - (f + wedge(ricci(f, g), g.matrix) / (n - 1))))
-    t = ctx.stack("t", ctx.k, base=r)
+    t = ctx.stack("t", ctx.k)
     worst = max(worst, _maxnorm(projective_part(t, g) - t))
     w = w_projections(r, g)
     return max(worst, _maxnorm(projective_part(r, g) - (w[3] + w[4] + w[5] + w[6] + w[7])))
@@ -485,10 +488,9 @@ def _check_projective_conjugate_equivalence(ctx):
     # when the two coincide, i.e. when the tensor is of metric type
     g = ctx.g
     k = min(ctx.k, 8)
-    r = ctx.stack("r", k)
-    a = ctx.stack("a", k, base=r)
+    a = ctx.stack("a", k)
     worst = _maxnorm(projective_part(conjugate(a), g) - projective_part(a, g))
-    p = ctx.stack("f_pair", k, base=r)
+    p = ctx.stack("f_pair", k)
     cp = conjugate(p)
     off = _row_maxnorm(p - cp, 1) > MARGIN
     pdiff = _row_maxnorm(projective_part(p, g) - projective_part(cp, g), 1)
@@ -499,7 +501,7 @@ def _check_projective_conjugate_equivalence(ctx):
 def _check_trace_reconstruction(ctx):
     g, n = ctx.g, ctx.n
     # each index's stream draws omega's noise, then theta's
-    noise = _noise((2, n, n), ctx.seed, ctx.indices(min(ctx.k, 8), offset=512))
+    noise = _noise((2, n, n), ctx.seed, range(min(ctx.k, 8)))
     omega, theta = antisym(noise[:, 0]), sym(noise[:, 1])
     built = sigma_split(omega, theta, g)
     worst = max(_maxnorm(ricci(built, g) - omega - theta), membership_residual(built, g, "r"))
@@ -594,7 +596,7 @@ def _check_membership_tower(ctx):
         worst = max(worst, _verdict(flag), res)
     k = min(ctx.k, 8)
     r = ctx.stack("r", k)
-    a, s, f, p, t = (ctx.stack(space, k, base=r) for space in ("a", "s", "f", "p", "t"))
+    a, s, f, p, t = (ctx.stack(space, k) for space in ("a", "s", "f", "p", "t"))
     worst = max(worst, _maxnorm(conjugate(a) - a), _maxnorm(conjugate(s) + s))
     co = ctx.stack("co", k)
     worst = max(worst, membership_residual(co, g, "co"))
@@ -675,14 +677,12 @@ def run_invariant_suite(config: SuiteConfig | None = None, only=None) -> dict:
         raise EmptyRun(f"samples must be at least 1, got {cfg.samples}")
     if not any(cfg.grid()):
         raise EmptyRun(f"no signature in {cfg.signatures} fits a dimension in {list(cfg.dims)}")
-    report = {}
-    for name in [name for name in CHECKS if name in wanted]:
-        worst = 0.0
-        for n, sig in cfg.grid():
-            worst = max(worst, CHECKS[name](_Ctx(name, n, sig, cfg)))
-        report[name] = {
-            "pass": bool(worst <= cfg.tolerance),
-            "worst_residual": worst,
-            "config": cfg.as_dict(),
-        }
-    return report
+    worst = {name: 0.0 for name in CHECKS if name in wanted}
+    for n, sig in cfg.grid():
+        ctx = _Ctx(n, sig, cfg)
+        for name in worst:
+            worst[name] = max(worst[name], CHECKS[name](ctx))
+    return {
+        name: {"pass": bool(w <= cfg.tolerance), "worst_residual": w, "config": cfg.as_dict()}
+        for name, w in worst.items()
+    }

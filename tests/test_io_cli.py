@@ -260,6 +260,9 @@ def test_cli_usage_and_data_errors(tmp_path):
         ["dims", "--dim", "3", "--signature", "2,2"],
         ["sample", "--space", "r", "--dim", "3", "--signature=-1,4"],
         ["sample", "--space", "r", "--dim", "3", "--signature", "3,1"],
+        ["sample", "--space", "r", "--dim", "3", "--seed", "-1"],
+        ["dims", "--dim", "3", "--seed", "-1"],
+        ["verify", "--seed", "-1"],
     ],
 )
 def test_cli_option_values_checked_before_running(capsys, argv):

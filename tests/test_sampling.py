@@ -8,6 +8,7 @@ from curvdec.errors import (
     DimensionTooSmall,
     EmptyRun,
     EmptySpace,
+    NegativeStreamKey,
     UnknownSpace,
 )
 from curvdec.linalg import standard_scalar_product
@@ -126,6 +127,22 @@ def test_determinism_bit_identical():
     c = sample("r", 3, (3, 0), seed=124, index=5)
     assert not np.array_equal(a, c)
     assert np.array_equal(sample("a", 4, (3, 1), 99, 2), sample("a", 4, (3, 1), 99, 2))
+
+
+def test_stream_keys_non_negative_and_unaliased():
+    # a negative seed or index entry is refused, not passed to numpy
+    for kwargs in ({"seed": -1}, {"index": -1}, {"index": (0, -1)}):
+        with pytest.raises(NegativeStreamKey):
+            sample("r", 3, **kwargs)
+    with pytest.raises(NegativeStreamKey):
+        dimension_reports(3, seed=-1, spaces=("co",))
+    assert issubclass(NegativeStreamKey, CurvdecError)
+    # index 2**32 is its own stream, not index 0 again
+    assert not np.array_equal(sample("r", 3, index=2**32), sample("r", 3, index=0))
+    assert not np.array_equal(sample("r", 3, index=(0, 2**32)), sample("r", 3, index=(0, 0)))
+    # below 2**32 the key reaches SeedSequence unchanged
+    want = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(2**32 - 1,))).uniform()
+    assert rng_stream(3, 2**32 - 1).uniform() == want
 
 
 def test_samples_satisfy_their_membership_predicates():

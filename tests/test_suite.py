@@ -4,6 +4,7 @@ import pytest
 import curvdec.sampling as sampling
 import curvdec.suite as suite
 from curvdec.errors import CurvdecError, EmptyRun, UnknownCheck
+from curvdec.sampling import sample
 from curvdec.suite import CHECKS, SuiteConfig, run_invariant_suite
 
 
@@ -99,6 +100,49 @@ def test_single_check_runs_reproduce_full_run():
     full = run_invariant_suite(cfg)
     for name in CHECKS:
         assert run_invariant_suite(cfg, only=[name])[name] == full[name], name
+
+
+def test_checks_read_the_one_sample_sequence(monkeypatch):
+    # row i of every stack a check reads is sample(space, n, sig, seed, index=i)
+    cfg = SuiteConfig(dims=(4,), signatures=((3, 1),), samples=3, seed=5)
+    read, stack = [], suite._Ctx.stack
+
+    def recording(ctx, space, count):
+        out = stack(ctx, space, count)
+        read.append((space, out.copy()))
+        return out
+
+    monkeypatch.setattr(suite._Ctx, "stack", recording)
+    run_invariant_suite(cfg, only=["ricci_symmetry_equivalence", "ricci_conjugate_trace"])
+    assert {space for space, _ in read} == {"r", "co", "a_plus_s", "f_pair"}
+    for space, rows in read:
+        assert len(rows) == 3
+        for i, row in enumerate(rows):
+            assert np.array_equal(row, sample(space, 4, (3, 1), 5, index=i)), (space, i)
+
+
+def test_shared_stacks_are_read_only(monkeypatch):
+    # a check that writes into a stack it was given raises, and the next check
+    # still reads the samples themselves
+    cfg = SuiteConfig(dims=(3,), signatures=((2, 1),), samples=4, seed=2)
+    read = {}
+
+    def writer(ctx):
+        for space in ("r", "co"):
+            with pytest.raises(ValueError, match="read-only"):
+                ctx.stack(space, ctx.k)[0, 0, 1, 0, 1] += 1.0
+        return 0.0
+
+    def reader(ctx):
+        read.update((space, ctx.stack(space, ctx.k)) for space in ("r", "co"))
+        return 0.0
+
+    monkeypatch.setitem(suite.CHECKS, "w_completeness", writer)
+    monkeypatch.setitem(suite.CHECKS, "a_completeness", reader)
+    run_invariant_suite(cfg, only=["w_completeness", "a_completeness"])
+    for space, rows in read.items():
+        want = np.stack([sample(space, 3, (2, 1), 2, index=i) for i in range(4)])
+        assert np.array_equal(rows, want), space
 
 
 def _fault_in_last_result(exact):
