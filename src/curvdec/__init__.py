@@ -52,7 +52,6 @@ from .poly import Poly
 from .sampling import (
     DimensionReport,
     dimension_reports,
-    empirical_dimension,
     formula_dim,
     sample,
 )

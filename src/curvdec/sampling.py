@@ -8,10 +8,11 @@ bit-identical tensors on every platform.  Samples have unit max-norm.
 The noise of an index does not depend on the space, so every space's samples
 are projections of one base stack: the normalized Bianchi projections of the
 noise of indices 0, 1, 2, ...  A space's k samples are the first k indices of
-this sequence, which all spaces share; `dimension_reports` and the invariant
-suite draw each index once for all spaces.  Stacks are built CHUNK tensors
-at a time, so the kernels see a batch axis while the temporaries stay small;
-`sample` is the one-index call of the same builder.
+this sequence, which all spaces share; `dimension_reports` draws each index
+once for all spaces, and the invariant suite once per block of CHUNK indices.
+Stacks are built CHUNK tensors at a time, so the kernels see a batch axis
+while the temporaries stay small; `sample` is the one-index call of the same
+builder.
 """
 from __future__ import annotations
 
@@ -32,26 +33,6 @@ GAP_RATIO = 1e6
 CHUNK = 32
 
 
-def dim_co(n: int) -> int:
-    return n**3 * (n - 1) // 2
-
-
-def dim_r(n: int) -> int:
-    return n * n * (n * n - 1) // 3
-
-
-def dim_a(n: int) -> int:
-    return n * n * (n * n - 1) // 12
-
-
-def dim_f(n: int) -> int:
-    return n * (n - 1) * (2 * n * n + 2 * n - 3) // 6
-
-
-def dim_p(n: int) -> int:
-    return n * n * (n * n - 4) // 3
-
-
 # the dimensions of the module types in the W and A families
 _one = lambda n: 1
 _sym0 = lambda n: n * (n + 1) // 2 - 1  # traceless symmetric 2-forms
@@ -69,13 +50,13 @@ def _sum(plus, minus=()):
 # The closed-form dimension of every sample space, in output order.  The W and
 # A families each split r(V); a(V) = A1 + A2 + A6 and s(V) = A3 + A4 + A7.
 FORMULA_DIMS = {
-    "co": dim_co,
-    "r": dim_r,
-    "a": dim_a,
+    "co": lambda n: n**3 * (n - 1) // 2,
+    "r": lambda n: n * n * (n * n - 1) // 3,
+    "a": lambda n: n * n * (n * n - 1) // 12,
     "s": _sum(("A3", "A4", "A7")),
-    "f": dim_f,
+    "f": lambda n: n * (n - 1) * (2 * n * n + 2 * n - 3) // 6,
     "f_pair": _sum(("r",), ("W3", "W4", "W8")),
-    "p": dim_p,
+    "p": lambda n: n * n * (n * n - 4) // 3,
     "t": _sum(("W6", "W7", "W8")),
     "a_plus_s": _sum(("a", "s")),
     "W1": _one, "W2": _sym0, "W3": _alt, "W4": _alt,
@@ -286,14 +267,3 @@ def dimension_reports(
             k = counts[space]
             reports[space] = _report(space, n, _stack(space, g, seed, range(k), base[:k]))
     return {space: reports[space] for space in spaces}
-
-
-def empirical_dimension(
-    space: str,
-    dim: int,
-    signature: tuple[int, int] | None = None,
-    samples: int | None = None,
-    seed: int = 0,
-) -> DimensionReport:
-    """The dimension report of one space; see `dimension_reports`."""
-    return dimension_reports(dim, signature, samples, seed, (space,))[space]

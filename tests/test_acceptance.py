@@ -21,7 +21,7 @@ from curvdec.decomp import (
 )
 from curvdec.linalg import antisym, standard_scalar_product, sym, tensor_pairing
 from curvdec.poly import Poly
-from curvdec.sampling import empirical_dimension, sample
+from curvdec.sampling import dimension_reports, sample
 from curvdec.spaces import (
     conjugate,
     membership_residual,
@@ -60,8 +60,9 @@ def test_criterion_01_dimension_reproduction():
                 4: {"r": 80, "a": 20, "f": 74, "p": 64}}
     with criterion(1, "dimension reproduction"):
         for n, table in expected.items():
+            reports = dimension_reports(n, (n, 0), seed=0, spaces=tuple(table))
             for space, dim in table.items():
-                rep = empirical_dimension(space, n, (n, 0), seed=0)
+                rep = reports[space]
                 assert rep.empirical_dim == dim, (space, n, rep.empirical_dim)
                 assert rep.formula_dim == dim
                 assert not rep.inconclusive
@@ -213,7 +214,7 @@ def test_criterion_07_singer_thorpe():
                 assert mx(antisym(xi)) <= 1e-9
                 assert abs(float(np.sum(g.inverse * xi))) <= 1e-9
                 assert mx(ricci(w, g)) <= 1e-9
-        rep = empirical_dimension("W6", 3, (3, 0), samples=16)
+        rep = dimension_reports(3, (3, 0), samples=16, spaces=("W6",))["W6"]
         assert rep.empirical_dim == 0 and rep.samples_used == 0
 
 

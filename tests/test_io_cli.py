@@ -263,6 +263,7 @@ def test_cli_usage_and_data_errors(tmp_path):
         ["sample", "--space", "r", "--dim", "3", "--seed", "-1"],
         ["dims", "--dim", "3", "--seed", "-1"],
         ["verify", "--seed", "-1"],
+        ["verify", "--seed", "-1", "--suite", "gram_positivity", "--dim", "3", "--signature", "2,1"],
     ],
 )
 def test_cli_option_values_checked_before_running(capsys, argv):

@@ -18,12 +18,7 @@ from curvdec.sampling import (
     GAP_RATIO,
     SAMPLE_SPACES,
     DimensionReport,
-    dim_a,
-    dim_f,
-    dim_p,
-    dim_r,
     dimension_reports,
-    empirical_dimension,
     formula_dim,
     numerical_rank,
     rng_stream,
@@ -68,7 +63,7 @@ def reference_sample(space, n, sig, seed, index):
 
 def reference_report(space, n, sig, seed):
     fdim = formula_dim(space, n)
-    k = max(2 * (fdim if fdim is not None else dim_r(n)), 8)
+    k = max(2 * fdim, 8)
     rows = [reference_sample(space, n, sig, seed, i) for i in range(k)]
     rows = [t.ravel() for t in rows if t is not None]
     if not rows:
@@ -97,7 +92,7 @@ def test_stacked_sampler_equals_reference_loop(n):
 def test_dimension_reports_refuse_empty_runs():
     for samples in (0, -1):
         with pytest.raises(EmptyRun):
-            empirical_dimension("r", 3, (3, 0), samples=samples)
+            dimension_reports(3, (3, 0), samples=samples, spaces=("r",))
         with pytest.raises(CurvdecError):
             dimension_reports(3, samples=samples)
     for samples in (None, 4):
@@ -115,7 +110,7 @@ def test_signature_must_fit_dimension():
         with pytest.raises(DimensionMismatch):
             sample("r", 3, sig)
         with pytest.raises(DimensionMismatch):
-            empirical_dimension("r", 3, sig)
+            dimension_reports(3, sig, spaces=("r",))
         with pytest.raises(DimensionMismatch):
             dimension_reports(3, sig)
 
@@ -186,9 +181,9 @@ def test_empty_spaces_at_dimension_three():
 
 
 def test_formula_dimensions():
-    assert [dim_r(3), dim_a(3), dim_f(3), dim_p(3)] == [24, 6, 21, 15]
-    assert [dim_r(4), dim_a(4), dim_f(4), dim_p(4)] == [80, 20, 74, 64]
-    assert [dim_r(7), dim_r(8)] == [784, 1344]
+    for n, dims in ((3, [24, 6, 21, 15]), (4, [80, 20, 74, 64])):
+        assert [formula_dim(space, n) for space in ("r", "a", "f", "p")] == dims
+    assert [formula_dim("r", 7), formula_dim("r", 8)] == [784, 1344]
     assert set(FORMULA_DIMS) == set(SAMPLE_SPACES) and len(SAMPLE_SPACES) == 25
     # the closed forms of the two eight-part decompositions, written out once more
     blocks = {
@@ -238,7 +233,7 @@ def test_default_sample_counts_match_formula_n5(sig):
 @pytest.mark.parametrize("space,expected", [("r", 24), ("a", 6), ("f", 21), ("p", 15)])
 def test_empirical_dimension_n3(space, expected):
     for sig in ((3, 0), (2, 1)):
-        rep = empirical_dimension(space, 3, sig)
+        rep = dimension_reports(3, sig, spaces=(space,))[space]
         assert rep.empirical_dim == expected
         assert rep.formula_dim == expected
         assert not rep.inconclusive
@@ -246,7 +241,7 @@ def test_empirical_dimension_n3(space, expected):
 
 
 def test_empirical_dimension_empty_space():
-    rep = empirical_dimension("W6", 3, (3, 0), samples=12)
+    rep = dimension_reports(3, (3, 0), samples=12, spaces=("W6",))["W6"]
     assert rep.empirical_dim == 0
     assert rep.samples_used == 0
     assert not rep.inconclusive
@@ -254,7 +249,7 @@ def test_empirical_dimension_empty_space():
 
 def test_inconclusive_when_undersampled():
     # fewer samples than the true dimension leaves no rejected singular value
-    rep = empirical_dimension("r", 3, (3, 0), samples=10)
+    rep = dimension_reports(3, (3, 0), samples=10, spaces=("r",))["r"]
     assert rep.inconclusive
 
 
@@ -272,7 +267,7 @@ def test_component_dimension_shadows_n3():
 
     w_rows = [[] for _ in range(8)]
     a_rows = [[] for _ in range(8)]
-    for i in range(2 * dim_r(3)):
+    for i in range(2 * formula_dim("r", 3)):
         r = sample("r", 3, (3, 0), seed=5, index=i)
         for j, c in enumerate(w_projections(r, g)):
             w_rows[j].append(c.ravel())
@@ -280,7 +275,7 @@ def test_component_dimension_shadows_n3():
             a_rows[j].append(c.ravel())
     wd = [numerical_rank(np.asarray(rows), floor=1e-10)[0] for rows in w_rows]
     ad = [numerical_rank(np.asarray(rows), floor=1e-10)[0] for rows in a_rows]
-    assert sum(wd) == dim_r(3) == sum(ad)
+    assert sum(wd) == formula_dim("r", 3) == sum(ad)
     assert wd[1] == wd[4] == ad[1] == ad[2]
     assert wd[2] == wd[3] == ad[3] == ad[4]
     assert wd[0] == ad[0] == 1

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import curvdec.sampling as sampling
 import curvdec.suite as suite
-from curvdec.errors import CurvdecError, EmptyRun, UnknownCheck
+from curvdec.errors import CurvdecError, EmptyRun, NegativeStreamKey, UnknownCheck
+from curvdec.linalg import standard_scalar_product
 from curvdec.sampling import sample
 from curvdec.suite import CHECKS, SuiteConfig, run_invariant_suite
 
@@ -103,22 +106,27 @@ def test_single_check_runs_reproduce_full_run():
 
 
 def test_checks_read_the_one_sample_sequence(monkeypatch):
-    # row i of every stack a check reads is sample(space, n, sig, seed, index=i)
-    cfg = SuiteConfig(dims=(4,), signatures=((3, 1),), samples=3, seed=5)
+    # row i of every stack a check reads in the block at lo is
+    # sample(space, n, sig, seed, index=lo + i); at CHUNK + 1 samples the last
+    # index is a block of its own
     read, stack = [], suite._Ctx.stack
 
     def recording(ctx, space, count):
         out = stack(ctx, space, count)
-        read.append((space, out.copy()))
+        read.append((space, ctx.lo, out.copy()))
         return out
 
     monkeypatch.setattr(suite._Ctx, "stack", recording)
-    run_invariant_suite(cfg, only=["ricci_symmetry_equivalence", "ricci_conjugate_trace"])
-    assert {space for space, _ in read} == {"r", "co", "a_plus_s", "f_pair"}
-    for space, rows in read:
-        assert len(rows) == 3
-        for i, row in enumerate(rows):
-            assert np.array_equal(row, sample(space, 4, (3, 1), 5, index=i)), (space, i)
+    for samples, blocks in ((3, {(0, 3)}), (suite.CHUNK + 1, {(0, suite.CHUNK), (suite.CHUNK, 1)})):
+        read.clear()
+        cfg = SuiteConfig(dims=(4,), signatures=((3, 1),), samples=samples, seed=5)
+        run_invariant_suite(cfg, only=["ricci_symmetry_equivalence", "ricci_conjugate_trace"])
+        assert {space for space, _, _ in read} == {"r", "co", "a_plus_s", "f_pair"}
+        assert {(lo, len(rows)) for _, lo, rows in read} == blocks
+        for space, lo, rows in read:
+            for i, row in enumerate(rows):
+                want = sample(space, 4, (3, 1), 5, index=lo + i)
+                assert np.array_equal(row, want), (space, lo, i)
 
 
 def test_shared_stacks_are_read_only(monkeypatch):
@@ -193,3 +201,81 @@ def test_dimension_consistency_sees_a_wrong_table_entry(monkeypatch):
     w7 = sampling.FORMULA_DIMS["W7"]
     monkeypatch.setitem(sampling.FORMULA_DIMS, "W7", lambda n: w7(n) + 1)
     assert run_invariant_suite(cfg, only=only)["dimension_consistency"]["pass"] is False
+
+
+def test_negative_seed_refused_before_any_check(monkeypatch):
+    # gram_positivity draws nothing at an indefinite signature, so only an
+    # up-front refusal keeps this run from reporting a pass
+    ran = []
+    monkeypatch.setitem(suite.CHECKS, "gram_positivity", lambda ctx: ran.append(ctx) or 0.0)
+    cfg = SuiteConfig(dims=(3,), signatures=((2, 1),), seed=-1)
+    with pytest.raises(NegativeStreamKey):
+        run_invariant_suite(cfg, only=["gram_positivity"])
+    assert not ran
+
+
+def test_block_walk_equals_one_block_run(monkeypatch):
+    # the worst residual of a row-separable check is the max over the blocks,
+    # and the FIRST_BLOCK checks read block 0 alone, so one block of all the
+    # samples gives the same report
+    cfg = SuiteConfig(dims=(3,), samples=2 * suite.CHUNK + 6)
+    walked = run_invariant_suite(cfg)
+    monkeypatch.setattr(suite, "CHUNK", cfg.samples + 1)
+    assert run_invariant_suite(cfg) == walked
+    assert len(walked) == len(CHECKS)
+
+
+def test_fault_in_tail_block_is_seen(monkeypatch):
+    # a fault in the last sample alone, which sits in a block of its own
+    cfg = SuiteConfig(dims=(3,), signatures=((2, 1),), samples=suite.CHUNK + 1)
+    last = sample("a_plus_s", 3, (2, 1), cfg.seed, index=suite.CHUNK)
+    exact = suite.conjugate
+
+    def faulty(t):
+        out = np.array(exact(t))
+        out[np.all(t == last, axis=(-4, -3, -2, -1)), 0, 1, 0, 1] += 1e-6
+        return out
+
+    only = ["conjugate_split"]
+    assert run_invariant_suite(cfg, only=only)["conjugate_split"]["pass"] is True
+    monkeypatch.setattr(suite, "conjugate", faulty)
+    assert run_invariant_suite(cfg, only=only)["conjugate_split"]["pass"] is False
+
+
+def test_each_block_projects_once(monkeypatch):
+    # at one grid point of a default-sized run (one block), every space is drawn
+    # or projected once, and each stack's W and A components under the point's
+    # metric are computed once per family; only dimension_consistency draws 'r'
+    # again, at 2 * dim rows, and projects that rank stack once per family
+    cfg = SuiteConfig(dims=(3,), signatures=((3, 0),))
+    metric = standard_scalar_product(3, 0).matrix
+    drawn, projected = {}, Counter()
+    stack = suite._stack
+
+    def counting_stack(space, *args):
+        out = stack(space, *args)
+        drawn.setdefault(space, []).append(out)
+        return out
+
+    def counting(proj):
+        def wrapper(t, g):
+            for space, outs in drawn.items():
+                shared = any(np.may_share_memory(t, o) for o in outs)
+                projected[proj.__name__, space] += shared and np.array_equal(g.matrix, metric)
+            return proj(t, g)
+
+        return wrapper
+
+    monkeypatch.setattr(suite, "_stack", counting_stack)
+    for proj in (suite.w_projections, suite.a_projections):
+        monkeypatch.setattr(suite, proj.__name__, counting(proj))
+    run_invariant_suite(cfg)
+    spaces = ("r", "co", "a", "s", "f", "p", "t", "a_plus_s", "f_pair")
+    assert {space: len(outs) for space, outs in drawn.items()} == {
+        space: 2 if space == "r" else 1 for space in spaces
+    }
+    assert +projected == {
+        (proj, space): 2 if space == "r" else 1
+        for proj in ("w_projections", "a_projections")
+        for space in ("r", "a_plus_s", "f_pair")
+    }
