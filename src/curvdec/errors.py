@@ -18,7 +18,7 @@ class DegenerateMetric(CurvdecError):
 
 
 class NonFiniteInput(CurvdecError):
-    """An input array holds NaN or infinite entries."""
+    """An input array holds NaN or infinite entries, or drives a result out of float range."""
 
 
 class NonPositiveFactor(CurvdecError):

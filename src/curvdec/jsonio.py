@@ -13,15 +13,18 @@ import numpy as np
 
 from .charts import PolyChart, TripleReport
 from .decomp import DecompositionResult
-from .errors import LengthMismatch, SchemaError
+from .errors import LengthMismatch, NonFiniteInput, SchemaError
 from .linalg import ScalarProduct, build_scalar_product, standard_scalar_product
 from .poly import Poly
 from .sampling import DimensionReport
 
 
 def dumps(obj) -> str:
-    """Canonical JSON: sorted keys, no NaN/Infinity, trailing newline."""
-    return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
+    """Canonical JSON: sorted keys, trailing newline; NonFiniteInput for NaN/Infinity."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:  # allow_nan=False refuses NaN and infinities
+        raise NonFiniteInput(f"result is not finite: {exc}") from exc
 
 
 def _loads(data):

@@ -81,8 +81,10 @@ def build_scalar_product(matrix) -> ScalarProduct:
     asym = _maxnorm(g - g.T)
     if asym > SYMMETRY_TOL:
         raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
-    g = 0.5 * (g + g.T)
-    eigs = np.linalg.eigvalsh(g)
+    g = 0.5 * g + 0.5 * g.T  # 0.5 * (g + g.T) would overflow near the float limit
+    # the signature and the degeneracy ratio do not depend on scale, and the
+    # eigen-solve of g / max|g| cannot overflow
+    eigs = np.linalg.eigvalsh(g / (np.max(np.abs(g)) or 1.0))
     spectral = np.max(np.abs(eigs))
     if spectral == 0.0 or np.min(np.abs(eigs)) < DEGENERACY_RATIO * spectral:
         raise DegenerateMetric(

@@ -9,10 +9,11 @@ The noise of an index does not depend on the space, so every space's samples
 are projections of one base stack: the normalized Bianchi projections of the
 noise of indices 0, 1, 2, ...  A space's k samples are the first k indices of
 this sequence, which all spaces share; `dimension_reports` draws each index
-once for all spaces, and the invariant suite once per block of CHUNK indices.
-Stacks are built CHUNK tensors at a time, so the kernels see a batch axis
-while the temporaries stay small; `sample` is the one-index call of the same
-builder.
+once for all spaces (and projects it once per W or A family), the invariant
+suite once per block of CHUNK indices.  Stacks are built CHUNK tensors at a
+time, so the kernels see a batch axis while the temporaries stay small;
+`sample` is the one-index call of the same builder.  `curvdec dims` prints the
+reports, and the suite's dimension_consistency is their verdict.
 """
 from __future__ import annotations
 
@@ -228,6 +229,18 @@ def numerical_rank(rows: np.ndarray, floor: float = 0.0) -> tuple[int, float | N
     return rank, gap
 
 
+def _components(proj, spaces, counts, base, g: ScalarProduct) -> dict[str, np.ndarray]:
+    """`_stack` of the named W or A blocks from one proj call per CHUNK rows of base;
+    each block copies its own rows, so no chunk's eight components outlive its pass."""
+    out = {space: np.empty((counts[space],) + base.shape[1:]) for space in spaces}
+    for lo in range(0, max((counts[space] for space in spaces), default=0), CHUNK):
+        comps = proj(base[lo : lo + CHUNK], g)
+        for space, rows in out.items():
+            part = rows[lo : lo + CHUNK]
+            part[...] = comps[int(space[1:]) - 1][: len(part)]
+    return {space: _normalize(rows, EMPTY_NORM) for space, rows in out.items()}
+
+
 def _report(space: str, n: int, stack) -> DimensionReport:
     rank, gap = numerical_rank(stack.reshape(len(stack), n**4))
     inconclusive = gap is not None and gap < GAP_RATIO or gap is None and rank > 0
@@ -263,7 +276,13 @@ def dimension_reports(
     rest = [space for space in counts if space != "co"]
     if rest:
         base = _stack("r", g, seed, range(max(counts[space] for space in rest)))
-        for space in rest:
+        for letter, proj in (("W", w_projections), ("A", a_projections)):
+            family = [space for space in rest if space[0] == letter]
+            stacks = _components(proj, family, counts, base, g)
+            while stacks:  # a block's copy is freed once it is ranked
+                space, stack = stacks.popitem()
+                reports[space] = _report(space, n, stack)
+        for space in [space for space in rest if space not in reports]:
             k = counts[space]
             reports[space] = _report(space, n, _stack(space, g, seed, range(k), base[:k]))
     return {space: reports[space] for space in spaces}

@@ -7,8 +7,8 @@ sig, seed, index=lo + i)`.  Each block draws or projects every stack it needs
 once, computes the W and A components of a stack once, and shares them
 read-only with all checks.  Every map runs once on a stack, and a check's
 worst residual is the largest over its stacks and over the blocks.  The checks
-in FIRST_BLOCK read only a point's first few rows or rank a stack of their
-own, and run on block 0 alone.  Verdict-style assertions (two quantities must
+in FIRST_BLOCK read only a point's first few rows or its `dimension_reports`,
+and run on block 0 alone.  Verdict-style assertions (two quantities must
 vanish together, engineered negatives must stay distinctly nonzero) hold
 sample by sample and contribute 1.0 to the residual when one sample violates
 them.
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sampling
 from .decomp import (
     a_projections,
     b_forms,
@@ -37,7 +38,7 @@ from .sampling import (
     _noise,
     _normalize,
     _stack,
-    formula_dim,
+    dimension_reports,
     numerical_rank,
     rng_stream,
 )
@@ -128,11 +129,6 @@ class _Ctx:
             comps.flags.writeable = False
             self._comps[(space, proj)] = comps
         return comps[:, :count]
-
-
-def _rows(stack):
-    """A stack as a row matrix, one flattened entry per row."""
-    return stack.reshape(len(stack), -1)
 
 
 def _verdict(ok: bool) -> float:
@@ -561,37 +557,22 @@ def _check_rescale_invariance(ctx):
     return worst
 
 
-def _rank_blocks(r, g):
-    # (space, stack) of each block ranked; the W blocks are dropped before A is computed
-    w = w_projections(r, g)
-    yield from {"r": r, "a": psi(r), "f": r - w[2], "p": r - w[0] - w[1] - w[2]}.items()
-    yield from ((f"W{j + 1}", c) for j, c in enumerate(w))
-    del w
-    yield from ((f"A{j + 1}", c) for j, c in enumerate(a_projections(r, g)))
-
-
 def _check_dimension_consistency(ctx):
-    # each block's first max(2 * dim, 8) rows must have exactly its table rank
-    g, n = ctx.g, ctx.n
-    worst = 0.0
-    for space, stack in _rank_blocks(ctx.stack("r", 2 * formula_dim("r", n)), g):
-        expected = formula_dim(space, n)
-        rank, gap = numerical_rank(_rows(stack[: max(2 * expected, 8)]), floor=1e-10)
-        worst = max(worst, _verdict(rank == expected))
-        if expected:
-            worst = max(worst, _verdict(gap is not None and gap >= 1e6))
-    return worst
+    # the point's `dims` reports of r, a, f, p and the W and A blocks: each has its table rank
+    spaces = ("r", "a", "f", "p", *(f"{family}{j}" for family in "WA" for j in range(1, 9)))
+    reports = dimension_reports(ctx.n, ctx.sig, seed=ctx.seed, spaces=spaces).values()
+    ok = all(rep.empirical_dim == rep.formula_dim and not rep.inconclusive for rep in reports)
+    return _verdict(ok)
 
 
 def _check_ricci_image_dimensions(ctx):
     g, n = ctx.g, ctx.n
     ric = ricci(ctx.stack("r", 2 * n * (n + 1) + 8), g)
-    rank_l, gap_l = numerical_rank(_rows(antisym(ric)))
-    rank_s, gap_s = numerical_rank(_rows(sym(ric)))
-    worst = _verdict(rank_l == n * (n - 1) // 2)
-    worst = max(worst, _verdict(rank_s == n * (n + 1) // 2))
-    worst = max(worst, _verdict(gap_l is not None and gap_l >= 1e6))
-    worst = max(worst, _verdict(gap_s is not None and gap_s >= 1e6))
+    worst = 0.0
+    for part, expected in ((antisym(ric), n * (n - 1) // 2), (sym(ric), n * (n + 1) // 2)):
+        rank, gap = numerical_rank(part.reshape(len(part), -1))
+        ok = rank == expected and gap is not None and gap >= sampling.GAP_RATIO
+        worst = max(worst, _verdict(ok))
     return worst
 
 
@@ -674,7 +655,7 @@ CHECKS = {
     "ricci_conjugate_trace": _check_ricci_conjugate_trace,
 }
 
-# these checks read only a point's first rows, or rank stacks of their own size:
+# these checks read only a point's first rows, or its `dimension_reports`:
 # they run on the first block of each point alone
 FIRST_BLOCK = frozenset({
     "w_idempotence", "a_idempotence", "w_orthogonality", "a_orthogonality",

@@ -329,3 +329,34 @@ def test_cli_undecodable_input_is_schema_error(tmp_path, capsys, command, case):
     assert main([command, "--input", str(path), *args]) == 1
     out = capsys.readouterr()
     assert out.out == "" and "error: $: invalid JSON" in out.err
+
+
+def test_cli_chart_metric_at_the_float_limit(tmp_path, capsys):
+    # g = diag(1e308, 1, 1) is degenerate to the 1e-10 ratio; the unscaled
+    # eigen-solve read it as signature (0, 0) and the report died in json
+    doc = chart_doc()
+    doc["metric"] = {"0,0": {"0 0 0": 1e308}, "1,1": {"0 0 0": 1.0}, "2,2": {"0 0 0": 1.0}}
+    path = tmp_path / "chart.json"
+    path.write_text(dumps(doc))
+    assert main(["chart", "--input", str(path), "--point", "0.1,0.0,-0.2"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "metric degenerate at" in out.err and "Traceback" not in out.err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself warns
+def test_cli_result_out_of_float_range(tmp_path, capsys):
+    # a valid r tensor whose Gram matrix overflows: one error line, no traceback
+    g = standard_scalar_product(3, 0)
+    path = tmp_path / "big.json"
+    path.write_text(dumps(tensor_document(1e300 * sample("r", 3, (3, 0), seed=1), g)))
+    assert main(["decompose", "--mode", "w", "--input", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("error:") == 1 and "not finite" in out.err
+
+
+def test_cli_directory_as_input_or_output(tmp_path, capsys):
+    # IsADirectoryError is an OSError like a missing file: exit 1, one error line
+    assert main(["decompose", "--mode", "w", "--input", str(tmp_path)]) == 1
+    assert main(["sample", "--space", "r", "--dim", "3", "--output", str(tmp_path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("error:") == 2 and "Traceback" not in out.err

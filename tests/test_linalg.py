@@ -261,3 +261,13 @@ def test_non_finite_metric_names_entries():
     m[1, 1] = np.inf
     with pytest.raises(NonFiniteInput, match=r"\(1, 1\)"):
         build_scalar_product(m)
+
+
+def test_eigen_solve_scaled_near_the_float_limit():
+    # the unscaled solve overflowed: the first matrix read as signature (0, 0),
+    # the second raised numpy's LinAlgError
+    with pytest.raises(DegenerateMetric):
+        build_scalar_product(np.diag([1e308, 1.0, 1.0]))
+    g = build_scalar_product(1e308 * np.eye(3))
+    assert g.signature == (3, 0)
+    assert np.array_equal(g.matrix, 1e308 * np.eye(3))

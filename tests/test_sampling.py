@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import curvdec.sampling as sampling
 from curvdec.decomp import a_projections, projective_part, traceless_core, w_projections
 from curvdec.errors import (
     CurvdecError,
@@ -251,6 +252,34 @@ def test_inconclusive_when_undersampled():
     # fewer samples than the true dimension leaves no rejected singular value
     rep = dimension_reports(3, (3, 0), samples=10, spaces=("r",))["r"]
     assert rep.inconclusive
+
+
+@pytest.mark.parametrize("family", ["W", "A"])
+def test_family_ranked_from_one_projection_per_chunk(monkeypatch, family):
+    # one projector call per CHUNK rows of the largest count, the 60 rows of
+    # block 7 at n = 4, serves all eight blocks; each block alone would take 9
+    proj = {"W": "w_projections", "A": "a_projections"}[family]
+    calls = []
+    real = getattr(sampling, proj)
+    monkeypatch.setattr(sampling, proj, lambda t, g: calls.append(len(t)) or real(t, g))
+    spaces = [f"{family}{j}" for j in range(1, 9)]
+    reports = dimension_reports(4, spaces=spaces)
+    assert calls == [sampling.CHUNK, 60 - sampling.CHUNK]
+    assert reports[f"{family}7"].samples_used == 60
+    for space in spaces:
+        assert reports[space].empirical_dim == reports[space].formula_dim, space
+
+
+def test_family_pass_gives_the_per_space_stacks():
+    # bit for bit the rows `_stack` projects for each block alone
+    g = standard_scalar_product(3, 1)
+    counts = {f"{f}{j}": max(2 * formula_dim(f"{f}{j}", 4), 8) for f in "WA" for j in range(1, 9)}
+    base = sampling._stack("r", g, 0, range(max(counts.values())))
+    for letter, proj in (("W", w_projections), ("A", a_projections)):
+        spaces = [space for space in counts if space[0] == letter]
+        for space, stack in sampling._components(proj, spaces, counts, base, g).items():
+            k = counts[space]
+            assert np.array_equal(stack, sampling._stack(space, g, 0, range(k), base[:k])), space
 
 
 def test_numerical_rank_floor():

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -203,6 +204,15 @@ def test_dimension_consistency_sees_a_wrong_table_entry(monkeypatch):
     assert run_invariant_suite(cfg, only=only)["dimension_consistency"]["pass"] is False
 
 
+def test_dimension_consistency_reads_the_one_gap_rule(monkeypatch):
+    # the rank checks share sampling's gap rule: no gap can clear an infinite ratio
+    cfg = SuiteConfig(dims=(3,), samples=2)
+    only = ["dimension_consistency", "ricci_image_dimensions"]
+    assert all(rep["pass"] for rep in run_invariant_suite(cfg, only=only).values())
+    monkeypatch.setattr(sampling, "GAP_RATIO", math.inf)
+    assert not any(rep["pass"] for rep in run_invariant_suite(cfg, only=only).values())
+
+
 def test_negative_seed_refused_before_any_check(monkeypatch):
     # gram_positivity draws nothing at an indefinite signature, so only an
     # up-front refusal keeps this run from reporting a pass
@@ -245,8 +255,8 @@ def test_fault_in_tail_block_is_seen(monkeypatch):
 def test_each_block_projects_once(monkeypatch):
     # at one grid point of a default-sized run (one block), every space is drawn
     # or projected once, and each stack's W and A components under the point's
-    # metric are computed once per family; only dimension_consistency draws 'r'
-    # again, at 2 * dim rows, and projects that rank stack once per family
+    # metric are computed once per family; dimension_consistency reads the
+    # point's `dims` reports, which draw their own rows and touch no block stack
     cfg = SuiteConfig(dims=(3,), signatures=((3, 0),))
     metric = standard_scalar_product(3, 0).matrix
     drawn, projected = {}, Counter()
@@ -271,11 +281,9 @@ def test_each_block_projects_once(monkeypatch):
         monkeypatch.setattr(suite, proj.__name__, counting(proj))
     run_invariant_suite(cfg)
     spaces = ("r", "co", "a", "s", "f", "p", "t", "a_plus_s", "f_pair")
-    assert {space: len(outs) for space, outs in drawn.items()} == {
-        space: 2 if space == "r" else 1 for space in spaces
-    }
+    assert {space: len(outs) for space, outs in drawn.items()} == dict.fromkeys(spaces, 1)
     assert +projected == {
-        (proj, space): 2 if space == "r" else 1
+        (proj, space): 1
         for proj in ("w_projections", "a_projections")
         for space in ("r", "a_plus_s", "f_pair")
     }
