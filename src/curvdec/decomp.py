@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormSymmetryViolation, NotAlgebraic, NotGeneralizedCurvature
+from .errors import FormSymmetryViolation, NonFiniteInput, NotAlgebraic, NotGeneralizedCurvature
 from .linalg import (
     ScalarProduct,
     _maxnorm,
@@ -135,26 +135,30 @@ class DecompositionResult:
     orthogonality_matrix: np.ndarray
 
 
-def _result(mode, t, comps, g) -> DecompositionResult:
-    residual = _relative(t, np.sum(comps, axis=0) - t)
-    k = len(comps)
-    gram = np.empty(t.shape[:-4] + (k, k))
-    for i in range(k):
-        for j in range(i, k):
-            gram[..., i, j] = gram[..., j, i] = tensor_pairing(comps[i], comps[j], g)
-    return DecompositionResult(mode, list(comps), _per_tensor(residual), gram)
+def _result(mode, t, g, proj, keep=range(8)) -> DecompositionResult:
+    # a component that overflows (g near the float limit) warns nowhere; the pairings refuse it
+    with np.errstate(over="ignore", invalid="ignore"):
+        comps = [c for i, c in enumerate(proj(t, g)) if i in keep]
+        residual = _relative(t, np.sum(comps, axis=0) - t)
+        k = len(comps)
+        gram = np.empty(t.shape[:-4] + (k, k))
+        try:
+            for i in range(k):
+                for j in range(i, k):
+                    gram[..., i, j] = gram[..., j, i] = tensor_pairing(comps[i], comps[j], g)
+        except NonFiniteInput:
+            raise NonFiniteInput(f"a {mode} component went out of float range") from None
+    return DecompositionResult(mode, comps, _per_tensor(residual), gram)
 
 
 def w_decompose(t, g: ScalarProduct) -> DecompositionResult:
     """Split a generalized curvature tensor into its eight W-components."""
-    t = _require_space(t, g, "r")
-    return _result("W", t, w_projections(t, g), g)
+    return _result("W", _require_space(t, g, "r"), g, w_projections)
 
 
 def a_decompose(t, g: ScalarProduct) -> DecompositionResult:
     """Split a generalized curvature tensor into its eight A-components."""
-    t = _require_space(t, g, "r")
-    return _result("A", t, a_projections(t, g), g)
+    return _result("A", _require_space(t, g, "r"), g, a_projections)
 
 
 def singer_thorpe(t, g: ScalarProduct) -> DecompositionResult:
@@ -164,9 +168,7 @@ def singer_thorpe(t, g: ScalarProduct) -> DecompositionResult:
     the traceless-Ricci part component 2, and the Ricci-flat (Weyl-type) part
     component 6; on a(V) these three sum back to the input.
     """
-    t = _require_space(t, g, "a")
-    comps = a_projections(t, g)
-    return _result("ST", t, [comps[0], comps[1], comps[5]], g)
+    return _result("ST", _require_space(t, g, "a"), g, a_projections, (0, 1, 5))
 
 
 def projective_part(t, g: ScalarProduct) -> np.ndarray:

@@ -194,11 +194,13 @@ def sample(
 
 @dataclass(frozen=True)
 class DimensionReport:
-    """Numerical rank of a stack of subspace samples.
+    """Numerical rank of a stack of subspace samples, in co(V) coordinates.
 
-    singular_value_gap is the ratio between the smallest accepted and the
-    largest rejected singular value (None when nothing was rejected or the
-    space is empty); the report is inconclusive when the gap is below 1e6.
+    The rank is taken over each sample's first-pair entries with i < j.
+    singular_value_gap is the ratio there between the smallest accepted and the
+    largest rejected singular value, and below 1e6 the report is inconclusive.
+    It is None when nothing was rejected: for an empty space or one that fills
+    co(V), as 'co' does (conclusive), or an undersampled stack (inconclusive).
     """
 
     space: str
@@ -212,8 +214,8 @@ class DimensionReport:
 def numerical_rank(rows: np.ndarray, floor: float = 0.0) -> tuple[int, float | None]:
     """Rank by singular-value thresholding at 1e-8 of the largest value.
 
-    floor is an absolute scale below which the whole stack counts as zero
-    (for rows that were not individually normalized).
+    The gap is None when no value was rejected, at rank min(rows, columns).
+    floor is an absolute scale below which the whole stack counts as zero.
     """
     if rows.size == 0:
         return 0, None
@@ -242,8 +244,9 @@ def _components(proj, spaces, counts, base, g: ScalarProduct) -> dict[str, np.nd
 
 
 def _report(space: str, n: int, stack) -> DimensionReport:
-    rank, gap = numerical_rank(stack.reshape(len(stack), n**4))
-    inconclusive = gap is not None and gap < GAP_RATIO or gap is None and rank > 0
+    i, j = np.triu_indices(n, 1)  # co(V) coordinates: the first-pair entries with i < j
+    rank, gap = numerical_rank(stack[:, i, j].reshape(len(stack), n**3 * (n - 1) // 2))
+    inconclusive = gap < GAP_RATIO if gap is not None else 0 < rank == len(stack)
     return DimensionReport(space, rank, formula_dim(space, n), len(stack), gap, inconclusive)
 
 

@@ -111,14 +111,15 @@ class _Ctx:
     def stack(self, space: str, count: int) -> np.ndarray:
         """The samples of indices lo .. lo+count-1, stacked and read-only."""
         rows = self._rows.get(space)
-        if rows is None or len(rows) < count:
+        have = 0 if rows is None else len(rows)
+        if have < count:  # draw only the missing indices: each has its own stream
             drawn = max(count, self.k)
-            base = None if space in ("r", "co") else self.stack("r", drawn)
-            rows = _stack(space, self.g, self.seed, range(self.lo, self.lo + drawn), base)
-            if len(rows) < drawn:  # a dropped row would misalign the stack with its indices
+            base = None if space in ("r", "co") else self.stack("r", drawn)[have:]
+            more = _stack(space, self.g, self.seed, range(self.lo + have, self.lo + drawn), base)
+            if len(more) < drawn - have:  # a dropped row would misalign the stack with its indices
                 raise EmptySpace(f"a projected {space!r} sample is below max-norm {EMPTY_NORM:.0e}")
+            self._rows[space] = rows = more if rows is None else np.concatenate((rows, more))
             rows.flags.writeable = False
-            self._rows[space] = rows
         return rows[:count]
 
     def comps(self, space: str, proj, count: int) -> np.ndarray:
@@ -194,14 +195,8 @@ def _check_gram_positivity(ctx):
 
 def _check_wa_map_coincidences(ctx):
     w, a = ctx.comps("r", w_projections, ctx.k), ctx.comps("r", a_projections, ctx.k)
-    return max(
-        _maxnorm(w[0] - a[0]),
-        _maxnorm(w[5] - a[5]),
-        _maxnorm(w[6] - a[6]),
-        _maxnorm(w[7] - a[7]),
-        _maxnorm(w[1] + w[4] - a[1] - a[2]),
-        _maxnorm(w[2] + w[3] - a[3] - a[4]),
-    )
+    same = [w[j] - a[j] for j in (0, 5, 6, 7)]
+    return max(map(_maxnorm, same + [w[1] + w[4] - a[1] - a[2], w[2] + w[3] - a[3] - a[4]]))
 
 
 def _check_w_trace_formulas(ctx):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -343,15 +344,34 @@ def test_cli_chart_metric_at_the_float_limit(tmp_path, capsys):
     assert out.out == "" and "metric degenerate at" in out.err and "Traceback" not in out.err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself warns
 def test_cli_result_out_of_float_range(tmp_path, capsys):
     # a valid r tensor whose Gram matrix overflows: one error line, no traceback
+    # and no numpy warning
     g = standard_scalar_product(3, 0)
     path = tmp_path / "big.json"
     path.write_text(dumps(tensor_document(1e300 * sample("r", 3, (3, 0), seed=1), g)))
-    assert main(["decompose", "--mode", "w", "--input", str(path)]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["decompose", "--mode", "w", "--input", str(path)]) == 1
     out = capsys.readouterr()
     assert out.out == "" and out.err.count("error:") == 1 and "not finite" in out.err
+    assert not caught
+
+
+@pytest.mark.parametrize("mode", ["w", "a", "st"])
+def test_cli_component_out_of_float_range(tmp_path, capsys, mode):
+    # g = 1e308 I is a valid metric, but g ^ g overflows inside the projectors:
+    # the error names a component, not an input entry, and nothing warns
+    doc = {"dim": 3, "signature": [3, 0], "g": (1e308 * np.eye(3)).tolist(), "R": [0.0] * 81}
+    path = tmp_path / "huge_g.json"
+    path.write_text(dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["decompose", "--mode", mode, "--input", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1 and out.err.startswith("error: ")
+    assert "component went out of float range" in out.err and "(0, 0, 0, 0)" not in out.err
+    assert not caught
 
 
 def test_cli_directory_as_input_or_output(tmp_path, capsys):

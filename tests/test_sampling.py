@@ -62,15 +62,23 @@ def reference_sample(space, n, sig, seed, index):
     return None if m < EMPTY_NORM else t / m
 
 
+def cov_coordinates(t, n):
+    """The co(V) coordinates of one tensor: its entries t[i, j] with i < j, flattened."""
+    return np.concatenate([t[i, j].ravel() for i in range(n) for j in range(i + 1, n)])
+
+
 def reference_report(space, n, sig, seed):
+    # ranks the co(V) coordinates, as `dims` does; the full n**4 columns are
+    # compared with them in test_cov_rank_agrees_with_full_rank
     fdim = formula_dim(space, n)
     k = max(2 * fdim, 8)
     rows = [reference_sample(space, n, sig, seed, i) for i in range(k)]
-    rows = [t.ravel() for t in rows if t is not None]
+    rows = [cov_coordinates(t, n) for t in rows if t is not None]
     if not rows:
         return DimensionReport(space, 0, fdim, 0, None, False)
     rank, gap = numerical_rank(np.asarray(rows))
-    inconclusive = gap is not None and gap < GAP_RATIO or gap is None and rank > 0
+    # nothing rejected: undersampled when every row is independent, else the rows fill co(V)
+    inconclusive = gap is not None and gap < GAP_RATIO or gap is None and 0 < rank == len(rows)
     return DimensionReport(space, rank, fdim, len(rows), gap, inconclusive)
 
 
@@ -88,6 +96,47 @@ def test_stacked_sampler_equals_reference_loop(n):
                         sample(space, n, sig, 11, index)
                 else:
                     assert np.array_equal(sample(space, n, sig, 11, index), want), space
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_cov_rank_agrees_with_full_rank(n):
+    # the same default-sized stacks ranked over all n**4 columns (the rule before
+    # co(V) coordinates) and over the co(V) columns: equal ranks and verdicts
+    for sig in ((n, 0), (n - 1, 1)):
+        g = standard_scalar_product(*sig)
+        base = sampling._stack("r", g, n, range(2 * formula_dim("r", n)))
+        for space in SAMPLE_SPACES:
+            k = max(2 * formula_dim(space, n), 8)
+            stack = sampling._stack(space, g, n, range(k), None if space == "co" else base[:k])
+            rank, gap = numerical_rank(stack.reshape(len(stack), n**4))
+            full_inconclusive = gap is not None and gap < GAP_RATIO or gap is None and rank > 0
+            rep = sampling._report(space, n, stack)
+            assert (rep.empirical_dim, rep.inconclusive) == (rank, full_inconclusive), space
+            assert rank == rep.formula_dim and not rep.inconclusive, space
+            # both gaps clear GAP_RATIO, but for an empty space and for 'co' in co(V)
+            assert gap is None if rank == 0 else gap >= GAP_RATIO, space
+            cov_gap = rep.singular_value_gap
+            assert cov_gap is None if rank == 0 or space == "co" else cov_gap >= GAP_RATIO, space
+
+
+@pytest.mark.parametrize("n,expected", [(3, 27), (4, 96), (5, 250)])
+def test_co_fills_cov_and_is_conclusive(n, expected):
+    # in co(V) coordinates nothing is rejected for 'co': gap None, yet conclusive;
+    # gap None at an undersampled stack or an empty space is tested below
+    rep = dimension_reports(n, (n, 0), spaces=("co",))["co"]
+    assert (rep.empirical_dim, rep.formula_dim) == (expected, expected)
+    assert rep.singular_value_gap is None and not rep.inconclusive
+
+
+def test_every_rank_sees_cov_columns(monkeypatch):
+    # one rank path: every stack `dims` ranks at n = 5 has the 250 co(V) columns
+    columns = []
+    real = sampling.numerical_rank
+    rank = lambda rows: columns.append(rows.shape[1]) or real(rows)
+    monkeypatch.setattr(sampling, "numerical_rank", rank)
+    reports = dimension_reports(5)
+    assert len(columns) == len(reports) == len(SAMPLE_SPACES)
+    assert set(columns) == {250}
 
 
 def test_dimension_reports_refuse_empty_runs():
@@ -231,6 +280,16 @@ def test_default_sample_counts_match_formula_n5(sig):
             assert rep.samples_used == max(2 * rep.formula_dim, 8), space
 
 
+@pytest.mark.parametrize("sig", [(6, 0), (5, 1)])
+def test_default_sample_counts_match_formula_n6(sig):
+    # every space has a measured gap except 'co', which fills co(V)
+    for space, rep in dimension_reports(6, sig).items():
+        assert rep.empirical_dim == rep.formula_dim > 0, space
+        assert rep.samples_used == max(2 * rep.formula_dim, 8), space
+        assert not rep.inconclusive, space
+        assert (rep.singular_value_gap is None) == (space == "co"), space
+
+
 @pytest.mark.parametrize("space,expected", [("r", 24), ("a", 6), ("f", 21), ("p", 15)])
 def test_empirical_dimension_n3(space, expected):
     for sig in ((3, 0), (2, 1)):
@@ -245,13 +304,13 @@ def test_empirical_dimension_empty_space():
     rep = dimension_reports(3, (3, 0), samples=12, spaces=("W6",))["W6"]
     assert rep.empirical_dim == 0
     assert rep.samples_used == 0
-    assert not rep.inconclusive
+    assert rep.singular_value_gap is None and not rep.inconclusive
 
 
 def test_inconclusive_when_undersampled():
     # fewer samples than the true dimension leaves no rejected singular value
     rep = dimension_reports(3, (3, 0), samples=10, spaces=("r",))["r"]
-    assert rep.inconclusive
+    assert rep.singular_value_gap is None and rep.inconclusive
 
 
 @pytest.mark.parametrize("family", ["W", "A"])

@@ -287,3 +287,9 @@ def test_each_block_projects_once(monkeypatch):
         for proj in ("w_projections", "a_projections")
         for space in ("r", "a_plus_s", "f_pair")
     }
+    # at n = 4 ricci_image_dimensions asks block 0 for 2n(n+1) + 8 = 48 'r'
+    # rows, more than the block's CHUNK: only the 16 missing ones are drawn
+    drawn.clear()
+    run_invariant_suite(SuiteConfig(dims=(4,), signatures=((4, 0),)))
+    assert [len(out) for out in drawn["r"]] == [sampling.CHUNK, 48 - sampling.CHUNK]
+    assert {space: len(outs) for space, outs in drawn.items() if space != "r"} == dict.fromkeys(spaces[1:], 1)
