@@ -8,12 +8,13 @@ bit-identical tensors on every platform.  Samples have unit max-norm.
 The noise of an index does not depend on the space, so every space's samples
 are projections of one base stack: the normalized Bianchi projections of the
 noise of indices 0, 1, 2, ...  A space's k samples are the first k indices of
-this sequence, which all spaces share; `dimension_reports` draws each index
-once for all spaces (and projects it once per W or A family), the invariant
-suite once per block of CHUNK indices.  Stacks are built CHUNK tensors at a
-time, so the kernels see a batch axis while the temporaries stay small;
-`sample` is the one-index call of the same builder.  `curvdec dims` prints the
-reports, and the suite's dimension_consistency is their verdict.
+this sequence, which all spaces share.  'f' and 'f_pair' are sums of W
+components, so one W projection serves W1..W8, 'f' and 'f_pair'.
+`dimension_reports` draws each index's noise once, for 'co' and 'r', projects
+it CHUNK tensors at a time once per W or A family, and holds each stack as
+co(V) coordinate rows; `sample` and the invariant suite's blocks draw through
+`_stack`.  `curvdec dims` prints the reports, and the suite's
+dimension_consistency is their verdict.
 """
 from __future__ import annotations
 
@@ -116,50 +117,43 @@ def _normalize(stack, floor: float) -> np.ndarray:
     return stack
 
 
-def _project(space: str, base, g: ScalarProduct) -> np.ndarray:
-    """The (unnormalized) image of a stack of 'r' samples in the space."""
+def _family(space: str):
+    """The projector whose components build the space ('f' and 'f_pair' from W's), or None."""
+    return {"f": w_projections, "W": w_projections, "A": a_projections}.get(space[0])
+
+
+def _project(space: str, base, g: ScalarProduct, comps=None) -> np.ndarray:
+    """The (unnormalized) image of a stack of 'r' samples in the space;
+    comps, if given, are the components of base under the space's `_family`."""
     if space == "a":
         return psi(base)
     if space == "s":
         return mu(base)
     if space == "a_plus_s":
         return psi(base) + mu(base)
-    if space == "f":
-        return base - w_projections(base, g)[2]
-    if space == "f_pair":
-        w = w_projections(base, g)
-        return base - w[2] - w[3] - w[7]
     if space == "p":
         return projective_part(base, g)
     if space == "t":
         return traceless_core(base, g)
-    comps = w_projections(base, g) if space[0] == "W" else a_projections(base, g)
+    comps = _family(space)(base, g) if comps is None else comps
+    if space == "f":
+        return base - comps[2]
+    if space == "f_pair":
+        return base - comps[2] - comps[3] - comps[7]
     return comps[int(space[1:]) - 1]
 
 
-def _stack(space: str, g: ScalarProduct, seed: int, indices, base=None) -> np.ndarray:
+def _stack(space: str, g: ScalarProduct, seed: int, indices) -> np.ndarray:
     """The samples of a space at these stream indices, stacked (k', n, n, n, n).
 
     An index whose projection is at roundoff scale (the space is empty there)
-    is left out.  base, if given, holds the 'r' samples of the same indices.
+    is left out.
     """
-    n = g.dim
-    out = np.empty((len(indices),) + (n,) * 4)
-    used = 0
-    for lo in range(0, len(indices), CHUNK):
-        part = indices[lo : lo + CHUNK]
-        if space == "co":
-            noise = _noise((n,) * 4, seed, part)
-            rows = _normalize(0.5 * (noise - np.swapaxes(noise, -4, -3)), EMPTY_NORM)
-        else:
-            if base is not None:
-                r = base[lo : lo + CHUNK]
-            else:  # the Bianchi projection of noise is never at roundoff scale: no floor
-                r = _normalize(bianchi_project(_noise((n,) * 4, seed, part)), 0.0)
-            rows = r if space == "r" else _normalize(_project(space, r, g), EMPTY_NORM)
-        out[used : used + len(rows)] = rows
-        used += len(rows)
-    return out[:used]
+    noise = _noise((g.dim,) * 4, seed, indices)
+    if space == "co":
+        return _normalize(0.5 * (noise - np.swapaxes(noise, -4, -3)), EMPTY_NORM)
+    r = _normalize(bianchi_project(noise), 0.0)  # never at roundoff scale: no floor
+    return r if space == "r" else _normalize(_project(space, r, g), EMPTY_NORM)
 
 
 def sample(
@@ -231,23 +225,30 @@ def numerical_rank(rows: np.ndarray, floor: float = 0.0) -> tuple[int, float | N
     return rank, gap
 
 
-def _components(proj, spaces, counts, base, g: ScalarProduct) -> dict[str, np.ndarray]:
-    """`_stack` of the named W or A blocks from one proj call per CHUNK rows of base;
-    each block copies its own rows, so no chunk's eight components outlive its pass."""
-    out = {space: np.empty((counts[space],) + base.shape[1:]) for space in spaces}
-    for lo in range(0, max((counts[space] for space in spaces), default=0), CHUNK):
-        comps = proj(base[lo : lo + CHUNK], g)
-        for space, rows in out.items():
-            part = rows[lo : lo + CHUNK]
-            part[...] = comps[int(space[1:]) - 1][: len(part)]
-    return {space: _normalize(rows, EMPTY_NORM) for space, rows in out.items()}
+def _report(space: str, n: int, rows) -> DimensionReport:
+    """The report of a space's samples, given as co(V) coordinate rows."""
+    rank, gap = numerical_rank(rows)
+    inconclusive = gap < GAP_RATIO if gap is not None else 0 < rank == len(rows)
+    return DimensionReport(space, rank, formula_dim(space, n), len(rows), gap, inconclusive)
 
 
-def _report(space: str, n: int, stack) -> DimensionReport:
+def _rank_pass(spaces, counts, n: int, images, top: int = 0) -> dict[str, DimensionReport]:
+    """Report each space from one walk over its indices, CHUNK at a time.
+
+    images(lo, live) gives the unnormalized rows from index lo of each live
+    space (one with more than lo samples); the walk goes on to top if that is
+    further.  The rows are normalized in place, left out below EMPTY_NORM as in
+    `_stack`, and held as preallocated co(V) coordinate rows until ranked.
+    """
     i, j = np.triu_indices(n, 1)  # co(V) coordinates: the first-pair entries with i < j
-    rank, gap = numerical_rank(stack[:, i, j].reshape(len(stack), n**3 * (n - 1) // 2))
-    inconclusive = gap < GAP_RATIO if gap is not None else 0 < rank == len(stack)
-    return DimensionReport(space, rank, formula_dim(space, n), len(stack), gap, inconclusive)
+    rows = {s: np.empty((counts[s], len(i) * n * n)) for s in spaces}
+    used = dict.fromkeys(spaces, 0)
+    for lo in range(0, max([top] + [counts[s] for s in spaces]), CHUNK):
+        for space, chunk in images(lo, [s for s in spaces if counts[s] > lo]).items():
+            chunk = _normalize(chunk[: counts[space] - lo], EMPTY_NORM)[:, i, j]
+            start, used[space] = used[space], used[space] + len(chunk)
+            rows[space][start : used[space]] = chunk.reshape(len(chunk), len(i) * n * n)
+    return {space: _report(space, n, rows.pop(space)[: used[space]]) for space in spaces}
 
 
 def dimension_reports(
@@ -273,19 +274,23 @@ def dimension_reports(
     fdims = {s: formula_dim(s, n) for s in spaces}
     counts = {s: max(2 * d, 8) if samples is None else samples for s, d in fdims.items()}
     g = _scalar_product(n, signature)
-    reports = {}
-    if "co" in counts:  # 'co' is drawn from the noise itself: rank it before the base exists
-        reports["co"] = _report("co", n, _stack("co", g, seed, range(counts["co"])))
-    rest = [space for space in counts if space != "co"]
-    if rest:
-        base = _stack("r", g, seed, range(max(counts[space] for space in rest)))
-        for letter, proj in (("W", w_projections), ("A", a_projections)):
-            family = [space for space in rest if space[0] == letter]
-            stacks = _components(proj, family, counts, base, g)
-            while stacks:  # a block's copy is freed once it is ranked
-                space, stack = stacks.popitem()
-                reports[space] = _report(space, n, stack)
-        for space in [space for space in rest if space not in reports]:
-            k = counts[space]
-            reports[space] = _report(space, n, _stack(space, g, seed, range(k), base[:k]))
+    base = np.empty((max([counts[s] for s in counts if s != "co"], default=0),) + (n,) * 4)
+
+    def draw(lo, live):  # one noise draw per index: 'co' antisymmetrizes it, 'r' projects it
+        noise = _noise((n,) * 4, seed, range(lo, min(lo + CHUNK, max(counts.values()))))
+        if lo < len(base):  # the Bianchi projection of noise is never at roundoff scale: no floor
+            base[lo : lo + CHUNK] = _normalize(bianchi_project(noise[: len(base) - lo]), 0.0)
+        co = 0.5 * (noise - np.swapaxes(noise, -4, -3)) if "co" in live else None
+        # 'r' rows have unit max-norm already, so normalizing them again changes no bit
+        return {space: co if space == "co" else base[lo : lo + CHUNK] for space in live}
+
+    def project(lo, live):  # one projector call per chunk serves a family's spaces
+        chunk, proj = base[lo : lo + CHUNK], _family(live[0])
+        comps = None if proj is None else proj(chunk, g)
+        return {space: _project(space, chunk, g, comps) for space in live}
+
+    reports = _rank_pass([s for s in ("co", "r") if s in counts], counts, n, draw, len(base))
+    for family in (w_projections, a_projections, None):
+        group = [s for s in counts if s not in ("co", "r") and _family(s) is family]
+        reports.update(_rank_pass(group, counts, n, project))
     return {space: reports[space] for space in spaces}

@@ -37,6 +37,7 @@ from .sampling import (
     EMPTY_NORM,
     _noise,
     _normalize,
+    _project,
     _stack,
     dimension_reports,
     numerical_rank,
@@ -94,7 +95,8 @@ class _Ctx:
     """One block of a (dimension, signature) point: the k sample indices from lo.
 
     Every stack and every stack's W and A components are computed once, at
-    k rows or at the most rows a check asks for, and kept read-only.
+    k rows or, for the missing rows only, at the most rows a check asks for,
+    and kept read-only.  One W pass of 'r' also serves 'f' and 'f_pair'.
     """
 
     def __init__(self, n: int, sig, cfg: SuiteConfig, lo: int):
@@ -114,8 +116,12 @@ class _Ctx:
         have = 0 if rows is None else len(rows)
         if have < count:  # draw only the missing indices: each has its own stream
             drawn = max(count, self.k)
-            base = None if space in ("r", "co") else self.stack("r", drawn)[have:]
-            more = _stack(space, self.g, self.seed, range(self.lo + have, self.lo + drawn), base)
+            if space in ("r", "co"):
+                more = _stack(space, self.g, self.seed, range(self.lo + have, self.lo + drawn))
+            else:  # 'f' and 'f_pair' are sums of the W components of their 'r' rows
+                base = self.stack("r", drawn)[have:]
+                w = self.comps("r", w_projections, drawn)[:, have:] if space[0] == "f" else None
+                more = _normalize(_project(space, base, self.g, w), EMPTY_NORM)
             if len(more) < drawn - have:  # a dropped row would misalign the stack with its indices
                 raise EmptySpace(f"a projected {space!r} sample is below max-norm {EMPTY_NORM:.0e}")
             self._rows[space] = rows = more if rows is None else np.concatenate((rows, more))
@@ -125,8 +131,10 @@ class _Ctx:
     def comps(self, space: str, proj, count: int) -> np.ndarray:
         """proj's eight components of stack(space, count), one read-only (8, count, ...) stack."""
         comps = self._comps.get((space, proj))
-        if comps is None or comps.shape[1] < count:
-            comps = np.stack(proj(self.stack(space, max(count, self.k)), self.g))
+        have = 0 if comps is None else comps.shape[1]
+        if have < count:  # project only the missing rows
+            more = np.stack(proj(self.stack(space, max(count, self.k))[have:], self.g))
+            comps = more if comps is None else np.concatenate((comps, more), axis=1)
             comps.flags.writeable = False
             self._comps[(space, proj)] = comps
         return comps[:, :count]

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -218,6 +220,27 @@ def test_cli_verify_zero_tolerance_fails():
     fails = [k for k, v in rep.items() if not v["pass"]]
     assert "w_completeness" in fails and "a_completeness" in fails
     assert len(fails) >= len(rep) // 2
+
+
+# stdout SHA-256 of the default `verify` and of `dims --dim 5` at one BLAS thread
+OUTPUT_PINS = [
+    (("verify",), "55038c5349ebb80799392d30e85e50fda3a2818ed49c6d687a09bccd9a5555e9"),
+    (("dims", "--dim", "5"), "410bfa40e460b1d1e83c54ef37fe3e29d3a10b82bea6f86fdc34b604b2ac3cfa"),
+]
+
+
+@pytest.mark.parametrize("args,digest", OUTPUT_PINS, ids=["verify", "dims5"])
+def test_cli_output_pinned(args, digest):
+    """A speed-up must leave these reports byte-identical.
+
+    A change that alters them on purpose updates the pin and says why in
+    CHANGES.md.  `dims` prints singular-value gaps whose last bits depend on
+    the BLAS kernel and its thread count, so it runs at one BLAS thread; the
+    pin is that of numpy's bundled OpenBLAS on x86-64.
+    """
+    r = run_cli(*args, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
 
 def test_cli_chart_reports(tmp_path):

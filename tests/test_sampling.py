@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -82,12 +84,11 @@ def reference_report(space, n, sig, seed):
     return DimensionReport(space, rank, fdim, len(rows), gap, inconclusive)
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_stacked_sampler_equals_reference_loop(n):
+def _compare_with_reference(n, spaces):
     for sig in ((n, 0), (n - 1, 1)):
         reports = dimension_reports(n, sig, seed=n)
         assert list(reports) == list(SAMPLE_SPACES)
-        for space in SAMPLE_SPACES:
+        for space in spaces:
             assert reports[space] == reference_report(space, n, sig, n), space
             for index in (0, 7, (5, 2)):
                 want = reference_sample(space, n, sig, 11, index)
@@ -99,18 +100,28 @@ def test_stacked_sampler_equals_reference_loop(n):
 
 
 @pytest.mark.parametrize("n", [3, 4])
+def test_stacked_sampler_equals_reference_loop(n):
+    _compare_with_reference(n, SAMPLE_SPACES)
+
+
+def test_one_noise_draw_and_one_w_pass_equal_reference_loop_n5():
+    # the spaces that share a pass: 'co' and 'r' one noise draw, the W blocks,
+    # 'f' and 'f_pair' one W projection per chunk
+    _compare_with_reference(5, ("co", "r", "f", "f_pair", *(f"W{j}" for j in range(1, 9))))
+
+
+@pytest.mark.parametrize("n", [3, 4])
 def test_cov_rank_agrees_with_full_rank(n):
     # the same default-sized stacks ranked over all n**4 columns (the rule before
     # co(V) coordinates) and over the co(V) columns: equal ranks and verdicts
     for sig in ((n, 0), (n - 1, 1)):
         g = standard_scalar_product(*sig)
-        base = sampling._stack("r", g, n, range(2 * formula_dim("r", n)))
         for space in SAMPLE_SPACES:
             k = max(2 * formula_dim(space, n), 8)
-            stack = sampling._stack(space, g, n, range(k), None if space == "co" else base[:k])
+            stack = sampling._stack(space, g, n, range(k))
             rank, gap = numerical_rank(stack.reshape(len(stack), n**4))
             full_inconclusive = gap is not None and gap < GAP_RATIO or gap is None and rank > 0
-            rep = sampling._report(space, n, stack)
+            rep = sampling._report(space, n, np.array([cov_coordinates(t, n) for t in stack]))
             assert (rep.empirical_dim, rep.inconclusive) == (rank, full_inconclusive), space
             assert rank == rep.formula_dim and not rep.inconclusive, space
             # both gaps clear GAP_RATIO, but for an empty space and for 'co' in co(V)
@@ -329,16 +340,38 @@ def test_family_ranked_from_one_projection_per_chunk(monkeypatch, family):
         assert reports[space].empirical_dim == reports[space].formula_dim, space
 
 
-def test_family_pass_gives_the_per_space_stacks():
-    # bit for bit the rows `_stack` projects for each block alone
-    g = standard_scalar_product(3, 1)
-    counts = {f"{f}{j}": max(2 * formula_dim(f"{f}{j}", 4), 8) for f in "WA" for j in range(1, 9)}
-    base = sampling._stack("r", g, 0, range(max(counts.values())))
-    for letter, proj in (("W", w_projections), ("A", a_projections)):
-        spaces = [space for space in counts if space[0] == letter]
-        for space, stack in sampling._components(proj, spaces, counts, base, g).items():
-            k = counts[space]
-            assert np.array_equal(stack, sampling._stack(space, g, 0, range(k), base[:k])), space
+def test_family_pass_gives_the_per_space_stacks(monkeypatch):
+    # bit for bit the co(V) coordinates of the rows `_stack` draws for each space
+    # alone, though 'co' and 'r' share one noise draw and each family (with 'f'
+    # and 'f_pair' in W's) one projection per chunk
+    g, ranked, real = standard_scalar_product(3, 1), {}, sampling._report
+
+    def keep(space, n, rows):
+        ranked[space] = rows
+        return real(space, n, rows)
+
+    monkeypatch.setattr(sampling, "_report", keep)
+    assert set(dimension_reports(4, (3, 1))) == set(ranked)
+    for space, rows in ranked.items():
+        stack = sampling._stack(space, g, 0, range(max(2 * formula_dim(space, 4), 8)))
+        assert np.array_equal(rows, np.array([cov_coordinates(t, 4) for t in stack])), space
+
+
+@pytest.mark.parametrize("n,w_calls,draws", [(5, 12, 500), (6, 26, 1080)])
+def test_one_w_pass_and_one_noise_draw_per_index(monkeypatch, n, w_calls, draws):
+    # one w_projections call per CHUNK rows of the largest of the W blocks, 'f'
+    # and 'f_pair' (the 2 dim(f) 'f' rows), and one stream per index of the
+    # largest stack, 'co', which 'r' shares
+    calls = Counter()
+    for name in ("w_projections", "rng_stream"):
+        real = getattr(sampling, name)
+        counted = lambda *args, name=name, real=real: calls.update([name]) or real(*args)
+        monkeypatch.setattr(sampling, name, counted)
+    monkeypatch.setattr(sampling, "numerical_rank", lambda rows: (0, None))  # skip the SVDs
+    dimension_reports(n)
+    assert calls == {"w_projections": w_calls, "rng_stream": draws}
+    assert w_calls == -(-2 * formula_dim("f", n) // sampling.CHUNK)
+    assert draws == 2 * formula_dim("co", n)
 
 
 def test_numerical_rank_floor():

@@ -7,7 +7,6 @@ import pytest
 import curvdec.sampling as sampling
 import curvdec.suite as suite
 from curvdec.errors import CurvdecError, EmptyRun, NegativeStreamKey, UnknownCheck
-from curvdec.linalg import standard_scalar_product
 from curvdec.sampling import sample
 from curvdec.suite import CHECKS, SuiteConfig, run_invariant_suite
 
@@ -121,8 +120,9 @@ def test_checks_read_the_one_sample_sequence(monkeypatch):
     for samples, blocks in ((3, {(0, 3)}), (suite.CHUNK + 1, {(0, suite.CHUNK), (suite.CHUNK, 1)})):
         read.clear()
         cfg = SuiteConfig(dims=(4,), signatures=((3, 1),), samples=samples, seed=5)
-        run_invariant_suite(cfg, only=["ricci_symmetry_equivalence", "ricci_conjugate_trace"])
-        assert {space for space, _, _ in read} == {"r", "co", "a_plus_s", "f_pair"}
+        only = ["ricci_symmetry_equivalence", "ricci_conjugate_trace", "projective_part"]
+        run_invariant_suite(cfg, only=only)
+        assert {space for space, _, _ in read} == {"r", "co", "a_plus_s", "f_pair", "f", "t"}
         assert {(lo, len(rows)) for _, lo, rows in read} == blocks
         for space, lo, rows in read:
             for i, row in enumerate(rows):
@@ -255,41 +255,69 @@ def test_fault_in_tail_block_is_seen(monkeypatch):
 def test_each_block_projects_once(monkeypatch):
     # at one grid point of a default-sized run (one block), every space is drawn
     # or projected once, and each stack's W and A components under the point's
-    # metric are computed once per family; dimension_consistency reads the
-    # point's `dims` reports, which draw their own rows and touch no block stack
-    cfg = SuiteConfig(dims=(3,), signatures=((3, 0),))
-    metric = standard_scalar_product(3, 0).matrix
+    # metric are computed once per family; 'f' and 'f_pair' are sums of the 'r'
+    # W components, so sampling's projectors never see a block's rows.
+    # dimension_consistency reads the point's `dims` reports, which draw their
+    # own rows and touch no block stack
     drawn, projected = {}, Counter()
-    stack = suite._stack
 
-    def counting_stack(space, *args):
-        out = stack(space, *args)
-        drawn.setdefault(space, []).append(out)
-        return out
+    def counting_draw(build):
+        def wrapper(space, *args):
+            out = build(space, *args)
+            drawn.setdefault(space, []).append(out)
+            return out
 
-    def counting(proj):
-        def wrapper(t, g):
+        return wrapper
+
+    def counting(proj, name):
+        def wrapper(t, g):  # the point's metric is the identity: signature (n, 0)
             for space, outs in drawn.items():
                 shared = any(np.may_share_memory(t, o) for o in outs)
-                projected[proj.__name__, space] += shared and np.array_equal(g.matrix, metric)
+                on_point = np.array_equal(g.matrix, np.eye(g.dim))
+                projected[name, space] += shared and on_point
             return proj(t, g)
 
         return wrapper
 
-    monkeypatch.setattr(suite, "_stack", counting_stack)
+    for build in ("_stack", "_project"):
+        monkeypatch.setattr(suite, build, counting_draw(getattr(suite, build)))
+    for module, prefix in ((suite, ""), (sampling, "sampling.")):
+        for proj in (module.w_projections, module.a_projections):
+            monkeypatch.setattr(module, proj.__name__, counting(proj, prefix + proj.__name__))
+    spaces = ("r", "co", "a", "s", "f", "p", "t", "a_plus_s", "f_pair")
+    for n in (3, 4):
+        drawn.clear()
+        projected.clear()
+        run_invariant_suite(SuiteConfig(dims=(n,), signatures=((n, 0),)))
+        # at n = 4 ricci_image_dimensions asks block 0 for 2n(n+1) + 8 = 48 'r'
+        # rows, more than the block's CHUNK: only the 16 missing ones are drawn
+        rows = [sampling.CHUNK] if n == 3 else [sampling.CHUNK, 48 - sampling.CHUNK]
+        assert [len(out) for out in drawn["r"]] == rows
+        once = {space: len(outs) for space, outs in drawn.items() if space != "r"}
+        assert once == dict.fromkeys(spaces[1:], 1)
+        assert +projected == {
+            (proj, space): 1
+            for proj in ("w_projections", "a_projections")
+            for space in ("r", "a_plus_s", "f_pair")
+        }
+
+
+def test_memo_miss_projects_only_the_missing_rows(monkeypatch):
+    # at 5 samples the completeness checks take the components of 5 'r' rows and
+    # the orthogonality checks of 10: only the 5 missing rows are projected again
+    cfg = SuiteConfig(dims=(3,), signatures=((3, 0),), samples=5)
+    r = np.stack([sample("r", 3, (3, 0), 0, index=i) for i in range(10)])
+    seen = Counter()
+
+    def counting(proj):
+        def wrapper(t, g):
+            is_r = np.ndim(t) == 5 and any(np.array_equal(t, r[i : i + len(t)]) for i in range(10))
+            seen[proj.__name__] += len(t) if is_r and np.array_equal(g.matrix, np.eye(3)) else 0
+            return proj(t, g)
+
+        return wrapper
+
     for proj in (suite.w_projections, suite.a_projections):
         monkeypatch.setattr(suite, proj.__name__, counting(proj))
     run_invariant_suite(cfg)
-    spaces = ("r", "co", "a", "s", "f", "p", "t", "a_plus_s", "f_pair")
-    assert {space: len(outs) for space, outs in drawn.items()} == dict.fromkeys(spaces, 1)
-    assert +projected == {
-        (proj, space): 1
-        for proj in ("w_projections", "a_projections")
-        for space in ("r", "a_plus_s", "f_pair")
-    }
-    # at n = 4 ricci_image_dimensions asks block 0 for 2n(n+1) + 8 = 48 'r'
-    # rows, more than the block's CHUNK: only the 16 missing ones are drawn
-    drawn.clear()
-    run_invariant_suite(SuiteConfig(dims=(4,), signatures=((4, 0),)))
-    assert [len(out) for out in drawn["r"]] == [sampling.CHUNK, 48 - sampling.CHUNK]
-    assert {space: len(outs) for space, outs in drawn.items() if space != "r"} == dict.fromkeys(spaces[1:], 1)
+    assert seen == {"w_projections": 10, "a_projections": 10}
