@@ -31,6 +31,8 @@ from .spaces import conjugate, membership_residual, ricci, scalar_curvature
 
 CONNECTIONS = ("levi_civita", "nabla", "nabla_star")
 _SIGNS = {"levi_civita": 0.0, "nabla": 1.0, "nabla_star": -1.0}
+# np.einsum_path's choice for the Pick norm at every n = 3..40, so no request searches
+_PICK_PATH = ["einsum_path", (0, 3), (0, 2), (1, 2), (0, 1)]
 
 
 def _as_poly(value, nvars):
@@ -249,7 +251,7 @@ def conjugate_triple_report(chart: PolyChart, point) -> TripleReport:
     cflat = np.einsum("ijk,il->ljk", cup, gm)
     t_form = np.einsum("hhj->j", cup) / n
     t_vec = gi @ t_form
-    norm_c2 = float(np.einsum("ia,jb,kc,ijk,abc->", gi, gi, gi, cflat, cflat, optimize=True))
+    norm_c2 = float(np.einsum("ia,jb,kc,ijk,abc->", gi, gi, gi, cflat, cflat, optimize=_PICK_PATH))
     norm_t2 = float(t_form @ gi @ t_form)
     pick = norm_c2 / (n * (n - 1))
     tau = scalar_curvature(r, g)

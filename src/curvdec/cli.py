@@ -1,15 +1,17 @@
 """Command-line interface: decompose, sample, dims, verify, chart.
 
 All results are JSON on stdout; diagnostics go to stderr.  Exit codes:
-0 success, 1 data error, 2 usage error, 3 verification failure.
+0 success, 1 data error, 2 usage error, 3 verification failure.  ``main(argv)``
+may be called repeatedly in one process; it builds its parser once, on first use.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
-from .charts import conjugate_triple_report, curvature_at
+from .charts import CONNECTIONS, conjugate_triple_report, curvature_at
 from .decomp import a_decompose, singer_thorpe, w_decompose
 from .errors import CurvdecError, EmptyRun, NegativeStreamKey, UnknownCheck
 from .jsonio import (
@@ -133,22 +135,20 @@ def _cmd_chart(args) -> int:
     if len(args.point) != chart.dim:
         raise _UsageError(f"point has {len(args.point)} coordinates, chart dim is {chart.dim}")
     if args.report == "triple":
-        rep = conjugate_triple_report(chart, args.point)
-        _emit(triple_report_document(rep), args.output)
-        return 0
-    g = chart._point_data(args.point)["g"]
-    doc = {
-        "point": list(args.point),
-        "curvatures": {
+        doc = triple_report_document(conjugate_triple_report(chart, args.point))
+    else:
+        g = chart._point_data(args.point)["g"]
+        curvatures = {
             which: tensor_document(curvature_at(chart, args.point, which), g, include_g=True)
-            for which in ("levi_civita", "nabla", "nabla_star")
-        },
-    }
+            for which in CONNECTIONS
+        }
+        doc = {"point": list(args.point), "curvatures": curvatures}
     _emit(doc, args.output)
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvdec",
         description="Curvature tensor decompositions over pseudo-Euclidean scalar products.",
@@ -158,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="split a tensor document into components")
     p.add_argument("--mode", choices=("w", "a", "st"), required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--output")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("sample", help="draw a reproducible subspace sample")
@@ -166,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--signature", type=_signature)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("dims", help="empirical dimension reports for all spaces")
@@ -174,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signature", type=_signature)
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output")
     p.set_defaults(func=_cmd_dims)
 
     p = sub.add_parser("verify", help="run the invariant suite")
@@ -184,16 +181,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=_tolerance, default=1e-9)
-    p.add_argument("--output")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("chart", help="evaluate a polynomial chart at a point")
     p.add_argument("--input", required=True)
     p.add_argument("--point", type=_point, required=True)
     p.add_argument("--report", choices=("curvature", "triple"), default="curvature")
-    p.add_argument("--output")
     p.set_defaults(func=_cmd_chart)
 
+    for p in sub.choices.values():
+        p.add_argument("--output")
     return parser
 
 
@@ -203,21 +200,16 @@ def main(argv=None) -> int:
         # argparse takes a value such as "-0.1,0.2,0.3" for an option; attach it
         i = argv.index("--point")
         argv[i : i + 2] = [f"--point={argv[i + 1]}"]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse exits on --help and on a usage error
+        return int(exc.code or 0)
     except (_UsageError, EmptyRun, NegativeStreamKey, UnknownCheck) as exc:
         # the library's refusals of an option value are usage errors too
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CurvdecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # a missing file, a directory, no permission
+    except (CurvdecError, OSError) as exc:  # OSError: a missing file, a directory, no permission
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,8 +6,10 @@ shortest-representation formatting used by the json module.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+from itertools import permutations
 
 import numpy as np
 
@@ -56,14 +58,25 @@ def _as_int(value, path):
 
 def _as_number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(path, f"expected a number, got {value!r}")
+        raise SchemaError(path(), f"expected a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the double range
         number = math.inf
     if not math.isfinite(number):
-        raise SchemaError(path, "expected a finite number")
+        raise SchemaError(path(), "expected a finite number")
     return number
+
+
+def _as_numbers(values, path) -> np.ndarray:
+    """values as a float array, as _as_number reads each; path(i) names entry i and is
+    built only for the first entry refused."""
+    if all(type(v) is float or type(v) is int for v in values):
+        with contextlib.suppress(OverflowError):  # refused below, as by _as_number
+            array = np.array(values, dtype=float)
+            if np.isfinite(array).all():
+                return array
+    return np.array([_as_number(v, lambda i=i: path(i)) for i, v in enumerate(values)])
 
 
 def parse_tensor(data) -> tuple[np.ndarray, ScalarProduct]:
@@ -85,8 +98,7 @@ def parse_tensor(data) -> tuple[np.ndarray, ScalarProduct]:
         raise SchemaError("$.R", "expected a flat array")
     if len(flat) != n**4:
         raise LengthMismatch("$.R", f"expected {n**4} entries, got {len(flat)}")
-    values = [_as_number(v, f"$.R[{i}]") for i, v in enumerate(flat)]
-    tensor = np.array(values).reshape(n, n, n, n)
+    tensor = _as_numbers(flat, lambda i: f"$.R[{i}]").reshape(n, n, n, n)
     if "g" in doc:
         gm = doc["g"]
         if (
@@ -95,7 +107,7 @@ def parse_tensor(data) -> tuple[np.ndarray, ScalarProduct]:
             or any(not isinstance(row, list) or len(row) != n for row in gm)
         ):
             raise SchemaError("$.g", f"expected an {n}x{n} matrix")
-        matrix = [[_as_number(v, f"$.g[{i}][{j}]") for j, v in enumerate(row)] for i, row in enumerate(gm)]
+        matrix = [_as_numbers(row, lambda j, i=i: f"$.g[{i}][{j}]") for i, row in enumerate(gm)]
         g = build_scalar_product(matrix)
         if g.signature != (p, q):
             raise SchemaError(
@@ -106,10 +118,6 @@ def parse_tensor(data) -> tuple[np.ndarray, ScalarProduct]:
     return tensor, g
 
 
-def _is_standard(g: ScalarProduct) -> bool:
-    return bool(np.array_equal(g.matrix, standard_scalar_product(*g.signature).matrix))
-
-
 def tensor_document(tensor, g: ScalarProduct, include_g: bool | None = None) -> dict:
     tensor = np.asarray(tensor, dtype=float)
     doc = {
@@ -118,7 +126,7 @@ def tensor_document(tensor, g: ScalarProduct, include_g: bool | None = None) -> 
         "R": tensor.ravel().tolist(),
     }
     if include_g is None:
-        include_g = not _is_standard(g)
+        include_g = not np.array_equal(g.matrix, standard_scalar_product(*g.signature).matrix)
     if include_g:
         doc["g"] = g.matrix.tolist()
     return doc
@@ -198,7 +206,7 @@ def _parse_poly(entry, n, path):
             raise SchemaError(f"{path}[{ekey!r}]", "non-integer exponent") from exc
         if any(e < 0 for e in exps):
             raise SchemaError(f"{path}[{ekey!r}]", "negative exponent")
-        terms[exps] = _as_number(coeff, f"{path}[{ekey!r}]")
+        terms[exps] = _as_number(coeff, lambda: f"{path}[{ekey!r}]")
     return Poly(n, terms)
 
 
@@ -222,8 +230,6 @@ def parse_chart(data) -> PolyChart:
         if not isinstance(cubic_doc, dict):
             raise SchemaError("$.cubic", "expected an object")
         cubic = [[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        from itertools import permutations
-
         for key, entry in cubic_doc.items():
             idx = _parse_indices(key, 3, n, f"$.cubic[{key!r}]")
             p = _parse_poly(entry, n, f"$.cubic[{key!r}]")

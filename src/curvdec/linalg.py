@@ -176,7 +176,7 @@ def tensor_pairing(t1, t2, g: ScalarProduct) -> float | np.ndarray:
         np.broadcast_shapes(t1.shape, t2.shape)
     except ValueError:
         raise DimensionMismatch(f"shapes {t1.shape} and {t2.shape} do not broadcast") from None
-    raised = t1
-    for _ in range(4):  # each step raises the leading index and moves it last
-        raised = np.moveaxis(raised, -4, -1) @ g.inverse
+    raised, order = t1, (*range(t1.ndim - 4), -3, -2, -1, -4)
+    for _ in range(4):  # each step moves the leading index last and raises it
+        raised = raised.transpose(order) @ g.inverse
     return _per_tensor(np.sum(raised * t2, axis=(-4, -3, -2, -1)))

@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 import pytest
 
+from curvdec import charts
 from curvdec.charts import (
     CONNECTIONS,
     PolyChart,
@@ -260,6 +261,20 @@ def test_dense_chart_beyond_dimension_three(n):
     for which in CONNECTIONS:
         exact = curvature_at(chart, point, which)
         assert np.max(np.abs(exact - fd_curvature(chart, point, which))) <= 1e-7
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_pick_invariant_equals_searched_einsum_path(n):
+    # the report contracts the Pick norm along a fixed path; a path search must give the same bits
+    rng = np.random.default_rng(70 + n)
+    chart = random_chart(rng, n, dense=True)
+    point = rng.uniform(-0.4, 0.4, n)
+    g = chart.metric_at(point)
+    cflat = np.einsum("ijk,il->ljk", charts._cubic_raised(chart, point)[0], g.matrix)
+    operands = ("ia,jb,kc,ijk,abc->", g.inverse, g.inverse, g.inverse, cflat, cflat)
+    assert np.einsum_path(*operands, optimize=True)[0] == charts._PICK_PATH
+    norm_c2 = float(np.einsum(*operands, optimize=True))
+    assert conjugate_triple_report(chart, point).pick_invariant == norm_c2 / (n * (n - 1))
 
 
 def test_point_data_follows_the_point():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -67,6 +68,26 @@ def test_non_finite_numbers_rejected():
     doc["g"] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]]
     with pytest.raises(SchemaError, match=r"\$\.g\[2\]\[2\]"):
         parse_tensor(dumps(doc).replace("0.0, 0.5]", "0.0, 1e400]", 1))
+
+
+def test_numbers_read_exactly_and_first_bad_entry_named():
+    # ints, floats and integers past 2**63 read as float(v); the error names the first bad entry
+    flat = [1, 0.5, 2**53 + 1, -(2**70) - 3, 2**64 - 1] + [0.25] * 76
+    tensor, _ = parse_tensor(dumps({"dim": 3, "signature": [3, 0], "R": flat}))
+    assert tensor.ravel().tolist() == [float(v) for v in flat]
+    for bad, message in (("x", "expected a number, got 'x'"), (True, "expected a number, got True"),
+                         (None, "expected a number, got None"), (10**400, "expected a finite number")):
+        doc = {"dim": 3, "signature": [3, 0], "R": [0.0] * 81}
+        doc["R"][7], doc["R"][30] = bad, "y"
+        with pytest.raises(SchemaError, match=re.escape(f"$.R[7]: {message}")):
+            parse_tensor(dumps(doc))
+        doc["R"][7] = 0.0
+        doc["g"] = [[1, 0, 0], [0, 1, bad], ["z", 0, 1]]
+        with pytest.raises(SchemaError, match=re.escape("$.R[30]: expected a number, got 'y'")):
+            parse_tensor(dumps(doc))
+        doc["R"][30] = 0
+        with pytest.raises(SchemaError, match=re.escape(f"$.g[1][2]: {message}")):
+            parse_tensor(dumps(doc))
 
 
 def test_degenerate_metric_in_document():
@@ -307,6 +328,45 @@ def test_main_callable_directly(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert json.loads(out)["mode"] == "A"
+
+
+def test_main_calls_in_one_process_stay_independent(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process; each call must still behave like a fresh run
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    g = standard_scalar_product(2, 1)
+    tensor = tmp_path / "gg.json"
+    tensor.write_text(dumps(tensor_document(wedge(g.matrix, g.matrix), g)))
+    chart = tmp_path / "chart.json"
+    chart.write_text(dumps(chart_doc()))
+    calls = [
+        (["decompose", "--mode", "x", "--input", str(tensor)], 2),
+        (["decompose", "--mode", "w", "--input", str(tmp_path / "nope.json")], 1),
+        (["decompose", "--help"], 0),
+        (["decompose", "--mode", "w", "--input", str(tensor)], 0),
+        (["chart", "--input", str(chart), "--point", "-0.1,0.2,0.3"], 0),
+    ]
+    fresh = [run_cli(*argv) for argv, _ in calls]
+    for _ in range(2):
+        for (argv, code), ref in zip(calls, fresh):
+            given = list(argv)
+            assert main(given) == code == ref.returncode
+            assert given == argv
+            out = capsys.readouterr()
+            assert (out.out, out.err) == (ref.stdout, ref.stderr)
+
+
+def test_parser_is_built_on_first_call_not_at_import():
+    code = (
+        "import curvdec.cli as cli\n"
+        "assert not hasattr(cli, 'build_parser')\n"
+        "assert cli._parser.cache_info().currsize == 0\n"
+        "assert cli.main(['verify', '--samples', '0']) == 2\n"
+        "assert cli.main(['verify', '--tol', 'x']) == 2\n"
+        "info = cli._parser.cache_info()\n"
+        "assert (info.currsize, info.misses, info.hits) == (1, 1, 1), info\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
 
 
 def test_cli_chart_negative_first_coordinate(tmp_path, capsys):

@@ -195,6 +195,35 @@ def test_pairing_dimension_mismatch():
         tensor_pairing(np.zeros((4,) * 4), np.zeros((4,) * 4), g)
 
 
+def pairing_moveaxis_reference(t1, t2, ginv):
+    """The pairing as it was first written: one np.moveaxis per raised index."""
+    raised = t1
+    for _ in range(4):
+        raised = np.moveaxis(raised, -4, -1) @ ginv
+    return np.sum(raised * t2, axis=(-4, -3, -2, -1))
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 8])
+def test_pairing_bit_identical_to_moveaxis_reference(n):
+    # the kernel moves axes with one transpose; every matmul must see the same operands
+    rng = np.random.default_rng(100 + n)
+    a = np.eye(n) + 0.3 * rng.uniform(-1, 1, (n, n))
+    g = build_scalar_product(a.T @ np.diag([1.0] * (n - 1) + [-1.0]) @ a)
+    assert not np.array_equal(g.matrix, np.diag(np.diag(g.matrix)))
+    cases = [
+        ((n,) * 4, (n,) * 4),
+        ((5,) + (n,) * 4, (5,) + (n,) * 4),
+        ((2, 3) + (n,) * 4, (2, 3) + (n,) * 4),
+        ((8, 1, 3) + (n,) * 4, (1, 8, 3) + (n,) * 4),  # the suite's orthogonality call
+    ]
+    for s1, s2 in cases:
+        t1, t2 = rng.uniform(-1, 1, s1), rng.uniform(-1, 1, s2)
+        got, want = tensor_pairing(t1, t2, g), pairing_moveaxis_reference(t1, t2, g.inverse)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+    assert type(tensor_pairing(t1[0, 0, 0], t2[0, 0, 0], g)) is float
+
+
 def test_tensor_shape_and_rank_checked():
     # the trailing four axes must match g, and a tensor must have rank >= 4;
     # leading axes are a batch
