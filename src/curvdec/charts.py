@@ -21,6 +21,7 @@ convention used across the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -65,14 +66,14 @@ class PolyChart:
                 [[_as_poly(cubic[i][j][k], n) for k in range(n)] for j in range(n)]
                 for i in range(n)
             ]
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        for p in ((j, i, k), (i, k, j)):
-                            if self.cubic[i][j][k] != self.cubic[p[0]][p[1]][p[2]]:
-                                raise DimensionMismatch(
-                                    f"cubic entry ({i},{j},{k}) not totally symmetric"
-                                )
+            # each permutation against the sorted entry; a parsed chart shares one
+            # Poly across the permutations, so identity settles most of them
+            for i, j, k in combinations_with_replacement(range(n), 3):
+                entry = self.cubic[i][j][k]
+                for a, b, c in permutations((i, j, k)):
+                    other = self.cubic[a][b][c]
+                    if not (other is entry or other == entry):
+                        raise DimensionMismatch(f"cubic entry ({a},{b},{c}) not totally symmetric")
         self._fields = None
         self._last = None
 

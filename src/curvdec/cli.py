@@ -196,10 +196,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--point" in argv[:-1]:
-        # argparse takes a value such as "-0.1,0.2,0.3" for an option; attach it
-        i = argv.index("--point")
-        argv[i : i + 2] = [f"--point={argv[i + 1]}"]
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--point":
+            # argparse takes a value such as "-0.1,0.2,0.3" for an option; attach each one
+            argv[i : i + 2] = [f"--point={argv[i + 1]}"]
     try:
         args = _parser().parse_args(argv)
         return args.func(args)

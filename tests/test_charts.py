@@ -83,6 +83,11 @@ def test_chart_validates_symmetry():
     cub[0][0][1] = Poly.constant(2.0, N)
     with pytest.raises(DimensionMismatch):
         PolyChart(N, flat_metric(), cub)
+    # an entry that differs from the sorted one only under a 3-cycle
+    cub = constant_cubic({(0, 1, 2): 1.0})
+    cub[2][0][1] = Poly.constant(2.0, N)
+    with pytest.raises(DimensionMismatch, match=r"\(2,0,1\) not totally symmetric"):
+        PolyChart(N, flat_metric(), cub)
 
 
 def test_flat_chart_christoffel_zero():

@@ -247,10 +247,14 @@ def test_cli_verify_zero_tolerance_fails():
 OUTPUT_PINS = [
     (("verify",), "55038c5349ebb80799392d30e85e50fda3a2818ed49c6d687a09bccd9a5555e9"),
     (("dims", "--dim", "5"), "410bfa40e460b1d1e83c54ef37fe3e29d3a10b82bea6f86fdc34b604b2ac3cfa"),
+    (
+        ("verify", "--dim", "5", "--signature", "3,2", "--samples", "40"),
+        "e7c832014bf475753b13a036dc7d5f85d7d37729dbfea887a1978ce4c6fff5b2",
+    ),
 ]
 
 
-@pytest.mark.parametrize("args,digest", OUTPUT_PINS, ids=["verify", "dims5"])
+@pytest.mark.parametrize("args,digest", OUTPUT_PINS, ids=["verify", "dims5", "verify5_indefinite"])
 def test_cli_output_pinned(args, digest):
     """A speed-up must leave these reports byte-identical.
 
@@ -375,6 +379,10 @@ def test_cli_chart_negative_first_coordinate(tmp_path, capsys):
     for args in (["--point", "-0.1,0.2,0.3"], ["--point=-0.1,0.2,0.3"]):
         assert main(["chart", "--input", str(path), *args, "--report", "triple"]) == 0
         assert json.loads(capsys.readouterr().out)["point"] == [-0.1, 0.2, 0.3]
+    # every --point is attached to its value, and the last one wins, as argparse has it
+    points = ["--point", "-0.1,0.2,0.3", "--point", "-0.1,0.1,0.1"]
+    assert main(["chart", "--input", str(path), *points, "--report", "triple"]) == 0
+    assert json.loads(capsys.readouterr().out)["point"] == [-0.1, 0.1, 0.1]
 
 
 def test_cli_non_finite_input_exit_codes(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 
@@ -6,6 +7,7 @@ import pytest
 
 import curvdec.sampling as sampling
 import curvdec.suite as suite
+from curvdec.cli import main
 from curvdec.errors import CurvdecError, EmptyRun, NegativeStreamKey, UnknownCheck
 from curvdec.sampling import sample
 from curvdec.suite import CHECKS, SuiteConfig, run_invariant_suite
@@ -140,11 +142,11 @@ def test_shared_stacks_are_read_only(monkeypatch):
         for space in ("r", "co"):
             with pytest.raises(ValueError, match="read-only"):
                 ctx.stack(space, ctx.k)[0, 0, 1, 0, 1] += 1.0
-        return 0.0
+        return ()
 
     def reader(ctx):
         read.update((space, ctx.stack(space, ctx.k)) for space in ("r", "co"))
-        return 0.0
+        return ()
 
     monkeypatch.setitem(suite.CHECKS, "w_completeness", writer)
     monkeypatch.setitem(suite.CHECKS, "a_completeness", reader)
@@ -217,11 +219,52 @@ def test_negative_seed_refused_before_any_check(monkeypatch):
     # gram_positivity draws nothing at an indefinite signature, so only an
     # up-front refusal keeps this run from reporting a pass
     ran = []
-    monkeypatch.setitem(suite.CHECKS, "gram_positivity", lambda ctx: ran.append(ctx) or 0.0)
+    monkeypatch.setitem(suite.CHECKS, "gram_positivity", lambda ctx: ran.append(ctx) or ())
     cfg = SuiteConfig(dims=(3,), signatures=((2, 1),), seed=-1)
     with pytest.raises(NegativeStreamKey):
         run_invariant_suite(cfg, only=["gram_positivity"])
     assert not ran
+
+
+def test_nan_term_fails_its_check(monkeypatch, capsys):
+    # Python's max(0.0, nan) is 0.0: a nan on a later block or in a later term
+    # must still fail its check, and the report must stay valid JSON
+    def late_nan(ctx):
+        yield 4.4e-16 if ctx.lo == 0 else math.nan
+
+    def second_term_nan(ctx):
+        yield from (np.full(3, 1e-16), np.array([0.0, math.nan]))
+
+    monkeypatch.setitem(suite.CHECKS, "w_completeness", late_nan)
+    monkeypatch.setitem(suite.CHECKS, "a_completeness", second_term_nan)
+    cfg = SuiteConfig(dims=(3,), signatures=((3, 0),), samples=2 * suite.CHUNK)
+    report = run_invariant_suite(cfg, only=["w_completeness", "a_completeness"])
+    for name, entry in report.items():
+        assert (entry["pass"], entry["worst_residual"]) == (False, None), name
+    argv = ["verify", "--dim", "3", "--signature", "3,0", "--samples", str(cfg.samples)]
+    for name in report:
+        assert main([*argv, "--suite", name]) == 3
+        out = capsys.readouterr()
+        assert json.loads(out.out)[name]["worst_residual"] is None
+        assert name in out.err
+
+
+def test_nan_from_a_map_fails_the_checks_that_read_it(monkeypatch):
+    # one nan entry in the first tensor a conjugation returns
+    exact = suite.conjugate
+
+    def faulty(t):
+        out = np.array(exact(t), order="C")
+        out.reshape(-1)[1] = math.nan
+        return out
+
+    cfg = SuiteConfig(dims=(3,), samples=4)
+    only = ["conjugate_split", "membership_tower"]
+    assert all(v["pass"] for v in run_invariant_suite(cfg, only=only).values())
+    monkeypatch.setattr(suite, "conjugate", faulty)
+    report = run_invariant_suite(cfg, only=only)
+    for name in only:
+        assert (report[name]["pass"], report[name]["worst_residual"]) == (False, None), name
 
 
 def test_block_walk_equals_one_block_run(monkeypatch):
