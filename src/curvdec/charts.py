@@ -9,7 +9,9 @@ first and second derivatives at a point come from one pass over the monomials
 by d_a x^e = e_a x^(e - e_a).  A field F is raised there as g^-1 F, and its
 derivative follows from d(g^-1) = -g^-1 (dg) g^-1.  All differentiation is
 exact, so identity residuals contain float roundoff but no truncation error.
-A chart keeps the evaluated fields of the last point it was asked about.
+A chart keeps a record of the last point it was asked about: the evaluated
+fields, the raised cubic, and the coefficients of the three connections with
+their derivatives, each computed once.  The record's arrays are read-only.
 
 Index conventions, frozen against the flat-metric constant-C case:
 Gamma[i, j, k] = Gamma^i_{jk}, dGamma[m, i, j, k] = d_m Gamma^i_{jk}, and the
@@ -31,7 +33,6 @@ from .poly import Poly
 from .spaces import conjugate, membership_residual, ricci, scalar_curvature
 
 CONNECTIONS = ("levi_civita", "nabla", "nabla_star")
-_SIGNS = {"levi_civita": 0.0, "nabla": 1.0, "nabla_star": -1.0}
 # np.einsum_path's choice for the Pick norm at every n = 3..40, so no request searches
 _PICK_PATH = ["einsum_path", (0, 3), (0, 2), (1, 2), (0, 1)]
 
@@ -98,7 +99,9 @@ class PolyChart:
         return self._point_data(point)["g"]
 
     def _point_data(self, point):
-        """All fields at the point, evaluated once and kept for the last point asked."""
+        """The point's record, computed once and kept for the last point asked: the
+        fields, the raised cubic 'cup' with its derivative 'dcup', and 'connections',
+        each connection's (Gamma, dGamma) in the layout of `christoffel`."""
         point = np.asarray(point, dtype=float)
         if point.shape != (self.dim,):
             raise DimensionMismatch(f"expected a point of shape ({self.dim},), got {point.shape}")
@@ -129,15 +132,29 @@ class PolyChart:
                 "cflat": flat[m:].reshape((n,) * 3),
                 "dcflat": dflat[:, m:].reshape((n,) * 4),
             }
+            dg, d2g = data["dg"], data["d2g"]
+            # Christoffel symbols of the first kind, Gamma_{ljk}, and their derivatives
+            a = 0.5 * (np.einsum("jlk->ljk", dg) + np.einsum("klj->ljk", dg) - dg)
+            da = 0.5 * (np.einsum("mjlk->mljk", d2g) + np.einsum("mklj->mljk", d2g) - d2g)
+            gamma, dgamma = _raised_with_derivative(g.inverse, dg, a, da)
+            cup, dcup = _raised_with_derivative(g.inverse, dg, data["cflat"], data["dcflat"])
+            connections = {
+                "levi_civita": (gamma, dgamma),
+                "nabla": (gamma + cup, dgamma + dcup),
+                "nabla_star": (gamma - cup, dgamma - dcup),
+            }
+            # callers get these arrays, not copies, so none may change the record
+            for arr in (cup, dcup, *(x for pair in connections.values() for x in pair)):
+                arr.flags.writeable = False
+            data.update(cup=cup, dcup=dcup, connections=connections)
             self._last = (key, data)
         return self._last[1]
 
 
-def _raised_with_derivative(d, field, dfield):
+def _raised_with_derivative(gi, dg, field, dfield):
     """Value and exact derivative of g^-1 field, by d(g^-1) = -g^-1 (dg) g^-1."""
-    gi = d["g"].inverse
     value = np.einsum("il,ljk->ijk", gi, field)
-    deriv = np.einsum("il,mljk->mijk", gi, dfield - np.einsum("mlh,hjk->mljk", d["dg"], value))
+    deriv = np.einsum("il,mljk->mijk", gi, dfield - np.einsum("mlh,hjk->mljk", dg, value))
     return value, deriv
 
 
@@ -145,35 +162,9 @@ def christoffel(chart: PolyChart, point):
     """Levi-Civita coefficients and their coordinate derivatives at a point.
 
     Returns (gamma, dgamma) with gamma[i, j, k] = Gamma^i_{jk} and
-    dgamma[m, i, j, k] = d_m Gamma^i_{jk}, both exact.
+    dgamma[m, i, j, k] = d_m Gamma^i_{jk}, both exact and read-only.
     """
-    d = chart._point_data(point)
-    dg, d2g = d["dg"], d["d2g"]
-    a = 0.5 * (
-        np.einsum("jlk->ljk", dg) + np.einsum("klj->ljk", dg) - np.einsum("ljk->ljk", dg)
-    )
-    da = 0.5 * (
-        np.einsum("mjlk->mljk", d2g)
-        + np.einsum("mklj->mljk", d2g)
-        - np.einsum("mljk->mljk", d2g)
-    )
-    return _raised_with_derivative(d, a, da)
-
-
-def _cubic_raised(chart: PolyChart, point):
-    d = chart._point_data(point)
-    return _raised_with_derivative(d, d["cflat"], d["dcflat"])
-
-
-def _connection(chart: PolyChart, point, which: str):
-    if which not in CONNECTIONS:
-        raise UnknownConnection(f"unknown connection {which!r}; expected one of {CONNECTIONS}")
-    gamma, dgamma = christoffel(chart, point)
-    s = _SIGNS[which]
-    if s == 0.0:
-        return gamma, dgamma
-    c, dc = _cubic_raised(chart, point)
-    return gamma + s * c, dgamma + s * dc
+    return chart._point_data(point)["connections"]["levi_civita"]
 
 
 def _operator_curvature(gamma, dgamma):
@@ -190,8 +181,10 @@ def _lower(rop, gmatrix):
 
 def curvature_at(chart: PolyChart, point, which: str = "levi_civita") -> np.ndarray:
     """The rank-4 curvature tensor of the chosen connection at the point."""
-    gamma, dgamma = _connection(chart, point, which)
-    return _lower(_operator_curvature(gamma, dgamma), chart._point_data(point)["g"].matrix)
+    if which not in CONNECTIONS:
+        raise UnknownConnection(f"unknown connection {which!r}; expected one of {CONNECTIONS}")
+    d = chart._point_data(point)
+    return _lower(_operator_curvature(*d["connections"][which]), d["g"].matrix)
 
 
 @dataclass(frozen=True)
@@ -222,18 +215,20 @@ def _scaled(diff, *scales):
     return float(np.max(np.abs(diff))) / denom
 
 
+def _membership(t, g, space):
+    """membership_residual, which divides by max |t|, over max(1, max |t|) instead."""
+    return membership_residual(t, g, space) * min(1.0, float(np.max(np.abs(t))))
+
+
 def conjugate_triple_report(chart: PolyChart, point) -> TripleReport:
     """Evaluate the triple at a point and check all pointwise identities."""
     point = np.asarray(point, dtype=float)
     n = chart.dim
-    g = chart._point_data(point)["g"]
+    d = chart._point_data(point)
+    g, cup, dcup = d["g"], d["cup"], d["dcup"]
     gm, gi = g.matrix, g.inverse
-
-    gamma, dgamma = christoffel(chart, point)
-    cup, dcup = _cubic_raised(chart, point)
-    rop_g = _operator_curvature(gamma, dgamma)
-    rop = _operator_curvature(gamma + cup, dgamma + dcup)
-    rop_star = _operator_curvature(gamma - cup, dgamma - dcup)
+    gamma = d["connections"]["levi_civita"][0]
+    rop_g, rop, rop_star = (_operator_curvature(*d["connections"][w]) for w in CONNECTIONS)
     r_g = _lower(rop_g, gm)
     r = _lower(rop, gm)
     r_star = _lower(rop_star, gm)
@@ -283,9 +278,7 @@ def conjugate_triple_report(chart: PolyChart, point) -> TripleReport:
             (n * (n - 1) * kappa - tau) - (norm_c2 - n * n * norm_t2)
         )
         / max(1.0, abs(tau), abs(norm_c2), n * n * abs(norm_t2)),
-        "curvature_sum_algebraic": membership_residual(r + r_star, g, "a")
-        if np.max(np.abs(r + r_star)) > 1e-14
-        else 0.0,
+        "curvature_sum_algebraic": _membership(r + r_star, g, "a"),
         "ricci_symmetry_pair": _scaled(
             antisym(ricci(r, g)) + antisym(ricci(r_star, g)), ricci(r, g)
         ),
@@ -295,8 +288,8 @@ def conjugate_triple_report(chart: PolyChart, point) -> TripleReport:
             _scaled(np.einsum("jl,jkl->k", gi, c_tilde_flat), c_tilde_flat),
             _scaled(np.einsum("kl,jkl->j", gi, c_tilde_flat), c_tilde_flat),
         ),
-        "bianchi_nabla": membership_residual(r, g, "r"),
-        "bianchi_nabla_star": membership_residual(r_star, g, "r"),
+        "bianchi_nabla": _membership(r, g, "r"),
+        "bianchi_nabla_star": _membership(r_star, g, "r"),
     }
     # the parallel-cubic criterion only bites when grad C is totally symmetric
     dc_asym = _scaled(dc - np.einsum("jimk->mijk", dc), dc)

@@ -137,7 +137,7 @@ def _cmd_chart(args) -> int:
     if args.report == "triple":
         doc = triple_report_document(conjugate_triple_report(chart, args.point))
     else:
-        g = chart._point_data(args.point)["g"]
+        g = chart.metric_at(args.point)
         curvatures = {
             which: tensor_document(curvature_at(chart, args.point, which), g, include_g=True)
             for which in CONNECTIONS

@@ -63,7 +63,7 @@ def build_scalar_product(matrix) -> ScalarProduct:
     DimensionTooSmall
         If n < 3.
     NonFiniteInput
-        If some entry is NaN or infinite; the message lists their indices.
+        If some entry is NaN or infinite (listed by index) or the inverse overflows.
     NotSymmetric
         If max |g - g^T| exceeds 1e-12.
     DegenerateMetric
@@ -94,6 +94,8 @@ def build_scalar_product(matrix) -> ScalarProduct:
     q = int(np.sum(eigs < 0))
     inv = np.linalg.inv(g)
     inv = 0.5 * (inv + inv.T)
+    if not np.isfinite(inv).all():
+        raise NonFiniteInput("the inverse metric is out of float range")
     return ScalarProduct(g, inv, (p, q))
 
 
@@ -172,11 +174,11 @@ def tensor_pairing(t1, t2, g: ScalarProduct) -> float | np.ndarray:
     per broadcast pair: a float for two single tensors.
     """
     t1, t2 = check_tensor(t1, g), check_tensor(t2, g)
-    try:
-        np.broadcast_shapes(t1.shape, t2.shape)
-    except ValueError:
-        raise DimensionMismatch(f"shapes {t1.shape} and {t2.shape} do not broadcast") from None
     raised, order = t1, (*range(t1.ndim - 4), -3, -2, -1, -4)
     for _ in range(4):  # each step moves the leading index last and raises it
         raised = raised.transpose(order) @ g.inverse
-    return _per_tensor(np.sum(raised * t2, axis=(-4, -3, -2, -1)))
+    try:
+        products = raised * t2
+    except ValueError:
+        raise DimensionMismatch(f"shapes {t1.shape} and {t2.shape} do not broadcast") from None
+    return _per_tensor(np.sum(products, axis=(-4, -3, -2, -1)))

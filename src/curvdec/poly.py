@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import DimensionMismatch, NonFiniteInput, SchemaError
+
 
 class Poly:
     __slots__ = ("nvars", "terms")
@@ -16,10 +18,12 @@ class Poly:
         self.nvars = int(nvars)
         clean = {}
         for exps, coeff in (terms or {}).items():
+            if not math.isfinite(float(coeff)):
+                raise NonFiniteInput(f"coefficient {coeff} of {exps} is not finite")
             if coeff != 0.0:
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != self.nvars or any(e < 0 for e in exps):
-                    raise ValueError(f"bad exponent tuple {exps} for {self.nvars} variables")
+                    raise SchemaError(f"terms[{exps}]", f"need {self.nvars} non-negative exponents")
                 clean[exps] = clean.get(exps, 0.0) + float(coeff)
         self.terms = {e: c for e, c in clean.items() if c != 0.0}
 
@@ -74,7 +78,7 @@ class Poly:
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
             if other.nvars != self.nvars:
-                raise ValueError("mixed variable counts")
+                raise DimensionMismatch(f"mixed variable counts {self.nvars} and {other.nvars}")
             return other
         return Poly.constant(float(other), self.nvars)
 

@@ -9,6 +9,7 @@ from contextlib import contextmanager
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
+from chart_helpers import fd_curvature
 
 from curvdec.charts import PolyChart, conjugate_triple_report, curvature_at
 from curvdec.decomp import (
@@ -280,32 +281,6 @@ def _random_chart(rng, scale=0.08):
     return PolyChart(N3, metric, cubic)
 
 
-def _fd_curvature(chart, point, which, h=1e-4):
-    from curvdec.charts import _connection, _lower
-
-    n = chart.dim
-    point = np.asarray(point, float)
-    gamma0, _ = _connection(chart, point, which)
-    dgamma = np.zeros((n, n, n, n))
-    for m in range(n):
-        dp, dm = point.copy(), point.copy()
-        dp[m] += h
-        dm[m] -= h
-        coarse = (_connection(chart, dp, which)[0] - _connection(chart, dm, which)[0]) / (2 * h)
-        dp, dm = point.copy(), point.copy()
-        dp[m] += h / 2
-        dm[m] -= h / 2
-        fine = (_connection(chart, dp, which)[0] - _connection(chart, dm, which)[0]) / h
-        dgamma[m] = (4.0 * fine - coarse) / 3.0
-    rop = (
-        np.einsum("kilj->jkli", dgamma)
-        - np.einsum("likj->jkli", dgamma)
-        + np.einsum("ikh,hlj->jkli", gamma0, gamma0)
-        - np.einsum("ilh,hkj->jkli", gamma0, gamma0)
-    )
-    return _lower(rop, chart.metric_at(point).matrix)
-
-
 def test_criterion_09_chart_identities():
     with criterion(9, "chart identities"):
         rng = np.random.default_rng(1000)
@@ -347,7 +322,7 @@ def test_criterion_09_chart_identities():
         point = [0.11, -0.23, 0.31]
         for which in ("levi_civita", "nabla", "nabla_star"):
             exact = curvature_at(chart, point, which)
-            assert mx(exact - _fd_curvature(chart, point, which)) <= 1e-7
+            assert mx(exact - fd_curvature(chart, point, which)) <= 1e-7
 
 
 def test_criterion_10_verify_determinism():

@@ -2,6 +2,7 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
+from chart_helpers import fd_curvature, hessian_chart, random_factor, random_potential
 
 from curvdec import charts
 from curvdec.charts import (
@@ -11,7 +12,15 @@ from curvdec.charts import (
     conjugate_triple_report,
     curvature_at,
 )
-from curvdec.errors import CurvdecError, DegenerateAtPoint, DimensionMismatch, UnknownConnection
+from curvdec.decomp import w_projections
+from curvdec.errors import (
+    CurvdecError,
+    DegenerateAtPoint,
+    DimensionMismatch,
+    NonFiniteInput,
+    SchemaError,
+    UnknownConnection,
+)
 from curvdec.poly import Poly
 from curvdec.spaces import conjugate, membership_residual
 
@@ -69,6 +78,17 @@ def test_poly_arithmetic():
     assert p((2.0, 1.0)) == 4.0
     assert (p - p).is_zero()
     assert (0.0 * p).terms == {}
+
+
+def test_poly_refuses_bad_terms_with_typed_errors():
+    for exps in ((1, 2), (-1, 0, 0)):
+        with pytest.raises(SchemaError, match="need 3 non-negative exponents"):
+            Poly(3, {exps: 1.0})
+    with pytest.raises(DimensionMismatch, match="3 and 2"):
+        Poly(3) + Poly(2)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFiniteInput):
+            Poly(3, {(1, 2, 3): bad})
 
 
 # -- charts -------------------------------------------------------------------
@@ -216,33 +236,6 @@ def test_bad_point_and_connection_are_typed():
     assert issubclass(UnknownConnection, CurvdecError)
 
 
-def fd_curvature(chart, point, which, h=1e-4):
-    """Central-difference + Richardson oracle for the curvature tensor."""
-    from curvdec.charts import _connection, _lower
-
-    n = chart.dim
-    point = np.asarray(point, float)
-    gamma0, _ = _connection(chart, point, which)
-    dgamma = np.zeros((n, n, n, n))
-    for m in range(n):
-        dp, dm = point.copy(), point.copy()
-        dp[m] += h
-        dm[m] -= h
-        coarse = (_connection(chart, dp, which)[0] - _connection(chart, dm, which)[0]) / (2 * h)
-        dp, dm = point.copy(), point.copy()
-        dp[m] += h / 2
-        dm[m] -= h / 2
-        fine = (_connection(chart, dp, which)[0] - _connection(chart, dm, which)[0]) / h
-        dgamma[m] = (4.0 * fine - coarse) / 3.0
-    rop = (
-        np.einsum("kilj->jkli", dgamma)
-        - np.einsum("likj->jkli", dgamma)
-        + np.einsum("ikh,hlj->jkli", gamma0, gamma0)
-        - np.einsum("ilh,hkj->jkli", gamma0, gamma0)
-    )
-    return _lower(rop, chart.metric_at(point).matrix)
-
-
 def test_exact_curvature_matches_finite_difference_oracle():
     rng = np.random.default_rng(5)
     chart = random_chart(rng)
@@ -275,7 +268,7 @@ def test_pick_invariant_equals_searched_einsum_path(n):
     chart = random_chart(rng, n, dense=True)
     point = rng.uniform(-0.4, 0.4, n)
     g = chart.metric_at(point)
-    cflat = np.einsum("ijk,il->ljk", charts._cubic_raised(chart, point)[0], g.matrix)
+    cflat = np.einsum("ijk,il->ljk", chart._point_data(point)["cup"], g.matrix)
     operands = ("ia,jb,kc,ijk,abc->", g.inverse, g.inverse, g.inverse, cflat, cflat)
     assert np.einsum_path(*operands, optimize=True)[0] == charts._PICK_PATH
     norm_c2 = float(np.einsum(*operands, optimize=True))
@@ -357,3 +350,57 @@ def test_chart_fields_keep_exact_symmetries():
         for p in permutations((0, 1, 2)):
             assert np.array_equal(d["cflat"], d["cflat"].transpose(p))
             assert np.array_equal(d["dcflat"], d["dcflat"].transpose(0, *(q + 1 for q in p)))
+
+
+def test_point_record_is_read_only():
+    # christoffel and the report hand out the record's own arrays, so writing
+    # to one must fail rather than change later results at the point
+    chart = random_chart(np.random.default_rng(9))
+    point = [0.1, 0.2, -0.1]
+    r = curvature_at(chart, point, "nabla")
+    gamma, dgamma = christoffel(chart, point)
+    for arr in (gamma, dgamma, conjugate_triple_report(chart, point).c_op):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0, 0] = 1.0
+    assert np.array_equal(curvature_at(chart, point, "nabla"), r)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_oracle_a_hessian_chart_is_dually_flat(n):
+    # g = d^2 phi, C = -d^3 phi / 2: nabla is the coordinate connection and nabla* its
+    # dual, both flat, so every residual must stay small against max(1, scale)
+    rng = np.random.default_rng((11, n))
+    chart = hessian_chart(n, random_potential(rng, n))
+    rep = conjugate_triple_report(chart, rng.uniform(-0.2, 0.2, n))
+    for name, value in rep.identity_residuals.items():
+        assert value <= 1e-8, f"{name}: {value}"
+    assert np.max(np.abs(rep.r)) <= 1e-12
+    assert np.max(np.abs(rep.r_star)) <= 1e-12
+
+
+# W components (1-based) that vanish for each connection of oracle B
+ORACLE_B_ZERO_W = {
+    "nabla": (3, 4, 5, 6, 7, 8),
+    "nabla_star": (3, 4, 6, 7, 8),
+    "levi_civita": (3, 4, 7, 8),
+}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_oracle_b_projective_change_of_a_hessian_structure(n):
+    # g' = u d^2 phi with the matching C' makes nabla a projective change of the flat
+    # connection: projectively flat with symmetric Ricci, curvature nonzero
+    rng = np.random.default_rng((3, n))
+    phi = random_potential(rng, n)
+    chart = hessian_chart(n, phi, random_factor(rng, n))
+    point = rng.uniform(-0.2, 0.2, n)
+    g = chart.metric_at(point)
+    for which, zero in ORACLE_B_ZERO_W.items():
+        r = curvature_at(chart, point, which)
+        scale = max(1.0, float(np.max(np.abs(r))))
+        assert np.max(np.abs(r)) > 1e-3, which
+        comps = w_projections(r, g)
+        for w in zero:
+            assert np.max(np.abs(comps[w - 1])) <= 1e-12 * scale, f"{which} W{w}"
+    for name, value in conjugate_triple_report(chart, point).identity_residuals.items():
+        assert value <= 1e-8, f"{name}: {value}"

@@ -268,6 +268,24 @@ def test_cli_output_pinned(args, digest):
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
 
+# stdout SHA-256 of both chart reports on chart_doc() at one BLAS thread
+CHART_PINS = {
+    "curvature": "54fc7fe2af8e9770d286dc6833f0360b1ffcc6a31424784f89994d3c09b3093a",
+    "triple": "455a034aa5dff9988dc0a89906b7a1592f5fed7d23e391cb427f0133a99ce0c2",
+}
+
+
+@pytest.mark.parametrize("report", sorted(CHART_PINS))
+def test_cli_chart_output_pinned(tmp_path, report):
+    """Chart reports are byte-identical across refactors; see test_cli_output_pinned."""
+    path = tmp_path / "chart.json"
+    path.write_text(dumps(chart_doc()))
+    r = run_cli("chart", "--input", str(path), "--point", "0.1,0.0,-0.2", "--report", report,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == CHART_PINS[report]
+
+
 def test_cli_chart_reports(tmp_path):
     path = tmp_path / "chart.json"
     path.write_text(dumps(chart_doc()))

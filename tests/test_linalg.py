@@ -300,3 +300,9 @@ def test_eigen_solve_scaled_near_the_float_limit():
     g = build_scalar_product(1e308 * np.eye(3))
     assert g.signature == (3, 0)
     assert np.array_equal(g.matrix, 1e308 * np.eye(3))
+
+
+def test_inverse_out_of_float_range_refused():
+    # a subnormal metric's inverse overflowed to inf, and ricci(t, g) then gave all NaN
+    with pytest.raises(NonFiniteInput, match="inverse"):
+        build_scalar_product(1e-320 * np.eye(3))
