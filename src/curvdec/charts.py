@@ -11,7 +11,8 @@ derivative follows from d(g^-1) = -g^-1 (dg) g^-1.  All differentiation is
 exact, so identity residuals contain float roundoff but no truncation error.
 A chart keeps a record of the last point it was asked about: the evaluated
 fields, the raised cubic, and the coefficients of the three connections with
-their derivatives, each computed once.  The record's arrays are read-only.
+their derivatives, each computed once.  The raised cubic and the connection
+arrays are handed out uncopied, so they are read-only.
 
 Index conventions, frozen against the flat-metric constant-C case:
 Gamma[i, j, k] = Gamma^i_{jk}, dGamma[m, i, j, k] = d_m Gamma^i_{jk}, and the

@@ -18,13 +18,13 @@ class Poly:
         self.nvars = int(nvars)
         clean = {}
         for exps, coeff in (terms or {}).items():
-            if not math.isfinite(float(coeff)):
-                raise NonFiniteInput(f"coefficient {coeff} of {exps} is not finite")
             if coeff != 0.0:
+                if not math.isfinite(coeff := float(coeff)):
+                    raise NonFiniteInput(f"coefficient {coeff} of {exps} is not finite")
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != self.nvars or any(e < 0 for e in exps):
                     raise SchemaError(f"terms[{exps}]", f"need {self.nvars} non-negative exponents")
-                clean[exps] = clean.get(exps, 0.0) + float(coeff)
+                clean[exps] = clean.get(exps, 0.0) + coeff
         self.terms = {e: c for e, c in clean.items() if c != 0.0}
 
     @classmethod
