@@ -21,9 +21,9 @@ class Poly:
             if coeff != 0.0:
                 if not math.isfinite(coeff := float(coeff)):
                     raise NonFiniteInput(f"coefficient {coeff} of {exps} is not finite")
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != self.nvars or any(e < 0 for e in exps):
+                if len(exps) != self.nvars or not all(e >= 0 and e % 1 == 0 for e in exps):
                     raise SchemaError(f"terms[{exps}]", f"need {self.nvars} non-negative exponents")
+                exps = tuple(map(int, exps))  # whole numbers, so nothing is truncated
                 clean[exps] = clean.get(exps, 0.0) + coeff
         self.terms = {e: c for e, c in clean.items() if c != 0.0}
 

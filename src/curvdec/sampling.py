@@ -9,12 +9,12 @@ The noise of an index does not depend on the space, so every space's samples
 are projections of one base stack: the normalized Bianchi projections of the
 noise of indices 0, 1, 2, ...  A space's k samples are the first k indices of
 this sequence, which all spaces share.  'f' and 'f_pair' are sums of W
-components, so one W projection serves W1..W8, 'f' and 'f_pair'.
-`dimension_reports` draws each index's noise once, for 'co' and 'r', projects
-it CHUNK tensors at a time once per W or A family, and holds each stack as
-co(V) coordinate rows; `sample` and the invariant suite's blocks draw through
-`_stack`.  `curvdec dims` prints the reports, and the suite's
-dimension_consistency is their verdict.
+components, so one W projection serves W1..W8, 'f' and 'f_pair', and one ψ
+and one μ serve 'a', 's' and 'a_plus_s'.  `dimension_reports` draws each
+index's noise once, for 'co' and 'r', projects it CHUNK tensors at a time once
+per family (W, A, or ψ and μ), and holds each stack as co(V) coordinate rows;
+`sample` and the invariant suite's blocks draw through `_stack`.  `curvdec
+dims` prints the reports, and the suite's dimension_consistency is their verdict.
 """
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ from .spaces import bianchi_project, mu, psi
 EMPTY_NORM = 1e-10
 RANK_RATIO = 1e-8
 GAP_RATIO = 1e6
+RANK_MARGIN = 8  # rows of a default rank stack beyond the formula dimension; see dimension_reports
 # tensors per kernel call; larger chunks gain no speed at n >= 6 and cost memory
 CHUNK = 32
 
@@ -117,25 +118,24 @@ def _normalize(stack, floor: float) -> np.ndarray:
     return stack
 
 
+_averages = lambda base, g: (psi(base), mu(base))  # the parts of 'a', 's' and 'a_plus_s'
+
+
 def _family(space: str):
-    """The projector whose components build the space ('f' and 'f_pair' from W's), or None."""
-    return {"f": w_projections, "W": w_projections, "A": a_projections}.get(space[0])
+    """The map whose parts build the space ('f' and 'f_pair' from W's), or None."""
+    return {"f": w_projections, "W": w_projections, "A": a_projections,
+            "a": _averages, "s": _averages}.get(space[0])
 
 
 def _project(space: str, base, g: ScalarProduct, comps=None) -> np.ndarray:
-    """The (unnormalized) image of a stack of 'r' samples in the space;
-    comps, if given, are the components of base under the space's `_family`."""
-    if space == "a":
-        return psi(base)
-    if space == "s":
-        return mu(base)
-    if space == "a_plus_s":
-        return psi(base) + mu(base)
+    """The unnormalized image of 'r' samples base in the space; comps: its `_family` parts."""
     if space == "p":
         return projective_part(base, g)
     if space == "t":
         return traceless_core(base, g)
     comps = _family(space)(base, g) if comps is None else comps
+    if space in ("a", "s", "a_plus_s"):  # comps: ψ(base), μ(base); copied for in-place scaling
+        return comps[0] + comps[1] if space == "a_plus_s" else comps[("a", "s").index(space)].copy()
     if space == "f":
         return base - comps[2]
     if space == "f_pair":
@@ -260,19 +260,20 @@ def dimension_reports(
 ) -> dict[str, DimensionReport]:
     """Estimate the dimensions of subspaces by the rank of stacked samples.
 
-    Each space uses `samples` samples, by default max(2 * formula_dim, 8).
-    They are the first indices of one stream sequence, drawn once and shared
-    by all spaces.  An unreliable singular-value gap sets a report's
-    inconclusive flag.  Raises EmptyRun when samples is below 1 or no space is
-    named, UnknownSpace for an unknown tag and DimensionMismatch when the
-    signature does not fit the dimension.
+    Each space uses `samples` samples (the first indices of one stream sequence,
+    drawn once for all spaces), by default d + RANK_MARGIN for formula dimension
+    d: d samples span the space, and the margin rows give the rejected singular
+    values.  So a true dimension d + j shows rank d + j for j < RANK_MARGIN, and
+    else fills its stack: inconclusive, as is a gap below GAP_RATIO.  Raises
+    EmptyRun when samples is below 1 or no space is named, UnknownSpace for an
+    unknown tag and DimensionMismatch for a signature that does not fit.
     """
     spaces = tuple(spaces)  # an iterator would be spent by the first pass over it
     if not spaces or samples is not None and samples < 1:
         raise EmptyRun(f"a run needs a space and at least 1 sample, got samples={samples}")
     n = int(dim)
     fdims = {s: formula_dim(s, n) for s in spaces}
-    counts = {s: max(2 * d, 8) if samples is None else samples for s, d in fdims.items()}
+    counts = {s: d + RANK_MARGIN if samples is None else samples for s, d in fdims.items()}
     g = _scalar_product(n, signature)
     base = np.empty((max([counts[s] for s in counts if s != "co"], default=0),) + (n,) * 4)
 
@@ -290,7 +291,7 @@ def dimension_reports(
         return {space: _project(space, chunk, g, comps) for space in live}
 
     reports = _rank_pass([s for s in ("co", "r") if s in counts], counts, n, draw, len(base))
-    for family in (w_projections, a_projections, None):
+    for family in (w_projections, a_projections, _averages, None):
         group = [s for s in counts if s not in ("co", "r") and _family(s) is family]
         reports.update(_rank_pass(group, counts, n, project))
     return {space: reports[space] for space in spaces}

@@ -84,9 +84,7 @@ class SuiteConfig:
     def as_dict(self):
         return {
             "dims": list(self.dims),
-            "signatures": None
-            if self.signatures is None
-            else [list(s) for s in self.signatures],
+            "signatures": None if self.signatures is None else [list(s) for s in self.signatures],
             "samples": self.samples,
             "seed": self.seed,
             "tolerance": self.tolerance,
@@ -120,10 +118,11 @@ class _Ctx:
             drawn = max(count, self.k)
             if space in ("r", "co"):
                 more = _stack(space, self.g, self.seed, range(self.lo + have, self.lo + drawn))
-            else:  # 'f' and 'f_pair' are sums of the W components of their 'r' rows
+            else:  # from the memoized parts of their 'r' rows, W's keyed as the checks key them
                 base = self.stack("r", drawn)[have:]
-                w = self.comps("r", w_projections, drawn)[:, have:] if space[0] == "f" else None
-                more = _normalize(_project(space, base, self.g, w), EMPTY_NORM)
+                family = w_projections if space[0] == "f" else sampling._family(space)
+                parts = None if family is None else self.comps("r", family, drawn)[:, have:]
+                more = _normalize(_project(space, base, self.g, parts), EMPTY_NORM)
             if len(more) < drawn - have:  # a dropped row would misalign the stack with its indices
                 raise EmptySpace(f"a projected {space!r} sample is below max-norm {EMPTY_NORM:.0e}")
             self._rows[space] = rows = more if rows is None else np.concatenate((rows, more))
@@ -131,7 +130,7 @@ class _Ctx:
         return rows[:count]
 
     def comps(self, space: str, proj, count: int) -> np.ndarray:
-        """proj's eight components of stack(space, count), one read-only (8, count, ...) stack."""
+        """proj's parts of stack(space, count), one read-only (parts, count, ...) stack."""
         comps = self._comps.get((space, proj))
         have = 0 if comps is None else comps.shape[1]
         if have < count:  # project only the missing rows
@@ -540,7 +539,7 @@ def _check_dimension_consistency(ctx):
 
 def _check_ricci_image_dimensions(ctx):
     g, n = ctx.g, ctx.n
-    ric = ricci(ctx.stack("r", 2 * n * (n + 1) + 8), g)
+    ric = ricci(ctx.stack("r", n * (n + 1) // 2 + sampling.RANK_MARGIN), g)  # sym(ric)'s rank stack
     for part, expected in ((antisym(ric), n * (n - 1) // 2), (sym(ric), n * (n + 1) // 2)):
         rank, gap = numerical_rank(part.reshape(len(part), -1))
         yield rank == expected and gap is not None and gap >= sampling.GAP_RATIO

@@ -91,6 +91,14 @@ def test_poly_refuses_bad_terms_with_typed_errors():
             Poly(3, {(1, 2, 3): bad})
 
 
+def test_poly_refuses_non_integer_exponents():
+    # an exponent is refused, not truncated, unless it is a whole number, as in chart documents
+    for exps in ((1.5, 0, 0), (0, 0, 2.000001), (0.5, 1, 1), (np.nan, 0, 0), (0, np.inf, 0)):
+        with pytest.raises(SchemaError, match="need 3 non-negative exponents"):
+            Poly(3, {exps: 1.0})
+    assert Poly(3, {(2.0, np.int64(1), True): 1.5}).terms == {(2, 1, 1): 1.5}
+
+
 # -- charts -------------------------------------------------------------------
 
 

@@ -246,7 +246,7 @@ def test_cli_verify_zero_tolerance_fails():
 # stdout SHA-256 of the default `verify` and of `dims --dim 5` at one BLAS thread
 OUTPUT_PINS = [
     (("verify",), "55038c5349ebb80799392d30e85e50fda3a2818ed49c6d687a09bccd9a5555e9"),
-    (("dims", "--dim", "5"), "410bfa40e460b1d1e83c54ef37fe3e29d3a10b82bea6f86fdc34b604b2ac3cfa"),
+    (("dims", "--dim", "5"), "10171098e9e6b65511342114925e8494773a2e62f3433304af49f07b9a2ca725"),
     (
         ("verify", "--dim", "5", "--signature", "3,2", "--samples", "40"),
         "e7c832014bf475753b13a036dc7d5f85d7d37729dbfea887a1978ce4c6fff5b2",

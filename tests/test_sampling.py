@@ -19,6 +19,7 @@ from curvdec.sampling import (
     EMPTY_NORM,
     FORMULA_DIMS,
     GAP_RATIO,
+    RANK_MARGIN,
     SAMPLE_SPACES,
     DimensionReport,
     dimension_reports,
@@ -73,7 +74,7 @@ def reference_report(space, n, sig, seed):
     # ranks the co(V) coordinates, as `dims` does; the full n**4 columns are
     # compared with them in test_cov_rank_agrees_with_full_rank
     fdim = formula_dim(space, n)
-    k = max(2 * fdim, 8)
+    k = fdim + RANK_MARGIN
     rows = [reference_sample(space, n, sig, seed, i) for i in range(k)]
     rows = [cov_coordinates(t, n) for t in rows if t is not None]
     if not rows:
@@ -117,7 +118,7 @@ def test_cov_rank_agrees_with_full_rank(n):
     for sig in ((n, 0), (n - 1, 1)):
         g = standard_scalar_product(*sig)
         for space in SAMPLE_SPACES:
-            k = max(2 * formula_dim(space, n), 8)
+            k = formula_dim(space, n) + RANK_MARGIN
             stack = sampling._stack(space, g, n, range(k))
             rank, gap = numerical_rank(stack.reshape(len(stack), n**4))
             full_inconclusive = gap is not None and gap < GAP_RATIO or gap is None and rank > 0
@@ -288,7 +289,7 @@ def test_default_sample_counts_match_formula_n5(sig):
         assert rep.empirical_dim == rep.formula_dim, space
         assert not rep.inconclusive, space
         if rep.formula_dim:
-            assert rep.samples_used == max(2 * rep.formula_dim, 8), space
+            assert rep.samples_used == rep.formula_dim + RANK_MARGIN, space
 
 
 @pytest.mark.parametrize("sig", [(6, 0), (5, 1)])
@@ -296,7 +297,7 @@ def test_default_sample_counts_match_formula_n6(sig):
     # every space has a measured gap except 'co', which fills co(V)
     for space, rep in dimension_reports(6, sig).items():
         assert rep.empirical_dim == rep.formula_dim > 0, space
-        assert rep.samples_used == max(2 * rep.formula_dim, 8), space
+        assert rep.samples_used == rep.formula_dim + RANK_MARGIN, space
         assert not rep.inconclusive, space
         assert (rep.singular_value_gap is None) == (space == "co"), space
 
@@ -318,6 +319,19 @@ def test_empirical_dimension_empty_space():
     assert rep.singular_value_gap is None and not rep.inconclusive
 
 
+def test_margin_makes_the_report_conclusive():
+    # formula_dim samples of a nonempty space span it but reject no singular
+    # value: inconclusive; the RANK_MARGIN more rows of the default give the gap
+    d = formula_dim("a", 4)
+    for sig in ((4, 0), (3, 1)):
+        rep = dimension_reports(4, sig, samples=d, spaces=("a",))["a"]
+        assert (rep.empirical_dim, rep.samples_used) == (d, d)
+        assert rep.singular_value_gap is None and rep.inconclusive
+        rep = dimension_reports(4, sig, spaces=("a",))["a"]
+        assert (rep.empirical_dim, rep.samples_used) == (d, d + RANK_MARGIN)
+        assert rep.singular_value_gap >= GAP_RATIO and not rep.inconclusive
+
+
 def test_inconclusive_when_undersampled():
     # fewer samples than the true dimension leaves no rejected singular value
     rep = dimension_reports(3, (3, 0), samples=10, spaces=("r",))["r"]
@@ -326,16 +340,18 @@ def test_inconclusive_when_undersampled():
 
 @pytest.mark.parametrize("family", ["W", "A"])
 def test_family_ranked_from_one_projection_per_chunk(monkeypatch, family):
-    # one projector call per CHUNK rows of the largest count, the 60 rows of
+    # one projector call per CHUNK rows of the largest count, the 38 rows of
     # block 7 at n = 4, serves all eight blocks; each block alone would take 9
+    top = formula_dim(f"{family}7", 4) + RANK_MARGIN
+    assert top == 38
     proj = {"W": "w_projections", "A": "a_projections"}[family]
     calls = []
     real = getattr(sampling, proj)
     monkeypatch.setattr(sampling, proj, lambda t, g: calls.append(len(t)) or real(t, g))
     spaces = [f"{family}{j}" for j in range(1, 9)]
     reports = dimension_reports(4, spaces=spaces)
-    assert calls == [sampling.CHUNK, 60 - sampling.CHUNK]
-    assert reports[f"{family}7"].samples_used == 60
+    assert calls == [sampling.CHUNK, top - sampling.CHUNK]
+    assert reports[f"{family}7"].samples_used == top
     for space in spaces:
         assert reports[space].empirical_dim == reports[space].formula_dim, space
 
@@ -343,7 +359,7 @@ def test_family_ranked_from_one_projection_per_chunk(monkeypatch, family):
 def test_family_pass_gives_the_per_space_stacks(monkeypatch):
     # bit for bit the co(V) coordinates of the rows `_stack` draws for each space
     # alone, though 'co' and 'r' share one noise draw and each family (with 'f'
-    # and 'f_pair' in W's) one projection per chunk
+    # and 'f_pair' in W's, and ψ and μ for 'a', 's', 'a_plus_s') one projection per chunk
     g, ranked, real = standard_scalar_product(3, 1), {}, sampling._report
 
     def keep(space, n, rows):
@@ -353,15 +369,15 @@ def test_family_pass_gives_the_per_space_stacks(monkeypatch):
     monkeypatch.setattr(sampling, "_report", keep)
     assert set(dimension_reports(4, (3, 1))) == set(ranked)
     for space, rows in ranked.items():
-        stack = sampling._stack(space, g, 0, range(max(2 * formula_dim(space, 4), 8)))
+        stack = sampling._stack(space, g, 0, range(formula_dim(space, 4) + RANK_MARGIN))
         assert np.array_equal(rows, np.array([cov_coordinates(t, 4) for t in stack])), space
 
 
-@pytest.mark.parametrize("n,w_calls,draws", [(5, 12, 500), (6, 26, 1080)])
+@pytest.mark.parametrize("n,w_calls,draws", [(5, 7, 258), (6, 13, 548)])
 def test_one_w_pass_and_one_noise_draw_per_index(monkeypatch, n, w_calls, draws):
     # one w_projections call per CHUNK rows of the largest of the W blocks, 'f'
-    # and 'f_pair' (the 2 dim(f) 'f' rows), and one stream per index of the
-    # largest stack, 'co', which 'r' shares
+    # and 'f_pair' (the dim(f) + RANK_MARGIN 'f' rows), and one stream per index
+    # of the largest stack, 'co', which 'r' shares
     calls = Counter()
     for name in ("w_projections", "rng_stream"):
         real = getattr(sampling, name)
@@ -370,8 +386,23 @@ def test_one_w_pass_and_one_noise_draw_per_index(monkeypatch, n, w_calls, draws)
     monkeypatch.setattr(sampling, "numerical_rank", lambda rows: (0, None))  # skip the SVDs
     dimension_reports(n)
     assert calls == {"w_projections": w_calls, "rng_stream": draws}
-    assert w_calls == -(-2 * formula_dim("f", n) // sampling.CHUNK)
-    assert draws == 2 * formula_dim("co", n)
+    assert w_calls == -(-(formula_dim("f", n) + RANK_MARGIN) // sampling.CHUNK)
+    assert draws == formula_dim("co", n) + RANK_MARGIN
+
+
+def test_one_psi_and_one_mu_per_chunk_serve_a_s_and_a_plus_s(monkeypatch):
+    # 'a', 's' and 'a_plus_s' = ψ + μ read one ψ and one μ call per CHUNK rows
+    # of the largest of them, 'a_plus_s'
+    calls = Counter()
+    for name in ("psi", "mu"):
+        real = getattr(sampling, name)
+        counted = lambda t, name=name, real=real: calls.update([name]) or real(t)
+        monkeypatch.setattr(sampling, name, counted)
+    reports = dimension_reports(4, spaces=("a", "s", "a_plus_s"))
+    chunks = -(-(formula_dim("a_plus_s", 4) + RANK_MARGIN) // sampling.CHUNK)
+    assert calls == {"psi": chunks, "mu": chunks} and chunks == 3
+    for rep in reports.values():
+        assert rep.empirical_dim == rep.formula_dim and not rep.inconclusive, rep.space
 
 
 def test_numerical_rank_floor():

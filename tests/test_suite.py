@@ -299,7 +299,8 @@ def test_each_block_projects_once(monkeypatch):
     # at one grid point of a default-sized run (one block), every space is drawn
     # or projected once, and each stack's W and A components under the point's
     # metric are computed once per family; 'f' and 'f_pair' are sums of the 'r'
-    # W components, so sampling's projectors never see a block's rows.
+    # W components, so sampling's projectors never see a block's rows, and 'a',
+    # 's' and 'a_plus_s' read one ψ and one μ of the 'r' rows.
     # dimension_consistency reads the point's `dims` reports, which draw their
     # own rows and touch no block stack
     drawn, projected = {}, Counter()
@@ -322,26 +323,40 @@ def test_each_block_projects_once(monkeypatch):
 
         return wrapper
 
+    def counting_average(average, name):
+        def wrapper(t):
+            projected[name, "r"] += any(np.may_share_memory(t, o) for o in drawn.get("r", ()))
+            return average(t)
+
+        return wrapper
+
     for build in ("_stack", "_project"):
         monkeypatch.setattr(suite, build, counting_draw(getattr(suite, build)))
     for module, prefix in ((suite, ""), (sampling, "sampling.")):
         for proj in (module.w_projections, module.a_projections):
             monkeypatch.setattr(module, proj.__name__, counting(proj, prefix + proj.__name__))
+    for average in (sampling.psi, sampling.mu):
+        monkeypatch.setattr(sampling, average.__name__,
+                            counting_average(average, "sampling." + average.__name__))
     spaces = ("r", "co", "a", "s", "f", "p", "t", "a_plus_s", "f_pair")
     for n in (3, 4):
         drawn.clear()
         projected.clear()
         run_invariant_suite(SuiteConfig(dims=(n,), signatures=((n, 0),)))
-        # at n = 4 ricci_image_dimensions asks block 0 for 2n(n+1) + 8 = 48 'r'
-        # rows, more than the block's CHUNK: only the 16 missing ones are drawn
-        rows = [sampling.CHUNK] if n == 3 else [sampling.CHUNK, 48 - sampling.CHUNK]
-        assert [len(out) for out in drawn["r"]] == rows
+        # ricci_image_dimensions asks block 0 for n(n+1)/2 + RANK_MARGIN 'r'
+        # rows, 18 at n = 4: the block's CHUNK rows serve it, none is drawn again
+        assert n * (n + 1) // 2 + sampling.RANK_MARGIN <= sampling.CHUNK
+        assert [len(out) for out in drawn["r"]] == [sampling.CHUNK]
         once = {space: len(outs) for space, outs in drawn.items() if space != "r"}
         assert once == dict.fromkeys(spaces[1:], 1)
         assert +projected == {
-            (proj, space): 1
-            for proj in ("w_projections", "a_projections")
-            for space in ("r", "a_plus_s", "f_pair")
+            **{
+                (proj, space): 1
+                for proj in ("w_projections", "a_projections")
+                for space in ("r", "a_plus_s", "f_pair")
+            },
+            ("sampling.psi", "r"): 1,
+            ("sampling.mu", "r"): 1,
         }
 
 
