@@ -3,10 +3,11 @@
 A chart carries a metric g(x) and a totally symmetric cubic form C(x) as
 polynomial fields.  The three connections of interest are the Levi-Civita
 connection of g and the pair nabla = LC + C, nabla* = LC - C (C raised to a
-(1,2) tensor with the inverse metric).  The fields are held as one monomial
-table, exponents and one coefficient column per entry, so their values and
-first and second derivatives at a point come from one pass over the monomials
-by d_a x^e = e_a x^(e - e_a).  A field F is raised there as g^-1 F, and its
+(1,2) tensor with the inverse metric).  The fields are held only as one
+monomial table, the chart's one format, built and checked with the chart:
+exponents and one coefficient column per entry, so their values and first and
+second derivatives at a point come from one pass over the monomials by
+d_a x^e = e_a x^(e - e_a).  A field F is raised there as g^-1 F, and its
 derivative follows from d(g^-1) = -g^-1 (dg) g^-1.  All differentiation is
 exact, so identity residuals contain float roundoff but no truncation error.
 A chart keeps a record of the last point it was asked about: the evaluated
@@ -24,11 +25,11 @@ convention used across the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from .errors import DegenerateAtPoint, DegenerateMetric, DimensionMismatch, UnknownConnection
+from .errors import (DegenerateAtPoint, DegenerateMetric, DimensionMismatch, SchemaError,
+                     UnknownConnection)
 from .linalg import ScalarProduct, antisym, build_scalar_product
 from .poly import Poly
 from .spaces import conjugate, membership_residual, ricci, scalar_curvature
@@ -38,16 +39,31 @@ CONNECTIONS = ("levi_civita", "nabla", "nabla_star")
 _PICK_PATH = ["einsum_path", (0, 3), (0, 2), (1, 2), (0, 1)]
 
 
-def _as_poly(value, nvars):
-    if isinstance(value, Poly):
-        if value.nvars != nvars:
-            raise DimensionMismatch("polynomial variable count != chart dimension")
-        return value
-    return Poly.constant(float(value), nvars)
+def _entries(field, name, n, rank):
+    """The entries of a nested n^rank field as Polys, in row-major order."""
+    flat = [field]
+    try:  # a row of the wrong length is dropped, so the count falls short
+        for _ in range(rank):
+            flat = [x for row in flat if len(row) == n for x in row]
+    except TypeError:  # a number where a row belongs
+        flat = []
+    if len(flat) != n**rank:
+        raise DimensionMismatch(f"expected a {name} of shape {(n,) * rank}")
+    path = lambda: f"{name}{[int(i) for i in np.unravel_index(pos, (n,) * rank)]}"
+    for pos, x in enumerate(flat):
+        if not isinstance(x, Poly):
+            try:
+                flat[pos] = x = Poly.constant(float(x), n)
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(path(), f"expected a Poly or a number, got {x!r}") from exc
+        if x.nvars != n:
+            raise DimensionMismatch(f"{path()}: polynomial variable count != chart dimension")
+    return flat
 
 
 class PolyChart:
-    """Polynomial metric and cubic form on an n-dimensional coordinate chart."""
+    """Polynomial metric and cubic form (zero if missing) on an n-dimensional chart, given
+    as nested n x n and n x n x n arrays of `Poly` or numbers and kept as one table."""
 
     def __init__(self, dim: int, metric, cubic=None, domain_note: str = ""):
         n = int(dim)
@@ -55,46 +71,33 @@ class PolyChart:
             raise DimensionMismatch(f"chart dimension must be >= 3, got {n}")
         self.dim = n
         self.domain_note = domain_note
-        self.metric = [[_as_poly(metric[i][j], n) for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.metric[i][j] != self.metric[j][i]:
-                    raise DimensionMismatch(f"metric entry ({i},{j}) not symmetric as a polynomial")
-        if cubic is None:
-            zero = Poly(n)
-            self.cubic = [[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        else:
-            self.cubic = [
-                [[_as_poly(cubic[i][j][k], n) for k in range(n)] for j in range(n)]
-                for i in range(n)
-            ]
-            # each permutation against the sorted entry; a parsed chart shares one
-            # Poly across the permutations, so identity settles most of them
-            for i, j, k in combinations_with_replacement(range(n), 3):
-                entry = self.cubic[i][j][k]
-                for a, b, c in permutations((i, j, k)):
-                    other = self.cubic[a][b][c]
-                    if not (other is entry or other == entry):
-                        raise DimensionMismatch(f"cubic entry ({a},{b},{c}) not totally symmetric")
-        self._fields = None
+        self._table = self._prepared(metric, cubic)
         self._last = None
 
     # -- the monomial table and its evaluation -------------------------------
 
-    def _prepared(self):
+    def _prepared(self, metric, cubic):
         """(T, n) exponents of the T monomials and their (T, n^2 + n^3) coefficients,
         with g_ij in column i*n + j and C_ijk in column n^2 + (i*n + j)*n + k."""
-        if self._fields is None:
-            entries = [p for row in self.metric for p in row]
-            entries += [p for plane in self.cubic for row in plane for p in row]
-            monomials = sorted({e for p in entries for e in p.terms})
-            row_of = {e: t for t, e in enumerate(monomials)}
-            coeffs = np.zeros((len(monomials), len(entries)))
-            for col, p in enumerate(entries):
-                for e, c in p.terms.items():
-                    coeffs[row_of[e], col] = c
-            self._fields = (np.array(monomials, dtype=int).reshape(-1, self.dim), coeffs)
-        return self._fields
+        n, m = self.dim, self.dim**2
+        entries = _entries(metric, "metric", n, 2)
+        entries += [] if cubic is None else _entries(cubic, "cubic", n, 3)
+        monomials = sorted({e for p in entries for e in p.terms})
+        row_of = {e: t for t, e in enumerate(monomials)}
+        coeffs = np.zeros((len(monomials), m + n**3))  # a missing cubic leaves its columns zero
+        for col, p in enumerate(entries):
+            for e, c in p.terms.items():
+                coeffs[row_of[e], col] = c
+        # equal Polys give equal columns; adjacent index swaps generate every permutation
+        g, cub = coeffs[:, :m].reshape(-1, n, n), coeffs[:, m:].reshape(-1, n, n, n)
+        if not (g == g.swapaxes(1, 2)).all():  # named by the upper entry of the pair
+            i, j = np.argwhere((g != g.swapaxes(1, 2)).any(axis=0))[0]
+            raise DimensionMismatch(f"metric entry ({i},{j}) not symmetric as a polynomial")
+        if not ((cub == cub.swapaxes(1, 2)).all() and (cub == cub.swapaxes(2, 3)).all()):
+            i, j, k = np.sort(np.indices((n, n, n)), axis=0)  # each entry's sorted index
+            a, b, d = np.argwhere((cub != cub[:, i, j, k]).any(axis=0))[0]  # the first unlike it
+            raise DimensionMismatch(f"cubic entry ({a},{b},{d}) not totally symmetric")
+        return np.array(monomials, dtype=int).reshape(-1, n), coeffs
 
     def metric_at(self, point) -> ScalarProduct:
         return self._point_data(point)["g"]
@@ -109,7 +112,7 @@ class PolyChart:
         key = point.tobytes()
         if self._last is None or self._last[0] != key:
             n, m = self.dim, self.dim**2
-            exps, coeffs = self._prepared()
+            exps, coeffs = self._table
             # factor[t, b, k] = d^k/dx_b^k x_b^e for e = exps[t, b], k = 0, 1, 2: the falling
             # factorial of e times x_b^(e - k), clipped at x_b^0 where the factorial is 0
             falling = np.stack([np.ones_like(exps), exps, exps * (exps - 1)], axis=-1)

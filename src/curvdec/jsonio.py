@@ -42,11 +42,11 @@ def _loads(data):
     return data
 
 
-def _require(doc, key, path="$"):
+def _require(doc, key):
     if not isinstance(doc, dict):
-        raise SchemaError(path, "expected an object")
+        raise SchemaError("$", "expected an object")
     if key not in doc:
-        raise SchemaError(f"{path}.{key}", "missing required field")
+        raise SchemaError(f"$.{key}", "missing required field")
     return doc[key]
 
 
@@ -210,33 +210,27 @@ def _parse_poly(entry, n, path):
     return Poly(n, terms)
 
 
+def _parse_field(entries, name, n, rank):
+    """A chart field from its sorted-index entries: each fills its permutations, and an
+    entry not given is zero.  A dim below 3, negative too, is refused by PolyChart."""
+    if not isinstance(entries, dict):
+        raise SchemaError(f"$.{name}", "expected an object")
+    field = np.full((max(n, 0),) * rank, Poly(n), dtype=object)
+    for key, entry in entries.items():
+        idx = _parse_indices(key, rank, n, f"$.{name}[{key!r}]")
+        p = _parse_poly(entry, n, f"$.{name}[{key!r}]")
+        for perm in set(permutations(idx)):
+            field[perm] = p
+    return field.tolist()
+
+
 def parse_chart(data) -> PolyChart:
     """Read a chart document: symmetric entries stored with sorted indices only."""
     doc = _loads(data)
     n = _as_int(_require(doc, "dim"), "$.dim")
-    metric_doc = _require(doc, "metric")
-    if not isinstance(metric_doc, dict):
-        raise SchemaError("$.metric", "expected an object")
-    zero = Poly(n)
-    metric = [[zero for _ in range(n)] for _ in range(n)]
-    for key, entry in metric_doc.items():
-        i, j = _parse_indices(key, 2, n, f"$.metric[{key!r}]")
-        p = _parse_poly(entry, n, f"$.metric[{key!r}]")
-        metric[i][j] = p
-        metric[j][i] = p
-    cubic = None
-    if "cubic" in doc:
-        cubic_doc = doc["cubic"]
-        if not isinstance(cubic_doc, dict):
-            raise SchemaError("$.cubic", "expected an object")
-        cubic = [[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for key, entry in cubic_doc.items():
-            idx = _parse_indices(key, 3, n, f"$.cubic[{key!r}]")
-            p = _parse_poly(entry, n, f"$.cubic[{key!r}]")
-            for perm in set(permutations(idx)):
-                cubic[perm[0]][perm[1]][perm[2]] = p
+    metric = _parse_field(_require(doc, "metric"), "metric", n, 2)
+    cubic = _parse_field(doc["cubic"], "cubic", n, 3) if "cubic" in doc else None
     note = doc.get("domain_note", "")
     if not isinstance(note, str):
         raise SchemaError("$.domain_note", "expected a string")
     return PolyChart(n, metric, cubic, domain_note=note)
-

@@ -1,8 +1,8 @@
 """Dense-free multivariate polynomials: the value type of chart entries.
 
 Terms live in a dict from exponent tuples to float coefficients; zero
-coefficients are never stored.  Evaluation sums terms in sorted order for
-reproducibility.
+coefficients are never stored.  A `PolyChart` reads only the validated terms;
+evaluation sums them in sorted order for reproducibility.
 """
 from __future__ import annotations
 
@@ -31,33 +31,6 @@ class Poly:
     def constant(cls, c: float, nvars: int) -> "Poly":
         return cls(nvars, {(0,) * nvars: c})
 
-    @classmethod
-    def variable(cls, i: int, nvars: int) -> "Poly":
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): 1.0})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0.0) + c
-        return Poly(self.nvars, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         other = self._coerce(other)
         out: dict = {}
@@ -84,16 +57,3 @@ class Poly:
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, tuple(sorted(self.terms.items()))))
-
-    def __repr__(self):
-        if not self.terms:
-            return "Poly(0)"
-        bits = []
-        for e in sorted(self.terms):
-            mono = "*".join(f"x{i}^{k}" for i, k in enumerate(e) if k) or "1"
-            bits.append(f"{self.terms[e]:g}*{mono}")
-        return "Poly(" + " + ".join(bits) + ")"
-

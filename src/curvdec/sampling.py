@@ -205,17 +205,17 @@ class DimensionReport:
     inconclusive: bool
 
 
-def numerical_rank(rows: np.ndarray, floor: float = 0.0) -> tuple[int, float | None]:
+def numerical_rank(rows: np.ndarray) -> tuple[int, float | None]:
     """Rank by singular-value thresholding at 1e-8 of the largest value.
 
-    The gap is None when no value was rejected, at rank min(rows, columns).
-    floor is an absolute scale below which the whole stack counts as zero.
+    The gap is None when no value was rejected, at rank min(rows, columns), and an
+    empty or all-zero stack has rank 0.
     """
     if rows.size == 0:
         return 0, None
     s = np.linalg.svd(rows, compute_uv=False)
     smax = s[0]
-    if smax <= max(floor, 0.0):
+    if smax == 0.0:
         return 0, None
     rank = int(np.sum(s > RANK_RATIO * smax))
     if rank >= len(s):

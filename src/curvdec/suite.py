@@ -286,11 +286,11 @@ def _check_conjugate_closure(ctx):
     # membership of the conjugate in r(V), the component criterion, and the
     # complement all vanish together
     g = ctx.g
-    r = ctx.stack("r", ctx.k)
     s = ctx.stack("a_plus_s", ctx.k)
     comps = ctx.comps("a_plus_s", a_projections, ctx.k)
     yield from (membership_residual(conjugate(s), g, "r"), comps[4], comps[7])
-    c = _normalize(r - psi(r) - mu(r), 1e-8)
+    ps, m = ctx.comps("r", sampling._averages, ctx.k)
+    c = _normalize(ctx.stack("r", ctx.k) - ps - m, 1e-8)
     yield _membership_rows(conjugate(c), g, "r") > 1e-3
     comps_c = a_projections(c, g)
     yield np.maximum(_row_maxnorm(comps_c[4], 1), _row_maxnorm(comps_c[7], 1)) > 1e-3
@@ -362,8 +362,8 @@ def _check_conjugate_pair_reduction(ctx):
 
 def _check_complement_ricci_structure(ctx):
     g = ctx.g
-    r = ctx.stack("r", ctx.k)
-    c = _normalize(r - psi(r) - mu(r), 1e-8)
+    ps, m = ctx.comps("r", sampling._averages, ctx.k)
+    c = _normalize(ctx.stack("r", ctx.k) - ps - m, 1e-8)
     ric = ricci(c, g)
     keep = _row_maxnorm(ric, 1) > 100 * ctx.tol
     c, ric = c[keep], ric[keep]

@@ -68,6 +68,11 @@ def product(a, b):
     return out
 
 
+def one_plus(n, terms):
+    """1 + terms, with the sums 1.0 + c that `1.0 + Poly(n, terms)` used to give."""
+    return lincomb((1.0, {(0,) * n: 1.0}), (1.0, terms))
+
+
 def lincomb(*pairs):
     """The sum of s * terms over (s, terms) pairs."""
     out = {}

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
-from chart_helpers import fd_curvature
+from chart_helpers import fd_curvature, one_plus
 
 from curvdec.charts import PolyChart, conjugate_triple_report, curvature_at
 from curvdec.decomp import (
@@ -260,22 +260,22 @@ ZERO = Poly(N3)
 
 
 def _random_chart(rng, scale=0.08):
-    def rand_poly():
+    def rand_terms():
         terms = {}
         for _ in range(4):
             e = tuple(int(v) for v in rng.integers(0, 2, N3))
             if sum(e) <= 2:
                 terms[e] = scale * rng.uniform(-1, 1)
-        return Poly(N3, terms)
+        return terms
 
     metric = [[ZERO for _ in range(N3)] for _ in range(N3)]
     for i in range(N3):
         for j in range(i, N3):
-            p = rand_poly()
-            metric[i][j] = metric[j][i] = (ONE + p) if i == j else p
+            terms = rand_terms()
+            metric[i][j] = metric[j][i] = Poly(N3, one_plus(N3, terms) if i == j else terms)
     cubic = [[[ZERO] * N3 for _ in range(N3)] for _ in range(N3)]
     for idx in combinations_with_replacement(range(N3), 3):
-        p = rand_poly()
+        p = Poly(N3, rand_terms())
         for pp in set(permutations(idx)):
             cubic[pp[0]][pp[1]][pp[2]] = p
     return PolyChart(N3, metric, cubic)
@@ -309,10 +309,9 @@ def test_criterion_09_chart_identities():
         chart = PolyChart(N3, flat, cub)
         point = [0.0, 0.0, 0.0]
         r = curvature_at(chart, point, "nabla")
-        c = np.array(
-            [[[chart.cubic[i][j][k]((0.0, 0.0, 0.0)) for k in range(N3)]
-              for j in range(N3)] for i in range(N3)]
-        )
+        c = np.zeros((N3, N3, N3))
+        for idx in {(0, 0, 1), (0, 1, 0), (1, 0, 0)}:
+            c[idx] = 1.0
         sq = np.einsum("hjl,ihk->jkli", c, c) - np.einsum("hjk,ihl->jkli", c, c)
         expected = np.einsum("cabm,md->abcd", sq, np.eye(N3))
         assert mx(r - expected) <= 1e-12

@@ -2,7 +2,7 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
-from chart_helpers import fd_curvature, hessian_chart, random_factor, random_potential
+from chart_helpers import fd_curvature, hessian_chart, one_plus, random_factor, random_potential
 
 from curvdec import charts
 from curvdec.charts import (
@@ -42,10 +42,19 @@ def constant_cubic(entries):
     return cub
 
 
+def constant_cubic_values(entries):
+    """The values of constant_cubic(entries), as an (N, N, N) array."""
+    c = np.zeros((N, N, N))
+    for idx, val in entries.items():
+        for p in permutations(idx):
+            c[p] = val
+    return c
+
+
 def random_chart(rng, n=N, scale=0.08, dense=False):
     """Random chart of degree <= 2; dense=True redraws dropped monomials, so no entry is zero."""
 
-    def rand_poly():
+    def rand_terms():
         terms = {}
         for _ in range(4):
             e = tuple(int(v) for v in rng.integers(0, 2, n))
@@ -53,16 +62,16 @@ def random_chart(rng, n=N, scale=0.08, dense=False):
                 e = tuple(int(v) for v in rng.integers(0, 2, n))
             if sum(e) <= 2:
                 terms[e] = scale * rng.uniform(-1, 1)
-        return Poly(n, terms)
+        return terms
 
     metric = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            p = rand_poly()
-            metric[i][j] = metric[j][i] = (1.0 + p) if i == j else p
+            terms = rand_terms()
+            metric[i][j] = metric[j][i] = Poly(n, one_plus(n, terms) if i == j else terms)
     cubic = [[[None] * n for _ in range(n)] for _ in range(n)]
     for idx in combinations_with_replacement(range(n), 3):
-        p = rand_poly()
+        p = Poly(n, rand_terms())
         for pp in set(permutations(idx)):
             cubic[pp[0]][pp[1]][pp[2]] = p
     return PolyChart(n, metric, cubic)
@@ -72,11 +81,10 @@ def random_chart(rng, n=N, scale=0.08, dense=False):
 
 
 def test_poly_arithmetic():
-    x = Poly.variable(0, 2)
-    y = Poly.variable(1, 2)
-    p = (x + y) * (x - y) + 1.0
-    assert p((2.0, 1.0)) == 4.0
-    assert (p - p).is_zero()
+    # (x + y)(x - y) = x^2 - y^2: the cross terms cancel and are not stored
+    p = Poly(2, {(1, 0): 1.0, (0, 1): 1.0}) * Poly(2, {(1, 0): 1.0, (0, 1): -1.0})
+    assert p.terms == {(2, 0): 1.0, (0, 2): -1.0}
+    assert (p * 2.0)((2.0, 1.0)) == 6.0
     assert (0.0 * p).terms == {}
 
 
@@ -85,7 +93,7 @@ def test_poly_refuses_bad_terms_with_typed_errors():
         with pytest.raises(SchemaError, match="need 3 non-negative exponents"):
             Poly(3, {exps: 1.0})
     with pytest.raises(DimensionMismatch, match="3 and 2"):
-        Poly(3) + Poly(2)
+        Poly(3) * Poly(2)
     for bad in (np.nan, np.inf):
         with pytest.raises(NonFiniteInput):
             Poly(3, {(1, 2, 3): bad})
@@ -104,8 +112,8 @@ def test_poly_refuses_non_integer_exponents():
 
 def test_chart_validates_symmetry():
     bad = flat_metric()
-    bad[0][1] = Poly.variable(0, N)
-    with pytest.raises(DimensionMismatch):
+    bad[0][1] = Poly(N, {(1, 0, 0): 1.0})
+    with pytest.raises(DimensionMismatch, match=r"metric entry \(0,1\) not symmetric"):
         PolyChart(N, bad)
     cub = constant_cubic({(0, 0, 1): 1.0})
     cub[0][0][1] = Poly.constant(2.0, N)
@@ -118,6 +126,26 @@ def test_chart_validates_symmetry():
         PolyChart(N, flat_metric(), cub)
 
 
+def test_chart_refuses_bad_shapes_and_entries_typed():
+    # a field of the wrong shape and an entry that is no number are CurvdecErrors, not
+    # the IndexError of indexing or the ValueError of float(); a refusal names its entry
+    eye = np.eye(N)
+    for metric, cubic in (([[1, 0], [0, 1]], None), (eye, np.zeros((N, N))), (1.0, None),
+                          (np.eye(N + 1)[:N], None), (eye, np.zeros((N, N, N + 1)))):
+        with pytest.raises(DimensionMismatch, match="of shape"):
+            PolyChart(N, metric, cubic)
+    with pytest.raises(SchemaError, match=r"metric\[1, 1\]: expected a Poly or a number, got 'x'"):
+        PolyChart(N, [[1, 0, 0], [0, "x", 0], [0, 0, 1]])
+    cub = constant_cubic({})
+    cub[0][1][2] = None
+    with pytest.raises(SchemaError, match=r"cubic\[0, 1, 2\]"):
+        PolyChart(N, eye, cub)
+    bad = flat_metric()
+    bad[2][2] = Poly(N + 1)
+    with pytest.raises(DimensionMismatch, match=r"metric\[2, 2\]: polynomial variable count"):
+        PolyChart(N, bad)
+
+
 def test_flat_chart_christoffel_zero():
     chart = PolyChart(N, flat_metric())
     gamma, dgamma = christoffel(chart, [0.4, -0.1, 0.9])
@@ -128,8 +156,8 @@ def test_flat_chart_christoffel_zero():
 def test_conformal_bump_christoffel_at_origin():
     # g_ij = delta_ij (1 + x0^2): all first derivatives vanish at 0 but the
     # second derivatives do not
-    bump = Poly(N, {(2, 0, 0): 1.0})
-    metric = [[(ONE + bump) if i == j else ZERO for j in range(N)] for i in range(N)]
+    bump = Poly(N, {(0, 0, 0): 1.0, (2, 0, 0): 1.0})
+    metric = [[bump if i == j else ZERO for j in range(N)] for i in range(N)]
     chart = PolyChart(N, metric)
     gamma, dgamma = christoffel(chart, [0.0, 0.0, 0.0])
     assert np.max(np.abs(gamma)) == 0.0
@@ -151,13 +179,12 @@ def test_flat_chart_all_curvatures_vanish():
 
 
 def test_flat_constant_cubic_curvature_is_square_term():
-    cub = constant_cubic({(0, 0, 1): 1.0, (1, 2, 2): -0.5, (0, 1, 2): 0.25})
-    chart = PolyChart(N, flat_metric(), cub)
+    entries = {(0, 0, 1): 1.0, (1, 2, 2): -0.5, (0, 1, 2): 0.25}
+    chart = PolyChart(N, flat_metric(), constant_cubic(entries))
     point = [0.0, 0.0, 0.0]
     assert np.max(np.abs(curvature_at(chart, point, "levi_civita"))) == 0.0
     r = curvature_at(chart, point, "nabla")
-    c = np.array([[[chart.cubic[i][j][k]((0, 0, 0)) for k in range(N)] for j in range(N)]
-                  for i in range(N)])
+    c = constant_cubic_values(entries)
     sq = np.einsum("hjl,ihk->jkli", c, c) - np.einsum("hjk,ihl->jkli", c, c)
     expected = np.einsum("cabm,md->abcd", sq, np.eye(N))
     assert np.max(np.abs(r - expected)) <= 1e-12
@@ -258,7 +285,8 @@ def test_exact_curvature_matches_finite_difference_oracle():
 def test_dense_chart_beyond_dimension_three(n):
     rng = np.random.default_rng(40 + n)
     chart = random_chart(rng, n, dense=True)
-    assert not any(p.is_zero() for row in chart.metric for p in row)
+    _, coeffs = chart._table
+    assert coeffs[:, : n * n].any(axis=0).all()  # no metric entry is zero
     point = rng.uniform(-0.4, 0.4, n)
     rep = conjugate_triple_report(chart, point)
     for name, value in rep.identity_residuals.items():
@@ -294,7 +322,7 @@ def test_point_data_follows_the_point():
     assert not np.array_equal(r1, r2)
     assert np.array_equal(curvature_at(chart, p1, "nabla"), r1)
     p1[0] = p2[0]
-    fresh = PolyChart(N, chart.metric, chart.cubic)
+    fresh = random_chart(np.random.default_rng(6))
     assert np.array_equal(curvature_at(chart, p1, "nabla"), curvature_at(fresh, p1, "nabla"))
 
 
@@ -302,8 +330,9 @@ def test_higher_degree_chart_against_hand_derivatives():
     # entries x0^2 x1, x2^3 and x1 x2 reach the x^(e - 2) and mixed second
     # derivative terms; x0 = 0 puts exponents at the clipping boundary
     x0, x1, x2 = point = np.array([0.0, -0.5, 0.7])
-    a, b, c = Poly(N, {(2, 1, 0): 0.2}), Poly(N, {(0, 0, 3): 0.1}), Poly(N, {(0, 1, 1): 0.3})
-    metric = [[ONE + a, c, ZERO], [c, ONE + b, ZERO], [ZERO, ZERO, ONE]]
+    a, b = Poly(N, {(0, 0, 0): 1.0, (2, 1, 0): 0.2}), Poly(N, {(0, 0, 0): 1.0, (0, 0, 3): 0.1})
+    c = Poly(N, {(0, 1, 1): 0.3})
+    metric = [[a, c, ZERO], [c, b, ZERO], [ZERO, ZERO, ONE]]
     cub = constant_cubic({(0, 1, 2): 0.5})
     for idx, p in (((0, 0, 1), Poly(N, {(2, 1, 0): 1.0})), ((2, 2, 2), Poly(N, {(0, 0, 3): 1.0}))):
         for q in set(permutations(idx)):
@@ -338,16 +367,16 @@ def test_chart_fields_keep_exact_symmetries():
     # totally symmetric, and d_a d_c = d_c d_a, all bit for bit
     rng = np.random.default_rng(8)
 
-    def rand_poly():
-        return Poly(N, {tuple(int(v) for v in rng.integers(0, 4, N)): rng.uniform(-0.1, 0.1)
-                        for _ in range(8)})
+    def rand_terms():
+        return {tuple(int(v) for v in rng.integers(0, 4, N)): rng.uniform(-0.1, 0.1)
+                for _ in range(8)}
 
     metric = [[None] * N for _ in range(N)]
     for i, j in combinations_with_replacement(range(N), 2):
-        metric[i][j] = metric[j][i] = (1.0 + rand_poly()) if i == j else rand_poly()
+        metric[i][j] = metric[j][i] = Poly(N, one_plus(N, rand_terms()) if i == j else rand_terms())
     cub = constant_cubic({})
     for idx in combinations_with_replacement(range(N), 3):
-        p = rand_poly()
+        p = Poly(N, rand_terms())
         for q in set(permutations(idx)):
             cub[q[0]][q[1]][q[2]] = p
     chart = PolyChart(N, metric, cub)

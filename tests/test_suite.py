@@ -300,7 +300,8 @@ def test_each_block_projects_once(monkeypatch):
     # or projected once, and each stack's W and A components under the point's
     # metric are computed once per family; 'f' and 'f_pair' are sums of the 'r'
     # W components, so sampling's projectors never see a block's rows, and 'a',
-    # 's' and 'a_plus_s' read one ψ and one μ of the 'r' rows.
+    # 's', 'a_plus_s' and the checks that take the complement r - ψ(r) - μ(r) read
+    # one ψ and one μ of the 'r' rows: the suite's own ψ and μ never see them.
     # dimension_consistency reads the point's `dims` reports, which draw their
     # own rows and touch no block stack
     drawn, projected = {}, Counter()
@@ -335,9 +336,10 @@ def test_each_block_projects_once(monkeypatch):
     for module, prefix in ((suite, ""), (sampling, "sampling.")):
         for proj in (module.w_projections, module.a_projections):
             monkeypatch.setattr(module, proj.__name__, counting(proj, prefix + proj.__name__))
-    for average in (sampling.psi, sampling.mu):
-        monkeypatch.setattr(sampling, average.__name__,
-                            counting_average(average, "sampling." + average.__name__))
+    for module, prefix in ((suite, ""), (sampling, "sampling.")):
+        for average in (module.psi, module.mu):
+            monkeypatch.setattr(module, average.__name__,
+                                counting_average(average, prefix + average.__name__))
     spaces = ("r", "co", "a", "s", "f", "p", "t", "a_plus_s", "f_pair")
     for n in (3, 4):
         drawn.clear()
