@@ -7,7 +7,7 @@ of algebraic tensors, reproducible subspace samplers with rank-based
 dimension estimation, and a polynomial chart lab that realizes conjugate
 connection triples and verifies their curvature identities pointwise.
 """
-from .charts import PolyChart, TripleReport, christoffel, conjugate_triple_report, curvature_at
+from .charts import PolyChart, TripleReport, conjugate_triple_report, curvature_at
 from .decomp import (
     DecompositionResult,
     a_decompose,

@@ -12,8 +12,8 @@ derivative follows from d(g^-1) = -g^-1 (dg) g^-1.  All differentiation is
 exact, so identity residuals contain float roundoff but no truncation error.
 A chart keeps a record of the last point it was asked about: the evaluated
 fields, the raised cubic, and the coefficients of the three connections with
-their derivatives, each computed once.  The raised cubic and the connection
-arrays are handed out uncopied, so they are read-only.
+their derivatives, each computed once.  The metric, its inverse, the raised
+cubic and the connection arrays are handed out uncopied, so they are read-only.
 
 Index conventions, frozen against the flat-metric constant-C case:
 Gamma[i, j, k] = Gamma^i_{jk}, dGamma[m, i, j, k] = d_m Gamma^i_{jk}, and the
@@ -35,8 +35,19 @@ from .poly import Poly
 from .spaces import conjugate, membership_residual, ricci, scalar_curvature
 
 CONNECTIONS = ("levi_civita", "nabla", "nabla_star")
+# the largest chart dimension: a point record holds about 15 arrays of n^4 floats,
+# some 130 MB at n = 32, and no chart field is allocated for a dim past it
+MAX_DIM = 32
 # np.einsum_path's choice for the Pick norm at every n = 3..40, so no request searches
 _PICK_PATH = ["einsum_path", (0, 3), (0, 2), (1, 2), (0, 1)]
+
+
+def _chart_dim(dim) -> int:
+    """dim as an int in 3..MAX_DIM, else DimensionMismatch before anything is allocated."""
+    n = int(dim)
+    if not 3 <= n <= MAX_DIM:
+        raise DimensionMismatch(f"chart dimension must be in 3..{MAX_DIM}, got {n}")
+    return n
 
 
 def _entries(field, name, n, rank):
@@ -65,12 +76,8 @@ class PolyChart:
     """Polynomial metric and cubic form (zero if missing) on an n-dimensional chart, given
     as nested n x n and n x n x n arrays of `Poly` or numbers and kept as one table."""
 
-    def __init__(self, dim: int, metric, cubic=None, domain_note: str = ""):
-        n = int(dim)
-        if n < 3:
-            raise DimensionMismatch(f"chart dimension must be >= 3, got {n}")
-        self.dim = n
-        self.domain_note = domain_note
+    def __init__(self, dim: int, metric, cubic=None):
+        self.dim = _chart_dim(dim)
         self._table = self._prepared(metric, cubic)
         self._last = None
 
@@ -105,7 +112,7 @@ class PolyChart:
     def _point_data(self, point):
         """The point's record, computed once and kept for the last point asked: the
         fields, the raised cubic 'cup' with its derivative 'dcup', and 'connections',
-        each connection's (Gamma, dGamma) in the layout of `christoffel`."""
+        each connection's (Gamma, dGamma) in the index layout above."""
         point = np.asarray(point, dtype=float)
         if point.shape != (self.dim,):
             raise DimensionMismatch(f"expected a point of shape ({self.dim},), got {point.shape}")
@@ -148,7 +155,7 @@ class PolyChart:
                 "nabla_star": (gamma - cup, dgamma - dcup),
             }
             # callers get these arrays, not copies, so none may change the record
-            for arr in (cup, dcup, *(x for pair in connections.values() for x in pair)):
+            for arr in (g.matrix, g.inverse, cup, dcup, *sum(connections.values(), ())):
                 arr.flags.writeable = False
             data.update(cup=cup, dcup=dcup, connections=connections)
             self._last = (key, data)
@@ -160,15 +167,6 @@ def _raised_with_derivative(gi, dg, field, dfield):
     value = np.einsum("il,ljk->ijk", gi, field)
     deriv = np.einsum("il,mljk->mijk", gi, dfield - np.einsum("mlh,hjk->mljk", dg, value))
     return value, deriv
-
-
-def christoffel(chart: PolyChart, point):
-    """Levi-Civita coefficients and their coordinate derivatives at a point.
-
-    Returns (gamma, dgamma) with gamma[i, j, k] = Gamma^i_{jk} and
-    dgamma[m, i, j, k] = d_m Gamma^i_{jk}, both exact and read-only.
-    """
-    return chart._point_data(point)["connections"]["levi_civita"]
 
 
 def _operator_curvature(gamma, dgamma):

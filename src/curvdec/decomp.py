@@ -23,8 +23,8 @@ import numpy as np
 from .errors import FormSymmetryViolation, NonFiniteInput, NotAlgebraic, NotGeneralizedCurvature
 from .linalg import (
     ScalarProduct,
-    _maxnorm,
     _per_tensor,
+    _row_maxnorm,
     antisym,
     check_same_dim,
     check_tensor,
@@ -227,9 +227,10 @@ def sigma_split(omega, theta, g: ScalarProduct) -> np.ndarray:
     omega = np.asarray(omega, dtype=float)
     theta = np.asarray(theta, dtype=float)
     check_same_dim(omega, theta, g.matrix)
-    if _maxnorm(omega + omega.swapaxes(-1, -2)) > FORM_TOL * max(1.0, _maxnorm(omega)):
+    norm = lambda x: _row_maxnorm(x, 0)
+    if norm(omega + omega.swapaxes(-1, -2)) > FORM_TOL * max(1.0, norm(omega)):
         raise FormSymmetryViolation("omega is not antisymmetric")
-    if _maxnorm(theta - theta.swapaxes(-1, -2)) > FORM_TOL * max(1.0, _maxnorm(theta)):
+    if norm(theta - theta.swapaxes(-1, -2)) > FORM_TOL * max(1.0, norm(theta)):
         raise FormSymmetryViolation("theta is not symmetric")
     return _sigma_alt(omega, g.matrix) + _sigma_sym(theta, g.matrix)
 

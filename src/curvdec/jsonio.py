@@ -13,7 +13,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .charts import PolyChart, TripleReport
+from .charts import PolyChart, TripleReport, _chart_dim
 from .decomp import DecompositionResult
 from .errors import LengthMismatch, NonFiniteInput, SchemaError
 from .linalg import ScalarProduct, build_scalar_product, standard_scalar_product
@@ -212,10 +212,11 @@ def _parse_poly(entry, n, path):
 
 def _parse_field(entries, name, n, rank):
     """A chart field from its sorted-index entries: each fills its permutations, and an
-    entry not given is zero.  A dim below 3, negative too, is refused by PolyChart."""
+    entry not given is zero.  n is already in 3..charts.MAX_DIM: parse_chart refuses any
+    other dim before a field is allocated."""
     if not isinstance(entries, dict):
         raise SchemaError(f"$.{name}", "expected an object")
-    field = np.full((max(n, 0),) * rank, Poly(n), dtype=object)
+    field = np.full((n,) * rank, Poly(n), dtype=object)
     for key, entry in entries.items():
         idx = _parse_indices(key, rank, n, f"$.{name}[{key!r}]")
         p = _parse_poly(entry, n, f"$.{name}[{key!r}]")
@@ -225,12 +226,12 @@ def _parse_field(entries, name, n, rank):
 
 
 def parse_chart(data) -> PolyChart:
-    """Read a chart document: symmetric entries stored with sorted indices only."""
+    """Read a chart document: symmetric entries stored with sorted indices only.  An
+    optional "domain_note" must be a string and is not used."""
     doc = _loads(data)
-    n = _as_int(_require(doc, "dim"), "$.dim")
+    n = _chart_dim(_as_int(_require(doc, "dim"), "$.dim"))
     metric = _parse_field(_require(doc, "metric"), "metric", n, 2)
     cubic = _parse_field(doc["cubic"], "cubic", n, 3) if "cubic" in doc else None
-    note = doc.get("domain_note", "")
-    if not isinstance(note, str):
+    if not isinstance(doc.get("domain_note", ""), str):
         raise SchemaError("$.domain_note", "expected a string")
-    return PolyChart(n, metric, cubic, domain_note=note)
+    return PolyChart(n, metric, cubic)

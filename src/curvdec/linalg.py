@@ -78,7 +78,7 @@ def build_scalar_product(matrix) -> ScalarProduct:
     bad = np.argwhere(~np.isfinite(g))
     if bad.size:
         raise NonFiniteInput(f"non-finite metric entries at {[tuple(i) for i in bad.tolist()]}")
-    asym = _maxnorm(g - g.T)
+    asym = _row_maxnorm(g - g.T, 0)
     if asym > SYMMETRY_TOL:
         raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
     g = 0.5 * g + 0.5 * g.T  # 0.5 * (g + g.T) would overflow near the float limit
@@ -123,10 +123,9 @@ def antisym(b) -> np.ndarray:
     return 0.5 * (b - b.swapaxes(-1, -2))
 
 
-def _maxnorm(t) -> float:
-    """max |t|, 0.0 for an empty array."""
-    a = np.abs(t)
-    return float(a.max()) if a.size else 0.0
+def _row_maxnorm(x, batch: int):
+    """max |x| over every axis after the first `batch` ones."""
+    return np.maximum.reduce(np.abs(x), axis=tuple(range(batch, x.ndim)), initial=0.0)
 
 
 def check_same_dim(*forms) -> int:

@@ -54,6 +54,3 @@ class Poly:
                 raise DimensionMismatch(f"mixed variable counts {self.nvars} and {other.nvars}")
             return other
         return Poly.constant(float(other), self.nvars)
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnknownSpace
-from .linalg import ScalarProduct, _per_tensor, antisym, check_same_dim, check_tensor
+from .linalg import (ScalarProduct, _per_tensor, _row_maxnorm, antisym, check_same_dim,
+                     check_tensor)
 
 MEMBERSHIP_TOL = 1e-10
 
@@ -195,11 +196,6 @@ def _membership_rows(t, g: ScalarProduct, space: str):
     elif space == "t":
         parts += [ricci(t, g), ricci_star(t, g)]
     return _relative(t, *parts)
-
-
-def _row_maxnorm(x, batch: int):
-    """max |x| over every axis after the first `batch` ones."""
-    return np.maximum.reduce(np.abs(x), axis=tuple(range(batch, x.ndim)), initial=0.0)
 
 
 def _relative(t, *parts):

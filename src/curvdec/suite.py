@@ -33,7 +33,7 @@ from .decomp import (
     w_projections,
 )
 from .errors import EmptyRun, EmptySpace, UnknownCheck
-from .linalg import antisym, standard_scalar_product, sym, tensor_pairing
+from .linalg import _row_maxnorm, antisym, standard_scalar_product, sym, tensor_pairing
 from .sampling import (
     CHUNK,
     EMPTY_NORM,
@@ -48,7 +48,6 @@ from .sampling import (
 from .spaces import (
     SPACE_TAGS,
     _membership_rows,
-    _row_maxnorm,
     _traces,
     conjugate,
     membership,

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
@@ -7,8 +8,8 @@ from chart_helpers import fd_curvature, hessian_chart, one_plus, random_factor, 
 from curvdec import charts
 from curvdec.charts import (
     CONNECTIONS,
+    MAX_DIM,
     PolyChart,
-    christoffel,
     conjugate_triple_report,
     curvature_at,
 )
@@ -146,9 +147,27 @@ def test_chart_refuses_bad_shapes_and_entries_typed():
         PolyChart(N, bad)
 
 
+def test_chart_dimension_bounded_before_allocation():
+    # a dim outside 3..MAX_DIM is refused before the n^2 + n^3 table columns exist
+    tracemalloc.start()
+    try:
+        for n in (2, MAX_DIM + 1, 100_000):
+            with pytest.raises(DimensionMismatch, match=f"3..{MAX_DIM}, got {n}"):
+                PolyChart(n, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def levi_civita(chart, point):
+    """(Gamma, dGamma) of the Levi-Civita connection from the chart's point record."""
+    return chart._point_data(point)["connections"]["levi_civita"]
+
+
 def test_flat_chart_christoffel_zero():
     chart = PolyChart(N, flat_metric())
-    gamma, dgamma = christoffel(chart, [0.4, -0.1, 0.9])
+    gamma, dgamma = levi_civita(chart, [0.4, -0.1, 0.9])
     assert np.max(np.abs(gamma)) == 0.0
     assert np.max(np.abs(dgamma)) == 0.0
 
@@ -159,7 +178,7 @@ def test_conformal_bump_christoffel_at_origin():
     bump = Poly(N, {(0, 0, 0): 1.0, (2, 0, 0): 1.0})
     metric = [[bump if i == j else ZERO for j in range(N)] for i in range(N)]
     chart = PolyChart(N, metric)
-    gamma, dgamma = christoffel(chart, [0.0, 0.0, 0.0])
+    gamma, dgamma = levi_civita(chart, [0.0, 0.0, 0.0])
     assert np.max(np.abs(gamma)) == 0.0
     assert np.max(np.abs(dgamma)) > 0.0
     assert dgamma[0, 0, 0, 0] == pytest.approx(1.0)
@@ -167,7 +186,7 @@ def test_conformal_bump_christoffel_at_origin():
 
 def test_christoffel_symmetric_in_lower_indices():
     chart = random_chart(np.random.default_rng(2))
-    gamma, dgamma = christoffel(chart, [0.2, 0.1, -0.3])
+    gamma, dgamma = levi_civita(chart, [0.2, 0.1, -0.3])
     assert np.array_equal(gamma, np.swapaxes(gamma, 1, 2))
     assert np.array_equal(dgamma, np.swapaxes(dgamma, 2, 3))
 
@@ -251,7 +270,7 @@ def test_degenerate_point_rejected():
     metric[0][0] = drop
     chart = PolyChart(N, metric)
     with pytest.raises(DegenerateAtPoint):
-        christoffel(chart, [1.0, 0.0, 0.0])
+        chart.metric_at([1.0, 0.0, 0.0])
     chart.metric_at([0.0, 0.0, 0.0])
 
 
@@ -390,15 +409,16 @@ def test_chart_fields_keep_exact_symmetries():
 
 
 def test_point_record_is_read_only():
-    # christoffel and the report hand out the record's own arrays, so writing
-    # to one must fail rather than change later results at the point
+    # metric_at, the point record and the report hand out the record's own arrays, so
+    # writing to one must fail rather than change later results at the point
     chart = random_chart(np.random.default_rng(9))
     point = [0.1, 0.2, -0.1]
     r = curvature_at(chart, point, "nabla")
-    gamma, dgamma = christoffel(chart, point)
-    for arr in (gamma, dgamma, conjugate_triple_report(chart, point).c_op):
+    g = chart.metric_at(point)
+    gamma, dgamma = levi_civita(chart, point)
+    for arr in (g.matrix, g.inverse, gamma, dgamma, conjugate_triple_report(chart, point).c_op):
         with pytest.raises(ValueError, match="read-only"):
-            arr[0, 0, 0] = 1.0
+            arr[(0,) * arr.ndim] = 99.0
     assert np.array_equal(curvature_at(chart, point, "nabla"), r)
 
 

@@ -4,13 +4,15 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from curvdec.charts import MAX_DIM
 from curvdec.cli import main
-from curvdec.errors import DegenerateMetric, LengthMismatch, SchemaError
+from curvdec.errors import DegenerateMetric, DimensionMismatch, LengthMismatch, SchemaError
 from curvdec.jsonio import dumps, parse_chart, parse_tensor, tensor_document
 from curvdec.linalg import standard_scalar_product
 from curvdec.sampling import sample
@@ -149,8 +151,10 @@ def test_chart_parse_and_symmetrize():
     g, c = coeffs[:, :9].reshape(-1, 3, 3), coeffs[:, 9:].reshape(-1, 3, 3, 3)
     assert g[:, 0, 1].any() and np.array_equal(g[:, 1, 0], g[:, 0, 1])
     assert c[:, 0, 0, 1].any() and np.array_equal(c[:, 1, 0, 0], c[:, 0, 0, 1])
-    assert chart.domain_note == "nondegenerate near the origin"
     assert chart.metric_at((0.0, 0.0, 0.0)).matrix[0, 0] == 1.0
+    # the note is checked as a string and not kept
+    with pytest.raises(SchemaError, match="domain_note"):
+        parse_chart(dumps({**chart_doc(), "domain_note": 1}))
 
 
 def test_chart_rejects_unsorted_or_bad_keys():
@@ -172,6 +176,30 @@ def test_chart_rejects_non_finite_coefficient():
     text = dumps(chart_doc()).replace("0.25", "1e400", 1)
     with pytest.raises(SchemaError, match="finite"):
         parse_chart(text)
+
+
+def test_chart_dimension_bounded_before_allocation(tmp_path):
+    # a dim past charts.MAX_DIM is refused before a field is allocated: at dim 100000
+    # the metric field alone would take 74.5 GiB; a chart at the bound still parses
+    doc = {"dim": 100_000, "metric": {}, "cubic": {}}
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatch, match=f"3..{MAX_DIM}, got 100000"):
+            parse_chart(dumps(doc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    path = tmp_path / "huge.json"
+    path.write_text(dumps(doc))
+    r = run_cli("chart", "--input", str(path), "--point", "0,0,0")
+    assert r.returncode == 1 and r.stdout == "" and "Traceback" not in r.stderr
+    assert r.stderr.count("\n") == 1 and r.stderr.startswith("error: ")
+    one = {" ".join(["0"] * MAX_DIM): 1.0}
+    at_bound = {"dim": MAX_DIM, "metric": {f"{i},{i}": one for i in range(MAX_DIM)}, "cubic": {}}
+    assert parse_chart(dumps(at_bound)).dim == MAX_DIM
+    with pytest.raises(DimensionMismatch):
+        parse_chart(dumps({**at_bound, "dim": MAX_DIM + 1}))
 
 
 # -- CLI ----------------------------------------------------------------------

@@ -1,12 +1,39 @@
+import ast
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+PACKAGE = ROOT / "src" / "curvdec"
+
+
+def python_blocks():
+    return re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
 
 
 def test_readme_python_blocks_run():
     # every python example in the README runs as written, asserts included
-    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    blocks = python_blocks()
     assert len(blocks) == 2  # the library quick tour and the chart example
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i}", "exec"), {})
+
+
+def test_every_exported_name_has_a_caller():
+    # a name the package exports is used, as a name or an attribute, by another of its
+    # modules or by a README example; one that only its own test calls is deleted
+    init = PACKAGE / "__init__.py"
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(init.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    sources = [p.read_text() for p in PACKAGE.glob("*.py") if p != init] + python_blocks()
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert sorted(exported - used) == []
