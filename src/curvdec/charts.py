@@ -25,6 +25,7 @@ convention used across the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -43,11 +44,10 @@ _PICK_PATH = ["einsum_path", (0, 3), (0, 2), (1, 2), (0, 1)]
 
 
 def _chart_dim(dim) -> int:
-    """dim as an int in 3..MAX_DIM, else DimensionMismatch before anything is allocated."""
-    n = int(dim)
-    if not 3 <= n <= MAX_DIM:
-        raise DimensionMismatch(f"chart dimension must be in 3..{MAX_DIM}, got {n}")
-    return n
+    """dim, an integer in 3..MAX_DIM, else DimensionMismatch before anything is allocated."""
+    if not isinstance(dim, Integral) or not 3 <= dim <= MAX_DIM:
+        raise DimensionMismatch(f"chart dimension must be an integer in 3..{MAX_DIM}, got {dim!r}")
+    return int(dim)
 
 
 def _entries(field, name, n, rank):

@@ -1,15 +1,15 @@
 """JSON documents: tensors, decompositions, dimension reports, charts.
 
-All indices in documents are 0-based.  Rank-4 entries are stored flat in
-row-major (i, j, k, l) order; floats round-trip bit-exactly through the
-shortest-representation formatting used by the json module.
+All indices in documents are 0-based.  Rank-4 entries are stored flat in row-major
+(i, j, k, l) order, as 1-D float arrays that dumps writes byte for byte as json writes
+their lists (floats round-trip bit-exactly), formatting each distinct |x| in a batch once.
 """
 from __future__ import annotations
 
 import contextlib
 import json
 import math
-from itertools import permutations
+from itertools import accumulate, chain, permutations
 
 import numpy as np
 
@@ -23,10 +23,37 @@ from .sampling import DimensionReport
 
 def dumps(obj) -> str:
     """Canonical JSON: sorted keys, trailing newline; NonFiniteInput for NaN/Infinity."""
+    arrays = []
+
+    def hold(value):  # json calls it for each array, in output order, and writes "\u0000"
+        if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == float:
+            # json writes fewer than 128 entries (an n = 3 tensor) faster than a batch would
+            return value.tolist() if len(value) < 128 else arrays.append(value) or "\0"
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
     try:
-        return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
+        text = json.dumps(obj, sort_keys=True, allow_nan=False, default=hold)
+        if arrays:  # NaN or inf in an array, or "\u0000" in a string: json writes the lists
+            text = _with_arrays(text.split('"\\u0000"'), arrays) or json.dumps(
+                obj, sort_keys=True, allow_nan=False, default=np.ndarray.tolist)
+        return text + "\n"
     except ValueError as exc:  # allow_nan=False refuses NaN and infinities
         raise NonFiniteInput(f"result is not finite: {exc}") from exc
+
+
+def _with_arrays(parts, arrays) -> str | None:
+    """parts joined by json's text of each array; None for NaN, inf or a stray slot."""
+    if len(parts) != len(arrays) + 1 or not np.isfinite(np.concatenate(arrays)).all():
+        return None
+    out, step = [], max(1, 4096 // (1 + max(map(len, arrays))))  # few np.unique, small buffers
+    for batch in (arrays[lo:lo + step] for lo in range(0, len(arrays), step)):
+        distinct, rank = np.unique(np.abs(flat := np.concatenate(batch)), return_inverse=True)
+        reprs = list(map(float.__repr__, distinct.tolist()))
+        table = np.array(reprs + ["-" + r for r in reprs], dtype=object)
+        code = rank + len(reprs) * np.signbit(flat)  # "-" where the sign bit is set
+        ends = list(accumulate(map(len, batch)))
+        out += ["[" + ", ".join(table[code[i:j]].tolist()) + "]" for i, j in zip([0, *ends], ends)]
+    return "".join(chain(*zip(parts, out), parts[-1:]))
 
 
 def _loads(data):
@@ -94,7 +121,7 @@ def parse_tensor(data) -> tuple[np.ndarray, ScalarProduct]:
     if p < 0 or q < 0 or p + q != n:
         raise SchemaError("$.signature", f"signature ({p},{q}) inconsistent with dim {n}")
     flat = _require(doc, "R")
-    if not isinstance(flat, list):
+    if not isinstance(flat, (list, np.ndarray)):  # an array: tensor_document's own output
         raise SchemaError("$.R", "expected a flat array")
     if len(flat) != n**4:
         raise LengthMismatch("$.R", f"expected {n**4} entries, got {len(flat)}")
@@ -119,11 +146,10 @@ def parse_tensor(data) -> tuple[np.ndarray, ScalarProduct]:
 
 
 def tensor_document(tensor, g: ScalarProduct, include_g: bool | None = None) -> dict:
-    tensor = np.asarray(tensor, dtype=float)
     doc = {
         "dim": g.dim,
         "signature": list(g.signature),
-        "R": tensor.ravel().tolist(),
+        "R": np.asarray(tensor, dtype=float).ravel(),
     }
     if include_g is None:
         include_g = not np.array_equal(g.matrix, standard_scalar_product(*g.signature).matrix)
@@ -160,11 +186,11 @@ def dimension_document(report: DimensionReport) -> dict:
 def triple_report_document(rep: TripleReport) -> dict:
     return {
         "point": rep.point.tolist(),
-        "R": rep.r.ravel().tolist(),
-        "R_star": rep.r_star.ravel().tolist(),
-        "R_g": rep.r_g.ravel().tolist(),
-        "C": rep.c_op.ravel().tolist(),
-        "C_tilde": rep.c_tilde.ravel().tolist(),
+        "R": rep.r.ravel(),
+        "R_star": rep.r_star.ravel(),
+        "R_g": rep.r_g.ravel(),
+        "C": rep.c_op.ravel(),
+        "C_tilde": rep.c_tilde.ravel(),
         "tchebychev_form": rep.tchebychev_form.tolist(),
         "tchebychev_vector": rep.tchebychev_vector.tolist(),
         "pick_invariant": rep.pick_invariant,

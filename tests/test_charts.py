@@ -160,6 +160,15 @@ def test_chart_dimension_bounded_before_allocation():
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("dim", [3.7, 3.0, "x", "3", None, True])
+def test_chart_dimension_must_be_an_integer(dim):
+    # int(dim) made a 3-dimensional chart of 3.7 and raised a bare ValueError for "x";
+    # 3.0 is refused as parse_chart refuses it in a document
+    with pytest.raises(DimensionMismatch, match="must be an integer"):
+        PolyChart(dim, np.eye(3))
+    assert PolyChart(np.int64(3), np.eye(3)).dim == 3
+
+
 def levi_civita(chart, point):
     """(Gamma, dGamma) of the Levi-Civita connection from the chart's point record."""
     return chart._point_data(point)["connections"]["levi_civita"]

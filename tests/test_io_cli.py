@@ -12,7 +12,9 @@ import pytest
 
 from curvdec.charts import MAX_DIM
 from curvdec.cli import main
-from curvdec.errors import DegenerateMetric, DimensionMismatch, LengthMismatch, SchemaError
+from curvdec.errors import (
+    DegenerateMetric, DimensionMismatch, LengthMismatch, NonFiniteInput, SchemaError,
+)
 from curvdec.jsonio import dumps, parse_chart, parse_tensor, tensor_document
 from curvdec.linalg import standard_scalar_product
 from curvdec.sampling import sample
@@ -112,6 +114,8 @@ def test_round_trip_bit_exact():
     assert np.array_equal(t, t2)
     assert np.array_equal(g.matrix, g2.matrix)
     assert dumps(tensor_document(t2, g2)) == text
+    t3, _ = parse_tensor(doc)  # the document itself, whose R is an array
+    assert np.array_equal(t, t3)
 
 
 def test_explicit_metric_round_trip():
@@ -125,6 +129,60 @@ def test_explicit_metric_round_trip():
     t2, g2 = parse_tensor(dumps(doc))
     assert np.array_equal(t, t2)
     assert np.array_equal(g2.matrix, m)
+
+
+MAX = 1.7976931348623157e308
+G31 = standard_scalar_product(3, 1)
+
+
+def both(values, size=300):
+    """values as an array json writes itself (under 128 entries) and, repeated up to size
+    entries, as one that dumps groups by magnitude."""
+    return [np.array(values, dtype=float), np.resize(np.array(values, dtype=float), size)]
+
+
+WRITER_CASES = {
+    "extremes": {"R": both([0.0, -0.0, 5e-324, -5e-324, MAX, -MAX])},
+    "signed_repeats": {"R": both([0.1, -0.1, 0.1, 2.5, -2.5, -0.0, 0.0, 1 / 3, -1 / 3, -0.1])},
+    "empty_and_one": {"a": np.array([]), "b": np.array([-7.25]), "c": both([-0.0])},
+    "beside_floats_and_dicts": {
+        "tau": -0.1,
+        "x": {"R": both([0.1, -2.0]), "w": [np.array([2.0, 0.1]), 3.5, None], "m": "W"},
+        "z": [[1.0, -0.0], {"C": both([5e-324, -0.1], 128)}],
+    },
+    "sampled_tensors": {
+        "components": [tensor_document(sample(space, n, (n - 1, 1), seed=8),
+                                       standard_scalar_product(n - 1, 1))
+                       for n in (3, 4, 8) for space in ("r", "a", "co")],
+    },
+    # twenty arrays of 300 entries make batches of 13 and 7; longer ones a batch each
+    "batches": {"R": [np.random.default_rng(3).standard_normal(m).round(2)
+                      for m in [300] * 20 + [5000, 130, 4096]]},
+    "slot_text_in_a_string": {"note": "\0", "R": both([0.5, -0.5])},
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_dumps_writes_arrays_as_json_writes_lists(case):
+    doc = WRITER_CASES[case]
+    assert dumps(doc) == json.dumps(doc, sort_keys=True, default=np.ndarray.tolist) + "\n"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dumps_refuses_non_finite_array_entries(bad):
+    for size in (3, 300):
+        values = np.resize([0.5, -0.5], size)
+        values[size // 2] = bad
+        for doc in ({"R": values}, {"x": [0.5, {"R": values, "C": np.ones(200)}]}):
+            with pytest.raises(NonFiniteInput):
+                dumps(doc)
+
+
+def test_dumps_refuses_what_json_cannot_write():
+    # a 2-D or integer array and a numpy integer are refused as json refuses them
+    for value in (np.eye(2), np.arange(3), np.int64(3)):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            dumps({"R": value})
 
 
 # -- chart documents ----------------------------------------------------------
@@ -297,6 +355,44 @@ def test_cli_output_pinned(args, digest):
     r = run_cli(*args, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
     assert r.returncode == 0
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
+def decompose_input(mode):
+    """The pinned decompose inputs: mode w at n = 4 with a non-diagonal g, mode st at n = 8."""
+    if mode == "w":
+        a = np.eye(4) + 0.25 * np.tri(4, k=-1)
+        g = a.T @ np.diag([1.0, 1.0, 1.0, -1.0]) @ a
+        t = np.einsum("pqrs,pi,qj,rk,sl->ijkl", sample("r", 4, (3, 1), seed=5), a, a, a, a)
+        return {"dim": 4, "signature": [3, 1], "g": g.tolist(), "R": t.ravel().tolist()}
+    return {"dim": 8, "signature": [6, 2], "R": sample("a", 8, (6, 2), seed=5).ravel().tolist()}
+
+
+# stdout SHA-256 of decompose on decompose_input(mode) at one BLAS thread
+DECOMPOSE_PINS = {
+    "w": "cf46e15666d1cdc58c81389a92af162ce3782c117a35bf0aac16e171210437c8",
+    "st": "f6cb82ff89b6acc19b690320c4a39e7fc6c9273e0e767a4c532207f524c16e3e",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(DECOMPOSE_PINS))
+def test_cli_decompose_output_pinned(tmp_path, mode):
+    """Decompose documents are byte-identical across refactors; see test_cli_output_pinned."""
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(decompose_input(mode)))
+    r = run_cli("decompose", "--mode", mode, "--input", str(path),
+                env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == DECOMPOSE_PINS[mode]
+
+
+def test_cli_decompose_output_file_matches_stdout(tmp_path, capsys):
+    path, out = tmp_path / "t.json", tmp_path / "out.json"
+    path.write_text(json.dumps(decompose_input("w")))
+    assert main(["decompose", "--mode", "w", "--input", str(path)]) == 0
+    stdout = capsys.readouterr().out
+    assert main(["decompose", "--mode", "w", "--input", str(path), "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == stdout and json.loads(stdout)["mode"] == "W"
 
 
 # stdout SHA-256 of both chart reports on chart_doc() at one BLAS thread
