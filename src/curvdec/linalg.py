@@ -8,6 +8,7 @@ module owns the one stateful value type, :class:`ScalarProduct`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -99,8 +100,16 @@ def build_scalar_product(matrix) -> ScalarProduct:
     return ScalarProduct(g, inv, (p, q))
 
 
+def _integer(x, error, what: str) -> int:
+    """x as an int, numpy integers included; error for a value that is not an integer."""
+    if not isinstance(x, Integral):
+        raise error(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 def standard_scalar_product(p: int, q: int) -> ScalarProduct:
-    """diag(+1 x p, -1 x q), the flat form of signature (p, q)."""
+    """diag(+1 x p, -1 x q), the flat form of signature (p, q) of integer counts."""
+    p, q = (_integer(x, DimensionMismatch, "a signature entry") for x in (p, q))
     if p < 0 or q < 0:
         raise DimensionMismatch(f"signature ({p}, {q}) has a negative count")
     n = p + q

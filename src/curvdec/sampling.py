@@ -10,11 +10,14 @@ are projections of one base stack: the normalized Bianchi projections of the
 noise of indices 0, 1, 2, ...  A space's k samples are the first k indices of
 this sequence, which all spaces share.  'f' and 'f_pair' are sums of W
 components, so one W projection serves W1..W8, 'f' and 'f_pair', and one ψ
-and one μ serve 'a', 's' and 'a_plus_s'.  `dimension_reports` draws each
+and one μ serve 'a', 's' and 'a_plus_s'.  A `Block` holds the samples of a
+list of stream keys: it computes each space's stack and each map's components
+of a stack once and keeps them read-only.  `sample` is a block of one key, and
+the invariant suite reads blocks of CHUNK keys.  `dimension_reports` draws each
 index's noise once, for 'co' and 'r', projects it CHUNK tensors at a time once
-per family (W, A, or ψ and μ), and holds each stack as co(V) coordinate rows;
-`sample` and the invariant suite's blocks draw through `_stack`.  `curvdec
-dims` prints the reports, and the suite's dimension_consistency is their verdict.
+per family (W, A, or ψ and μ), and holds each stack as co(V) coordinate rows.
+`curvdec dims` prints the reports, and the suite's dimension_consistency is
+their verdict.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ import numpy as np
 from .decomp import a_projections, projective_part, traceless_core, w_projections
 from .errors import DimensionMismatch, DimensionTooSmall, EmptyRun, EmptySpace
 from .errors import NegativeStreamKey, UnknownSpace
-from .linalg import ScalarProduct, standard_scalar_product
+from .linalg import ScalarProduct, _integer, standard_scalar_product
 from .spaces import bianchi_project, mu, psi
 
 EMPTY_NORM = 1e-10
@@ -74,7 +77,7 @@ def formula_dim(space: str, n: int) -> int:
     """The closed-form dimension of a sample space at n >= 3; UnknownSpace for an unknown tag."""
     if space not in FORMULA_DIMS:
         raise UnknownSpace(f"unknown sample space {space!r}")
-    if int(n) < 3:
+    if _integer(n, DimensionMismatch, "the dimension") < 3:
         raise DimensionTooSmall(f"need dimension >= 3, got {n}")
     return FORMULA_DIMS[space](int(n))
 
@@ -90,14 +93,13 @@ def _scalar_product(n: int, signature) -> ScalarProduct:
 def rng_stream(seed: int, index) -> np.random.Generator:
     """The documented stream split: PCG64 over SeedSequence(seed, spawn_key=index).
 
-    Raises NegativeStreamKey for a negative seed or index entry.
+    Raises NegativeStreamKey for a seed or index entry that is negative or not an integer.
     """
-    if isinstance(index, int):
-        index = (index,)
-    key = tuple(int(i) for i in index)
-    if seed < 0 or min(key, default=0) < 0:
+    entries = index if isinstance(index, (tuple, list)) else (index,)
+    key = [_integer(i, NegativeStreamKey, "a stream key entry") for i in (seed, *entries)]
+    if min(key) < 0:
         raise NegativeStreamKey(f"negative stream key: seed {seed}, index {index}")
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
+    return np.random.default_rng(np.random.SeedSequence(entropy=key[0], spawn_key=key[1:]))
 
 
 def _noise(shape, seed: int, indices) -> np.ndarray:
@@ -109,13 +111,12 @@ def _noise(shape, seed: int, indices) -> np.ndarray:
 
 
 def _normalize(stack, floor: float) -> np.ndarray:
-    """Scale each tensor to unit max-norm in place, dropping those below floor."""
+    """Each tensor scaled to unit max-norm, those below floor left out."""
     m = np.max(np.abs(stack), axis=(-4, -3, -2, -1))
     keep = ~(m < floor)
     if not keep.all():
         stack, m = stack[keep], m[keep]
-    stack /= m[:, None, None, None, None]
-    return stack
+    return stack / m[:, None, None, None, None]
 
 
 _averages = lambda base, g: (psi(base), mu(base))  # the parts of 'a', 's' and 'a_plus_s'
@@ -134,8 +135,8 @@ def _project(space: str, base, g: ScalarProduct, comps=None) -> np.ndarray:
     if space == "t":
         return traceless_core(base, g)
     comps = _family(space)(base, g) if comps is None else comps
-    if space in ("a", "s", "a_plus_s"):  # comps: ψ(base), μ(base); copied for in-place scaling
-        return comps[0] + comps[1] if space == "a_plus_s" else comps[("a", "s").index(space)].copy()
+    if space in ("a", "s", "a_plus_s"):  # comps: ψ(base), μ(base)
+        return comps[0] + comps[1] if space == "a_plus_s" else comps[("a", "s").index(space)]
     if space == "f":
         return base - comps[2]
     if space == "f_pair":
@@ -143,17 +144,47 @@ def _project(space: str, base, g: ScalarProduct, comps=None) -> np.ndarray:
     return comps[int(space[1:]) - 1]
 
 
-def _stack(space: str, g: ScalarProduct, seed: int, indices) -> np.ndarray:
-    """The samples of a space at these stream indices, stacked (k', n, n, n, n).
+class Block:
+    """The samples of every space at a list of stream keys, under one metric and seed.
 
-    An index whose projection is at roundoff scale (the space is empty there)
-    is left out.
+    A space's stack, (len(keys), n, n, n, n), is drawn or projected once, and
+    so are a map's components of a stack (W, A, or ψ and μ); both are kept
+    read-only.  'f' and 'f_pair' are built from the W components of 'r', and
+    'a', 's' and 'a_plus_s' from its ψ and μ.  Raises EmptySpace when a key's
+    projection is at roundoff scale: the space is empty there.
     """
-    noise = _noise((g.dim,) * 4, seed, indices)
-    if space == "co":
-        return _normalize(0.5 * (noise - np.swapaxes(noise, -4, -3)), EMPTY_NORM)
-    r = _normalize(bianchi_project(noise), 0.0)  # never at roundoff scale: no floor
-    return r if space == "r" else _normalize(_project(space, r, g), EMPTY_NORM)
+
+    def __init__(self, g: ScalarProduct, seed: int, keys):
+        self.g, self.seed, self.keys = g, seed, keys
+        self._stacks, self._comps = {}, {}
+
+    def stack(self, space: str) -> np.ndarray:
+        """The samples of the space at the block's keys, stacked and read-only."""
+        rows = self._stacks.get(space)
+        if rows is None:
+            if space in ("co", "r"):
+                noise = _noise((self.g.dim,) * 4, self.seed, self.keys)
+                if space == "co":
+                    rows = _normalize(0.5 * (noise - np.swapaxes(noise, -4, -3)), EMPTY_NORM)
+                else:  # the Bianchi projection of noise is never at roundoff scale: no floor
+                    rows = _normalize(bianchi_project(noise), 0.0)
+            else:
+                family = _family(space)
+                comps = None if family is None else self.comps("r", family)
+                rows = _normalize(_project(space, self.stack("r"), self.g, comps), EMPTY_NORM)
+            if len(rows) < len(self.keys):  # a dropped row would misalign the stack with its keys
+                raise EmptySpace(f"{space!r} is empty here: max-norm below {EMPTY_NORM:g}")
+            rows.flags.writeable = False
+            self._stacks[space] = rows
+        return rows
+
+    def comps(self, space: str, proj) -> np.ndarray:
+        """proj's components of the space's stack, one read-only (parts, len(keys), ...) stack."""
+        comps = self._comps.get((space, proj))
+        if comps is None:
+            comps = self._comps[space, proj] = np.stack(proj(self.stack(space), self.g))
+            comps.flags.writeable = False
+        return comps
 
 
 def sample(
@@ -173,17 +204,12 @@ def sample(
     Ricci-free and trace-free projections; 'Wj'/'Aj' apply the family
     projectors.  Raises EmptySpace when the subspace is zero-dimensional at
     this dimension (the projected noise is at roundoff scale),
-    DimensionMismatch when the signature does not fit the dimension and
-    NegativeStreamKey for a negative seed or index entry.
+    DimensionMismatch for a dimension or signature entry that is not an
+    integer or a signature that does not fit, and NegativeStreamKey for a
+    seed or index entry that is negative or not an integer.
     """
-    if space not in FORMULA_DIMS:
-        raise UnknownSpace(f"unknown sample space {space!r}")
-    stack = _stack(space, _scalar_product(int(dim), signature), seed, [index])
-    if not len(stack):
-        raise EmptySpace(
-            f"projected sample has max-norm below {EMPTY_NORM:.0e}; space is empty here"
-        )
-    return stack[0]
+    formula_dim(space, dim)  # refuses an unknown space and a dimension that is not an integer >= 3
+    return Block(_scalar_product(int(dim), signature), seed, [index]).stack(space)[0].copy()
 
 
 @dataclass(frozen=True)
@@ -237,8 +263,8 @@ def _rank_pass(spaces, counts, n: int, images, top: int = 0) -> dict[str, Dimens
 
     images(lo, live) gives the unnormalized rows from index lo of each live
     space (one with more than lo samples); the walk goes on to top if that is
-    further.  The rows are normalized in place, left out below EMPTY_NORM as in
-    `_stack`, and held as preallocated co(V) coordinate rows until ranked.
+    further.  The rows are normalized, left out below EMPTY_NORM, and held as
+    preallocated co(V) coordinate rows until ranked.
     """
     i, j = np.triu_indices(n, 1)  # co(V) coordinates: the first-pair entries with i < j
     rows = {s: np.empty((counts[s], len(i) * n * n)) for s in spaces}
@@ -265,13 +291,14 @@ def dimension_reports(
     d: d samples span the space, and the margin rows give the rejected singular
     values.  So a true dimension d + j shows rank d + j for j < RANK_MARGIN, and
     else fills its stack: inconclusive, as is a gap below GAP_RATIO.  Raises
-    EmptyRun when samples is below 1 or no space is named, UnknownSpace for an
-    unknown tag and DimensionMismatch for a signature that does not fit.
+    EmptyRun when samples is not an integer >= 1 or no space is named,
+    UnknownSpace for an unknown tag and DimensionMismatch for a dimension or
+    signature entry that is not an integer or a signature that does not fit.
     """
     spaces = tuple(spaces)  # an iterator would be spent by the first pass over it
-    if not spaces or samples is not None and samples < 1:
+    if not spaces or samples is not None and _integer(samples, EmptyRun, "samples") < 1:
         raise EmptyRun(f"a run needs a space and at least 1 sample, got samples={samples}")
-    n = int(dim)
+    n = _integer(dim, DimensionMismatch, "the dimension")
     fdims = {s: formula_dim(s, n) for s in spaces}
     counts = {s: d + RANK_MARGIN if samples is None else samples for s, d in fdims.items()}
     g = _scalar_product(n, signature)

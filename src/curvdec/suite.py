@@ -1,17 +1,16 @@
 """Runnable invariant suite: every structural law as a named, seeded check.
 
 The suite walks the configured (dimension, signature) grid and, at each point,
-the sample indices in blocks of CHUNK.  A check reads rows of the package's
-one sample sequence: row i of a block's stack of a space is `sample(space, n,
-sig, seed, index=lo + i)`.  Each block draws or projects every stack it needs
-once, computes the W and A components of a stack once, and shares them
-read-only with all checks.  The checks in FIRST_BLOCK read only a point's
-first few rows or its `dimension_reports`, and run on block 0 alone.  A check
-yields residual terms, and one fold takes their max over terms and blocks: a
-numeric term (an array or a float) counts max |term|, 0.0 when empty; a bool or
-bool-array term is a verdict held sample by sample and counts 1.0 unless every
-entry is true.  A nan or inf term fails its check at any finite tolerance, and
-its worst residual is reported as null (nan stays nan through the fold).
+the sample indices in blocks of CHUNK, each a `sampling.Block`: row i of its
+stack of a space is `sample(space, n, sig, seed, index=lo + i)`, and a check
+reads only the block's rows.  The checks in FIRST_BLOCK read only a point's
+first few rows, or rank stacks of their own sized by n alone, and run on block
+0 alone.  A check yields residual terms, and one fold takes their max over
+terms and blocks: a numeric term (an array or a float) counts max |term|, 0.0
+when empty; a bool or bool-array term is a verdict held sample by sample and
+counts 1.0 unless every entry is true.  A nan or inf term fails its check at any
+finite tolerance, and its worst residual is reported as null (nan stays nan
+through the fold).
 """
 from __future__ import annotations
 
@@ -32,19 +31,10 @@ from .decomp import (
     traceless_core,
     w_projections,
 )
-from .errors import EmptyRun, EmptySpace, UnknownCheck
-from .linalg import _row_maxnorm, antisym, standard_scalar_product, sym, tensor_pairing
-from .sampling import (
-    CHUNK,
-    EMPTY_NORM,
-    _noise,
-    _normalize,
-    _project,
-    _stack,
-    dimension_reports,
-    numerical_rank,
-    rng_stream,
-)
+from .errors import DimensionMismatch, EmptyRun, UnknownCheck
+from .linalg import _integer, _row_maxnorm, antisym, standard_scalar_product, sym
+from .linalg import tensor_pairing
+from .sampling import CHUNK, Block, _noise, _normalize, dimension_reports, numerical_rank
 from .spaces import (
     SPACE_TAGS,
     _membership_rows,
@@ -90,54 +80,14 @@ class SuiteConfig:
         }
 
 
-class _Ctx:
-    """One block of a (dimension, signature) point: the k sample indices from lo.
-
-    Every stack and every stack's W and A components are computed once, at
-    k rows or, for the missing rows only, at the most rows a check asks for,
-    and kept read-only.  One W pass of 'r' also serves 'f' and 'f_pair'.
-    """
+class _Ctx(Block):
+    """One block of a (dimension, signature) point: its k sample indices from lo,
+    with the point's n and signature and the run's tolerance."""
 
     def __init__(self, n: int, sig, cfg: SuiteConfig, lo: int):
-        self.n = n
-        self.sig = sig
-        self.g = standard_scalar_product(*sig)
-        self.lo = lo
+        self.n, self.sig, self.lo, self.tol = n, sig, lo, cfg.tolerance
         self.k = min(CHUNK, cfg.samples - lo)
-        self.tol = cfg.tolerance
-        self.seed = cfg.seed
-        self._rows = {}  # space -> its rows drawn so far
-        self._comps = {}  # (space, projector) -> the components of those rows
-
-    def stack(self, space: str, count: int) -> np.ndarray:
-        """The samples of indices lo .. lo+count-1, stacked and read-only."""
-        rows = self._rows.get(space)
-        have = 0 if rows is None else len(rows)
-        if have < count:  # draw only the missing indices: each has its own stream
-            drawn = max(count, self.k)
-            if space in ("r", "co"):
-                more = _stack(space, self.g, self.seed, range(self.lo + have, self.lo + drawn))
-            else:  # from the memoized parts of their 'r' rows, W's keyed as the checks key them
-                base = self.stack("r", drawn)[have:]
-                family = w_projections if space[0] == "f" else sampling._family(space)
-                parts = None if family is None else self.comps("r", family, drawn)[:, have:]
-                more = _normalize(_project(space, base, self.g, parts), EMPTY_NORM)
-            if len(more) < drawn - have:  # a dropped row would misalign the stack with its indices
-                raise EmptySpace(f"a projected {space!r} sample is below max-norm {EMPTY_NORM:.0e}")
-            self._rows[space] = rows = more if rows is None else np.concatenate((rows, more))
-            rows.flags.writeable = False
-        return rows[:count]
-
-    def comps(self, space: str, proj, count: int) -> np.ndarray:
-        """proj's parts of stack(space, count), one read-only (parts, count, ...) stack."""
-        comps = self._comps.get((space, proj))
-        have = 0 if comps is None else comps.shape[1]
-        if have < count:  # project only the missing rows
-            more = np.stack(proj(self.stack(space, max(count, self.k))[have:], self.g))
-            comps = more if comps is None else np.concatenate((comps, more), axis=1)
-            comps.flags.writeable = False
-            self._comps[(space, proj)] = comps
-        return comps[:, :count]
+        super().__init__(standard_scalar_product(*sig), cfg.seed, range(lo, lo + self.k))
 
 
 def _fold(worst: float, terms) -> float:
@@ -160,13 +110,13 @@ def _family(name: str):
 
 
 def _completeness(ctx, family):
-    yield np.sum(ctx.comps("r", _family(family), ctx.k), axis=0) - ctx.stack("r", ctx.k)
+    yield np.sum(ctx.comps("r", _family(family)), axis=0) - ctx.stack("r")
 
 
 def _idempotence(ctx, family):
     # again[i, j] = P_i(P_j r), which is P_j r for i = j and zero otherwise
     proj = _family(family)
-    comps = ctx.comps("r", proj, min(ctx.k, 4))
+    comps = ctx.comps("r", proj)[:, :4]
     again = np.stack(proj(comps, ctx.g))
     again[range(8), range(8)] -= comps
     scale = np.maximum(1.0, _row_maxnorm(comps, 2))
@@ -174,8 +124,9 @@ def _idempotence(ctx, family):
 
 
 def _orthogonality(ctx, family):
-    # pair[a, b, i] pairs component a of sample 2i with component b of sample 2i + 1
-    comps = ctx.comps("r", _family(family), 2 * min(ctx.k, 6))
+    # pair[a, b, i] pairs component a of sample 2i with component b of sample 2i + 1,
+    # over the block's first 2 min(k // 2, 6) rows
+    comps = ctx.comps("r", _family(family))[:, : 2 * min(ctx.k // 2, 6)]
     pair = np.abs(tensor_pairing(comps[:, None, 0::2], comps[None, :, 1::2], ctx.g))
     norm = np.sqrt(np.sum(np.square(comps), axis=(-4, -3, -2, -1)))
     n1, n2 = norm[:, None, 0::2], norm[None, :, 1::2]
@@ -187,14 +138,14 @@ def _check_gram_positivity(ctx):
     # full positive definiteness asserted only for definite signature
     if ctx.sig[1] != 0:
         return
-    m = min(ctx.k, 6)
-    comps = np.concatenate([ctx.comps("r", w_projections, m), ctx.comps("r", a_projections, m)])
+    w, a = ctx.comps("r", w_projections), ctx.comps("r", a_projections)
+    comps = np.concatenate([w[:, :6], a[:, :6]])
     nonzero = _row_maxnorm(comps, 2) > 1e-8
     yield tensor_pairing(comps, comps, ctx.g)[nonzero] > 0.0
 
 
 def _check_wa_map_coincidences(ctx):
-    w, a = ctx.comps("r", w_projections, ctx.k), ctx.comps("r", a_projections, ctx.k)
+    w, a = ctx.comps("r", w_projections), ctx.comps("r", a_projections)
     yield from (w[j] - a[j] for j in (0, 5, 6, 7))
     yield from (w[1] + w[4] - a[1] - a[2], w[2] + w[3] - a[3] - a[4])
 
@@ -202,9 +153,9 @@ def _check_wa_map_coincidences(ctx):
 def _check_w_trace_formulas(ctx):
     g, n = ctx.g, ctx.n
     gm = g.matrix
-    r = ctx.stack("r", ctx.k)
+    r = ctx.stack("r")
     ric, star, tau = _traces(r, g)
-    parts = _traces(ctx.comps("r", w_projections, ctx.k), g)
+    parts = _traces(ctx.comps("r", w_projections), g)
     exp_ric = [
         (tau / n) * gm,
         -(tau / n) * gm + sym(ric),
@@ -226,9 +177,9 @@ def _check_a_trace_formulas(ctx):
     g, n = ctx.g, ctx.n
     gm = g.matrix
     star_factor = [1.0, 1.0, -1.0, -1.0, 3.0, 0.0, 0.0, 0.0]
-    r = ctx.stack("r", ctx.k)
+    r = ctx.stack("r")
     ric, star, tau = _traces(r, g)
-    parts = _traces(ctx.comps("r", a_projections, ctx.k), g)
+    parts = _traces(ctx.comps("r", a_projections), g)
     exp_ric = [
         (tau / n) * gm,
         -(tau / n) * gm + 0.5 * sym(ric + star),
@@ -268,8 +219,8 @@ def _a_conditions(ric, star, tau, gm, n):
 def _vanishing(ctx, family, conditions):
     g, n = ctx.g, ctx.n
     proj = _family(family)
-    r = ctx.stack("r", min(ctx.k, 8))
-    comps = ctx.comps("r", proj, len(r))
+    r = ctx.stack("r")[:8]
+    comps = ctx.comps("r", proj)[:, :8]
     conds = conditions(*_traces(r, g), g.matrix, n)
     for j in range(5):
         # forward: removing the component enforces its trace condition
@@ -285,18 +236,18 @@ def _check_conjugate_closure(ctx):
     # membership of the conjugate in r(V), the component criterion, and the
     # complement all vanish together
     g = ctx.g
-    s = ctx.stack("a_plus_s", ctx.k)
-    comps = ctx.comps("a_plus_s", a_projections, ctx.k)
+    s = ctx.stack("a_plus_s")
+    comps = ctx.comps("a_plus_s", a_projections)
     yield from (membership_residual(conjugate(s), g, "r"), comps[4], comps[7])
-    ps, m = ctx.comps("r", sampling._averages, ctx.k)
-    c = _normalize(ctx.stack("r", ctx.k) - ps - m, 1e-8)
+    ps, m = ctx.comps("r", sampling._averages)
+    c = _normalize(ctx.stack("r") - ps - m, 1e-8)
     yield _membership_rows(conjugate(c), g, "r") > 1e-3
     comps_c = a_projections(c, g)
     yield np.maximum(_row_maxnorm(comps_c[4], 1), _row_maxnorm(comps_c[7], 1)) > 1e-3
 
 
 def _check_conjugate_split(ctx):
-    s = ctx.stack("a_plus_s", ctx.k)
+    s = ctx.stack("a_plus_s")
     cs = conjugate(s)
     yield from (psi(s) - 0.5 * (s + cs), mu(s) - 0.5 * (s - cs))
 
@@ -304,8 +255,8 @@ def _check_conjugate_split(ctx):
 def _check_a_conjugation_signs(ctx):
     g = ctx.g
     signs = {0: 1.0, 1: 1.0, 2: -1.0, 3: -1.0, 5: 1.0, 6: -1.0}
-    s = ctx.stack("a_plus_s", ctx.k)
-    comps = ctx.comps("a_plus_s", a_projections, ctx.k)
+    s = ctx.stack("a_plus_s")
+    comps = ctx.comps("a_plus_s", a_projections)
     comps_star = a_projections(conjugate(s), g)
     yield from (comps_star[j] - sign * comps[j] for j, sign in signs.items())
     # components of the conjugate coincide with conjugated components
@@ -317,9 +268,9 @@ def _check_a_conjugation_signs(ctx):
 def _check_equiaffine_pair_projections(ctx):
     g, n = ctx.g, ctx.n
     gm = g.matrix
-    s = ctx.stack("f_pair", ctx.k)
+    s = ctx.stack("f_pair")
     cs = conjugate(s)
-    w = ctx.comps("f_pair", w_projections, ctx.k)
+    w = ctx.comps("f_pair", w_projections)
     ws = w_projections(cs, g)
     ric, star, tau = _traces(s, g)
     yield membership_residual(cs, g, "r")
@@ -336,9 +287,9 @@ def _check_equiaffine_pair_projections(ctx):
 
 def _check_ricci_symmetry_equivalence(ctx):
     g = ctx.g
-    s = ctx.stack("a_plus_s", ctx.k)
+    s = ctx.stack("a_plus_s")
     cs = conjugate(s)
-    w7 = ctx.comps("a_plus_s", w_projections, ctx.k)[7]
+    w7 = ctx.comps("a_plus_s", w_projections)[7]
     yield from (w7, w_projections(cs, g)[7])
     lr = antisym(ricci(s, g))
     lrs = antisym(ricci(cs, g))
@@ -346,23 +297,23 @@ def _check_ricci_symmetry_equivalence(ctx):
     sym_s = _row_maxnorm(lr, 1) <= 100 * ctx.tol
     sym_cs = _row_maxnorm(lrs, 1) <= 100 * ctx.tol
     yield np.array_equal(sym_s, sym_cs)
-    p = ctx.stack("f_pair", ctx.k)
+    p = ctx.stack("f_pair")
     yield from (antisym(ricci(p, g)), antisym(ricci(conjugate(p), g)))
 
 
 def _check_conjugate_pair_reduction(ctx):
     # the five-component reduction needs the Ricci-symmetric conjugate-pair
     # class; on all of a+s the antisymmetric-Ricci components survive
-    s = ctx.stack("f_pair", ctx.k)
-    w = ctx.comps("f_pair", w_projections, ctx.k)
+    s = ctx.stack("f_pair")
+    w = ctx.comps("f_pair", w_projections)
     yield s - w[0] - w[1] - w[4] - w[5] - w[6]
     yield from (w[2], w[3], w[7])
 
 
 def _check_complement_ricci_structure(ctx):
     g = ctx.g
-    ps, m = ctx.comps("r", sampling._averages, ctx.k)
-    c = _normalize(ctx.stack("r", ctx.k) - ps - m, 1e-8)
+    ps, m = ctx.comps("r", sampling._averages)
+    c = _normalize(ctx.stack("r") - ps - m, 1e-8)
     ric = ricci(c, g)
     keep = _row_maxnorm(ric, 1) > 100 * ctx.tol
     c, ric = c[keep], ric[keep]
@@ -371,27 +322,27 @@ def _check_complement_ricci_structure(ctx):
 
 def _check_traceless_core(ctx):
     g = ctx.g
-    r = ctx.stack("r", ctx.k)
+    r = ctx.stack("r")
     core = traceless_core(r, g)
-    w = ctx.comps("r", w_projections, ctx.k)
+    w = ctx.comps("r", w_projections)
     yield from (ricci(core, g), ricci_star(core, g))
     yield core - (r - w[0] - w[1] - w[2] - w[3] - w[4])
     ps, m = psi(core), mu(core)
     yield from (w[5] - ps, w[6] - m)
     yield w[7] - (core - ps - m)
-    t = ctx.stack("t", ctx.k)
+    t = ctx.stack("t")
     yield traceless_core(t, g) - t
 
 
 def _check_projective_part(ctx):
     g, n = ctx.g, ctx.n
     yield projective_part(wedge(g.matrix, g.matrix), g)
-    r = ctx.stack("r", ctx.k)
-    f = ctx.stack("f", ctx.k)
+    r = ctx.stack("r")
+    f = ctx.stack("f")
     yield projective_part(f, g) - (f + wedge(ricci(f, g), g.matrix) / (n - 1))
-    t = ctx.stack("t", ctx.k)
+    t = ctx.stack("t")
     yield projective_part(t, g) - t
-    w = ctx.comps("r", w_projections, ctx.k)
+    w = ctx.comps("r", w_projections)
     yield projective_part(r, g) - (w[3] + w[4] + w[5] + w[6] + w[7])
 
 
@@ -399,7 +350,7 @@ def _check_projective_flat_bilinear_form(ctx):
     g = ctx.g
     gg = wedge(g.matrix, g.matrix)
     yield from b_forms(gg, g)
-    w = ctx.comps("r", w_projections, ctx.k)
+    w = ctx.comps("r", w_projections)
     paired = conjugate(_normalize(w[0] + w[1], 1e-8))
     b_star, _ = b_forms(paired, g)
     yield b_star
@@ -410,8 +361,8 @@ def _check_einstein_projector_criterion(ctx):
     gm = g.matrix
     yield equiaffine_einstein_check(wedge(gm, gm), g)
     yield equiaffine_einstein_check(np.zeros((n,) * 4), g)
-    r = ctx.stack("r", ctx.k)
-    w = ctx.comps("r", w_projections, ctx.k)
+    r = ctx.stack("r")
+    w = ctx.comps("r", w_projections)
     pos = r - w[1] - w[2]
     ric, _, tau = _traces(pos, g)
     yield ric - (tau / n) * gm
@@ -428,7 +379,7 @@ def _check_constant_curvature_equivalences(ctx):
     g, n = ctx.g, ctx.n
     gm = g.matrix
     gg = wedge(gm, gm)
-    w = ctx.comps("r", w_projections, ctx.k)
+    w = ctx.comps("r", w_projections)
     flat = w[0] + w[1]
     w_flat = w_projections(flat, g)
     pos = flat - w_flat[1]  # flat-type, then drop 2
@@ -446,8 +397,8 @@ def _check_constant_curvature_equivalences(ctx):
 def _check_ricci_block_closed_form(ctx):
     g, n = ctx.g, ctx.n
     gm = g.matrix
-    s = ctx.stack("f_pair", ctx.k)
-    w, a = ctx.comps("f_pair", w_projections, ctx.k), ctx.comps("f_pair", a_projections, ctx.k)
+    s = ctx.stack("f_pair")
+    w, a = ctx.comps("f_pair", w_projections), ctx.comps("f_pair", a_projections)
     ric, star, tau = _traces(s, g)
     rhs = (
         2.0 * tau[..., None, None] * wedge(gm, gm)
@@ -458,8 +409,8 @@ def _check_ricci_block_closed_form(ctx):
 
 
 def _check_equiaffine_projector_agreement(ctx):
-    s = ctx.stack("f_pair", ctx.k)
-    w, a = ctx.comps("f_pair", w_projections, ctx.k), ctx.comps("f_pair", a_projections, ctx.k)
+    s = ctx.stack("f_pair")
+    w, a = ctx.comps("f_pair", w_projections), ctx.comps("f_pair", a_projections)
     via_w = s - w[2]
     via_a = s - a[3] - a[4]
     yield from (via_w - via_a, via_w - s)
@@ -469,10 +420,9 @@ def _check_projective_conjugate_equivalence(ctx):
     # the Ricci-free parts of a tensor and its conjugate coincide exactly
     # when the two coincide, i.e. when the tensor is of metric type
     g = ctx.g
-    k = min(ctx.k, 8)
-    a = ctx.stack("a", k)
+    a = ctx.stack("a")[:8]
     yield projective_part(conjugate(a), g) - projective_part(a, g)
-    p = ctx.stack("f_pair", k)
+    p = ctx.stack("f_pair")[:8]
     cp = conjugate(p)
     off = _row_maxnorm(p - cp, 1) > MARGIN
     pdiff = _row_maxnorm(projective_part(p, g) - projective_part(cp, g), 1)
@@ -483,7 +433,7 @@ def _check_projective_conjugate_equivalence(ctx):
 def _check_trace_reconstruction(ctx):
     g, n = ctx.g, ctx.n
     # each index's stream draws omega's noise, then theta's
-    noise = _noise((2, n, n), ctx.seed, range(min(ctx.k, 8)))
+    noise = _noise((2, n, n), ctx.seed, ctx.keys[:8])
     omega, theta = antisym(noise[:, 0]), sym(noise[:, 1])
     built = sigma_split(omega, theta, g)
     yield from (ricci(built, g) - omega - theta, membership_residual(built, g, "r"))
@@ -497,7 +447,7 @@ def _check_singer_thorpe(ctx):
     g, n = ctx.g, ctx.n
     gm = g.matrix
     gg = wedge(gm, gm)
-    res = singer_thorpe(ctx.stack("a", ctx.k), g)
+    res = singer_thorpe(ctx.stack("a"), g)
     u, z, w = res.components
     # u is a multiple of g^g
     c = (tensor_pairing(u, gg, g) / tensor_pairing(gg, gg, g))[:, None, None, None, None]
@@ -514,8 +464,8 @@ def _check_singer_thorpe(ctx):
 def _check_rescale_invariance(ctx):
     g = ctx.g
     tol = max(ctx.tol, 1e-12)
-    r = ctx.stack("r", min(ctx.k, 6))
-    w1, a1 = ctx.comps("r", w_projections, len(r)), ctx.comps("r", a_projections, len(r))
+    r = ctx.stack("r")[:6]
+    w1, a1 = ctx.comps("r", w_projections)[:, :6], ctx.comps("r", a_projections)[:, :6]
     flags = np.array([_membership_rows(r, g, space) <= tol for space in SPACE_TAGS])
     p1 = tensor_pairing(r, r, g)
     for c in (0.5, 3.75):
@@ -538,7 +488,8 @@ def _check_dimension_consistency(ctx):
 
 def _check_ricci_image_dimensions(ctx):
     g, n = ctx.g, ctx.n
-    ric = ricci(ctx.stack("r", n * (n + 1) // 2 + sampling.RANK_MARGIN), g)  # sym(ric)'s rank stack
+    keys = range(n * (n + 1) // 2 + sampling.RANK_MARGIN)  # sym(ric)'s rank stack, from index 0
+    ric = ricci(Block(g, ctx.seed, keys).stack("r"), g)
     for part, expected in ((antisym(ric), n * (n - 1) // 2), (sym(ric), n * (n + 1) // 2)):
         rank, gap = numerical_rank(part.reshape(len(part), -1))
         yield rank == expected and gap is not None and gap >= sampling.GAP_RATIO
@@ -553,11 +504,9 @@ def _check_membership_tower(ctx):
     zero = np.zeros((n,) * 4)
     for space in ("co", "r", "a", "s", "f", "p", "t"):
         yield from membership(zero, g, space, tol=ctx.tol)  # its flag, then its residual
-    k = min(ctx.k, 8)
-    r = ctx.stack("r", k)
-    a, s, f, p, t = (ctx.stack(space, k) for space in ("a", "s", "f", "p", "t"))
+    r, a, s, f, p, t = (ctx.stack(space)[:8] for space in ("r", "a", "s", "f", "p", "t"))
     yield from (conjugate(a) - a, conjugate(s) + s)
-    co = ctx.stack("co", k)
+    co = ctx.stack("co")[:8]
     yield membership_residual(co, g, "co")
     yield _membership_rows(co, g, "r") > 1e-3
     for space, stack in (("r", r), ("f", f), ("p", p), ("t", t)):
@@ -565,13 +514,13 @@ def _check_membership_tower(ctx):
 
 
 def _check_conjugation_involution(ctx):
-    r = ctx.stack("r", min(ctx.k, 8))
+    r = ctx.stack("r")[:8]
     yield conjugate(conjugate(r)) - r
 
 
 def _check_ricci_conjugate_trace(ctx):
     g = ctx.g
-    co = ctx.stack("co", ctx.k)
+    co = ctx.stack("co")
     rep = ricci_traces(co, g)
     yield from (rep.ric_star - ricci(conjugate(co), g), rep.rho23 + rep.rho13)
     yield rep.rho24 + rep.rho14
@@ -638,19 +587,23 @@ def run_invariant_suite(config: SuiteConfig | None = None, only=None) -> dict:
     or an array, 1.0 for a bool verdict with a false entry.  Nan or inf fails the
     check and is reported as None.
     Raises UnknownCheck when `only` holds a name that is not in CHECKS,
-    EmptyRun for fewer than one sample or an empty grid, and
-    NegativeStreamKey for a negative seed, before any check runs.
+    EmptyRun for a sample count that is not an integer >= 1 or an empty grid,
+    DimensionMismatch for a dimension or signature entry that is not an
+    integer, and NegativeStreamKey for a seed that is negative or not an
+    integer, before any check runs.
     """
     cfg = config or SuiteConfig()
     wanted = set(CHECKS) if only is None else set(only)
     unknown = sorted(wanted - set(CHECKS))
     if unknown:
         raise UnknownCheck(f"unknown check names {unknown}; known: {', '.join(CHECKS)}")
-    if cfg.samples < 1:
+    if _integer(cfg.samples, EmptyRun, "samples") < 1:
         raise EmptyRun(f"samples must be at least 1, got {cfg.samples}")
+    for x in (*cfg.dims, *(x for sig in cfg.signatures or () for x in sig)):
+        _integer(x, DimensionMismatch, "a dimension or signature entry")
     if not any(cfg.grid()):
         raise EmptyRun(f"no signature in {cfg.signatures} fits a dimension in {list(cfg.dims)}")
-    rng_stream(cfg.seed, 0)  # the first stream a check may read: refuses a negative seed
+    sampling.rng_stream(cfg.seed, 0)  # the first stream a check may read: refuses a bad seed
     worst = {name: 0.0 for name in CHECKS if name in wanted}
     for n, sig in cfg.grid():
         for lo in range(0, cfg.samples, CHUNK):

@@ -111,6 +111,9 @@ def test_negative_signature_count_refused():
     # -1 + 4 is a valid dimension; the count itself is not
     with pytest.raises(DimensionMismatch, match="negative"):
         standard_scalar_product(-1, 4)
+    # nor may a count be fractional: 2.5 + 0.5 is a valid dimension too
+    with pytest.raises(DimensionMismatch, match="integer"):
+        standard_scalar_product(2.5, 0.5)
 
 
 def test_split_symmetric_fixed_point():

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -37,3 +38,12 @@ def test_every_exported_name_has_a_caller():
         if isinstance(node, (ast.Name, ast.Attribute))
     }
     assert sorted(exported - used) == []
+
+
+def test_readme_module_names_resolve():
+    # every backticked `module.NAME` in the README is an attribute of that curvdec module
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    named = [ref for ref in re.findall(r"`(\w+)\.(\w+)`", README.read_text()) if ref[0] in modules]
+    assert len(set(named)) >= 5
+    for module, name in named:
+        assert hasattr(importlib.import_module(f"curvdec.{module}"), name), f"{module}.{name}"

@@ -119,7 +119,11 @@ def test_cov_rank_agrees_with_full_rank(n):
         g = standard_scalar_product(*sig)
         for space in SAMPLE_SPACES:
             k = formula_dim(space, n) + RANK_MARGIN
-            stack = sampling._stack(space, g, n, range(k))
+            try:
+                stack = sampling.Block(g, n, range(k)).stack(space)
+            except EmptySpace:  # W6, W8, A6 and A8 at n = 3
+                assert formula_dim(space, n) == 0, space
+                continue
             rank, gap = numerical_rank(stack.reshape(len(stack), n**4))
             full_inconclusive = gap is not None and gap < GAP_RATIO or gap is None and rank > 0
             rep = sampling._report(space, n, np.array([cov_coordinates(t, n) for t in stack]))
@@ -152,7 +156,7 @@ def test_every_rank_sees_cov_columns(monkeypatch):
 
 
 def test_dimension_reports_refuse_empty_runs():
-    for samples in (0, -1):
+    for samples in (0, -1, 2.5):
         with pytest.raises(EmptyRun):
             dimension_reports(3, (3, 0), samples=samples, spaces=("r",))
         with pytest.raises(CurvdecError):
@@ -175,6 +179,18 @@ def test_signature_must_fit_dimension():
             dimension_reports(3, sig, spaces=("r",))
         with pytest.raises(DimensionMismatch):
             dimension_reports(3, sig)
+    # a dimension or signature entry that is not an integer is refused, not truncated
+    for call in (
+        lambda: sample("r", 3.7),
+        lambda: sample("r", 3.0, (3, 0)),
+        lambda: sample("r", 3, (2.5, 0.5)),
+        lambda: formula_dim("r", 3.9),
+        lambda: dimension_reports(3.5, spaces=("r",)),
+        lambda: dimension_reports(3, (2.5, 0.5), spaces=("r",)),
+    ):
+        with pytest.raises(DimensionMismatch):
+            call()
+    assert np.array_equal(sample("r", np.int64(3), (np.int64(2), 1)), sample("r", 3, (2, 1)))
 
 
 def test_determinism_bit_identical():
@@ -187,12 +203,17 @@ def test_determinism_bit_identical():
 
 
 def test_stream_keys_non_negative_and_unaliased():
-    # a negative seed or index entry is refused, not passed to numpy
-    for kwargs in ({"seed": -1}, {"index": -1}, {"index": (0, -1)}):
+    # a negative seed or index entry is refused, not passed to numpy, and so is
+    # one that is not an integer, which would be truncated; numpy integers pass
+    bad = ({"seed": -1}, {"index": -1}, {"index": (0, -1)})
+    for kwargs in bad + ({"seed": 1.5}, {"index": 2.5}, {"index": (0, 1.5)}):
         with pytest.raises(NegativeStreamKey):
             sample("r", 3, **kwargs)
-    with pytest.raises(NegativeStreamKey):
-        dimension_reports(3, seed=-1, spaces=("co",))
+    for seed in (-1, 1.5):
+        with pytest.raises(NegativeStreamKey):
+            dimension_reports(3, seed=seed, spaces=("co",))
+    typed = sample("r", 3, seed=np.uint64(2), index=(np.int32(1), 4))
+    assert np.array_equal(typed, sample("r", 3, seed=2, index=(1, 4)))
     assert issubclass(NegativeStreamKey, CurvdecError)
     # index 2**32 is its own stream, not index 0 again
     assert not np.array_equal(sample("r", 3, index=2**32), sample("r", 3, index=0))
@@ -357,8 +378,8 @@ def test_family_ranked_from_one_projection_per_chunk(monkeypatch, family):
 
 
 def test_family_pass_gives_the_per_space_stacks(monkeypatch):
-    # bit for bit the co(V) coordinates of the rows `_stack` draws for each space
-    # alone, though 'co' and 'r' share one noise draw and each family (with 'f'
+    # bit for bit the co(V) coordinates of the rows a `Block` of the space's
+    # indices holds, though 'co' and 'r' share one noise draw and each family (with 'f'
     # and 'f_pair' in W's, and ψ and μ for 'a', 's', 'a_plus_s') one projection per chunk
     g, ranked, real = standard_scalar_product(3, 1), {}, sampling._report
 
@@ -369,7 +390,7 @@ def test_family_pass_gives_the_per_space_stacks(monkeypatch):
     monkeypatch.setattr(sampling, "_report", keep)
     assert set(dimension_reports(4, (3, 1))) == set(ranked)
     for space, rows in ranked.items():
-        stack = sampling._stack(space, g, 0, range(formula_dim(space, 4) + RANK_MARGIN))
+        stack = sampling.Block(g, 0, range(formula_dim(space, 4) + RANK_MARGIN)).stack(space)
         assert np.array_equal(rows, np.array([cov_coordinates(t, 4) for t in stack])), space
 
 

@@ -8,7 +8,8 @@ import pytest
 import curvdec.sampling as sampling
 import curvdec.suite as suite
 from curvdec.cli import main
-from curvdec.errors import CurvdecError, EmptyRun, NegativeStreamKey, UnknownCheck
+from curvdec.errors import CurvdecError, DimensionMismatch, EmptyRun, NegativeStreamKey
+from curvdec.errors import UnknownCheck
 from curvdec.sampling import sample
 from curvdec.suite import CHECKS, SuiteConfig, run_invariant_suite
 
@@ -83,6 +84,7 @@ def test_empty_runs_refused():
     # a run that draws nothing or visits no grid point must not report a pass
     for cfg in (
         SuiteConfig(dims=(3,), samples=0),
+        SuiteConfig(dims=(3,), samples=2.5),
         SuiteConfig(dims=(3,), signatures=((2, 2),)),
         SuiteConfig(dims=()),
     ):
@@ -111,41 +113,56 @@ def test_checks_read_the_one_sample_sequence(monkeypatch):
     # row i of every stack a check reads in the block at lo is
     # sample(space, n, sig, seed, index=lo + i); at CHUNK + 1 samples the last
     # index is a block of its own
-    read, stack = [], suite._Ctx.stack
+    read, stack = [], sampling.Block.stack
 
-    def recording(ctx, space, count):
-        out = stack(ctx, space, count)
-        read.append((space, ctx.lo, out.copy()))
+    def recording(block, space):
+        out = stack(block, space)
+        read.append((space, block.keys, out.copy()))
         return out
 
-    monkeypatch.setattr(suite._Ctx, "stack", recording)
+    monkeypatch.setattr(sampling.Block, "stack", recording)
     for samples, blocks in ((3, {(0, 3)}), (suite.CHUNK + 1, {(0, suite.CHUNK), (suite.CHUNK, 1)})):
         read.clear()
         cfg = SuiteConfig(dims=(4,), signatures=((3, 1),), samples=samples, seed=5)
         only = ["ricci_symmetry_equivalence", "ricci_conjugate_trace", "projective_part"]
         run_invariant_suite(cfg, only=only)
-        assert {space for space, _, _ in read} == {"r", "co", "a_plus_s", "f_pair", "f", "t"}
-        assert {(lo, len(rows)) for _, lo, rows in read} == blocks
-        for space, lo, rows in read:
-            for i, row in enumerate(rows):
-                want = sample(space, 4, (3, 1), 5, index=lo + i)
-                assert np.array_equal(row, want), (space, lo, i)
+        seen = list(read)  # `sample` below reads through a block too
+        assert {space for space, _, _ in seen} == {"r", "co", "a_plus_s", "f_pair", "f", "t"}
+        assert {(keys[0], len(rows)) for _, keys, rows in seen} == blocks
+        for space, keys, rows in seen:
+            for index, row in zip(keys, rows, strict=True):
+                want = sample(space, 4, (3, 1), 5, index=index)
+                assert np.array_equal(row, want), (space, index)
+
+
+def test_checks_read_only_their_own_block(monkeypatch):
+    # at 5 samples no check but the two rank checks, whose stacks are sized by n
+    # alone, draws a sample past index 4: the pairings of the orthogonality
+    # checks are taken within the block's rows
+    drawn, real = set(), sampling.rng_stream
+    monkeypatch.setattr(sampling, "rng_stream", lambda seed, i: drawn.add(i) or real(seed, i))
+    rank_checks = ("dimension_consistency", "ricci_image_dimensions")
+    only = [name for name in CHECKS if name not in rank_checks]
+    run_invariant_suite(SuiteConfig(dims=(3, 4), samples=5), only=only)
+    assert drawn == set(range(5))
 
 
 def test_shared_stacks_are_read_only(monkeypatch):
-    # a check that writes into a stack it was given raises, and the next check
-    # still reads the samples themselves
+    # a check that writes into a stack or its components raises, and the next
+    # check still reads the samples themselves
     cfg = SuiteConfig(dims=(3,), signatures=((2, 1),), samples=4, seed=2)
     read = {}
 
     def writer(ctx):
         for space in ("r", "co"):
             with pytest.raises(ValueError, match="read-only"):
-                ctx.stack(space, ctx.k)[0, 0, 1, 0, 1] += 1.0
+                ctx.stack(space)[0, 0, 1, 0, 1] += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            ctx.comps("r", suite.w_projections)[2, 0, 0, 1, 0, 1] += 1.0
         return ()
 
     def reader(ctx):
-        read.update((space, ctx.stack(space, ctx.k)) for space in ("r", "co"))
+        read.update((space, ctx.stack(space)) for space in ("r", "co"))
         return ()
 
     monkeypatch.setitem(suite.CHECKS, "w_completeness", writer)
@@ -217,13 +234,24 @@ def test_dimension_consistency_reads_the_one_gap_rule(monkeypatch):
 
 def test_negative_seed_refused_before_any_check(monkeypatch):
     # gram_positivity draws nothing at an indefinite signature, so only an
-    # up-front refusal keeps this run from reporting a pass
+    # up-front refusal keeps this run from reporting a pass; so too for a seed,
+    # a dimension or a signature entry that is not an integer, even where a
+    # valid grid point would come first
     ran = []
     monkeypatch.setitem(suite.CHECKS, "gram_positivity", lambda ctx: ran.append(ctx) or ())
-    cfg = SuiteConfig(dims=(3,), signatures=((2, 1),), seed=-1)
-    with pytest.raises(NegativeStreamKey):
-        run_invariant_suite(cfg, only=["gram_positivity"])
+    for error, cfg in (
+        (NegativeStreamKey, SuiteConfig(dims=(3,), signatures=((2, 1),), seed=-1)),
+        (NegativeStreamKey, SuiteConfig(dims=(3,), signatures=((2, 1),), samples=2, seed=1.5)),
+        (DimensionMismatch, SuiteConfig(dims=(3, 3.5))),
+        (DimensionMismatch, SuiteConfig(dims=(3,), signatures=((2, 1), (2.5, 0.5)))),
+    ):
+        with pytest.raises(error):
+            run_invariant_suite(cfg, only=["gram_positivity"])
     assert not ran
+    # numpy integers are integers
+    cfg = SuiteConfig(dims=(np.int64(3),), signatures=((np.int64(2), 1),), samples=np.int64(2))
+    assert run_invariant_suite(cfg, only=["gram_positivity"])["gram_positivity"]["pass"]
+    assert len(ran) == 1
 
 
 def test_nan_term_fails_its_check(monkeypatch, capsys):
@@ -299,56 +327,43 @@ def test_each_block_projects_once(monkeypatch):
     # at one grid point of a default-sized run (one block), every space is drawn
     # or projected once, and each stack's W and A components under the point's
     # metric are computed once per family; 'f' and 'f_pair' are sums of the 'r'
-    # W components, so sampling's projectors never see a block's rows, and 'a',
-    # 's', 'a_plus_s' and the checks that take the complement r - ψ(r) - μ(r) read
-    # one ψ and one μ of the 'r' rows: the suite's own ψ and μ never see them.
-    # dimension_consistency reads the point's `dims` reports, which draw their
-    # own rows and touch no block stack
-    drawn, projected = {}, Counter()
+    # W components, and 'a', 's', 'a_plus_s' and the checks that take the
+    # complement r - ψ(r) - μ(r) read one ψ and one μ of the 'r' rows.  Each map
+    # is counted wherever it is called from, as the suite's name or sampling's.
+    # The two rank checks draw their own rows: dimension_consistency reads the
+    # point's `dims` reports, which touch no block, and ricci_image_dimensions
+    # ranks a block of its own, n(n+1)/2 + RANK_MARGIN 'r' rows from index 0
+    drawn, projected, stack = {}, Counter(), sampling.Block.stack
 
-    def counting_draw(build):
-        def wrapper(space, *args):
-            out = build(space, *args)
-            drawn.setdefault(space, []).append(out)
-            return out
+    def recording(block, space):
+        out = stack(block, space)
+        if not any(out is o for o in drawn.setdefault(space, [])):
+            drawn[space].append(out)
+        return out
 
-        return wrapper
-
-    def counting(proj, name):
-        def wrapper(t, g):  # the point's metric is the identity: signature (n, 0)
+    def counting(proj):
+        def wrapper(t, *g):  # the point's metric is the identity: signature (n, 0)
+            on_point = all(np.array_equal(m.matrix, np.eye(m.dim)) for m in g)
             for space, outs in drawn.items():
-                shared = any(np.may_share_memory(t, o) for o in outs)
-                on_point = np.array_equal(g.matrix, np.eye(g.dim))
-                projected[name, space] += shared and on_point
-            return proj(t, g)
+                if space == "r" or g:  # ψ and μ are counted on the 'r' rows only
+                    shared = any(np.may_share_memory(t, o) for o in outs)
+                    projected[proj.__name__, space] += shared and on_point
+            return proj(t, *g)
 
         return wrapper
 
-    def counting_average(average, name):
-        def wrapper(t):
-            projected[name, "r"] += any(np.may_share_memory(t, o) for o in drawn.get("r", ()))
-            return average(t)
-
-        return wrapper
-
-    for build in ("_stack", "_project"):
-        monkeypatch.setattr(suite, build, counting_draw(getattr(suite, build)))
-    for module, prefix in ((suite, ""), (sampling, "sampling.")):
-        for proj in (module.w_projections, module.a_projections):
-            monkeypatch.setattr(module, proj.__name__, counting(proj, prefix + proj.__name__))
-    for module, prefix in ((suite, ""), (sampling, "sampling.")):
-        for average in (module.psi, module.mu):
-            monkeypatch.setattr(module, average.__name__,
-                                counting_average(average, prefix + average.__name__))
+    monkeypatch.setattr(sampling.Block, "stack", recording)
+    for proj in (suite.w_projections, suite.a_projections, suite.psi, suite.mu):
+        wrapper = counting(proj)
+        for module in (suite, sampling):
+            monkeypatch.setattr(module, proj.__name__, wrapper)
     spaces = ("r", "co", "a", "s", "f", "p", "t", "a_plus_s", "f_pair")
     for n in (3, 4):
         drawn.clear()
         projected.clear()
         run_invariant_suite(SuiteConfig(dims=(n,), signatures=((n, 0),)))
-        # ricci_image_dimensions asks block 0 for n(n+1)/2 + RANK_MARGIN 'r'
-        # rows, 18 at n = 4: the block's CHUNK rows serve it, none is drawn again
-        assert n * (n + 1) // 2 + sampling.RANK_MARGIN <= sampling.CHUNK
-        assert [len(out) for out in drawn["r"]] == [sampling.CHUNK]
+        rank_rows = n * (n + 1) // 2 + sampling.RANK_MARGIN
+        assert [len(out) for out in drawn["r"]] == [sampling.CHUNK, rank_rows]
         once = {space: len(outs) for space, outs in drawn.items() if space != "r"}
         assert once == dict.fromkeys(spaces[1:], 1)
         assert +projected == {
@@ -357,27 +372,6 @@ def test_each_block_projects_once(monkeypatch):
                 for proj in ("w_projections", "a_projections")
                 for space in ("r", "a_plus_s", "f_pair")
             },
-            ("sampling.psi", "r"): 1,
-            ("sampling.mu", "r"): 1,
+            ("psi", "r"): 1,
+            ("mu", "r"): 1,
         }
-
-
-def test_memo_miss_projects_only_the_missing_rows(monkeypatch):
-    # at 5 samples the completeness checks take the components of 5 'r' rows and
-    # the orthogonality checks of 10: only the 5 missing rows are projected again
-    cfg = SuiteConfig(dims=(3,), signatures=((3, 0),), samples=5)
-    r = np.stack([sample("r", 3, (3, 0), 0, index=i) for i in range(10)])
-    seen = Counter()
-
-    def counting(proj):
-        def wrapper(t, g):
-            is_r = np.ndim(t) == 5 and any(np.array_equal(t, r[i : i + len(t)]) for i in range(10))
-            seen[proj.__name__] += len(t) if is_r and np.array_equal(g.matrix, np.eye(3)) else 0
-            return proj(t, g)
-
-        return wrapper
-
-    for proj in (suite.w_projections, suite.a_projections):
-        monkeypatch.setattr(suite, proj.__name__, counting(proj))
-    run_invariant_suite(cfg)
-    assert seen == {"w_projections": 10, "a_projections": 10}
