@@ -25,13 +25,12 @@ convention used across the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .errors import (DegenerateAtPoint, DegenerateMetric, DimensionMismatch, SchemaError,
                      UnknownConnection)
-from .linalg import ScalarProduct, antisym, build_scalar_product
+from .linalg import ScalarProduct, _integer, antisym, build_scalar_product
 from .poly import Poly
 from .spaces import conjugate, membership_residual, ricci, scalar_curvature
 
@@ -45,7 +44,7 @@ _PICK_PATH = ["einsum_path", (0, 3), (0, 2), (1, 2), (0, 1)]
 
 def _chart_dim(dim) -> int:
     """dim, an integer in 3..MAX_DIM, else DimensionMismatch before anything is allocated."""
-    if not isinstance(dim, Integral) or not 3 <= dim <= MAX_DIM:
+    if not 3 <= _integer(dim, DimensionMismatch, "chart dimension") <= MAX_DIM:
         raise DimensionMismatch(f"chart dimension must be an integer in 3..{MAX_DIM}, got {dim!r}")
     return int(dim)
 

@@ -7,8 +7,10 @@ their lists (floats round-trip bit-exactly), formatting each distinct |x| in a b
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import math
+from functools import partial
 from itertools import accumulate, chain, permutations
 
 import numpy as np
@@ -16,7 +18,7 @@ import numpy as np
 from .charts import PolyChart, TripleReport, _chart_dim
 from .decomp import DecompositionResult
 from .errors import LengthMismatch, NonFiniteInput, SchemaError
-from .linalg import ScalarProduct, build_scalar_product, standard_scalar_product
+from .linalg import ScalarProduct, _integer, build_scalar_product, standard_scalar_product
 from .poly import Poly
 from .sampling import DimensionReport
 
@@ -77,12 +79,6 @@ def _require(doc, key):
     return doc[key]
 
 
-def _as_int(value, path):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, f"expected an integer, got {value!r}")
-    return value
-
-
 def _as_number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path(), f"expected a number, got {value!r}")
@@ -112,12 +108,12 @@ def parse_tensor(data) -> tuple[np.ndarray, ScalarProduct]:
     A missing "g" defaults to the diagonal form of the declared signature.
     """
     doc = _loads(data)
-    n = _as_int(_require(doc, "dim"), "$.dim")
+    n = _integer(_require(doc, "dim"), partial(SchemaError, "$.dim"), "dim")
     sig = _require(doc, "signature")
     if not isinstance(sig, list) or len(sig) != 2:
         raise SchemaError("$.signature", "expected [p, q]")
-    p = _as_int(sig[0], "$.signature[0]")
-    q = _as_int(sig[1], "$.signature[1]")
+    p = _integer(sig[0], partial(SchemaError, "$.signature[0]"), "a signature entry")
+    q = _integer(sig[1], partial(SchemaError, "$.signature[1]"), "a signature entry")
     if p < 0 or q < 0 or p + q != n:
         raise SchemaError("$.signature", f"signature ({p},{q}) inconsistent with dim {n}")
     flat = _require(doc, "R")
@@ -172,15 +168,11 @@ def decomposition_document(
 
 
 def dimension_document(report: DimensionReport) -> dict:
-    gap = report.singular_value_gap
-    return {
-        "space": report.space,
-        "empirical_dim": report.empirical_dim,
-        "formula_dim": report.formula_dim,
-        "samples_used": report.samples_used,
-        "singular_value_gap": None if gap is None or not np.isfinite(gap) else gap,
-        "inconclusive": report.inconclusive,
-    }
+    """The report's fields, with a gap that is not finite (JSON has no inf) as null."""
+    doc = dataclasses.asdict(report)
+    if not math.isfinite(doc["singular_value_gap"] or 0.0):  # None stays None
+        doc["singular_value_gap"] = None
+    return doc
 
 
 def triple_report_document(rep: TripleReport) -> dict:
@@ -255,7 +247,7 @@ def parse_chart(data) -> PolyChart:
     """Read a chart document: symmetric entries stored with sorted indices only.  An
     optional "domain_note" must be a string and is not used."""
     doc = _loads(data)
-    n = _chart_dim(_as_int(_require(doc, "dim"), "$.dim"))
+    n = _chart_dim(_integer(_require(doc, "dim"), partial(SchemaError, "$.dim"), "dim"))
     metric = _parse_field(_require(doc, "metric"), "metric", n, 2)
     cubic = _parse_field(doc["cubic"], "cubic", n, 3) if "cubic" in doc else None
     if not isinstance(doc.get("domain_note", ""), str):

@@ -101,8 +101,8 @@ def build_scalar_product(matrix) -> ScalarProduct:
 
 
 def _integer(x, error, what: str) -> int:
-    """x as an int, numpy integers included; error for a value that is not an integer."""
-    if not isinstance(x, Integral):
+    """x as an int, numpy integers included; error for a bool or a value that is not an integer."""
+    if not isinstance(x, Integral) or isinstance(x, bool):
         raise error(f"{what} must be an integer, got {x!r}")
     return int(x)
 

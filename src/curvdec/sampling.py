@@ -8,20 +8,19 @@ bit-identical tensors on every platform.  Samples have unit max-norm.
 The noise of an index does not depend on the space, so every space's samples
 are projections of one base stack: the normalized Bianchi projections of the
 noise of indices 0, 1, 2, ...  A space's k samples are the first k indices of
-this sequence, which all spaces share.  'f' and 'f_pair' are sums of W
-components, so one W projection serves W1..W8, 'f' and 'f_pair', and one ψ
-and one μ serve 'a', 's' and 'a_plus_s'.  A `Block` holds the samples of a
-list of stream keys: it computes each space's stack and each map's components
-of a stack once and keeps them read-only.  `sample` is a block of one key, and
-the invariant suite reads blocks of CHUNK keys.  `dimension_reports` draws each
-index's noise once, for 'co' and 'r', projects it CHUNK tensors at a time once
-per family (W, A, or ψ and μ), and holds each stack as co(V) coordinate rows.
+this sequence, which all spaces share.  A `Block` holds the samples of a list
+of stream keys: each key's noise is drawn once, for both 'co' and 'r', and each
+space's stack is built once.  `sample` is a block of one key, and the invariant
+suite reads blocks of CHUNK keys.  `dimension_reports` takes its 'co' and 'r'
+rows from blocks of CHUNK keys, projects the 'r' rows CHUNK at a time once per
+family (W, A, or ψ and μ), and holds each stack as co(V) coordinate rows.
 `curvdec dims` prints the reports, and the suite's dimension_consistency is
 their verdict.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -147,27 +146,33 @@ def _project(space: str, base, g: ScalarProduct, comps=None) -> np.ndarray:
 class Block:
     """The samples of every space at a list of stream keys, under one metric and seed.
 
-    A space's stack, (len(keys), n, n, n, n), is drawn or projected once, and
-    so are a map's components of a stack (W, A, or ψ and μ); both are kept
-    read-only.  'f' and 'f_pair' are built from the W components of 'r', and
-    'a', 's' and 'a_plus_s' from its ψ and μ.  Raises EmptySpace when a key's
-    projection is at roundoff scale: the space is empty there.
+    A key's noise is drawn once, for both 'co' and 'r'.  A space's stack,
+    (len(keys), n, n, n, n), is built once, and so are a map's components of a
+    stack (W, A, or ψ and μ); both are kept read-only.  'f' and 'f_pair' are
+    sums of the W components of 'r', so one W projection serves W1..W8, 'f'
+    and 'f_pair', and one ψ and one μ serve 'a', 's' and 'a_plus_s'.  Raises
+    EmptySpace when a key's projection is at roundoff scale: the space is
+    empty there.
     """
 
     def __init__(self, g: ScalarProduct, seed: int, keys):
         self.g, self.seed, self.keys = g, seed, keys
         self._stacks, self._comps = {}, {}
 
+    @cached_property
+    def _drawn(self) -> np.ndarray:
+        """The noise of each key, drawn once for 'co' and 'r'."""
+        return _noise((self.g.dim,) * 4, self.seed, self.keys)
+
     def stack(self, space: str) -> np.ndarray:
         """The samples of the space at the block's keys, stacked and read-only."""
         rows = self._stacks.get(space)
         if rows is None:
-            if space in ("co", "r"):
-                noise = _noise((self.g.dim,) * 4, self.seed, self.keys)
-                if space == "co":
-                    rows = _normalize(0.5 * (noise - np.swapaxes(noise, -4, -3)), EMPTY_NORM)
-                else:  # the Bianchi projection of noise is never at roundoff scale: no floor
-                    rows = _normalize(bianchi_project(noise), 0.0)
+            if space == "co":
+                noise = self._drawn
+                rows = _normalize(0.5 * (noise - np.swapaxes(noise, -4, -3)), EMPTY_NORM)
+            elif space == "r":  # Bianchi-projected noise is never at roundoff scale: no floor
+                rows = _normalize(bianchi_project(self._drawn), 0.0)
             else:
                 family = _family(space)
                 comps = None if family is None else self.comps("r", family)
@@ -304,13 +309,12 @@ def dimension_reports(
     g = _scalar_product(n, signature)
     base = np.empty((max([counts[s] for s in counts if s != "co"], default=0),) + (n,) * 4)
 
-    def draw(lo, live):  # one noise draw per index: 'co' antisymmetrizes it, 'r' projects it
-        noise = _noise((n,) * 4, seed, range(lo, min(lo + CHUNK, max(counts.values()))))
-        if lo < len(base):  # the Bianchi projection of noise is never at roundoff scale: no floor
-            base[lo : lo + CHUNK] = _normalize(bianchi_project(noise[: len(base) - lo]), 0.0)
-        co = 0.5 * (noise - np.swapaxes(noise, -4, -3)) if "co" in live else None
-        # 'r' rows have unit max-norm already, so normalizing them again changes no bit
-        return {space: co if space == "co" else base[lo : lo + CHUNK] for space in live}
+    def draw(lo, live):  # one block per chunk: 'co' and 'r' share each index's noise draw
+        block = Block(g, seed, range(lo, min(lo + CHUNK, max(counts.values()))))
+        if lo < len(base):
+            base[lo : lo + CHUNK] = block.stack("r")[: len(base) - lo]
+        # the rows have unit max-norm already, so normalizing them again changes no bit
+        return {space: block.stack(space) for space in live}
 
     def project(lo, live):  # one projector call per chunk serves a family's spaces
         chunk, proj = base[lo : lo + CHUNK], _family(live[0])

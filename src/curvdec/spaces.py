@@ -210,22 +210,3 @@ def membership(t, g: ScalarProduct, space: str, tol: float = MEMBERSHIP_TOL):
     res = membership_residual(t, g, space)
     return res <= tol, res
 
-
-__all__ = [
-    "MEMBERSHIP_TOL",
-    "SPACE_TAGS",
-    "RicciReport",
-    "bianchi_project",
-    "conjugate",
-    "dot_product",
-    "membership",
-    "membership_residual",
-    "mu",
-    "psi",
-    "ricci",
-    "ricci_star",
-    "ricci_traces",
-    "scalar_curvature",
-    "wedge",
-    "wedge_r",
-]

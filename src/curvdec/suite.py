@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from numbers import Real
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .decomp import (
     traceless_core,
     w_projections,
 )
-from .errors import DimensionMismatch, EmptyRun, UnknownCheck
+from .errors import DimensionMismatch, EmptyRun, NonFiniteInput, UnknownCheck
 from .linalg import _integer, _row_maxnorm, antisym, standard_scalar_product, sym
 from .linalg import tensor_pairing
 from .sampling import CHUNK, Block, _noise, _normalize, dimension_reports, numerical_rank
@@ -125,11 +126,13 @@ def _idempotence(ctx, family):
 
 def _orthogonality(ctx, family):
     # pair[a, b, i] pairs component a of sample 2i with component b of sample 2i + 1,
-    # over the block's first 2 min(k // 2, 6) rows
-    comps = ctx.comps("r", _family(family))[:, : 2 * min(ctx.k // 2, 6)]
-    pair = np.abs(tensor_pairing(comps[:, None, 0::2], comps[None, :, 1::2], ctx.g))
+    # over the block's first m = 2 min(k // 2, 6) rows; a block of one row pairs it with itself
+    m = 2 * min(ctx.k // 2, 6)
+    comps = ctx.comps("r", _family(family))[:, : m or 1]
+    first, second = (slice(0, m, 2), slice(1, m, 2)) if m else (slice(1),) * 2
+    pair = np.abs(tensor_pairing(comps[:, None, first], comps[None, :, second], ctx.g))
     norm = np.sqrt(np.sum(np.square(comps), axis=(-4, -3, -2, -1)))
-    n1, n2 = norm[:, None, 0::2], norm[None, :, 1::2]
+    n1, n2 = norm[:, None, first], norm[None, :, second]
     keep = (n1 >= 1e-10) & (n2 >= 1e-10) & ~np.eye(8, dtype=bool)[..., None]
     yield pair[keep] / (n1 * n2)[keep]
 
@@ -588,9 +591,10 @@ def run_invariant_suite(config: SuiteConfig | None = None, only=None) -> dict:
     check and is reported as None.
     Raises UnknownCheck when `only` holds a name that is not in CHECKS,
     EmptyRun for a sample count that is not an integer >= 1 or an empty grid,
-    DimensionMismatch for a dimension or signature entry that is not an
-    integer, and NegativeStreamKey for a seed that is negative or not an
-    integer, before any check runs.
+    DimensionMismatch for a signature that is not a pair or a dimension or
+    signature entry that is not an integer, NonFiniteInput for a tolerance that
+    is not a finite real number, and NegativeStreamKey for a seed that is
+    negative or not an integer, before any check runs.
     """
     cfg = config or SuiteConfig()
     wanted = set(CHECKS) if only is None else set(only)
@@ -599,8 +603,13 @@ def run_invariant_suite(config: SuiteConfig | None = None, only=None) -> dict:
         raise UnknownCheck(f"unknown check names {unknown}; known: {', '.join(CHECKS)}")
     if _integer(cfg.samples, EmptyRun, "samples") < 1:
         raise EmptyRun(f"samples must be at least 1, got {cfg.samples}")
+    for sig in cfg.signatures or ():
+        if np.shape(sig) != (2,):
+            raise DimensionMismatch(f"a signature must be a pair (p, q), got {sig!r}")
     for x in (*cfg.dims, *(x for sig in cfg.signatures or () for x in sig)):
         _integer(x, DimensionMismatch, "a dimension or signature entry")
+    if not isinstance(cfg.tolerance, Real) or not math.isfinite(cfg.tolerance):
+        raise NonFiniteInput(f"tolerance must be a finite real number, got {cfg.tolerance!r}")
     if not any(cfg.grid()):
         raise EmptyRun(f"no signature in {cfg.signatures} fits a dimension in {list(cfg.dims)}")
     sampling.rng_stream(cfg.seed, 0)  # the first stream a check may read: refuses a bad seed

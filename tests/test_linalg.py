@@ -114,6 +114,9 @@ def test_negative_signature_count_refused():
     # nor may a count be fractional: 2.5 + 0.5 is a valid dimension too
     with pytest.raises(DimensionMismatch, match="integer"):
         standard_scalar_product(2.5, 0.5)
+    # nor a bool: True is not the count 1
+    with pytest.raises(DimensionMismatch, match="integer"):
+        standard_scalar_product(True, 2)
 
 
 def test_split_symmetric_fixed_point():

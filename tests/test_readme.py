@@ -1,7 +1,11 @@
 import ast
 import importlib
 import re
+import shlex
 from pathlib import Path
+from types import SimpleNamespace
+
+from curvdec import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -18,6 +22,26 @@ def test_readme_python_blocks_run():
     assert len(blocks) == 2  # the library quick tour and the chart example
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i}", "exec"), {})
+
+
+def test_readme_cli_lines_parse(monkeypatch):
+    # every `curvdec ...` line of a README sh block parses with the CLI's own parser,
+    # after main's --point rewrite: an option the CLI drops must leave the README too
+    lines = [
+        line
+        for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+        for line in re.findall(r"^curvdec (.*)$", block, re.M)
+    ]
+    parsed, parser = [], cli._parser.__wrapped__()  # a fresh parser; the cached one is untouched
+
+    def parse_only(argv):  # main's argv, parsed, and a command that runs nothing
+        parsed.append(parser.parse_args(argv))
+        return SimpleNamespace(func=lambda args: 0)
+
+    monkeypatch.setattr(cli, "_parser", lambda: SimpleNamespace(parse_args=parse_only))
+    for line in lines:
+        assert cli.main(shlex.split(line, comments=True)) == 0, line
+    assert len(parsed) == len(lines) >= 6
 
 
 def test_every_exported_name_has_a_caller():

@@ -156,7 +156,7 @@ def test_every_rank_sees_cov_columns(monkeypatch):
 
 
 def test_dimension_reports_refuse_empty_runs():
-    for samples in (0, -1, 2.5):
+    for samples in (0, -1, 2.5, True):
         with pytest.raises(EmptyRun):
             dimension_reports(3, (3, 0), samples=samples, spaces=("r",))
         with pytest.raises(CurvdecError):
@@ -184,6 +184,8 @@ def test_signature_must_fit_dimension():
         lambda: sample("r", 3.7),
         lambda: sample("r", 3.0, (3, 0)),
         lambda: sample("r", 3, (2.5, 0.5)),
+        lambda: sample("r", True + 2, (True, 2)),
+        lambda: formula_dim("r", True),
         lambda: formula_dim("r", 3.9),
         lambda: dimension_reports(3.5, spaces=("r",)),
         lambda: dimension_reports(3, (2.5, 0.5), spaces=("r",)),
@@ -204,12 +206,13 @@ def test_determinism_bit_identical():
 
 def test_stream_keys_non_negative_and_unaliased():
     # a negative seed or index entry is refused, not passed to numpy, and so is
-    # one that is not an integer, which would be truncated; numpy integers pass
-    bad = ({"seed": -1}, {"index": -1}, {"index": (0, -1)})
+    # one that is not an integer, which would be truncated (True would be seed 1);
+    # numpy integers pass
+    bad = ({"seed": -1}, {"index": -1}, {"index": (0, -1)}, {"seed": True}, {"index": True})
     for kwargs in bad + ({"seed": 1.5}, {"index": 2.5}, {"index": (0, 1.5)}):
         with pytest.raises(NegativeStreamKey):
             sample("r", 3, **kwargs)
-    for seed in (-1, 1.5):
+    for seed in (-1, 1.5, True):
         with pytest.raises(NegativeStreamKey):
             dimension_reports(3, seed=seed, spaces=("co",))
     typed = sample("r", 3, seed=np.uint64(2), index=(np.int32(1), 4))
@@ -392,6 +395,21 @@ def test_family_pass_gives_the_per_space_stacks(monkeypatch):
     for space, rows in ranked.items():
         stack = sampling.Block(g, 0, range(formula_dim(space, 4) + RANK_MARGIN)).stack(space)
         assert np.array_equal(rows, np.array([cov_coordinates(t, 4) for t in stack])), space
+
+
+def test_block_draws_each_key_once(monkeypatch):
+    # a block that reads both 'co' and 'r', in either order, draws each key's stream
+    # once, and its rows are still the one-key samples
+    g, calls, real = standard_scalar_product(3, 1), Counter(), sampling.rng_stream
+    monkeypatch.setattr(sampling, "rng_stream", lambda seed, i: calls.update([i]) or real(seed, i))
+    for order in (("co", "r"), ("r", "co")):
+        calls.clear()
+        block = sampling.Block(g, 4, range(5, 9))
+        stacks = {space: block.stack(space) for space in order}
+        assert calls == Counter(range(5, 9)), order
+        for space, rows in stacks.items():
+            for index, row in zip(range(5, 9), rows, strict=True):
+                assert np.array_equal(row, sample(space, 4, (3, 1), 4, index)), (space, index)
 
 
 @pytest.mark.parametrize("n,w_calls,draws", [(5, 7, 258), (6, 13, 548)])

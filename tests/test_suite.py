@@ -9,7 +9,7 @@ import curvdec.sampling as sampling
 import curvdec.suite as suite
 from curvdec.cli import main
 from curvdec.errors import CurvdecError, DimensionMismatch, EmptyRun, NegativeStreamKey
-from curvdec.errors import UnknownCheck
+from curvdec.errors import NonFiniteInput, UnknownCheck
 from curvdec.sampling import sample
 from curvdec.suite import CHECKS, SuiteConfig, run_invariant_suite
 
@@ -85,6 +85,7 @@ def test_empty_runs_refused():
     for cfg in (
         SuiteConfig(dims=(3,), samples=0),
         SuiteConfig(dims=(3,), samples=2.5),
+        SuiteConfig(dims=(3,), samples=True),
         SuiteConfig(dims=(3,), signatures=((2, 2),)),
         SuiteConfig(dims=()),
     ):
@@ -235,8 +236,9 @@ def test_dimension_consistency_reads_the_one_gap_rule(monkeypatch):
 def test_negative_seed_refused_before_any_check(monkeypatch):
     # gram_positivity draws nothing at an indefinite signature, so only an
     # up-front refusal keeps this run from reporting a pass; so too for a seed,
-    # a dimension or a signature entry that is not an integer, even where a
-    # valid grid point would come first
+    # a dimension or a signature entry that is not an integer (a bool is not),
+    # a signature that is not a pair and a tolerance that is not a finite real
+    # number, even where a valid grid point would come first
     ran = []
     monkeypatch.setitem(suite.CHECKS, "gram_positivity", lambda ctx: ran.append(ctx) or ())
     for error, cfg in (
@@ -244,6 +246,14 @@ def test_negative_seed_refused_before_any_check(monkeypatch):
         (NegativeStreamKey, SuiteConfig(dims=(3,), signatures=((2, 1),), samples=2, seed=1.5)),
         (DimensionMismatch, SuiteConfig(dims=(3, 3.5))),
         (DimensionMismatch, SuiteConfig(dims=(3,), signatures=((2, 1), (2.5, 0.5)))),
+        (NegativeStreamKey, SuiteConfig(dims=(3,), signatures=((2, 1),), seed=True)),
+        (DimensionMismatch, SuiteConfig(dims=(3, True))),
+        (DimensionMismatch, SuiteConfig(dims=(3,), signatures=((2, 1), (True, 2)))),
+        (DimensionMismatch, SuiteConfig(dims=(3,), signatures=((2, 1), (3,)))),
+        (DimensionMismatch, SuiteConfig(dims=(3,), signatures=((2, 1), (2, 1, 0)))),
+        (NonFiniteInput, SuiteConfig(dims=(3,), signatures=((2, 1),), tolerance="x")),
+        (NonFiniteInput, SuiteConfig(dims=(3,), signatures=((2, 1),), tolerance=math.inf)),
+        (NonFiniteInput, SuiteConfig(dims=(3,), signatures=((2, 1),), tolerance=math.nan)),
     ):
         with pytest.raises(error):
             run_invariant_suite(cfg, only=["gram_positivity"])
@@ -323,6 +333,24 @@ def test_fault_in_tail_block_is_seen(monkeypatch):
     assert run_invariant_suite(cfg, only=only)["conjugate_split"]["pass"] is False
 
 
+@pytest.mark.parametrize("family", ["w", "a"])
+def test_orthogonality_read_at_one_sample(monkeypatch, family):
+    # a run of one sample has no pair of rows, so it pairs that sample's components
+    # with each other: a family whose second part leans on its first fails there too
+    name, check = f"{family}_projections", f"{family}_orthogonality"
+    exact = getattr(suite, name)
+
+    def leaning(t, g):
+        parts = list(exact(t, g))
+        parts[1] = parts[1] + parts[0]
+        return parts
+
+    configs = [SuiteConfig(dims=(3,), signatures=((2, 1),), samples=k) for k in (1, 2, 5)]
+    assert all(run_invariant_suite(cfg, only=[check])[check]["pass"] for cfg in configs)
+    monkeypatch.setattr(suite, name, leaning)
+    assert not any(run_invariant_suite(cfg, only=[check])[check]["pass"] for cfg in configs)
+
+
 def test_each_block_projects_once(monkeypatch):
     # at one grid point of a default-sized run (one block), every space is drawn
     # or projected once, and each stack's W and A components under the point's
@@ -331,8 +359,10 @@ def test_each_block_projects_once(monkeypatch):
     # complement r - ψ(r) - μ(r) read one ψ and one μ of the 'r' rows.  Each map
     # is counted wherever it is called from, as the suite's name or sampling's.
     # The two rank checks draw their own rows: dimension_consistency reads the
-    # point's `dims` reports, which touch no block, and ricci_image_dimensions
-    # ranks a block of its own, n(n+1)/2 + RANK_MARGIN 'r' rows from index 0
+    # point's `dims` reports, whose 'r' rows are blocks of CHUNK indices from 0
+    # (dim(r) + RANK_MARGIN rows, the largest stack it ranks), and
+    # ricci_image_dimensions ranks a block of its own, n(n+1)/2 + RANK_MARGIN
+    # 'r' rows from index 0
     drawn, projected, stack = {}, Counter(), sampling.Block.stack
 
     def recording(block, space):
@@ -362,8 +392,11 @@ def test_each_block_projects_once(monkeypatch):
         drawn.clear()
         projected.clear()
         run_invariant_suite(SuiteConfig(dims=(n,), signatures=((n, 0),)))
+        # the suite's block, the `dims` chunks, the rank block: [32, 32, 14] at n = 3
+        dims_rows = sampling.formula_dim("r", n) + sampling.RANK_MARGIN
+        chunks = [min(sampling.CHUNK, dims_rows - lo) for lo in range(0, dims_rows, sampling.CHUNK)]
         rank_rows = n * (n + 1) // 2 + sampling.RANK_MARGIN
-        assert [len(out) for out in drawn["r"]] == [sampling.CHUNK, rank_rows]
+        assert [len(out) for out in drawn["r"]] == [sampling.CHUNK, *chunks, rank_rows]
         once = {space: len(outs) for space, outs in drawn.items() if space != "r"}
         assert once == dict.fromkeys(spaces[1:], 1)
         assert +projected == {
