@@ -4,12 +4,12 @@ A chart carries a metric g(x) and a totally symmetric cubic form C(x) as
 polynomial fields.  The three connections of interest are the Levi-Civita
 connection of g and the pair nabla = LC + C, nabla* = LC - C (C raised to a
 (1,2) tensor with the inverse metric).  The fields are held only as one
-monomial table, the chart's one format, built and checked with the chart:
-exponents and one coefficient column per entry, so their values and first and
-second derivatives at a point come from one pass over the monomials by
-d_a x^e = e_a x^(e - e_a).  A field F is raised there as g^-1 F, and its
-derivative follows from d(g^-1) = -g^-1 (dg) g^-1.  All differentiation is
-exact, so identity residuals contain float roundoff but no truncation error.
+monomial table, built and checked with the chart: exponents and one coefficient
+column per entry, which `jsonio.parse_chart` fills straight from a document's
+term dicts.  Values and first and second derivatives at a point come from one
+pass over the monomials by d_a x^e = e_a x^(e - e_a).  A field F is raised
+there as g^-1 F, and its derivative follows from d(g^-1) = -g^-1 (dg) g^-1.
+All differentiation is exact: identity residuals hold roundoff, no truncation.
 A chart keeps a record of the last point it was asked about: the evaluated
 fields, the raised cubic, and the coefficients of the three connections with
 their derivatives, each computed once.  The metric, its inverse, the raised
@@ -32,7 +32,7 @@ from .errors import (DegenerateAtPoint, DegenerateMetric, DimensionMismatch, Sch
                      UnknownConnection)
 from .linalg import ScalarProduct, _integer, antisym, build_scalar_product
 from .poly import Poly
-from .spaces import conjugate, membership_residual, ricci, scalar_curvature
+from .spaces import _tau, conjugate, membership_residual, ricci, scalar_curvature
 
 CONNECTIONS = ("levi_civita", "nabla", "nabla_star")
 # the largest chart dimension: a point record holds about 15 arrays of n^4 floats,
@@ -50,7 +50,7 @@ def _chart_dim(dim) -> int:
 
 
 def _entries(field, name, n, rank):
-    """The entries of a nested n^rank field as Polys, in row-major order."""
+    """The entries of a nested n^rank field as {table column: term dict}, in row-major order."""
     flat = [field]
     try:  # a row of the wrong length is dropped, so the count falls short
         for _ in range(rank):
@@ -68,7 +68,7 @@ def _entries(field, name, n, rank):
                 raise SchemaError(path(), f"expected a Poly or a number, got {x!r}") from exc
         if x.nvars != n:
             raise DimensionMismatch(f"{path()}: polynomial variable count != chart dimension")
-    return flat
+    return {(rank - 2) * n * n + pos: x.terms for pos, x in enumerate(flat)}  # metric, then cubic
 
 
 class PolyChart:
@@ -76,25 +76,33 @@ class PolyChart:
     as nested n x n and n x n x n arrays of `Poly` or numbers and kept as one table."""
 
     def __init__(self, dim: int, metric, cubic=None):
-        self.dim = _chart_dim(dim)
-        self._table = self._prepared(metric, cubic)
-        self._last = None
+        self.dim = n = _chart_dim(dim)
+        columns = _entries(metric, "metric", n, 2)
+        if cubic is not None:
+            columns.update(_entries(cubic, "cubic", n, 3))
+        self._table, self._last = self._prepared(columns), None
+
+    @classmethod
+    def _from_columns(cls, dim: int, columns: dict) -> PolyChart:
+        """The chart of a checked dim and {table column: term dict}, as `jsonio` reads it."""
+        chart = cls.__new__(cls)
+        chart.dim = dim
+        chart._table, chart._last = chart._prepared(columns), None
+        return chart
 
     # -- the monomial table and its evaluation -------------------------------
 
-    def _prepared(self, metric, cubic):
-        """(T, n) exponents of the T monomials and their (T, n^2 + n^3) coefficients,
-        with g_ij in column i*n + j and C_ijk in column n^2 + (i*n + j)*n + k."""
+    def _prepared(self, columns):
+        """(T, n) exponents of the T monomials and their (T, n^2 + n^3) coefficients from
+        {column: term dict}, g_ij in column i*n + j, C_ijk in n^2 + (i*n + j)*n + k, else 0."""
         n, m = self.dim, self.dim**2
-        entries = _entries(metric, "metric", n, 2)
-        entries += [] if cubic is None else _entries(cubic, "cubic", n, 3)
-        monomials = sorted({e for p in entries for e in p.terms})
+        monomials = sorted({e for terms in columns.values() for e in terms})
         row_of = {e: t for t, e in enumerate(monomials)}
-        coeffs = np.zeros((len(monomials), m + n**3))  # a missing cubic leaves its columns zero
-        for col, p in enumerate(entries):
-            for e, c in p.terms.items():
+        coeffs = np.zeros((len(monomials), m + n**3))
+        for col, terms in columns.items():
+            for e, c in terms.items():
                 coeffs[row_of[e], col] = c
-        # equal Polys give equal columns; adjacent index swaps generate every permutation
+        # equal term dicts give equal columns; adjacent index swaps generate every permutation
         g, cub = coeffs[:, :m].reshape(-1, n, n), coeffs[:, m:].reshape(-1, n, n, n)
         if not (g == g.swapaxes(1, 2)).all():  # named by the upper entry of the pair
             i, j = np.argwhere((g != g.swapaxes(1, 2)).any(axis=0))[0]
@@ -251,7 +259,8 @@ def conjugate_triple_report(chart: PolyChart, point) -> TripleReport:
     norm_c2 = float(np.einsum("ia,jb,kc,ijk,abc->", gi, gi, gi, cflat, cflat, optimize=_PICK_PATH))
     norm_t2 = float(t_form @ gi @ t_form)
     pick = norm_c2 / (n * (n - 1))
-    tau = scalar_curvature(r, g)
+    ric = ricci(r, g)
+    tau = _tau(ric, g).item()
     kappa = scalar_curvature(r_g, g) / (n * (n - 1))
 
     eye = np.eye(n)
@@ -263,15 +272,11 @@ def conjugate_triple_report(chart: PolyChart, point) -> TripleReport:
     c_tilde_flat = np.einsum("ijk,il->ljk", c_tilde_up, gm)
 
     residuals = {
-        "curvature_vs_difference_tensor": _scaled(
-            (rop - rop_g) - (dc_skew + sq), rop, rop_g, sq
-        ),
+        "curvature_vs_difference_tensor": _scaled((rop - rop_g) - (dc_skew + sq), rop, rop_g, sq),
         "conjugate_curvature_vs_difference_tensor": _scaled(
             (rop_star - rop_g) - (-dc_skew + sq), rop_star, rop_g, sq
         ),
-        "curvature_skew_difference": _scaled(
-            (rop - rop_star) - 2.0 * dc_skew, rop, rop_star
-        ),
+        "curvature_skew_difference": _scaled((rop - rop_star) - 2.0 * dc_skew, rop, rop_star),
         "curvature_sum_square_term": _scaled(
             rop + rop_star - 2.0 * rop_g - 2.0 * sq, rop, rop_star, rop_g, sq
         ),
@@ -280,9 +285,7 @@ def conjugate_triple_report(chart: PolyChart, point) -> TripleReport:
         )
         / max(1.0, abs(tau), abs(norm_c2), n * n * abs(norm_t2)),
         "curvature_sum_algebraic": _membership(r + r_star, g, "a"),
-        "ricci_symmetry_pair": _scaled(
-            antisym(ricci(r, g)) + antisym(ricci(r_star, g)), ricci(r, g)
-        ),
+        "ricci_symmetry_pair": _scaled(antisym(ric) + antisym(ricci(r_star, g)), ric),
         "conjugacy": _scaled(r_star - conjugate(r), r, r_star),
         "cubic_trace_free": max(
             _scaled(np.einsum("jk,jkl->l", gi, c_tilde_flat), c_tilde_flat),

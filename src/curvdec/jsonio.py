@@ -12,6 +12,7 @@ import json
 import math
 from functools import partial
 from itertools import accumulate, chain, permutations
+from operator import mul
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from .charts import PolyChart, TripleReport, _chart_dim
 from .decomp import DecompositionResult
 from .errors import LengthMismatch, NonFiniteInput, SchemaError
 from .linalg import ScalarProduct, _integer, build_scalar_product, standard_scalar_product
-from .poly import Poly
 from .sampling import DimensionReport
 
 
@@ -195,61 +195,57 @@ def triple_report_document(rep: TripleReport) -> dict:
 # -- charts -----------------------------------------------------------------
 
 
-def _parse_indices(key, arity, n, path):
-    parts = key.split(",")
-    if len(parts) != arity:
-        raise SchemaError(path, f"expected {arity} comma-separated indices")
-    try:
-        idx = tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise SchemaError(path, f"non-integer index in {key!r}") from exc
-    if any(i < 0 or i >= n for i in idx):
-        raise SchemaError(path, f"index out of range in {key!r} for dim {n}")
-    if list(idx) != sorted(idx):
-        raise SchemaError(path, f"indices must be sorted (upper-triangular), got {key!r}")
-    return idx
+def _integers(key, sep, count, top, path, what):
+    """The count sep-separated integers of a key, each in 0..top; else SchemaError at path."""
+    with contextlib.suppress(ValueError):  # a part that is no integer, or no part at all
+        ints = tuple(map(int, key.split(sep)))
+        if len(ints) == count and 0 <= min(ints) and max(ints) <= top:
+            return ints
+    raise SchemaError(path, f"expected {count} {what}, got {key!r}")
 
 
-def _parse_poly(entry, n, path):
+def _parse_terms(entry, n, path, known):
+    """A polynomial entry as a term dict, {exponents: coefficient}, summed in document order
+    as `Poly` sums, a zero sum dropped; known maps the exponent keys read so far."""
     if not isinstance(entry, dict):
         raise SchemaError(path, "expected a map of exponent keys to coefficients")
     terms = {}
     for ekey, coeff in entry.items():
-        parts = ekey.split()
-        if len(parts) != n:
-            raise SchemaError(f"{path}[{ekey!r}]", f"expected {n} space-separated exponents")
-        try:
-            exps = tuple(int(p) for p in parts)
-        except ValueError as exc:
-            raise SchemaError(f"{path}[{ekey!r}]", "non-integer exponent") from exc
-        if any(e < 0 for e in exps):
-            raise SchemaError(f"{path}[{ekey!r}]", "negative exponent")
-        terms[exps] = _as_number(coeff, lambda: f"{path}[{ekey!r}]")
-    return Poly(n, terms)
+        if (exps := known.get(ekey)) is None:
+            exps = known[ekey] = _integers(ekey, None, n, math.inf, f"{path}[{ekey!r}]",
+                                           "space-separated exponents >= 0")
+        if coeff := _as_number(coeff, lambda: f"{path}[{ekey!r}]"):
+            terms[exps] = terms.get(exps, 0.0) + coeff
+    return {e: c for e, c in terms.items() if c}
 
 
-def _parse_field(entries, name, n, rank):
-    """A chart field from its sorted-index entries: each fills its permutations, and an
-    entry not given is zero.  n is already in 3..charts.MAX_DIM: parse_chart refuses any
-    other dim before a field is allocated."""
+def _read_field(entries, name, n, rank, columns, known):
+    """Put each sorted-index entry's term dict in columns at every permutation's table
+    column.  n is in 3..charts.MAX_DIM: parse_chart refuses any other dim first."""
     if not isinstance(entries, dict):
         raise SchemaError(f"$.{name}", "expected an object")
-    field = np.full((n,) * rank, Poly(n), dtype=object)
+    first, strides = (rank - 2) * n * n, (n * n, n, 1)[-rank:]  # metric columns, then cubic
     for key, entry in entries.items():
-        idx = _parse_indices(key, rank, n, f"$.{name}[{key!r}]")
-        p = _parse_poly(entry, n, f"$.{name}[{key!r}]")
-        for perm in set(permutations(idx)):
-            field[perm] = p
-    return field.tolist()
+        path = f"$.{name}[{key!r}]"
+        idx = _integers(key, ",", rank, n - 1, path, f"comma-separated indices in 0..{n - 1}")
+        if list(idx) != sorted(idx):
+            raise SchemaError(path, f"indices must be sorted (upper-triangular), got {key!r}")
+        cols = [first + sum(map(mul, perm, strides)) for perm in permutations(idx)]
+        if cols[0] in columns:  # the column of idx itself, the first permutation
+            raise SchemaError(path, f"index {idx} given twice")
+        columns.update(dict.fromkeys(cols, _parse_terms(entry, n, path, known)))
 
 
 def parse_chart(data) -> PolyChart:
-    """Read a chart document: symmetric entries stored with sorted indices only.  An
-    optional "domain_note" must be a string and is not used."""
+    """Read a chart document straight into the chart's monomial table: symmetric entries
+    stored with sorted indices only, each index once.  An optional "domain_note" must be
+    a string and is not used."""
     doc = _loads(data)
     n = _chart_dim(_integer(_require(doc, "dim"), partial(SchemaError, "$.dim"), "dim"))
-    metric = _parse_field(_require(doc, "metric"), "metric", n, 2)
-    cubic = _parse_field(doc["cubic"], "cubic", n, 3) if "cubic" in doc else None
+    columns, known = {}, {}
+    _read_field(_require(doc, "metric"), "metric", n, 2, columns, known)
+    if "cubic" in doc:
+        _read_field(doc["cubic"], "cubic", n, 3, columns, known)
     if not isinstance(doc.get("domain_note", ""), str):
         raise SchemaError("$.domain_note", "expected a string")
-    return PolyChart(n, metric, cubic)
+    return PolyChart._from_columns(n, columns)

@@ -82,8 +82,13 @@ def formula_dim(space: str, n: int) -> int:
 
 
 def _scalar_product(n: int, signature) -> ScalarProduct:
-    """The standard scalar product of signature, (n, 0) by default; p + q must be n."""
-    p, q = (n, 0) if signature is None else signature
+    """The standard scalar product of signature, a pair of integers (n, 0) by default;
+    p + q must be n."""
+    try:
+        p, q = (n, 0) if signature is None else signature
+    except (TypeError, ValueError):  # not a pair
+        raise DimensionMismatch(f"signature {signature!r} is not a pair of integers") from None
+    p, q = (_integer(x, DimensionMismatch, "a signature entry") for x in (p, q))
     if p + q != n:
         raise DimensionMismatch(f"signature ({p}, {q}) does not fit dimension {n}")
     return standard_scalar_product(p, q)
@@ -242,18 +247,11 @@ def numerical_rank(rows: np.ndarray) -> tuple[int, float | None]:
     The gap is None when no value was rejected, at rank min(rows, columns), and an
     empty or all-zero stack has rank 0.
     """
-    if rows.size == 0:
-        return 0, None
-    s = np.linalg.svd(rows, compute_uv=False)
-    smax = s[0]
-    if smax == 0.0:
-        return 0, None
-    rank = int(np.sum(s > RANK_RATIO * smax))
-    if rank >= len(s):
+    s = np.linalg.svd(rows, compute_uv=False) if rows.size else np.zeros(1)
+    rank = int(np.sum(s > RANK_RATIO * s[0]))
+    if rank in (0, len(s)):
         return rank, None
-    tail = s[rank]
-    gap = float("inf") if tail == 0.0 else float(s[rank - 1] / tail)
-    return rank, gap
+    return rank, float("inf") if s[rank] == 0.0 else float(s[rank - 1] / s[rank])
 
 
 def _report(space: str, n: int, rows) -> DimensionReport:

@@ -139,18 +139,21 @@ def ricci_star(t, g: ScalarProduct) -> np.ndarray:
     return np.einsum("ij,...aijb->...ab", g.inverse, t)
 
 
-def _traces(t, g: ScalarProduct):
-    """(Ric, Ric*, tau) of t, with tau the g^-1-trace of Ric, shaped (..., 1, 1).
+def _tau(ric, g: ScalarProduct):
+    """tau, the g^-1-trace of Ric, shaped (..., 1, 1): summed elementwise, not by einsum,
+    whose order differs in the last bit."""
+    return np.sum(g.inverse * ric, axis=(-2, -1), keepdims=True)
 
-    tau is summed elementwise, not by einsum, whose order differs in the last bit.
-    """
+
+def _traces(t, g: ScalarProduct):
+    """(Ric, Ric*, tau) of t, with tau as _tau gives it."""
     ric = ricci(t, g)
-    return ric, ricci_star(t, g), np.sum(g.inverse * ric, axis=(-2, -1), keepdims=True)
+    return ric, ricci_star(t, g), _tau(ric, g)
 
 
 def scalar_curvature(t, g: ScalarProduct) -> float | np.ndarray:
     """Generalized scalar curvature tau = g^il g^jk R_ijkl; a float for one tensor."""
-    return _per_tensor(_traces(t, g)[2][..., 0, 0])
+    return _per_tensor(_tau(ricci(t, g), g)[..., 0, 0])
 
 
 def ricci_traces(t, g: ScalarProduct) -> RicciReport:

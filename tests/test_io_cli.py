@@ -6,17 +6,20 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
+from chart_helpers import hessian_chart, random_factor, random_potential
 
-from curvdec.charts import MAX_DIM
+from curvdec.charts import MAX_DIM, PolyChart
 from curvdec.cli import main
 from curvdec.errors import (
     DegenerateMetric, DimensionMismatch, LengthMismatch, NonFiniteInput, SchemaError,
 )
 from curvdec.jsonio import dumps, parse_chart, parse_tensor, tensor_document
 from curvdec.linalg import standard_scalar_product
+from curvdec.poly import Poly
 from curvdec.sampling import sample
 from curvdec.spaces import wedge
 
@@ -258,6 +261,105 @@ def test_chart_dimension_bounded_before_allocation(tmp_path):
     assert parse_chart(dumps(at_bound)).dim == MAX_DIM
     with pytest.raises(DimensionMismatch):
         parse_chart(dumps({**at_bound, "dim": MAX_DIM + 1}))
+
+
+def nested_fields(doc):
+    """A chart document's metric and cubic (None if absent) as the nested Poly arrays of
+    the PolyChart constructor, each sorted entry set in all its permutations."""
+    n = doc["dim"]
+
+    def field(entries, rank):
+        out = np.full((n,) * rank, Poly(n), dtype=object)
+        for key, entry in entries.items():
+            poly = Poly(n, {tuple(map(int, e.split())): c for e, c in entry.items()})
+            for perm in permutations(map(int, key.split(","))):
+                out[perm] = poly
+        return out.tolist()
+
+    return field(doc["metric"], 2), field(doc["cubic"], 3) if "cubic" in doc else None
+
+
+def table_document(chart):
+    """The chart document of a chart's table: each sorted index with its nonzero terms."""
+    n, (exps, coeffs) = chart.dim, chart._table
+
+    def field(rank):
+        entries = {}
+        for idx in combinations_with_replacement(range(n), rank):
+            column = coeffs[:, (rank - 2) * n * n + np.ravel_multi_index(idx, (n,) * rank)]
+            terms = {" ".join(map(str, e)): c for e, c in zip(exps.tolist(), column.tolist()) if c}
+            entries[",".join(map(str, idx))] = terms
+        return entries
+
+    return {"dim": n, "metric": field(2), "cubic": field(3)}
+
+
+def random_document(rng, n):
+    """A dense chart document: every sorted index holds random terms of degree <= 2."""
+
+    def terms(constant=0.0):
+        out = {" ".join(["0"] * n): constant} if constant else {}
+        for _ in range(3):
+            e = np.zeros(n, dtype=int)
+            np.add.at(e, rng.integers(0, n, rng.integers(0, 3)), 1)
+            out[" ".join(map(str, e))] = 0.1 * rng.uniform(-1.0, 1.0)
+        return out
+
+    return {
+        "dim": n,
+        "metric": {f"{i},{j}": terms(1.0 if i == j else 0.0)
+                   for i, j in combinations_with_replacement(range(n), 2)},
+        "cubic": {",".join(map(str, idx)): terms()
+                  for idx in combinations_with_replacement(range(n), 3)},
+    }
+
+
+def assert_same_table(a, b):
+    for x, y in zip(a._table, b._table):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def test_document_table_equals_nested_constructor_table():
+    # a document is read straight into the table the nested-array constructor builds
+    rng = np.random.default_rng(5)
+    no_cubic = {k: v for k, v in chart_doc().items() if k != "cubic"}
+    docs = [chart_doc(), no_cubic] + [random_document(rng, n) for n in (3, 4, 5)]
+    for doc in docs:
+        assert_same_table(parse_chart(dumps(doc)), PolyChart(doc["dim"], *nested_fields(doc)))
+    for n in range(3, 7):  # both oracle families of the chart tests
+        phi = random_potential(rng, n)
+        for chart in (hessian_chart(n, phi), hessian_chart(n, phi, random_factor(rng, n))):
+            assert_same_table(parse_chart(dumps(table_document(chart))), chart)
+
+
+def test_chart_entry_sums_equal_monomials():
+    # "1 0 0" and "1  0 0" name one monomial: summed in document order, dropped at zero
+    for extra, expected in ((0.25, {"1 0 0": 0.1 + 0.25}), (-0.1, {})):
+        doc = chart_doc()
+        doc["metric"]["0,1"] = {"1 0 0": 0.1, "1  0 0": extra}
+        want = chart_doc()
+        want["metric"]["0,1"] = expected
+        assert_same_table(parse_chart(json.dumps(doc)), parse_chart(dumps(want)))
+    exps, _ = parse_chart(json.dumps(doc))._table
+    assert [1, 0, 0] not in exps.tolist()
+
+
+def test_chart_refusals_name_their_entry():
+    for field, value, path, message in (
+        ("metric", [[1.0, 0.0], [0.0, 1.0]], "$.metric", "expected an object"),
+        ("cubic", "0.25", "$.cubic", "expected an object"),
+        ("cubic", {"0,0,1": [0.25]}, "$.cubic['0,0,1']", "expected a map of exponent keys"),
+        ("cubic", {"0,0,1": {"0 0 0": True}}, "$.cubic['0,0,1']['0 0 0']",
+         "expected a number, got True"),
+        # an index given twice under two spellings: the later key is named
+        ("metric", {"0,0": {"0 0 0": 1.0}, "0,1": {"1 0 0": 0.5}, "0, 1": {"0 1 0": 0.25}},
+         "$.metric['0, 1']", "index (0, 1) given twice"),
+        ("cubic", {"0,1,2": {"0 0 0": 1.0}, "0,1,02": {"0 0 0": 1.0}},
+         "$.cubic['0,1,02']", "index (0, 1, 2) given twice"),
+    ):
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: {message}")) as info:
+            parse_chart(json.dumps({**chart_doc(), field: value}))
+        assert info.value.path == path
 
 
 # -- CLI ----------------------------------------------------------------------

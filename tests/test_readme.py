@@ -5,7 +5,11 @@ import shlex
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
+
 from curvdec import cli
+from curvdec.charts import conjugate_triple_report
+from curvdec.jsonio import parse_chart
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -42,6 +46,18 @@ def test_readme_cli_lines_parse(monkeypatch):
     for line in lines:
         assert cli.main(shlex.split(line, comments=True)) == 0, line
     assert len(parsed) == len(lines) >= 6
+
+
+def test_readme_chart_document_reads():
+    # the chart document example is a valid chart: parse_chart reads it, and its
+    # triple report at the origin holds every identity
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    blocks = [block for block in blocks if '"metric"' in block]  # not the tensor document
+    assert len(blocks) == 1
+    chart = parse_chart(blocks[0])
+    report = conjugate_triple_report(chart, np.zeros(chart.dim))
+    assert chart.metric_at(report.point).signature == (chart.dim, 0)
+    assert max(report.identity_residuals.values()) <= 1e-8
 
 
 def test_every_exported_name_has_a_caller():

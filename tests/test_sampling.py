@@ -189,6 +189,12 @@ def test_signature_must_fit_dimension():
         lambda: formula_dim("r", 3.9),
         lambda: dimension_reports(3.5, spaces=("r",)),
         lambda: dimension_reports(3, (2.5, 0.5), spaces=("r",)),
+        # a signature that is not a pair of integers
+        lambda: sample("r", 3, (3,)),
+        lambda: sample("r", 3, 3),
+        lambda: sample("r", 3, ("1", 2)),
+        lambda: dimension_reports(3, (3,)),
+        lambda: dimension_reports(3, (1, 1, 1), spaces=("r",)),
     ):
         with pytest.raises(DimensionMismatch):
             call()
