@@ -20,6 +20,7 @@ from .charts import PolyChart, TripleReport, _chart_dim
 from .decomp import DecompositionResult
 from .errors import LengthMismatch, NonFiniteInput, SchemaError
 from .linalg import ScalarProduct, _integer, build_scalar_product, standard_scalar_product
+from .poly import _MAX_EXPONENT
 from .sampling import DimensionReport
 
 
@@ -212,8 +213,8 @@ def _parse_terms(entry, n, path, known):
     terms = {}
     for ekey, coeff in entry.items():
         if (exps := known.get(ekey)) is None:
-            exps = known[ekey] = _integers(ekey, None, n, math.inf, f"{path}[{ekey!r}]",
-                                           "space-separated exponents >= 0")
+            exps = known[ekey] = _integers(ekey, None, n, _MAX_EXPONENT, f"{path}[{ekey!r}]",
+                                           f"space-separated exponents in 0..{_MAX_EXPONENT}")
         if coeff := _as_number(coeff, lambda: f"{path}[{ekey!r}]"):
             terms[exps] = terms.get(exps, 0.0) + coeff
     return {e: c for e, c in terms.items() if c}

@@ -10,6 +10,8 @@ import math
 
 from .errors import DimensionMismatch, NonFiniteInput, SchemaError
 
+_MAX_EXPONENT = 2**31 - 1  # the largest exponent: e(e - 1), a second-derivative factor, fits int64
+
 
 class Poly:
     __slots__ = ("nvars", "terms")
@@ -21,8 +23,10 @@ class Poly:
             if coeff != 0.0:
                 if not math.isfinite(coeff := float(coeff)):
                     raise NonFiniteInput(f"coefficient {coeff} of {exps} is not finite")
-                if len(exps) != self.nvars or not all(e >= 0 and e % 1 == 0 for e in exps):
-                    raise SchemaError(f"terms[{exps}]", f"need {self.nvars} non-negative exponents")
+                if len(exps) != self.nvars or not all(0 <= e <= _MAX_EXPONENT and e % 1 == 0
+                                                      for e in exps):
+                    raise SchemaError(f"terms[{exps}]", f"need {self.nvars} non-negative exponents,"
+                                                        f" each at most {_MAX_EXPONENT}")
                 exps = tuple(map(int, exps))  # whole numbers, so nothing is truncated
                 clean[exps] = clean.get(exps, 0.0) + coeff
         self.terms = {e: c for e, c in clean.items() if c != 0.0}

@@ -11,16 +11,16 @@ noise of indices 0, 1, 2, ...  A space's k samples are the first k indices of
 this sequence, which all spaces share.  A `Block` holds the samples of a list
 of stream keys: each key's noise is drawn once, for both 'co' and 'r', and each
 space's stack is built once.  `sample` is a block of one key, and the invariant
-suite reads blocks of CHUNK keys.  `dimension_reports` takes its 'co' and 'r'
-rows from blocks of CHUNK keys, projects the 'r' rows CHUNK at a time once per
-family (W, A, or ψ and μ), and holds each stack as co(V) coordinate rows.
-`curvdec dims` prints the reports, and the suite's dimension_consistency is
-their verdict.
+suite reads blocks of CHUNK keys, whose metric-free part both signatures of a
+dimension share.  `dimension_reports` takes its 'co' and 'r' rows from blocks
+of CHUNK keys, projects the 'r' rows CHUNK at a time once per family (W, A, or
+ψ and μ), and holds each stack as co(V) coordinate rows.  `curvdec dims`
+prints the reports, and the suite's dimension_consistency is their verdict,
+with the chunk of its point's block read from that block.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -124,6 +124,7 @@ def _normalize(stack, floor: float) -> np.ndarray:
 
 
 _averages = lambda base, g: (psi(base), mu(base))  # the parts of 'a', 's' and 'a_plus_s'
+_METRIC_FREE = frozenset({"co", "r", "a", "a_plus_s", ("r", _averages)})  # see Block
 
 
 def _family(space: str):
@@ -153,48 +154,52 @@ class Block:
 
     A key's noise is drawn once, for both 'co' and 'r'.  A space's stack,
     (len(keys), n, n, n, n), is built once, and so are a map's components of a
-    stack (W, A, or ψ and μ); both are kept read-only.  'f' and 'f_pair' are
+    stack (W, A, or ψ and μ); all are kept read-only.  'f' and 'f_pair' are
     sums of the W components of 'r', so one W projection serves W1..W8, 'f'
-    and 'f_pair', and one ψ and one μ serve 'a', 's' and 'a_plus_s'.  Raises
-    EmptySpace when a key's projection is at roundoff scale: the space is
-    empty there.
+    and 'f_pair', and one ψ and one μ serve 'a', 's' and 'a_plus_s'.  Stacks
+    that do not depend on the metric (_METRIC_FREE: 'co', 'r', 'a', 'a_plus_s',
+    and ψ and μ of 'r') are kept in shared when it is given: the dict of
+    metric-free stacks shared by the blocks of one dimension, seed and keys.
+    The noise and 's' (one normalization of μ) stay with the block: kept for
+    the next metric, they would raise the suite's peak memory more than they
+    save.  Raises EmptySpace when a key's projection is at roundoff scale: the
+    space is empty there.
     """
 
-    def __init__(self, g: ScalarProduct, seed: int, keys):
+    def __init__(self, g: ScalarProduct, seed: int, keys, shared: dict | None = None):
         self.g, self.seed, self.keys = g, seed, keys
-        self._stacks, self._comps = {}, {}
+        self._memos = {} if shared is None else shared, {}
 
-    @cached_property
-    def _drawn(self) -> np.ndarray:
-        """The noise of each key, drawn once for 'co' and 'r'."""
-        return _noise((self.g.dim,) * 4, self.seed, self.keys)
+    def _memo(self, key, build) -> np.ndarray:
+        """The entry of key, built once and kept read-only, in the shared dict if _METRIC_FREE."""
+        memo = self._memos[key not in _METRIC_FREE]
+        if key not in memo:
+            memo[key] = build()
+            memo[key].flags.writeable = False
+        return memo[key]
 
     def stack(self, space: str) -> np.ndarray:
         """The samples of the space at the block's keys, stacked and read-only."""
-        rows = self._stacks.get(space)
-        if rows is None:
+        return self._memo(space, lambda: self._rows(space))
+
+    def _rows(self, space: str) -> np.ndarray:
+        if space in ("co", "r"):  # each key's noise is drawn once for both
+            noise = self._memo("noise", lambda: _noise((self.g.dim,) * 4, self.seed, self.keys))
             if space == "co":
-                noise = self._drawn
                 rows = _normalize(0.5 * (noise - np.swapaxes(noise, -4, -3)), EMPTY_NORM)
-            elif space == "r":  # Bianchi-projected noise is never at roundoff scale: no floor
-                rows = _normalize(bianchi_project(self._drawn), 0.0)
-            else:
-                family = _family(space)
-                comps = None if family is None else self.comps("r", family)
-                rows = _normalize(_project(space, self.stack("r"), self.g, comps), EMPTY_NORM)
-            if len(rows) < len(self.keys):  # a dropped row would misalign the stack with its keys
-                raise EmptySpace(f"{space!r} is empty here: max-norm below {EMPTY_NORM:g}")
-            rows.flags.writeable = False
-            self._stacks[space] = rows
+            else:  # Bianchi-projected noise is never at roundoff scale: no floor
+                rows = _normalize(bianchi_project(noise), 0.0)
+        else:
+            family = _family(space)
+            comps = None if family is None else self.comps("r", family)
+            rows = _normalize(_project(space, self.stack("r"), self.g, comps), EMPTY_NORM)
+        if len(rows) < len(self.keys):  # a dropped row would misalign the stack with its keys
+            raise EmptySpace(f"{space!r} is empty here: max-norm below {EMPTY_NORM:g}")
         return rows
 
     def comps(self, space: str, proj) -> np.ndarray:
         """proj's components of the space's stack, one read-only (parts, len(keys), ...) stack."""
-        comps = self._comps.get((space, proj))
-        if comps is None:
-            comps = self._comps[space, proj] = np.stack(proj(self.stack(space), self.g))
-            comps.flags.writeable = False
-        return comps
+        return self._memo((space, proj), lambda: np.stack(proj(self.stack(space), self.g)))
 
 
 def sample(
@@ -304,23 +309,34 @@ def dimension_reports(
     n = _integer(dim, DimensionMismatch, "the dimension")
     fdims = {s: formula_dim(s, n) for s in spaces}
     counts = {s: d + RANK_MARGIN if samples is None else samples for s, d in fdims.items()}
-    g = _scalar_product(n, signature)
-    base = np.empty((max([counts[s] for s in counts if s != "co"], default=0),) + (n,) * 4)
+    return _reports(counts, Block(_scalar_product(n, signature), seed, range(0)))
+
+
+def _reports(counts, point: Block):
+    """The reports of counts[space] samples of each space, under point's metric and seed:
+    the chunk of point's keys (none for `dims`) is read from point, others from new blocks."""
+    g, seed, n, top = point.g, point.seed, point.g.dim, max(counts.values())
+    base, top_r = {}, max([counts[s] for s in counts if s != "co"], default=0)  # 'r' by chunk
+
+    def block_at(lo):
+        keys = range(lo, min(lo + CHUNK, top))
+        return point if keys == point.keys else Block(g, seed, keys)
 
     def draw(lo, live):  # one block per chunk: 'co' and 'r' share each index's noise draw
-        block = Block(g, seed, range(lo, min(lo + CHUNK, max(counts.values()))))
-        if lo < len(base):
-            base[lo : lo + CHUNK] = block.stack("r")[: len(base) - lo]
+        block = block_at(lo)
+        if lo < top_r:  # the block's rows, uncopied unless the chunk needs only some
+            rows = block.stack("r")
+            base[lo] = rows if len(rows) <= top_r - lo else rows[: top_r - lo].copy()
         # the rows have unit max-norm already, so normalizing them again changes no bit
         return {space: block.stack(space) for space in live}
 
     def project(lo, live):  # one projector call per chunk serves a family's spaces
-        chunk, proj = base[lo : lo + CHUNK], _family(live[0])
-        comps = None if proj is None else proj(chunk, g)
+        chunk, proj, held = base[lo], _family(live[0]), block_at(lo) is point
+        comps = proj and (point.comps("r", proj)[:, : len(chunk)] if held else proj(chunk, g))
         return {space: _project(space, chunk, g, comps) for space in live}
 
-    reports = _rank_pass([s for s in ("co", "r") if s in counts], counts, n, draw, len(base))
+    reports = _rank_pass([s for s in ("co", "r") if s in counts], counts, n, draw, top_r)
     for family in (w_projections, a_projections, _averages, None):
         group = [s for s in counts if s not in ("co", "r") and _family(s) is family]
         reports.update(_rank_pass(group, counts, n, project))
-    return {space: reports[space] for space in spaces}
+    return {space: reports[space] for space in counts}

@@ -1,22 +1,24 @@
 """Runnable invariant suite: every structural law as a named, seeded check.
 
-The suite walks the configured (dimension, signature) grid and, at each point,
-the sample indices in blocks of CHUNK, each a `sampling.Block`: row i of its
-stack of a space is `sample(space, n, sig, seed, index=lo + i)`, and a check
-reads only the block's rows.  The checks in FIRST_BLOCK read only a point's
-first few rows, or rank stacks of their own sized by n alone, and run on block
-0 alone.  A check yields residual terms, and one fold takes their max over
-terms and blocks: a numeric term (an array or a float) counts max |term|, 0.0
-when empty; a bool or bool-array term is a verdict held sample by sample and
-counts 1.0 unless every entry is true.  A nan or inf term fails its check at any
-finite tolerance, and its worst residual is reported as null (nan stays nan
-through the fold).
+The suite walks the configured grid one dimension at a time, the sample
+indices in blocks of CHUNK, each block under every signature before the next:
+a `sampling.Block` whose row i of its stack of a space is `sample(space, n,
+sig, seed, index=lo + i)`, and a check reads only the block's rows.  The
+signatures share the block's metric-free samples until the walk moves on.  The
+checks in FIRST_BLOCK read only a point's first rows, or rank stacks sized by n
+alone, and run on block 0 alone.  A check yields residual terms, and one fold
+takes their max over terms and blocks: a numeric term (an array or a float)
+counts max |term|, 0.0 when empty; a bool or bool-array term is a verdict held
+sample by sample and counts 1.0 unless every entry is true.  A nan or inf term
+fails its check at any finite tolerance, and its worst residual is reported as
+null (nan stays nan through the fold).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
 from numbers import Real
 
 import numpy as np
@@ -35,7 +37,7 @@ from .decomp import (
 from .errors import DimensionMismatch, EmptyRun, NonFiniteInput, UnknownCheck
 from .linalg import _integer, _row_maxnorm, antisym, standard_scalar_product, sym
 from .linalg import tensor_pairing
-from .sampling import CHUNK, Block, _noise, _normalize, dimension_reports, numerical_rank
+from .sampling import CHUNK, Block, _noise, _normalize, numerical_rank
 from .spaces import (
     SPACE_TAGS,
     _membership_rows,
@@ -82,13 +84,14 @@ class SuiteConfig:
 
 
 class _Ctx(Block):
-    """One block of a (dimension, signature) point: its k sample indices from lo,
-    with the point's n and signature and the run's tolerance."""
+    """One block of a (dimension, signature) point: its k sample indices from lo, with
+    the point's n and signature, the run's tolerance and the dict shared (see Block)."""
 
-    def __init__(self, n: int, sig, cfg: SuiteConfig, lo: int):
+    def __init__(self, n: int, sig, cfg: SuiteConfig, lo: int, shared: dict):
         self.n, self.sig, self.lo, self.tol = n, sig, lo, cfg.tolerance
         self.k = min(CHUNK, cfg.samples - lo)
-        super().__init__(standard_scalar_product(*sig), cfg.seed, range(lo, lo + self.k))
+        keys = range(lo, lo + self.k)
+        super().__init__(standard_scalar_product(*sig), cfg.seed, keys, shared)
 
 
 def _fold(worst: float, terms) -> float:
@@ -223,13 +226,14 @@ def _vanishing(ctx, family, conditions):
     g, n = ctx.g, ctx.n
     proj = _family(family)
     r = ctx.stack("r")[:8]
-    comps = ctx.comps("r", proj)[:, :8]
+    comps = ctx.comps("r", proj)[:5, :8]
     conds = conditions(*_traces(r, g), g.matrix, n)
+    # forward: removing component j enforces trace condition j; stripped[j] = r - comps[j]
+    stripped = r - comps
+    forward = conditions(*_traces(stripped, g), g.matrix, n)
+    parts = proj(stripped, g)
     for j in range(5):
-        # forward: removing the component enforces its trace condition
-        stripped = r - comps[j]
-        yield conditions(*_traces(stripped, g), g.matrix, n)[j]
-        yield proj(stripped, g)[j]
+        yield from (forward[j][j], parts[j][j])
         # converse: each distinctly nonzero component needs a nonzero condition
         nonzero = _row_maxnorm(comps[j], 1) > MARGIN
         yield _row_maxnorm(conds[j], 1)[nonzero] > 10 * ctx.tol
@@ -483,16 +487,19 @@ def _check_rescale_invariance(ctx):
 
 
 def _check_dimension_consistency(ctx):
-    # the point's `dims` reports of r, a, f, p and the W and A blocks: each has its table rank
+    # the point's `dims` reports of r, a, f, p and the W and A blocks, the chunk of ctx's
+    # keys read from ctx: each has its table rank
     spaces = ("r", "a", "f", "p", *(f"{family}{j}" for family in "WA" for j in range(1, 9)))
-    reports = dimension_reports(ctx.n, ctx.sig, seed=ctx.seed, spaces=spaces).values()
+    counts = {s: sampling.formula_dim(s, ctx.n) + sampling.RANK_MARGIN for s in spaces}
+    reports = sampling._reports(counts, ctx).values()
     yield all(rep.empirical_dim == rep.formula_dim and not rep.inconclusive for rep in reports)
 
 
 def _check_ricci_image_dimensions(ctx):
     g, n = ctx.g, ctx.n
     keys = range(n * (n + 1) // 2 + sampling.RANK_MARGIN)  # sym(ric)'s rank stack, from index 0
-    ric = ricci(Block(g, ctx.seed, keys).stack("r"), g)
+    block = ctx if ctx.keys[: len(keys)] == keys else Block(g, ctx.seed, keys)
+    ric = ricci(block.stack("r")[: len(keys)], g)
     for part, expected in ((antisym(ric), n * (n - 1) // 2), (sym(ric), n * (n + 1) // 2)):
         rank, gap = numerical_rank(part.reshape(len(part), -1))
         yield rank == expected and gap is not None and gap >= sampling.GAP_RATIO
@@ -569,8 +576,8 @@ CHECKS = {
     "ricci_conjugate_trace": _check_ricci_conjugate_trace,
 }
 
-# these checks read only a point's first rows, or its `dimension_reports`:
-# they run on the first block of each point alone
+# these checks read only a point's first rows, or rank stacks from index 0 that take
+# what they can from the point's block: they run on the first block of each point alone
 FIRST_BLOCK = frozenset({
     "w_idempotence", "a_idempotence", "w_orthogonality", "a_orthogonality",
     "gram_positivity", "w_vanishing_criteria", "a_vanishing_criteria",
@@ -614,12 +621,15 @@ def run_invariant_suite(config: SuiteConfig | None = None, only=None) -> dict:
         raise EmptyRun(f"no signature in {cfg.signatures} fits a dimension in {list(cfg.dims)}")
     sampling.rng_stream(cfg.seed, 0)  # the first stream a check may read: refuses a bad seed
     worst = {name: 0.0 for name in CHECKS if name in wanted}
-    for n, sig in cfg.grid():
+    for n, points in groupby(cfg.grid(), key=lambda point: point[0]):
+        sigs = [sig for _, sig in points]
         for lo in range(0, cfg.samples, CHUNK):
-            ctx = _Ctx(n, sig, cfg, lo)
-            for name in worst:
-                if lo == 0 or name not in FIRST_BLOCK:
-                    worst[name] = _fold(worst[name], CHECKS[name](ctx))
+            shared = {}  # the metric-free samples of block lo of n, for every signature
+            for sig in sigs:
+                ctx = _Ctx(n, sig, cfg, lo, shared)
+                for name in worst:
+                    if lo == 0 or name not in FIRST_BLOCK:
+                        worst[name] = _fold(worst[name], CHECKS[name](ctx))
     return {
         name: {
             "pass": bool(w <= cfg.tolerance),  # false for nan and inf at a finite tolerance

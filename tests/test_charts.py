@@ -106,6 +106,11 @@ def test_poly_refuses_non_integer_exponents():
         with pytest.raises(SchemaError, match="need 3 non-negative exponents"):
             Poly(3, {exps: 1.0})
     assert Poly(3, {(2.0, np.int64(1), True): 1.5}).terms == {(2, 1, 1): 1.5}
+    # and is at most 2**31 - 1, as in chart documents
+    for exps in ((2**31, 0, 0), (0, 10**20, 0)):
+        with pytest.raises(SchemaError, match="each at most 2147483647"):
+            Poly(3, {exps: 1.0})
+    assert Poly(3, {(2**31 - 1, 0, 0): 1.0}).terms == {(2**31 - 1, 0, 0): 1.0}
 
 
 # -- charts -------------------------------------------------------------------

@@ -263,6 +263,25 @@ def test_chart_dimension_bounded_before_allocation(tmp_path):
         parse_chart(dumps({**at_bound, "dim": MAX_DIM + 1}))
 
 
+def test_chart_exponent_bounded(tmp_path):
+    # an exponent above 2**31 - 1 is refused at its key: 10**20 overflowed the table's
+    # int64 and 2**32 wrapped its second-derivative factor e(e - 1); the bound itself
+    # reads, with its factor exact
+    path, top = tmp_path / "chart.json", 2**31 - 1
+    for e in (10**20, 2**32, top + 1):
+        doc = chart_doc()
+        doc["metric"]["0,1"] = {f"{e} 0 0": 0.5}
+        path.write_text(dumps(doc))
+        r = run_cli("chart", "--input", str(path), "--point", "1,0,0")
+        assert r.returncode == 1 and r.stdout == "" and "Traceback" not in r.stderr
+        assert r.stderr.startswith(f"error: $.metric['0,1']['{e} 0 0']: expected 3 ")
+    doc["metric"]["0,1"] = {f"{top} 0 0": 0.5}
+    path.write_text(dumps(doc))
+    assert run_cli("chart", "--input", str(path), "--point", "1,0,0").returncode == 0
+    d2g = parse_chart(dumps(doc))._point_data((1.0, 0.0, 0.0))["d2g"]
+    assert d2g[0, 0, 0, 1] == pytest.approx(0.5 * top * (top - 1))
+
+
 def nested_fields(doc):
     """A chart document's metric and cubic (None if absent) as the nested Poly arrays of
     the PolyChart constructor, each sorted entry set in all its permutations."""
@@ -434,7 +453,7 @@ def test_cli_verify_zero_tolerance_fails():
     assert len(fails) >= len(rep) // 2
 
 
-# stdout SHA-256 of the default `verify` and of `dims --dim 5` at one BLAS thread
+# stdout SHA-256 of `verify` and `dims` runs at one BLAS thread
 OUTPUT_PINS = [
     (("verify",), "55038c5349ebb80799392d30e85e50fda3a2818ed49c6d687a09bccd9a5555e9"),
     (("dims", "--dim", "5"), "10171098e9e6b65511342114925e8494773a2e62f3433304af49f07b9a2ca725"),
@@ -442,10 +461,28 @@ OUTPUT_PINS = [
         ("verify", "--dim", "5", "--signature", "3,2", "--samples", "40"),
         "e7c832014bf475753b13a036dc7d5f85d7d37729dbfea887a1978ce4c6fff5b2",
     ),
+    # two blocks per point, the second of 8 rows
+    (
+        ("verify", "--samples", "40"),
+        "30462d3d053b88d2a857703659ff0da0dbef19b6b4d58981adaa8e3d7a5c32ce",
+    ),
+    # a block shorter than the first `dims` chunk, so dimension_consistency draws its own
+    (
+        ("verify", "--samples", "5"),
+        "dabeaaad950ba8d97ae7ef06eb99d4bf12609f9c016a773ce031d965b75ad795",
+    ),
+    # one signature: nothing is shared across signatures
+    (
+        ("verify", "--dim", "4", "--signature", "3,1"),
+        "64b296c0a8abc9ea786fe2c669d73bc508f456fb66b582fa8ebe1f88187d711c",
+    ),
+]
+OUTPUT_IDS = [
+    "verify", "dims5", "verify5_indefinite", "verify40", "verify5", "verify4_one_signature",
 ]
 
 
-@pytest.mark.parametrize("args,digest", OUTPUT_PINS, ids=["verify", "dims5", "verify5_indefinite"])
+@pytest.mark.parametrize("args,digest", OUTPUT_PINS, ids=OUTPUT_IDS)
 def test_cli_output_pinned(args, digest):
     """A speed-up must leave these reports byte-identical.
 

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import curvdec.decomp as decomp
 import curvdec.sampling as sampling
 import curvdec.suite as suite
 from curvdec.cli import main
@@ -17,6 +18,7 @@ from curvdec.suite import CHECKS, SuiteConfig, run_invariant_suite
 def test_default_config_all_checks_pass():
     report = run_invariant_suite(SuiteConfig())
     assert set(report) == set(CHECKS)
+    assert suite.FIRST_BLOCK <= set(CHECKS)  # a misspelt name would run its check on every block
     failed = {k: v["worst_residual"] for k, v in report.items() if not v["pass"]}
     assert not failed, failed
 
@@ -352,18 +354,18 @@ def test_orthogonality_read_at_one_sample(monkeypatch, family):
 
 
 def test_each_block_projects_once(monkeypatch):
-    # at one grid point of a default-sized run (one block), every space is drawn
-    # or projected once, and each stack's W and A components under the point's
-    # metric are computed once per family; 'f' and 'f_pair' are sums of the 'r'
-    # W components, and 'a', 's', 'a_plus_s' and the checks that take the
-    # complement r - ψ(r) - μ(r) read one ψ and one μ of the 'r' rows.  Each map
-    # is counted wherever it is called from, as the suite's name or sampling's.
-    # The two rank checks draw their own rows: dimension_consistency reads the
-    # point's `dims` reports, whose 'r' rows are blocks of CHUNK indices from 0
-    # (dim(r) + RANK_MARGIN rows, the largest stack it ranks), and
-    # ricci_image_dimensions ranks a block of its own, n(n+1)/2 + RANK_MARGIN
-    # 'r' rows from index 0
-    drawn, projected, stack = {}, Counter(), sampling.Block.stack
+    # at each n of a default run (one block, both signatures), the samples that do
+    # not depend on the metric -- 'co', 'r', 'a', 'a_plus_s', and the ψ and μ of
+    # 'r' that they and 's' read -- are drawn once for both signatures; every other
+    # space is drawn, and each stack's W and A components are computed, once per
+    # signature.  'f' and 'f_pair' are sums of the 'r' W components.  Each map is
+    # counted wherever it is called from, as the suite's name or sampling's, and the
+    # W and A maps also as decomp's, through which singer_thorpe splits 'a'.
+    # dimension_consistency reads the point's `dims` reports: their first chunk is
+    # the point's block, and each signature draws the later chunks of their
+    # dim(r) + RANK_MARGIN 'r' rows; ricci_image_dimensions ranks the block's first
+    # n(n+1)/2 + RANK_MARGIN rows
+    drawn, projected, calls, stack = {}, Counter(), Counter(), sampling.Block.stack
 
     def recording(block, space):
         out = stack(block, space)
@@ -372,39 +374,55 @@ def test_each_block_projects_once(monkeypatch):
         return out
 
     def counting(proj):
-        def wrapper(t, *g):  # the point's metric is the identity: signature (n, 0)
-            on_point = all(np.array_equal(m.matrix, np.eye(m.dim)) for m in g)
+        def wrapper(t, *g):  # a point's metric has entries 0 and ±1, a rescaled one has not
+            on_point = all(np.isin(m.matrix, (-1.0, 0.0, 1.0)).all() for m in g)
             for space, outs in drawn.items():
                 if space == "r" or g:  # ψ and μ are counted on the 'r' rows only
-                    shared = any(np.may_share_memory(t, o) for o in outs)
+                    # of 'r', the block's rows; the later `dims` chunks count in the totals
+                    rows = outs[:1] if space == "r" else outs
+                    shared = any(np.may_share_memory(t, o) for o in rows)
                     projected[proj.__name__, space] += shared and on_point
+            calls[proj.__name__] += 1
             return proj(t, *g)
 
         return wrapper
 
+    def counted(name, fn):
+        return lambda *args: calls.update([name]) or fn(*args)
+
+    monkeypatch.setattr(sampling, "rng_stream", counted("rng_stream", sampling.rng_stream))
+    monkeypatch.setattr(suite, "numerical_rank", counted("numerical_rank", suite.numerical_rank))
+    monkeypatch.setattr(sampling, "numerical_rank", suite.numerical_rank)
     monkeypatch.setattr(sampling.Block, "stack", recording)
     for proj in (suite.w_projections, suite.a_projections, suite.psi, suite.mu):
         wrapper = counting(proj)
-        for module in (suite, sampling):
-            monkeypatch.setattr(module, proj.__name__, wrapper)
-    spaces = ("r", "co", "a", "s", "f", "p", "t", "a_plus_s", "f_pair")
+        for module in (suite, sampling, decomp):
+            if module is not decomp or proj.__name__.endswith("projections"):
+                monkeypatch.setattr(module, proj.__name__, wrapper)
     for n in (3, 4):
         drawn.clear()
         projected.clear()
-        run_invariant_suite(SuiteConfig(dims=(n,), signatures=((n, 0),)))
-        # the suite's block, the `dims` chunks, the rank block: [32, 32, 14] at n = 3
+        run_invariant_suite(SuiteConfig(dims=(n,)))
+        # the block, then each signature's later `dims` chunks: [32, 32, 24, 32, 24] at n = 4
         dims_rows = sampling.formula_dim("r", n) + sampling.RANK_MARGIN
         chunks = [min(sampling.CHUNK, dims_rows - lo) for lo in range(0, dims_rows, sampling.CHUNK)]
-        rank_rows = n * (n + 1) // 2 + sampling.RANK_MARGIN
-        assert [len(out) for out in drawn["r"]] == [sampling.CHUNK, *chunks, rank_rows]
-        once = {space: len(outs) for space, outs in drawn.items() if space != "r"}
-        assert once == dict.fromkeys(spaces[1:], 1)
+        assert [len(out) for out in drawn["r"]] == chunks[:1] + chunks[1:] * 2
+        assert {space: len(outs) for space, outs in drawn.items() if space != "r"} == {
+            **dict.fromkeys(("co", "a", "a_plus_s"), 1),
+            **dict.fromkeys(("s", "f", "p", "t", "f_pair"), 2),
+        }
         assert +projected == {
             **{
-                (proj, space): 1
+                (proj, space): 2
                 for proj in ("w_projections", "a_projections")
                 for space in ("r", "a_plus_s", "f_pair")
             },
+            ("a_projections", "a"): 2,
             ("psi", "r"): 1,
             ("mu", "r"): 1,
         }
+    # the calls of one default `verify`
+    calls.clear()
+    run_invariant_suite(SuiteConfig())
+    assert calls == {"rng_stream": 209, "w_projections": 48, "a_projections": 42,
+                     "psi": 10, "mu": 10, "numerical_rank": 88}
