@@ -3,8 +3,8 @@
 Membership tests for the tensor tower a < f < r < co over pseudo-Euclidean
 scalar products of arbitrary signature, Ricci-type traces and conjugation,
 two eight-part orthogonal decompositions plus the classical three-part split
-of algebraic tensors, reproducible subspace samplers with rank-based
-dimension estimation, and a polynomial chart lab that realizes conjugate
+of algebraic tensors, reproducible subspace samplers, subspace dimensions
+read off projector traces, and a polynomial chart lab that realizes conjugate
 connection triples and verifies their curvature identities pointwise.
 """
 from .charts import PolyChart, TripleReport, conjugate_triple_report, curvature_at

@@ -127,18 +127,21 @@ class PolyChart:
         if self._last is None or self._last[0] != key:
             n, m = self.dim, self.dim**2
             exps, coeffs = self._table
-            # factor[t, b, k] = d^k/dx_b^k x_b^e for e = exps[t, b], k = 0, 1, 2: the falling
-            # factorial of e times x_b^(e - k), clipped at x_b^0 where the factorial is 0
-            falling = np.stack([np.ones_like(exps), exps, exps * (exps - 1)], axis=-1)
-            factor = falling * point[:, None] ** np.maximum(exps[..., None] - np.arange(3), 0)
-            var, eye = np.arange(n), np.eye(n, dtype=int)
-            mono = factor[:, :, 0].prod(axis=1)
-            d1 = factor[:, var, eye].prod(axis=2)  # d1[t, a] = d_a x^e
-            d2 = factor[:, var, eye[:, None] + eye].prod(axis=3)  # d2[t, a, c] = d_a d_c x^e
-            # einsum, not BLAS: it sums each column in row order, so equal columns (g_ij
-            # and g_ji) give equal values and the fields keep their exact symmetries
-            flat = np.einsum("t,tk->k", mono, coeffs)
-            dflat = np.einsum("ta,tk->ak", d1, coeffs)
+            # a point far out overflows to a non-finite metric, which build_scalar_product refuses
+            with np.errstate(over="ignore", invalid="ignore"):
+                # factor[t, b, k] = d^k/dx_b^k x_b^e for e = exps[t, b], k = 0, 1, 2: the falling
+                # factorial of e times x_b^(e - k), clipped at x_b^0 where the factorial is 0
+                falling = np.stack([np.ones_like(exps), exps, exps * (exps - 1)], axis=-1)
+                factor = falling * point[:, None] ** np.maximum(exps[..., None] - np.arange(3), 0)
+                var, eye = np.arange(n), np.eye(n, dtype=int)
+                mono = factor[:, :, 0].prod(axis=1)
+                d1 = factor[:, var, eye].prod(axis=2)  # d1[t, a] = d_a x^e
+                d2 = factor[:, var, eye[:, None] + eye].prod(axis=3)  # d2[t, a, c] = d_a d_c x^e
+                # einsum, not BLAS: it sums each column in row order, so equal columns (g_ij
+                # and g_ji) give equal values and the fields keep their exact symmetries
+                flat = np.einsum("t,tk->k", mono, coeffs)
+                dflat = np.einsum("ta,tk->ak", d1, coeffs)
+                d2flat = np.einsum("tac,tk->ack", d2, coeffs[:, :m])
             try:
                 g = build_scalar_product(flat[:m].reshape(n, n))
             except DegenerateMetric as exc:
@@ -146,7 +149,7 @@ class PolyChart:
             data = {
                 "g": g,
                 "dg": dflat[:, :m].reshape((n,) * 3),
-                "d2g": np.einsum("tac,tk->ack", d2, coeffs[:, :m]).reshape((n,) * 4),
+                "d2g": d2flat.reshape((n,) * 4),
                 "cflat": flat[m:].reshape((n,) * 3),
                 "dcflat": dflat[:, m:].reshape((n,) * 4),
             }

@@ -25,7 +25,7 @@ from .jsonio import (
     triple_report_document,
 )
 from .linalg import standard_scalar_product
-from .sampling import SAMPLE_SPACES, dimension_reports, sample
+from .sampling import SAMPLE_SPACES, dimension_reports, rng_stream, sample
 from .suite import SuiteConfig, run_invariant_suite
 
 _DECOMPOSERS = {"w": w_decompose, "a": a_decompose, "st": singer_thorpe}
@@ -106,7 +106,12 @@ def _cmd_sample(args) -> int:
 
 def _cmd_dims(args) -> int:
     sig = _dim_signature(args)
-    reports = dimension_reports(args.dim, sig, samples=args.samples, seed=args.seed)
+    # the dimensions are projector traces: --samples and --seed change nothing, and are
+    # refused where a sampled run refused them
+    if args.samples is not None and args.samples < 1:
+        raise EmptyRun(f"samples must be at least 1, got {args.samples}")
+    rng_stream(args.seed, 0)  # refuses a negative seed
+    reports = dimension_reports(args.dim, sig)
     _emit({space: dimension_document(rep) for space, rep in reports.items()}, args.output)
     return 0
 
@@ -167,11 +172,11 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("dims", help="empirical dimension reports for all spaces")
+    p = sub.add_parser("dims", help="dimension reports for all spaces, by projector trace")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--signature", type=_signature)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, help="ignored; dims draws no sample")
+    p.add_argument("--seed", type=int, default=0, help="ignored; dims draws no sample")
     p.set_defaults(func=_cmd_dims)
 
     p = sub.add_parser("verify", help="run the invariant suite")

@@ -169,11 +169,8 @@ def decomposition_document(
 
 
 def dimension_document(report: DimensionReport) -> dict:
-    """The report's fields, with a gap that is not finite (JSON has no inf) as null."""
-    doc = dataclasses.asdict(report)
-    if not math.isfinite(doc["singular_value_gap"] or 0.0):  # None stays None
-        doc["singular_value_gap"] = None
-    return doc
+    """The report's fields: integers and a verdict, no float."""
+    return dataclasses.asdict(report)
 
 
 def triple_report_document(rep: TripleReport) -> dict:

@@ -1,4 +1,4 @@
-"""Deterministic subspace sampling and rank-based dimension estimation.
+"""Deterministic subspace sampling, and the dimension of each space as a projector trace.
 
 Every sample is drawn from a PCG64 stream keyed by (seed, index): the
 generator is ``default_rng(SeedSequence(entropy=seed, spawn_key=index))``
@@ -12,11 +12,15 @@ this sequence, which all spaces share.  A `Block` holds the samples of a list
 of stream keys: each key's noise is drawn once, for both 'co' and 'r', and each
 space's stack is built once.  `sample` is a block of one key, and the invariant
 suite reads blocks of CHUNK keys, whose metric-free part both signatures of a
-dimension share.  `dimension_reports` takes its 'co' and 'r' rows from blocks
-of CHUNK keys, projects the 'r' rows CHUNK at a time once per family (W, A, or
-ψ and μ), and holds each stack as co(V) coordinate rows.  `curvdec dims`
-prints the reports, and the suite's dimension_consistency is their verdict,
-with the chunk of its point's block read from that block.
+dimension share.
+
+Dimensions are not sampled.  Every space but 'co' is the image of P o B, with B
+the Bianchi projector and P the space's idempotent map on r(V), and the rank of
+an idempotent is its trace.  `dimension_reports` applies B to the coordinate
+basis of co(V), CHUNK tensors at a time, projects each chunk once per family
+(W, A, or ψ and μ; 'p' and 't' by their own maps) and sums the diagonal
+coordinates of the images.  `curvdec dims` prints the reports, and the suite's
+dimension_consistency is their verdict.
 """
 from __future__ import annotations
 
@@ -33,7 +37,10 @@ from .spaces import bianchi_project, mu, psi
 EMPTY_NORM = 1e-10
 RANK_RATIO = 1e-8
 GAP_RATIO = 1e6
-RANK_MARGIN = 8  # rows of a default rank stack beyond the formula dimension; see dimension_reports
+RANK_MARGIN = 8  # rows of a rank stack beyond its expected rank: they give the gap
+# a projector's trace further than this from an integer is no rank: the exact traces stay within
+# 1e-12 of theirs up to n = 8, and a component scaled by 1 + e moves its trace by e times its rank
+TRACE_TOL = 1e-8
 # tensors per kernel call; larger chunks gain no speed at n >= 6 and cost memory
 CHUNK = 32
 
@@ -106,14 +113,6 @@ def rng_stream(seed: int, index) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=key[0], spawn_key=key[1:]))
 
 
-def _noise(shape, seed: int, indices) -> np.ndarray:
-    """Uniform [-1, 1) noise of the given shape from each stream index, stacked."""
-    out = np.empty((len(indices),) + shape)
-    for row, index in zip(out, indices):
-        row[...] = rng_stream(seed, index).uniform(-1.0, 1.0, shape)
-    return out
-
-
 def _normalize(stack, floor: float) -> np.ndarray:
     """Each tensor scaled to unit max-norm, those below floor left out."""
     m = np.max(np.abs(stack), axis=(-4, -3, -2, -1))
@@ -184,7 +183,7 @@ class Block:
 
     def _rows(self, space: str) -> np.ndarray:
         if space in ("co", "r"):  # each key's noise is drawn once for both
-            noise = self._memo("noise", lambda: _noise((self.g.dim,) * 4, self.seed, self.keys))
+            noise = self.noise()
             if space == "co":
                 rows = _normalize(0.5 * (noise - np.swapaxes(noise, -4, -3)), EMPTY_NORM)
             else:  # Bianchi-projected noise is never at roundoff scale: no floor
@@ -196,6 +195,11 @@ class Block:
         if len(rows) < len(self.keys):  # a dropped row would misalign the stack with its keys
             raise EmptySpace(f"{space!r} is empty here: max-norm below {EMPTY_NORM:g}")
         return rows
+
+    def noise(self) -> np.ndarray:
+        """Uniform [-1, 1) noise of shape (n, n, n, n) from each of the block's keys, stacked."""
+        draw = lambda i: rng_stream(self.seed, i).uniform(-1.0, 1.0, (self.g.dim,) * 4)
+        return self._memo("noise", lambda: np.stack([draw(i) for i in self.keys]))
 
     def comps(self, space: str, proj) -> np.ndarray:
         """proj's components of the space's stack, one read-only (parts, len(keys), ...) stack."""
@@ -229,28 +233,25 @@ def sample(
 
 @dataclass(frozen=True)
 class DimensionReport:
-    """Numerical rank of a stack of subspace samples, in co(V) coordinates.
+    """The dimension of a sample space, read off the trace of its projector on co(V).
 
-    The rank is taken over each sample's first-pair entries with i < j.
-    singular_value_gap is the ratio there between the smallest accepted and the
-    largest rejected singular value, and below 1e6 the report is inconclusive.
-    It is None when nothing was rejected: for an empty space or one that fills
-    co(V), as 'co' does (conclusive), or an undersampled stack (inconclusive).
+    empirical_dim is the trace rounded to an integer.  The report is inconclusive when
+    the trace lies further than TRACE_TOL from it: the map is then not idempotent, and
+    its trace is not its rank.
     """
 
     space: str
     empirical_dim: int
     formula_dim: int
-    samples_used: int
-    singular_value_gap: float | None
     inconclusive: bool
 
 
 def numerical_rank(rows: np.ndarray) -> tuple[int, float | None]:
     """Rank by singular-value thresholding at 1e-8 of the largest value.
 
-    The gap is None when no value was rejected, at rank min(rows, columns), and an
-    empty or all-zero stack has rank 0.
+    The gap is the ratio between the smallest accepted and the largest rejected
+    singular value; it is None when no value was rejected, at rank min(rows, columns),
+    and an empty or all-zero stack has rank 0.
     """
     s = np.linalg.svd(rows, compute_uv=False) if rows.size else np.zeros(1)
     rank = int(np.sum(s > RANK_RATIO * s[0]))
@@ -259,84 +260,50 @@ def numerical_rank(rows: np.ndarray) -> tuple[int, float | None]:
     return rank, float("inf") if s[rank] == 0.0 else float(s[rank - 1] / s[rank])
 
 
-def _report(space: str, n: int, rows) -> DimensionReport:
-    """The report of a space's samples, given as co(V) coordinate rows."""
-    rank, gap = numerical_rank(rows)
-    inconclusive = gap < GAP_RATIO if gap is not None else 0 < rank == len(rows)
-    return DimensionReport(space, rank, formula_dim(space, n), len(rows), gap, inconclusive)
+def _co_basis(n: int):
+    """The coordinate basis of co(V), CHUNK tensors at a time, as (flat, tensors).
 
-
-def _rank_pass(spaces, counts, n: int, images, top: int = 0) -> dict[str, DimensionReport]:
-    """Report each space from one walk over its indices, CHUNK at a time.
-
-    images(lo, live) gives the unnormalized rows from index lo of each live
-    space (one with more than lo samples); the walk goes on to top if that is
-    further.  The rows are normalized, left out below EMPTY_NORM, and held as
-    preallocated co(V) coordinate rows until ranked.
+    Basis tensor b is 1 at the b-th first-pair entry with i < j, in row-major (i, j, k, l)
+    order, and -1 at its mirror (j, i, k, l); flat holds the n**4 index of each tensor's 1.
+    So the trace of a linear map on co(V) is the sum of its images' entries at flat.
     """
-    i, j = np.triu_indices(n, 1)  # co(V) coordinates: the first-pair entries with i < j
-    rows = {s: np.empty((counts[s], len(i) * n * n)) for s in spaces}
-    used = dict.fromkeys(spaces, 0)
-    for lo in range(0, max([top] + [counts[s] for s in spaces]), CHUNK):
-        for space, chunk in images(lo, [s for s in spaces if counts[s] > lo]).items():
-            chunk = _normalize(chunk[: counts[space] - lo], EMPTY_NORM)[:, i, j]
-            start, used[space] = used[space], used[space] + len(chunk)
-            rows[space][start : used[space]] = chunk.reshape(len(chunk), len(i) * n * n)
-    return {space: _report(space, n, rows.pop(space)[: used[space]]) for space in spaces}
+    i, j = np.triu_indices(n, 1)
+    flat, mirror = ((((a * n + b) * n * n)[:, None] + np.arange(n * n)).ravel()
+                    for a, b in ((i, j), (j, i)))
+    for lo in range(0, len(flat), CHUNK):
+        at, rows = flat[lo : lo + CHUNK], np.arange(min(CHUNK, len(flat) - lo))
+        basis = np.zeros((len(rows), n**4))
+        basis[rows, at], basis[rows, mirror[lo : lo + CHUNK]] = 1.0, -1.0
+        yield at, basis.reshape((-1,) + (n,) * 4)
 
 
 def dimension_reports(
     dim: int,
     signature: tuple[int, int] | None = None,
-    samples: int | None = None,
-    seed: int = 0,
     spaces=SAMPLE_SPACES,
 ) -> dict[str, DimensionReport]:
-    """Estimate the dimensions of subspaces by the rank of stacked samples.
+    """The dimension of each named space, as the trace of its projector on co(V).
 
-    Each space uses `samples` samples (the first indices of one stream sequence,
-    drawn once for all spaces), by default d + RANK_MARGIN for formula dimension
-    d: d samples span the space, and the margin rows give the rejected singular
-    values.  So a true dimension d + j shows rank d + j for j < RANK_MARGIN, and
-    else fills its stack: inconclusive, as is a gap below GAP_RATIO.  Raises
-    EmptyRun when samples is not an integer >= 1 or no space is named,
+    Exact up to roundoff: nothing is drawn and nothing is ranked (see the module
+    docstring).  Nothing is kept from one chunk of the basis to the next: at n = 8
+    the basis has 1,792 tensors.  Raises EmptyRun when no space is named,
     UnknownSpace for an unknown tag and DimensionMismatch for a dimension or
     signature entry that is not an integer or a signature that does not fit.
     """
     spaces = tuple(spaces)  # an iterator would be spent by the first pass over it
-    if not spaces or samples is not None and _integer(samples, EmptyRun, "samples") < 1:
-        raise EmptyRun(f"a run needs a space and at least 1 sample, got samples={samples}")
+    if not spaces:
+        raise EmptyRun("a run needs at least one space")
     n = _integer(dim, DimensionMismatch, "the dimension")
-    fdims = {s: formula_dim(s, n) for s in spaces}
-    counts = {s: d + RANK_MARGIN if samples is None else samples for s, d in fdims.items()}
-    return _reports(counts, Block(_scalar_product(n, signature), seed, range(0)))
-
-
-def _reports(counts, point: Block):
-    """The reports of counts[space] samples of each space, under point's metric and seed:
-    the chunk of point's keys (none for `dims`) is read from point, others from new blocks."""
-    g, seed, n, top = point.g, point.seed, point.g.dim, max(counts.values())
-    base, top_r = {}, max([counts[s] for s in counts if s != "co"], default=0)  # 'r' by chunk
-
-    def block_at(lo):
-        keys = range(lo, min(lo + CHUNK, top))
-        return point if keys == point.keys else Block(g, seed, keys)
-
-    def draw(lo, live):  # one block per chunk: 'co' and 'r' share each index's noise draw
-        block = block_at(lo)
-        if lo < top_r:  # the block's rows, uncopied unless the chunk needs only some
-            rows = block.stack("r")
-            base[lo] = rows if len(rows) <= top_r - lo else rows[: top_r - lo].copy()
-        # the rows have unit max-norm already, so normalizing them again changes no bit
-        return {space: block.stack(space) for space in live}
-
-    def project(lo, live):  # one projector call per chunk serves a family's spaces
-        chunk, proj, held = base[lo], _family(live[0]), block_at(lo) is point
-        comps = proj and (point.comps("r", proj)[:, : len(chunk)] if held else proj(chunk, g))
-        return {space: _project(space, chunk, g, comps) for space in live}
-
-    reports = _rank_pass([s for s in ("co", "r") if s in counts], counts, n, draw, top_r)
-    for family in (w_projections, a_projections, _averages, None):
-        group = [s for s in counts if s not in ("co", "r") and _family(s) is family]
-        reports.update(_rank_pass(group, counts, n, project))
-    return {space: reports[space] for space in counts}
+    fdims = {space: formula_dim(space, n) for space in spaces}  # refused before any work
+    g, traces = _scalar_product(n, signature), dict.fromkeys(spaces, 0.0)
+    for at, basis in _co_basis(n):
+        r = bianchi_project(basis)
+        for family in dict.fromkeys(map(_family, traces)):  # one family's components at a time
+            comps = None if family is None else family(r, g)  # serve all the family's spaces
+            for space in [space for space in traces if _family(space) is family]:
+                image = {"co": basis, "r": r}.get(space)
+                if image is None:
+                    image = _project(space, r, g, comps)
+                traces[space] += float(image.reshape(len(at), -1)[range(len(at)), at].sum())
+    return {space: DimensionReport(space, round(t), fdims[space], abs(t - round(t)) > TRACE_TOL)
+            for space, t in traces.items()}

@@ -185,20 +185,22 @@ def _membership_rows(t, g: ScalarProduct, space: str):
     if space not in SPACE_TAGS:
         raise UnknownSpace(f"unknown space tag {space!r}; expected one of {SPACE_TAGS}")
     t = check_tensor(t, g)
-    parts = [t + np.swapaxes(t, -4, -3)]
-    if space != "co":
-        parts.append(_cyclic_sum(t))
-    if space == "a":
-        parts.append(t + np.swapaxes(t, -2, -1))
-    elif space == "s":
-        parts.append(t - np.swapaxes(t, -2, -1))
-    elif space == "f":
-        parts.append(antisym(ricci(t, g)))
-    elif space == "p":
-        parts.append(ricci(t, g))
-    elif space == "t":
-        parts += [ricci(t, g), ricci_star(t, g)]
-    return _relative(t, *parts)
+    # entries near the float limit overflow to an infinite residual, which refuses the tensor
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = [t + np.swapaxes(t, -4, -3)]
+        if space != "co":
+            parts.append(_cyclic_sum(t))
+        if space == "a":
+            parts.append(t + np.swapaxes(t, -2, -1))
+        elif space == "s":
+            parts.append(t - np.swapaxes(t, -2, -1))
+        elif space == "f":
+            parts.append(antisym(ricci(t, g)))
+        elif space == "p":
+            parts.append(ricci(t, g))
+        elif space == "t":
+            parts += [ricci(t, g), ricci_star(t, g)]
+        return _relative(t, *parts)
 
 
 def _relative(t, *parts):

@@ -5,13 +5,13 @@ indices in blocks of CHUNK, each block under every signature before the next:
 a `sampling.Block` whose row i of its stack of a space is `sample(space, n,
 sig, seed, index=lo + i)`, and a check reads only the block's rows.  The
 signatures share the block's metric-free samples until the walk moves on.  The
-checks in FIRST_BLOCK read only a point's first rows, or rank stacks sized by n
-alone, and run on block 0 alone.  A check yields residual terms, and one fold
-takes their max over terms and blocks: a numeric term (an array or a float)
-counts max |term|, 0.0 when empty; a bool or bool-array term is a verdict held
-sample by sample and counts 1.0 unless every entry is true.  A nan or inf term
-fails its check at any finite tolerance, and its worst residual is reported as
-null (nan stays nan through the fold).
+checks in FIRST_BLOCK read only a point's first rows, or a rank stack or
+projector traces sized by n alone, and run on block 0 alone.  A check yields
+residual terms, and one fold takes their max over terms and blocks: a numeric
+term (an array or a float) counts max |term|, 0.0 when empty; a bool or
+bool-array term is a verdict held sample by sample and counts 1.0 unless every
+entry is true.  A nan or inf term fails its check at any finite tolerance, and
+its worst residual is reported as null (nan stays nan through the fold).
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from .decomp import (
 from .errors import DimensionMismatch, EmptyRun, NonFiniteInput, UnknownCheck
 from .linalg import _integer, _row_maxnorm, antisym, standard_scalar_product, sym
 from .linalg import tensor_pairing
-from .sampling import CHUNK, Block, _noise, _normalize, numerical_rank
+from .sampling import CHUNK, Block, _normalize, numerical_rank
 from .spaces import (
     SPACE_TAGS,
     _membership_rows,
@@ -88,7 +88,7 @@ class _Ctx(Block):
     the point's n and signature, the run's tolerance and the dict shared (see Block)."""
 
     def __init__(self, n: int, sig, cfg: SuiteConfig, lo: int, shared: dict):
-        self.n, self.sig, self.lo, self.tol = n, sig, lo, cfg.tolerance
+        self.n, self.sig, self.lo, self.tol, self.shared = n, sig, lo, cfg.tolerance, shared
         self.k = min(CHUNK, cfg.samples - lo)
         keys = range(lo, lo + self.k)
         super().__init__(standard_scalar_product(*sig), cfg.seed, keys, shared)
@@ -439,8 +439,11 @@ def _check_projective_conjugate_equivalence(ctx):
 
 def _check_trace_reconstruction(ctx):
     g, n = ctx.g, ctx.n
-    # each index's stream draws omega's noise, then theta's
-    noise = _noise((2, n, n), ctx.seed, ctx.keys[:8])
+    # omega's noise, then theta's: a stream's first 2n² uniforms, the start of the block
+    # noise of its key (a stream draws in order), taken once for every signature
+    if "sources" not in ctx.shared:
+        ctx.shared["sources"] = ctx.noise()[:8, 0, :2].copy()
+    noise = ctx.shared["sources"]
     omega, theta = antisym(noise[:, 0]), sym(noise[:, 1])
     built = sigma_split(omega, theta, g)
     yield from (ricci(built, g) - omega - theta, membership_residual(built, g, "r"))
@@ -487,11 +490,11 @@ def _check_rescale_invariance(ctx):
 
 
 def _check_dimension_consistency(ctx):
-    # the point's `dims` reports of r, a, f, p and the W and A blocks, the chunk of ctx's
-    # keys read from ctx: each has its table rank
+    # the point's `dims` reports of r, a, f, p and the W and A blocks: each projector's
+    # trace is its table dimension.  The metric-free B-images of the basis are not kept
+    # for the other signature: at n = 7 they would hold 55 MiB and save about 2 % of the run
     spaces = ("r", "a", "f", "p", *(f"{family}{j}" for family in "WA" for j in range(1, 9)))
-    counts = {s: sampling.formula_dim(s, ctx.n) + sampling.RANK_MARGIN for s in spaces}
-    reports = sampling._reports(counts, ctx).values()
+    reports = sampling.dimension_reports(ctx.n, ctx.sig, spaces).values()
     yield all(rep.empirical_dim == rep.formula_dim and not rep.inconclusive for rep in reports)
 
 
@@ -576,8 +579,9 @@ CHECKS = {
     "ricci_conjugate_trace": _check_ricci_conjugate_trace,
 }
 
-# these checks read only a point's first rows, or rank stacks from index 0 that take
-# what they can from the point's block: they run on the first block of each point alone
+# these checks read only a point's first rows, a rank stack from index 0 that takes what
+# it can from the point's block, or traces that read no sample: they run on the first
+# block of each point alone
 FIRST_BLOCK = frozenset({
     "w_idempotence", "a_idempotence", "w_orthogonality", "a_orthogonality",
     "gram_positivity", "w_vanishing_criteria", "a_vanishing_criteria",

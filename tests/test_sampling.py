@@ -1,9 +1,12 @@
+import itertools
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import curvdec.decomp as decomp
 import curvdec.sampling as sampling
+import curvdec.suite as suite
 from curvdec.decomp import a_projections, projective_part, traceless_core, w_projections
 from curvdec.errors import (
     CurvdecError,
@@ -29,10 +32,28 @@ from curvdec.sampling import (
     sample,
 )
 from curvdec.spaces import bianchi_project, membership_residual, mu, psi, ricci, ricci_star
+from curvdec.suite import SuiteConfig, run_invariant_suite
 
 
 def f_pair(base, w):
     return base - w[2] - w[3] - w[7]
+
+
+def images(base, g):
+    """The unnormalized image of one 'r' tensor in every space but 'co', tensor by tensor."""
+    w, a = w_projections(base, g), a_projections(base, g)
+    return {
+        "r": base,
+        "a": psi(base),
+        "s": mu(base),
+        "a_plus_s": psi(base) + mu(base),
+        "f": base - w[2],
+        "f_pair": f_pair(base, w),
+        "p": projective_part(base, g),
+        "t": traceless_core(base, g),
+        **{f"W{j + 1}": w[j] for j in range(8)},
+        **{f"A{j + 1}": a[j] for j in range(8)},
+    }
 
 
 def reference_sample(space, n, sig, seed, index):
@@ -46,21 +67,7 @@ def reference_sample(space, n, sig, seed, index):
         t = 0.5 * (noise - np.swapaxes(noise, 0, 1))
     else:
         base = bianchi_project(noise)
-        base = base / np.max(np.abs(base))
-        if space == "r":
-            return base
-        routes = {
-            "a": lambda: psi(base),
-            "s": lambda: mu(base),
-            "a_plus_s": lambda: psi(base) + mu(base),
-            "f": lambda: base - w_projections(base, g)[2],
-            "f_pair": lambda: f_pair(base, w_projections(base, g)),
-            "p": lambda: projective_part(base, g),
-            "t": lambda: traceless_core(base, g),
-            **{f"W{j + 1}": lambda j=j: w_projections(base, g)[j] for j in range(8)},
-            **{f"A{j + 1}": lambda j=j: a_projections(base, g)[j] for j in range(8)},
-        }
-        t = routes[space]()
+        t = images(base / np.max(np.abs(base)), g)[space]
     m = float(np.max(np.abs(t)))
     return None if m < EMPTY_NORM else t / m
 
@@ -70,27 +77,42 @@ def cov_coordinates(t, n):
     return np.concatenate([t[i, j].ravel() for i in range(n) for j in range(i + 1, n)])
 
 
-def reference_report(space, n, sig, seed):
-    # ranks the co(V) coordinates, as `dims` does; the full n**4 columns are
-    # compared with them in test_cov_rank_agrees_with_full_rank
-    fdim = formula_dim(space, n)
-    k = fdim + RANK_MARGIN
-    rows = [reference_sample(space, n, sig, seed, i) for i in range(k)]
-    rows = [cov_coordinates(t, n) for t in rows if t is not None]
-    if not rows:
-        return DimensionReport(space, 0, fdim, 0, None, False)
-    rank, gap = numerical_rank(np.asarray(rows))
-    # nothing rejected: undersampled when every row is independent, else the rows fill co(V)
-    inconclusive = gap is not None and gap < GAP_RATIO or gap is None and 0 < rank == len(rows)
-    return DimensionReport(space, rank, fdim, len(rows), gap, inconclusive)
+def reference_maps(n, sig):
+    """The matrix on co(V) of each space's map, P o B ('co': the identity), built one
+    basis tensor at a time: column b holds the co(V) coordinates of the b-th basis
+    tensor's image."""
+    g = standard_scalar_product(*sig)
+    columns = {space: [] for space in SAMPLE_SPACES}
+    for i, j in itertools.combinations(range(n), 2):  # the order of cov_coordinates
+        for k, l in itertools.product(range(n), repeat=2):
+            t = np.zeros((n,) * 4)
+            t[i, j, k, l], t[j, i, k, l] = 1.0, -1.0
+            for space, image in {"co": t, **images(bianchi_project(t), g)}.items():
+                columns[space].append(cov_coordinates(image, n))
+    return {space: np.array(cols).T for space, cols in columns.items()}
+
+
+def sampled_rank(space, n, sig, count=None):
+    """numerical_rank of the first count samples of the space (formula_dim + RANK_MARGIN by
+    default) in co(V) coordinates, as (rank, gap)."""
+    count = formula_dim(space, n) + RANK_MARGIN if count is None else count
+    stack = sampling.Block(standard_scalar_product(*sig), n, range(count)).stack(space)
+    return numerical_rank(np.array([cov_coordinates(t, n) for t in stack]))
 
 
 def _compare_with_reference(n, spaces):
     for sig in ((n, 0), (n - 1, 1)):
-        reports = dimension_reports(n, sig, seed=n)
+        reports = dimension_reports(n, sig)
         assert list(reports) == list(SAMPLE_SPACES)
+        maps = reference_maps(n, sig)
         for space in spaces:
-            assert reports[space] == reference_report(space, n, sig, n), space
+            # the reference map is idempotent, so its trace is its rank; a projector's
+            # nonzero singular values are at least 1
+            m = maps[space]
+            assert np.abs(m @ m - m).max() < 1e-12, space
+            dim = round(np.trace(m))
+            assert reports[space] == DimensionReport(space, dim, formula_dim(space, n), False)
+            assert dim == np.linalg.matrix_rank(m, tol=1e-9), space
             for index in (0, 7, (5, 2)):
                 want = reference_sample(space, n, sig, 11, index)
                 if want is None:
@@ -113,8 +135,9 @@ def test_one_noise_draw_and_one_w_pass_equal_reference_loop_n5():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_cov_rank_agrees_with_full_rank(n):
-    # the same default-sized stacks ranked over all n**4 columns (the rule before
-    # co(V) coordinates) and over the co(V) columns: equal ranks and verdicts
+    # formula_dim + RANK_MARGIN samples of each space ranked over all n**4 columns and over
+    # the co(V) columns: the same rank, the formula dimension, with a clear gap in both but
+    # for an empty space and for 'co', which fills co(V); a check independent of the traces
     for sig in ((n, 0), (n - 1, 1)):
         g = standard_scalar_product(*sig)
         for space in SAMPLE_SPACES:
@@ -125,49 +148,39 @@ def test_cov_rank_agrees_with_full_rank(n):
                 assert formula_dim(space, n) == 0, space
                 continue
             rank, gap = numerical_rank(stack.reshape(len(stack), n**4))
-            full_inconclusive = gap is not None and gap < GAP_RATIO or gap is None and rank > 0
-            rep = sampling._report(space, n, np.array([cov_coordinates(t, n) for t in stack]))
-            assert (rep.empirical_dim, rep.inconclusive) == (rank, full_inconclusive), space
-            assert rank == rep.formula_dim and not rep.inconclusive, space
-            # both gaps clear GAP_RATIO, but for an empty space and for 'co' in co(V)
-            assert gap is None if rank == 0 else gap >= GAP_RATIO, space
-            cov_gap = rep.singular_value_gap
-            assert cov_gap is None if rank == 0 or space == "co" else cov_gap >= GAP_RATIO, space
+            cov_rank, cov_gap = sampled_rank(space, n, sig)
+            assert rank == cov_rank == formula_dim(space, n), space
+            assert gap >= GAP_RATIO, space
+            assert cov_gap is None if space == "co" else cov_gap >= GAP_RATIO, space
 
 
 @pytest.mark.parametrize("n,expected", [(3, 27), (4, 96), (5, 250)])
 def test_co_fills_cov_and_is_conclusive(n, expected):
-    # in co(V) coordinates nothing is rejected for 'co': gap None, yet conclusive;
-    # gap None at an undersampled stack or an empty space is tested below
+    # the trace of the identity on co(V) is its basis count, an exact integer
     rep = dimension_reports(n, (n, 0), spaces=("co",))["co"]
-    assert (rep.empirical_dim, rep.formula_dim) == (expected, expected)
-    assert rep.singular_value_gap is None and not rep.inconclusive
+    assert rep == DimensionReport("co", expected, expected, False)
+    assert sum(len(at) for at, _ in sampling._co_basis(n)) == expected
 
 
-def test_every_rank_sees_cov_columns(monkeypatch):
-    # one rank path: every stack `dims` ranks at n = 5 has the 250 co(V) columns
-    columns = []
-    real = sampling.numerical_rank
-    rank = lambda rows: columns.append(rows.shape[1]) or real(rows)
-    monkeypatch.setattr(sampling, "numerical_rank", rank)
+def test_dims_draws_no_sample_and_takes_no_svd(monkeypatch):
+    # the dimensions are traces: no stream is drawn and no singular value is taken
+    def refuse(*args):
+        raise AssertionError("dimension_reports drew a sample or ranked a stack")
+
+    for owner, name in ((sampling, "rng_stream"), (sampling, "numerical_rank"), (np.linalg, "svd")):
+        monkeypatch.setattr(owner, name, refuse)
     reports = dimension_reports(5)
-    assert len(columns) == len(reports) == len(SAMPLE_SPACES)
-    assert set(columns) == {250}
+    assert all(rep.empirical_dim == rep.formula_dim for rep in reports.values())
 
 
 def test_dimension_reports_refuse_empty_runs():
-    for samples in (0, -1, 2.5, True):
-        with pytest.raises(EmptyRun):
-            dimension_reports(3, (3, 0), samples=samples, spaces=("r",))
-        with pytest.raises(CurvdecError):
-            dimension_reports(3, samples=samples)
-    for samples in (None, 4):
-        with pytest.raises(UnknownSpace):
-            dimension_reports(3, samples=samples, spaces=("r", "q"))
+    with pytest.raises(UnknownSpace):
+        dimension_reports(3, spaces=("r", "q"))
     for spaces in ((), iter(())):
         with pytest.raises(EmptyRun):
             dimension_reports(3, spaces=spaces)
     assert list(dimension_reports(3, spaces=iter(("r", "a")))) == ["r", "a"]
+    assert dimension_reports(3, spaces=("r", "r")) == dimension_reports(3, spaces=("r",))
 
 
 def test_signature_must_fit_dimension():
@@ -218,9 +231,6 @@ def test_stream_keys_non_negative_and_unaliased():
     for kwargs in bad + ({"seed": 1.5}, {"index": 2.5}, {"index": (0, 1.5)}):
         with pytest.raises(NegativeStreamKey):
             sample("r", 3, **kwargs)
-    for seed in (-1, 1.5, True):
-        with pytest.raises(NegativeStreamKey):
-            dimension_reports(3, seed=seed, spaces=("co",))
     typed = sample("r", 3, seed=np.uint64(2), index=(np.int32(1), 4))
     assert np.array_equal(typed, sample("r", 3, seed=2, index=(1, 4)))
     assert issubclass(NegativeStreamKey, CurvdecError)
@@ -315,21 +325,32 @@ def test_formula_dimensions():
 
 @pytest.mark.parametrize("sig", [(5, 0), (4, 1)])
 def test_default_sample_counts_match_formula_n5(sig):
-    for space, rep in dimension_reports(5, sig).items():
-        assert rep.empirical_dim == rep.formula_dim, space
-        assert not rep.inconclusive, space
-        if rep.formula_dim:
-            assert rep.samples_used == rep.formula_dim + RANK_MARGIN, space
+    # formula_dim + RANK_MARGIN samples of a nonempty space rank to its formula dimension
+    # with a clear gap (none for 'co', which fills co(V)): the sampler's spaces are the
+    # spaces whose traces `dims` reports
+    for space in SAMPLE_SPACES:
+        rank, gap = sampled_rank(space, 5, sig)
+        assert rank == formula_dim(space, 5), space
+        assert gap is None if space == "co" else gap >= GAP_RATIO, space
 
 
 @pytest.mark.parametrize("sig", [(6, 0), (5, 1)])
 def test_default_sample_counts_match_formula_n6(sig):
-    # every space has a measured gap except 'co', which fills co(V)
-    for space, rep in dimension_reports(6, sig).items():
-        assert rep.empirical_dim == rep.formula_dim > 0, space
-        assert rep.samples_used == rep.formula_dim + RANK_MARGIN, space
-        assert not rep.inconclusive, space
-        assert (rep.singular_value_gap is None) == (space == "co"), space
+    for space in SAMPLE_SPACES:
+        rank, gap = sampled_rank(space, 6, sig)
+        assert rank == formula_dim(space, 6) > 0, space
+        assert gap is None if space == "co" else gap >= GAP_RATIO, space
+
+
+# n = 3 to 7 in a definite and a Lorentzian signature, and n = 8 in (8, 0) alone: each
+# n = 8 run takes about 2 s
+TRACE_GRID = [(n, sig) for n in range(3, 8) for sig in ((n, 0), (n - 1, 1))] + [(8, (8, 0))]
+
+
+@pytest.mark.parametrize("n,sig", TRACE_GRID, ids=[f"{n}-{p},{q}" for n, (p, q) in TRACE_GRID])
+def test_dims_matches_formula_at_every_n(n, sig):
+    for space, rep in dimension_reports(n, sig).items():
+        assert rep == DimensionReport(space, formula_dim(space, n), formula_dim(space, n), False)
 
 
 @pytest.mark.parametrize("space,expected", [("r", 24), ("a", 6), ("f", 21), ("p", 15)])
@@ -339,68 +360,80 @@ def test_empirical_dimension_n3(space, expected):
         assert rep.empirical_dim == expected
         assert rep.formula_dim == expected
         assert not rep.inconclusive
-        assert rep.singular_value_gap is None or rep.singular_value_gap >= 1e6
 
 
 def test_empirical_dimension_empty_space():
-    rep = dimension_reports(3, (3, 0), samples=12, spaces=("W6",))["W6"]
-    assert rep.empirical_dim == 0
-    assert rep.samples_used == 0
-    assert rep.singular_value_gap is None and not rep.inconclusive
+    # W6's projector vanishes at n = 3: its trace is 0 up to roundoff, a conclusive 0
+    rep = dimension_reports(3, (3, 0), spaces=("W6",))["W6"]
+    assert rep == DimensionReport("W6", 0, 0, False)
 
 
 def test_margin_makes_the_report_conclusive():
     # formula_dim samples of a nonempty space span it but reject no singular
-    # value: inconclusive; the RANK_MARGIN more rows of the default give the gap
+    # value, so no gap; the RANK_MARGIN more rows give the gap a rank check reads
     d = formula_dim("a", 4)
     for sig in ((4, 0), (3, 1)):
-        rep = dimension_reports(4, sig, samples=d, spaces=("a",))["a"]
-        assert (rep.empirical_dim, rep.samples_used) == (d, d)
-        assert rep.singular_value_gap is None and rep.inconclusive
-        rep = dimension_reports(4, sig, spaces=("a",))["a"]
-        assert (rep.empirical_dim, rep.samples_used) == (d, d + RANK_MARGIN)
-        assert rep.singular_value_gap >= GAP_RATIO and not rep.inconclusive
+        assert sampled_rank("a", 4, sig, count=d) == (d, None)
+        rank, gap = sampled_rank("a", 4, sig)
+        assert rank == d and gap >= GAP_RATIO
 
 
 def test_inconclusive_when_undersampled():
-    # fewer samples than the true dimension leaves no rejected singular value
-    rep = dimension_reports(3, (3, 0), samples=10, spaces=("r",))["r"]
-    assert rep.singular_value_gap is None and rep.inconclusive
+    # fewer samples than the true dimension leave no rejected singular value: no gap,
+    # which a rank check such as ricci_image_dimensions reads as a failure
+    assert sampled_rank("r", 3, (3, 0), count=10) == (10, None)
+
+
+def test_inconclusive_when_not_idempotent(monkeypatch):
+    # W6 scaled by 1.001 is no projector: its trace, 1.001 dim W6, is no integer, so the
+    # report is inconclusive and the suite's dimension_consistency fails; the rank of
+    # sampled images cannot see the scale
+    real = decomp.w_projections
+
+    def scaled(t, g):
+        parts = real(t, g)
+        return parts[:5] + [1.001 * parts[5]] + parts[6:]
+
+    for module in (decomp, sampling, suite):
+        monkeypatch.setattr(module, "w_projections", scaled)
+    reports = dimension_reports(4)
+    assert [space for space, rep in reports.items() if rep.inconclusive] == ["W6"]
+    assert reports["W6"].empirical_dim == formula_dim("W6", 4)  # 10.01 rounds to 10
+    report = run_invariant_suite(SuiteConfig(dims=(4,)), only=["dimension_consistency"])
+    assert report["dimension_consistency"]["pass"] is False
 
 
 @pytest.mark.parametrize("family", ["W", "A"])
 def test_family_ranked_from_one_projection_per_chunk(monkeypatch, family):
-    # one projector call per CHUNK rows of the largest count, the 38 rows of
-    # block 7 at n = 4, serves all eight blocks; each block alone would take 9
-    top = formula_dim(f"{family}7", 4) + RANK_MARGIN
-    assert top == 38
+    # one projector call per CHUNK tensors of the co(V) basis, 96 at n = 4, serves all
+    # eight blocks
     proj = {"W": "w_projections", "A": "a_projections"}[family]
     calls = []
     real = getattr(sampling, proj)
     monkeypatch.setattr(sampling, proj, lambda t, g: calls.append(len(t)) or real(t, g))
     spaces = [f"{family}{j}" for j in range(1, 9)]
     reports = dimension_reports(4, spaces=spaces)
-    assert calls == [sampling.CHUNK, top - sampling.CHUNK]
-    assert reports[f"{family}7"].samples_used == top
+    assert calls == [sampling.CHUNK] * 3 and formula_dim("co", 4) == 3 * sampling.CHUNK
     for space in spaces:
         assert reports[space].empirical_dim == reports[space].formula_dim, space
 
 
 def test_family_pass_gives_the_per_space_stacks(monkeypatch):
-    # bit for bit the co(V) coordinates of the rows a `Block` of the space's
-    # indices holds, though 'co' and 'r' share one noise draw and each family (with 'f'
-    # and 'f_pair' in W's, and ψ and μ for 'a', 's', 'a_plus_s') one projection per chunk
-    g, ranked, real = standard_scalar_product(3, 1), {}, sampling._report
+    # bit for bit the images each space's own projection gives, though each family
+    # (with 'f' and 'f_pair' in W's, and ψ and μ for 'a', 's', 'a_plus_s') is projected
+    # once per chunk
+    g, seen, real = standard_scalar_product(3, 1), [], sampling._project
 
-    def keep(space, n, rows):
-        ranked[space] = rows
-        return real(space, n, rows)
+    def keep(space, base, g, comps=None):
+        out = real(space, base, g, comps)
+        seen.append((space, base, out))
+        return out
 
-    monkeypatch.setattr(sampling, "_report", keep)
-    assert set(dimension_reports(4, (3, 1))) == set(ranked)
-    for space, rows in ranked.items():
-        stack = sampling.Block(g, 0, range(formula_dim(space, 4) + RANK_MARGIN)).stack(space)
-        assert np.array_equal(rows, np.array([cov_coordinates(t, 4) for t in stack])), space
+    monkeypatch.setattr(sampling, "_project", keep)
+    dimension_reports(4, (3, 1))
+    assert {space for space, _, _ in seen} == set(SAMPLE_SPACES) - {"co", "r"}
+    for space, base, out in seen:
+        assert np.array_equal(out, real(space, base, g)), space
 
 
 def test_block_draws_each_key_once(monkeypatch):
@@ -418,33 +451,30 @@ def test_block_draws_each_key_once(monkeypatch):
                 assert np.array_equal(row, sample(space, 4, (3, 1), 4, index)), (space, index)
 
 
-@pytest.mark.parametrize("n,w_calls,draws", [(5, 7, 258), (6, 13, 548)])
-def test_one_w_pass_and_one_noise_draw_per_index(monkeypatch, n, w_calls, draws):
-    # one w_projections call per CHUNK rows of the largest of the W blocks, 'f'
-    # and 'f_pair' (the dim(f) + RANK_MARGIN 'f' rows), and one stream per index
-    # of the largest stack, 'co', which 'r' shares
+@pytest.mark.parametrize("n,w_calls", [(5, 8), (6, 17)])
+def test_one_w_pass_per_chunk_and_no_draw(monkeypatch, n, w_calls):
+    # one w_projections call per CHUNK tensors of the co(V) basis serves the W blocks,
+    # 'f' and 'f_pair', and no stream is drawn
     calls = Counter()
     for name in ("w_projections", "rng_stream"):
         real = getattr(sampling, name)
         counted = lambda *args, name=name, real=real: calls.update([name]) or real(*args)
         monkeypatch.setattr(sampling, name, counted)
-    monkeypatch.setattr(sampling, "numerical_rank", lambda rows: (0, None))  # skip the SVDs
     dimension_reports(n)
-    assert calls == {"w_projections": w_calls, "rng_stream": draws}
-    assert w_calls == -(-(formula_dim("f", n) + RANK_MARGIN) // sampling.CHUNK)
-    assert draws == formula_dim("co", n) + RANK_MARGIN
+    assert calls == {"w_projections": w_calls}
+    assert w_calls == -(-formula_dim("co", n) // sampling.CHUNK)
 
 
 def test_one_psi_and_one_mu_per_chunk_serve_a_s_and_a_plus_s(monkeypatch):
-    # 'a', 's' and 'a_plus_s' = ψ + μ read one ψ and one μ call per CHUNK rows
-    # of the largest of them, 'a_plus_s'
+    # 'a', 's' and 'a_plus_s' = ψ + μ read one ψ and one μ call per CHUNK tensors of the
+    # co(V) basis
     calls = Counter()
     for name in ("psi", "mu"):
         real = getattr(sampling, name)
         counted = lambda t, name=name, real=real: calls.update([name]) or real(t)
         monkeypatch.setattr(sampling, name, counted)
     reports = dimension_reports(4, spaces=("a", "s", "a_plus_s"))
-    chunks = -(-(formula_dim("a_plus_s", 4) + RANK_MARGIN) // sampling.CHUNK)
+    chunks = -(-formula_dim("co", 4) // sampling.CHUNK)
     assert calls == {"psi": chunks, "mu": chunks} and chunks == 3
     for rep in reports.values():
         assert rep.empirical_dim == rep.formula_dim and not rep.inconclusive, rep.space

@@ -139,13 +139,12 @@ def test_checks_read_the_one_sample_sequence(monkeypatch):
 
 
 def test_checks_read_only_their_own_block(monkeypatch):
-    # at 5 samples no check but the two rank checks, whose stacks are sized by n
-    # alone, draws a sample past index 4: the pairings of the orthogonality
-    # checks are taken within the block's rows
+    # at 5 samples no check but the rank check, whose stack is sized by n alone,
+    # draws a sample past index 4: the pairings of the orthogonality checks are
+    # taken within the block's rows, and dimension_consistency draws nothing
     drawn, real = set(), sampling.rng_stream
     monkeypatch.setattr(sampling, "rng_stream", lambda seed, i: drawn.add(i) or real(seed, i))
-    rank_checks = ("dimension_consistency", "ricci_image_dimensions")
-    only = [name for name in CHECKS if name not in rank_checks]
+    only = [name for name in CHECKS if name != "ricci_image_dimensions"]
     run_invariant_suite(SuiteConfig(dims=(3, 4), samples=5), only=only)
     assert drawn == set(range(5))
 
@@ -226,13 +225,18 @@ def test_dimension_consistency_sees_a_wrong_table_entry(monkeypatch):
     assert run_invariant_suite(cfg, only=only)["dimension_consistency"]["pass"] is False
 
 
-def test_dimension_consistency_reads_the_one_gap_rule(monkeypatch):
-    # the rank checks share sampling's gap rule: no gap can clear an infinite ratio
+def test_dimension_checks_read_sampling_bounds(monkeypatch):
+    # the rank check reads sampling's gap rule, and dimension_consistency its trace
+    # bound: no gap clears an infinite ratio, and no trace lies within -1 of an integer
     cfg = SuiteConfig(dims=(3,), samples=2)
     only = ["dimension_consistency", "ricci_image_dimensions"]
     assert all(rep["pass"] for rep in run_invariant_suite(cfg, only=only).values())
-    monkeypatch.setattr(sampling, "GAP_RATIO", math.inf)
-    assert not any(rep["pass"] for rep in run_invariant_suite(cfg, only=only).values())
+    for bound, value, failing in (("GAP_RATIO", math.inf, "ricci_image_dimensions"),
+                                  ("TRACE_TOL", -1.0, "dimension_consistency")):
+        with monkeypatch.context() as patch:
+            patch.setattr(sampling, bound, value)
+            report = run_invariant_suite(cfg, only=only)
+        assert [name for name, rep in report.items() if not rep["pass"]] == [failing], bound
 
 
 def test_negative_seed_refused_before_any_check(monkeypatch):
@@ -361,10 +365,9 @@ def test_each_block_projects_once(monkeypatch):
     # signature.  'f' and 'f_pair' are sums of the 'r' W components.  Each map is
     # counted wherever it is called from, as the suite's name or sampling's, and the
     # W and A maps also as decomp's, through which singer_thorpe splits 'a'.
-    # dimension_consistency reads the point's `dims` reports: their first chunk is
-    # the point's block, and each signature draws the later chunks of their
-    # dim(r) + RANK_MARGIN 'r' rows; ricci_image_dimensions ranks the block's first
-    # n(n+1)/2 + RANK_MARGIN rows
+    # dimension_consistency draws no sample: each signature projects the Bianchi
+    # images of the co(V) basis, CHUNK at a time; ricci_image_dimensions ranks the
+    # block's first n(n+1)/2 + RANK_MARGIN rows
     drawn, projected, calls, stack = {}, Counter(), Counter(), sampling.Block.stack
 
     def recording(block, space):
@@ -378,9 +381,7 @@ def test_each_block_projects_once(monkeypatch):
             on_point = all(np.isin(m.matrix, (-1.0, 0.0, 1.0)).all() for m in g)
             for space, outs in drawn.items():
                 if space == "r" or g:  # ψ and μ are counted on the 'r' rows only
-                    # of 'r', the block's rows; the later `dims` chunks count in the totals
-                    rows = outs[:1] if space == "r" else outs
-                    shared = any(np.may_share_memory(t, o) for o in rows)
+                    shared = any(np.may_share_memory(t, o) for o in outs)
                     projected[proj.__name__, space] += shared and on_point
             calls[proj.__name__] += 1
             return proj(t, *g)
@@ -392,7 +393,6 @@ def test_each_block_projects_once(monkeypatch):
 
     monkeypatch.setattr(sampling, "rng_stream", counted("rng_stream", sampling.rng_stream))
     monkeypatch.setattr(suite, "numerical_rank", counted("numerical_rank", suite.numerical_rank))
-    monkeypatch.setattr(sampling, "numerical_rank", suite.numerical_rank)
     monkeypatch.setattr(sampling.Block, "stack", recording)
     for proj in (suite.w_projections, suite.a_projections, suite.psi, suite.mu):
         wrapper = counting(proj)
@@ -403,10 +403,7 @@ def test_each_block_projects_once(monkeypatch):
         drawn.clear()
         projected.clear()
         run_invariant_suite(SuiteConfig(dims=(n,)))
-        # the block, then each signature's later `dims` chunks: [32, 32, 24, 32, 24] at n = 4
-        dims_rows = sampling.formula_dim("r", n) + sampling.RANK_MARGIN
-        chunks = [min(sampling.CHUNK, dims_rows - lo) for lo in range(0, dims_rows, sampling.CHUNK)]
-        assert [len(out) for out in drawn["r"]] == chunks[:1] + chunks[1:] * 2
+        assert [len(out) for out in drawn["r"]] == [sampling.CHUNK]
         assert {space: len(outs) for space, outs in drawn.items() if space != "r"} == {
             **dict.fromkeys(("co", "a", "a_plus_s"), 1),
             **dict.fromkeys(("s", "f", "p", "t", "f_pair"), 2),
@@ -421,8 +418,10 @@ def test_each_block_projects_once(monkeypatch):
             ("psi", "r"): 1,
             ("mu", "r"): 1,
         }
-    # the calls of one default `verify`
+    # the calls of one default `verify`: the block's 64 streams and the seed check's;
+    # dimension_consistency's basis chunks (1 at n = 3, 3 at n = 4) add one W, one A,
+    # one ψ and one μ call per chunk and signature
     calls.clear()
     run_invariant_suite(SuiteConfig())
-    assert calls == {"rng_stream": 209, "w_projections": 48, "a_projections": 42,
-                     "psi": 10, "mu": 10, "numerical_rank": 88}
+    assert calls == {"rng_stream": 65, "w_projections": 52, "a_projections": 48,
+                     "psi": 18, "mu": 18, "numerical_rank": 8}
