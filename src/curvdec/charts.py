@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateAtPoint, DegenerateMetric, DimensionMismatch, SchemaError,
-                     UnknownConnection)
+from .errors import (DegenerateAtPoint, DegenerateMetric, DimensionMismatch, NonFiniteInput,
+                     SchemaError, UnknownConnection)
 from .linalg import ScalarProduct, _integer, antisym, build_scalar_product
 from .poly import Poly
 from .spaces import _tau, conjugate, membership_residual, ricci, scalar_curvature
@@ -146,6 +146,8 @@ class PolyChart:
                 g = build_scalar_product(flat[:m].reshape(n, n))
             except DegenerateMetric as exc:
                 raise DegenerateAtPoint(f"metric degenerate at {point.tolist()}: {exc}") from exc
+            except NonFiniteInput as exc:  # an overflow, which 0·inf spreads to every entry
+                raise NonFiniteInput(f"metric not finite at {point.tolist()}") from exc
             data = {
                 "g": g,
                 "dg": dflat[:, :m].reshape((n,) * 3),

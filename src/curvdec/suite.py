@@ -491,8 +491,7 @@ def _check_rescale_invariance(ctx):
 
 def _check_dimension_consistency(ctx):
     # the point's `dims` reports of r, a, f, p and the W and A blocks: each projector's
-    # trace is its table dimension.  The metric-free B-images of the basis are not kept
-    # for the other signature: at n = 7 they would hold 55 MiB and save about 2 % of the run
+    # trace, read off the basis probes, is its table dimension
     spaces = ("r", "a", "f", "p", *(f"{family}{j}" for family in "WA" for j in range(1, 9)))
     reports = sampling.dimension_reports(ctx.n, ctx.sig, spaces).values()
     yield all(rep.empirical_dim == rep.formula_dim and not rep.inconclusive for rep in reports)

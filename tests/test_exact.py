@@ -4,9 +4,11 @@ The Bianchi projector and every W and A projector are linear with rational
 coefficients.  Under an integer metric with an integer inverse (diag(n, 0),
 or g = AᵀηA with A integer unitriangular), each map's matrix times a common
 denominator L is an integer matrix.  The maps are taken on co(V), which holds
-every sample space, in the coordinates of the basis `dims` takes its traces
-over: the first-pair entries with i < j.  Rounding recovers L·P, and float products of integer matrices
-below 2**53 are exact, so the identities below are checked with no tolerance.
+every sample space, in the coordinates of the basis `dims` packs into probes:
+the first-pair entries with i < j.  The maps are taken over the plain basis, one
+tensor a row, since a non-diagonal g breaks the reflection symmetry that packing
+needs.  Rounding recovers L·P, and float products of integer matrices below 2**53
+are exact, so the identities below are checked with no tolerance.
 """
 import itertools
 import math
@@ -36,8 +38,10 @@ def integer_maps(n, g):
     W1..W8 and A1..A8; row k of a matrix holds the coordinates of the k-th basis
     tensor's image."""
     i, j = np.triu_indices(n, 1)
-    basis = np.concatenate([chunk for _, chunk in _co_basis(n)])
-    r = bianchi_project(basis)
+    flat, mirror, _ = _co_basis(n)  # the plain basis, one tensor a row
+    basis = np.zeros((len(flat), n**4))
+    basis[range(len(flat)), flat], basis[range(len(flat)), mirror] = 1.0, -1.0
+    r = bianchi_project(basis.reshape((-1,) + (n,) * 4))
     images = {"r": r}
     for family, proj in (("W", decomp.w_projections), ("A", decomp.a_projections)):
         images.update((f"{family}{k}", c) for k, c in enumerate(proj(r, g), 1))

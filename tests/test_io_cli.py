@@ -774,12 +774,13 @@ def test_cli_membership_overflow_is_one_error_line(tmp_path, capsys):
 
 def test_cli_chart_point_overflow_is_one_error_line(tmp_path, capsys):
     # x = 1e308 overflows the metric's x² term: the point is refused with one error
-    # line, and no RuntimeWarning escapes main
+    # line that names it, not the entries 0·inf made nan, and no RuntimeWarning escapes main
     path = tmp_path / "chart.json"
     path.write_text(dumps(chart_doc()))
     assert main(["chart", "--input", str(path), "--point", "1e308,0,0"]) == 1
     out = capsys.readouterr()
     assert out.out == "" and out.err.count("\n") == 1 and out.err.startswith("error: ")
+    assert "at [1e+308, 0.0, 0.0]" in out.err and "entries" not in out.err
 
 
 def test_cli_directory_as_input_or_output(tmp_path, capsys):

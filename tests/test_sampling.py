@@ -159,7 +159,82 @@ def test_co_fills_cov_and_is_conclusive(n, expected):
     # the trace of the identity on co(V) is its basis count, an exact integer
     rep = dimension_reports(n, (n, 0), spaces=("co",))["co"]
     assert rep == DimensionReport("co", expected, expected, False)
-    assert sum(len(at) for at, _ in sampling._co_basis(n)) == expected
+    assert len(sampling._co_basis(n)[0]) == expected
+
+
+def plain_basis(n):
+    """The plain coordinate basis of co(V), one tensor a row, built from sampling's index
+    layout, with the n**4 index of each tensor's own coordinate."""
+    flat, mirror, _ = sampling._co_basis(n)
+    basis = np.zeros((len(flat), n**4))
+    basis[range(len(flat)), flat], basis[range(len(flat)), mirror] = 1.0, -1.0
+    return flat, basis.reshape((-1,) + (n,) * 4)
+
+
+def plain_traces(n, sig, planted=None):
+    """The trace on co(V) of each space's map, read over the plain basis: each basis tensor
+    is projected on its own, CHUNK tensors to a call, and its image read at its own
+    coordinate.  A planted map stands in for B, and its trace alone is read, as 'r'."""
+    g, (flat, basis), traces = standard_scalar_product(*sig), plain_basis(n), {}
+    for lo in range(0, len(basis), sampling.CHUNK):
+        chunk = basis[lo : lo + sampling.CHUNK]
+        if planted:
+            found = {"r": planted(chunk)}
+        else:
+            found = {"co": chunk, **images(bianchi_project(chunk), g)}
+        for space, image in found.items():
+            read = image.reshape(len(chunk), -1)[range(len(chunk)), flat[lo : lo + len(chunk)]]
+            traces[space] = traces.get(space, 0.0) + float(read.sum())
+    return traces
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_packed_traces_equal_plain_traces(n):
+    # every map commutes with the coordinate reflections of a diagonal metric, so the
+    # probes read the trace the plain basis reads, in every signature
+    for p in range(n + 1):
+        packed = sampling._traces(n, standard_scalar_product(p, n - p), SAMPLE_SPACES)
+        plain = plain_traces(n, (p, n - p))
+        assert max(abs(packed[space] - plain[space]) for space in SAMPLE_SPACES) < 1e-12, p
+
+
+@pytest.mark.parametrize("n,rows", [(3, 7), (4, 12), (5, 20), (6, 30)])
+def test_probes_hold_each_basis_tensor_once_and_one_per_class(monkeypatch, n, rows):
+    # the probes _traces projects are sums of plain basis tensors: each basis tensor sits
+    # in exactly one row, no row holds two tensors of one parity class (the count of each
+    # coordinate in (i, j, k, l) mod 2), and there are as many rows as the largest class
+    flat, basis = plain_basis(n)
+    basis = basis.reshape(len(basis), -1)
+    chunks = []
+    monkeypatch.setattr(sampling, "bianchi_project", lambda t: chunks.append(t) or t)
+    sampling._traces(n, standard_scalar_product(n, 0), ("r",))
+    probes = np.concatenate(chunks).reshape(-1, n**4)
+    assert len(probes) == rows and all(len(chunk) <= sampling.CHUNK for chunk in chunks)
+    # the basis tensors have disjoint supports and norm² 2: member[k, b] is 1 where
+    # tensor b is a summand of probe k
+    member = probes @ basis.T / 2.0
+    assert set(np.unique(member)) == {0.0, 1.0} and np.array_equal(member @ basis, probes)
+    assert member.sum(axis=0).tolist() == [1.0] * len(basis) == [1.0] * formula_dim("co", n)
+    index = np.stack(np.unravel_index(flat, (n,) * 4), axis=-1)
+    parity = np.array([np.bincount(t, minlength=n) % 2 for t in index])
+    for k in range(rows):
+        assert len(np.unique(parity[member[k] == 1.0], axis=0)) == member[k].sum(), k
+    assert rows == max(np.unique(parity, axis=0, return_counts=True)[1])
+
+
+def test_packing_needs_maps_that_commute_with_reflections(monkeypatch):
+    # relabelling coordinates 0 and 1 is linear on co(V) but does not commute with the
+    # reflection of coordinate 0: it moves entries between parity classes, so a probe's
+    # image carries cross terms and the packed trace is not the trace
+    def relabel(t):
+        swap = [1, 0, *range(2, t.shape[-1])]
+        return t[..., swap, :, :, :][..., swap, :, :][..., swap, :][..., swap]
+
+    for n, packed, plain in ((3, -5.0, -1.0), (5, 54.0, 18.0)):
+        assert plain_traces(n, (n, 0), relabel)["r"] == plain
+        with monkeypatch.context() as m:
+            m.setattr(sampling, "bianchi_project", relabel)
+            assert sampling._traces(n, standard_scalar_product(n, 0), ("r",))["r"] == packed
 
 
 def test_dims_draws_no_sample_and_takes_no_svd(monkeypatch):
@@ -405,15 +480,15 @@ def test_inconclusive_when_not_idempotent(monkeypatch):
 
 @pytest.mark.parametrize("family", ["W", "A"])
 def test_family_ranked_from_one_projection_per_chunk(monkeypatch, family):
-    # one projector call per CHUNK tensors of the co(V) basis, 96 at n = 4, serves all
-    # eight blocks
+    # at n = 4 the 96 co(V) basis tensors pack into 12 probes: one projector call on
+    # them serves all eight blocks
     proj = {"W": "w_projections", "A": "a_projections"}[family]
     calls = []
     real = getattr(sampling, proj)
     monkeypatch.setattr(sampling, proj, lambda t, g: calls.append(len(t)) or real(t, g))
     spaces = [f"{family}{j}" for j in range(1, 9)]
     reports = dimension_reports(4, spaces=spaces)
-    assert calls == [sampling.CHUNK] * 3 and formula_dim("co", 4) == 3 * sampling.CHUNK
+    assert calls == [12]
     for space in spaces:
         assert reports[space].empirical_dim == reports[space].formula_dim, space
 
@@ -451,10 +526,10 @@ def test_block_draws_each_key_once(monkeypatch):
                 assert np.array_equal(row, sample(space, 4, (3, 1), 4, index)), (space, index)
 
 
-@pytest.mark.parametrize("n,w_calls", [(5, 8), (6, 17)])
+@pytest.mark.parametrize("n,w_calls", [(5, 1), (6, 1), (7, 2)])
 def test_one_w_pass_per_chunk_and_no_draw(monkeypatch, n, w_calls):
-    # one w_projections call per CHUNK tensors of the co(V) basis serves the W blocks,
-    # 'f' and 'f_pair', and no stream is drawn
+    # one w_projections call per CHUNK probes (20, 30 and 42 at n = 5, 6, 7) serves the
+    # W blocks, 'f' and 'f_pair', and no stream is drawn
     calls = Counter()
     for name in ("w_projections", "rng_stream"):
         real = getattr(sampling, name)
@@ -462,22 +537,24 @@ def test_one_w_pass_per_chunk_and_no_draw(monkeypatch, n, w_calls):
         monkeypatch.setattr(sampling, name, counted)
     dimension_reports(n)
     assert calls == {"w_projections": w_calls}
-    assert w_calls == -(-formula_dim("co", n) // sampling.CHUNK)
+    assert w_calls == -(-(sampling._co_basis(n)[2].max() + 1) // sampling.CHUNK)
 
 
 def test_one_psi_and_one_mu_per_chunk_serve_a_s_and_a_plus_s(monkeypatch):
-    # 'a', 's' and 'a_plus_s' = ψ + μ read one ψ and one μ call per CHUNK tensors of the
-    # co(V) basis
+    # 'a', 's' and 'a_plus_s' = ψ + μ read one ψ and one μ call per CHUNK probes: one
+    # chunk of 12 at n = 4; 'a' alone reads no μ
     calls = Counter()
     for name in ("psi", "mu"):
         real = getattr(sampling, name)
         counted = lambda t, name=name, real=real: calls.update([name]) or real(t)
         monkeypatch.setattr(sampling, name, counted)
     reports = dimension_reports(4, spaces=("a", "s", "a_plus_s"))
-    chunks = -(-formula_dim("co", 4) // sampling.CHUNK)
-    assert calls == {"psi": chunks, "mu": chunks} and chunks == 3
+    assert calls == {"psi": 1, "mu": 1}
     for rep in reports.values():
         assert rep.empirical_dim == rep.formula_dim and not rep.inconclusive, rep.space
+    calls.clear()
+    assert dimension_reports(4, spaces=("a",))["a"].empirical_dim == formula_dim("a", 4)
+    assert calls == {"psi": 1}
 
 
 def test_component_dimension_shadows_n3():

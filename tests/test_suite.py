@@ -366,7 +366,7 @@ def test_each_block_projects_once(monkeypatch):
     # counted wherever it is called from, as the suite's name or sampling's, and the
     # W and A maps also as decomp's, through which singer_thorpe splits 'a'.
     # dimension_consistency draws no sample: each signature projects the Bianchi
-    # images of the co(V) basis, CHUNK at a time; ricci_image_dimensions ranks the
+    # images of the co(V) basis probes, CHUNK at a time; ricci_image_dimensions ranks the
     # block's first n(n+1)/2 + RANK_MARGIN rows
     drawn, projected, calls, stack = {}, Counter(), Counter(), sampling.Block.stack
 
@@ -419,9 +419,9 @@ def test_each_block_projects_once(monkeypatch):
             ("mu", "r"): 1,
         }
     # the calls of one default `verify`: the block's 64 streams and the seed check's;
-    # dimension_consistency's basis chunks (1 at n = 3, 3 at n = 4) add one W, one A,
-    # one ψ and one μ call per chunk and signature
+    # dimension_consistency's probes (one chunk at n = 3 and 4) add one W, one A and one
+    # ψ call per signature, and no μ: it reads 'a' but not 's'
     calls.clear()
     run_invariant_suite(SuiteConfig())
-    assert calls == {"rng_stream": 65, "w_projections": 52, "a_projections": 48,
-                     "psi": 18, "mu": 18, "numerical_rank": 8}
+    assert calls == {"rng_stream": 65, "w_projections": 48, "a_projections": 44,
+                     "psi": 14, "mu": 10, "numerical_rank": 8}
