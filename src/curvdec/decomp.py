@@ -51,6 +51,9 @@ def _require_space(t, g, space) -> np.ndarray:
     """t as a float array, refused unless each tensor's residual in space is <= MEMBERSHIP_TOL."""
     t = np.asarray(t, dtype=float)
     res = membership_residual(t, g, space)
+    if not np.isfinite(res):  # a sum of entries near the float limit overflowed
+        at = tuple(map(int, np.unravel_index(np.argmax(np.abs(t)), t.shape)))
+        raise NonFiniteInput(f"entry {at} = {t[at]:g} overflows the membership test in {space!r}")
     if not res <= MEMBERSHIP_TOL:
         err = NotGeneralizedCurvature if space == "r" else NotAlgebraic
         raise err(f"membership residual {res:.3e} in {space!r} exceeds {MEMBERSHIP_TOL:.0e}")

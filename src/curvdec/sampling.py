@@ -14,7 +14,8 @@ space's stack is built once.  `sample` is a block of one key, and the invariant
 suite reads blocks of CHUNK keys, whose metric-free part both signatures of a
 dimension share.
 
-Dimensions are not sampled.  Every space but 'co' is the image of P o B, with B
+Dimensions are neither sampled nor ranked, and a space is empty exactly where its
+FORMULA_DIMS entry is 0.  Every space but 'co' is the image of P o B, with B
 the Bianchi projector and P the space's idempotent map on r(V), and the rank of
 an idempotent is its trace.  The metric is diagonal, so each coordinate reflection
 lies in O(p, q) and commutes with the maps, which are therefore block-diagonal over
@@ -39,10 +40,9 @@ from .errors import NegativeStreamKey, UnknownSpace
 from .linalg import ScalarProduct, _integer, standard_scalar_product
 from .spaces import bianchi_project, mu, psi
 
-EMPTY_NORM = 1e-10
-RANK_RATIO = 1e-8
-GAP_RATIO = 1e6
-RANK_MARGIN = 8  # rows of a rank stack beyond its expected rank: they give the gap
+# the largest dimension of a sample, a dims report or a verify point: verify's peak memory
+# grows as n^4, 75 MiB at n = 8 and 376 MiB at n = 12 (tracemalloc), so some 1.2 GiB at 16
+MAX_DIM = 12
 # a projector's trace further than this from an integer is no rank: the exact traces stay within
 # 1e-12 of theirs up to n = 8, and a component scaled by 1 + e moves its trace by e times its rank
 TRACE_TOL = 1e-8
@@ -85,11 +85,14 @@ SAMPLE_SPACES = tuple(FORMULA_DIMS)
 
 
 def formula_dim(space: str, n: int) -> int:
-    """The closed-form dimension of a sample space at n >= 3; UnknownSpace for an unknown tag."""
+    """The closed-form dimension of a sample space at n in 3..MAX_DIM (DimensionTooSmall or
+    DimensionMismatch past either end); UnknownSpace for an unknown tag."""
     if space not in FORMULA_DIMS:
         raise UnknownSpace(f"unknown sample space {space!r}")
     if _integer(n, DimensionMismatch, "the dimension") < 3:
         raise DimensionTooSmall(f"need dimension >= 3, got {n}")
+    if n > MAX_DIM:
+        raise DimensionMismatch(f"dimension {n} exceeds the largest supported, {MAX_DIM}")
     return FORMULA_DIMS[space](int(n))
 
 
@@ -166,8 +169,8 @@ class Block:
     metric-free stacks shared by the blocks of one dimension, seed and keys.
     The noise and 's' (one normalization of μ) stay with the block: kept for
     the next metric, they would raise the suite's peak memory more than they
-    save.  Raises EmptySpace when a key's projection is at roundoff scale: the
-    space is empty there.
+    save.  Raises EmptySpace for a space whose FORMULA_DIMS entry is 0 at this
+    n, once the keys are drawn: a bad key is refused first.
     """
 
     def __init__(self, g: ScalarProduct, seed: int, keys, shared: dict | None = None):
@@ -187,19 +190,18 @@ class Block:
         return self._memo(space, lambda: self._rows(space))
 
     def _rows(self, space: str) -> np.ndarray:
-        if space in ("co", "r"):  # each key's noise is drawn once for both
+        if space == "co":  # each key's noise is drawn once for both 'co' and 'r'
             noise = self.noise()
-            if space == "co":
-                rows = _normalize(0.5 * (noise - np.swapaxes(noise, -4, -3)), EMPTY_NORM)
-            else:  # Bianchi-projected noise is never at roundoff scale: no floor
-                rows = _normalize(bianchi_project(noise), 0.0)
+            rows = 0.5 * (noise - np.swapaxes(noise, -4, -3))
+        elif space == "r":
+            rows = bianchi_project(self.noise())
         else:
             family = _family(space)
             comps = None if family is None else self.comps("r", family)
-            rows = _normalize(_project(space, self.stack("r"), self.g, comps), EMPTY_NORM)
-        if len(rows) < len(self.keys):  # a dropped row would misalign the stack with its keys
-            raise EmptySpace(f"{space!r} is empty here: max-norm below {EMPTY_NORM:g}")
-        return rows
+            rows = _project(space, self.stack("r"), self.g, comps)
+        if FORMULA_DIMS[space](self.g.dim) == 0:  # after the draw: a bad key is refused first
+            raise EmptySpace(f"{space!r} is empty at dimension {self.g.dim}")
+        return _normalize(rows, 0.0)
 
     def noise(self) -> np.ndarray:
         """Uniform [-1, 1) noise of shape (n, n, n, n) from each of the block's keys, stacked."""
@@ -226,13 +228,13 @@ def sample(
     components obstructing Ricci symmetry of the conjugate, so the sample and
     its conjugate both have symmetric Ricci tensors; 'p' and 't' use the
     Ricci-free and trace-free projections; 'Wj'/'Aj' apply the family
-    projectors.  Raises EmptySpace when the subspace is zero-dimensional at
-    this dimension (the projected noise is at roundoff scale),
-    DimensionMismatch for a dimension or signature entry that is not an
-    integer or a signature that does not fit, and NegativeStreamKey for a
-    seed or index entry that is negative or not an integer.
+    projectors.  Raises EmptySpace where `formula_dim` is 0 (W6, W8, A6 and
+    A8 at n = 3), DimensionMismatch for a dimension past MAX_DIM, a dimension
+    or signature entry that is not an integer or a signature that does not
+    fit, and NegativeStreamKey for a seed or index entry that is negative or
+    not an integer.
     """
-    formula_dim(space, dim)  # refuses an unknown space and a dimension that is not an integer >= 3
+    formula_dim(space, dim)  # refuses an unknown space and a dimension not an integer in 3..MAX_DIM
     return Block(_scalar_product(int(dim), signature), seed, [index]).stack(space)[0].copy()
 
 
@@ -249,20 +251,6 @@ class DimensionReport:
     empirical_dim: int
     formula_dim: int
     inconclusive: bool
-
-
-def numerical_rank(rows: np.ndarray) -> tuple[int, float | None]:
-    """Rank by singular-value thresholding at 1e-8 of the largest value.
-
-    The gap is the ratio between the smallest accepted and the largest rejected
-    singular value; it is None when no value was rejected, at rank min(rows, columns),
-    and an empty or all-zero stack has rank 0.
-    """
-    s = np.linalg.svd(rows, compute_uv=False) if rows.size else np.zeros(1)
-    rank = int(np.sum(s > RANK_RATIO * s[0]))
-    if rank in (0, len(s)):
-        return rank, None
-    return rank, float("inf") if s[rank] == 0.0 else float(s[rank - 1] / s[rank])
 
 
 def _co_basis(n: int):
@@ -317,8 +305,9 @@ def dimension_reports(
     Exact up to roundoff: nothing is drawn and nothing is ranked, and the basis is
     packed into probes (see the module docstring): at n = 8, 56 probes stand for 1,792
     basis tensors, projected CHUNK at a time.  Raises EmptyRun when no space is named,
-    UnknownSpace for an unknown tag and DimensionMismatch for a dimension or
-    signature entry that is not an integer or a signature that does not fit.
+    UnknownSpace for an unknown tag and DimensionMismatch for a dimension past
+    MAX_DIM, a dimension or signature entry that is not an integer or a
+    signature that does not fit.
     """
     spaces = tuple(spaces)  # an iterator would be spent by the first pass over it
     if not spaces:

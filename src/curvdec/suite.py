@@ -5,8 +5,8 @@ indices in blocks of CHUNK, each block under every signature before the next:
 a `sampling.Block` whose row i of its stack of a space is `sample(space, n,
 sig, seed, index=lo + i)`, and a check reads only the block's rows.  The
 signatures share the block's metric-free samples until the walk moves on.  The
-checks in FIRST_BLOCK read only a point's first rows, or a rank stack or
-projector traces sized by n alone, and run on block 0 alone.  A check yields
+checks in FIRST_BLOCK read only a point's first rows, or no sample at all, and
+run on block 0 alone, whatever the sample count.  A check yields
 residual terms, and one fold takes their max over terms and blocks: a numeric
 term (an array or a float) counts max |term|, 0.0 when empty; a bool or
 bool-array term is a verdict held sample by sample and counts 1.0 unless every
@@ -37,8 +37,9 @@ from .decomp import (
 from .errors import DimensionMismatch, EmptyRun, NonFiniteInput, UnknownCheck
 from .linalg import _integer, _row_maxnorm, antisym, standard_scalar_product, sym
 from .linalg import tensor_pairing
-from .sampling import CHUNK, Block, _normalize, numerical_rank
+from .sampling import CHUNK, Block, _normalize
 from .spaces import (
+    MEMBERSHIP_TOL,
     SPACE_TAGS,
     _membership_rows,
     _traces,
@@ -498,13 +499,14 @@ def _check_dimension_consistency(ctx):
 
 
 def _check_ricci_image_dimensions(ctx):
+    # sigma lifts each coordinate form E_ab, as Alt E_ab and Sym E_ab, into r(V) and Ric of
+    # the lift is E_ab: Ric maps r(V) onto the n(n - 1)/2 alternating and the n(n + 1)/2
+    # symmetric forms.  Exact identities, judged at MEMBERSHIP_TOL whatever the tolerance
     g, n = ctx.g, ctx.n
-    keys = range(n * (n + 1) // 2 + sampling.RANK_MARGIN)  # sym(ric)'s rank stack, from index 0
-    block = ctx if ctx.keys[: len(keys)] == keys else Block(g, ctx.seed, keys)
-    ric = ricci(block.stack("r")[: len(keys)], g)
-    for part, expected in ((antisym(ric), n * (n - 1) // 2), (sym(ric), n * (n + 1) // 2)):
-        rank, gap = numerical_rank(part.reshape(len(part), -1))
-        yield rank == expected and gap is not None and gap >= sampling.GAP_RATIO
+    forms = np.eye(n * n).reshape(n * n, n, n)
+    lifts = sigma_split(antisym(forms), sym(forms), g)
+    yield _membership_rows(lifts, g, "r") <= MEMBERSHIP_TOL
+    yield _row_maxnorm(ricci(lifts, g) - forms, 1) <= MEMBERSHIP_TOL
 
 
 def _check_membership_tower(ctx):
@@ -578,9 +580,9 @@ CHECKS = {
     "ricci_conjugate_trace": _check_ricci_conjugate_trace,
 }
 
-# these checks read only a point's first rows, a rank stack from index 0 that takes what
-# it can from the point's block, or traces that read no sample: they run on the first
-# block of each point alone
+# these checks read only a point's first rows, or no sample (dimension_consistency's
+# projector traces, ricci_image_dimensions' basis lifts): they run on the first block of
+# each point alone
 FIRST_BLOCK = frozenset({
     "w_idempotence", "a_idempotence", "w_orthogonality", "a_orthogonality",
     "gram_positivity", "w_vanishing_criteria", "a_vanishing_criteria",
@@ -601,7 +603,8 @@ def run_invariant_suite(config: SuiteConfig | None = None, only=None) -> dict:
     check and is reported as None.
     Raises UnknownCheck when `only` holds a name that is not in CHECKS,
     EmptyRun for a sample count that is not an integer >= 1 or an empty grid,
-    DimensionMismatch for a signature that is not a pair or a dimension or
+    DimensionTooSmall for a dimension below 3, DimensionMismatch for one past
+    sampling.MAX_DIM, a signature that is not a pair or a dimension or
     signature entry that is not an integer, NonFiniteInput for a tolerance that
     is not a finite real number, and NegativeStreamKey for a seed that is
     negative or not an integer, before any check runs.
@@ -618,6 +621,8 @@ def run_invariant_suite(config: SuiteConfig | None = None, only=None) -> dict:
             raise DimensionMismatch(f"a signature must be a pair (p, q), got {sig!r}")
     for x in (*cfg.dims, *(x for sig in cfg.signatures or () for x in sig)):
         _integer(x, DimensionMismatch, "a dimension or signature entry")
+    for n in cfg.dims:
+        sampling.formula_dim("co", n)  # refuses n < 3 and n > MAX_DIM
     if not isinstance(cfg.tolerance, Real) or not math.isfinite(cfg.tolerance):
         raise NonFiniteInput(f"tolerance must be a finite real number, got {cfg.tolerance!r}")
     if not any(cfg.grid()):

@@ -1,5 +1,8 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,6 +14,8 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 import pytest
 from chart_helpers import hessian_chart, random_factor, random_potential
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvdec.charts import MAX_DIM, PolyChart
 from curvdec.cli import main
@@ -477,7 +482,7 @@ OUTPUT_PINS = [
         ("verify", "--samples", "40"),
         "30462d3d053b88d2a857703659ff0da0dbef19b6b4d58981adaa8e3d7a5c32ce",
     ),
-    # a block shorter than ricci_image_dimensions' rank stack, which then draws a block of its own
+    # one block of 5 rows per point, fewer than a block's CHUNK: every check reads only these
     (
         ("verify", "--samples", "5"),
         "dabeaaad950ba8d97ae7ef06eb99d4bf12609f9c016a773ce031d965b75ad795",
@@ -760,16 +765,34 @@ def test_cli_component_out_of_float_range(tmp_path, capsys, mode):
 
 
 def test_cli_membership_overflow_is_one_error_line(tmp_path, capsys):
-    # R[0, 0, 0, 0] = 1e308 overflows the membership sums (t plus a swap of it): the
-    # tensor is refused with one error line, and no RuntimeWarning, an error under
-    # this suite's warning filter, escapes main
+    # R[0, 0, 0, 0] = 1e308 overflows the membership sums (t plus a swap of it): in every
+    # mode the tensor is refused with one error line that names the entry, not a residual
+    # of inf, and no RuntimeWarning, an error under this suite's warning filter, escapes main
     t = sample("a", 3, (3, 0), seed=1)
     t[0, 0, 0, 0] = 1e308
     path = tmp_path / "big.json"
     path.write_text(dumps(tensor_document(t, standard_scalar_product(3, 0))))
-    assert main(["decompose", "--mode", "st", "--input", str(path)]) == 1
-    out = capsys.readouterr()
-    assert out.out == "" and out.err.count("\n") == 1 and out.err.startswith("error: ")
+    for mode in ("w", "a", "st"):
+        assert main(["decompose", "--mode", mode, "--input", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1 and out.err.startswith("error: ")
+        assert "entry (0, 0, 0, 0) = 1e+308" in out.err and "inf" not in out.err
+
+
+def test_cli_dimension_bounded_before_allocation(capsys):
+    # sample, dims and verify refuse a dimension past sampling.MAX_DIM with one error line
+    # and exit 1, before any n**4 array is allocated: at n = 1000 one takes 7.3 TiB
+    for command in (["sample", "--space", "r"], ["dims"], ["verify"]):
+        tracemalloc.start()
+        try:
+            assert main([*command, "--dim", "1000"]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.startswith("error: dimension 1000 exceeds the largest supported")
+        assert peak < 2**20, command
 
 
 def test_cli_chart_point_overflow_is_one_error_line(tmp_path, capsys):
@@ -789,3 +812,91 @@ def test_cli_directory_as_input_or_output(tmp_path, capsys):
     assert main(["sample", "--space", "r", "--dim", "3", "--output", str(tmp_path)]) == 1
     out = capsys.readouterr()
     assert out.out == "" and out.err.count("error:") == 2 and "Traceback" not in out.err
+
+
+# -- hostile input ------------------------------------------------------------
+
+HOSTILE = [None, True, -1, 0, 2.5, 1e308, -1e308, math.nan, math.inf, 10**30, "x", "", [], {},
+           [1.0]]
+CHEAP_CHECKS = ["wa_map_coincidences", "trace_reconstruction", "ricci_image_dimensions",
+                "membership_tower", "no_such_check"]
+OPTIONS = {  # each command's options and the values drawn for them; --dim is drawn apart
+    "decompose": {"--mode": ["w", "a", "st", "x"]},
+    "sample": {"--space": ["r", "a", "W6", "A8", "q"], "--signature": ["2,1", "3,0", "-1,4", "a"],
+               "--seed": ["0", "7", "-1", "x"]},
+    "dims": {"--signature": ["2,1", "3,0", "3,1", "3"], "--samples": ["0", "3"],
+             "--seed": ["-1", "2"]},
+    "verify": {"--suite": CHEAP_CHECKS, "--signature": ["2,1", "3,0", "2,2", "4,0"],
+               "--samples": ["-1", "0", "1", "2"], "--seed": ["-1", "0", "3", "1.5"],
+               "--tol": ["0", "1e-9", "nan", "-1"]},
+    "chart": {"--point": ["0.1,0,-0.2", "-0.1,0.2,0.3", "0,0,0", "1e308,0,0", "nan,0,0",
+                          "0.1,0.2", "x"],
+              "--report": ["curvature", "triple", "bogus"]},
+}
+
+
+def tensor_docs():
+    return [tensor_document(sample("r", 3, (3, 0), seed=1), standard_scalar_product(3, 0)),
+            tensor_document(sample("a", 4, (3, 1), seed=2), standard_scalar_product(3, 1),
+                            include_g=True)]
+
+
+@st.composite
+def mutated_document(draw, docs):
+    """A valid document at n <= 4 with a few keys or entries set, dropped or cut, as text."""
+    doc = json.loads(dumps(draw(st.sampled_from(docs))))
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(sorted(doc) + ["extra"]))
+        target = doc.get(key)
+        if isinstance(target, list) and target and draw(st.booleans()):
+            target[draw(st.integers(0, len(target) - 1))] = draw(st.sampled_from(HOSTILE))
+        elif isinstance(target, dict) and target and draw(st.booleans()):
+            entry = draw(st.sampled_from(sorted(target)))
+            term = draw(st.sampled_from(["0 0 0", "2 0 0", "99999999999999999999 0 0", "1.5 0 0",
+                                         "0 0", "a b c"]))
+            target[entry] = {term: draw(st.sampled_from(HOSTILE))}
+        elif draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(st.sampled_from(HOSTILE))
+    text = json.dumps(doc)  # allow_nan: NaN and Infinity tokens too
+    return text[: draw(st.integers(0, len(text)))] if draw(st.integers(0, 9)) == 0 else text
+
+
+@st.composite
+def hostile_argv(draw):
+    """A command line of hostile option values, now and then with a word dropped."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [command]
+    for option, values in OPTIONS[command].items():
+        if option in ("--mode", "--space", "--point", "--suite") or draw(st.booleans()):
+            argv += [option, draw(st.sampled_from(values))]
+    if command in ("sample", "dims") or command == "verify" and draw(st.booleans()):
+        argv += ["--dim", str(draw(st.sampled_from([-1, 0, 2, 3, 4, 10**6, 2**63])))]
+    docs = tensor_docs() if command == "decompose" else [chart_doc()] if command == "chart" else []
+    text = draw(mutated_document(docs)) if docs else None
+    if draw(st.integers(0, 9)) == 0:
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv, text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=hostile_argv())
+def test_cli_hostile_input_fails_cleanly(tmp_path_factory, case):
+    # whatever the documents and the command line, main returns an exit code, and a data or
+    # usage error writes one error line (argparse: its usage text); nothing escapes main,
+    # not even a warning
+    argv, text = case
+    if text is not None:
+        path = tmp_path_factory.mktemp("hostile") / "in.json"
+        path.write_text(text)
+        argv = [*argv, "--input", str(path)]
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    lines = err.getvalue().splitlines()
+    if code in (1, 2) and not (code == 2 and lines and lines[0].startswith("usage:")):
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)

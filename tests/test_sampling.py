@@ -7,6 +7,7 @@ import pytest
 import curvdec.decomp as decomp
 import curvdec.sampling as sampling
 import curvdec.suite as suite
+from curvdec.cli import main
 from curvdec.decomp import a_projections, projective_part, traceless_core, w_projections
 from curvdec.errors import (
     CurvdecError,
@@ -19,20 +20,36 @@ from curvdec.errors import (
 )
 from curvdec.linalg import standard_scalar_product
 from curvdec.sampling import (
-    EMPTY_NORM,
     FORMULA_DIMS,
-    GAP_RATIO,
-    RANK_MARGIN,
     SAMPLE_SPACES,
     DimensionReport,
     dimension_reports,
     formula_dim,
-    numerical_rank,
     rng_stream,
     sample,
 )
 from curvdec.spaces import bianchi_project, membership_residual, mu, psi, ricci, ricci_star
 from curvdec.suite import SuiteConfig, run_invariant_suite
+
+# the reference of the span certificates below, independent of the projector traces: an
+# SVD rank with the gap below it, and a roundoff floor under which a projection is empty
+EMPTY_NORM = 1e-10
+RANK_RATIO, GAP_RATIO = 1e-8, 1e6
+RANK_MARGIN = 8  # rows of a rank stack beyond its expected rank: they give the gap
+
+
+def numerical_rank(rows):
+    """Rank by singular-value thresholding at RANK_RATIO of the largest value, as (rank, gap).
+
+    The gap is the ratio between the smallest accepted and the largest rejected
+    singular value; it is None when no value was rejected, and an empty or all-zero
+    stack has rank 0.
+    """
+    s = np.linalg.svd(rows, compute_uv=False) if rows.size else np.zeros(1)
+    rank = int(np.sum(s > RANK_RATIO * s[0]))
+    if rank in (0, len(s)):
+        return rank, None
+    return rank, float("inf") if s[rank] == 0.0 else float(s[rank - 1] / s[rank])
 
 
 def f_pair(base, w):
@@ -238,14 +255,19 @@ def test_packing_needs_maps_that_commute_with_reflections(monkeypatch):
 
 
 def test_dims_draws_no_sample_and_takes_no_svd(monkeypatch):
-    # the dimensions are traces: no stream is drawn and no singular value is taken
-    def refuse(*args):
-        raise AssertionError("dimension_reports drew a sample or ranked a stack")
+    # the dimensions are traces: no stream is drawn and no singular value is taken; nor
+    # does a default verify take one, whose ricci_image_dimensions lifts a basis instead
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sample was drawn or a stack ranked")
 
-    for owner, name in ((sampling, "rng_stream"), (sampling, "numerical_rank"), (np.linalg, "svd")):
-        monkeypatch.setattr(owner, name, refuse)
-    reports = dimension_reports(5)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg._linalg, "svd", refuse)  # what norm(x, 2) and pinv call
+    with monkeypatch.context() as m:
+        m.setattr(sampling, "rng_stream", refuse)
+        reports = dimension_reports(5)
+        assert main(["dims", "--dim", "5"]) == 0
     assert all(rep.empirical_dim == rep.formula_dim for rep in reports.values())
+    assert main(["verify"]) == 0  # every check passes
 
 
 def test_dimension_reports_refuse_empty_runs():
@@ -352,9 +374,18 @@ def test_empty_spaces_at_dimension_three():
     for space in ("W6", "A6", "W8", "A8"):
         with pytest.raises(EmptySpace):
             sample(space, 3, (3, 0), seed=0)
-    # nonempty at dimension four
-    for space in ("W6", "A6", "W8", "A8"):
-        sample(space, 4, (4, 0), seed=0)
+    # emptiness is read off the dimension table: at n = 3..8 a space is empty exactly
+    # where its formula dimension is 0, so these four only, at n = 3
+    for n in range(3, 9):
+        for space in SAMPLE_SPACES:
+            if formula_dim(space, n) == 0:
+                with pytest.raises(EmptySpace):
+                    sample(space, n, (n - 1, 1), seed=3)
+            else:
+                assert np.abs(sample(space, n, (n - 1, 1), seed=3)).max() == 1.0, (n, space)
+    # the key is drawn first: a bad key is refused, also for an empty space
+    with pytest.raises(NegativeStreamKey):
+        sample("W6", 3, seed=-1)
 
 
 def test_formula_dimensions():
@@ -396,6 +427,12 @@ def test_formula_dimensions():
         formula_dim("bogus", 3)
     with pytest.raises(DimensionTooSmall):
         formula_dim("W6", 2)  # the closed form would read -2
+    # sample, dimension_reports and run_invariant_suite all pass formula_dim, which refuses
+    # a dimension past MAX_DIM before anything of size n**4 is allocated
+    assert formula_dim("r", sampling.MAX_DIM) > 0
+    for n in (sampling.MAX_DIM + 1, 2**63):
+        with pytest.raises(DimensionMismatch, match="exceeds"):
+            formula_dim("r", n)
 
 
 @pytest.mark.parametrize("sig", [(5, 0), (4, 1)])
@@ -441,22 +478,6 @@ def test_empirical_dimension_empty_space():
     # W6's projector vanishes at n = 3: its trace is 0 up to roundoff, a conclusive 0
     rep = dimension_reports(3, (3, 0), spaces=("W6",))["W6"]
     assert rep == DimensionReport("W6", 0, 0, False)
-
-
-def test_margin_makes_the_report_conclusive():
-    # formula_dim samples of a nonempty space span it but reject no singular
-    # value, so no gap; the RANK_MARGIN more rows give the gap a rank check reads
-    d = formula_dim("a", 4)
-    for sig in ((4, 0), (3, 1)):
-        assert sampled_rank("a", 4, sig, count=d) == (d, None)
-        rank, gap = sampled_rank("a", 4, sig)
-        assert rank == d and gap >= GAP_RATIO
-
-
-def test_inconclusive_when_undersampled():
-    # fewer samples than the true dimension leave no rejected singular value: no gap,
-    # which a rank check such as ricci_image_dimensions reads as a failure
-    assert sampled_rank("r", 3, (3, 0), count=10) == (10, None)
 
 
 def test_inconclusive_when_not_idempotent(monkeypatch):

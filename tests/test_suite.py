@@ -139,13 +139,12 @@ def test_checks_read_the_one_sample_sequence(monkeypatch):
 
 
 def test_checks_read_only_their_own_block(monkeypatch):
-    # at 5 samples no check but the rank check, whose stack is sized by n alone,
-    # draws a sample past index 4: the pairings of the orthogonality checks are
-    # taken within the block's rows, and dimension_consistency draws nothing
+    # at 5 samples no check draws a sample past index 4: the pairings of the
+    # orthogonality checks are taken within the block's rows, and neither
+    # dimension_consistency nor ricci_image_dimensions draws anything
     drawn, real = set(), sampling.rng_stream
     monkeypatch.setattr(sampling, "rng_stream", lambda seed, i: drawn.add(i) or real(seed, i))
-    only = [name for name in CHECKS if name != "ricci_image_dimensions"]
-    run_invariant_suite(SuiteConfig(dims=(3, 4), samples=5), only=only)
+    run_invariant_suite(SuiteConfig(dims=(3, 4), samples=5))
     assert drawn == set(range(5))
 
 
@@ -226,17 +225,25 @@ def test_dimension_consistency_sees_a_wrong_table_entry(monkeypatch):
 
 
 def test_dimension_checks_read_sampling_bounds(monkeypatch):
-    # the rank check reads sampling's gap rule, and dimension_consistency its trace
-    # bound: no gap clears an infinite ratio, and no trace lies within -1 of an integer
-    cfg = SuiteConfig(dims=(3,), samples=2)
-    only = ["dimension_consistency", "ricci_image_dimensions"]
-    assert all(rep["pass"] for rep in run_invariant_suite(cfg, only=only).values())
-    for bound, value, failing in (("GAP_RATIO", math.inf, "ricci_image_dimensions"),
-                                  ("TRACE_TOL", -1.0, "dimension_consistency")):
-        with monkeypatch.context() as patch:
-            patch.setattr(sampling, bound, value)
-            report = run_invariant_suite(cfg, only=only)
-        assert [name for name, rep in report.items() if not rep["pass"]] == [failing], bound
+    # dimension_consistency reads sampling's trace bound: no trace lies within -1 of an
+    # integer.  ricci_image_dimensions reads no bound but certifies the maps: a Ricci
+    # trace cut to its symmetric part, or a sigma 0.1 % off, fails it and it alone, also
+    # at zero tolerance, where the exact maps pass it at every n = 3..8
+    ricci, sigma_split = suite.ricci, suite.sigma_split
+    plants = [(sampling, "TRACE_TOL", -1.0),
+              (suite, "ricci", lambda t, g: suite.sym(ricci(t, g))),
+              (suite, "sigma_split", lambda omega, theta, g: 1.001 * sigma_split(omega, theta, g))]
+    for n in range(3, 9):
+        cfg = SuiteConfig(dims=(n,), samples=2, tolerance=0.0)
+        # dimension_consistency, which costs more at larger n, and its bound at n = 3 alone
+        only = ["ricci_image_dimensions"] + (["dimension_consistency"] if n == 3 else [])
+        assert all(rep["pass"] for rep in run_invariant_suite(cfg, only=only).values()), n
+        for owner, name, value in plants if n == 3 else plants[1:]:
+            with monkeypatch.context() as patch:
+                patch.setattr(owner, name, value)
+                report = run_invariant_suite(cfg, only=only)
+            failing = "dimension_consistency" if owner is sampling else "ricci_image_dimensions"
+            assert [check for check, rep in report.items() if not rep["pass"]] == [failing], name
 
 
 def test_negative_seed_refused_before_any_check(monkeypatch):
@@ -366,8 +373,8 @@ def test_each_block_projects_once(monkeypatch):
     # counted wherever it is called from, as the suite's name or sampling's, and the
     # W and A maps also as decomp's, through which singer_thorpe splits 'a'.
     # dimension_consistency draws no sample: each signature projects the Bianchi
-    # images of the co(V) basis probes, CHUNK at a time; ricci_image_dimensions ranks the
-    # block's first n(n+1)/2 + RANK_MARGIN rows
+    # images of the co(V) basis probes, CHUNK at a time; ricci_image_dimensions lifts a
+    # basis of the bilinear forms and draws no sample either
     drawn, projected, calls, stack = {}, Counter(), Counter(), sampling.Block.stack
 
     def recording(block, space):
@@ -392,7 +399,6 @@ def test_each_block_projects_once(monkeypatch):
         return lambda *args: calls.update([name]) or fn(*args)
 
     monkeypatch.setattr(sampling, "rng_stream", counted("rng_stream", sampling.rng_stream))
-    monkeypatch.setattr(suite, "numerical_rank", counted("numerical_rank", suite.numerical_rank))
     monkeypatch.setattr(sampling.Block, "stack", recording)
     for proj in (suite.w_projections, suite.a_projections, suite.psi, suite.mu):
         wrapper = counting(proj)
@@ -424,4 +430,4 @@ def test_each_block_projects_once(monkeypatch):
     calls.clear()
     run_invariant_suite(SuiteConfig())
     assert calls == {"rng_stream": 65, "w_projections": 48, "a_projections": 44,
-                     "psi": 14, "mu": 10, "numerical_rank": 8}
+                     "psi": 14, "mu": 10}
