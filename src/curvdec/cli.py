@@ -117,7 +117,7 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    dims = (args.dim,) if args.dim is not None else (3, 4)
+    dims = (args.dim,) if args.dim is not None else SuiteConfig.dims
     signatures = (args.signature,) if args.signature is not None else None
     cfg = SuiteConfig(
         dims=dims,
@@ -183,9 +183,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", help="run a single named check")
     p.add_argument("--dim", type=int)
     p.add_argument("--signature", type=_signature)
-    p.add_argument("--samples", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--samples", type=int, default=SuiteConfig.samples)
+    p.add_argument("--seed", type=int, default=SuiteConfig.seed)
+    p.add_argument("--tol", type=_tolerance, default=SuiteConfig.tolerance)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("chart", help="evaluate a polynomial chart at a point")

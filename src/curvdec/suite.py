@@ -4,9 +4,9 @@ The suite walks the configured grid one dimension at a time, the sample
 indices in blocks of CHUNK, each block under every signature before the next:
 a `sampling.Block` whose row i of its stack of a space is `sample(space, n,
 sig, seed, index=lo + i)`, and a check reads only the block's rows.  The
-signatures share the block's metric-free samples until the walk moves on.  The
-checks in FIRST_BLOCK read only a point's first rows, or no sample at all, and
-run on block 0 alone, whatever the sample count.  A check yields
+signatures share the block's metric-free samples until the walk moves on.  A
+check registered through _first_block reads only a point's first rows, or no
+sample, and runs on block 0 alone, whatever the sample count.  A check yields
 residual terms, and one fold takes their max over terms and blocks: a numeric
 term (an array or a float) counts max |term|, 0.0 when empty; a bool or
 bool-array term is a verdict held sample by sample and counts 1.0 unless every
@@ -162,19 +162,10 @@ def _check_w_trace_formulas(ctx):
     gm = g.matrix
     r = ctx.stack("r")
     ric, star, tau = _traces(r, g)
+    c = _w_conditions(ric, star, tau, gm, n)
     parts = _traces(ctx.comps("r", w_projections), g)
-    exp_ric = [
-        (tau / n) * gm,
-        -(tau / n) * gm + sym(ric),
-        antisym(ric),
-    ] + [0.0] * 5
-    exp_star = [
-        (tau / n) * gm,
-        ((tau / n) * gm - sym(ric)) / (n - 1),
-        (-3.0 / (n + 1)) * antisym(ric),
-        antisym(star + (3.0 / (n + 1)) * ric),
-        -(tau / (n - 1)) * gm + sym(ric / (n - 1) + star),
-    ] + [0.0] * 3
+    exp_ric = [(tau / n) * gm, c[1], c[2]] + [0.0] * 5
+    exp_star = [(tau / n) * gm, -c[1] / (n - 1), (-3.0 / (n + 1)) * c[2], c[3], c[4]] + [0.0] * 3
     for j, (ric_j, star_j) in enumerate(zip(*parts[:2])):
         yield from (ric_j - exp_ric[j], star_j - exp_star[j])
     yield parts[2][1:]  # tau of W2 .. W8
@@ -186,14 +177,9 @@ def _check_a_trace_formulas(ctx):
     star_factor = [1.0, 1.0, -1.0, -1.0, 3.0, 0.0, 0.0, 0.0]
     r = ctx.stack("r")
     ric, star, tau = _traces(r, g)
+    c = _a_conditions(ric, star, tau, gm, n)
     parts = _traces(ctx.comps("r", a_projections), g)
-    exp_ric = [
-        (tau / n) * gm,
-        -(tau / n) * gm + 0.5 * sym(ric + star),
-        0.5 * sym(ric - star),
-        0.25 * antisym(3.0 * ric - star),
-        0.25 * antisym(ric + star),
-    ] + [0.0] * 3
+    exp_ric = [(tau / n) * gm, 0.5 * c[1], 0.5 * c[2], 0.25 * c[3], 0.25 * c[4]] + [0.0] * 3
     for j, (ric_j, star_j) in enumerate(zip(*parts[:2])):
         yield ric_j - exp_ric[j]
         yield star_j - star_factor[j] * ric_j
@@ -542,19 +528,24 @@ def _check_ricci_conjugate_trace(ctx):
     yield np.sum(g.inverse * rep.ric_star, axis=(-2, -1)) - rep.tau
 
 
+def _first_block(check):
+    # for a check that reads only a point's first rows, or no sample: no terms past block 0
+    return lambda ctx: () if ctx.lo else check(ctx)
+
+
 CHECKS = {
     "w_completeness": partial(_completeness, family="w"),
     "a_completeness": partial(_completeness, family="a"),
-    "w_idempotence": partial(_idempotence, family="w"),
-    "a_idempotence": partial(_idempotence, family="a"),
-    "w_orthogonality": partial(_orthogonality, family="w"),
-    "a_orthogonality": partial(_orthogonality, family="a"),
-    "gram_positivity": _check_gram_positivity,
+    "w_idempotence": _first_block(partial(_idempotence, family="w")),
+    "a_idempotence": _first_block(partial(_idempotence, family="a")),
+    "w_orthogonality": _first_block(partial(_orthogonality, family="w")),
+    "a_orthogonality": _first_block(partial(_orthogonality, family="a")),
+    "gram_positivity": _first_block(_check_gram_positivity),
     "wa_map_coincidences": _check_wa_map_coincidences,
     "w_trace_formulas": _check_w_trace_formulas,
     "a_trace_formulas": _check_a_trace_formulas,
-    "w_vanishing_criteria": partial(_vanishing, family="w", conditions=_w_conditions),
-    "a_vanishing_criteria": partial(_vanishing, family="a", conditions=_a_conditions),
+    "w_vanishing_criteria": _first_block(partial(_vanishing, family="w", conditions=_w_conditions)),
+    "a_vanishing_criteria": _first_block(partial(_vanishing, family="a", conditions=_a_conditions)),
     "conjugate_closure": _check_conjugate_closure,
     "conjugate_split": _check_conjugate_split,
     "a_conjugation_signs": _check_a_conjugation_signs,
@@ -569,27 +560,16 @@ CHECKS = {
     "constant_curvature_equivalences": _check_constant_curvature_equivalences,
     "ricci_block_closed_form": _check_ricci_block_closed_form,
     "equiaffine_projector_agreement": _check_equiaffine_projector_agreement,
-    "projective_conjugate_equivalence": _check_projective_conjugate_equivalence,
-    "trace_reconstruction": _check_trace_reconstruction,
+    "projective_conjugate_equivalence": _first_block(_check_projective_conjugate_equivalence),
+    "trace_reconstruction": _first_block(_check_trace_reconstruction),
     "singer_thorpe": _check_singer_thorpe,
-    "rescale_invariance": _check_rescale_invariance,
-    "dimension_consistency": _check_dimension_consistency,
-    "ricci_image_dimensions": _check_ricci_image_dimensions,
-    "membership_tower": _check_membership_tower,
-    "conjugation_involution": _check_conjugation_involution,
+    "rescale_invariance": _first_block(_check_rescale_invariance),
+    "dimension_consistency": _first_block(_check_dimension_consistency),
+    "ricci_image_dimensions": _first_block(_check_ricci_image_dimensions),
+    "membership_tower": _first_block(_check_membership_tower),
+    "conjugation_involution": _first_block(_check_conjugation_involution),
     "ricci_conjugate_trace": _check_ricci_conjugate_trace,
 }
-
-# these checks read only a point's first rows, or no sample (dimension_consistency's
-# projector traces, ricci_image_dimensions' basis lifts): they run on the first block of
-# each point alone
-FIRST_BLOCK = frozenset({
-    "w_idempotence", "a_idempotence", "w_orthogonality", "a_orthogonality",
-    "gram_positivity", "w_vanishing_criteria", "a_vanishing_criteria",
-    "projective_conjugate_equivalence", "trace_reconstruction", "rescale_invariance",
-    "membership_tower", "conjugation_involution",
-    "dimension_consistency", "ricci_image_dimensions",
-})
 
 
 def run_invariant_suite(config: SuiteConfig | None = None, only=None) -> dict:
@@ -636,8 +616,7 @@ def run_invariant_suite(config: SuiteConfig | None = None, only=None) -> dict:
             for sig in sigs:
                 ctx = _Ctx(n, sig, cfg, lo, shared)
                 for name in worst:
-                    if lo == 0 or name not in FIRST_BLOCK:
-                        worst[name] = _fold(worst[name], CHECKS[name](ctx))
+                    worst[name] = _fold(worst[name], CHECKS[name](ctx))
     return {
         name: {
             "pass": bool(w <= cfg.tolerance),  # false for nan and inf at a finite tolerance

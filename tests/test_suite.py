@@ -18,7 +18,6 @@ from curvdec.suite import CHECKS, SuiteConfig, run_invariant_suite
 def test_default_config_all_checks_pass():
     report = run_invariant_suite(SuiteConfig())
     assert set(report) == set(CHECKS)
-    assert suite.FIRST_BLOCK <= set(CHECKS)  # a misspelt name would run its check on every block
     failed = {k: v["worst_residual"] for k, v in report.items() if not v["pass"]}
     assert not failed, failed
 
@@ -318,10 +317,34 @@ def test_nan_from_a_map_fails_the_checks_that_read_it(monkeypatch):
         assert (report[name]["pass"], report[name]["worst_residual"]) == (False, None), name
 
 
+def test_trace_formula_checks_read_the_condition_tables(monkeypatch):
+    # a wrong coefficient planted in one entry of a condition table fails the family's
+    # trace-formula check; the vanishing checks bound their table at import, through partial
+    cfg = SuiteConfig(dims=(4,), samples=8)
+    only = ["w_trace_formulas", "a_trace_formulas"]
+    assert all(entry["pass"] for entry in run_invariant_suite(cfg, only=only).values())
+    w_exact, a_exact = suite._w_conditions, suite._a_conditions
+
+    def w_planted(ric, star, tau, gm, n):
+        c = w_exact(ric, star, tau, gm, n)
+        c[3] = suite.antisym(star + (3.0 / (n + 2)) * ric)  # 3/(n + 1) in the table
+        return c
+
+    def a_planted(ric, star, tau, gm, n):
+        c = a_exact(ric, star, tau, gm, n)
+        c[4] = suite.antisym(ric + 1.001 * star)
+        return c
+
+    monkeypatch.setattr(suite, "_w_conditions", w_planted)
+    monkeypatch.setattr(suite, "_a_conditions", a_planted)
+    report = run_invariant_suite(cfg, only=only)
+    assert [report[name]["pass"] for name in only] == [False, False]
+
+
 def test_block_walk_equals_one_block_run(monkeypatch):
     # the worst residual of a row-separable check is the max over the blocks,
-    # and the FIRST_BLOCK checks read block 0 alone, so one block of all the
-    # samples gives the same report
+    # and the checks registered through _first_block read block 0 alone, so one
+    # block of all the samples gives the same report
     cfg = SuiteConfig(dims=(3,), samples=2 * suite.CHUNK + 6)
     walked = run_invariant_suite(cfg)
     monkeypatch.setattr(suite, "CHUNK", cfg.samples + 1)
