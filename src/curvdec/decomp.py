@@ -2,9 +2,13 @@
 
 Every map here is linear in the trace data Ric, Ric*, tau, psi(R) and mu(R);
 `spaces._traces` computes (Ric, Ric*, tau) once per tensor, with the one tau
-formula that `scalar_curvature` and `ricci_traces` also use.  Every map takes a
-stack (..., n, n, n, n) and broadcasts the trace data over it; the
-decompositions and the Einstein check return one result per tensor.  The
+formula that `scalar_curvature` and `ricci_traces` also use.  A `_Parts` holds
+the trace data of one stack, each piece computed once, and builds each W or A
+component from it only when asked: `w_projections` and `a_projections` return
+all eight, `singer_thorpe` builds its three, and `sampling.Block` keeps one per
+stack, so both families and every check on the stack share its trace data.
+Every map takes a stack (..., n, n, n, n) and broadcasts the trace data over
+it; the decompositions and the Einstein check return one result per tensor.  The
 Ricci part is sigma, the right inverse of the Ricci trace: W1, W2 and W3 are
 sigma of (tau/n) g, Sym Ric - (tau/n) g and Alt Ric, so the projective part
 is R - sigma(Alt Ric, Sym Ric).  An antisymmetric form b enters every map through
@@ -17,6 +21,7 @@ module types occur with multiplicity two.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +32,6 @@ from .linalg import (
     _row_maxnorm,
     antisym,
     check_same_dim,
-    check_tensor,
     sym,
     tensor_pairing,
 )
@@ -72,53 +76,103 @@ def _sigma_sym(theta, gm) -> np.ndarray:  # sigma(0, theta)
     return wedge(theta, gm) / (1 - len(gm))
 
 
+# the A-components that component j is built from, itself last: A6 = psi - A1 - A2, and so on
+_A_FROM = ((0,), (1,), (2,), (3,), (4,), (0, 1, 5), (2, 3, 6), (4, 7))
+
+
+class _Parts:
+    """The trace data of a stack t under g, each piece computed once, on first use.
+
+    traces holds (Ric, Ric*, tau), from `spaces._traces`, and the pieces of both
+    families built from them: tau (..., 1, 1, 1, 1), g ^ g, sym(Ric + Ric*),
+    sym(Ric - Ric*) and antisym(3 Ric - Ric*).  psi(t) and mu(t) are computed
+    apart.  w and a build the components of either family from these, each only
+    when asked for and each by the same operations in the same order, so a
+    component built alone equals, bit for bit, the one `w_projections` or
+    `a_projections` returns.  No component is kept.  psi and mu do not depend on
+    g: shared, a dict, keeps them, read-only, for the parts of the same t under
+    other metrics.
+    """
+
+    def __init__(self, t, g: ScalarProduct, shared: dict | None = None):
+        # checked by the first kernel that reads it: `spaces.ricci`, psi or mu
+        self.t, self.g, self.n, self.gm = np.asarray(t, dtype=float), g, g.dim, g.matrix
+        self._shared = shared
+
+    def _average(self, name: str, avg) -> np.ndarray:
+        if self._shared is None:
+            return avg(self.t)
+        if name not in self._shared:
+            self._shared[name] = avg(self.t)
+            self._shared[name].flags.writeable = False  # other parts objects read it
+        return self._shared[name]
+
+    @cached_property
+    def psi(self) -> np.ndarray:
+        return self._average("psi", psi)
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        return self._average("mu", mu)
+
+    @cached_property
+    def traces(self) -> tuple[np.ndarray, ...]:
+        gm = self.gm
+        ric, star, tau = _traces(self.t, self.g)
+        return (ric, star, tau, tau[..., None, None], wedge(gm, gm), sym(ric + star),
+                sym(ric - star), antisym(3.0 * ric - star))
+
+    def w(self, keep=range(8)) -> list[np.ndarray]:
+        """The W-components j + 1 of t for j in keep, in keep's order."""
+        n, gm = self.n, self.gm
+        ric, star, tau, tau4, gg, sym_plus, sym_minus, alt_minus = self.traces
+        tau_g, lric, lstar = (tau / n) * gm, antisym(ric), antisym(star)
+        build = (
+            lambda: _sigma_sym(tau_g, gm),
+            lambda: _sigma_sym(sym(ric) - tau_g, gm),
+            lambda: _sigma_alt(lric, gm),
+            lambda: (-1.0 / (n * n - 4)) * _lift(lstar + (3.0 / (n + 1)) * lric, gm, n + 1),
+            lambda: (tau4 * gg - wedge_r(sym(ric + (n - 1) * star), gm, n - 1) / n)
+            / ((n - 1) * (n - 2)),
+            lambda: self.psi + wedge_r(sym_plus, gm, 1) / (2 * (n - 2))
+            - (tau4 / ((n - 1) * (n - 2))) * gg,
+            lambda: self.mu + wedge_r(sym_minus, gm, -1) / (2 * n)
+            + _lift(alt_minus, gm, -1) / (4 * (n + 2)),
+            lambda: self.t - self.psi - self.mu + _lift(lric + lstar, gm, 3) / (4 * (n - 2)),
+        )
+        return [build[j]() for j in keep]
+
+    def a(self, keep=range(8)) -> list[np.ndarray]:
+        """The A-components j + 1 of t for j in keep, in keep's order, each built once."""
+        n, gm, c = self.n, self.gm, {}
+        ric, star, tau, tau4, gg, sym_plus, sym_minus, alt_minus = self.traces
+        build = (
+            lambda: (-tau4 / (n * (n - 1))) * gg,
+            lambda: (2 * tau4 / (n * (n - 2))) * gg - wedge_r(sym_plus, gm, 1) / (2 * (n - 2)),
+            lambda: -wedge_r(sym_minus, gm, -1) / (2 * n),
+            lambda: (-1.0 / (4 * (n + 2))) * _lift(alt_minus, gm, -1),
+            lambda: (-1.0 / (4 * (n - 2))) * _lift(antisym(ric + star), gm, 3),
+            lambda: self.psi - c[0] - c[1],
+            lambda: self.mu - c[2] - c[3],
+            lambda: self.t - self.mu - self.psi - c[4],
+        )
+        # a loop, not a closure that calls itself: that reference cycle would keep the
+        # components alive until the garbage collector ran
+        for j in keep:
+            for i in _A_FROM[j]:
+                if i not in c:
+                    c[i] = build[i]()
+        return [c[j] for j in keep]
+
+
 def w_projections(t, g: ScalarProduct) -> list[np.ndarray]:
     """The eight W-components of t, in order, from the closed-form projectors."""
-    t = check_tensor(t, g)
-    n, gm = g.dim, g.matrix
-    ric, star, tau = _traces(t, g)
-    tau4 = tau[..., None, None]
-    lric, lstar = antisym(ric), antisym(star)
-    gg = wedge(gm, gm)
-    ps, m = psi(t), mu(t)
-
-    p1 = _sigma_sym((tau / n) * gm, gm)
-    p2 = _sigma_sym(sym(ric) - (tau / n) * gm, gm)
-    p3 = _sigma_alt(lric, gm)
-    p4 = (-1.0 / (n * n - 4)) * _lift(lstar + (3.0 / (n + 1)) * lric, gm, n + 1)
-    p5 = (tau4 * gg - wedge_r(sym(ric + (n - 1) * star), gm, n - 1) / n) / ((n - 1) * (n - 2))
-    p6 = (
-        ps
-        + wedge_r(sym(ric + star), gm, 1) / (2 * (n - 2))
-        - (tau4 / ((n - 1) * (n - 2))) * gg
-    )
-    p7 = (
-        m
-        + wedge_r(sym(ric - star), gm, -1) / (2 * n)
-        + _lift(antisym(3.0 * ric - star), gm, -1) / (4 * (n + 2))
-    )
-    p8 = t - ps - m + _lift(lric + lstar, gm, 3) / (4 * (n - 2))
-    return [p1, p2, p3, p4, p5, p6, p7, p8]
+    return _Parts(t, g).w()
 
 
 def a_projections(t, g: ScalarProduct) -> list[np.ndarray]:
     """The eight A-components of t, in order."""
-    t = check_tensor(t, g)
-    n, gm = g.dim, g.matrix
-    ric, star, tau = _traces(t, g)
-    tau4 = tau[..., None, None]
-    gg = wedge(gm, gm)
-    ps, m = psi(t), mu(t)
-
-    a1 = (-tau4 / (n * (n - 1))) * gg
-    a2 = (2 * tau4 / (n * (n - 2))) * gg - wedge_r(sym(ric + star), gm, 1) / (2 * (n - 2))
-    a3 = -wedge_r(sym(ric - star), gm, -1) / (2 * n)
-    a4 = (-1.0 / (4 * (n + 2))) * _lift(antisym(3.0 * ric - star), gm, -1)
-    a5 = (-1.0 / (4 * (n - 2))) * _lift(antisym(ric + star), gm, 3)
-    a6 = ps - a1 - a2
-    a7 = m - a3 - a4
-    a8 = t - m - ps - a5
-    return [a1, a2, a3, a4, a5, a6, a7, a8]
+    return _Parts(t, g).a()
 
 
 @dataclass(frozen=True)
@@ -138,10 +192,10 @@ class DecompositionResult:
     orthogonality_matrix: np.ndarray
 
 
-def _result(mode, t, g, proj, keep=range(8)) -> DecompositionResult:
+def _result(mode, t, g, proj) -> DecompositionResult:
     # a component that overflows (g near the float limit) warns nowhere; the pairings refuse it
     with np.errstate(over="ignore", invalid="ignore"):
-        comps = [c for i, c in enumerate(proj(t, g)) if i in keep]
+        comps = proj(t, g)
         residual = _relative(t, np.sum(comps, axis=0) - t)
         k = len(comps)
         gram = np.empty(t.shape[:-4] + (k, k))
@@ -171,7 +225,7 @@ def singer_thorpe(t, g: ScalarProduct) -> DecompositionResult:
     the traceless-Ricci part component 2, and the Ricci-flat (Weyl-type) part
     component 6; on a(V) these three sum back to the input.
     """
-    return _result("ST", _require_space(t, g, "a"), g, a_projections, (0, 1, 5))
+    return _result("ST", _require_space(t, g, "a"), g, lambda t, g: _Parts(t, g).a((0, 1, 5)))
 
 
 def projective_part(t, g: ScalarProduct) -> np.ndarray:

@@ -140,10 +140,11 @@ def _row_maxnorm(x, batch: int):
 def check_same_dim(*forms) -> int:
     """Every operand must be a form or stack of forms (..., n, n) of one n; returns n."""
     n = forms[0].shape[-1] if forms[0].ndim else 0
-    if any(f.shape[-2:] != (n, n) for f in forms):
-        raise DimensionMismatch(
-            f"expected (..., n, n) forms of one n, got {sorted({f.shape for f in forms})}"
-        )
+    for f in forms:  # a loop, not any() over a generator: this runs in every product kernel
+        if f.shape[-2:] != (n, n):
+            raise DimensionMismatch(
+                f"expected (..., n, n) forms of one n, got {sorted({f.shape for f in forms})}"
+            )
     return n
 
 

@@ -10,9 +10,10 @@ are projections of one base stack: the normalized Bianchi projections of the
 noise of indices 0, 1, 2, ...  A space's k samples are the first k indices of
 this sequence, which all spaces share.  A `Block` holds the samples of a list
 of stream keys: each key's noise is drawn once, for both 'co' and 'r', and each
-space's stack is built once.  `sample` is a block of one key, and the invariant
-suite reads blocks of CHUNK keys, whose metric-free part both signatures of a
-dimension share.
+space's stack and its trace data (`decomp._Parts`, which both projector
+families read) are built once.  `sample` is a block of one key, and the
+invariant suite reads blocks of CHUNK keys, whose metric-free part both
+signatures of a dimension share.
 
 Dimensions are neither sampled nor ranked, and a space is empty exactly where its
 FORMULA_DIMS entry is 0.  Every space but 'co' is the image of P o B, with B
@@ -22,8 +23,9 @@ lies in O(p, q) and commutes with the maps, which are therefore block-diagonal o
 the parity classes of the basis of co(V) (see `_co_basis`; a non-diagonal metric
 would pack in its η-orthonormal frame).  `dimension_reports` applies B to probes,
 one basis tensor of each class summed, CHUNK at a time, projects each chunk once
-per family (W, A, or ψ and μ; 'p' and 't' by their own maps) and sums each basis
-tensor's own coordinate in its probe's image.  `curvdec dims` prints the reports,
+per family (W, A, or ψ and μ; 'p' and 't' by their own maps), all from one set
+of the chunk's trace data, and sums each basis tensor's own coordinate in its
+probe's image.  `curvdec dims` prints the reports,
 and the suite's dimension_consistency is their verdict.
 """
 from __future__ import annotations
@@ -34,11 +36,11 @@ from itertools import count
 
 import numpy as np
 
-from .decomp import a_projections, projective_part, traceless_core, w_projections
+from .decomp import _Parts, projective_part, traceless_core
 from .errors import DimensionMismatch, DimensionTooSmall, EmptyRun, EmptySpace
 from .errors import NegativeStreamKey, UnknownSpace
 from .linalg import ScalarProduct, _integer, standard_scalar_product
-from .spaces import bianchi_project, mu, psi
+from .spaces import bianchi_project
 
 # the largest dimension of a sample, a dims report or a verify point: verify's peak memory
 # grows as n^4, 75 MiB at n = 8 and 376 MiB at n = 12 (tracemalloc), so some 1.2 GiB at 16
@@ -130,25 +132,29 @@ def _normalize(stack, floor: float) -> np.ndarray:
     return stack / m[:, None, None, None, None]
 
 
-_averages = lambda base, g: (psi(base), mu(base))  # the parts of 'a', 's' and 'a_plus_s'
-_METRIC_FREE = frozenset({"co", "r", "a", "a_plus_s", ("r", _averages)})  # see Block
+_METRIC_FREE = frozenset({"co", "r", "a", "a_plus_s"})  # see Block
 
 
 def _family(space: str):
-    """The map whose parts build the space ('f' and 'f_pair' from W's), or None."""
-    return {"f": w_projections, "W": w_projections, "A": a_projections,
-            "a": _averages, "s": _averages}.get(space[0])
+    """The family ('w' or 'a') whose components build the space ('f' and 'f_pair' from W's),
+    or None."""
+    return {"f": "w", "W": "w", "A": "a"}.get(space[0])
 
 
-def _project(space: str, base, g: ScalarProduct, comps=None) -> np.ndarray:
-    """The unnormalized image of 'r' samples base in the space; comps: its `_family` parts."""
+def _project(space: str, parts: _Parts, comps=None) -> np.ndarray:
+    """The unnormalized image in the space of the 'r' samples parts.t; comps: all eight
+    components of the space's `_family`, when it has one."""
+    base, g = parts.t, parts.g
     if space == "p":
         return projective_part(base, g)
     if space == "t":
         return traceless_core(base, g)
-    comps = _family(space)(base, g) if comps is None else comps
-    if space in ("a", "s", "a_plus_s"):  # comps: ψ(base), μ(base)
-        return comps[0] + comps[1] if space == "a_plus_s" else comps[("a", "s").index(space)]
+    if space == "a":
+        return parts.psi
+    if space == "s":
+        return parts.mu
+    if space == "a_plus_s":
+        return parts.psi + parts.mu
     if space == "f":
         return base - comps[2]
     if space == "f_pair":
@@ -160,17 +166,19 @@ class Block:
     """The samples of every space at a list of stream keys, under one metric and seed.
 
     A key's noise is drawn once, for both 'co' and 'r'.  A space's stack,
-    (len(keys), n, n, n, n), is built once, and so are a map's components of a
-    stack (W, A, or ψ and μ); all are kept read-only.  'f' and 'f_pair' are
-    sums of the W components of 'r', so one W projection serves W1..W8, 'f'
-    and 'f_pair', and one ψ and one μ serve 'a', 's' and 'a_plus_s'.  Stacks
-    that do not depend on the metric (_METRIC_FREE: 'co', 'r', 'a', 'a_plus_s',
-    and ψ and μ of 'r') are kept in shared when it is given: the dict of
-    metric-free stacks shared by the blocks of one dimension, seed and keys.
-    The noise and 's' (one normalization of μ) stay with the block: kept for
-    the next metric, they would raise the suite's peak memory more than they
-    save.  Raises EmptySpace for a space whose FORMULA_DIMS entry is 0 at this
-    n, once the keys are drawn: a bad key is refused first.
+    (len(keys), n, n, n, n), is built once, and so are its trace data (a
+    `decomp._Parts`, which builds any component on demand) and, stacked, the
+    eight components of a family that a caller reads in full; stacks,
+    components, ψ and μ are kept read-only.  'f' and 'f_pair' are sums of the
+    W components of 'r', so one W projection serves W1..W8, 'f' and 'f_pair',
+    and the ψ and μ of 'r' serve 'a', 's', 'a_plus_s' and both families.
+    Stacks that do not depend on the metric (_METRIC_FREE: 'co', 'r', 'a' and
+    'a_plus_s') and their ψ and μ are kept in shared when it is given: the
+    dict of metric-free stacks shared by the blocks of one dimension, seed and
+    keys.  The noise and 's' (one normalization of μ) stay with the block:
+    kept for the next metric, they would raise the suite's peak memory more
+    than they save.  Raises EmptySpace for a space whose FORMULA_DIMS entry is
+    0 at this n, once the keys are drawn: a bad key is refused first.
     """
 
     def __init__(self, g: ScalarProduct, seed: int, keys, shared: dict | None = None):
@@ -198,19 +206,40 @@ class Block:
         else:
             family = _family(space)
             comps = None if family is None else self.comps("r", family)
-            rows = _project(space, self.stack("r"), self.g, comps)
+            rows = _project(space, self.parts("r"), comps)
         if FORMULA_DIMS[space](self.g.dim) == 0:  # after the draw: a bad key is refused first
             raise EmptySpace(f"{space!r} is empty at dimension {self.g.dim}")
         return _normalize(rows, 0.0)
 
+    def _draw(self, index, size) -> np.ndarray:
+        return rng_stream(self.seed, index).uniform(-1.0, 1.0, size)
+
     def noise(self) -> np.ndarray:
         """Uniform [-1, 1) noise of shape (n, n, n, n) from each of the block's keys, stacked."""
-        draw = lambda i: rng_stream(self.seed, i).uniform(-1.0, 1.0, (self.g.dim,) * 4)
-        return self._memo("noise", lambda: np.stack([draw(i) for i in self.keys]))
+        return self._memo("noise", lambda: np.stack([self._draw(i, (self.g.dim,) * 4)
+                                                     for i in self.keys]))
 
-    def comps(self, space: str, proj) -> np.ndarray:
-        """proj's components of the space's stack, one read-only (parts, len(keys), ...) stack."""
-        return self._memo((space, proj), lambda: np.stack(proj(self.stack(space), self.g)))
+    def first_uniforms(self, count: int, size: int) -> np.ndarray:
+        """The first size uniforms of the noise of each of the block's first count keys, one
+        row a key: read off the noise once the block has drawn it, else drawn alone."""
+        if "noise" in self._memos[1]:
+            noise = self.noise()[:count]
+            return noise.reshape(len(noise), -1)[:, :size].copy()
+        return np.stack([self._draw(i, size) for i in self.keys[:count]])
+
+    def parts(self, space: str) -> _Parts:
+        """The trace data of the space's stack, built once; its ψ and μ are kept with the
+        stack, in shared for a metric-free one."""
+        memo = self._memos[1]
+        if ("parts", space) not in memo:
+            averages = self._memos[space not in _METRIC_FREE].setdefault(("averages", space), {})
+            memo["parts", space] = _Parts(self.stack(space), self.g, averages)
+        return memo["parts", space]
+
+    def comps(self, space: str, family: str) -> np.ndarray:
+        """The family's ('w' or 'a') eight components of the space's stack, one read-only
+        (8, len(keys), ...) stack."""
+        return self._memo((space, family), lambda: np.stack(getattr(self.parts(space), family)()))
 
 
 def sample(
@@ -283,13 +312,12 @@ def _traces(n: int, g: ScalarProduct, spaces) -> dict[str, float]:
         chunk[at], chunk[at[0], mirror[pick]] = 1.0, -1.0
         chunk = chunk.reshape((-1,) + (n,) * 4)
         r = bianchi_project(chunk)
+        parts = _Parts(r, g)  # the chunk's trace data, ψ and μ serve both families
         for family in dict.fromkeys(map(_family, traces)):  # one family's components at a time
-            served = [space for space in traces if _family(space) is family]
-            # the family's components serve all its spaces; 'a' alone reads ψ and no μ
-            comps = None if family is None else (psi(r),) if served == ["a"] else family(r, g)
-            for space in served:
+            comps = None if family is None else getattr(parts, family)()
+            for space in (space for space in traces if _family(space) == family):
                 image = {"co": chunk, "r": r}.get(space)
-                image = _project(space, r, g, comps) if image is None else image
+                image = _project(space, parts, comps) if image is None else image
                 traces[space] += float(image.reshape(len(chunk), -1)[at].sum())
             del comps  # before the next family's are built: memory holds one family's at a time
     return traces

@@ -16,6 +16,7 @@ subspaces of r(V).  Tensors carry no space tag: membership is a predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -28,8 +29,14 @@ MEMBERSHIP_TOL = 1e-10
 SPACE_TAGS = ("co", "r", "a", "s", "f", "p", "t")
 
 
+@cache
+def _axes(pattern: str, ndim: int) -> tuple[int, ...]:
+    return (*range(ndim - 4), *(ndim - 4 + pattern.index(c) for c in "abcd"))
+
+
 def _reindex(t, pattern):
-    return np.einsum(f"...{pattern}->...abcd", t)
+    """The view of t with out[..., a, b, c, d] = t[..., <pattern>], e.g. t[..., b, a, d, c]."""
+    return t.transpose(_axes(pattern, t.ndim))
 
 
 def wedge_r(h, k, r: float) -> np.ndarray:

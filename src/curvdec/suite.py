@@ -25,6 +25,7 @@ import numpy as np
 
 from . import sampling
 from .decomp import (
+    _Parts,
     a_projections,
     b_forms,
     equiaffine_einstein_check,
@@ -32,7 +33,6 @@ from .decomp import (
     sigma_split,
     singer_thorpe,
     traceless_core,
-    w_projections,
 )
 from .errors import DimensionMismatch, EmptyRun, NonFiniteInput, UnknownCheck
 from .linalg import _integer, _row_maxnorm, antisym, standard_scalar_product, sym
@@ -105,24 +105,18 @@ def _fold(worst: float, terms) -> float:
     return worst
 
 
-def _family(name: str):
-    # the W or A projector family, looked up when a check runs, so a rebound module name reaches it
-    return w_projections if name == "w" else a_projections
-
-
 # ---------------------------------------------------------------------------
 # check implementations; each yields its residual terms for one context
 
 
 def _completeness(ctx, family):
-    yield np.sum(ctx.comps("r", _family(family)), axis=0) - ctx.stack("r")
+    yield np.sum(ctx.comps("r", family), axis=0) - ctx.stack("r")
 
 
 def _idempotence(ctx, family):
     # again[i, j] = P_i(P_j r), which is P_j r for i = j and zero otherwise
-    proj = _family(family)
-    comps = ctx.comps("r", proj)[:, :4]
-    again = np.stack(proj(comps, ctx.g))
+    comps = ctx.comps("r", family)[:, :4]
+    again = np.stack(getattr(_Parts(comps, ctx.g), family)())
     again[range(8), range(8)] -= comps
     scale = np.maximum(1.0, _row_maxnorm(comps, 2))
     yield _row_maxnorm(again, 3) / scale
@@ -132,7 +126,7 @@ def _orthogonality(ctx, family):
     # pair[a, b, i] pairs component a of sample 2i with component b of sample 2i + 1,
     # over the block's first m = 2 min(k // 2, 6) rows; a block of one row pairs it with itself
     m = 2 * min(ctx.k // 2, 6)
-    comps = ctx.comps("r", _family(family))[:, : m or 1]
+    comps = ctx.comps("r", family)[:, : m or 1]
     first, second = (slice(0, m, 2), slice(1, m, 2)) if m else (slice(1),) * 2
     pair = np.abs(tensor_pairing(comps[:, None, first], comps[None, :, second], ctx.g))
     norm = np.sqrt(np.sum(np.square(comps), axis=(-4, -3, -2, -1)))
@@ -145,14 +139,14 @@ def _check_gram_positivity(ctx):
     # full positive definiteness asserted only for definite signature
     if ctx.sig[1] != 0:
         return
-    w, a = ctx.comps("r", w_projections), ctx.comps("r", a_projections)
+    w, a = ctx.comps("r", "w"), ctx.comps("r", "a")
     comps = np.concatenate([w[:, :6], a[:, :6]])
     nonzero = _row_maxnorm(comps, 2) > 1e-8
     yield tensor_pairing(comps, comps, ctx.g)[nonzero] > 0.0
 
 
 def _check_wa_map_coincidences(ctx):
-    w, a = ctx.comps("r", w_projections), ctx.comps("r", a_projections)
+    w, a = ctx.comps("r", "w"), ctx.comps("r", "a")
     yield from (w[j] - a[j] for j in (0, 5, 6, 7))
     yield from (w[1] + w[4] - a[1] - a[2], w[2] + w[3] - a[3] - a[4])
 
@@ -160,10 +154,9 @@ def _check_wa_map_coincidences(ctx):
 def _check_w_trace_formulas(ctx):
     g, n = ctx.g, ctx.n
     gm = g.matrix
-    r = ctx.stack("r")
-    ric, star, tau = _traces(r, g)
+    ric, star, tau = ctx.parts("r").traces[:3]
     c = _w_conditions(ric, star, tau, gm, n)
-    parts = _traces(ctx.comps("r", w_projections), g)
+    parts = _traces(ctx.comps("r", "w"), g)
     exp_ric = [(tau / n) * gm, c[1], c[2]] + [0.0] * 5
     exp_star = [(tau / n) * gm, -c[1] / (n - 1), (-3.0 / (n + 1)) * c[2], c[3], c[4]] + [0.0] * 3
     for j, (ric_j, star_j) in enumerate(zip(*parts[:2])):
@@ -175,10 +168,9 @@ def _check_a_trace_formulas(ctx):
     g, n = ctx.g, ctx.n
     gm = g.matrix
     star_factor = [1.0, 1.0, -1.0, -1.0, 3.0, 0.0, 0.0, 0.0]
-    r = ctx.stack("r")
-    ric, star, tau = _traces(r, g)
+    ric, star, tau = ctx.parts("r").traces[:3]
     c = _a_conditions(ric, star, tau, gm, n)
-    parts = _traces(ctx.comps("r", a_projections), g)
+    parts = _traces(ctx.comps("r", "a"), g)
     exp_ric = [(tau / n) * gm, 0.5 * c[1], 0.5 * c[2], 0.25 * c[3], 0.25 * c[4]] + [0.0] * 3
     for j, (ric_j, star_j) in enumerate(zip(*parts[:2])):
         yield ric_j - exp_ric[j]
@@ -211,16 +203,14 @@ def _a_conditions(ric, star, tau, gm, n):
 
 def _vanishing(ctx, family, conditions):
     g, n = ctx.g, ctx.n
-    proj = _family(family)
     r = ctx.stack("r")[:8]
-    comps = ctx.comps("r", proj)[:5, :8]
+    comps = ctx.comps("r", family)[:5, :8]
     conds = conditions(*_traces(r, g), g.matrix, n)
-    # forward: removing component j enforces trace condition j; stripped[j] = r - comps[j]
-    stripped = r - comps
-    forward = conditions(*_traces(stripped, g), g.matrix, n)
-    parts = proj(stripped, g)
-    for j in range(5):
-        yield from (forward[j][j], parts[j][j])
+    # forward: removing component j enforces trace condition j, and leaves no component j
+    for j, stripped in enumerate(r - comps):
+        parts = _Parts(stripped, g)
+        yield conditions(*parts.traces[:3], g.matrix, n)[j]
+        yield from getattr(parts, family)((j,))
         # converse: each distinctly nonzero component needs a nonzero condition
         nonzero = _row_maxnorm(comps[j], 1) > MARGIN
         yield _row_maxnorm(conds[j], 1)[nonzero] > 10 * ctx.tol
@@ -231,26 +221,27 @@ def _check_conjugate_closure(ctx):
     # complement all vanish together
     g = ctx.g
     s = ctx.stack("a_plus_s")
-    comps = ctx.comps("a_plus_s", a_projections)
+    comps = ctx.comps("a_plus_s", "a")
     yield from (membership_residual(conjugate(s), g, "r"), comps[4], comps[7])
-    ps, m = ctx.comps("r", sampling._averages)
-    c = _normalize(ctx.stack("r") - ps - m, 1e-8)
+    r = ctx.parts("r")
+    c = _normalize(r.t - r.psi - r.mu, 1e-8)
     yield _membership_rows(conjugate(c), g, "r") > 1e-3
-    comps_c = a_projections(c, g)
-    yield np.maximum(_row_maxnorm(comps_c[4], 1), _row_maxnorm(comps_c[7], 1)) > 1e-3
+    a5, a8 = _Parts(c, g).a((4, 7))
+    yield np.maximum(_row_maxnorm(a5, 1), _row_maxnorm(a8, 1)) > 1e-3
 
 
 def _check_conjugate_split(ctx):
-    s = ctx.stack("a_plus_s")
+    parts = ctx.parts("a_plus_s")
+    s = parts.t
     cs = conjugate(s)
-    yield from (psi(s) - 0.5 * (s + cs), mu(s) - 0.5 * (s - cs))
+    yield from (parts.psi - 0.5 * (s + cs), parts.mu - 0.5 * (s - cs))
 
 
 def _check_a_conjugation_signs(ctx):
     g = ctx.g
     signs = {0: 1.0, 1: 1.0, 2: -1.0, 3: -1.0, 5: 1.0, 6: -1.0}
     s = ctx.stack("a_plus_s")
-    comps = ctx.comps("a_plus_s", a_projections)
+    comps = ctx.comps("a_plus_s", "a")
     comps_star = a_projections(conjugate(s), g)
     yield from (comps_star[j] - sign * comps[j] for j, sign in signs.items())
     # components of the conjugate coincide with conjugated components
@@ -264,9 +255,10 @@ def _check_equiaffine_pair_projections(ctx):
     gm = g.matrix
     s = ctx.stack("f_pair")
     cs = conjugate(s)
-    w = ctx.comps("f_pair", w_projections)
-    ws = w_projections(cs, g)
-    ric, star, tau = _traces(s, g)
+    w = ctx.comps("f_pair", "w")
+    keep = (0, 2, 3, 5, 6, 7)  # W2 and W5 of the conjugate are not read
+    ws = dict(zip(keep, _Parts(cs, g).w(keep)))
+    ric, star, tau = ctx.parts("f_pair").traces[:3]
     yield membership_residual(cs, g, "r")
     yield from (w[2], w[3], w[7])
     yield from (ws[2], ws[3], ws[7])
@@ -281,33 +273,29 @@ def _check_equiaffine_pair_projections(ctx):
 
 def _check_ricci_symmetry_equivalence(ctx):
     g = ctx.g
-    s = ctx.stack("a_plus_s")
-    cs = conjugate(s)
-    w7 = ctx.comps("a_plus_s", w_projections)[7]
-    yield from (w7, w_projections(cs, g)[7])
-    lr = antisym(ricci(s, g))
-    lrs = antisym(ricci(cs, g))
+    parts, conj = ctx.parts("a_plus_s"), _Parts(conjugate(ctx.stack("a_plus_s")), g)
+    yield from (*parts.w((7,)), *conj.w((7,)))
+    lr, lrs = antisym(parts.traces[0]), antisym(conj.traces[0])
     yield lr + lrs
     sym_s = _row_maxnorm(lr, 1) <= 100 * ctx.tol
     sym_cs = _row_maxnorm(lrs, 1) <= 100 * ctx.tol
     yield np.array_equal(sym_s, sym_cs)
-    p = ctx.stack("f_pair")
-    yield from (antisym(ricci(p, g)), antisym(ricci(conjugate(p), g)))
+    p = ctx.parts("f_pair")
+    yield from (antisym(p.traces[0]), antisym(ricci(conjugate(p.t), g)))
 
 
 def _check_conjugate_pair_reduction(ctx):
     # the five-component reduction needs the Ricci-symmetric conjugate-pair
     # class; on all of a+s the antisymmetric-Ricci components survive
     s = ctx.stack("f_pair")
-    w = ctx.comps("f_pair", w_projections)
+    w = ctx.comps("f_pair", "w")
     yield s - w[0] - w[1] - w[4] - w[5] - w[6]
     yield from (w[2], w[3], w[7])
 
 
 def _check_complement_ricci_structure(ctx):
-    g = ctx.g
-    ps, m = ctx.comps("r", sampling._averages)
-    c = _normalize(ctx.stack("r") - ps - m, 1e-8)
+    g, r = ctx.g, ctx.parts("r")
+    c = _normalize(r.t - r.psi - r.mu, 1e-8)
     ric = ricci(c, g)
     keep = _row_maxnorm(ric, 1) > 100 * ctx.tol
     c, ric = c[keep], ric[keep]
@@ -318,7 +306,7 @@ def _check_traceless_core(ctx):
     g = ctx.g
     r = ctx.stack("r")
     core = traceless_core(r, g)
-    w = ctx.comps("r", w_projections)
+    w = ctx.comps("r", "w")
     yield from (ricci(core, g), ricci_star(core, g))
     yield core - (r - w[0] - w[1] - w[2] - w[3] - w[4])
     ps, m = psi(core), mu(core)
@@ -336,7 +324,7 @@ def _check_projective_part(ctx):
     yield projective_part(f, g) - (f + wedge(ricci(f, g), g.matrix) / (n - 1))
     t = ctx.stack("t")
     yield projective_part(t, g) - t
-    w = ctx.comps("r", w_projections)
+    w = ctx.comps("r", "w")
     yield projective_part(r, g) - (w[3] + w[4] + w[5] + w[6] + w[7])
 
 
@@ -344,7 +332,7 @@ def _check_projective_flat_bilinear_form(ctx):
     g = ctx.g
     gg = wedge(g.matrix, g.matrix)
     yield from b_forms(gg, g)
-    w = ctx.comps("r", w_projections)
+    w = ctx.comps("r", "w")
     paired = conjugate(_normalize(w[0] + w[1], 1e-8))
     b_star, _ = b_forms(paired, g)
     yield b_star
@@ -356,13 +344,13 @@ def _check_einstein_projector_criterion(ctx):
     yield equiaffine_einstein_check(wedge(gm, gm), g)
     yield equiaffine_einstein_check(np.zeros((n,) * 4), g)
     r = ctx.stack("r")
-    w = ctx.comps("r", w_projections)
+    w = ctx.comps("r", "w")
     pos = r - w[1] - w[2]
     ric, _, tau = _traces(pos, g)
     yield ric - (tau / n) * gm
     # the converse, for each sample with a distinctly nonzero W2 or W3
     neg = np.maximum(_row_maxnorm(w[1], 1), _row_maxnorm(w[2], 1)) > MARGIN
-    ric, _, tau = _traces(r, g)
+    ric, _, tau = ctx.parts("r").traces[:3]
     gap = _row_maxnorm(ric - (tau / n) * gm, 1)
     yield gap[neg] > 10 * ctx.tol
     yield equiaffine_einstein_check(pos, g)
@@ -373,40 +361,42 @@ def _check_constant_curvature_equivalences(ctx):
     g, n = ctx.g, ctx.n
     gm = g.matrix
     gg = wedge(gm, gm)
-    w = ctx.comps("r", w_projections)
+    w = ctx.comps("r", "w")
     flat = w[0] + w[1]
-    w_flat = w_projections(flat, g)
-    pos = flat - w_flat[1]  # flat-type, then drop 2
-    ric, _, tau = _traces(pos, g)
-    yield w_projections(pos, g)[1]
+    flat_parts = _Parts(flat, g)
+    w2_flat, = flat_parts.w((1,))
+    pos = flat - w2_flat  # flat-type, then drop 2
+    pos_parts = _Parts(pos, g)
+    ric, _, tau = pos_parts.traces[:3]
+    yield from pos_parts.w((1,))
     yield ric - (tau / n) * gm
     yield pos + (tau[..., None, None] / (n * (n - 1))) * gg
     # each sample with a distinctly nonzero W2 must fail all three
     neg = _row_maxnorm(w[1], 1) > MARGIN
-    ric, _, tau = _traces(flat, g)
-    for gap in (w_flat[1], ric - (tau / n) * gm, flat + (tau[..., None, None] / (n * (n - 1))) * gg):
+    ric, _, tau = flat_parts.traces[:3]
+    for gap in (w2_flat, ric - (tau / n) * gm, flat + (tau[..., None, None] / (n * (n - 1))) * gg):
         yield _row_maxnorm(gap, 1)[neg] > 10 * ctx.tol
 
 
 def _check_ricci_block_closed_form(ctx):
     g, n = ctx.g, ctx.n
     gm = g.matrix
-    s = ctx.stack("f_pair")
-    w, a = ctx.comps("f_pair", w_projections), ctx.comps("f_pair", a_projections)
-    ric, star, tau = _traces(s, g)
+    parts = ctx.parts("f_pair")
+    w, (a2, a3) = ctx.comps("f_pair", "w"), parts.a((1, 2))
+    ric, star, tau = parts.traces[:3]
     rhs = (
         2.0 * tau[..., None, None] * wedge(gm, gm)
         - wedge_r(gm, ric, n - 1)
         - wedge_r(star, gm, n - 1)
     ) / (n * (n - 2))
-    yield from (w[1] + w[4] - rhs, a[1] + a[2] - rhs)
+    yield from (w[1] + w[4] - rhs, a2 + a3 - rhs)
 
 
 def _check_equiaffine_projector_agreement(ctx):
     s = ctx.stack("f_pair")
-    w, a = ctx.comps("f_pair", w_projections), ctx.comps("f_pair", a_projections)
-    via_w = s - w[2]
-    via_a = s - a[3] - a[4]
+    a4, a5 = ctx.parts("f_pair").a((3, 4))
+    via_w = s - ctx.comps("f_pair", "w")[2]
+    via_a = s - a4 - a5
     yield from (via_w - via_a, via_w - s)
 
 
@@ -429,7 +419,7 @@ def _check_trace_reconstruction(ctx):
     # omega's noise, then theta's: a stream's first 2n² uniforms, the start of the block
     # noise of its key (a stream draws in order), taken once for every signature
     if "sources" not in ctx.shared:
-        ctx.shared["sources"] = ctx.noise()[:8, 0, :2].copy()
+        ctx.shared["sources"] = ctx.first_uniforms(8, 2 * n * n).reshape(-1, 2, n, n)
     noise = ctx.shared["sources"]
     omega, theta = antisym(noise[:, 0]), sym(noise[:, 1])
     built = sigma_split(omega, theta, g)
@@ -462,12 +452,14 @@ def _check_rescale_invariance(ctx):
     g = ctx.g
     tol = max(ctx.tol, 1e-12)
     r = ctx.stack("r")[:6]
-    w1, a1 = ctx.comps("r", w_projections)[:, :6], ctx.comps("r", a_projections)[:, :6]
+    w1, a1 = ctx.comps("r", "w")[:, :6], ctx.comps("r", "a")[:, :6]
     flags = np.array([_membership_rows(r, g, space) <= tol for space in SPACE_TAGS])
     p1 = tensor_pairing(r, r, g)
+    averages = {}  # ψ and μ of r, which do not depend on the metric
     for c in (0.5, 3.75):
         gc = g.rescaled(c)
-        w2, a2 = w_projections(r, gc), a_projections(r, gc)
+        parts = _Parts(r, gc, averages)
+        w2, a2 = parts.w(), parts.a()
         for j in range(8):
             yield from (w1[j] - w2[j], a1[j] - a2[j])
         flags_c = np.array([_membership_rows(r, gc, space) <= tol for space in SPACE_TAGS])

@@ -1,9 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import curvdec.decomp as decomp
+import curvdec.spaces as spaces
 from curvdec.decomp import (
+    _Parts,
     a_decompose,
     a_projections,
     b_forms,
@@ -369,3 +374,84 @@ def test_stack_equals_one_tensor_at_a_time(n):
     bad[3] = noise[3]
     with pytest.raises(NotGeneralizedCurvature):
         projective_part(bad, g)
+
+
+def _reference_w(t, g):
+    # the W closed forms written out, each operation in the order _Parts must keep
+    n, gm = g.dim, g.matrix
+    ric, star, tau = ricci(t, g), ricci_star(t, g), scalar_curvature(t, g)
+    tau = np.reshape(tau, np.shape(tau) + (1, 1))
+    tau4 = tau[..., None, None]
+    lric, lstar, gg = antisym(ric), antisym(star), wedge(gm, gm)
+    lift = lambda b, r: 2.0 * np.einsum("...ab,...cd->...abcd", b, gm) + wedge_r(b, gm, r)
+    return [
+        wedge((tau / n) * gm, gm) / (1 - n),
+        wedge(sym(ric) - (tau / n) * gm, gm) / (1 - n),
+        (-1.0 / (n + 1)) * lift(lric, 0.0),
+        (-1.0 / (n * n - 4)) * lift(lstar + (3.0 / (n + 1)) * lric, n + 1),
+        (tau4 * gg - wedge_r(sym(ric + (n - 1) * star), gm, n - 1) / n) / ((n - 1) * (n - 2)),
+        psi(t) + wedge_r(sym(ric + star), gm, 1) / (2 * (n - 2))
+        - (tau4 / ((n - 1) * (n - 2))) * gg,
+        mu(t) + wedge_r(sym(ric - star), gm, -1) / (2 * n)
+        + lift(antisym(3.0 * ric - star), -1) / (4 * (n + 2)),
+        t - psi(t) - mu(t) + lift(lric + lstar, 3) / (4 * (n - 2)),
+    ]
+
+
+def _reference_a(t, g):
+    n, gm = g.dim, g.matrix
+    ric, star, tau = ricci(t, g), ricci_star(t, g), scalar_curvature(t, g)
+    tau4 = np.reshape(tau, np.shape(tau) + (1, 1, 1, 1))
+    gg = wedge(gm, gm)
+    lift = lambda b, r: 2.0 * np.einsum("...ab,...cd->...abcd", b, gm) + wedge_r(b, gm, r)
+    a1 = (-tau4 / (n * (n - 1))) * gg
+    a2 = (2 * tau4 / (n * (n - 2))) * gg - wedge_r(sym(ric + star), gm, 1) / (2 * (n - 2))
+    a3 = -wedge_r(sym(ric - star), gm, -1) / (2 * n)
+    a4 = (-1.0 / (4 * (n + 2))) * lift(antisym(3.0 * ric - star), -1)
+    a5 = (-1.0 / (4 * (n - 2))) * lift(antisym(ric + star), 3)
+    return [a1, a2, a3, a4, a5, psi(t) - a1 - a2, mu(t) - a3 - a4, t - mu(t) - psi(t) - a5]
+
+
+def _same_bits(x, y):
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_components_on_demand_equal_the_full_family_bit_for_bit(n):
+    # a component built alone, or with any other set, has the bits, signs of zero
+    # included, of the full family and of the closed forms written out
+    rng = np.random.default_rng(n)
+    a = np.eye(n) + np.triu(rng.integers(-1, 2, (n, n)), 1)
+    eta = standard_scalar_product(n - 1, 1)
+    stack = np.stack([rsample(n, 7 * n + i) for i in range(3)])
+    for g in (eta, build_scalar_product(a.T @ eta.matrix @ a)):
+        for t in (stack[0], stack):
+            for family, full, reference in (("w", w_projections, _reference_w),
+                                            ("a", a_projections, _reference_a)):
+                want = reference(t, g)
+                assert all(_same_bits(x, y) for x, y in zip(full(t, g), want, strict=True))
+                for keep in [(j,) for j in range(8)] + [(7, 4), (5, 2, 6), (1, 2), (3, 4)]:
+                    got = getattr(_Parts(t, g), family)(keep)
+                    assert all(_same_bits(x, want[j]) for x, j in zip(got, keep, strict=True))
+            parts = singer_thorpe(psi(t), g).components
+            want = a_projections(psi(t), g)
+            assert all(_same_bits(x, want[j]) for x, j in zip(parts, (0, 1, 5), strict=True))
+
+
+def test_projections_make_no_more_kernel_calls(monkeypatch):
+    # one family call makes no more calls of the trace and product kernels than the
+    # closed forms written out one family at a time did
+    calls = Counter()
+    for module, name in ((decomp, "sym"), (decomp, "antisym"), (decomp, "wedge_r"),
+                         (spaces, "wedge_r"), (decomp, "psi"), (decomp, "mu"), (spaces, "ricci")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, name=name:
+                            calls.update([name]) or real(*a))
+    g, t = standard_scalar_product(3, 1), rsample(4, 1)
+    for proj, most in (
+        (w_projections, {"sym": 4, "antisym": 3, "wedge_r": 10, "psi": 1, "mu": 1, "ricci": 1}),
+        (a_projections, {"sym": 2, "antisym": 2, "wedge_r": 5, "psi": 1, "mu": 1, "ricci": 1}),
+    ):
+        calls.clear()
+        proj(t, g)
+        assert calls <= Counter(most), proj.__name__

@@ -6,7 +6,6 @@ import pytest
 
 import curvdec.decomp as decomp
 import curvdec.sampling as sampling
-import curvdec.suite as suite
 from curvdec.cli import main
 from curvdec.decomp import a_projections, projective_part, traceless_core, w_projections
 from curvdec.errors import (
@@ -484,14 +483,12 @@ def test_inconclusive_when_not_idempotent(monkeypatch):
     # W6 scaled by 1.001 is no projector: its trace, 1.001 dim W6, is no integer, so the
     # report is inconclusive and the suite's dimension_consistency fails; the rank of
     # sampled images cannot see the scale
-    real = decomp.w_projections
+    real = decomp._Parts.w
 
-    def scaled(t, g):
-        parts = real(t, g)
-        return parts[:5] + [1.001 * parts[5]] + parts[6:]
+    def scaled(parts, keep=range(8)):
+        return [1.001 * c if j == 5 else c for j, c in zip(keep, real(parts, keep))]
 
-    for module in (decomp, sampling, suite):
-        monkeypatch.setattr(module, "w_projections", scaled)
+    monkeypatch.setattr(decomp._Parts, "w", scaled)  # every W projection goes through it
     reports = dimension_reports(4)
     assert [space for space, rep in reports.items() if rep.inconclusive] == ["W6"]
     assert reports["W6"].empirical_dim == formula_dim("W6", 4)  # 10.01 rounds to 10
@@ -503,10 +500,10 @@ def test_inconclusive_when_not_idempotent(monkeypatch):
 def test_family_ranked_from_one_projection_per_chunk(monkeypatch, family):
     # at n = 4 the 96 co(V) basis tensors pack into 12 probes: one projector call on
     # them serves all eight blocks
-    proj = {"W": "w_projections", "A": "a_projections"}[family]
-    calls = []
-    real = getattr(sampling, proj)
-    monkeypatch.setattr(sampling, proj, lambda t, g: calls.append(len(t)) or real(t, g))
+    calls, name = [], family.lower()
+    real = getattr(decomp._Parts, name)
+    counted = lambda parts, keep=range(8): calls.append(len(parts.t)) or real(parts, keep)
+    monkeypatch.setattr(decomp._Parts, name, counted)
     spaces = [f"{family}{j}" for j in range(1, 9)]
     reports = dimension_reports(4, spaces=spaces)
     assert calls == [12]
@@ -520,16 +517,18 @@ def test_family_pass_gives_the_per_space_stacks(monkeypatch):
     # once per chunk
     g, seen, real = standard_scalar_product(3, 1), [], sampling._project
 
-    def keep(space, base, g, comps=None):
-        out = real(space, base, g, comps)
-        seen.append((space, base, out))
+    def keep(space, parts, comps=None):
+        out = real(space, parts, comps)
+        seen.append((space, parts.t, out))
         return out
 
     monkeypatch.setattr(sampling, "_project", keep)
     dimension_reports(4, (3, 1))
     assert {space for space, _, _ in seen} == set(SAMPLE_SPACES) - {"co", "r"}
     for space, base, out in seen:
-        assert np.array_equal(out, real(space, base, g)), space
+        family = sampling._family(space)  # a fresh parts object and family pass for each space
+        comps = None if family is None else getattr(decomp._Parts(base, g), family)()
+        assert np.array_equal(out, real(space, decomp._Parts(base, g), comps)), space
 
 
 def test_block_draws_each_key_once(monkeypatch):
@@ -549,15 +548,15 @@ def test_block_draws_each_key_once(monkeypatch):
 
 @pytest.mark.parametrize("n,w_calls", [(5, 1), (6, 1), (7, 2)])
 def test_one_w_pass_per_chunk_and_no_draw(monkeypatch, n, w_calls):
-    # one w_projections call per CHUNK probes (20, 30 and 42 at n = 5, 6, 7) serves the
+    # one W pass per CHUNK probes (20, 30 and 42 at n = 5, 6, 7) serves the
     # W blocks, 'f' and 'f_pair', and no stream is drawn
     calls = Counter()
-    for name in ("w_projections", "rng_stream"):
-        real = getattr(sampling, name)
+    for owner, name in ((decomp._Parts, "w"), (sampling, "rng_stream")):
+        real = getattr(owner, name)
         counted = lambda *args, name=name, real=real: calls.update([name]) or real(*args)
-        monkeypatch.setattr(sampling, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     dimension_reports(n)
-    assert calls == {"w_projections": w_calls}
+    assert calls == {"w": w_calls}
     assert w_calls == -(-(sampling._co_basis(n)[2].max() + 1) // sampling.CHUNK)
 
 
@@ -566,9 +565,9 @@ def test_one_psi_and_one_mu_per_chunk_serve_a_s_and_a_plus_s(monkeypatch):
     # chunk of 12 at n = 4; 'a' alone reads no μ
     calls = Counter()
     for name in ("psi", "mu"):
-        real = getattr(sampling, name)
+        real = getattr(decomp, name)
         counted = lambda t, name=name, real=real: calls.update([name]) or real(t)
-        monkeypatch.setattr(sampling, name, counted)
+        monkeypatch.setattr(decomp, name, counted)
     reports = dimension_reports(4, spaces=("a", "s", "a_plus_s"))
     assert calls == {"psi": 1, "mu": 1}
     for rep in reports.values():

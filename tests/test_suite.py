@@ -147,6 +147,19 @@ def test_checks_read_only_their_own_block(monkeypatch):
     assert drawn == set(range(5))
 
 
+def test_trace_reconstruction_alone_draws_only_its_sources(monkeypatch):
+    # run alone, the check takes the first 2n² uniforms of each of its 8 keys and draws no
+    # block noise: 8 streams a dimension and the seed check's, and the report of the full
+    # run, where it reads them off the noise the block has drawn
+    full = run_invariant_suite(SuiteConfig())["trace_reconstruction"]
+    calls, real = [], sampling.rng_stream
+    monkeypatch.setattr(sampling, "rng_stream", lambda seed, i: calls.append(i) or real(seed, i))
+    monkeypatch.setattr(sampling.Block, "noise", lambda block: pytest.fail("noise drawn"))
+    report = run_invariant_suite(SuiteConfig(), only=["trace_reconstruction"])
+    assert report == {"trace_reconstruction": full}
+    assert calls == [0] + list(range(8)) * 2
+
+
 def test_shared_stacks_are_read_only(monkeypatch):
     # a check that writes into a stack or its components raises, and the next
     # check still reads the samples themselves
@@ -158,7 +171,7 @@ def test_shared_stacks_are_read_only(monkeypatch):
             with pytest.raises(ValueError, match="read-only"):
                 ctx.stack(space)[0, 0, 1, 0, 1] += 1.0
         with pytest.raises(ValueError, match="read-only"):
-            ctx.comps("r", suite.w_projections)[2, 0, 0, 1, 0, 1] += 1.0
+            ctx.comps("r", "w")[2, 0, 0, 1, 0, 1] += 1.0
         return ()
 
     def reader(ctx):
@@ -373,32 +386,32 @@ def test_fault_in_tail_block_is_seen(monkeypatch):
 def test_orthogonality_read_at_one_sample(monkeypatch, family):
     # a run of one sample has no pair of rows, so it pairs that sample's components
     # with each other: a family whose second part leans on its first fails there too
-    name, check = f"{family}_projections", f"{family}_orthogonality"
-    exact = getattr(suite, name)
+    check, exact = f"{family}_orthogonality", getattr(decomp._Parts, family)
 
-    def leaning(t, g):
-        parts = list(exact(t, g))
-        parts[1] = parts[1] + parts[0]
-        return parts
+    def leaning(parts, keep=range(8)):
+        full = exact(parts)
+        full[1] = full[1] + full[0]
+        return [full[j] for j in keep]
 
     configs = [SuiteConfig(dims=(3,), signatures=((2, 1),), samples=k) for k in (1, 2, 5)]
     assert all(run_invariant_suite(cfg, only=[check])[check]["pass"] for cfg in configs)
-    monkeypatch.setattr(suite, name, leaning)
+    monkeypatch.setattr(decomp._Parts, family, leaning)
     assert not any(run_invariant_suite(cfg, only=[check])[check]["pass"] for cfg in configs)
 
 
 def test_each_block_projects_once(monkeypatch):
     # at each n of a default run (one block, both signatures), the samples that do
-    # not depend on the metric -- 'co', 'r', 'a', 'a_plus_s', and the ψ and μ of
-    # 'r' that they and 's' read -- are drawn once for both signatures; every other
-    # space is drawn, and each stack's W and A components are computed, once per
-    # signature.  'f' and 'f_pair' are sums of the 'r' W components.  Each map is
-    # counted wherever it is called from, as the suite's name or sampling's, and the
-    # W and A maps also as decomp's, through which singer_thorpe splits 'a'.
-    # dimension_consistency draws no sample: each signature projects the Bianchi
-    # images of the co(V) basis probes, CHUNK at a time; ricci_image_dimensions lifts a
-    # basis of the bilinear forms and draws no sample either
-    drawn, projected, calls, stack = {}, Counter(), Counter(), sampling.Block.stack
+    # not depend on the metric -- 'co', 'r', 'a', 'a_plus_s', and the ψ and μ of 'r'
+    # and 'a_plus_s' -- are drawn once for both signatures; every other space is drawn,
+    # and each stack's trace data is computed, once per signature.  'f' and 'f_pair'
+    # are sums of the 'r' W components.  A component is counted where `decomp._Parts`
+    # builds it from a stack's trace data, whoever asks: a block stacks all eight of
+    # the families its checks read in full, and the other checks build only the ones
+    # they read: W8 of 'a_plus_s', A2 to A5 of 'f_pair', and singer_thorpe A1, A2 and
+    # A6 of 'a'.  dimension_consistency draws no sample: each signature projects the
+    # Bianchi images of the co(V) basis probes, CHUNK at a time; ricci_image_dimensions
+    # lifts a basis of the bilinear forms and draws no sample either
+    drawn, built, calls, stack = {}, Counter(), Counter(), sampling.Block.stack
 
     def recording(block, space):
         out = stack(block, space)
@@ -406,51 +419,48 @@ def test_each_block_projects_once(monkeypatch):
             drawn[space].append(out)
         return out
 
-    def counting(proj):
-        def wrapper(t, *g):  # a point's metric has entries 0 and ±1, a rescaled one has not
-            on_point = all(np.isin(m.matrix, (-1.0, 0.0, 1.0)).all() for m in g)
-            for space, outs in drawn.items():
-                if space == "r" or g:  # ψ and μ are counted on the 'r' rows only
-                    shared = any(np.may_share_memory(t, o) for o in outs)
-                    projected[proj.__name__, space] += shared and on_point
-            calls[proj.__name__] += 1
-            return proj(t, *g)
+    def count(name, t, k, g=None):
+        # a point's metric has entries 0 and ±1, a rescaled one has not
+        on_point = g is None or np.isin(g.matrix, (-1.0, 0.0, 1.0)).all()
+        for space, outs in drawn.items():
+            built[name, space] += k * (on_point and any(t is o for o in outs))
+        calls[name] += k
 
-        return wrapper
+    def family(name, real):
+        def build(parts, keep=range(8)):
+            count(name, parts.t, len(keep), parts.g)
+            return real(parts, keep)
 
-    def counted(name, fn):
-        return lambda *args: calls.update([name]) or fn(*args)
+        return build
+
+    def counted(name, real):
+        return lambda t, *args: count(name, t, 1) or real(t, *args)
 
     monkeypatch.setattr(sampling, "rng_stream", counted("rng_stream", sampling.rng_stream))
     monkeypatch.setattr(sampling.Block, "stack", recording)
-    for proj in (suite.w_projections, suite.a_projections, suite.psi, suite.mu):
-        wrapper = counting(proj)
-        for module in (suite, sampling, decomp):
-            if module is not decomp or proj.__name__.endswith("projections"):
-                monkeypatch.setattr(module, proj.__name__, wrapper)
+    for name in ("w", "a"):
+        monkeypatch.setattr(decomp._Parts, name, family(name, getattr(decomp._Parts, name)))
+    for name in ("psi", "mu"):
+        for module in (decomp, suite):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     for n in (3, 4):
         drawn.clear()
-        projected.clear()
+        built.clear()
         run_invariant_suite(SuiteConfig(dims=(n,)))
         assert [len(out) for out in drawn["r"]] == [sampling.CHUNK]
         assert {space: len(outs) for space, outs in drawn.items() if space != "r"} == {
             **dict.fromkeys(("co", "a", "a_plus_s"), 1),
             **dict.fromkeys(("s", "f", "p", "t", "f_pair"), 2),
         }
-        assert +projected == {
-            **{
-                (proj, space): 2
-                for proj in ("w_projections", "a_projections")
-                for space in ("r", "a_plus_s", "f_pair")
-            },
-            ("a_projections", "a"): 2,
-            ("psi", "r"): 1,
-            ("mu", "r"): 1,
+        assert +built == {
+            ("w", "r"): 16, ("a", "r"): 16, ("w", "f_pair"): 16, ("a", "a_plus_s"): 16,
+            ("w", "a_plus_s"): 2, ("a", "f_pair"): 8, ("a", "a"): 6,
+            ("psi", "r"): 1, ("mu", "r"): 1, ("psi", "a_plus_s"): 1, ("mu", "a_plus_s"): 1,
+            ("psi", "f_pair"): 2, ("mu", "f_pair"): 2, ("psi", "a"): 2,
         }
-    # the calls of one default `verify`: the block's 64 streams and the seed check's;
-    # dimension_consistency's probes (one chunk at n = 3 and 4) add one W, one A and one
-    # ψ call per signature, and no μ: it reads 'a' but not 's'
+    # the components built, and the ψ, μ and stream calls, of one default `verify`:
+    # the block's 64 streams and the seed check's; dimension_consistency's probes (one
+    # chunk at n = 3 and 4) add one W and one A pass and one ψ and μ per signature
     calls.clear()
     run_invariant_suite(SuiteConfig())
-    assert calls == {"rng_stream": 65, "w_projections": 48, "a_projections": 44,
-                     "psi": 14, "mu": 10}
+    assert calls == {"rng_stream": 65, "w": 252, "a": 280, "psi": 48, "mu": 44}
