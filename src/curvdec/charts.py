@@ -125,6 +125,8 @@ class PolyChart:
             raise DimensionMismatch(f"expected a point of shape ({self.dim},), got {point.shape}")
         key = point.tobytes()
         if self._last is None or self._last[0] != key:
+            if not np.isfinite(point).all():  # a field of other coordinates would look finite
+                raise NonFiniteInput(f"point {point.tolist()} is not finite")
             n, m = self.dim, self.dim**2
             exps, coeffs = self._table
             # a point far out overflows to a non-finite metric, which build_scalar_product refuses

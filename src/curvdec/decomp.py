@@ -3,10 +3,11 @@
 Every map here is linear in the trace data Ric, Ric*, tau, psi(R) and mu(R);
 `spaces._traces` computes (Ric, Ric*, tau) once per tensor, with the one tau
 formula that `scalar_curvature` and `ricci_traces` also use.  A `_Parts` holds
-the trace data of one stack, each piece computed once, and builds each W or A
-component from it only when asked: `w_projections` and `a_projections` return
-all eight, `singer_thorpe` builds its three, and `sampling.Block` keeps one per
-stack, so both families and every check on the stack share its trace data.
+the trace data of one stack, each piece computed once, and reads every map off
+it: the W and A components, each built only when asked, and the derived maps
+(projective part, traceless core, b-forms, Einstein verdict).  Each public
+derived map is a membership test and one `_Parts`; `sampling.Block` keeps one
+per stack, so both families, the derived maps and every check share its data.
 Every map takes a stack (..., n, n, n, n) and broadcasts the trace data over
 it; the decompositions and the Einstein check return one result per tensor.  The
 Ricci part is sigma, the right inverse of the Ricci trace: W1, W2 and W3 are
@@ -43,7 +44,6 @@ from .spaces import (
     membership_residual,
     mu,
     psi,
-    ricci,
     wedge,
     wedge_r,
 )
@@ -89,7 +89,8 @@ class _Parts:
     apart.  w and a build the components of either family from these, each only
     when asked for and each by the same operations in the same order, so a
     component built alone equals, bit for bit, the one `w_projections` or
-    `a_projections` returns.  No component is kept.  psi and mu do not depend on
+    `a_projections` returns.  No component is kept.  The derived maps read traces,
+    and the Einstein verdict W2 and W3 as w builds them.  psi and mu do not depend on
     g: shared, a dict, keeps them, read-only, for the parts of the same t under
     other metrics.
     """
@@ -164,6 +165,33 @@ class _Parts:
                     c[i] = build[i]()
         return [c[j] for j in keep]
 
+    def projective_part(self) -> np.ndarray:
+        """t - sigma(Alt Ric, Sym Ric), see `projective_part`."""
+        ric, gm = self.traces[0], self.gm
+        return self.t - _sigma_alt(antisym(ric), gm) - _sigma_sym(sym(ric), gm)
+
+    def traceless_core(self) -> np.ndarray:
+        """The five-term trace-free correction of t, see `traceless_core`."""
+        n, gm = self.n, self.gm
+        ric, star, tau, tau4, gg = self.traces[:5]
+        return (
+            self.t
+            + (2.0 / (n * n - 4)) * dot_product(antisym((n - 1) * ric + star), gm)
+            + wedge((n - 1) * antisym(ric) + (n + 1) * sym(ric), gm) / (n * n - 1)
+            + wedge_r(antisym(3.0 * ric + (n + 1) * star), gm, n + 1) / ((n * n - 4) * (n + 1))
+            + wedge_r(sym(ric + (n - 1) * star), gm, n - 1) / (n * (n - 1) * (n - 2))
+            - (tau4 / ((n - 1) * (n - 2))) * gg
+        )
+
+    def b_forms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(b_star, b), see `b_forms`."""
+        n, gm, (ric, star, tau) = self.n, self.gm, self.traces[:3]
+        return sym(star + (n - 1) * ric) - tau * gm, sym((n - 1) * star + ric) - tau * gm
+
+    def einstein(self) -> bool | np.ndarray:
+        """Whether W2 and W3 of each tensor vanish, see `equiaffine_einstein_check`."""
+        return _per_tensor(_relative(self.t, *self.w((1, 2))) <= MEMBERSHIP_TOL)
+
 
 def w_projections(t, g: ScalarProduct) -> list[np.ndarray]:
     """The eight W-components of t, in order, from the closed-form projectors."""
@@ -234,9 +262,7 @@ def projective_part(t, g: ScalarProduct) -> np.ndarray:
     This is the input minus its first three W-components; on tensors with
     symmetric Ricci it equals t + wedge(Ric, g)/(n-1).
     """
-    t = _require_space(t, g, "r")
-    ric = ricci(t, g)
-    return t - _sigma_alt(antisym(ric), g.matrix) - _sigma_sym(sym(ric), g.matrix)
+    return _Parts(_require_space(t, g, "r"), g).projective_part()
 
 
 def traceless_core(t, g: ScalarProduct) -> np.ndarray:
@@ -245,18 +271,7 @@ def traceless_core(t, g: ScalarProduct) -> np.ndarray:
     Computed by the closed five-term correction formula; agrees with
     subtracting the first five W-components.
     """
-    t = _require_space(t, g, "r")
-    n, gm = g.dim, g.matrix
-    ric, star, tau = _traces(t, g)
-    return (
-        t
-        + (2.0 / (n * n - 4)) * dot_product(antisym((n - 1) * ric + star), gm)
-        + wedge((n - 1) * antisym(ric) + (n + 1) * sym(ric), gm) / (n * n - 1)
-        + wedge_r(antisym(3.0 * ric + (n + 1) * star), gm, n + 1)
-        / ((n * n - 4) * (n + 1))
-        + wedge_r(sym(ric + (n - 1) * star), gm, n - 1) / (n * (n - 1) * (n - 2))
-        - (tau[..., None, None] / ((n - 1) * (n - 2))) * wedge(gm, gm)
-    )
+    return _Parts(_require_space(t, g, "r"), g).traceless_core()
 
 
 def b_forms(t, g: ScalarProduct) -> tuple[np.ndarray, np.ndarray]:
@@ -266,12 +281,7 @@ def b_forms(t, g: ScalarProduct) -> tuple[np.ndarray, np.ndarray]:
     b = sym((n-1) Ric* + Ric) - tau g; b_star vanishes exactly when the
     conjugate tensor is of projectively flat type.
     """
-    t = _require_space(t, g, "r")
-    n = g.dim
-    ric, star, tau = _traces(t, g)
-    b_star = sym(star + (n - 1) * ric) - tau * g.matrix
-    b = sym((n - 1) * star + ric) - tau * g.matrix
-    return b_star, b
+    return _Parts(_require_space(t, g, "r"), g).b_forms()
 
 
 def sigma_split(omega, theta, g: ScalarProduct) -> np.ndarray:
@@ -279,11 +289,14 @@ def sigma_split(omega, theta, g: ScalarProduct) -> np.ndarray:
 
     Builds the canonical (1,3) operator with Ricci tensor omega + theta and
     lowers its last index with g.  omega must be antisymmetric and theta
-    symmetric within 1e-10.
+    symmetric within 1e-10, and both finite.
     """
     omega = np.asarray(omega, dtype=float)
     theta = np.asarray(theta, dtype=float)
     check_same_dim(omega, theta, g.matrix)
+    for name, form in (("omega", omega), ("theta", theta)):  # a nan passes the tests below
+        if not np.isfinite(form).all():
+            raise NonFiniteInput(f"{name} has a non-finite entry")
     norm = lambda x: _row_maxnorm(x, 0)
     if norm(omega + omega.swapaxes(-1, -2)) > FORM_TOL * max(1.0, norm(omega)):
         raise FormSymmetryViolation("omega is not antisymmetric")
@@ -300,8 +313,4 @@ def equiaffine_einstein_check(t, g: ScalarProduct) -> bool | np.ndarray:
     torsion-free connection.  A bool for one tensor, a bool array of the
     batch shape for a stack.
     """
-    t = _require_space(t, g, "r")
-    ric, _, tau = _traces(t, g)
-    w2 = _sigma_sym(sym(ric) - (tau / g.dim) * g.matrix, g.matrix)
-    w3 = _sigma_alt(antisym(ric), g.matrix)
-    return _per_tensor(_relative(t, w2, w3) <= MEMBERSHIP_TOL)
+    return _Parts(_require_space(t, g, "r"), g).einstein()

@@ -36,7 +36,7 @@ from itertools import count
 
 import numpy as np
 
-from .decomp import _Parts, projective_part, traceless_core
+from .decomp import _Parts
 from .errors import DimensionMismatch, DimensionTooSmall, EmptyRun, EmptySpace
 from .errors import NegativeStreamKey, UnknownSpace
 from .linalg import ScalarProduct, _integer, standard_scalar_product
@@ -142,13 +142,12 @@ def _family(space: str):
 
 
 def _project(space: str, parts: _Parts, comps=None) -> np.ndarray:
-    """The unnormalized image in the space of the 'r' samples parts.t; comps: all eight
-    components of the space's `_family`, when it has one."""
-    base, g = parts.t, parts.g
+    """The unnormalized image in the space of the 'r' samples parts.t, every map read off
+    parts' trace data; comps: all eight components of the space's `_family`, when it has one."""
     if space == "p":
-        return projective_part(base, g)
+        return parts.projective_part()
     if space == "t":
-        return traceless_core(base, g)
+        return parts.traceless_core()
     if space == "a":
         return parts.psi
     if space == "s":
@@ -156,9 +155,9 @@ def _project(space: str, parts: _Parts, comps=None) -> np.ndarray:
     if space == "a_plus_s":
         return parts.psi + parts.mu
     if space == "f":
-        return base - comps[2]
+        return parts.t - comps[2]
     if space == "f_pair":
-        return base - comps[2] - comps[3] - comps[7]
+        return parts.t - comps[2] - comps[3] - comps[7]
     return comps[int(space[1:]) - 1]
 
 

@@ -24,16 +24,8 @@ from numbers import Real
 import numpy as np
 
 from . import sampling
-from .decomp import (
-    _Parts,
-    a_projections,
-    b_forms,
-    equiaffine_einstein_check,
-    projective_part,
-    sigma_split,
-    singer_thorpe,
-    traceless_core,
-)
+from .decomp import (_Parts, a_projections, b_forms, equiaffine_einstein_check, projective_part,
+                     sigma_split, singer_thorpe)
 from .errors import DimensionMismatch, EmptyRun, NonFiniteInput, UnknownCheck
 from .linalg import _integer, _row_maxnorm, antisym, standard_scalar_product, sym
 from .linalg import tensor_pairing
@@ -205,7 +197,7 @@ def _vanishing(ctx, family, conditions):
     g, n = ctx.g, ctx.n
     r = ctx.stack("r")[:8]
     comps = ctx.comps("r", family)[:5, :8]
-    conds = conditions(*_traces(r, g), g.matrix, n)
+    conds = conditions(*(x[:8] for x in ctx.parts("r").traces[:3]), g.matrix, n)
     # forward: removing component j enforces trace condition j, and leaves no component j
     for j, stripped in enumerate(r - comps):
         parts = _Parts(stripped, g)
@@ -253,12 +245,12 @@ def _check_a_conjugation_signs(ctx):
 def _check_equiaffine_pair_projections(ctx):
     g, n = ctx.g, ctx.n
     gm = g.matrix
-    s = ctx.stack("f_pair")
-    cs = conjugate(s)
+    parts = ctx.parts("f_pair")
+    cs = conjugate(parts.t)
     w = ctx.comps("f_pair", "w")
     keep = (0, 2, 3, 5, 6, 7)  # W2 and W5 of the conjugate are not read
     ws = dict(zip(keep, _Parts(cs, g).w(keep)))
-    ric, star, tau = ctx.parts("f_pair").traces[:3]
+    ric, star, tau = parts.traces[:3]
     yield membership_residual(cs, g, "r")
     yield from (w[2], w[3], w[7])
     yield from (ws[2], ws[3], ws[7])
@@ -268,7 +260,7 @@ def _check_equiaffine_pair_projections(ctx):
         tau[..., None, None] * wedge(gm, gm) - wedge_r(ric + (n - 1) * star, gm, n - 1) / n
     ) / ((n - 1) * (n - 2))
     yield w[4] - expected5
-    yield projective_part(s, g) - w[4] - w[5] - w[6]
+    yield parts.projective_part() - w[4] - w[5] - w[6]
 
 
 def _check_ricci_symmetry_equivalence(ctx):
@@ -303,29 +295,26 @@ def _check_complement_ricci_structure(ctx):
 
 
 def _check_traceless_core(ctx):
-    g = ctx.g
-    r = ctx.stack("r")
-    core = traceless_core(r, g)
+    g, r = ctx.g, ctx.parts("r")
+    core = r.traceless_core()
     w = ctx.comps("r", "w")
     yield from (ricci(core, g), ricci_star(core, g))
-    yield core - (r - w[0] - w[1] - w[2] - w[3] - w[4])
+    yield core - (r.t - w[0] - w[1] - w[2] - w[3] - w[4])
     ps, m = psi(core), mu(core)
     yield from (w[5] - ps, w[6] - m)
     yield w[7] - (core - ps - m)
-    t = ctx.stack("t")
-    yield traceless_core(t, g) - t
+    t = ctx.parts("t")
+    yield t.traceless_core() - t.t
 
 
 def _check_projective_part(ctx):
     g, n = ctx.g, ctx.n
     yield projective_part(wedge(g.matrix, g.matrix), g)
-    r = ctx.stack("r")
-    f = ctx.stack("f")
-    yield projective_part(f, g) - (f + wedge(ricci(f, g), g.matrix) / (n - 1))
-    t = ctx.stack("t")
-    yield projective_part(t, g) - t
+    f, t = ctx.parts("f"), ctx.parts("t")
+    yield f.projective_part() - (f.t + wedge(ricci(f.t, g), g.matrix) / (n - 1))
+    yield t.projective_part() - t.t
     w = ctx.comps("r", "w")
-    yield projective_part(r, g) - (w[3] + w[4] + w[5] + w[6] + w[7])
+    yield ctx.parts("r").projective_part() - (w[3] + w[4] + w[5] + w[6] + w[7])
 
 
 def _check_projective_flat_bilinear_form(ctx):
@@ -343,18 +332,17 @@ def _check_einstein_projector_criterion(ctx):
     gm = g.matrix
     yield equiaffine_einstein_check(wedge(gm, gm), g)
     yield equiaffine_einstein_check(np.zeros((n,) * 4), g)
-    r = ctx.stack("r")
-    w = ctx.comps("r", "w")
-    pos = r - w[1] - w[2]
-    ric, _, tau = _traces(pos, g)
+    r, w = ctx.parts("r"), ctx.comps("r", "w")
+    pos = _Parts(r.t - w[1] - w[2], g)
+    ric, _, tau = pos.traces[:3]
     yield ric - (tau / n) * gm
     # the converse, for each sample with a distinctly nonzero W2 or W3
     neg = np.maximum(_row_maxnorm(w[1], 1), _row_maxnorm(w[2], 1)) > MARGIN
-    ric, _, tau = ctx.parts("r").traces[:3]
+    ric, _, tau = r.traces[:3]
     gap = _row_maxnorm(ric - (tau / n) * gm, 1)
     yield gap[neg] > 10 * ctx.tol
-    yield equiaffine_einstein_check(pos, g)
-    yield ~equiaffine_einstein_check(r, g)[neg]
+    yield pos.einstein()
+    yield ~r.einstein()[neg]
 
 
 def _check_constant_curvature_equivalences(ctx):
@@ -595,8 +583,9 @@ def run_invariant_suite(config: SuiteConfig | None = None, only=None) -> dict:
         _integer(x, DimensionMismatch, "a dimension or signature entry")
     for n in cfg.dims:
         sampling.formula_dim("co", n)  # refuses n < 3 and n > MAX_DIM
-    if not isinstance(cfg.tolerance, Real) or not math.isfinite(cfg.tolerance):
-        raise NonFiniteInput(f"tolerance must be a finite real number, got {cfg.tolerance!r}")
+    tol = cfg.tolerance  # a bool is a Real, but no tolerance
+    if not isinstance(tol, Real) or isinstance(tol, bool) or not math.isfinite(tol):
+        raise NonFiniteInput(f"tolerance must be a finite real number, got {tol!r}")
     if not any(cfg.grid()):
         raise EmptyRun(f"no signature in {cfg.signatures} fits a dimension in {list(cfg.dims)}")
     sampling.rng_stream(cfg.seed, 0)  # the first stream a check may read: refuses a bad seed

@@ -82,6 +82,32 @@ def lincomb(*pairs):
     return out
 
 
+def random_chart(rng, n=3, scale=0.08, dense=False):
+    """Random chart of degree <= 2; dense=True redraws dropped monomials, so no entry is zero."""
+
+    def rand_terms():
+        terms = {}
+        for _ in range(4):
+            e = tuple(int(v) for v in rng.integers(0, 2, n))
+            while dense and sum(e) > 2:
+                e = tuple(int(v) for v in rng.integers(0, 2, n))
+            if sum(e) <= 2:
+                terms[e] = scale * rng.uniform(-1, 1)
+        return terms
+
+    metric = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            terms = rand_terms()
+            metric[i][j] = metric[j][i] = Poly(n, one_plus(n, terms) if i == j else terms)
+    cubic = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for idx in combinations_with_replacement(range(n), 3):
+        p = Poly(n, rand_terms())
+        for pp in set(permutations(idx)):
+            cubic[pp[0]][pp[1]][pp[2]] = p
+    return PolyChart(n, metric, cubic)
+
+
 def random_terms(rng, n, degree, count, scale):
     """count random monomials of one degree with coefficients in +-scale."""
     terms = {}

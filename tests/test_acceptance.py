@@ -6,10 +6,9 @@ tolerances are pinned here and nowhere else.
 import subprocess
 import sys
 from contextlib import contextmanager
-from itertools import combinations_with_replacement, permutations
 
 import numpy as np
-from chart_helpers import fd_curvature, one_plus
+from chart_helpers import fd_curvature, random_chart
 
 from curvdec.charts import PolyChart, conjugate_triple_report, curvature_at
 from curvdec.decomp import (
@@ -258,28 +257,6 @@ ONE = Poly.constant(1.0, N3)
 ZERO = Poly(N3)
 
 
-def _random_chart(rng, scale=0.08):
-    def rand_terms():
-        terms = {}
-        for _ in range(4):
-            e = tuple(int(v) for v in rng.integers(0, 2, N3))
-            if sum(e) <= 2:
-                terms[e] = scale * rng.uniform(-1, 1)
-        return terms
-
-    metric = [[ZERO for _ in range(N3)] for _ in range(N3)]
-    for i in range(N3):
-        for j in range(i, N3):
-            terms = rand_terms()
-            metric[i][j] = metric[j][i] = Poly(N3, one_plus(N3, terms) if i == j else terms)
-    cubic = [[[ZERO] * N3 for _ in range(N3)] for _ in range(N3)]
-    for idx in combinations_with_replacement(range(N3), 3):
-        p = Poly(N3, rand_terms())
-        for pp in set(permutations(idx)):
-            cubic[pp[0]][pp[1]][pp[2]] = p
-    return PolyChart(N3, metric, cubic)
-
-
 def test_criterion_09_chart_identities():
     with criterion(9, "chart identities"):
         rng = np.random.default_rng(1000)
@@ -291,7 +268,7 @@ def test_criterion_09_chart_identities():
             "parallel_cubic_symmetry",
         ]
         for _ in range(16):
-            chart = _random_chart(rng)
+            chart = random_chart(rng)
             for point in rng.uniform(-0.4, 0.4, (4, N3)):
                 rep = conjugate_triple_report(chart, point)
                 for key in structure_keys:
@@ -316,7 +293,7 @@ def test_criterion_09_chart_identities():
         assert mx(r - expected) <= 1e-12
         assert mx(curvature_at(chart, point, "levi_civita")) <= 1e-12
         # exact polynomial curvature against the finite-difference oracle
-        chart = _random_chart(np.random.default_rng(2000))
+        chart = random_chart(np.random.default_rng(2000))
         point = [0.11, -0.23, 0.31]
         for which in ("levi_civita", "nabla", "nabla_star"):
             exact = curvature_at(chart, point, which)

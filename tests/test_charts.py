@@ -3,7 +3,8 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
-from chart_helpers import fd_curvature, hessian_chart, one_plus, random_factor, random_potential
+from chart_helpers import (fd_curvature, hessian_chart, one_plus, random_chart, random_factor,
+                           random_potential)
 
 from curvdec import charts
 from curvdec.charts import (
@@ -50,32 +51,6 @@ def constant_cubic_values(entries):
         for p in permutations(idx):
             c[p] = val
     return c
-
-
-def random_chart(rng, n=N, scale=0.08, dense=False):
-    """Random chart of degree <= 2; dense=True redraws dropped monomials, so no entry is zero."""
-
-    def rand_terms():
-        terms = {}
-        for _ in range(4):
-            e = tuple(int(v) for v in rng.integers(0, 2, n))
-            while dense and sum(e) > 2:
-                e = tuple(int(v) for v in rng.integers(0, 2, n))
-            if sum(e) <= 2:
-                terms[e] = scale * rng.uniform(-1, 1)
-        return terms
-
-    metric = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            terms = rand_terms()
-            metric[i][j] = metric[j][i] = Poly(n, one_plus(n, terms) if i == j else terms)
-    cubic = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for idx in combinations_with_replacement(range(n), 3):
-        p = Poly(n, rand_terms())
-        for pp in set(permutations(idx)):
-            cubic[pp[0]][pp[1]][pp[2]] = p
-    return PolyChart(n, metric, cubic)
 
 
 # -- polynomials --------------------------------------------------------------
@@ -302,6 +277,17 @@ def test_bad_point_and_connection_are_typed():
     with pytest.raises(UnknownConnection, match="bogus"):
         curvature_at(chart, [0.0] * 3, "bogus")
     assert issubclass(UnknownConnection, CurvdecError)
+    # a non-finite coordinate is refused, naming the point, also one that no field reads:
+    # a chart of x0 alone gave a normal curvature and a triple report with tau 0.0
+    x0 = Poly(N, {(0, 0, 0): 1.0, (1, 0, 0): 0.1})
+    chart = PolyChart(N, [[x0 if i == j else ZERO for j in range(N)] for i in range(N)],
+                      constant_cubic({(0, 0, 1): 0.2}))
+    for point in ([0.1, np.nan, 0.0], [0.1, np.inf, 0.0], [-np.inf, 0.0, 0.0]):
+        for call in (chart.metric_at, lambda p: curvature_at(chart, p),
+                     lambda p: conjugate_triple_report(chart, p)):
+            with pytest.raises(NonFiniteInput, match=r"point \[.*\] is not finite"):
+                call(point)
+    assert curvature_at(chart, [0.1, 0.2, 0.0]).shape == (N,) * 4
 
 
 def test_exact_curvature_matches_finite_difference_oracle():

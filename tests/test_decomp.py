@@ -250,6 +250,19 @@ def test_sigma_split_symmetry_validation():
         sigma_split(np.zeros((3, 3)), antisym(bad) + 1e-6 * np.eye(3) @ bad, g)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sigma_split_refuses_non_finite_forms():
+    # nan > tol is false, so a nan form passed the symmetry tests and came back as an
+    # all-nan tensor; a non-finite entry is refused before any arithmetic can warn
+    g, zero = standard_scalar_product(3, 0), np.zeros((3, 3))
+    for bad in (np.nan, np.inf, -np.inf):
+        for form in (np.full((3, 3), bad), np.where(np.eye(3, k=1) == 1, bad, 0.0)):
+            with pytest.raises(NonFiniteInput, match="omega"):
+                sigma_split(form, zero, g)
+            with pytest.raises(NonFiniteInput, match="theta"):
+                sigma_split(zero, form, g)
+
+
 def test_einstein_check_examples():
     g = standard_scalar_product(3, 0)
     gg = wedge(g.matrix, g.matrix)
@@ -455,3 +468,8 @@ def test_projections_make_no_more_kernel_calls(monkeypatch):
         calls.clear()
         proj(t, g)
         assert calls <= Counter(most), proj.__name__
+    # each derived map reads its trace data off one parts object: one Ricci trace
+    for derived in (projective_part, traceless_core, b_forms, equiaffine_einstein_check):
+        calls.clear()
+        derived(t, g)
+        assert calls["ricci"] == 1, derived.__name__

@@ -214,14 +214,15 @@ def test_fault_in_last_tensor_of_stack_is_seen(monkeypatch):
     report = run_invariant_suite(cfg, only=only)
     for name in only:
         assert report[name]["pass"] is False, name
-    # change only the last sample's pairings, or its Einstein verdict: a batch
-    # mask or a 0::2 slice that drops the last row of a stack would hide it
-    for fake, only in (
-        ("tensor_pairing", ["w_orthogonality", "a_orthogonality", "rescale_invariance"]),
-        ("equiaffine_einstein_check", ["einstein_projector_criterion"]),
+    # change only the last sample's pairings, or its Einstein verdict, which the suite
+    # reads off a stack's parts: a batch mask or a 0::2 slice that drops the last row of
+    # a stack would hide it
+    for owner, fake, only in (
+        (suite, "tensor_pairing", ["w_orthogonality", "a_orthogonality", "rescale_invariance"]),
+        (decomp._Parts, "einstein", ["einstein_projector_criterion"]),
     ):
         assert all(v["pass"] for v in run_invariant_suite(cfg, only=only).values())
-        monkeypatch.setattr(suite, fake, _fault_in_last_result(getattr(suite, fake)))
+        monkeypatch.setattr(owner, fake, _fault_in_last_result(getattr(owner, fake)))
         report = run_invariant_suite(cfg, only=only)
         for name in only:
             assert report[name]["pass"] is False, name
@@ -263,7 +264,7 @@ def test_negative_seed_refused_before_any_check(monkeypatch):
     # up-front refusal keeps this run from reporting a pass; so too for a seed,
     # a dimension or a signature entry that is not an integer (a bool is not),
     # a signature that is not a pair and a tolerance that is not a finite real
-    # number, even where a valid grid point would come first
+    # number (a bool is not), even where a valid grid point would come first
     ran = []
     monkeypatch.setitem(suite.CHECKS, "gram_positivity", lambda ctx: ran.append(ctx) or ())
     for error, cfg in (
@@ -279,6 +280,7 @@ def test_negative_seed_refused_before_any_check(monkeypatch):
         (NonFiniteInput, SuiteConfig(dims=(3,), signatures=((2, 1),), tolerance="x")),
         (NonFiniteInput, SuiteConfig(dims=(3,), signatures=((2, 1),), tolerance=math.inf)),
         (NonFiniteInput, SuiteConfig(dims=(3,), signatures=((2, 1),), tolerance=math.nan)),
+        (NonFiniteInput, SuiteConfig(dims=(3,), signatures=((2, 1),), tolerance=True)),
     ):
         with pytest.raises(error):
             run_invariant_suite(cfg, only=["gram_positivity"])
@@ -407,10 +409,13 @@ def test_each_block_projects_once(monkeypatch):
     # are sums of the 'r' W components.  A component is counted where `decomp._Parts`
     # builds it from a stack's trace data, whoever asks: a block stacks all eight of
     # the families its checks read in full, and the other checks build only the ones
-    # they read: W8 of 'a_plus_s', A2 to A5 of 'f_pair', and singer_thorpe A1, A2 and
-    # A6 of 'a'.  dimension_consistency draws no sample: each signature projects the
-    # Bianchi images of the co(V) basis probes, CHUNK at a time; ricci_image_dimensions
-    # lifts a basis of the bilinear forms and draws no sample either
+    # they read: W8 of 'a_plus_s', A2 to A5 of 'f_pair', W2 and W3 of 'r' for its
+    # Einstein verdict, and singer_thorpe A1, A2 and A6 of 'a'.  The derived maps of a
+    # block stack are read off its parts, so singer_thorpe's is the one membership test
+    # (`decomp._require_space`) a block stack goes through.  dimension_consistency draws
+    # no sample: each signature projects the Bianchi images of the co(V) basis probes,
+    # CHUNK at a time; ricci_image_dimensions lifts a basis of the bilinear forms and
+    # draws no sample either
     drawn, built, calls, stack = {}, Counter(), Counter(), sampling.Block.stack
 
     def recording(block, space):
@@ -438,6 +443,8 @@ def test_each_block_projects_once(monkeypatch):
 
     monkeypatch.setattr(sampling, "rng_stream", counted("rng_stream", sampling.rng_stream))
     monkeypatch.setattr(sampling.Block, "stack", recording)
+    monkeypatch.setattr(decomp, "_require_space",
+                        counted("_require_space", decomp._require_space))
     for name in ("w", "a"):
         monkeypatch.setattr(decomp._Parts, name, family(name, getattr(decomp._Parts, name)))
     for name in ("psi", "mu"):
@@ -453,14 +460,17 @@ def test_each_block_projects_once(monkeypatch):
             **dict.fromkeys(("s", "f", "p", "t", "f_pair"), 2),
         }
         assert +built == {
-            ("w", "r"): 16, ("a", "r"): 16, ("w", "f_pair"): 16, ("a", "a_plus_s"): 16,
+            ("w", "r"): 20, ("a", "r"): 16, ("w", "f_pair"): 16, ("a", "a_plus_s"): 16,
             ("w", "a_plus_s"): 2, ("a", "f_pair"): 8, ("a", "a"): 6,
             ("psi", "r"): 1, ("mu", "r"): 1, ("psi", "a_plus_s"): 1, ("mu", "a_plus_s"): 1,
             ("psi", "f_pair"): 2, ("mu", "f_pair"): 2, ("psi", "a"): 2,
+            ("_require_space", "a"): 2,
         }
-    # the components built, and the ψ, μ and stream calls, of one default `verify`:
-    # the block's 64 streams and the seed check's; dimension_consistency's probes (one
-    # chunk at n = 3 and 4) add one W and one A pass and one ψ and μ per signature
+    # the components built, and the ψ, μ, stream and membership-test calls, of one
+    # default `verify`: the block's 64 streams and the seed check's; dimension_consistency's
+    # probes (one chunk at n = 3 and 4) add one W and one A pass and one ψ and μ per
+    # signature; the public maps test the membership only of what is not a block stack
     calls.clear()
     run_invariant_suite(SuiteConfig())
-    assert calls == {"rng_stream": 65, "w": 252, "a": 280, "psi": 48, "mu": 44}
+    assert calls == {"rng_stream": 65, "w": 284, "a": 280, "psi": 48, "mu": 44,
+                     "_require_space": 40}
