@@ -17,7 +17,6 @@ from .decomp import (
     projective_part,
     sigma_split,
     singer_thorpe,
-    traceless_core,
     w_decompose,
     w_projections,
 )

@@ -27,26 +27,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FormSymmetryViolation, NonFiniteInput, NotAlgebraic, NotGeneralizedCurvature
-from .linalg import (
-    ScalarProduct,
-    _per_tensor,
-    _row_maxnorm,
-    antisym,
-    check_same_dim,
-    sym,
-    tensor_pairing,
-)
-from .spaces import (
-    MEMBERSHIP_TOL,
-    _relative,
-    _traces,
-    dot_product,
-    membership_residual,
-    mu,
-    psi,
-    wedge,
-    wedge_r,
-)
+from .linalg import ScalarProduct, _per_tensor, _row_maxnorm, antisym, check_same_dim, sym
+from .linalg import tensor_pairing
+from .spaces import (MEMBERSHIP_TOL, _dot_product, _relative, _traces, _wedge, _wedge_r,
+                     membership_residual, mu, psi)
 
 FORM_TOL = 1e-10
 
@@ -65,7 +49,7 @@ def _require_space(t, g, space) -> np.ndarray:
 
 
 def _lift(b, gm, r: float) -> np.ndarray:
-    return 2.0 * dot_product(b, gm) + wedge_r(b, gm, r)
+    return 2.0 * _dot_product(b, gm) + _wedge_r(b, gm, r)
 
 
 def _sigma_alt(omega, gm) -> np.ndarray:  # sigma(omega, 0)
@@ -73,7 +57,7 @@ def _sigma_alt(omega, gm) -> np.ndarray:  # sigma(omega, 0)
 
 
 def _sigma_sym(theta, gm) -> np.ndarray:  # sigma(0, theta)
-    return wedge(theta, gm) / (1 - len(gm))
+    return _wedge(theta, gm) / (1 - len(gm))
 
 
 # the A-components that component j is built from, itself last: A6 = psi - A1 - A2, and so on
@@ -120,7 +104,7 @@ class _Parts:
     def traces(self) -> tuple[np.ndarray, ...]:
         gm = self.gm
         ric, star, tau = _traces(self.t, self.g)
-        return (ric, star, tau, tau[..., None, None], wedge(gm, gm), sym(ric + star),
+        return (ric, star, tau, tau[..., None, None], _wedge(gm, gm), sym(ric + star),
                 sym(ric - star), antisym(3.0 * ric - star))
 
     def w(self, keep=range(8)) -> list[np.ndarray]:
@@ -133,11 +117,11 @@ class _Parts:
             lambda: _sigma_sym(sym(ric) - tau_g, gm),
             lambda: _sigma_alt(lric, gm),
             lambda: (-1.0 / (n * n - 4)) * _lift(lstar + (3.0 / (n + 1)) * lric, gm, n + 1),
-            lambda: (tau4 * gg - wedge_r(sym(ric + (n - 1) * star), gm, n - 1) / n)
+            lambda: (tau4 * gg - _wedge_r(sym(ric + (n - 1) * star), gm, n - 1) / n)
             / ((n - 1) * (n - 2)),
-            lambda: self.psi + wedge_r(sym_plus, gm, 1) / (2 * (n - 2))
+            lambda: self.psi + _wedge_r(sym_plus, gm, 1) / (2 * (n - 2))
             - (tau4 / ((n - 1) * (n - 2))) * gg,
-            lambda: self.mu + wedge_r(sym_minus, gm, -1) / (2 * n)
+            lambda: self.mu + _wedge_r(sym_minus, gm, -1) / (2 * n)
             + _lift(alt_minus, gm, -1) / (4 * (n + 2)),
             lambda: self.t - self.psi - self.mu + _lift(lric + lstar, gm, 3) / (4 * (n - 2)),
         )
@@ -149,8 +133,8 @@ class _Parts:
         ric, star, tau, tau4, gg, sym_plus, sym_minus, alt_minus = self.traces
         build = (
             lambda: (-tau4 / (n * (n - 1))) * gg,
-            lambda: (2 * tau4 / (n * (n - 2))) * gg - wedge_r(sym_plus, gm, 1) / (2 * (n - 2)),
-            lambda: -wedge_r(sym_minus, gm, -1) / (2 * n),
+            lambda: (2 * tau4 / (n * (n - 2))) * gg - _wedge_r(sym_plus, gm, 1) / (2 * (n - 2)),
+            lambda: -_wedge_r(sym_minus, gm, -1) / (2 * n),
             lambda: (-1.0 / (4 * (n + 2))) * _lift(alt_minus, gm, -1),
             lambda: (-1.0 / (4 * (n - 2))) * _lift(antisym(ric + star), gm, 3),
             lambda: self.psi - c[0] - c[1],
@@ -171,15 +155,16 @@ class _Parts:
         return self.t - _sigma_alt(antisym(ric), gm) - _sigma_sym(sym(ric), gm)
 
     def traceless_core(self) -> np.ndarray:
-        """The five-term trace-free correction of t, see `traceless_core`."""
+        """The projection of t onto the totally trace-free subspace (Ric = Ric* = 0), by the
+        closed five-term correction; it agrees with t less its first five W-components."""
         n, gm = self.n, self.gm
         ric, star, tau, tau4, gg = self.traces[:5]
         return (
             self.t
-            + (2.0 / (n * n - 4)) * dot_product(antisym((n - 1) * ric + star), gm)
-            + wedge((n - 1) * antisym(ric) + (n + 1) * sym(ric), gm) / (n * n - 1)
-            + wedge_r(antisym(3.0 * ric + (n + 1) * star), gm, n + 1) / ((n * n - 4) * (n + 1))
-            + wedge_r(sym(ric + (n - 1) * star), gm, n - 1) / (n * (n - 1) * (n - 2))
+            + (2.0 / (n * n - 4)) * _dot_product(antisym((n - 1) * ric + star), gm)
+            + _wedge((n - 1) * antisym(ric) + (n + 1) * sym(ric), gm) / (n * n - 1)
+            + _wedge_r(antisym(3.0 * ric + (n + 1) * star), gm, n + 1) / ((n * n - 4) * (n + 1))
+            + _wedge_r(sym(ric + (n - 1) * star), gm, n - 1) / (n * (n - 1) * (n - 2))
             - (tau4 / ((n - 1) * (n - 2))) * gg
         )
 
@@ -263,15 +248,6 @@ def projective_part(t, g: ScalarProduct) -> np.ndarray:
     symmetric Ricci it equals t + wedge(Ric, g)/(n-1).
     """
     return _Parts(_require_space(t, g, "r"), g).projective_part()
-
-
-def traceless_core(t, g: ScalarProduct) -> np.ndarray:
-    """Projection onto the totally trace-free subspace (Ric = Ric* = 0).
-
-    Computed by the closed five-term correction formula; agrees with
-    subtracting the first five W-components.
-    """
-    return _Parts(_require_space(t, g, "r"), g).traceless_core()
 
 
 def b_forms(t, g: ScalarProduct) -> tuple[np.ndarray, np.ndarray]:

@@ -30,8 +30,7 @@ def dumps(obj) -> str:
 
     def hold(value):  # json calls it for each array, in output order, and writes "\u0000"
         if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == float:
-            # json writes fewer than 128 entries (an n = 3 tensor) faster than a batch would
-            return value.tolist() if len(value) < 128 else arrays.append(value) or "\0"
+            return arrays.append(value) or "\0"  # every array of a document shares one pass
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
     try:

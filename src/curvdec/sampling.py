@@ -16,23 +16,16 @@ invariant suite reads blocks of CHUNK keys, whose metric-free part both
 signatures of a dimension share.
 
 Dimensions are neither sampled nor ranked, and a space is empty exactly where its
-FORMULA_DIMS entry is 0.  Every space but 'co' is the image of P o B, with B
-the Bianchi projector and P the space's idempotent map on r(V), and the rank of
-an idempotent is its trace.  The metric is diagonal, so each coordinate reflection
-lies in O(p, q) and commutes with the maps, which are therefore block-diagonal over
-the parity classes of the basis of co(V) (see `_co_basis`; a non-diagonal metric
-would pack in its η-orthonormal frame).  `dimension_reports` applies B to probes,
-one basis tensor of each class summed, CHUNK at a time, projects each chunk once
-per family (W, A, or ψ and μ; 'p' and 't' by their own maps), all from one set
-of the chunk's trace data, and sums each basis tensor's own coordinate in its
-probe's image.  `curvdec dims` prints the reports,
-and the suite's dimension_consistency is their verdict.
+FORMULA_DIMS entry is 0.  Every space but 'co' is the image of P o B, with B the Bianchi
+projector and P the space's idempotent map on r(V).  `_blocks` reads the parity-class blocks
+of every such map's matrix on co(V) in one pass over the basis probes; `curvdec dims` prints
+each map's trace, the sum of its blocks' traces, and the suite's family checks are verdicts
+on the blocks.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import count
 
 import numpy as np
 
@@ -270,9 +263,10 @@ def sample(
 class DimensionReport:
     """The dimension of a sample space, read off the trace of its projector on co(V).
 
-    empirical_dim is the trace, read off the basis probes (see the module docstring),
+    empirical_dim is the trace, read off the class blocks (see the module docstring),
     rounded to an integer.  The report is inconclusive when the trace lies further than
-    TRACE_TOL from it: the map is then not idempotent, and its trace is not its rank.
+    TRACE_TOL from it, so that the map is not idempotent and its trace no rank, or when
+    the map fails the guard of `_blocks`, so that the blocks misread it.
     """
 
     space: str
@@ -282,12 +276,14 @@ class DimensionReport:
 
 
 def _co_basis(n: int):
-    """The coordinate basis of co(V) as index arrays (flat, mirror, probe), one entry a tensor.
+    """The coordinate basis of co(V) as index arrays (flat, mirror, probe), one entry a
+    tensor, and its parity classes (groups).
 
     Basis tensor b is 1 at the b-th first-pair entry with i < j, in row-major (i, j, k, l)
     order, and -1 at its mirror (j, i, k, l): flat and mirror hold these n**4 indices.  Its
-    parity class is the count of each coordinate in (i, j, k, l) mod 2, and probe[b] counts
-    the tensors of its class before it: probe row k sums the k-th tensor of every class.
+    class is the count of each coordinate in (i, j, k, l) mod 2.  groups holds one (G, s)
+    array per class size s, row c class c's tensors in basis order, and probe[b] counts
+    those before b: probe row k sums the k-th tensor of every class.
     """
     i, j = np.triu_indices(n, 1)
     flat, mirror = ((((a * n + b) * n * n)[:, None] + np.arange(n * n)).ravel()
@@ -296,30 +292,70 @@ def _co_basis(n: int):
     # sort: it would fault in code pages nothing else in `dims` or `verify` touches (0.3 MB RSS)
     parity = ((1 << a) ^ (1 << b) ^ (1 << c) ^ (1 << d)
               for a, b, c, d in zip(*(x.tolist() for x in np.unravel_index(flat, (n,) * 4))))
-    numbers = defaultdict(count)  # each class numbers its tensors 0, 1, 2, ... in basis order
-    return flat, mirror, np.array([next(numbers[p]) for p in parity])
+    classes, sizes = defaultdict(list), defaultdict(list)
+    for b, p in enumerate(parity):
+        classes[p].append(b)
+    for members in classes.values():
+        sizes[len(members)].append(members)
+    groups, probe = [np.array(rows) for rows in sizes.values()], np.empty(len(flat), dtype=int)
+    for rows in groups:
+        probe[rows] = np.arange(rows.shape[1])
+    return flat, mirror, probe, groups
 
 
-def _traces(n: int, g: ScalarProduct, spaces) -> dict[str, float]:
-    """The trace on co(V) of each space's map under a diagonal g, off the basis probes."""
-    flat, mirror, probe = _co_basis(n)
-    traces = dict.fromkeys(spaces, 0.0)
+def _blocks(n: int, g: ScalarProduct, spaces):
+    """The class blocks of each space's map on co(V) under a diagonal g, off the basis probes,
+    with each map's guard residual.
+
+    Each coordinate reflection R_a lies in O(p, q) and commutes with the maps, so their
+    matrices are block-diagonal over the parity classes of `_co_basis` (a non-diagonal metric
+    would pack in its η-orthonormal frame).  Probe k sums the k-th tensor of every class, B is
+    applied CHUNK probes at a time, and each chunk is projected once per family (W, A, or ψ
+    and μ; 'p' and 't' by their own maps) from one set of its trace data.  blocks[space]
+    holds one (G, s, s) stack per entry of groups: entry [c, m, k] is the coordinate of
+    class c's m-th tensor in probe k's image.  Each chunk ends in a fixed co(V) tensor x and
+    its reflections, and guard[space] is the largest |R_a P(x) - P(R_a x)|: 0.0 for every map
+    here, as the maps act row by row, and of order 1 for one that mixes the classes.
+    """
+    flat, mirror, probe, groups = _co_basis(n)
+    # R_a flips the sign of an entry whose index tuple counts a an odd number of times
+    counts = (np.indices((n,) * 4).reshape(4, 1, -1) == np.arange(n)[:, None]).sum(axis=0)
+    signs, x = 1.0 - 2.0 * (counts % 2), np.cos(np.arange(n**4)).reshape((n,) * 4)
+    x = (x - x.swapaxes(0, 1)).ravel()
+    read = {space: [[] for _ in groups] for space in spaces}  # each space once
+    guard = dict.fromkeys(read, 0.0)
     for lo in range(0, probe.max() + 1, CHUNK):  # one chunk of probes built at a time
         pick = (probe >= lo) & (probe < lo + CHUNK)
-        at = probe[pick] - lo, flat[pick]  # each basis tensor's own entry in its probe
-        chunk = np.zeros((at[0].max() + 1, n**4))
-        chunk[at], chunk[at[0], mirror[pick]] = 1.0, -1.0
+        at, k = probe[pick] - lo, min(CHUNK, probe.max() + 1 - lo)
+        chunk = np.zeros((k + n + 1, n**4))  # the probes, x, then R_0 x .. R_(n-1) x
+        chunk[at, flat[pick]], chunk[at, mirror[pick]] = 1.0, -1.0
+        chunk[k], chunk[k + 1:] = x, signs * x
         chunk = chunk.reshape((-1,) + (n,) * 4)
         r = bianchi_project(chunk)
         parts = _Parts(r, g)  # the chunk's trace data, ψ and μ serve both families
-        for family in dict.fromkeys(map(_family, traces)):  # one family's components at a time
+        for family in dict.fromkeys(map(_family, read)):  # one family's components at a time
             comps = None if family is None else getattr(parts, family)()
-            for space in (space for space in traces if _family(space) == family):
+            for space in (space for space in read if _family(space) == family):
                 image = {"co": chunk, "r": r}.get(space)
                 image = _project(space, parts, comps) if image is None else image
-                traces[space] += float(image.reshape(len(chunk), -1)[at].sum())
+                image = image.reshape(len(chunk), -1)
+                off = np.abs(signs * image[k] - image[k + 1:]).max()
+                guard[space] = np.maximum(guard[space], off)  # nan stays nan
+                for out, members in zip(read[space], groups):  # class c has probes k < s
+                    out.append(image[: max(0, min(k, members.shape[1] - lo))][:, flat[members]])
             del comps  # before the next family's are built: memory holds one family's at a time
-    return traces
+    return {space: [np.concatenate(out).transpose(1, 2, 0) for out in stacks]
+            for space, stacks in read.items()}, guard
+
+
+def _reports(n: int, blocks, guard) -> dict[str, DimensionReport]:
+    """Each space's report off the trace of its class blocks and its guard residual (see
+    `_blocks`), inconclusive when either is past TRACE_TOL."""
+    traces = {space: sum(float(np.trace(b, axis1=1, axis2=2).sum()) for b in stacks)
+              for space, stacks in blocks.items()}
+    return {space: DimensionReport(space, round(t), formula_dim(space, n),
+                                   abs(t - round(t)) > TRACE_TOL or not guard[space] <= TRACE_TOL)
+            for space, t in traces.items()}
 
 
 def dimension_reports(
@@ -332,15 +368,16 @@ def dimension_reports(
     Exact up to roundoff: nothing is drawn and nothing is ranked, and the basis is
     packed into probes (see the module docstring): at n = 8, 56 probes stand for 1,792
     basis tensors, projected CHUNK at a time.  Raises EmptyRun when no space is named,
-    UnknownSpace for an unknown tag and DimensionMismatch for a dimension past
-    MAX_DIM, a dimension or signature entry that is not an integer or a
-    signature that does not fit.
+    UnknownSpace for an unknown tag or a string in place of a collection of them, and
+    DimensionMismatch for a dimension past MAX_DIM, a dimension or signature entry that
+    is not an integer or a signature that does not fit.
     """
+    if isinstance(spaces, str):  # a str is a collection of one-letter tags
+        raise UnknownSpace(f"spaces must be a collection of tags, got the string {spaces!r}")
     spaces = tuple(spaces)  # an iterator would be spent by the first pass over it
     if not spaces:
         raise EmptyRun("a run needs at least one space")
     n = _integer(dim, DimensionMismatch, "the dimension")
-    fdims = {space: formula_dim(space, n) for space in spaces}  # refused before any work
-    traces = _traces(n, _scalar_product(n, signature), spaces)
-    return {space: DimensionReport(space, round(t), fdims[space], abs(t - round(t)) > TRACE_TOL)
-            for space, t in traces.items()}
+    for space in spaces:
+        formula_dim(space, n)  # refused before any work
+    return _reports(n, *_blocks(n, _scalar_product(n, signature), spaces))

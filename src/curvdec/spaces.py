@@ -20,7 +20,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import UnknownSpace
+from .errors import NonFiniteInput, UnknownSpace
 from .linalg import (ScalarProduct, _per_tensor, _row_maxnorm, antisym, check_same_dim,
                      check_tensor)
 
@@ -39,15 +39,8 @@ def _reindex(t, pattern):
     return t.transpose(_axes(pattern, t.ndim))
 
 
-def wedge_r(h, k, r: float) -> np.ndarray:
-    """The wedge product family on bilinear forms.
-
-    (h ^_r k)[a,b,c,d] = h[a,c] k[b,d] - h[b,c] k[a,d]
-                         - r * (h[a,d] k[b,c] - h[b,d] k[a,c]);
-    r = 0 is the plain wedge, r = 1 the Kulkarni-Nomizu product.
-    """
-    h = np.asarray(h, dtype=float)
-    k = np.asarray(k, dtype=float)
+def _wedge_r(h, k, r: float) -> np.ndarray:
+    """`wedge_r` of float arrays, with no finiteness test: the package's own products."""
     check_same_dim(h, k)
     hk = np.einsum("...ac,...bd->...abcd", h, k)
     out = hk - hk.swapaxes(-4, -3)
@@ -56,17 +49,43 @@ def wedge_r(h, k, r: float) -> np.ndarray:
     return out
 
 
+def _wedge(h, k) -> np.ndarray:
+    return _wedge_r(h, k, 0.0)
+
+
+def _dot_product(h, k) -> np.ndarray:
+    check_same_dim(h, k)
+    return np.einsum("...ab,...cd->...abcd", h, k)
+
+
+def _finite(*operands):
+    """The operands as float arrays; NonFiniteInput for a NaN or infinite entry in any."""
+    operands = [np.asarray(x, dtype=float) for x in operands]
+    if not all(np.isfinite(x).all() for x in operands):
+        raise NonFiniteInput("a product operand has a non-finite entry")
+    return operands
+
+
+def wedge_r(h, k, r: float) -> np.ndarray:
+    """The wedge product family on bilinear forms.
+
+    (h ^_r k)[a,b,c,d] = h[a,c] k[b,d] - h[b,c] k[a,d]
+                         - r * (h[a,d] k[b,c] - h[b,d] k[a,c]);
+    r = 0 is the plain wedge, r = 1 the Kulkarni-Nomizu product.  NonFiniteInput for a
+    NaN or infinite entry of h or k, or for r.
+    """
+    h, k, _ = _finite(h, k, r)
+    return _wedge_r(h, k, r)
+
+
 def wedge(h, k) -> np.ndarray:
     """Plain wedge h ^ k = wedge_r(h, k, 0)."""
-    return wedge_r(h, k, 0.0)
+    return _wedge(*_finite(h, k))
 
 
 def dot_product(h, k) -> np.ndarray:
     """(h . k)[a,b,c,d] = h[a,b] k[c,d].  Not symmetric in (h, k)."""
-    h = np.asarray(h, dtype=float)
-    k = np.asarray(k, dtype=float)
-    check_same_dim(h, k)
-    return np.einsum("...ab,...cd->...abcd", h, k)
+    return _dot_product(*_finite(h, k))
 
 
 def conjugate(t) -> np.ndarray:

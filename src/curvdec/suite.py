@@ -11,13 +11,15 @@ residual terms, and one fold takes their max over terms and blocks: a numeric
 term (an array or a float) counts max |term|, 0.0 when empty; a bool or
 bool-array term is a verdict held sample by sample and counts 1.0 unless every
 entry is true.  A nan or inf term fails its check at any finite tolerance, and
-its worst residual is reported as null (nan stays nan through the fold).
+its worst residual is reported as null (nan stays nan through the fold).  The
+family checks (`_on_blocks`, dimension_consistency) read no sample: they are
+verdicts on the class blocks of the point's maps on all of co(V), read once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import groupby
 from numbers import Real
 
@@ -30,22 +32,9 @@ from .errors import DimensionMismatch, EmptyRun, NonFiniteInput, UnknownCheck
 from .linalg import _integer, _row_maxnorm, antisym, standard_scalar_product, sym
 from .linalg import tensor_pairing
 from .sampling import CHUNK, Block, _normalize
-from .spaces import (
-    MEMBERSHIP_TOL,
-    SPACE_TAGS,
-    _membership_rows,
-    _traces,
-    conjugate,
-    membership,
-    membership_residual,
-    mu,
-    psi,
-    ricci,
-    ricci_star,
-    ricci_traces,
-    wedge,
-    wedge_r,
-)
+from .spaces import (MEMBERSHIP_TOL, SPACE_TAGS, _membership_rows, _traces, _wedge, _wedge_r,
+                     conjugate, membership, membership_residual, mu, psi, ricci, ricci_star,
+                     ricci_traces)
 
 # engineered-negative quantities must clear this margin on unit-norm samples
 MARGIN = 1e-4
@@ -76,15 +65,23 @@ class SuiteConfig:
         }
 
 
+_W, _A = (tuple(f"{family}{j}" for j in range(1, 9)) for family in "WA")
+
+
 class _Ctx(Block):
-    """One block of a (dimension, signature) point: its k sample indices from lo, with
-    the point's n and signature, the run's tolerance and the dict shared (see Block)."""
+    """One block of a (dimension, signature) point: its (at most CHUNK) sample indices from
+    lo, with the point's n and signature, the run's tolerance and the dict shared (see Block)."""
 
     def __init__(self, n: int, sig, cfg: SuiteConfig, lo: int, shared: dict):
         self.n, self.sig, self.lo, self.tol, self.shared = n, sig, lo, cfg.tolerance, shared
-        self.k = min(CHUNK, cfg.samples - lo)
-        keys = range(lo, lo + self.k)
+        keys = range(lo, min(lo + CHUNK, cfg.samples))
         super().__init__(standard_scalar_product(*sig), cfg.seed, keys, shared)
+
+    @cached_property
+    def blocks(self):
+        """The class blocks and guard residuals of B and of the 'a', 'f', 'p', W and A maps,
+        which the family checks and dimension_consistency read."""
+        return sampling._blocks(self.n, self.g, ("r", "a", "f", "p", *_W, *_A))
 
 
 def _fold(worst: float, terms) -> float:
@@ -101,32 +98,6 @@ def _fold(worst: float, terms) -> float:
 # check implementations; each yields its residual terms for one context
 
 
-def _completeness(ctx, family):
-    yield np.sum(ctx.comps("r", family), axis=0) - ctx.stack("r")
-
-
-def _idempotence(ctx, family):
-    # again[i, j] = P_i(P_j r), which is P_j r for i = j and zero otherwise
-    comps = ctx.comps("r", family)[:, :4]
-    again = np.stack(getattr(_Parts(comps, ctx.g), family)())
-    again[range(8), range(8)] -= comps
-    scale = np.maximum(1.0, _row_maxnorm(comps, 2))
-    yield _row_maxnorm(again, 3) / scale
-
-
-def _orthogonality(ctx, family):
-    # pair[a, b, i] pairs component a of sample 2i with component b of sample 2i + 1,
-    # over the block's first m = 2 min(k // 2, 6) rows; a block of one row pairs it with itself
-    m = 2 * min(ctx.k // 2, 6)
-    comps = ctx.comps("r", family)[:, : m or 1]
-    first, second = (slice(0, m, 2), slice(1, m, 2)) if m else (slice(1),) * 2
-    pair = np.abs(tensor_pairing(comps[:, None, first], comps[None, :, second], ctx.g))
-    norm = np.sqrt(np.sum(np.square(comps), axis=(-4, -3, -2, -1)))
-    n1, n2 = norm[:, None, first], norm[None, :, second]
-    keep = (n1 >= 1e-10) & (n2 >= 1e-10) & ~np.eye(8, dtype=bool)[..., None]
-    yield pair[keep] / (n1 * n2)[keep]
-
-
 def _check_gram_positivity(ctx):
     # full positive definiteness asserted only for definite signature
     if ctx.sig[1] != 0:
@@ -135,12 +106,6 @@ def _check_gram_positivity(ctx):
     comps = np.concatenate([w[:, :6], a[:, :6]])
     nonzero = _row_maxnorm(comps, 2) > 1e-8
     yield tensor_pairing(comps, comps, ctx.g)[nonzero] > 0.0
-
-
-def _check_wa_map_coincidences(ctx):
-    w, a = ctx.comps("r", "w"), ctx.comps("r", "a")
-    yield from (w[j] - a[j] for j in (0, 5, 6, 7))
-    yield from (w[1] + w[4] - a[1] - a[2], w[2] + w[3] - a[3] - a[4])
 
 
 def _check_w_trace_formulas(ctx):
@@ -255,9 +220,9 @@ def _check_equiaffine_pair_projections(ctx):
     yield from (w[2], w[3], w[7])
     yield from (ws[2], ws[3], ws[7])
     yield from (ws[0] - w[0], ws[5] - w[5], ws[6] + w[6])
-    yield w[1] - wedge((tau / n) * gm - ric, gm) / (n - 1)
+    yield w[1] - _wedge((tau / n) * gm - ric, gm) / (n - 1)
     expected5 = (
-        tau[..., None, None] * wedge(gm, gm) - wedge_r(ric + (n - 1) * star, gm, n - 1) / n
+        tau[..., None, None] * _wedge(gm, gm) - _wedge_r(ric + (n - 1) * star, gm, n - 1) / n
     ) / ((n - 1) * (n - 2))
     yield w[4] - expected5
     yield parts.projective_part() - w[4] - w[5] - w[6]
@@ -309,9 +274,9 @@ def _check_traceless_core(ctx):
 
 def _check_projective_part(ctx):
     g, n = ctx.g, ctx.n
-    yield projective_part(wedge(g.matrix, g.matrix), g)
+    yield projective_part(_wedge(g.matrix, g.matrix), g)
     f, t = ctx.parts("f"), ctx.parts("t")
-    yield f.projective_part() - (f.t + wedge(ricci(f.t, g), g.matrix) / (n - 1))
+    yield f.projective_part() - (f.t + _wedge(ricci(f.t, g), g.matrix) / (n - 1))
     yield t.projective_part() - t.t
     w = ctx.comps("r", "w")
     yield ctx.parts("r").projective_part() - (w[3] + w[4] + w[5] + w[6] + w[7])
@@ -319,7 +284,7 @@ def _check_projective_part(ctx):
 
 def _check_projective_flat_bilinear_form(ctx):
     g = ctx.g
-    gg = wedge(g.matrix, g.matrix)
+    gg = _wedge(g.matrix, g.matrix)
     yield from b_forms(gg, g)
     w = ctx.comps("r", "w")
     paired = conjugate(_normalize(w[0] + w[1], 1e-8))
@@ -330,7 +295,7 @@ def _check_projective_flat_bilinear_form(ctx):
 def _check_einstein_projector_criterion(ctx):
     g, n = ctx.g, ctx.n
     gm = g.matrix
-    yield equiaffine_einstein_check(wedge(gm, gm), g)
+    yield equiaffine_einstein_check(_wedge(gm, gm), g)
     yield equiaffine_einstein_check(np.zeros((n,) * 4), g)
     r, w = ctx.parts("r"), ctx.comps("r", "w")
     pos = _Parts(r.t - w[1] - w[2], g)
@@ -348,7 +313,7 @@ def _check_einstein_projector_criterion(ctx):
 def _check_constant_curvature_equivalences(ctx):
     g, n = ctx.g, ctx.n
     gm = g.matrix
-    gg = wedge(gm, gm)
+    gg = _wedge(gm, gm)
     w = ctx.comps("r", "w")
     flat = w[0] + w[1]
     flat_parts = _Parts(flat, g)
@@ -373,9 +338,9 @@ def _check_ricci_block_closed_form(ctx):
     w, (a2, a3) = ctx.comps("f_pair", "w"), parts.a((1, 2))
     ric, star, tau = parts.traces[:3]
     rhs = (
-        2.0 * tau[..., None, None] * wedge(gm, gm)
-        - wedge_r(gm, ric, n - 1)
-        - wedge_r(star, gm, n - 1)
+        2.0 * tau[..., None, None] * _wedge(gm, gm)
+        - _wedge_r(gm, ric, n - 1)
+        - _wedge_r(star, gm, n - 1)
     ) / (n * (n - 2))
     yield from (w[1] + w[4] - rhs, a2 + a3 - rhs)
 
@@ -421,7 +386,7 @@ def _check_trace_reconstruction(ctx):
 def _check_singer_thorpe(ctx):
     g, n = ctx.g, ctx.n
     gm = g.matrix
-    gg = wedge(gm, gm)
+    gg = _wedge(gm, gm)
     res = singer_thorpe(ctx.stack("a"), g)
     u, z, w = res.components
     # u is a multiple of g^g
@@ -429,7 +394,7 @@ def _check_singer_thorpe(ctx):
     yield from (res.completeness_residual, u - c * gg)
     # z is recovered from its own traceless symmetric Ricci source
     xi = ricci(z, g) / (n - 2)
-    yield z + wedge_r(xi, gm, 1)
+    yield z + _wedge_r(xi, gm, 1)
     yield from (antisym(xi), np.sum(g.inverse * xi, axis=(-2, -1)))
     yield from (ricci(w, g), ricci_star(w, g))
     for part in (u, z, w):
@@ -456,12 +421,41 @@ def _check_rescale_invariance(ctx):
         yield np.abs(p2 - p1 / c**4) / np.maximum(1.0, np.abs(p1))
 
 
+_completeness = lambda p: [np.sum(p[1:], axis=0) - p[0]]  # B's blocks, then the family's
+_idempotence = lambda p: [p @ p - p]
+
+
+def _orthogonality(p):
+    # P_i P_j for i != j, and P - P^T: the pairing is 2η_c times the identity on class c,
+    # so a self-adjoint map has symmetric class blocks
+    yield from ((p[i] @ p)[np.arange(8) != i] for i in range(8))
+    yield p - np.swapaxes(p, -1, -2)
+
+
+def _coincidences(p):  # the W family's blocks, then the A family's
+    w, a = p[:8], p[8:]
+    yield w[[0, 5, 6, 7]] - a[[0, 5, 6, 7]]
+    yield from (w[1] + w[4] - a[1] - a[2], w[2] + w[3] - a[3] - a[4])
+
+
+def _on_blocks(verdict, *names):
+    """A check that reads the point's class blocks (`sampling._blocks`) and no sample: the
+    guard residual of B and the named maps, then verdict's terms on each class size's
+    stack of the maps' blocks, (len(names), G, s, s)."""
+    def check(ctx):
+        blocks, guard = ctx.blocks
+        yield max(guard[name] for name in ("r", *names))
+        for p in map(np.stack, zip(*(blocks[name] for name in names))):
+            yield from verdict(p)
+
+    return _first_block(check)
+
+
 def _check_dimension_consistency(ctx):
-    # the point's `dims` reports of r, a, f, p and the W and A blocks: each projector's
-    # trace, read off the basis probes, is its table dimension
-    spaces = ("r", "a", "f", "p", *(f"{family}{j}" for family in "WA" for j in range(1, 9)))
-    reports = sampling.dimension_reports(ctx.n, ctx.sig, spaces).values()
-    yield all(rep.empirical_dim == rep.formula_dim and not rep.inconclusive for rep in reports)
+    # the point's `dims` reports of r, a, f, p and the W and A blocks, off its class blocks:
+    # each projector's trace is its table dimension, and the guard holds
+    yield all(rep.empirical_dim == rep.formula_dim and not rep.inconclusive
+              for rep in sampling._reports(ctx.n, *ctx.blocks).values())
 
 
 def _check_ricci_image_dimensions(ctx):
@@ -477,7 +471,7 @@ def _check_ricci_image_dimensions(ctx):
 
 def _check_membership_tower(ctx):
     g, n = ctx.g, ctx.n
-    gg = wedge(g.matrix, g.matrix)
+    gg = _wedge(g.matrix, g.matrix)
     for space in ("a", "f", "r", "co"):
         yield membership_residual(gg, g, space) <= ctx.tol
     yield membership_residual(gg, g, "p") > ctx.tol
@@ -514,14 +508,14 @@ def _first_block(check):
 
 
 CHECKS = {
-    "w_completeness": partial(_completeness, family="w"),
-    "a_completeness": partial(_completeness, family="a"),
-    "w_idempotence": _first_block(partial(_idempotence, family="w")),
-    "a_idempotence": _first_block(partial(_idempotence, family="a")),
-    "w_orthogonality": _first_block(partial(_orthogonality, family="w")),
-    "a_orthogonality": _first_block(partial(_orthogonality, family="a")),
+    "w_completeness": _on_blocks(_completeness, "r", *_W),
+    "a_completeness": _on_blocks(_completeness, "r", *_A),
+    "w_idempotence": _on_blocks(_idempotence, *_W),
+    "a_idempotence": _on_blocks(_idempotence, *_A),
+    "w_orthogonality": _on_blocks(_orthogonality, *_W),
+    "a_orthogonality": _on_blocks(_orthogonality, *_A),
     "gram_positivity": _first_block(_check_gram_positivity),
-    "wa_map_coincidences": _check_wa_map_coincidences,
+    "wa_map_coincidences": _on_blocks(_coincidences, *_W, *_A),
     "w_trace_formulas": _check_w_trace_formulas,
     "a_trace_formulas": _check_a_trace_formulas,
     "w_vanishing_criteria": _first_block(partial(_vanishing, family="w", conditions=_w_conditions)),
@@ -561,8 +555,8 @@ def run_invariant_suite(config: SuiteConfig | None = None, only=None) -> dict:
     worst residual is the max over its blocks and terms: max |term| for a number
     or an array, 1.0 for a bool verdict with a false entry.  Nan or inf fails the
     check and is reported as None.
-    Raises UnknownCheck when `only` holds a name that is not in CHECKS,
-    EmptyRun for a sample count that is not an integer >= 1 or an empty grid,
+    Raises UnknownCheck when `only` is a string or holds a name that is not in CHECKS,
+    EmptyRun for an empty `only`, a sample count that is not an integer >= 1 or an empty grid,
     DimensionTooSmall for a dimension below 3, DimensionMismatch for one past
     sampling.MAX_DIM, a signature that is not a pair or a dimension or
     signature entry that is not an integer, NonFiniteInput for a tolerance that
@@ -570,7 +564,11 @@ def run_invariant_suite(config: SuiteConfig | None = None, only=None) -> dict:
     negative or not an integer, before any check runs.
     """
     cfg = config or SuiteConfig()
+    if isinstance(only, str):  # a str is a collection of letters
+        raise UnknownCheck(f"only must be a collection of check names, got the string {only!r}")
     wanted = set(CHECKS) if only is None else set(only)
+    if not wanted:
+        raise EmptyRun("a run needs at least one check")
     unknown = sorted(wanted - set(CHECKS))
     if unknown:
         raise UnknownCheck(f"unknown check names {unknown}; known: {', '.join(CHECKS)}")

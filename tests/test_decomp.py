@@ -16,7 +16,6 @@ from curvdec.decomp import (
     projective_part,
     sigma_split,
     singer_thorpe,
-    traceless_core,
     w_decompose,
     w_projections,
 )
@@ -116,7 +115,7 @@ def test_rejects_non_finite_input():
     for bad in (np.nan, np.inf, -np.inf):
         t = rsample(3, 2)
         t[0, 1, 0, 1] = bad
-        for f in (w_decompose, singer_thorpe, w_projections, a_projections, traceless_core):
+        for f in (w_decompose, singer_thorpe, w_projections, a_projections):
             with pytest.raises(NonFiniteInput, match=r"\(0, 1, 0, 1\)"):
                 f(t, g)
         stack = np.stack([rsample(3, 1), t])
@@ -173,7 +172,7 @@ def test_projective_part_examples():
     g = standard_scalar_product(3, 0)
     gg = wedge(g.matrix, g.matrix)
     assert np.max(np.abs(projective_part(gg, g))) <= 1e-12
-    t = traceless_core(rsample(3, 4), g)
+    t = _Parts(rsample(3, 4), g).traceless_core()
     assert np.allclose(projective_part(t, g), t, atol=1e-12)
 
 
@@ -190,9 +189,9 @@ def test_projective_part_dual_formula(n, sig):
 def test_traceless_core_properties():
     g = standard_scalar_product(3, 0)
     gg = wedge(g.matrix, g.matrix)
-    assert np.max(np.abs(traceless_core(gg, g))) <= 1e-12
+    assert np.max(np.abs(_Parts(gg, g).traceless_core())) <= 1e-12
     r = rsample(3, 6)
-    core = traceless_core(r, g)
+    core = _Parts(r, g).traceless_core()
     assert np.max(np.abs(ricci(core, g))) <= 1e-9
     assert np.max(np.abs(ricci_star(core, g))) <= 1e-9
     w = w_projections(r, g)
@@ -325,7 +324,7 @@ def test_maps_equivariant_under_non_diagonal_metrics(n, data):
     pairs = list(zip(w_projections(r_a, g), w))
     pairs += zip(a_projections(r_a, g), a_projections(r, eta))
     pairs += zip(b_forms(r_a, g), b_forms(r, eta))
-    pairs.append((traceless_core(r_a, g), traceless_core(r, eta)))
+    pairs.append((_Parts(r_a, g).traceless_core(), _Parts(r, eta).traceless_core()))
     pairs.append((projective_part(r_a, g), projective_part(r, eta)))
     for got, want in pairs:
         assert np.max(np.abs(got - _pull(want, a))) <= 1e-10 * scale
@@ -352,7 +351,7 @@ def test_stack_equals_one_tensor_at_a_time(n):
     for f, x in (
         (w_projections, stack),
         (a_projections, stack),
-        (lambda t, g: [traceless_core(t, g)], stack),
+        (lambda t, g: [_Parts(t, g).traceless_core()], stack),
         (lambda t, g: [projective_part(t, g)], stack),
         (lambda t, g: [ricci(t, g)], stack),
         (lambda t, g: [bianchi_project(t)], noise),
@@ -455,21 +454,21 @@ def test_projections_make_no_more_kernel_calls(monkeypatch):
     # one family call makes no more calls of the trace and product kernels than the
     # closed forms written out one family at a time did
     calls = Counter()
-    for module, name in ((decomp, "sym"), (decomp, "antisym"), (decomp, "wedge_r"),
-                         (spaces, "wedge_r"), (decomp, "psi"), (decomp, "mu"), (spaces, "ricci")):
+    for module, name in ((decomp, "sym"), (decomp, "antisym"), (decomp, "_wedge_r"),
+                         (spaces, "_wedge_r"), (decomp, "psi"), (decomp, "mu"), (spaces, "ricci")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, real=real, name=name:
                             calls.update([name]) or real(*a))
     g, t = standard_scalar_product(3, 1), rsample(4, 1)
     for proj, most in (
-        (w_projections, {"sym": 4, "antisym": 3, "wedge_r": 10, "psi": 1, "mu": 1, "ricci": 1}),
-        (a_projections, {"sym": 2, "antisym": 2, "wedge_r": 5, "psi": 1, "mu": 1, "ricci": 1}),
+        (w_projections, {"sym": 4, "antisym": 3, "_wedge_r": 10, "psi": 1, "mu": 1, "ricci": 1}),
+        (a_projections, {"sym": 2, "antisym": 2, "_wedge_r": 5, "psi": 1, "mu": 1, "ricci": 1}),
     ):
         calls.clear()
         proj(t, g)
         assert calls <= Counter(most), proj.__name__
     # each derived map reads its trace data off one parts object: one Ricci trace
-    for derived in (projective_part, traceless_core, b_forms, equiaffine_einstein_check):
+    for derived in (projective_part, b_forms, equiaffine_einstein_check):
         calls.clear()
         derived(t, g)
         assert calls["ricci"] == 1, derived.__name__

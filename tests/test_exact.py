@@ -38,7 +38,7 @@ def integer_maps(n, g):
     W1..W8 and A1..A8; row k of a matrix holds the coordinates of the k-th basis
     tensor's image."""
     i, j = np.triu_indices(n, 1)
-    flat, mirror, _ = _co_basis(n)  # the plain basis, one tensor a row
+    flat, mirror, *_ = _co_basis(n)  # the plain basis, one tensor a row
     basis = np.zeros((len(flat), n**4))
     basis[range(len(flat)), flat], basis[range(len(flat)), mirror] = 1.0, -1.0
     r = bianchi_project(basis.reshape((-1,) + (n,) * 4))

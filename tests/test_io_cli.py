@@ -471,26 +471,26 @@ def test_cli_verify_zero_tolerance_fails():
 
 # stdout SHA-256 of `verify` and `dims` runs at one BLAS thread
 OUTPUT_PINS = [
-    (("verify",), "55038c5349ebb80799392d30e85e50fda3a2818ed49c6d687a09bccd9a5555e9"),
+    (("verify",), "84b9353a695eade27881a2c76bc5cd97a1b22a7f881be0ddebbab565d5764ed7"),
     (("dims", "--dim", "5"), "6a193d41478bc4da68f55defec894880663a997fcce918cfab2880b741a7035b"),
     (
         ("verify", "--dim", "5", "--signature", "3,2", "--samples", "40"),
-        "e7c832014bf475753b13a036dc7d5f85d7d37729dbfea887a1978ce4c6fff5b2",
+        "319e0dc2679e42d8e18e9864b939992da55b3f4d4148a66e8abcb9c332db207c",
     ),
     # two blocks per point, the second of 8 rows
     (
         ("verify", "--samples", "40"),
-        "30462d3d053b88d2a857703659ff0da0dbef19b6b4d58981adaa8e3d7a5c32ce",
+        "6556a18080f39b19917d7b992a0bcb93e8d360e0d144bb678be12672452c54f8",
     ),
     # one block of 5 rows per point, fewer than a block's CHUNK: every check reads only these
     (
         ("verify", "--samples", "5"),
-        "dabeaaad950ba8d97ae7ef06eb99d4bf12609f9c016a773ce031d965b75ad795",
+        "2a60f42df4944ca4cd43cd7ae18ea07fce32cef482f2f58e61a3adbc78e21e2c",
     ),
     # one signature: nothing is shared across signatures
     (
         ("verify", "--dim", "4", "--signature", "3,1"),
-        "64b296c0a8abc9ea786fe2c669d73bc508f456fb66b582fa8ebe1f88187d711c",
+        "6abceac9bfd547d89dbea0162f3e8c17c4dfdef78a67f548558d3e298dc7919c",
     ),
 ]
 OUTPUT_IDS = [

@@ -7,7 +7,7 @@ import pytest
 import curvdec.decomp as decomp
 import curvdec.sampling as sampling
 from curvdec.cli import main
-from curvdec.decomp import a_projections, projective_part, traceless_core, w_projections
+from curvdec.decomp import a_projections, projective_part, w_projections
 from curvdec.errors import (
     CurvdecError,
     DimensionMismatch,
@@ -66,7 +66,7 @@ def images(base, g):
         "f": base - w[2],
         "f_pair": f_pair(base, w),
         "p": projective_part(base, g),
-        "t": traceless_core(base, g),
+        "t": decomp._Parts(base, g).traceless_core(),
         **{f"W{j + 1}": w[j] for j in range(8)},
         **{f"A{j + 1}": a[j] for j in range(8)},
     }
@@ -178,10 +178,15 @@ def test_co_fills_cov_and_is_conclusive(n, expected):
     assert len(sampling._co_basis(n)[0]) == expected
 
 
+# the suite's checks that are verdicts on the class blocks of `sampling._blocks`
+BLOCK_CHECKS = [f"{family}_{law}" for law in ("completeness", "idempotence", "orthogonality")
+                for family in "wa"] + ["wa_map_coincidences", "dimension_consistency"]
+
+
 def plain_basis(n):
     """The plain coordinate basis of co(V), one tensor a row, built from sampling's index
     layout, with the n**4 index of each tensor's own coordinate."""
-    flat, mirror, _ = sampling._co_basis(n)
+    flat, mirror, *_ = sampling._co_basis(n)
     basis = np.zeros((len(flat), n**4))
     basis[range(len(flat)), flat], basis[range(len(flat)), mirror] = 1.0, -1.0
     return flat, basis.reshape((-1,) + (n,) * 4)
@@ -204,26 +209,34 @@ def plain_traces(n, sig, planted=None):
     return traces
 
 
+def packed_traces(n, sig, spaces):
+    """The trace of each space's map, the sum of the traces of its class blocks."""
+    blocks, _ = sampling._blocks(n, standard_scalar_product(*sig), spaces)
+    return {space: sum(float(np.trace(b, axis1=1, axis2=2).sum()) for b in stacks)
+            for space, stacks in blocks.items()}
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_packed_traces_equal_plain_traces(n):
     # every map commutes with the coordinate reflections of a diagonal metric, so the
     # probes read the trace the plain basis reads, in every signature
     for p in range(n + 1):
-        packed = sampling._traces(n, standard_scalar_product(p, n - p), SAMPLE_SPACES)
+        packed = packed_traces(n, (p, n - p), SAMPLE_SPACES)
         plain = plain_traces(n, (p, n - p))
         assert max(abs(packed[space] - plain[space]) for space in SAMPLE_SPACES) < 1e-12, p
 
 
 @pytest.mark.parametrize("n,rows", [(3, 7), (4, 12), (5, 20), (6, 30)])
 def test_probes_hold_each_basis_tensor_once_and_one_per_class(monkeypatch, n, rows):
-    # the probes _traces projects are sums of plain basis tensors: each basis tensor sits
+    # the probes _blocks projects are sums of plain basis tensors: each basis tensor sits
     # in exactly one row, no row holds two tensors of one parity class (the count of each
-    # coordinate in (i, j, k, l) mod 2), and there are as many rows as the largest class
+    # coordinate in (i, j, k, l) mod 2), and there are as many rows as the largest class;
+    # each chunk ends in the n + 1 guard rows
     flat, basis = plain_basis(n)
     basis = basis.reshape(len(basis), -1)
     chunks = []
-    monkeypatch.setattr(sampling, "bianchi_project", lambda t: chunks.append(t) or t)
-    sampling._traces(n, standard_scalar_product(n, 0), ("r",))
+    monkeypatch.setattr(sampling, "bianchi_project", lambda t: chunks.append(t[: -n - 1]) or t)
+    sampling._blocks(n, standard_scalar_product(n, 0), ("r",))
     probes = np.concatenate(chunks).reshape(-1, n**4)
     assert len(probes) == rows and all(len(chunk) <= sampling.CHUNK for chunk in chunks)
     # the basis tensors have disjoint supports and norm² 2: member[k, b] is 1 where
@@ -241,16 +254,27 @@ def test_probes_hold_each_basis_tensor_once_and_one_per_class(monkeypatch, n, ro
 def test_packing_needs_maps_that_commute_with_reflections(monkeypatch):
     # relabelling coordinates 0 and 1 is linear on co(V) but does not commute with the
     # reflection of coordinate 0: it moves entries between parity classes, so a probe's
-    # image carries cross terms and the packed trace is not the trace
+    # image carries cross terms and the packed trace is not the trace.  The guard rows
+    # catch it: every map read after it has a guard residual of order 1, so `dims` reports
+    # them inconclusive and the suite's block verdicts fail
     def relabel(t):
         swap = [1, 0, *range(2, t.shape[-1])]
         return t[..., swap, :, :, :][..., swap, :, :][..., swap, :][..., swap]
 
+    spaces = ("co", "r", "a", "W2", "A7")
     for n, packed, plain in ((3, -5.0, -1.0), (5, 54.0, 18.0)):
         assert plain_traces(n, (n, 0), relabel)["r"] == plain
+        assert min(sampling._blocks(n, standard_scalar_product(n, 0), spaces)[1].values()) == 0.0
         with monkeypatch.context() as m:
             m.setattr(sampling, "bianchi_project", relabel)
-            assert sampling._traces(n, standard_scalar_product(n, 0), ("r",))["r"] == packed
+            assert packed_traces(n, (n, 0), ("r",))["r"] == packed
+            guard = sampling._blocks(n, standard_scalar_product(n, 0), spaces)[1]
+            assert guard["co"] == 0.0 and min(guard[space] for space in spaces[1:]) > 0.1
+            reports = dimension_reports(n, spaces=spaces)
+            assert [space for space, rep in reports.items() if rep.inconclusive] == list(spaces[1:])
+            if n == 3:
+                report = run_invariant_suite(SuiteConfig(dims=(3,), samples=2), only=BLOCK_CHECKS)
+                assert not any(entry["pass"] for entry in report.values())
 
 
 def test_dims_draws_no_sample_and_takes_no_svd(monkeypatch):
@@ -272,6 +296,9 @@ def test_dims_draws_no_sample_and_takes_no_svd(monkeypatch):
 def test_dimension_reports_refuse_empty_runs():
     with pytest.raises(UnknownSpace):
         dimension_reports(3, spaces=("r", "q"))
+    for spaces in ("ra", "r", ""):  # a string is not read letter by letter
+        with pytest.raises(UnknownSpace, match=f"the string {spaces!r}"):
+            dimension_reports(4, spaces=spaces)
     for spaces in ((), iter(())):
         with pytest.raises(EmptyRun):
             dimension_reports(3, spaces=spaces)
@@ -506,7 +533,7 @@ def test_family_ranked_from_one_projection_per_chunk(monkeypatch, family):
     monkeypatch.setattr(decomp._Parts, name, counted)
     spaces = [f"{family}{j}" for j in range(1, 9)]
     reports = dimension_reports(4, spaces=spaces)
-    assert calls == [12]
+    assert calls == [12 + 4 + 1]  # and the guard rows, x and its 4 reflections
     for space in spaces:
         assert reports[space].empirical_dim == reports[space].formula_dim, space
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from curvdec.errors import UnknownSpace
+import curvdec.spaces as spaces
+from curvdec.decomp import w_projections
+from curvdec.errors import NonFiniteInput, UnknownSpace
 from curvdec.linalg import standard_scalar_product
 from curvdec.spaces import (
     bianchi_project,
@@ -82,6 +84,26 @@ def test_dot_product_not_commutative():
         if np.max(np.abs(dot_product(h, k) - dot_product(k, h))) > 1e-6:
             return
     raise AssertionError("no counterexample found for dot-product asymmetry")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_products_refuse_non_finite_forms(monkeypatch):
+    # a NaN or infinite entry of either form, or a non-finite r, is refused before any
+    # product is taken: no warning, and no tensor of NaN
+    eye = np.eye(3)
+    for bad in (np.nan, np.inf, -np.inf):
+        form = np.full((3, 3), bad)
+        for product in (wedge, dot_product, lambda h, k: wedge_r(h, k, 1.0)):
+            for h, k in ((form, eye), (eye, form)):
+                with pytest.raises(NonFiniteInput):
+                    product(h, k)
+        with pytest.raises(NonFiniteInput):
+            wedge_r(eye, eye, bad)
+    # the package's own products call the kernels, which take no finiteness pass
+    calls = []
+    monkeypatch.setattr(spaces, "_finite", lambda *x: calls.append(x))
+    w_projections(rsample(3, 1), standard_scalar_product(2, 1))
+    assert calls == []
 
 
 def test_conjugate_fixes_algebraic_and_negates_symmetric():

@@ -92,6 +92,9 @@ def test_empty_runs_refused():
     ):
         with pytest.raises(EmptyRun):
             run_invariant_suite(cfg, only=["w_completeness"])
+    for only in ([], (), set()):  # no check selected is no run, not an empty pass
+        with pytest.raises(EmptyRun):
+            run_invariant_suite(SuiteConfig(dims=(3,), samples=2), only=only)
 
 
 def test_unknown_check_names_refused():
@@ -101,6 +104,10 @@ def test_unknown_check_names_refused():
         with pytest.raises(UnknownCheck) as err:
             run_invariant_suite(cfg, only=only)
         assert only[-1] in str(err.value)
+    # a bare string is not read letter by letter, nor the empty one as no check
+    for only in ("w_completeness", ""):
+        with pytest.raises(UnknownCheck, match=f"the string {only!r}"):
+            run_invariant_suite(cfg, only=only)
     assert issubclass(UnknownCheck, CurvdecError)
 
 
@@ -138,9 +145,8 @@ def test_checks_read_the_one_sample_sequence(monkeypatch):
 
 
 def test_checks_read_only_their_own_block(monkeypatch):
-    # at 5 samples no check draws a sample past index 4: the pairings of the
-    # orthogonality checks are taken within the block's rows, and neither
-    # dimension_consistency nor ricci_image_dimensions draws anything
+    # at 5 samples no check draws a sample past index 4, and neither the checks on the
+    # class blocks nor ricci_image_dimensions draws anything
     drawn, real = set(), sampling.rng_stream
     monkeypatch.setattr(sampling, "rng_stream", lambda seed, i: drawn.add(i) or real(seed, i))
     run_invariant_suite(SuiteConfig(dims=(3, 4), samples=5))
@@ -218,7 +224,7 @@ def test_fault_in_last_tensor_of_stack_is_seen(monkeypatch):
     # reads off a stack's parts: a batch mask or a 0::2 slice that drops the last row of
     # a stack would hide it
     for owner, fake, only in (
-        (suite, "tensor_pairing", ["w_orthogonality", "a_orthogonality", "rescale_invariance"]),
+        (suite, "tensor_pairing", ["rescale_invariance"]),
         (decomp._Parts, "einstein", ["einstein_projector_criterion"]),
     ):
         assert all(v["pass"] for v in run_invariant_suite(cfg, only=only).values())
@@ -386,8 +392,8 @@ def test_fault_in_tail_block_is_seen(monkeypatch):
 
 @pytest.mark.parametrize("family", ["w", "a"])
 def test_orthogonality_read_at_one_sample(monkeypatch, family):
-    # a run of one sample has no pair of rows, so it pairs that sample's components
-    # with each other: a family whose second part leans on its first fails there too
+    # the verdict reads the family's class blocks, not samples, so a family whose second
+    # part leans on its first fails it at any sample count, one sample included
     check, exact = f"{family}_orthogonality", getattr(decomp._Parts, family)
 
     def leaning(parts, keep=range(8)):
@@ -412,10 +418,10 @@ def test_each_block_projects_once(monkeypatch):
     # they read: W8 of 'a_plus_s', A2 to A5 of 'f_pair', W2 and W3 of 'r' for its
     # Einstein verdict, and singer_thorpe A1, A2 and A6 of 'a'.  The derived maps of a
     # block stack are read off its parts, so singer_thorpe's is the one membership test
-    # (`decomp._require_space`) a block stack goes through.  dimension_consistency draws
-    # no sample: each signature projects the Bianchi images of the co(V) basis probes,
-    # CHUNK at a time; ricci_image_dimensions lifts a basis of the bilinear forms and
-    # draws no sample either
+    # (`decomp._require_space`) a block stack goes through.  The family verdicts and
+    # dimension_consistency draw no sample: each signature projects the Bianchi images of
+    # the co(V) basis probes, CHUNK at a time; ricci_image_dimensions lifts a basis of the
+    # bilinear forms and draws no sample either
     drawn, built, calls, stack = {}, Counter(), Counter(), sampling.Block.stack
 
     def recording(block, space):
@@ -467,10 +473,48 @@ def test_each_block_projects_once(monkeypatch):
             ("_require_space", "a"): 2,
         }
     # the components built, and the ψ, μ, stream and membership-test calls, of one
-    # default `verify`: the block's 64 streams and the seed check's; dimension_consistency's
-    # probes (one chunk at n = 3 and 4) add one W and one A pass and one ψ and μ per
-    # signature; the public maps test the membership only of what is not a block stack
+    # default `verify`: the block's 64 streams and the seed check's; the class blocks the
+    # family verdicts read (one chunk of probes at n = 3 and 4) add one W and one A pass
+    # and one ψ and μ per signature; the public maps test the membership only of what is
+    # not a block stack
     calls.clear()
     run_invariant_suite(SuiteConfig())
-    assert calls == {"rng_stream": 65, "w": 284, "a": 280, "psi": 48, "mu": 44,
+    assert calls == {"rng_stream": 65, "w": 252, "a": 248, "psi": 40, "mu": 36,
                      "_require_space": 40}
+
+
+BLOCK_CHECKS = [f"{family}_{law}" for law in ("completeness", "idempotence", "orthogonality")
+                for family in "wa"] + ["wa_map_coincidences", "dimension_consistency"]
+
+
+def test_oblique_split_fails_the_block_orthogonality(monkeypatch):
+    # trade E = eps u v^T between W2 and W5 at n = 4, u = W5(e) and v = W2(e) of the basis
+    # tensor e at (0, 1, 0, 1), each scaled to max-norm 1: W2 + E and W5 - E are still
+    # idempotents with the old sum, zero products and traces, but no longer self-adjoint.
+    # The class blocks read P - P^T at 1.5 eps; the sampled pairings of components, which
+    # this verdict replaced, read it shrunk to 7.4e-10 at eps = 1e-9 and passed it
+    eps, exact, cfg = 1e-9, decomp._Parts.w, SuiteConfig(dims=(4,))
+
+    def traded(parts, keep=range(8)):
+        e = np.zeros((4,) * 4)
+        e[0, 1, 0, 1], e[1, 0, 0, 1] = 1.0, -1.0
+        v, u = (x / np.abs(x).max() for x in exact(decomp._Parts(e, parts.g), (1, 4)))
+        d = (eps / 2) * np.tensordot(parts.t, v, 4)[..., None, None, None, None] * u
+        comps = exact(parts, keep)
+        return [c + d if j == 1 else c - d if j == 4 else c for j, c in zip(keep, comps)]
+
+    assert all(entry["pass"] for entry in run_invariant_suite(cfg, only=BLOCK_CHECKS).values())
+    monkeypatch.setattr(decomp._Parts, "w", traded)
+    report = run_invariant_suite(cfg, only=BLOCK_CHECKS)
+    assert [name for name, entry in report.items() if not entry["pass"]] == ["w_orthogonality"]
+    assert report["w_orthogonality"]["worst_residual"] == pytest.approx(1.5 * eps, rel=1e-6)
+
+
+def test_block_verdicts_read_no_sample():
+    # the family verdicts and dimension_consistency read the class blocks of the point's
+    # maps once per point: the sample count and the seed do not move their residuals
+    reports = [run_invariant_suite(SuiteConfig(samples=samples, seed=seed), only=BLOCK_CHECKS)
+               for samples, seed in ((1, 0), (40, 0), (5, 9))]
+    residuals = [{name: entry["worst_residual"] for name, entry in rep.items()} for rep in reports]
+    assert residuals[0] == residuals[1] == residuals[2]
+    assert all(entry["pass"] for entry in reports[0].values())
