@@ -121,11 +121,17 @@ def _compare_with_reference(n, spaces):
         reports = dimension_reports(n, sig)
         assert list(reports) == list(SAMPLE_SPACES)
         maps = reference_maps(n, sig)
+        blocks, guard = sampling._blocks(n, standard_scalar_product(*sig), spaces)
         for space in spaces:
             # the reference map is idempotent, so its trace is its rank; a projector's
             # nonzero singular values are at least 1
             m = maps[space]
             assert np.abs(m @ m - m).max() < 1e-12, space
+            # it is block-diagonal over the parity classes, with the blocks the probes read
+            full = np.zeros_like(m)
+            for members, block in zip(sampling._co_basis(n)[3], blocks[space]):
+                full[members[:, :, None], members[:, None, :]] = block
+            assert np.abs(full - m).max() < 1e-14 and guard[space] == 0.0, space
             dim = round(np.trace(m))
             assert reports[space] == DimensionReport(space, dim, formula_dim(space, n), False)
             assert dim == np.linalg.matrix_rank(m, tol=1e-9), space
