@@ -36,7 +36,7 @@ from .linalg import ScalarProduct, _integer, standard_scalar_product
 from .spaces import bianchi_project
 
 # the largest dimension of a sample, a dims report or a verify point: verify's peak memory
-# grows as n^4, 75 MiB at n = 8 and 376 MiB at n = 12 (tracemalloc), so some 1.2 GiB at 16
+# grows as n^4, 64 MiB at n = 8 and 362 MiB at n = 12 (tracemalloc), so some 1.2 GiB at 16
 MAX_DIM = 12
 # a projector's trace further than this from an integer is no rank: the exact traces stay within
 # 1e-12 of theirs up to n = 8, and a component scaled by 1 + e moves its trace by e times its rank
@@ -313,39 +313,42 @@ def _blocks(n: int, g: ScalarProduct, spaces):
     applied CHUNK probes at a time, and each chunk is projected once per family (W, A, or ψ
     and μ; 'p' and 't' by their own maps) from one set of its trace data.  blocks[space]
     holds one (G, s, s) stack per entry of groups: entry [c, m, k] is the coordinate of
-    class c's m-th tensor in probe k's image.  Each chunk ends in a fixed co(V) tensor x and
-    its reflections, and guard[space] is the largest |R_a P(x) - P(R_a x)|: 0.0 for every map
-    here, as the maps act row by row, and of order 1 for one that mixes the classes.
+    class c's m-th tensor in probe k's image.  The last chunk ends in a fixed co(V) tensor x
+    and its reflections, and guard[space] is the largest |R_a P(x) - P(R_a x)|: 0.0 for every
+    map here, as the maps act row by row, and of order 1 for one that mixes the classes.
     """
     flat, mirror, probe, groups = _co_basis(n)
     # R_a flips the sign of an entry whose index tuple counts a an odd number of times
     counts = (np.indices((n,) * 4).reshape(4, 1, -1) == np.arange(n)[:, None]).sum(axis=0)
     signs, x = 1.0 - 2.0 * (counts % 2), np.cos(np.arange(n**4)).reshape((n,) * 4)
     x = (x - x.swapaxes(0, 1)).ravel()
-    read = {space: [[] for _ in groups] for space in spaces}  # each space once
-    guard = dict.fromkeys(read, 0.0)
+    blocks = {space: [np.empty((len(m), m.shape[1], m.shape[1])) for m in groups]
+              for space in spaces}  # each space once, filled a chunk of probes at a time
+    guard = {}
     for lo in range(0, probe.max() + 1, CHUNK):  # one chunk of probes built at a time
         pick = (probe >= lo) & (probe < lo + CHUNK)
         at, k = probe[pick] - lo, min(CHUNK, probe.max() + 1 - lo)
-        chunk = np.zeros((k + n + 1, n**4))  # the probes, x, then R_0 x .. R_(n-1) x
+        last = lo + CHUNK > probe.max()  # the one chunk that also holds x, then R_0 x .. R_n-1 x
+        chunk = np.zeros((k + (n + 1) * last, n**4))
         chunk[at, flat[pick]], chunk[at, mirror[pick]] = 1.0, -1.0
-        chunk[k], chunk[k + 1:] = x, signs * x
+        if last:
+            chunk[k], chunk[k + 1:] = x, signs * x
         chunk = chunk.reshape((-1,) + (n,) * 4)
         r = bianchi_project(chunk)
         parts = _Parts(r, g)  # the chunk's trace data, ψ and μ serve both families
-        for family in dict.fromkeys(map(_family, read)):  # one family's components at a time
+        for family in dict.fromkeys(map(_family, blocks)):  # one family's components at a time
             comps = None if family is None else getattr(parts, family)()
-            for space in (space for space in read if _family(space) == family):
+            for space in (space for space in blocks if _family(space) == family):
                 image = {"co": chunk, "r": r}.get(space)
                 image = _project(space, parts, comps) if image is None else image
                 image = image.reshape(len(chunk), -1)
-                off = np.abs(signs * image[k] - image[k + 1:]).max()
-                guard[space] = np.maximum(guard[space], off)  # nan stays nan
-                for out, members in zip(read[space], groups):  # class c has probes k < s
-                    out.append(image[: max(0, min(k, members.shape[1] - lo))][:, flat[members]])
+                if last:
+                    guard[space] = np.abs(signs * image[k] - image[k + 1:]).max()
+                for block, members in zip(blocks[space], groups):  # class c has probes k < s
+                    rows = image[: max(0, min(k, members.shape[1] - lo))]
+                    block[..., lo:lo + len(rows)] = rows[:, flat[members]].transpose(1, 2, 0)
             del comps  # before the next family's are built: memory holds one family's at a time
-    return {space: [np.concatenate(out).transpose(1, 2, 0) for out in stacks]
-            for space, stacks in read.items()}, guard
+    return blocks, guard
 
 
 def _reports(n: int, blocks, guard) -> dict[str, DimensionReport]:

@@ -237,7 +237,7 @@ def test_probes_hold_each_basis_tensor_once_and_one_per_class(monkeypatch, n, ro
     # the probes _blocks projects are sums of plain basis tensors: each basis tensor sits
     # in exactly one row, no row holds two tensors of one parity class (the count of each
     # coordinate in (i, j, k, l) mod 2), and there are as many rows as the largest class;
-    # each chunk ends in the n + 1 guard rows
+    # the one chunk at these n ends in the n + 1 guard rows
     flat, basis = plain_basis(n)
     basis = basis.reshape(len(basis), -1)
     chunks = []
