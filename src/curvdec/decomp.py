@@ -27,9 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FormSymmetryViolation, NonFiniteInput, NotAlgebraic, NotGeneralizedCurvature
-from .linalg import ScalarProduct, _per_tensor, _row_maxnorm, antisym, check_same_dim, sym
-from .linalg import tensor_pairing
-from .spaces import (MEMBERSHIP_TOL, _dot_product, _relative, _traces, _wedge, _wedge_r,
+from .linalg import ScalarProduct, _per_tensor, _row_maxnorm, antisym, sym, tensor_pairing
+from .spaces import (MEMBERSHIP_TOL, _dot_product, _finite, _relative, _traces, _wedge, _wedge_r,
                      membership_residual, mu, psi)
 
 FORM_TOL = 1e-10
@@ -265,14 +264,9 @@ def sigma_split(omega, theta, g: ScalarProduct) -> np.ndarray:
 
     Builds the canonical (1,3) operator with Ricci tensor omega + theta and
     lowers its last index with g.  omega must be antisymmetric and theta
-    symmetric within 1e-10, and both finite.
+    symmetric within 1e-10, and both real, finite and (..., n, n) for g's n.
     """
-    omega = np.asarray(omega, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    check_same_dim(omega, theta, g.matrix)
-    for name, form in (("omega", omega), ("theta", theta)):  # a nan passes the tests below
-        if not np.isfinite(form).all():
-            raise NonFiniteInput(f"{name} has a non-finite entry")
+    omega, theta, _ = _finite(omega=omega, theta=theta, g=g.matrix)  # a nan passes the tests below
     norm = lambda x: _row_maxnorm(x, 0)
     if norm(omega + omega.swapaxes(-1, -2)) > FORM_TOL * max(1.0, norm(omega)):
         raise FormSymmetryViolation("omega is not antisymmetric")

@@ -48,8 +48,8 @@ class ScalarProduct:
         return self.matrix.shape[0]
 
     def rescaled(self, c: float) -> "ScalarProduct":
-        """The scalar product c*g (c > 0); signature is unchanged."""
-        if not np.isfinite(c):
+        """The scalar product c*g (c real and > 0); signature is unchanged."""
+        if not np.isfinite(_real(c, "rescale factor")):
             raise NonFiniteInput(f"rescale factor {c} is not finite")
         if c <= 0:
             raise NonPositiveFactor(f"rescale factor {c} is not positive")
@@ -64,13 +64,14 @@ def build_scalar_product(matrix) -> ScalarProduct:
     DimensionTooSmall
         If n < 3.
     NonFiniteInput
-        If some entry is NaN or infinite (listed by index) or the inverse overflows.
+        If the matrix is complex, some entry is NaN or infinite (listed by index), or the
+        inverse overflows.
     NotSymmetric
         If max |g - g^T| exceeds 1e-12.
     DegenerateMetric
         If some eigenvalue has magnitude below 1e-10 times the spectral norm.
     """
-    g = np.asarray(matrix, dtype=float)
+    g = _real(matrix, "the metric")
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {g.shape}")
     n = g.shape[0]
@@ -98,6 +99,13 @@ def build_scalar_product(matrix) -> ScalarProduct:
     if not np.isfinite(inv).all():
         raise NonFiniteInput("the inverse metric is out of float range")
     return ScalarProduct(g, inv, (p, q))
+
+
+def _real(x, what: str) -> np.ndarray:
+    """x as a float array; NonFiniteInput for a complex one, whose imaginary part a cast drops."""
+    if np.asarray(x).dtype.kind == "c":  # the dtype alone: no pass over a float array's entries
+        raise NonFiniteInput(f"{what} is not real")
+    return np.asarray(x, dtype=float)
 
 
 def _integer(x, error, what: str) -> int:
@@ -140,21 +148,20 @@ def _row_maxnorm(x, batch: int):
 def check_same_dim(*forms) -> int:
     """Every operand must be a form or stack of forms (..., n, n) of one n; returns n."""
     n = forms[0].shape[-1] if forms[0].ndim else 0
-    for f in forms:  # a loop, not any() over a generator: this runs in every product kernel
-        if f.shape[-2:] != (n, n):
-            raise DimensionMismatch(
-                f"expected (..., n, n) forms of one n, got {sorted({f.shape for f in forms})}"
-            )
+    if any(f.shape[-2:] != (n, n) for f in forms):
+        raise DimensionMismatch(
+            f"expected (..., n, n) forms of one n, got {sorted({f.shape for f in forms})}"
+        )
     return n
 
 
 def check_tensor(t, g: ScalarProduct | None = None) -> np.ndarray:
     """t as a float (..., n, n, n, n) array of finite entries, n from g if given.
 
-    Raises DimensionMismatch for any other shape and NonFiniteInput for a NaN
-    or infinite entry anywhere in the stack.
+    Raises DimensionMismatch for any other shape and NonFiniteInput for a complex
+    stack or a NaN or infinite entry anywhere in it.
     """
-    t = np.asarray(t, dtype=float)
+    t = _real(t, "the tensor")
     n = g.dim if g is not None else t.shape[-1] if t.ndim else 0
     if t.shape[-4:] != (n,) * 4:
         raise DimensionMismatch(

@@ -9,11 +9,11 @@ The noise of an index does not depend on the space, so every space's samples
 are projections of one base stack: the normalized Bianchi projections of the
 noise of indices 0, 1, 2, ...  A space's k samples are the first k indices of
 this sequence, which all spaces share.  A `Block` holds the samples of a list
-of stream keys: each key's noise is drawn once, for both 'co' and 'r', and each
-space's stack and its trace data (`decomp._Parts`, which both projector
-families read) are built once.  `sample` is a block of one key, and the
-invariant suite reads blocks of CHUNK keys, whose metric-free part both
-signatures of a dimension share.
+of stream keys: each key's noise, the one draw from its stream, is drawn once,
+for both 'co' and 'r', and each space's stack and its trace data
+(`decomp._Parts`, which both projector families read) are built once.  `sample`
+is a block of one key, and the invariant suite reads blocks of CHUNK keys,
+whose metric-free part both signatures of a dimension share.
 
 Dimensions are neither sampled nor ranked, and a space is empty exactly where its
 FORMULA_DIMS entry is 0.  Every space but 'co' is the image of P o B, with B the Bianchi
@@ -24,6 +24,7 @@ on the blocks.
 """
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -157,10 +158,10 @@ def _project(space: str, parts: _Parts, comps=None) -> np.ndarray:
 class Block:
     """The samples of every space at a list of stream keys, under one metric and seed.
 
-    A key's noise is drawn once, for both 'co' and 'r'.  A space's stack,
-    (len(keys), n, n, n, n), is built once, and so are its trace data (a
-    `decomp._Parts`, which builds any component on demand) and, stacked, the
-    eight components of a family that a caller reads in full; stacks,
+    A key's noise, all that the block draws, is drawn once, for both 'co' and
+    'r'.  A space's stack, (len(keys), n, n, n, n), is built once, and so are
+    its trace data (a `decomp._Parts`, which builds any component on demand)
+    and, stacked, the eight components of a family that a caller reads in full; stacks,
     components, ψ and μ are kept read-only.  'f' and 'f_pair' are sums of the
     W components of 'r', so one W projection serves W1..W8, 'f' and 'f_pair',
     and the ψ and μ of 'r' serve 'a', 's', 'a_plus_s' and both families.
@@ -203,21 +204,10 @@ class Block:
             raise EmptySpace(f"{space!r} is empty at dimension {self.g.dim}")
         return _normalize(rows, 0.0)
 
-    def _draw(self, index, size) -> np.ndarray:
-        return rng_stream(self.seed, index).uniform(-1.0, 1.0, size)
-
     def noise(self) -> np.ndarray:
         """Uniform [-1, 1) noise of shape (n, n, n, n) from each of the block's keys, stacked."""
-        return self._memo("noise", lambda: np.stack([self._draw(i, (self.g.dim,) * 4)
-                                                     for i in self.keys]))
-
-    def first_uniforms(self, count: int, size: int) -> np.ndarray:
-        """The first size uniforms of the noise of each of the block's first count keys, one
-        row a key: read off the noise once the block has drawn it, else drawn alone."""
-        if "noise" in self._memos[1]:
-            noise = self.noise()[:count]
-            return noise.reshape(len(noise), -1)[:, :size].copy()
-        return np.stack([self._draw(i, size) for i in self.keys[:count]])
+        draw = lambda i: rng_stream(self.seed, i).uniform(-1.0, 1.0, (self.g.dim,) * 4)
+        return self._memo("noise", lambda: np.stack([draw(i) for i in self.keys]))
 
     def parts(self, space: str) -> _Parts:
         """The trace data of the space's stack, built once; its ψ and μ are kept with the
@@ -264,9 +254,10 @@ class DimensionReport:
     """The dimension of a sample space, read off the trace of its projector on co(V).
 
     empirical_dim is the trace, read off the class blocks (see the module docstring),
-    rounded to an integer.  The report is inconclusive when the trace lies further than
-    TRACE_TOL from it, so that the map is not idempotent and its trace no rank, or when
-    the map fails the guard of `_blocks`, so that the blocks misread it.
+    rounded to an integer, or -1 for a trace that is not finite.  The report is
+    inconclusive when the trace lies further than TRACE_TOL from empirical_dim, so that
+    the map is not idempotent and its trace no rank, or when the map fails the guard of
+    `_blocks`, so that the blocks misread it; a NaN or infinite trace or guard does both.
     """
 
     space: str
@@ -353,12 +344,14 @@ def _blocks(n: int, g: ScalarProduct, spaces):
 
 def _reports(n: int, blocks, guard) -> dict[str, DimensionReport]:
     """Each space's report off the trace of its class blocks and its guard residual (see
-    `_blocks`), inconclusive when either is past TRACE_TOL."""
-    traces = {space: sum(float(np.trace(b, axis1=1, axis2=2).sum()) for b in stacks)
-              for space, stacks in blocks.items()}
-    return {space: DimensionReport(space, round(t), formula_dim(space, n),
-                                   abs(t - round(t)) > TRACE_TOL or not guard[space] <= TRACE_TOL)
-            for space, t in traces.items()}
+    `_blocks`), inconclusive when either is past TRACE_TOL or not finite."""
+    reports = {}
+    for space, stacks in blocks.items():
+        t = sum(float(np.trace(b, axis1=1, axis2=2).sum()) for b in stacks)
+        dim = round(t) if math.isfinite(t) else -1  # round refuses nan and inf
+        sure = abs(t - dim) <= TRACE_TOL and guard[space] <= TRACE_TOL  # false for a nan
+        reports[space] = DimensionReport(space, dim, formula_dim(space, n), not sure)
+    return reports
 
 
 def dimension_reports(

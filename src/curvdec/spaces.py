@@ -21,7 +21,7 @@ from functools import cache
 import numpy as np
 
 from .errors import NonFiniteInput, UnknownSpace
-from .linalg import (ScalarProduct, _per_tensor, _row_maxnorm, antisym, check_same_dim,
+from .linalg import (ScalarProduct, _per_tensor, _real, _row_maxnorm, antisym, check_same_dim,
                      check_tensor)
 
 MEMBERSHIP_TOL = 1e-10
@@ -40,8 +40,8 @@ def _reindex(t, pattern):
 
 
 def _wedge_r(h, k, r: float) -> np.ndarray:
-    """`wedge_r` of float arrays, with no finiteness test: the package's own products."""
-    check_same_dim(h, k)
+    """`wedge_r` of float forms of one n, unchecked: the package's own products, whose forms
+    all come from one g."""
     hk = np.einsum("...ac,...bd->...abcd", h, k)
     out = hk - hk.swapaxes(-4, -3)
     if r != 0:
@@ -54,16 +54,18 @@ def _wedge(h, k) -> np.ndarray:
 
 
 def _dot_product(h, k) -> np.ndarray:
-    check_same_dim(h, k)
     return np.einsum("...ab,...cd->...abcd", h, k)
 
 
-def _finite(*operands):
-    """The operands as float arrays; NonFiniteInput for a NaN or infinite entry in any."""
-    operands = [np.asarray(x, dtype=float) for x in operands]
-    if not all(np.isfinite(x).all() for x in operands):
-        raise NonFiniteInput("a product operand has a non-finite entry")
-    return operands
+def _finite(**forms) -> list[np.ndarray]:
+    """The one gate of forms from outside: each as a float array, all (..., n, n) of one n
+    (`check_same_dim`); NonFiniteInput naming the first that is complex or not finite."""
+    forms = {name: _real(x, name) for name, x in forms.items()}
+    check_same_dim(*forms.values())
+    for name, x in forms.items():
+        if not np.isfinite(x).all():
+            raise NonFiniteInput(f"{name} has a non-finite entry")
+    return list(forms.values())
 
 
 def wedge_r(h, k, r: float) -> np.ndarray:
@@ -72,20 +74,22 @@ def wedge_r(h, k, r: float) -> np.ndarray:
     (h ^_r k)[a,b,c,d] = h[a,c] k[b,d] - h[b,c] k[a,d]
                          - r * (h[a,d] k[b,c] - h[b,d] k[a,c]);
     r = 0 is the plain wedge, r = 1 the Kulkarni-Nomizu product.  NonFiniteInput for a
-    NaN or infinite entry of h or k, or for r.
+    complex, NaN or infinite entry of h or k, or for r.
     """
-    h, k, _ = _finite(h, k, r)
+    h, k = _finite(h=h, k=k)
+    if not np.isfinite(_real(r, "r")):
+        raise NonFiniteInput(f"r = {r} is not finite")
     return _wedge_r(h, k, r)
 
 
 def wedge(h, k) -> np.ndarray:
     """Plain wedge h ^ k = wedge_r(h, k, 0)."""
-    return _wedge(*_finite(h, k))
+    return _wedge(*_finite(h=h, k=k))
 
 
 def dot_product(h, k) -> np.ndarray:
     """(h . k)[a,b,c,d] = h[a,b] k[c,d].  Not symmetric in (h, k)."""
-    return _dot_product(*_finite(h, k))
+    return _dot_product(*_finite(h=h, k=k))
 
 
 def conjugate(t) -> np.ndarray:

@@ -14,6 +14,8 @@ entry is true.  A nan or inf term fails its check at any finite tolerance, and
 its worst residual is reported as null (nan stays nan through the fold).  The
 family checks (`_on_blocks`, dimension_consistency) read no sample: they are
 verdicts on the class blocks of the point's maps on all of co(V), read once.
+Nor do trace_reconstruction and ricci_image_dimensions, which certify sigma on
+a basis of forms.
 """
 from __future__ import annotations
 
@@ -52,7 +54,7 @@ class SuiteConfig:
         for n in self.dims:
             sigs = self.signatures if self.signatures else ((n, 0), (n - 1, 1))
             for sig in sigs:
-                if sig[0] + sig[1] == n and sig[1] >= 0:
+                if sig[0] + sig[1] == n:
                     yield n, sig
 
     def as_dict(self):
@@ -73,7 +75,7 @@ class _Ctx(Block):
     lo, with the point's n and signature, the run's tolerance and the dict shared (see Block)."""
 
     def __init__(self, n: int, sig, cfg: SuiteConfig, lo: int, shared: dict):
-        self.n, self.sig, self.lo, self.tol, self.shared = n, sig, lo, cfg.tolerance, shared
+        self.n, self.sig, self.lo, self.tol = n, sig, lo, cfg.tolerance
         keys = range(lo, min(lo + CHUNK, cfg.samples))
         super().__init__(standard_scalar_product(*sig), cfg.seed, keys, shared)
 
@@ -368,19 +370,15 @@ def _check_projective_conjugate_equivalence(ctx):
 
 
 def _check_trace_reconstruction(ctx):
+    # sigma is linear, so each half is certified on a basis of its forms: the lifts of Alt E_ab
+    # (a < b), then of Sym E_ab (a <= b), lie in r(V) and have the form as their Ricci trace
     g, n = ctx.g, ctx.n
-    # omega's noise, then theta's: a stream's first 2n² uniforms, the start of the block
-    # noise of its key (a stream draws in order), taken once for every signature
-    if "sources" not in ctx.shared:
-        ctx.shared["sources"] = ctx.first_uniforms(8, 2 * n * n).reshape(-1, 2, n, n)
-    noise = ctx.shared["sources"]
-    omega, theta = antisym(noise[:, 0]), sym(noise[:, 1])
-    built = sigma_split(omega, theta, g)
-    yield from (ricci(built, g) - omega - theta, membership_residual(built, g, "r"))
-    only_omega = sigma_split(omega, np.zeros((n, n)), g)
-    yield ricci(only_omega, g) - omega
-    only_theta = sigma_split(np.zeros((n, n)), theta, g)
-    yield ricci(only_theta, g) - theta
+    e, below = np.eye(n * n).reshape((n,) * 4), np.tri(n, dtype=bool)  # e[a, b] is E_ab
+    omega, theta = np.zeros((2, n * n, n, n))
+    k = n * (n - 1) // 2  # the pairs a < b; the n(n + 1)/2 pairs a <= b follow
+    omega[:k], theta[k:] = antisym(e[~below]), sym(e[below.T])
+    lifts = sigma_split(omega, theta, g)
+    yield from (ricci(lifts, g) - omega - theta, membership_residual(lifts, g, "r"))
 
 
 def _check_singer_thorpe(ctx):
@@ -559,9 +557,9 @@ def run_invariant_suite(config: SuiteConfig | None = None, only=None) -> dict:
     EmptyRun for an empty `only`, a sample count that is not an integer >= 1 or an empty grid,
     DimensionTooSmall for a dimension below 3, DimensionMismatch for one past
     sampling.MAX_DIM, a signature that is not a pair or a dimension or
-    signature entry that is not an integer, NonFiniteInput for a tolerance that
-    is not a finite real number, and NegativeStreamKey for a seed that is
-    negative or not an integer, before any check runs.
+    signature entry that is not an integer or negative, NonFiniteInput for a
+    tolerance that is not a finite real number >= 0, and NegativeStreamKey for a
+    seed that is negative or not an integer, before any check runs.
     """
     cfg = config or SuiteConfig()
     if isinstance(only, str):  # a str is a collection of letters
@@ -579,11 +577,13 @@ def run_invariant_suite(config: SuiteConfig | None = None, only=None) -> dict:
             raise DimensionMismatch(f"a signature must be a pair (p, q), got {sig!r}")
     for x in (*cfg.dims, *(x for sig in cfg.signatures or () for x in sig)):
         _integer(x, DimensionMismatch, "a dimension or signature entry")
+    if any(x < 0 for sig in cfg.signatures or () for x in sig):
+        raise DimensionMismatch(f"signatures {cfg.signatures} hold a negative count")
     for n in cfg.dims:
         sampling.formula_dim("co", n)  # refuses n < 3 and n > MAX_DIM
     tol = cfg.tolerance  # a bool is a Real, but no tolerance
-    if not isinstance(tol, Real) or isinstance(tol, bool) or not math.isfinite(tol):
-        raise NonFiniteInput(f"tolerance must be a finite real number, got {tol!r}")
+    if not isinstance(tol, Real) or isinstance(tol, bool) or not 0 <= tol < math.inf:
+        raise NonFiniteInput(f"tolerance must be a finite real number >= 0, got {tol!r}")
     if not any(cfg.grid()):
         raise EmptyRun(f"no signature in {cfg.signatures} fits a dimension in {list(cfg.dims)}")
     sampling.rng_stream(cfg.seed, 0)  # the first stream a check may read: refuses a bad seed

@@ -471,26 +471,26 @@ def test_cli_verify_zero_tolerance_fails():
 
 # stdout SHA-256 of `verify` and `dims` runs at one BLAS thread
 OUTPUT_PINS = [
-    (("verify",), "84b9353a695eade27881a2c76bc5cd97a1b22a7f881be0ddebbab565d5764ed7"),
+    (("verify",), "9cbcb9be0879e83206ad4b37cd83dd5c483830ee8ef7637a83e12d59189bc88d"),
     (("dims", "--dim", "5"), "6a193d41478bc4da68f55defec894880663a997fcce918cfab2880b741a7035b"),
     (
         ("verify", "--dim", "5", "--signature", "3,2", "--samples", "40"),
-        "319e0dc2679e42d8e18e9864b939992da55b3f4d4148a66e8abcb9c332db207c",
+        "c57b9167b55802ecd2219d9e04220834ec0a6b977d9e41c1ece23119529db88b",
     ),
     # two blocks per point, the second of 8 rows
     (
         ("verify", "--samples", "40"),
-        "6556a18080f39b19917d7b992a0bcb93e8d360e0d144bb678be12672452c54f8",
+        "c7631480af95c0190013769c182929b21b293fa236c150717fa66d7c0ece829a",
     ),
     # one block of 5 rows per point, fewer than a block's CHUNK: every check reads only these
     (
         ("verify", "--samples", "5"),
-        "2a60f42df4944ca4cd43cd7ae18ea07fce32cef482f2f58e61a3adbc78e21e2c",
+        "ebee89003b0d2b32826685497ef0b049eb1e1d107a48fb2591d5db6b6a31fd58",
     ),
     # one signature: nothing is shared across signatures
     (
         ("verify", "--dim", "4", "--signature", "3,1"),
-        "6abceac9bfd547d89dbea0162f3e8c17c4dfdef78a67f548558d3e298dc7919c",
+        "a3a5beb9950369f485f614115efeab4b35671a54fe6e401328c35ceee918398b",
     ),
 ]
 OUTPUT_IDS = [

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from curvdec.decomp import equiaffine_einstein_check, w_decompose
+from curvdec.decomp import equiaffine_einstein_check, sigma_split, w_decompose
 from curvdec.errors import (
     CurvdecError,
     DegenerateMetric,
@@ -16,6 +16,7 @@ from curvdec.errors import (
 from curvdec.linalg import (
     antisym,
     build_scalar_product,
+    check_tensor,
     standard_scalar_product,
     sym,
     tensor_pairing,
@@ -285,6 +286,25 @@ def test_rescaled_refuses_bad_factors():
     assert issubclass(NonPositiveFactor, CurvdecError)
     h = g.rescaled(3.75)
     assert np.array_equal(h.matrix, 3.75 * g.matrix) and h.signature == g.signature
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_complex_input_refused():
+    # a cast to float drops the imaginary part with only a ComplexWarning (a RuntimeWarning);
+    # each gate refuses a complex dtype, a zero imaginary part too, before it casts
+    g, eye, t = standard_scalar_product(3, 0), np.eye(3), np.ones((3,) * 4)
+    for call in (
+        lambda: build_scalar_product(eye * (1 + 1j)),
+        lambda: check_tensor(t * (1 + 2j)),
+        lambda: ricci(t + 0j, g),
+        lambda: wedge(eye * 1j, eye),
+        lambda: dot_product(eye, eye + 0j),
+        lambda: wedge_r(eye, eye, 1j),
+        lambda: sigma_split(np.zeros((3, 3)), eye + 0j, g),
+        lambda: g.rescaled(1j),
+    ):
+        with pytest.raises(NonFiniteInput, match="not real"):
+            call()
 
 
 def test_non_finite_metric_names_entries():

@@ -645,3 +645,18 @@ def test_all_sample_spaces_reachable_n4():
     for space in SAMPLE_SPACES:
         t = sample(space, 4, (4, 0), seed=1)
         assert t.shape == (4, 4, 4, 4)
+
+
+def test_non_finite_trace_reads_inconclusive(monkeypatch):
+    # a map whose image holds a NaN has a NaN trace, which has no integer: its report reads
+    # inconclusive with empirical_dim -1, and dimension_consistency fails, the run goes on
+    exact = decomp._Parts.w
+
+    def planted(parts, keep=range(8)):
+        return [np.full_like(c, np.nan) if j == 0 else c for j, c in zip(keep, exact(parts, keep))]
+
+    monkeypatch.setattr(decomp._Parts, "w", planted)
+    assert dimension_reports(3, spaces=("W1",)) == {"W1": DimensionReport("W1", -1, 1, True)}
+    cfg = SuiteConfig(dims=(3,), samples=2)
+    report = run_invariant_suite(cfg, only=["dimension_consistency"])["dimension_consistency"]
+    assert (report["pass"], report["worst_residual"]) == (False, 1.0)

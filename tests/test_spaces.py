@@ -1,9 +1,13 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
+import curvdec.decomp as decomp
+import curvdec.linalg as linalg
 import curvdec.spaces as spaces
-from curvdec.decomp import w_projections
-from curvdec.errors import NonFiniteInput, UnknownSpace
+from curvdec.decomp import sigma_split, w_projections
+from curvdec.errors import DimensionMismatch, NonFiniteInput, UnknownSpace
 from curvdec.linalg import standard_scalar_product
 from curvdec.spaces import (
     bianchi_project,
@@ -104,6 +108,30 @@ def test_products_refuse_non_finite_forms(monkeypatch):
     monkeypatch.setattr(spaces, "_finite", lambda *x: calls.append(x))
     w_projections(rsample(3, 1), standard_scalar_product(2, 1))
     assert calls == []
+
+
+def test_forms_from_outside_pass_one_gate(monkeypatch):
+    # the package's own products build their forms from one g and check no shape; the
+    # public products and sigma_split pass their forms through `_finite`, which refuses
+    # forms of two n and names the operand that is not finite
+    calls, real = [], linalg.check_same_dim
+    for module in (linalg, spaces, decomp):
+        monkeypatch.setattr(module, "check_same_dim", lambda *x: calls.append(x) or real(*x),
+                            raising=False)
+    g = standard_scalar_product(2, 1)
+    w_projections(rsample(3, 1), g)
+    assert calls == []
+    zero, bad = np.zeros((3, 3)), np.full((3, 3), np.nan)
+    for product, (first, second) in ((wedge, "hk"), (dot_product, "hk"),
+                                     (partial(wedge_r, r=1.0), "hk"),
+                                     (partial(sigma_split, g=g), ("omega", "theta"))):
+        with pytest.raises(DimensionMismatch):
+            product(zero, np.zeros((4, 4)))
+        with pytest.raises(NonFiniteInput, match=f"^{first} has"):
+            product(bad, zero)
+        with pytest.raises(NonFiniteInput, match=f"^{second} has"):
+            product(zero, bad)
+    assert len(calls) == 12  # every form from outside passed the one check
 
 
 def test_conjugate_fixes_algebraic_and_negates_symmetric():

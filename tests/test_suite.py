@@ -153,17 +153,19 @@ def test_checks_read_only_their_own_block(monkeypatch):
     assert drawn == set(range(5))
 
 
-def test_trace_reconstruction_alone_draws_only_its_sources(monkeypatch):
-    # run alone, the check takes the first 2n² uniforms of each of its 8 keys and draws no
-    # block noise: 8 streams a dimension and the seed check's, and the report of the full
-    # run, where it reads them off the noise the block has drawn
-    full = run_invariant_suite(SuiteConfig())["trace_reconstruction"]
+def test_trace_reconstruction_alone_draws_only_the_seed_check(monkeypatch):
+    # the check certifies sigma on a basis of forms: run alone it draws only the stream of
+    # the up-front seed check, rng_stream(seed, 0), and reports as in the full run, which
+    # draws that one and each block's noise, 32 keys a dimension
     calls, real = [], sampling.rng_stream
-    monkeypatch.setattr(sampling, "rng_stream", lambda seed, i: calls.append(i) or real(seed, i))
-    monkeypatch.setattr(sampling.Block, "noise", lambda block: pytest.fail("noise drawn"))
-    report = run_invariant_suite(SuiteConfig(), only=["trace_reconstruction"])
+    monkeypatch.setattr(sampling, "rng_stream",
+                        lambda seed, i: calls.append((seed, i)) or real(seed, i))
+    full = run_invariant_suite(SuiteConfig(seed=3))["trace_reconstruction"]
+    assert len(calls) == 1 + 2 * suite.CHUNK
+    calls.clear()
+    report = run_invariant_suite(SuiteConfig(seed=3), only=["trace_reconstruction"])
     assert report == {"trace_reconstruction": full}
-    assert calls == [0] + list(range(8)) * 2
+    assert calls == [(3, 0)]
 
 
 def test_shared_stacks_are_read_only(monkeypatch):
@@ -269,10 +271,12 @@ def test_negative_seed_refused_before_any_check(monkeypatch):
     # gram_positivity draws nothing at an indefinite signature, so only an
     # up-front refusal keeps this run from reporting a pass; so too for a seed,
     # a dimension or a signature entry that is not an integer (a bool is not),
-    # a signature that is not a pair and a tolerance that is not a finite real
-    # number (a bool is not), even where a valid grid point would come first
-    ran = []
+    # a signature that is not a pair or has a negative entry and a tolerance that
+    # is not a finite real number >= 0 (a bool is not), even where a valid grid
+    # point would come first: no block of any point is built
+    ran, built, real = [], [], suite._Ctx
     monkeypatch.setitem(suite.CHECKS, "gram_positivity", lambda ctx: ran.append(ctx) or ())
+    monkeypatch.setattr(suite, "_Ctx", lambda *args: built.append(args) or real(*args))
     for error, cfg in (
         (NegativeStreamKey, SuiteConfig(dims=(3,), signatures=((2, 1),), seed=-1)),
         (NegativeStreamKey, SuiteConfig(dims=(3,), signatures=((2, 1),), samples=2, seed=1.5)),
@@ -287,10 +291,13 @@ def test_negative_seed_refused_before_any_check(monkeypatch):
         (NonFiniteInput, SuiteConfig(dims=(3,), signatures=((2, 1),), tolerance=math.inf)),
         (NonFiniteInput, SuiteConfig(dims=(3,), signatures=((2, 1),), tolerance=math.nan)),
         (NonFiniteInput, SuiteConfig(dims=(3,), signatures=((2, 1),), tolerance=True)),
+        (NonFiniteInput, SuiteConfig(dims=(3,), signatures=((2, 1),), tolerance=-1.0)),
+        (DimensionMismatch, SuiteConfig(dims=(3, 4), signatures=((3, 0), (-1, 5)))),
     ):
         with pytest.raises(error):
             run_invariant_suite(cfg, only=["gram_positivity"])
     assert not ran
+    assert not built
     # numpy integers are integers
     cfg = SuiteConfig(dims=(np.int64(3),), signatures=((np.int64(2), 1),), samples=np.int64(2))
     assert run_invariant_suite(cfg, only=["gram_positivity"])["gram_positivity"]["pass"]
@@ -518,3 +525,15 @@ def test_block_verdicts_read_no_sample():
     residuals = [{name: entry["worst_residual"] for name, entry in rep.items()} for rep in reports]
     assert residuals[0] == residuals[1] == residuals[2]
     assert all(entry["pass"] for entry in reports[0].values())
+
+
+def test_sample_free_checks_draw_no_noise(monkeypatch):
+    # trace_reconstruction and ricci_image_dimensions certify sigma on a basis of forms,
+    # and the block checks read the class blocks: none draws a sample, so each, run alone
+    # with the block noise made to fail, reads one residual at every sample count and seed
+    monkeypatch.setattr(sampling.Block, "noise", lambda block: pytest.fail("noise drawn"))
+    for name in ("trace_reconstruction", "ricci_image_dimensions", *BLOCK_CHECKS):
+        reports = [run_invariant_suite(SuiteConfig(samples=samples, seed=seed), only=[name])[name]
+                   for samples in (1, 32, 40) for seed in (0, 7)]
+        assert len({rep["worst_residual"] for rep in reports}) == 1, name
+        assert reports[0]["pass"], name
