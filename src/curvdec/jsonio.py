@@ -2,7 +2,9 @@
 
 All indices in documents are 0-based.  Rank-4 entries are stored flat in row-major
 (i, j, k, l) order, as 1-D float arrays that dumps writes byte for byte as json writes
-their lists (floats round-trip bit-exactly), formatting each distinct |x| in a batch once.
+their lists (floats round-trip bit-exactly): one orjson call writes all of a document's
+arrays, and the entries where its text is not repr's, 1e-10 <= |x| < 1e-4 and |x| >= 1e16,
+are refilled with repr's text, each distinct |x| formatted once.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from itertools import accumulate, chain, permutations
 from operator import mul
 
 import numpy as np
+import orjson
 
 from .charts import PolyChart, TripleReport, _chart_dim
 from .decomp import DecompositionResult
@@ -45,16 +48,19 @@ def dumps(obj) -> str:
 
 def _with_arrays(parts, arrays) -> str | None:
     """parts joined by json's text of each array; None for NaN, inf or a stray slot."""
-    if len(parts) != len(arrays) + 1 or not np.isfinite(np.concatenate(arrays)).all():
+    work = np.concatenate(arrays)
+    if len(parts) != len(arrays) + 1 or not np.isfinite(work).all():
         return None
-    out, step = [], max(1, 4096 // (1 + max(map(len, arrays))))  # few np.unique, small buffers
-    for batch in (arrays[lo:lo + step] for lo in range(0, len(arrays), step)):
-        distinct, rank = np.unique(np.abs(flat := np.concatenate(batch)), return_inverse=True)
-        reprs = list(map(float.__repr__, distinct.tolist()))
-        table = np.array(reprs + ["-" + r for r in reprs], dtype=object)
-        code = rank + len(reprs) * np.signbit(flat)  # "-" where the sign bit is set
-        ends = list(accumulate(map(len, batch)))
-        out += ["[" + ", ".join(table[code[i:j]].tolist()) + "]" for i, j in zip([0, *ends], ends)]
+    odd = ((mag := np.abs(work)) >= 1e16) | ((mag >= 1e-10) & (mag < 1e-4))  # not repr's layout
+    distinct, rank = np.unique(mag[odd], return_inverse=True)
+    reprs = list(map(float.__repr__, distinct.tolist()))
+    table = np.array(reprs + ["-" + r for r in reprs], dtype=object)
+    code = rank + len(reprs) * np.signbit(work[odd])  # "-" where the sign bit is set
+    work[odd] = np.nan  # orjson writes null, refilled with repr's text
+    pieces = np.split(work, list(accumulate(map(len, arrays[:-1]))))
+    chunks = orjson.dumps(pieces, option=orjson.OPT_SERIALIZE_NUMPY).decode().split("null")
+    text = "".join(chain(*zip(chunks, table[code].tolist()), chunks[-1:])).replace(",", ", ")
+    out = ("[" + a + "]" for a in text[2:-2].split("], ["))  # each array's text, bracketed
     return "".join(chain(*zip(parts, out), parts[-1:]))
 
 

@@ -102,10 +102,14 @@ def build_scalar_product(matrix) -> ScalarProduct:
 
 
 def _real(x, what: str) -> np.ndarray:
-    """x as a float array; NonFiniteInput for a complex one, whose imaginary part a cast drops."""
+    """x as a float array; NonFiniteInput for a complex one, whose imaginary part a cast drops,
+    and for one the cast refuses, such as a string."""
     if np.asarray(x).dtype.kind == "c":  # the dtype alone: no pass over a float array's entries
         raise NonFiniteInput(f"{what} is not real")
-    return np.asarray(x, dtype=float)
+    try:
+        return np.asarray(x, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise NonFiniteInput(f"{what} is not a real number") from exc
 
 
 def _integer(x, error, what: str) -> int:

@@ -85,6 +85,19 @@ class _Ctx(Block):
         which the family checks and dimension_consistency read."""
         return sampling._blocks(self.n, self.g, ("r", "a", "f", "p", *_W, *_A))
 
+    @cached_property
+    def sigma_basis(self):
+        """Ric(lift) - form and the r(V) membership residual of each half lift, sigma(Alt E_ab,
+        0) for a < b, then sigma(0, Sym E_ab) for a <= b: sigma is linear and these forms span
+        both form spaces, so the two sigma checks read them."""
+        n, g = self.n, self.g
+        e, below = np.eye(n * n).reshape((n,) * 4), np.tri(n, dtype=bool)  # e[a, b] is E_ab
+        omega, theta = np.zeros((2, n * n, n, n))
+        k = n * (n - 1) // 2  # the pairs a < b; the n(n + 1)/2 pairs a <= b follow
+        omega[:k], theta[k:] = antisym(e[~below]), sym(e[below.T])
+        lifts = sigma_split(omega, theta, g)
+        return ricci(lifts, g) - omega - theta, _membership_rows(lifts, g, "r")
+
 
 def _fold(worst: float, terms) -> float:
     """worst raised to each term's residual (see the module docstring); nan once any is nan."""
@@ -369,18 +382,6 @@ def _check_projective_conjugate_equivalence(ctx):
     yield _membership_rows(p, g, "a")[off] > 10 * ctx.tol
 
 
-def _check_trace_reconstruction(ctx):
-    # sigma is linear, so each half is certified on a basis of its forms: the lifts of Alt E_ab
-    # (a < b), then of Sym E_ab (a <= b), lie in r(V) and have the form as their Ricci trace
-    g, n = ctx.g, ctx.n
-    e, below = np.eye(n * n).reshape((n,) * 4), np.tri(n, dtype=bool)  # e[a, b] is E_ab
-    omega, theta = np.zeros((2, n * n, n, n))
-    k = n * (n - 1) // 2  # the pairs a < b; the n(n + 1)/2 pairs a <= b follow
-    omega[:k], theta[k:] = antisym(e[~below]), sym(e[below.T])
-    lifts = sigma_split(omega, theta, g)
-    yield from (ricci(lifts, g) - omega - theta, membership_residual(lifts, g, "r"))
-
-
 def _check_singer_thorpe(ctx):
     g, n = ctx.g, ctx.n
     gm = g.matrix
@@ -457,14 +458,10 @@ def _check_dimension_consistency(ctx):
 
 
 def _check_ricci_image_dimensions(ctx):
-    # sigma lifts each coordinate form E_ab, as Alt E_ab and Sym E_ab, into r(V) and Ric of
-    # the lift is E_ab: Ric maps r(V) onto the n(n - 1)/2 alternating and the n(n + 1)/2
-    # symmetric forms.  Exact identities, judged at MEMBERSHIP_TOL whatever the tolerance
-    g, n = ctx.g, ctx.n
-    forms = np.eye(n * n).reshape(n * n, n, n)
-    lifts = sigma_split(antisym(forms), sym(forms), g)
-    yield _membership_rows(lifts, g, "r") <= MEMBERSHIP_TOL
-    yield _row_maxnorm(ricci(lifts, g) - forms, 1) <= MEMBERSHIP_TOL
+    # Ric maps r(V) onto the n(n - 1)/2 alternating and the n(n + 1)/2 symmetric forms: exact
+    # identities on sigma's basis lifts, judged at MEMBERSHIP_TOL whatever the tolerance
+    defect, rows = ctx.sigma_basis
+    yield from (rows <= MEMBERSHIP_TOL, _row_maxnorm(defect, 1) <= MEMBERSHIP_TOL)
 
 
 def _check_membership_tower(ctx):
@@ -533,7 +530,7 @@ CHECKS = {
     "ricci_block_closed_form": _check_ricci_block_closed_form,
     "equiaffine_projector_agreement": _check_equiaffine_projector_agreement,
     "projective_conjugate_equivalence": _first_block(_check_projective_conjugate_equivalence),
-    "trace_reconstruction": _first_block(_check_trace_reconstruction),
+    "trace_reconstruction": _first_block(lambda ctx: ctx.sigma_basis),
     "singer_thorpe": _check_singer_thorpe,
     "rescale_invariance": _first_block(_check_rescale_invariance),
     "dimension_consistency": _first_block(_check_dimension_consistency),

@@ -22,8 +22,10 @@ from curvdec.cli import main
 from curvdec.errors import (
     DegenerateMetric, DimensionMismatch, LengthMismatch, NonFiniteInput, SchemaError,
 )
-from curvdec.jsonio import dumps, parse_chart, parse_tensor, tensor_document
-from curvdec.linalg import standard_scalar_product
+from curvdec.decomp import a_decompose, singer_thorpe, w_decompose
+from curvdec.jsonio import (decomposition_document, dumps, parse_chart, parse_tensor,
+                            tensor_document)
+from curvdec.linalg import build_scalar_product, standard_scalar_product
 from curvdec.poly import Poly
 from curvdec.sampling import sample
 from curvdec.spaces import wedge
@@ -128,8 +130,6 @@ def test_round_trip_bit_exact():
 
 def test_explicit_metric_round_trip():
     m = np.diag([2.0, 1.0, 1.0])
-    from curvdec.linalg import build_scalar_product
-
     g = build_scalar_product(m)
     t = wedge(g.matrix, g.matrix)
     doc = tensor_document(t, g)
@@ -144,9 +144,17 @@ G31 = standard_scalar_product(3, 1)
 
 
 def both(values, size=300):
-    """values as an array json writes itself (under 128 entries) and, repeated up to size
-    entries, as one that dumps groups by magnitude."""
+    """values as a float array and, repeated up to size entries, as a longer one."""
     return [np.array(values, dtype=float), np.resize(np.array(values, dtype=float), size)]
+
+
+def decomposition_documents(n):
+    """The W, A and ST documents of an algebraic tensor under a non-diagonal metric: exact
+    zeros, roundoff below 1e-10 and A1 entries in [1e-5, 1e-4)."""
+    a = np.eye(n) + 0.05 * np.tri(n, k=-1)
+    g = build_scalar_product(a.T @ standard_scalar_product(n - 1, 1).matrix @ a)
+    t = np.einsum("pqrs,pi,qj,rk,sl->ijkl", sample("a", n, (n - 1, 1), seed=5), a, a, a, a)
+    return [decomposition_document(f(t, g), g) for f in (w_decompose, a_decompose, singer_thorpe)]
 
 
 WRITER_CASES = {
@@ -163,17 +171,35 @@ WRITER_CASES = {
                                        standard_scalar_product(n - 1, 1))
                        for n in (3, 4, 8) for space in ("r", "a", "co")],
     },
-    # twenty arrays of 300 entries make batches of 13 and 7; longer ones a batch each
+    "band_edges": {"R": both([x for v in (1e-4, np.nextafter(1e-4, 0), 1e-5, 1e-10,
+                                          np.nextafter(1e-10, 0), 9999999999999998.0, 1e16,
+                                          1e22) for x in (v, -v)] + [5e-324])},
+    "decompositions": {"n4": decomposition_documents(4), "n8": decomposition_documents(8)},
     "batches": {"R": [np.random.default_rng(3).standard_normal(m).round(2)
                       for m in [300] * 20 + [5000, 130, 4096]]},
     "slot_text_in_a_string": {"note": "\0", "R": both([0.5, -0.5])},
 }
 
 
+def assert_dumps_as_json(doc):
+    # names the first difference: pytest's own diff of a megabyte document takes minutes
+    got, want = dumps(doc), json.dumps(doc, sort_keys=True, default=np.ndarray.tolist) + "\n"
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        pytest.fail(f"first difference at {at}: {got[at:at + 60]!r} != {want[at:at + 60]!r}")
+
+
 @pytest.mark.parametrize("case", sorted(WRITER_CASES))
 def test_dumps_writes_arrays_as_json_writes_lists(case):
-    doc = WRITER_CASES[case]
-    assert dumps(doc) == json.dumps(doc, sort_keys=True, default=np.ndarray.tolist) + "\n"
+    assert_dumps_as_json(WRITER_CASES[case])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40),
+                max_size=4))
+def test_dumps_writes_any_finite_arrays_as_json_writes_lists(lists):
+    # 0-4 arrays, empty ones too, of doubles of every exponent, subnormals and both limits
+    assert_dumps_as_json({"R": [np.array(values, dtype=float) for values in lists], "tau": 0.5})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

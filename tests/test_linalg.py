@@ -307,6 +307,18 @@ def test_complex_input_refused():
             call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: wedge_r(np.eye(3), np.eye(3), "x"),
+    lambda: standard_scalar_product(3, 0).rescaled("x"),
+    lambda: build_scalar_product([["a"] * 3] * 3),
+    lambda: check_tensor([["a"]]),
+], ids=["wedge_r", "rescaled", "build_scalar_product", "check_tensor"])
+def test_non_numeric_input_refused(call):
+    # a cast that fails on a string is a typed refusal, not numpy's bare ValueError
+    with pytest.raises(NonFiniteInput, match="is not a real number"):
+        call()
+
+
 def test_non_finite_metric_names_entries():
     m = np.eye(3)
     m[0, 2] = m[2, 0] = np.nan

@@ -8,6 +8,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from curvdec import cli
 from curvdec.charts import conjugate_triple_report
@@ -115,6 +116,26 @@ def test_every_private_helper_has_a_caller():
     }
     assert len(private) >= 90
     assert sorted(private - loaded) == []
+
+
+def test_every_third_party_import_is_declared():
+    # a top-level module imported under src/curvdec that is neither the package's own nor
+    # in the standard library is named in pyproject.toml's [project].dependencies
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", dep)[0].lower() for dep in project["dependencies"]}
+    imported = {
+        name.split(".")[0]
+        for p in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(p.read_text()))
+        for name in (
+            [a.name for a in node.names] if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) and not node.level else []
+        )
+    }
+    third_party = imported - set(sys.stdlib_module_names) - {"curvdec"}
+    assert {"numpy", "orjson"} <= third_party
+    assert sorted(third_party - declared) == []
 
 
 def test_failing_hypothesis_example_is_one_failure(tmp_path):
