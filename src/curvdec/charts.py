@@ -25,12 +25,13 @@ convention used across the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .errors import (DegenerateAtPoint, DegenerateMetric, DimensionMismatch, NonFiniteInput,
                      SchemaError, UnknownConnection)
-from .linalg import ScalarProduct, _integer, antisym, build_scalar_product
+from .linalg import ScalarProduct, _integer, _number, _real, antisym, build_scalar_product
 from .poly import Poly
 from .spaces import _tau, conjugate, membership_residual, ricci, scalar_curvature
 
@@ -61,11 +62,10 @@ def _entries(field, name, n, rank):
         raise DimensionMismatch(f"expected a {name} of shape {(n,) * rank}")
     path = lambda: f"{name}{[int(i) for i in np.unravel_index(pos, (n,) * rank)]}"
     for pos, x in enumerate(flat):
-        if not isinstance(x, Poly):
-            try:
-                flat[pos] = x = Poly.constant(float(x), n)
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(path(), f"expected a Poly or a number, got {x!r}") from exc
+        if isinstance(x, Real):  # NonFiniteInput for NaN, infinity or past the float range
+            flat[pos] = x = Poly.constant(_number(x, path()), n)
+        elif not isinstance(x, Poly):
+            raise SchemaError(path(), f"expected a Poly or a number, got {x!r}")
         if x.nvars != n:
             raise DimensionMismatch(f"{path()}: polynomial variable count != chart dimension")
     return {(rank - 2) * n * n + pos: x.terms for pos, x in enumerate(flat)}  # metric, then cubic
@@ -120,7 +120,7 @@ class PolyChart:
         """The point's record, computed once and kept for the last point asked: the
         fields, the raised cubic 'cup' with its derivative 'dcup', and 'connections',
         each connection's (Gamma, dGamma) in the index layout above."""
-        point = np.asarray(point, dtype=float)
+        point = _real(point, "the point")
         if point.shape != (self.dim,):
             raise DimensionMismatch(f"expected a point of shape ({self.dim},), got {point.shape}")
         key = point.tobytes()
@@ -185,9 +185,7 @@ def _raised_with_derivative(gi, dg, field, dfield):
 
 def _operator_curvature(gamma, dgamma):
     dpart = np.einsum("kilj->jkli", dgamma) - np.einsum("likj->jkli", dgamma)
-    qpart = np.einsum("ikh,hlj->jkli", gamma, gamma) - np.einsum(
-        "ilh,hkj->jkli", gamma, gamma
-    )
+    qpart = np.einsum("ikh,hlj->jkli", gamma, gamma) - np.einsum("ilh,hkj->jkli", gamma, gamma)
     return dpart + qpart
 
 
@@ -197,7 +195,7 @@ def _lower(rop, gmatrix):
 
 def curvature_at(chart: PolyChart, point, which: str = "levi_civita") -> np.ndarray:
     """The rank-4 curvature tensor of the chosen connection at the point."""
-    if which not in CONNECTIONS:
+    if not isinstance(which, str) or which not in CONNECTIONS:  # an array compares entrywise
         raise UnknownConnection(f"unknown connection {which!r}; expected one of {CONNECTIONS}")
     d = chart._point_data(point)
     return _lower(_operator_curvature(*d["connections"][which]), d["g"].matrix)
@@ -238,16 +236,14 @@ def _membership(t, g, space):
 
 def conjugate_triple_report(chart: PolyChart, point) -> TripleReport:
     """Evaluate the triple at a point and check all pointwise identities."""
-    point = np.asarray(point, dtype=float)
+    point = _real(point, "the point")
     n = chart.dim
     d = chart._point_data(point)
     g, cup, dcup = d["g"], d["cup"], d["dcup"]
     gm, gi = g.matrix, g.inverse
     gamma = d["connections"]["levi_civita"][0]
     rop_g, rop, rop_star = (_operator_curvature(*d["connections"][w]) for w in CONNECTIONS)
-    r_g = _lower(rop_g, gm)
-    r = _lower(rop, gm)
-    r_star = _lower(rop_star, gm)
+    r_g, r, r_star = (_lower(x, gm) for x in (rop_g, rop, rop_star))
 
     # covariant derivative of the raised cubic field: dc[m, i, j, k]
     dc = (

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FormSymmetryViolation, NonFiniteInput, NotAlgebraic, NotGeneralizedCurvature
-from .linalg import ScalarProduct, _per_tensor, _row_maxnorm, antisym, sym, tensor_pairing
+from .linalg import ScalarProduct, _per_tensor, _real, _row_maxnorm, antisym, sym, tensor_pairing
 from .spaces import (MEMBERSHIP_TOL, _dot_product, _finite, _relative, _traces, _wedge, _wedge_r,
                      membership_residual, mu, psi)
 
@@ -36,7 +36,7 @@ FORM_TOL = 1e-10
 
 def _require_space(t, g, space) -> np.ndarray:
     """t as a float array, refused unless each tensor's residual in space is <= MEMBERSHIP_TOL."""
-    t = np.asarray(t, dtype=float)
+    t = _real(t, "the tensor")
     res = membership_residual(t, g, space)
     if not np.isfinite(res):  # a sum of entries near the float limit overflowed
         at = tuple(map(int, np.unravel_index(np.argmax(np.abs(t)), t.shape)))

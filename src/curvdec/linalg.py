@@ -49,8 +49,7 @@ class ScalarProduct:
 
     def rescaled(self, c: float) -> "ScalarProduct":
         """The scalar product c*g (c real and > 0); signature is unchanged."""
-        if not np.isfinite(_real(c, "rescale factor")):
-            raise NonFiniteInput(f"rescale factor {c} is not finite")
+        c = _number(c, "rescale factor")
         if c <= 0:
             raise NonPositiveFactor(f"rescale factor {c} is not positive")
         return ScalarProduct(self.matrix * c, self.inverse / c, self.signature)
@@ -92,8 +91,7 @@ def build_scalar_product(matrix) -> ScalarProduct:
         raise DegenerateMetric(
             f"eigenvalue magnitude below {DEGENERACY_RATIO:.0e} of spectral norm"
         )
-    p = int(np.sum(eigs > 0))
-    q = int(np.sum(eigs < 0))
+    p, q = int(np.sum(eigs > 0)), int(np.sum(eigs < 0))
     inv = np.linalg.inv(g)
     inv = 0.5 * (inv + inv.T)
     if not np.isfinite(inv).all():
@@ -103,13 +101,21 @@ def build_scalar_product(matrix) -> ScalarProduct:
 
 def _real(x, what: str) -> np.ndarray:
     """x as a float array; NonFiniteInput for a complex one, whose imaginary part a cast drops,
-    and for one the cast refuses, such as a string."""
-    if np.asarray(x).dtype.kind == "c":  # the dtype alone: no pass over a float array's entries
-        raise NonFiniteInput(f"{what} is not real")
+    and for one the cast refuses: a string, a ragged nest or an integer past the float range."""
     try:
-        return np.asarray(x, dtype=float)
-    except (ValueError, TypeError) as exc:
-        raise NonFiniteInput(f"{what} is not a real number") from exc
+        if np.asarray(x).dtype.kind != "c":  # the dtype alone: no pass over a float array's entries
+            return np.asarray(x, dtype=float)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise NonFiniteInput(f"{what} is not a real number in float range") from exc
+    raise NonFiniteInput(f"{what} is not real")
+
+
+def _number(x, what: str) -> float:
+    """x, one finite real number, as a float; else NonFiniteInput, for an array too."""
+    x = _real(x, what)
+    if x.ndim or not np.isfinite(x):  # NaN and infinity are no real numbers either
+        raise NonFiniteInput(f"{what} {x.tolist()} is not a real number")
+    return float(x)
 
 
 def _integer(x, error, what: str) -> int:
@@ -127,8 +133,7 @@ def standard_scalar_product(p: int, q: int) -> ScalarProduct:
     n = p + q
     if n < 3:
         raise DimensionTooSmall(f"need dimension >= 3, got {n}")
-    d = np.concatenate([np.ones(p), -np.ones(q)])
-    m = np.diag(d)
+    m = np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
     return ScalarProduct(m, m.copy(), (p, q))
 
 
@@ -147,16 +152,6 @@ def antisym(b) -> np.ndarray:
 def _row_maxnorm(x, batch: int):
     """max |x| over every axis after the first `batch` ones."""
     return np.maximum.reduce(np.abs(x), axis=tuple(range(batch, x.ndim)), initial=0.0)
-
-
-def check_same_dim(*forms) -> int:
-    """Every operand must be a form or stack of forms (..., n, n) of one n; returns n."""
-    n = forms[0].shape[-1] if forms[0].ndim else 0
-    if any(f.shape[-2:] != (n, n) for f in forms):
-        raise DimensionMismatch(
-            f"expected (..., n, n) forms of one n, got {sorted({f.shape for f in forms})}"
-        )
-    return n
 
 
 def check_tensor(t, g: ScalarProduct | None = None) -> np.ndarray:

@@ -7,8 +7,10 @@ evaluation sums them in sorted order for reproducibility.
 from __future__ import annotations
 
 import math
+from numbers import Real
 
-from .errors import DimensionMismatch, NonFiniteInput, SchemaError
+from .errors import DimensionMismatch, SchemaError
+from .linalg import _integer, _number
 
 _MAX_EXPONENT = 2**31 - 1  # the largest exponent: e(e - 1), a second-derivative factor, fits int64
 
@@ -17,14 +19,18 @@ class Poly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict | None = None):
-        self.nvars = int(nvars)
+        self.nvars = _integer(nvars, DimensionMismatch, "the variable count")
+        if not isinstance(terms, dict | None):
+            raise SchemaError("terms", f"expected a dict of exponent tuples, got {terms!r}")
         clean = {}
         for exps, coeff in (terms or {}).items():
+            if not isinstance(coeff, Real):  # a string, None, a complex number or an array
+                raise SchemaError(f"terms[{exps}]", f"coefficient {coeff!r} is not a real number")
             if coeff != 0.0:
-                if not math.isfinite(coeff := float(coeff)):
-                    raise NonFiniteInput(f"coefficient {coeff} of {exps} is not finite")
-                if len(exps) != self.nvars or not all(0 <= e <= _MAX_EXPONENT and e % 1 == 0
-                                                      for e in exps):
+                coeff = _number(coeff, f"the coefficient of {exps}")  # NaN, inf or out of range
+                if not (isinstance(exps, tuple) and len(exps) == self.nvars
+                        and all(isinstance(e, Real) and 0 <= e <= _MAX_EXPONENT and e % 1 == 0
+                                for e in exps)):
                     raise SchemaError(f"terms[{exps}]", f"need {self.nvars} non-negative exponents,"
                                                         f" each at most {_MAX_EXPONENT}")
                 exps = tuple(map(int, exps))  # whole numbers, so nothing is truncated

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import _Parts
-from .errors import DimensionMismatch, DimensionTooSmall, EmptyRun, EmptySpace
+from .errors import DimensionMismatch, DimensionTooSmall, EmptySpace
 from .errors import NegativeStreamKey, UnknownSpace
 from .linalg import ScalarProduct, _integer, standard_scalar_product
 from .spaces import bianchi_project
@@ -83,7 +83,7 @@ SAMPLE_SPACES = tuple(FORMULA_DIMS)
 def formula_dim(space: str, n: int) -> int:
     """The closed-form dimension of a sample space at n in 3..MAX_DIM (DimensionTooSmall or
     DimensionMismatch past either end); UnknownSpace for an unknown tag."""
-    if space not in FORMULA_DIMS:
+    if not isinstance(space, str) or space not in FORMULA_DIMS:  # a list is no tag, nor hashable
         raise UnknownSpace(f"unknown sample space {space!r}")
     if _integer(n, DimensionMismatch, "the dimension") < 3:
         raise DimensionTooSmall(f"need dimension >= 3, got {n}")
@@ -355,25 +355,17 @@ def _reports(n: int, blocks, guard) -> dict[str, DimensionReport]:
 
 
 def dimension_reports(
-    dim: int,
-    signature: tuple[int, int] | None = None,
-    spaces=SAMPLE_SPACES,
+    dim: int, signature: tuple[int, int] | None = None
 ) -> dict[str, DimensionReport]:
-    """The dimension of each named space, as the trace of its projector on co(V).
+    """The dimension of every space of SAMPLE_SPACES, in its order, as the trace of its
+    projector on co(V).
 
     Exact up to roundoff: nothing is drawn and nothing is ranked, and the basis is
     packed into probes (see the module docstring): at n = 8, 56 probes stand for 1,792
-    basis tensors, projected CHUNK at a time.  Raises EmptyRun when no space is named,
-    UnknownSpace for an unknown tag or a string in place of a collection of them, and
-    DimensionMismatch for a dimension past MAX_DIM, a dimension or signature entry that
-    is not an integer or a signature that does not fit.
+    basis tensors, projected CHUNK at a time.  Raises DimensionTooSmall for a dimension
+    below 3 and DimensionMismatch for one past MAX_DIM, a dimension or signature entry
+    that is not an integer or a signature that does not fit, before any work.
     """
-    if isinstance(spaces, str):  # a str is a collection of one-letter tags
-        raise UnknownSpace(f"spaces must be a collection of tags, got the string {spaces!r}")
-    spaces = tuple(spaces)  # an iterator would be spent by the first pass over it
-    if not spaces:
-        raise EmptyRun("a run needs at least one space")
-    n = _integer(dim, DimensionMismatch, "the dimension")
-    for space in spaces:
-        formula_dim(space, n)  # refused before any work
-    return _reports(n, *_blocks(n, _scalar_product(n, signature), spaces))
+    formula_dim("co", dim)  # refuses a dimension not an integer in 3..MAX_DIM
+    n = int(dim)
+    return _reports(n, *_blocks(n, _scalar_product(n, signature), SAMPLE_SPACES))

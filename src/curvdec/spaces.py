@@ -20,9 +20,8 @@ from functools import cache
 
 import numpy as np
 
-from .errors import NonFiniteInput, UnknownSpace
-from .linalg import (ScalarProduct, _per_tensor, _real, _row_maxnorm, antisym, check_same_dim,
-                     check_tensor)
+from .errors import DimensionMismatch, NonFiniteInput, UnknownSpace
+from .linalg import ScalarProduct, _number, _per_tensor, _real, _row_maxnorm, antisym, check_tensor
 
 MEMBERSHIP_TOL = 1e-10
 
@@ -59,9 +58,17 @@ def _dot_product(h, k) -> np.ndarray:
 
 def _finite(**forms) -> list[np.ndarray]:
     """The one gate of forms from outside: each as a float array, all (..., n, n) of one n
-    (`check_same_dim`); NonFiniteInput naming the first that is complex or not finite."""
+    with batch axes that broadcast, else DimensionMismatch; NonFiniteInput naming the first
+    that is complex or not finite."""
     forms = {name: _real(x, name) for name, x in forms.items()}
-    check_same_dim(*forms.values())
+    shapes = [x.shape for x in forms.values()]
+    n = shapes[0][-1] if shapes[0] else 0
+    try:  # forms of one n have batch axes that broadcast exactly when their shapes broadcast
+        np.broadcast_shapes(*shapes)
+    except ValueError:
+        n = -1  # no form fits
+    if any(s[-2:] != (n, n) for s in shapes):
+        raise DimensionMismatch(f"need (..., n, n) forms of one n that broadcast, got {shapes}")
     for name, x in forms.items():
         if not np.isfinite(x).all():
             raise NonFiniteInput(f"{name} has a non-finite entry")
@@ -77,9 +84,7 @@ def wedge_r(h, k, r: float) -> np.ndarray:
     complex, NaN or infinite entry of h or k, or for r.
     """
     h, k = _finite(h=h, k=k)
-    if not np.isfinite(_real(r, "r")):
-        raise NonFiniteInput(f"r = {r} is not finite")
-    return _wedge_r(h, k, r)
+    return _wedge_r(h, k, _number(r, "r"))
 
 
 def wedge(h, k) -> np.ndarray:

@@ -550,34 +550,39 @@ def run_invariant_suite(config: SuiteConfig | None = None, only=None) -> dict:
     worst residual is the max over its blocks and terms: max |term| for a number
     or an array, 1.0 for a bool verdict with a false entry.  Nan or inf fails the
     check and is reported as None.
-    Raises UnknownCheck when `only` is a string or holds a name that is not in CHECKS,
-    EmptyRun for an empty `only`, a sample count that is not an integer >= 1 or an empty grid,
-    DimensionTooSmall for a dimension below 3, DimensionMismatch for one past
-    sampling.MAX_DIM, a signature that is not a pair or a dimension or
-    signature entry that is not an integer or negative, NonFiniteInput for a
-    tolerance that is not a finite real number >= 0, and NegativeStreamKey for a
-    seed that is negative or not an integer, before any check runs.
+    Raises UnknownCheck when `only` is a string, no collection or holds an entry that is not
+    a name in CHECKS, EmptyRun for an empty `only`, a sample count that is not an integer
+    >= 1 or an empty grid, DimensionTooSmall for a dimension below 3, DimensionMismatch for
+    one past sampling.MAX_DIM, dims or signatures that are not a collection, a signature
+    that is not a pair or a dimension or signature entry that is not an integer or negative,
+    NonFiniteInput for a tolerance that is not a finite real number >= 0, and
+    NegativeStreamKey for a seed that is negative or not an integer, before any check runs.
     """
     cfg = config or SuiteConfig()
     if isinstance(only, str):  # a str is a collection of letters
         raise UnknownCheck(f"only must be a collection of check names, got the string {only!r}")
-    wanted = set(CHECKS) if only is None else set(only)
+    try:
+        wanted = set(CHECKS) if only is None else set(only)
+    except TypeError:  # a number is no collection, and a list in one no name
+        raise UnknownCheck(f"only must be a collection of check names, got {only!r}") from None
     if not wanted:
         raise EmptyRun("a run needs at least one check")
-    unknown = sorted(wanted - set(CHECKS))
+    unknown = sorted(wanted - set(CHECKS), key=repr)  # an entry need not be a str
     if unknown:
         raise UnknownCheck(f"unknown check names {unknown}; known: {', '.join(CHECKS)}")
     if _integer(cfg.samples, EmptyRun, "samples") < 1:
         raise EmptyRun(f"samples must be at least 1, got {cfg.samples}")
-    for sig in cfg.signatures or ():
-        if np.shape(sig) != (2,):
-            raise DimensionMismatch(f"a signature must be a pair (p, q), got {sig!r}")
-    for x in (*cfg.dims, *(x for sig in cfg.signatures or () for x in sig)):
-        _integer(x, DimensionMismatch, "a dimension or signature entry")
-    if any(x < 0 for sig in cfg.signatures or () for x in sig):
-        raise DimensionMismatch(f"signatures {cfg.signatures} hold a negative count")
-    for n in cfg.dims:
-        sampling.formula_dim("co", n)  # refuses n < 3 and n > MAX_DIM
+    try:
+        for sig in cfg.signatures or ():
+            if np.shape(sig) != (2,):
+                raise DimensionMismatch(f"a signature must be a pair (p, q), got {sig!r}")
+            if min(_integer(x, DimensionMismatch, "a signature entry") for x in sig) < 0:
+                raise DimensionMismatch(f"signatures {cfg.signatures} hold a negative count")
+        for n in cfg.dims:
+            sampling.formula_dim("co", n)  # refuses n < 3, n > MAX_DIM and a non-integer
+    except (TypeError, ValueError):  # a number where a collection belongs, or a ragged pair
+        raise DimensionMismatch(f"dims {cfg.dims!r} and signatures {cfg.signatures!r} must be"
+                                " collections of integers and of pairs (p, q)") from None
     tol = cfg.tolerance  # a bool is a Real, but no tolerance
     if not isinstance(tol, Real) or isinstance(tol, bool) or not 0 <= tol < math.inf:
         raise NonFiniteInput(f"tolerance must be a finite real number >= 0, got {tol!r}")

@@ -60,7 +60,7 @@ def test_criterion_01_dimension_reproduction():
                 4: {"r": 80, "a": 20, "f": 74, "p": 64}}
     with criterion(1, "dimension reproduction"):
         for n, table in expected.items():
-            reports = dimension_reports(n, (n, 0), spaces=tuple(table))
+            reports = dimension_reports(n, (n, 0))
             for space, dim in table.items():
                 rep = reports[space]
                 assert rep.empirical_dim == dim, (space, n, rep.empirical_dim)
@@ -213,7 +213,7 @@ def test_criterion_07_singer_thorpe():
                 assert mx(antisym(xi)) <= 1e-9
                 assert abs(float(np.sum(g.inverse * xi))) <= 1e-9
                 assert mx(ricci(w, g)) <= 1e-9
-        rep = dimension_reports(3, (3, 0), spaces=("W6",))["W6"]
+        rep = dimension_reports(3, (3, 0))["W6"]
         assert rep.empirical_dim == 0 and not rep.inconclusive
 
 

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from curvdec.charts import PolyChart
 from curvdec.decomp import equiaffine_einstein_check, sigma_split, w_decompose
 from curvdec.errors import (
     CurvdecError,
@@ -12,6 +13,7 @@ from curvdec.errors import (
     NonFiniteInput,
     NonPositiveFactor,
     NotSymmetric,
+    SchemaError,
 )
 from curvdec.linalg import (
     antisym,
@@ -21,6 +23,7 @@ from curvdec.linalg import (
     sym,
     tensor_pairing,
 )
+from curvdec.poly import Poly
 from curvdec.spaces import (
     bianchi_project,
     conjugate,
@@ -316,6 +319,37 @@ def test_complex_input_refused():
 def test_non_numeric_input_refused(call):
     # a cast that fails on a string is a typed refusal, not numpy's bare ValueError
     with pytest.raises(NonFiniteInput, match="is not a real number"):
+        call()
+
+
+BIG, G3, EYE3 = 10**400, standard_scalar_product(3, 0), np.eye(3)
+BIG_METRIC = [[BIG, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("error,match,call", [
+    (NonFiniteInput, "the metric .*float range", lambda: build_scalar_product(BIG_METRIC)),
+    (NonFiniteInput, "the tensor .*float range",
+     lambda: ricci(np.full((3,) * 4, BIG, dtype=object), G3)),
+    (NonFiniteInput, "r .*float range", lambda: wedge_r(EYE3, EYE3, BIG)),
+    (NonFiniteInput, "rescale factor .*float range", lambda: G3.rescaled(BIG)),
+    (NonFiniteInput, "theta .*float range",
+     lambda: sigma_split(np.zeros((3, 3)), BIG_METRIC, G3)),
+    (NonFiniteInput, r"^metric\[0, 0\] .*float range", lambda: PolyChart(3, BIG_METRIC)),
+    (NonFiniteInput, r"\(0, 0, 0\) .*float range", lambda: Poly(3, {(0, 0, 0): BIG})),
+    (NonFiniteInput, r"^r \[1.0, 1.0\] is not a real number",
+     lambda: wedge_r(EYE3, EYE3, np.ones(2))),
+    (NonFiniteInput, r"^rescale factor \[1.0, 1.0\] is not a real number",
+     lambda: G3.rescaled(np.ones(2))),
+    *((SchemaError, r"^terms\[\(1, 0, 0\)\]: coefficient .* is not a real number",
+       lambda c=c: Poly(3, {(1, 0, 0): c})) for c in ("x", None, 1j, [1.0], np.ones(2))),
+    (SchemaError, "^terms: expected a dict", lambda: Poly(3, [((1, 0, 0), 1.0)])),
+], ids=["metric", "tensor", "wedge_r", "rescaled", "sigma_split", "chart", "poly",
+        "wedge_r-array", "rescaled-array", *(f"coefficient-{k}" for k in range(5)), "terms"])
+def test_numbers_from_outside_read_by_one_rule(error, match, call):
+    # an integer past the float range, an array where one number belongs and a coefficient
+    # that is no real number are typed refusals, not a bare OverflowError, TypeError or
+    # numpy's ambiguous truth value
+    with pytest.raises(error, match=match):
         call()
 
 

@@ -12,7 +12,6 @@ from curvdec.errors import (
     CurvdecError,
     DimensionMismatch,
     DimensionTooSmall,
-    EmptyRun,
     EmptySpace,
     NegativeStreamKey,
     UnknownSpace,
@@ -179,7 +178,7 @@ def test_cov_rank_agrees_with_full_rank(n):
 @pytest.mark.parametrize("n,expected", [(3, 27), (4, 96), (5, 250)])
 def test_co_fills_cov_and_is_conclusive(n, expected):
     # the trace of the identity on co(V) is its basis count, an exact integer
-    rep = dimension_reports(n, (n, 0), spaces=("co",))["co"]
+    rep = dimension_reports(n, (n, 0))["co"]
     assert rep == DimensionReport("co", expected, expected, False)
     assert len(sampling._co_basis(n)[0]) == expected
 
@@ -276,8 +275,8 @@ def test_packing_needs_maps_that_commute_with_reflections(monkeypatch):
             assert packed_traces(n, (n, 0), ("r",))["r"] == packed
             guard = sampling._blocks(n, standard_scalar_product(n, 0), spaces)[1]
             assert guard["co"] == 0.0 and min(guard[space] for space in spaces[1:]) > 0.1
-            reports = dimension_reports(n, spaces=spaces)
-            assert [space for space, rep in reports.items() if rep.inconclusive] == list(spaces[1:])
+            reports = dimension_reports(n)
+            assert [space for space in spaces if reports[space].inconclusive] == list(spaces[1:])
             if n == 3:
                 report = run_invariant_suite(SuiteConfig(dims=(3,), samples=2), only=BLOCK_CHECKS)
                 assert not any(entry["pass"] for entry in report.values())
@@ -299,26 +298,11 @@ def test_dims_draws_no_sample_and_takes_no_svd(monkeypatch):
     assert main(["verify"]) == 0  # every check passes
 
 
-def test_dimension_reports_refuse_empty_runs():
-    with pytest.raises(UnknownSpace):
-        dimension_reports(3, spaces=("r", "q"))
-    for spaces in ("ra", "r", ""):  # a string is not read letter by letter
-        with pytest.raises(UnknownSpace, match=f"the string {spaces!r}"):
-            dimension_reports(4, spaces=spaces)
-    for spaces in ((), iter(())):
-        with pytest.raises(EmptyRun):
-            dimension_reports(3, spaces=spaces)
-    assert list(dimension_reports(3, spaces=iter(("r", "a")))) == ["r", "a"]
-    assert dimension_reports(3, spaces=("r", "r")) == dimension_reports(3, spaces=("r",))
-
-
 def test_signature_must_fit_dimension():
     # (2, 2) is a signature of dimension 4, not 3: nothing may be drawn at n = 4
     for sig in ((2, 2), (2, 0)):
         with pytest.raises(DimensionMismatch):
             sample("r", 3, sig)
-        with pytest.raises(DimensionMismatch):
-            dimension_reports(3, sig, spaces=("r",))
         with pytest.raises(DimensionMismatch):
             dimension_reports(3, sig)
     # a dimension or signature entry that is not an integer is refused, not truncated
@@ -329,14 +313,14 @@ def test_signature_must_fit_dimension():
         lambda: sample("r", True + 2, (True, 2)),
         lambda: formula_dim("r", True),
         lambda: formula_dim("r", 3.9),
-        lambda: dimension_reports(3.5, spaces=("r",)),
-        lambda: dimension_reports(3, (2.5, 0.5), spaces=("r",)),
+        lambda: dimension_reports(3.5),
+        lambda: dimension_reports(3, (2.5, 0.5)),
         # a signature that is not a pair of integers
         lambda: sample("r", 3, (3,)),
         lambda: sample("r", 3, 3),
         lambda: sample("r", 3, ("1", 2)),
         lambda: dimension_reports(3, (3,)),
-        lambda: dimension_reports(3, (1, 1, 1), spaces=("r",)),
+        lambda: dimension_reports(3, (1, 1, 1)),
     ):
         with pytest.raises(DimensionMismatch):
             call()
@@ -500,7 +484,7 @@ def test_dims_matches_formula_at_every_n(n, sig):
 @pytest.mark.parametrize("space,expected", [("r", 24), ("a", 6), ("f", 21), ("p", 15)])
 def test_empirical_dimension_n3(space, expected):
     for sig in ((3, 0), (2, 1)):
-        rep = dimension_reports(3, sig, spaces=(space,))[space]
+        rep = dimension_reports(3, sig)[space]
         assert rep.empirical_dim == expected
         assert rep.formula_dim == expected
         assert not rep.inconclusive
@@ -508,7 +492,7 @@ def test_empirical_dimension_n3(space, expected):
 
 def test_empirical_dimension_empty_space():
     # W6's projector vanishes at n = 3: its trace is 0 up to roundoff, a conclusive 0
-    rep = dimension_reports(3, (3, 0), spaces=("W6",))["W6"]
+    rep = dimension_reports(3, (3, 0))["W6"]
     assert rep == DimensionReport("W6", 0, 0, False)
 
 
@@ -532,13 +516,13 @@ def test_inconclusive_when_not_idempotent(monkeypatch):
 @pytest.mark.parametrize("family", ["W", "A"])
 def test_family_ranked_from_one_projection_per_chunk(monkeypatch, family):
     # at n = 4 the 96 co(V) basis tensors pack into 12 probes: one projector call on
-    # them serves all eight blocks
+    # them serves all eight blocks, and every other space of the report
     calls, name = [], family.lower()
     real = getattr(decomp._Parts, name)
     counted = lambda parts, keep=range(8): calls.append(len(parts.t)) or real(parts, keep)
     monkeypatch.setattr(decomp._Parts, name, counted)
     spaces = [f"{family}{j}" for j in range(1, 9)]
-    reports = dimension_reports(4, spaces=spaces)
+    reports = dimension_reports(4)
     assert calls == [12 + 4 + 1]  # and the guard rows, x and its 4 reflections
     for space in spaces:
         assert reports[space].empirical_dim == reports[space].formula_dim, space
@@ -595,18 +579,20 @@ def test_one_w_pass_per_chunk_and_no_draw(monkeypatch, n, w_calls):
 
 def test_one_psi_and_one_mu_per_chunk_serve_a_s_and_a_plus_s(monkeypatch):
     # 'a', 's' and 'a_plus_s' = ψ + μ read one ψ and one μ call per CHUNK probes: one
-    # chunk of 12 at n = 4; 'a' alone reads no μ
+    # chunk of 12 at n = 4, for the whole report; 'a' alone reads no μ
     calls = Counter()
     for name in ("psi", "mu"):
         real = getattr(decomp, name)
         counted = lambda t, name=name, real=real: calls.update([name]) or real(t)
         monkeypatch.setattr(decomp, name, counted)
-    reports = dimension_reports(4, spaces=("a", "s", "a_plus_s"))
+    reports = dimension_reports(4)
     assert calls == {"psi": 1, "mu": 1}
-    for rep in reports.values():
-        assert rep.empirical_dim == rep.formula_dim and not rep.inconclusive, rep.space
+    for space in ("a", "s", "a_plus_s"):
+        assert reports[space] == DimensionReport(space, formula_dim(space, 4),
+                                                 formula_dim(space, 4), False), space
     calls.clear()
-    assert dimension_reports(4, spaces=("a",))["a"].empirical_dim == formula_dim("a", 4)
+    reports = sampling._reports(4, *sampling._blocks(4, standard_scalar_product(4, 0), ("a",)))
+    assert reports["a"].empirical_dim == formula_dim("a", 4)
     assert calls == {"psi": 1}
 
 
@@ -656,7 +642,9 @@ def test_non_finite_trace_reads_inconclusive(monkeypatch):
         return [np.full_like(c, np.nan) if j == 0 else c for j, c in zip(keep, exact(parts, keep))]
 
     monkeypatch.setattr(decomp._Parts, "w", planted)
-    assert dimension_reports(3, spaces=("W1",)) == {"W1": DimensionReport("W1", -1, 1, True)}
+    reports = dimension_reports(3)
+    assert [space for space, rep in reports.items() if rep.inconclusive] == ["W1"]
+    assert reports["W1"] == DimensionReport("W1", -1, 1, True)
     cfg = SuiteConfig(dims=(3,), samples=2)
     report = run_invariant_suite(cfg, only=["dimension_consistency"])["dimension_consistency"]
     assert (report["pass"], report["worst_residual"]) == (False, 1.0)

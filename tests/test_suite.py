@@ -10,8 +10,8 @@ import curvdec.sampling as sampling
 import curvdec.suite as suite
 from curvdec.cli import main
 from curvdec.errors import CurvdecError, DimensionMismatch, EmptyRun, NegativeStreamKey
-from curvdec.errors import NonFiniteInput, UnknownCheck
-from curvdec.sampling import sample
+from curvdec.errors import NonFiniteInput, UnknownCheck, UnknownSpace
+from curvdec.sampling import formula_dim, sample
 from curvdec.suite import CHECKS, SuiteConfig, run_invariant_suite
 
 
@@ -109,6 +109,33 @@ def test_unknown_check_names_refused():
         with pytest.raises(UnknownCheck, match=f"the string {only!r}"):
             run_invariant_suite(cfg, only=only)
     assert issubclass(UnknownCheck, CurvdecError)
+
+
+def cheap_run(only=("conjugation_involution",), **fields):
+    """One sample of one cheap check at n = 3, with the given config fields replaced."""
+    cfg = {"dims": (3,), "signatures": ((3, 0),), "samples": 1, **fields}
+    return run_invariant_suite(SuiteConfig(**cfg), only=only)
+
+
+@pytest.mark.parametrize("error,match,call", [
+    (DimensionMismatch, "dims 3 ", lambda: cheap_run(dims=3)),
+    (DimensionMismatch, "dims None", lambda: cheap_run(dims=None)),
+    (DimensionMismatch, "signatures 5 ", lambda: cheap_run(signatures=5)),
+    (DimensionMismatch, r"\(2, \[1\]\)", lambda: cheap_run(signatures=((2, [1]),))),
+    (DimensionMismatch, "array", lambda: cheap_run(signatures=np.ones(2))),
+    (UnknownCheck, "got 5$", lambda: cheap_run(only=5)),
+    (UnknownCheck, r"\[\['x'\]\]", lambda: cheap_run(only=[["x"]])),
+    (UnknownCheck, r"\['x', 1\]", lambda: cheap_run(only=[1, "x"])),
+    (UnknownSpace, r"\['r'\]", lambda: formula_dim(["r"], 3)),
+    (UnknownSpace, r"\['r'\]", lambda: sample(["r"], 3)),
+], ids=["dims-int", "dims-none", "signatures-int", "signature-ragged", "signatures-array",
+        "only-int", "only-list-entry", "only-mixed-entries", "formula_dim-list", "sample-list"])
+def test_config_and_names_of_the_wrong_kind_refused(error, match, call):
+    # a number where a collection belongs, a ragged signature or an unhashable name is a typed
+    # refusal before any check runs, not Python's TypeError or numpy's ValueError
+    with pytest.raises(error, match=match):
+        call()
+    assert cheap_run()["conjugation_involution"]["pass"]  # the config they alter is valid
 
 
 def test_single_check_runs_reproduce_full_run():
