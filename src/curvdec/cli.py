@@ -119,6 +119,8 @@ def _cmd_dims(args) -> int:
 def _cmd_verify(args) -> int:
     dims = (args.dim,) if args.dim is not None else SuiteConfig.dims
     signatures = (args.signature,) if args.signature is not None else None
+    if args.seed >= 2**64:  # the report echoes the seed; orjson writes at most 64-bit integers
+        raise _UsageError(f"seed must be below 2**64 to be written, got {args.seed}")
     cfg = SuiteConfig(
         dims=dims,
         signatures=signatures,

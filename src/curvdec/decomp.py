@@ -79,8 +79,9 @@ class _Parts:
     """
 
     def __init__(self, t, g: ScalarProduct, shared: dict | None = None):
-        # checked by the first kernel that reads it: `spaces.ricci`, psi or mu
-        self.t, self.g, self.n, self.gm = np.asarray(t, dtype=float), g, g.dim, g.matrix
+        # its shape and entries are checked by the first kernel that reads it: `spaces.ricci`,
+        # psi or mu
+        self.t, self.g, self.n, self.gm = _real(t, "the tensor"), g, g.dim, g.matrix
         self._shared = shared
 
     def _average(self, name: str, avg) -> np.ndarray:

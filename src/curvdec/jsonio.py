@@ -1,19 +1,17 @@
 """JSON documents: tensors, decompositions, dimension reports, charts.
 
 All indices in documents are 0-based.  Rank-4 entries are stored flat in row-major
-(i, j, k, l) order, as 1-D float arrays that dumps writes byte for byte as json writes
-their lists (floats round-trip bit-exactly): one orjson call writes all of a document's
-arrays, and the entries where its text is not repr's, 1e-10 <= |x| < 1e-4 and |x| >= 1e16,
-are refilled with repr's text, each distinct |x| formatted once.
+(i, j, k, l) order.  orjson reads every document and writes every one in one call:
+sorted keys, compact separators, a trailing newline, and float text that reads back
+bit for bit, -0.0 included.  The arrays a document builder hands it are 1-D float64.
 """
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import json
 import math
 from functools import partial
-from itertools import accumulate, chain, permutations
+from itertools import permutations
 from operator import mul
 
 import numpy as np
@@ -26,55 +24,35 @@ from .linalg import ScalarProduct, _integer, build_scalar_product, standard_scal
 from .poly import _MAX_EXPONENT
 from .sampling import DimensionReport
 
+_OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+
 
 def dumps(obj) -> str:
     """Canonical JSON: sorted keys, trailing newline; NonFiniteInput for NaN/Infinity."""
-    arrays = []
-
-    def hold(value):  # json calls it for each array, in output order, and writes "\u0000"
-        if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == float:
-            return arrays.append(value) or "\0"  # every array of a document shares one pass
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-    try:
-        text = json.dumps(obj, sort_keys=True, allow_nan=False, default=hold)
-        if arrays:  # NaN or inf in an array, or "\u0000" in a string: json writes the lists
-            text = _with_arrays(text.split('"\\u0000"'), arrays) or json.dumps(
-                obj, sort_keys=True, allow_nan=False, default=np.ndarray.tolist)
-        return text + "\n"
-    except ValueError as exc:  # allow_nan=False refuses NaN and infinities
-        raise NonFiniteInput(f"result is not finite: {exc}") from exc
+    if not _all_finite(obj):  # orjson would write null, which a report also holds for None
+        raise NonFiniteInput("result is not finite")
+    return orjson.dumps(obj, option=_OPTIONS).decode()
 
 
-def _with_arrays(parts, arrays) -> str | None:
-    """parts joined by json's text of each array; None for NaN, inf or a stray slot."""
-    work = np.concatenate(arrays)
-    if len(parts) != len(arrays) + 1 or not np.isfinite(work).all():
-        return None
-    odd = ((mag := np.abs(work)) >= 1e16) | ((mag >= 1e-10) & (mag < 1e-4))  # not repr's layout
-    distinct, rank = np.unique(mag[odd], return_inverse=True)
-    reprs = list(map(float.__repr__, distinct.tolist()))
-    table = np.array(reprs + ["-" + r for r in reprs], dtype=object)
-    code = rank + len(reprs) * np.signbit(work[odd])  # "-" where the sign bit is set
-    work[odd] = np.nan  # orjson writes null, refilled with repr's text
-    pieces = np.split(work, list(accumulate(map(len, arrays[:-1]))))
-    chunks = orjson.dumps(pieces, option=orjson.OPT_SERIALIZE_NUMPY).decode().split("null")
-    text = "".join(chain(*zip(chunks, table[code].tolist()), chunks[-1:])).replace(",", ", ")
-    out = ("[" + a + "]" for a in text[2:-2].split("], ["))  # each array's text, bracketed
-    return "".join(chain(*zip(parts, out), parts[-1:]))
+def _all_finite(obj) -> bool:
+    """Whether every float and array entry in a document is finite."""
+    if isinstance(obj, float):
+        return math.isfinite(obj)
+    if isinstance(obj, np.ndarray):
+        return bool(np.isfinite(obj).all())
+    if isinstance(obj, dict):
+        return all(map(_all_finite, obj.values()))
+    return not isinstance(obj, (list, tuple)) or all(map(_all_finite, obj))
 
 
 def _loads(data):
-    def _reject(name):
-        raise SchemaError("$", f"non-finite constant {name} not allowed")
-    try:
-        if isinstance(data, (bytes, bytearray)):
-            data = data.decode("utf-8")
-        if isinstance(data, str):
-            return json.loads(data, parse_constant=_reject)
-    except (ValueError, RecursionError) as exc:  # bad UTF-8/JSON, too deep, huge integer
+    """A document from JSON text or bytes; a document already read is returned as it is."""
+    if not isinstance(data, (str, bytes, bytearray)):
+        return data
+    try:  # orjson refuses NaN, Infinity, a number past the float range and bad UTF-8
+        return orjson.loads(data)
+    except orjson.JSONDecodeError as exc:  # nesting past 1,024 levels too
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
-    return data
 
 
 def _require(doc, key):
@@ -100,7 +78,7 @@ def _as_number(value, path):
 def _as_numbers(values, path) -> np.ndarray:
     """values as a float array, as _as_number reads each; path(i) names entry i and is
     built only for the first entry refused."""
-    if all(type(v) is float or type(v) is int for v in values):
+    if set(map(type, values)) <= {float, int}:  # not bool: np.array reads True as 1.0
         with contextlib.suppress(OverflowError):  # refused below, as by _as_number
             array = np.array(values, dtype=float)
             if np.isfinite(array).all():

@@ -101,13 +101,15 @@ def build_scalar_product(matrix) -> ScalarProduct:
 
 def _real(x, what: str) -> np.ndarray:
     """x as a float array; NonFiniteInput for a complex one, whose imaginary part a cast drops,
-    and for one the cast refuses: a string, a ragged nest or an integer past the float range."""
+    for strings, which a cast would parse, and for one the cast refuses: a ragged nest or an
+    integer past the float range."""
     try:
-        if np.asarray(x).dtype.kind != "c":  # the dtype alone: no pass over a float array's entries
+        kind = np.asarray(x).dtype.kind  # the dtype alone: no pass over a float array's entries
+        if kind not in "cUS":
             return np.asarray(x, dtype=float)
     except (ValueError, TypeError, OverflowError) as exc:
         raise NonFiniteInput(f"{what} is not a real number in float range") from exc
-    raise NonFiniteInput(f"{what} is not real")
+    raise NonFiniteInput(f"{what} is not real" if kind == "c" else f"{what} is not a real number")
 
 
 def _number(x, what: str) -> float:

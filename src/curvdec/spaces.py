@@ -217,7 +217,7 @@ def membership_residual(t, g: ScalarProduct, space: str) -> float:
 
 def _membership_rows(t, g: ScalarProduct, space: str):
     """membership_residual of each tensor of a stack, one per index of its batch axes."""
-    if space not in SPACE_TAGS:
+    if not isinstance(space, str) or space not in SPACE_TAGS:  # an array compares entrywise
         raise UnknownSpace(f"unknown space tag {space!r}; expected one of {SPACE_TAGS}")
     t = check_tensor(t, g)
     # entries near the float limit overflow to an infinite residual, which refuses the tensor
@@ -248,5 +248,5 @@ def _relative(t, *parts):
 def membership(t, g: ScalarProduct, space: str, tol: float = MEMBERSHIP_TOL):
     """(flag, residual) for membership of t in the named space."""
     res = membership_residual(t, g, space)
-    return res <= tol, res
+    return res <= _number(tol, "the tolerance"), res
 

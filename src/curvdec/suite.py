@@ -30,7 +30,7 @@ import numpy as np
 from . import sampling
 from .decomp import (_Parts, a_projections, b_forms, equiaffine_einstein_check, projective_part,
                      sigma_split, singer_thorpe)
-from .errors import DimensionMismatch, EmptyRun, NonFiniteInput, UnknownCheck
+from .errors import CurvdecError, DimensionMismatch, EmptyRun, NonFiniteInput, UnknownCheck
 from .linalg import _integer, _row_maxnorm, antisym, standard_scalar_product, sym
 from .linalg import tensor_pairing
 from .sampling import CHUNK, Block, _normalize
@@ -550,14 +550,17 @@ def run_invariant_suite(config: SuiteConfig | None = None, only=None) -> dict:
     worst residual is the max over its blocks and terms: max |term| for a number
     or an array, 1.0 for a bool verdict with a false entry.  Nan or inf fails the
     check and is reported as None.
-    Raises UnknownCheck when `only` is a string, no collection or holds an entry that is not
-    a name in CHECKS, EmptyRun for an empty `only`, a sample count that is not an integer
-    >= 1 or an empty grid, DimensionTooSmall for a dimension below 3, DimensionMismatch for
-    one past sampling.MAX_DIM, dims or signatures that are not a collection, a signature
-    that is not a pair or a dimension or signature entry that is not an integer or negative,
+    Raises CurvdecError for a config that is not a SuiteConfig, UnknownCheck when `only` is
+    a string, no collection or holds an entry that is not a name in CHECKS, EmptyRun for an
+    empty `only`, a sample count that is not an integer >= 1 or an empty grid,
+    DimensionTooSmall for a dimension below 3, DimensionMismatch for one past
+    sampling.MAX_DIM, dims or signatures that are not a collection, a signature that is not
+    a pair or a dimension or signature entry that is not an integer or negative,
     NonFiniteInput for a tolerance that is not a finite real number >= 0, and
     NegativeStreamKey for a seed that is negative or not an integer, before any check runs.
     """
+    if not isinstance(config, (SuiteConfig, type(None))):  # 5 or [1] has no grid
+        raise CurvdecError(f"config must be a SuiteConfig, got {config!r}")
     cfg = config or SuiteConfig()
     if isinstance(only, str):  # a str is a collection of letters
         raise UnknownCheck(f"only must be a collection of check names, got the string {only!r}")

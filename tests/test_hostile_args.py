@@ -9,13 +9,16 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from curvdec import (CurvdecError, Poly, PolyChart, SuiteConfig, build_scalar_product,
-                     conjugate_triple_report, curvature_at, dimension_reports, dot_product,
-                     formula_dim, run_invariant_suite, sample, sigma_split,
-                     standard_scalar_product, w_decompose, wedge, wedge_r)
+from curvdec import (CurvdecError, Poly, PolyChart, SuiteConfig, a_projections,
+                     build_scalar_product, conjugate_triple_report, curvature_at,
+                     dimension_reports, dot_product, formula_dim, membership,
+                     run_invariant_suite, sample, sigma_split, standard_scalar_product,
+                     w_decompose, w_projections, wedge, wedge_r)
+from curvdec.errors import NonFiniteInput, UnknownSpace
 
 G, EYE = standard_scalar_product(3, 0), np.eye(3)
 CHART = PolyChart(3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, Poly(3, {(1, 0, 0): 0.5})]])
@@ -59,7 +62,13 @@ ENTRY_POINTS = [
     (lambda point, which: curvature_at(CHART, point, which),
      {"point": [0.1, 0.2, 0.3], "which": "nabla"}),
     (lambda point: conjugate_triple_report(CHART, point), {"point": [0.1, 0.2, 0.3]}),
+    (lambda config: run_invariant_suite(config, only=("conjugation_involution",)),
+     {"config": SuiteConfig(dims=(3,), signatures=((3, 0),), samples=1)}),
     (lambda t: w_decompose(t, G), {"t": sample("r", 3)}),
+    (lambda t: w_projections(t, G), {"t": sample("r", 3)}),
+    (lambda t: a_projections(t, G), {"t": sample("r", 3)}),
+    (lambda t, space, tol: membership(t, G, space, tol), {"t": sample("r", 3), "space": "r",
+                                                          "tol": 1e-10}),
 ]
 # a hostile value, or a short list of them: a ragged or mixed nest
 VALUES = st.one_of(st.sampled_from(HOSTILE), st.lists(st.sampled_from(HOSTILE), max_size=3))
@@ -90,3 +99,18 @@ def test_public_entry_points_refuse_hostile_arguments(case):
             call(**kwargs)
         except CurvdecError:
             pass
+
+
+def test_typed_refusals_of_arguments_that_once_escaped():
+    # an array as the space tag met numpy's ambiguous truth value, a config that is no
+    # SuiteConfig an AttributeError, and w_projections read t without the tensor gate
+    t = sample("r", 3)
+    with pytest.raises(UnknownSpace):
+        membership(t, G, np.ones(2))
+    for config in (5, [1]):
+        with pytest.raises(CurvdecError, match="config must be a SuiteConfig"):
+            run_invariant_suite(config)
+    for bad in ({}, [["x"]], 10**400):
+        for project in (w_projections, a_projections):
+            with pytest.raises(NonFiniteInput, match="^the tensor is not a real number"):
+                project(bad, G)

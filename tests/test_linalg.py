@@ -315,9 +315,14 @@ def test_complex_input_refused():
     lambda: standard_scalar_product(3, 0).rescaled("x"),
     lambda: build_scalar_product([["a"] * 3] * 3),
     lambda: check_tensor([["a"]]),
-], ids=["wedge_r", "rescaled", "build_scalar_product", "check_tensor"])
+    lambda: wedge_r(np.eye(3), np.eye(3), "1.5"),
+    lambda: build_scalar_product(np.eye(3).astype(str)),
+    lambda: check_tensor(np.zeros((3,) * 4).astype(bytes)),
+], ids=["wedge_r", "rescaled", "build_scalar_product", "check_tensor", "wedge_r-numeric",
+        "build_scalar_product-numeric", "check_tensor-bytes"])
 def test_non_numeric_input_refused(call):
-    # a cast that fails on a string is a typed refusal, not numpy's bare ValueError
+    # a string is a typed refusal, not numpy's bare ValueError, and a numeric one is not
+    # parsed: numbers from outside are read by one rule
     with pytest.raises(NonFiniteInput, match="is not a real number"):
         call()
 
