@@ -23,7 +23,9 @@ from curvdec.cli import main
 from curvdec.errors import (
     DegenerateMetric, DimensionMismatch, LengthMismatch, NonFiniteInput, SchemaError,
 )
-from curvdec.jsonio import dumps, parse_chart, parse_tensor, tensor_document
+from curvdec.decomp import a_decompose, singer_thorpe, w_decompose
+from curvdec.jsonio import (decomposition_document, dumps, parse_chart, parse_tensor,
+                            tensor_document)
 from curvdec.linalg import build_scalar_product, standard_scalar_product
 from curvdec.poly import Poly
 from curvdec.sampling import sample
@@ -190,7 +192,7 @@ def bits(doc):
         return {key: bits(value) for key, value in doc.items()}
     if isinstance(doc, (list, np.ndarray)):
         return [bits(value) for value in doc]
-    return doc.hex()
+    return float(doc).hex() if isinstance(doc, (float, np.floating)) else doc
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -199,6 +201,69 @@ def test_dumps_round_trips_bit_for_bit(doc):
     # floats and float arrays of every exponent, nested in lists and objects, read back
     # bit for bit: signed zeros, subnormals, both limits and both sides of each band edge
     assert bits(orjson.loads(dumps(doc))) == bits(doc)
+
+
+def both(values, size=300):
+    """values as a float array and, repeated up to size entries, as a longer one."""
+    return [np.array(values, dtype=float), np.resize(np.array(values, dtype=float), size)]
+
+
+def decomposition_documents(n):
+    """The W, A and ST documents of an algebraic tensor under a non-diagonal metric: exact
+    zeros, roundoff below 1e-10 and A1 entries in [1e-5, 1e-4)."""
+    a = np.eye(n) + 0.05 * np.tri(n, k=-1)
+    g = build_scalar_product(a.T @ standard_scalar_product(n - 1, 1).matrix @ a)
+    t = np.einsum("pqrs,pi,qj,rk,sl->ijkl", sample("a", n, (n - 1, 1), seed=5), a, a, a, a)
+    return [decomposition_document(f(t, g), g) for f in (w_decompose, a_decompose, singer_thorpe)]
+
+
+WRITER_CASES = {
+    "extremes": {"R": both([0.0, -0.0, 5e-324, -5e-324, MAX, -MAX])},
+    "signed_repeats": {"R": both([0.1, -0.1, 0.1, 2.5, -2.5, -0.0, 0.0, 1 / 3, -1 / 3, -0.1])},
+    "empty_and_one": {"a": np.array([]), "b": np.array([-7.25]), "c": both([-0.0])},
+    "beside_floats_and_dicts": {
+        "tau": -0.1,
+        "x": {"R": both([0.1, -2.0]), "w": [np.array([2.0, 0.1]), 3.5, None], "m": "W"},
+        "z": [[1.0, -0.0], {"C": both([5e-324, -0.1], 128)}],
+    },
+    "sampled_tensors": {
+        "components": [tensor_document(sample(space, n, (n - 1, 1), seed=8),
+                                       standard_scalar_product(n - 1, 1))
+                       for n in (3, 4, 8) for space in ("r", "a", "co")],
+    },
+    "band_edges": {"R": both([x for v in (1e-4, np.nextafter(1e-4, 0), 1e-5, 1e-10,
+                                          np.nextafter(1e-10, 0), 9999999999999998.0, 1e16,
+                                          1e22) for x in (v, -v)] + [5e-324])},
+    "decompositions": {"n4": decomposition_documents(4), "n8": decomposition_documents(8)},
+    "batches": {"R": [np.random.default_rng(3).standard_normal(m).round(2)
+                      for m in [300] * 20 + [5000, 130, 4096]]},
+    "slot_text_in_a_string": {"note": "\0", "R": both([0.5, -0.5])},
+}
+
+
+def assert_dumps_as_json(doc):
+    # what dumps writes reads back as json writes the doc with lists for arrays: the same
+    # keys in the same sorted order, each float bit for bit (the text layout may differ)
+    got = json.dumps(bits(orjson.loads(dumps(doc))))
+    want = json.dumps(bits(json.loads(json.dumps(doc, sort_keys=True,
+                                                  default=np.ndarray.tolist))))
+    # names the first difference: pytest's own diff of a megabyte document takes minutes
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        pytest.fail(f"first difference at {at}: {got[at:at + 60]!r} != {want[at:at + 60]!r}")
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_dumps_writes_arrays_as_json_writes_lists(case):
+    assert_dumps_as_json(WRITER_CASES[case])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40),
+                max_size=4))
+def test_dumps_writes_any_finite_arrays_as_json_writes_lists(lists):
+    # 0-4 arrays, empty ones too, of doubles of every exponent, subnormals and both limits
+    assert_dumps_as_json({"R": [np.array(values, dtype=float) for values in lists], "tau": 0.5})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
