@@ -3,7 +3,8 @@
 All indices in documents are 0-based.  Rank-4 entries are stored flat in row-major
 (i, j, k, l) order.  orjson reads every document and writes every one in one call:
 sorted keys, compact separators, a trailing newline, and float text that reads back
-bit for bit, -0.0 included.  The arrays a document builder hands it are 1-D float64.
+bit for bit, -0.0 included.  The arrays a document builder hands it are C-contiguous
+float64: each rank-4 entry 1-D, the metric and the Gram (orthogonality) matrix 2-D.
 """
 from __future__ import annotations
 
@@ -28,10 +29,13 @@ _OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND
 
 
 def dumps(obj) -> str:
-    """Canonical JSON: sorted keys, trailing newline; NonFiniteInput for NaN/Infinity."""
+    """Canonical JSON: sorted keys, trailing newline; else NonFiniteInput, as for NaN/Infinity."""
     if not _all_finite(obj):  # orjson would write null, which a report also holds for None
         raise NonFiniteInput("result is not finite")
-    return orjson.dumps(obj, option=_OPTIONS).decode()
+    try:
+        return orjson.dumps(obj, option=_OPTIONS).decode()
+    except orjson.JSONEncodeError as exc:
+        raise NonFiniteInput(f"result cannot be written: {exc}") from None
 
 
 def _all_finite(obj) -> bool:
@@ -107,7 +111,7 @@ def parse_tensor(data) -> tuple[np.ndarray, ScalarProduct]:
         raise LengthMismatch("$.R", f"expected {n**4} entries, got {len(flat)}")
     tensor = _as_numbers(flat, lambda i: f"$.R[{i}]").reshape(n, n, n, n)
     if "g" in doc:
-        gm = doc["g"]
+        gm = doc["g"].tolist() if isinstance(doc["g"], np.ndarray) else doc["g"]  # array: as R
         if (
             not isinstance(gm, list)
             or len(gm) != n
@@ -134,7 +138,7 @@ def tensor_document(tensor, g: ScalarProduct, include_g: bool | None = None) -> 
     if include_g is None:
         include_g = not np.array_equal(g.matrix, standard_scalar_product(*g.signature).matrix)
     if include_g:
-        doc["g"] = g.matrix.tolist()
+        doc["g"] = np.ascontiguousarray(g.matrix, dtype=float)  # orjson refuses other orders
     return doc
 
 
@@ -147,7 +151,7 @@ def decomposition_document(
         "signature": list(g.signature),
         "components": [tensor_document(c, g, include_g) for c in result.components],
         "completeness_residual": result.completeness_residual,
-        "orthogonality_matrix": result.orthogonality_matrix.tolist(),
+        "orthogonality_matrix": np.ascontiguousarray(result.orthogonality_matrix, dtype=float),
     }
 
 

@@ -23,6 +23,7 @@ from .errors import (
 
 SYMMETRY_TOL = 1e-12
 DEGENERACY_RATIO = 1e-10
+MAX_FLAT_DIM = 1000  # standard_scalar_product's bound: its two n x n matrices take <= 16 MB
 
 
 @dataclass(frozen=True)
@@ -128,13 +129,16 @@ def _integer(x, error, what: str) -> int:
 
 
 def standard_scalar_product(p: int, q: int) -> ScalarProduct:
-    """diag(+1 x p, -1 x q), the flat form of signature (p, q) of integer counts."""
+    """diag(+1 x p, -1 x q), the flat form of signature (p, q) of integer counts, with
+    p + q in 3..MAX_FLAT_DIM = 1,000; a larger count is refused before anything is built."""
     p, q = (_integer(x, DimensionMismatch, "a signature entry") for x in (p, q))
     if p < 0 or q < 0:
         raise DimensionMismatch(f"signature ({p}, {q}) has a negative count")
     n = p + q
     if n < 3:
         raise DimensionTooSmall(f"need dimension >= 3, got {n}")
+    if n > MAX_FLAT_DIM:
+        raise DimensionMismatch(f"dimension {n} exceeds {MAX_FLAT_DIM}")
     m = np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
     return ScalarProduct(m, m.copy(), (p, q))
 
@@ -191,11 +195,12 @@ def tensor_pairing(t1, t2, g: ScalarProduct) -> float | np.ndarray:
     per broadcast pair: a float for two single tensors.
     """
     t1, t2 = check_tensor(t1, g), check_tensor(t2, g)
-    raised, order = t1, (*range(t1.ndim - 4), -3, -2, -1, -4)
-    for _ in range(4):  # each step moves the leading index last and raises it
-        raised = raised.transpose(order) @ g.inverse
-    try:
-        products = raised * t2
+    batch, n, gi = t1.shape[:-4], g.dim, g.inverse
+    # raise i, j, k, then l, each by one product on a contiguous reshape
+    raised = gi.T @ (gi.T @ t1.reshape(*batch, n, n**3)).reshape(*batch, n, n, n * n)
+    raised = (gi.T @ raised.reshape(*batch, n * n, n, n)).reshape(*batch, n**3, n) @ gi
+    try:  # C order: a broadcast axis of t2's innermost would make the sums run across pairs
+        products = np.multiply(raised.reshape(t1.shape), t2, order="C")
     except ValueError:
         raise DimensionMismatch(f"shapes {t1.shape} and {t2.shape} do not broadcast") from None
-    return _per_tensor(np.sum(products, axis=(-4, -3, -2, -1)))
+    return _per_tensor(np.add.reduce(products.reshape(*products.shape[:-4], n**4), axis=-1))

@@ -99,6 +99,22 @@ def test_result_orthogonality_matrix(n, sig):
             assert np.max(np.abs(off)) <= 1e-8 * scale
 
 
+@pytest.mark.parametrize("n", [3, 4, 6, 8])
+def test_gram_entries_are_single_pair_pairings_bit_for_bit(n):
+    # entry (i, j) is one tensor_pairing call of components min(i, j) and max(i, j),
+    # mirrored: the matrix is exactly symmetric, whatever order the kernel sums in
+    eta = standard_scalar_product(n - 1, 1)
+    a = np.eye(n) + 0.05 * np.tri(n, k=-1)
+    t = psi(rsample(n, 40 + n))  # algebraic, so singer_thorpe takes it too
+    for g in (eta, build_scalar_product(a.T @ eta.matrix @ a)):
+        for res in (w_decompose(t, g), a_decompose(t, g), singer_thorpe(t, g)):
+            comps, gram = res.components, res.orthogonality_matrix
+            want = [tensor_pairing(comps[min(ij)], comps[max(ij)], g)
+                    for ij in np.ndindex(gram.shape)]
+            assert [float(v).hex() for v in gram.ravel()] == [v.hex() for v in want]
+            assert np.array_equal(gram, gram.T)
+
+
 def test_rejects_non_generalized_input():
     g = standard_scalar_product(3, 0)
     rng = np.random.default_rng(1)

@@ -54,6 +54,7 @@ ENTRY_POINTS = [
     (dot_product, {"h": EYE, "k": EYE}),
     (lambda omega, theta: sigma_split(omega, theta, G), {"omega": np.zeros((3, 3)), "theta": EYE}),
     (build_scalar_product, {"matrix": EYE}),
+    (standard_scalar_product, {"p": 2, "q": 1}),
     (G.rescaled, {"c": 2.0}),
     (Poly, {"nvars": 3, "terms": {(1, 0, 0): 1.0}}),
     (poly_term, {"exps": (1, 0, 0), "coeff": 1.0}),

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -26,10 +27,11 @@ from curvdec.errors import (
 from curvdec.decomp import a_decompose, singer_thorpe, w_decompose
 from curvdec.jsonio import (decomposition_document, dumps, parse_chart, parse_tensor,
                             tensor_document)
-from curvdec.linalg import build_scalar_product, standard_scalar_product
+from curvdec.linalg import ScalarProduct, build_scalar_product, standard_scalar_product
 from curvdec.poly import Poly
 from curvdec.sampling import sample
 from curvdec.spaces import wedge
+from curvdec.suite import SuiteConfig, run_invariant_suite
 
 
 def run_cli(*args, **kwargs):
@@ -171,6 +173,31 @@ def test_explicit_metric_round_trip():
     t2, g2 = parse_tensor(dumps(doc))
     assert np.array_equal(t, t2)
     assert np.array_equal(g2.matrix, m)
+
+
+def test_metric_and_gram_of_any_memory_order_write_the_same_text():
+    # orjson refuses an array that is not C-contiguous, and a hand-built ScalarProduct or
+    # result may hold one; the builders hand over C-ordered arrays, written with the digits
+    # of the nested lists the documents held before
+    a = np.eye(4) + 0.05 * np.tri(4, k=-1)
+    g = build_scalar_product(a.T @ standard_scalar_product(3, 1).matrix @ a)
+    fortran = ScalarProduct(np.asfortranarray(g.matrix), g.inverse, g.signature)
+    assert not fortran.matrix.flags.c_contiguous
+    t = sample("r", 4, (3, 1), seed=9)
+    doc = tensor_document(t, g)
+    text = dumps(doc)
+    assert dumps(tensor_document(t, fortran)) == text
+    assert dumps({**doc, "g": g.matrix.tolist()}) == text
+    t2, g2 = parse_tensor(doc)  # the document itself, whose g is an array too
+    assert np.array_equal(t2, t) and np.array_equal(g2.matrix, g.matrix)
+    res = w_decompose(t, g)
+    gram = res.orthogonality_matrix
+    doc = decomposition_document(res, g)
+    text = dumps(doc)
+    odd = dataclasses.replace(res, orthogonality_matrix=np.asfortranarray(gram))
+    assert not odd.orthogonality_matrix.flags.c_contiguous
+    assert dumps(decomposition_document(odd, g)) == text
+    assert dumps({**doc, "orthogonality_matrix": gram.tolist()}) == text
 
 
 MAX = 1.7976931348623157e308
@@ -740,6 +767,16 @@ def test_cli_verify_seed_past_64_bits_refused(capsys):
     assert out.out == "" and out.err.startswith("error: seed must be below 2**64 to be written")
     assert main([*args, "--seed", str(2**64 - 1)]) == 0
     assert json.loads(capsys.readouterr().out)["wa_map_coincidences"]["config"]["seed"] == 2**64 - 1
+
+
+def test_dumps_refuses_values_orjson_cannot_write():
+    # the library accepts a seed past 64 bits; the report that echoes it cannot be written
+    cfg = SuiteConfig(dims=(3,), signatures=((3, 0),), samples=1, seed=2**70)
+    report = run_invariant_suite(cfg, only=["wa_map_coincidences"])
+    with pytest.raises(NonFiniteInput, match="^result cannot be written: Integer exceeds 64-bit"):
+        dumps(report)
+    with pytest.raises(NonFiniteInput, match="^result cannot be written"):
+        dumps({"a": {1, 2}})
 
 
 def test_main_callable_directly(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from curvdec.errors import (
     SchemaError,
 )
 from curvdec.linalg import (
+    MAX_FLAT_DIM,
     antisym,
     build_scalar_product,
     check_tensor,
@@ -123,6 +125,21 @@ def test_negative_signature_count_refused():
         standard_scalar_product(True, 2)
 
 
+def test_flat_form_bound_refused_before_allocating():
+    # the count is checked before np.diag sees it: numpy's own refusal of 10**400 was a
+    # bare ValueError, and a count just past the bound would have built its matrices
+    tracemalloc.start()
+    try:
+        for p, q in ((10**400, 0), (MAX_FLAT_DIM + 1, 0), (MAX_FLAT_DIM, 1), (2**62, 2**62)):
+            with pytest.raises(DimensionMismatch, match=f"exceeds {MAX_FLAT_DIM}$"):
+                standard_scalar_product(p, q)
+        assert tracemalloc.get_traced_memory()[1] < 2**16
+    finally:
+        tracemalloc.stop()
+    assert MAX_FLAT_DIM == 1000  # the bound README states, at 2 x 8 MB of matrices
+    assert standard_scalar_product(997, 3).signature == (997, 3)
+
+
 def test_split_symmetric_fixed_point():
     b = np.array([[1.0, 2.0, 0.5], [2.0, -1.0, 3.0], [0.5, 3.0, 0.0]])
     s, l = sym(b), antisym(b)
@@ -215,7 +232,8 @@ def pairing_moveaxis_reference(t1, t2, ginv):
 
 @pytest.mark.parametrize("n", [3, 4, 6, 8])
 def test_pairing_bit_identical_to_moveaxis_reference(n):
-    # the kernel moves axes with one transpose; every matmul must see the same operands
+    # the kernel raises each index by one product on a contiguous reshape; every sum must
+    # run over the same products in the same order as the reference's
     rng = np.random.default_rng(100 + n)
     a = np.eye(n) + 0.3 * rng.uniform(-1, 1, (n, n))
     g = build_scalar_product(a.T @ np.diag([1.0] * (n - 1) + [-1.0]) @ a)
@@ -232,6 +250,30 @@ def test_pairing_bit_identical_to_moveaxis_reference(n):
         assert np.shape(got) == np.shape(want)
         assert np.array_equal(got, want)
     assert type(tensor_pairing(t1[0, 0, 0], t2[0, 0, 0], g)) is float
+
+
+def hexes(x):
+    """Each value of x as float.hex text: equal lists mean equal bits."""
+    return [float(v).hex() for v in np.ravel(x)]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_stacked_pairing_equals_single_calls_bit_for_bit(n):
+    # a stack, the broadcast (k, 1) x (1, k) form and operands with no contiguous layout
+    # (transposed, strided) give each entry the bits of one call on two single tensors
+    rng = np.random.default_rng(300 + n)
+    a = np.eye(n) + 0.3 * rng.uniform(-1, 1, (n, n))
+    eta = standard_scalar_product(n - 1, 1)
+    for g in (eta, build_scalar_product(a.T @ eta.matrix @ a)):
+        u = rng.uniform(-1, 1, (3,) + (n,) * 4)
+        strided = rng.uniform(-1, 1, (3,) + (2 * n,) * 4)[..., ::2, 1::2, ::2, 1::2]
+        transposed = rng.uniform(-1, 1, (n,) * 4 + (3,)).transpose(4, 2, 3, 0, 1)
+        assert not (strided.flags.c_contiguous or transposed.flags.c_contiguous)
+        for x, y in ((u, u), (u, strided), (transposed, strided), (strided, transposed)):
+            single = [tensor_pairing(x[i], y[j], g) for i, j in np.ndindex(3, 3)]
+            assert all(type(v) is float for v in single)
+            assert hexes(tensor_pairing(x[:, None], y[None, :], g)) == hexes(single)
+            assert hexes(tensor_pairing(x, y, g)) == hexes(single[::4])
 
 
 def test_tensor_shape_and_rank_checked():
